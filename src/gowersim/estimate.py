@@ -89,15 +89,23 @@ def sample(state: StateVector, m: int, seed) -> SampleSet:
     a given seed.  A norm drift beyond 1e-9 is an error; smaller drift is
     renormalized away.
     """
-    if m < 1:
-        raise ValueError("need at least one sample")
-    p = state.amp.astype(np.float64) ** 2
+    return _draw(state, _cdf(state), m, seed)
+
+
+def _cdf(state: StateVector) -> np.ndarray:
+    p = np.square(state.amp, dtype=np.float64)
     total = float(p.sum())
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"state is not normalized: sum |amp|^2 = {total!r}")
     p /= total
-    cum = np.cumsum(p)
+    cum = np.cumsum(p, out=p)
     cum[-1] = 1.0
+    return cum
+
+
+def _draw(state: StateVector, cum: np.ndarray, m: int, seed) -> SampleSet:
+    if m < 1:
+        raise ValueError("need at least one sample")
     rng = _generator(seed)
     draws = rng.random(m)
     outcomes = np.searchsorted(cum, draws, side="right").astype(np.int64)
@@ -138,10 +146,11 @@ def validate_bound(
     if not t > 0:
         raise ValueError(f"margin t must be positive, got {t!r}")
     state = run(build_u2_circuit(f.n), f)
+    cum = _cdf(state)
     exact_norm = u2_spectral(f).norm
     covered = 0
     for i in range(trials):
-        samples = sample(state, m, child_seed(seed, i))
+        samples = _draw(state, cum, m, child_seed(seed, i))
         report = hoeffding_bound(samples, t)
         if exact_norm <= report.upper_bound:
             covered += 1

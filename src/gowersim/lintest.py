@@ -79,7 +79,7 @@ def quantum_linearity_test(f: BooleanFunction, shots: int, seed: int | None = No
     p_accept = amplitude_at_zero(state) ** 2
     if shots == 0:
         return TestVerdict(
-            verdict="ACCEPT" if 1.0 - p_accept <= 1e-12 else "REJECT",
+            verdict="ACCEPT" if p_accept == 1.0 else "REJECT",
             mode="exact",
             shots=0,
             accept_probability_exact=p_accept,

@@ -1,30 +1,35 @@
-"""Gate-level state-vector simulation of the norm-measuring circuits.
+"""State-vector simulation of the norm-measuring circuits.
 
 The simulated system is m registers of n qubits each.  Basis index layout:
 register 1 occupies the most significant n bits, register m the least
 significant, matching the library's x1-most-significant point convention.
 The phase-kickback target qubit is factored out and never stored: the phase
 oracle multiplies amplitudes by (-1)^F directly.  Every gate in scope (phase
-flips, register permutations, Hadamard layers) is real orthogonal, so
-amplitudes are plain float64.
+flips, register permutations, Hadamard layers) is real orthogonal.
+
+`run` compiles a circuit into the state that `apply` reaches gate by gate:
+the symbolic walk shared with `phase_audit` gives each oracle call's XOR-coset
+and the final register map, the cosets give one phase table, and a final
+HadamardAll is one int32 FWHT of its signs.  Amplitudes are thus exactly
+integer / 2^q for q qubits before one conversion to float64.
 
 Circuit builders:
 
-* build_u2_circuit(n)            -- 3 registers; oracle/MCNOT prefix walking the
-  four cosets x, x+a, x+b, x+a+b, then a global Hadamard layer.  Measuring
-  all-zeros afterwards has probability ||f||_{U_2}^8.
-* build_appendix_u3_circuit(n)   -- a fixed 4-register 16-gate U_3 variant,
-  kept so its defect stays demonstrable: phase_audit shows it queries only 7
-  of the 8 cosets (x+a+c is missed) even though register 1 is restored.
 * build_derivative_walk_circuit(n, k) -- k+1 registers; a recursive-doubling
   schedule D_1 = [UF, M(1,2), UF, M(1,2)], D_j = D_{j-1} + [M(1,j+1)] +
   D_{j-1} + [M(1,j+1)], visiting every coset x + sum_{i in S} d_i exactly
-  once (binary-counter subset order) and restoring register 1.  For k = 2 it
-  reproduces build_u2_circuit's prefix gate for gate.
+  once (binary-counter subset order) and restoring register 1, then a global
+  Hadamard layer.
+* build_u2_circuit(n) -- the walk for k = 2: the four cosets x, x+a, x+b,
+  x+a+b.  Measuring all-zeros afterwards has probability ||f||_{U_2}^8.
+* build_appendix_u3_circuit(n) -- a fixed 4-register 16-gate U_3 variant,
+  kept so its defect stays demonstrable: phase_audit shows it queries only 7
+  of the 8 cosets (x+a+c is missed) even though register 1 is restored.
 """
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -183,12 +188,48 @@ def apply(state: StateVector, gate: Gate, f: BooleanFunction | None = None) -> S
     raise TypeError(f"unknown gate {gate!r}")
 
 
+def _walk(circuit: Circuit) -> tuple[list[frozenset[int]], dict[int, frozenset[int]]]:
+    """Coset read by each oracle call and final register contents, as register-id sets."""
+    layout, gates = circuit.layout, circuit.gates
+    contents = {r: frozenset({r}) for r in range(1, layout.m + 1)}
+    cosets = []
+    for i, gate in enumerate(gates):
+        if isinstance(gate, MCnot):
+            layout._check_register(gate.target)
+            layout._check_register(gate.source)
+            contents[gate.target] ^= contents[gate.source]
+        elif isinstance(gate, PhaseOracle):
+            layout._check_register(gate.register)
+            cosets.append(contents[gate.register])
+        elif not (isinstance(gate, HadamardAll) and i == len(gates) - 1):
+            raise ValueError(f"{gate!r}: only HadamardAll, and only as the final gate")
+    return cosets, contents
+
+
 def run(circuit: Circuit, f: BooleanFunction | None = None) -> StateVector:
-    """uniform_state followed by the circuit's gates, in order."""
-    state = uniform_state(circuit.layout)
-    for gate in circuit.gates:
-        state = apply(state, gate, f)
-    return state
+    """The circuit applied to uniform_state, compiled (see the module docstring)."""
+    layout = circuit.layout
+    n, m, q = layout.n, layout.m, layout.qubits
+    cosets, contents = _walk(circuit)
+    if cosets and (f is None or f.n != n):
+        raise ValueError(f"the oracle needs a BooleanFunction with n = {n}")
+    ramp = np.arange(1 << n, dtype=np.min_scalar_type((1 << n) - 1))
+    axes = {r: ramp.reshape((-1,) + (1,) * (m - r)) for r in contents}  # register r's axis
+
+    def register_sum(regs: frozenset[int]) -> np.ndarray:
+        return functools.reduce(np.bitwise_xor, (axes[r] for r in regs))
+
+    phase = np.zeros((1 << n,) * m, dtype=np.uint8)
+    for coset in cosets:
+        phase ^= f.table[register_sum(coset)]
+    a = (1 - 2 * phase.reshape(-1).view(np.int8)).astype(np.int32)
+    if any(c != {r} for r, c in contents.items()):
+        index = sum(register_sum(c).astype(np.int64) << layout.shift(r)
+                    for r, c in contents.items())
+        a[index.reshape(-1)] = a.copy()
+    if circuit.gates and isinstance(circuit.gates[-1], HadamardAll):
+        return StateVector(layout, fwht_inplace(a) * 2.0**-q)
+    return StateVector(layout, a * 2.0 ** (-q / 2.0))
 
 
 def amplitude_at_zero(state: StateVector) -> float:
@@ -217,21 +258,7 @@ def build_derivative_walk_circuit(n: int, k: int) -> Circuit:
 
 def build_u2_circuit(n: int) -> Circuit:
     """The 3-register norm circuit: 4 oracle calls, 6 MCNOTs, final Hadamard layer."""
-    layout = RegisterLayout(n, 3)
-    gates: tuple[Gate, ...] = (
-        PhaseOracle(1),
-        MCnot(1, 2),
-        PhaseOracle(1),
-        MCnot(1, 2),
-        MCnot(1, 3),
-        PhaseOracle(1),
-        MCnot(1, 2),
-        PhaseOracle(1),
-        MCnot(1, 2),
-        MCnot(1, 3),
-        HadamardAll(),
-    )
-    return Circuit(layout, gates)
+    return build_derivative_walk_circuit(n, 2)
 
 
 def build_appendix_u3_circuit(n: int) -> Circuit:
@@ -291,20 +318,8 @@ class PhaseAudit:
 
 def phase_audit(circuit: Circuit) -> PhaseAudit:
     m = circuit.layout.m
-    gates = circuit.gates
-    for i, gate in enumerate(gates):
-        if isinstance(gate, HadamardAll) and i != len(gates) - 1:
-            raise ValueError("phase_audit requires HadamardAll only as the final gate")
-    contents: dict[int, frozenset[int]] = {r: frozenset({r}) for r in range(1, m + 1)}
-    cosets: list[tuple[int, ...]] = []
-    for gate in gates:
-        if isinstance(gate, MCnot):
-            circuit.layout._check_register(gate.target)
-            circuit.layout._check_register(gate.source)
-            contents[gate.target] = contents[gate.target] ^ contents[gate.source]
-        elif isinstance(gate, PhaseOracle):
-            circuit.layout._check_register(gate.register)
-            cosets.append(tuple(sorted(contents[gate.register])))
+    walked, contents = _walk(circuit)
+    cosets = [tuple(sorted(c)) for c in walked]
     expected = Counter(
         tuple(sorted({1, *subset}))
         for size in range(m)

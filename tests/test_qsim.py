@@ -3,9 +3,12 @@ end-to-end amplitudes, and the symbolic phase audit.
 """
 
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gowersim.boolfn import bent_quadratic, constant, from_anf_string, linear, random_function
 from gowersim.dyadic import DyadicRational
@@ -81,6 +84,9 @@ def test_phase_oracle_needs_matching_function():
         apply(uniform_state(lay), PhaseOracle(1), None)
     with pytest.raises(ValueError):
         apply(uniform_state(lay), PhaseOracle(1), constant(3, 0))
+    for f in (None, constant(3, 0)):
+        with pytest.raises(ValueError):
+            run(Circuit(lay, (PhaseOracle(1), HadamardAll())), f)
 
 
 def test_mcnot_is_a_basis_permutation():
@@ -265,6 +271,8 @@ def test_phase_audit_flags_repeats_and_midway_hadamard():
     bad = Circuit(lay, (HadamardAll(), PhaseOracle(1)))
     with pytest.raises(ValueError):
         phase_audit(bad)
+    with pytest.raises(ValueError):
+        run(bad, constant(2, 0))
 
 
 def test_circuit_capacity():
@@ -279,3 +287,44 @@ def test_walk_p0_known_value():
     p0 = amplitude_at_zero(run(build_derivative_walk_circuit(3, 3), f)) ** 2
     expected = DyadicRational(11, 5) ** 2
     assert p0 == pytest.approx(float(expected), abs=1e-12)
+
+
+@st.composite
+def circuits_and_functions(draw):
+    """A random layout with n*m <= 10, an oracle/MCNOT prefix and an optional final HALL."""
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(1, 10 // n))
+    register = st.integers(1, m)
+    gate = register.map(PhaseOracle)
+    if m > 1:
+        pairs = st.tuples(register, register).filter(lambda ts: ts[0] != ts[1])
+        gate = gate | pairs.map(lambda ts: MCnot(*ts))
+    gates = draw(st.lists(gate, max_size=12))
+    if draw(st.booleans()):
+        gates.append(HadamardAll())
+    f = random_function(n, draw(st.integers(0, 2**32 - 1)))
+    return Circuit(RegisterLayout(n, m), tuple(gates)), f
+
+
+@settings(max_examples=300, deadline=None)
+@given(circuits_and_functions())
+def test_run_matches_gate_by_gate_fold(case):
+    circuit, f = case
+    state = uniform_state(circuit.layout)
+    for gate in circuit.gates:
+        state = apply(state, gate, f)
+    amp = run(circuit, f).amp
+    if circuit.layout.qubits % 2 == 0:
+        # 2^(-q/2) is a power of two: the float fold is exact too
+        assert amp.tobytes() == state.amp.tobytes()
+    else:
+        assert np.max(np.abs(amp - state.amp)) <= 1e-15
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_walk_amplitude_equals_uk_exactly(n, k, seed):
+    assume(n * (k + 1) <= 16)
+    f = random_function(n, seed)
+    amp0 = amplitude_at_zero(run(build_derivative_walk_circuit(n, k), f))
+    assert Fraction(amp0) == uk_definition(f, k).pow_value.as_fraction()
