@@ -9,16 +9,10 @@ simulation against those exact values.
 from .boolfn import (
     Anf,
     BooleanFunction,
-    SignVector,
     bent_quadratic,
     constant,
-    degree,
-    derivative,
-    from_anf_string,
-    hamming,
     linear,
     random_function,
-    to_anf,
 )
 from .dyadic import DyadicRational
 from .errors import AnfSyntaxError, CapacityError, CrossCheckError
@@ -35,7 +29,6 @@ from .lintest import (
     ComparisonReport,
     RejectionBound,
     TestVerdict,
-    blr_exact,
     blr_exact_dyadic,
     blr_test,
     compare,
@@ -91,7 +84,6 @@ __all__ = [
     "RegisterLayout",
     "RejectionBound",
     "SampleSet",
-    "SignVector",
     "StateVector",
     "TestVerdict",
     "WalshSpectrum",
@@ -99,7 +91,6 @@ __all__ = [
     "apply",
     "autocorrelation",
     "bent_quadratic",
-    "blr_exact",
     "blr_exact_dyadic",
     "blr_test",
     "build_appendix_u3_circuit",
@@ -109,12 +100,8 @@ __all__ = [
     "compare",
     "constant",
     "convolve",
-    "degree",
-    "derivative",
     "dist_to_linear",
-    "from_anf_string",
     "fwht_inplace",
-    "hamming",
     "hoeffding_bound",
     "linear",
     "nonlinearity",
@@ -124,7 +111,6 @@ __all__ = [
     "rejection_lower_bound",
     "run",
     "sample",
-    "to_anf",
     "u2_autocorrelation",
     "u2_spectral",
     "uk_definition",

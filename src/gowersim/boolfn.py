@@ -7,7 +7,7 @@ Conventions used library-wide:
   increasing index order, i.e. lexicographically in (x1, ..., xn).
 * Truth tables are stored as packed Python integers (bit idx(x) holds F(x)),
   so the O(2^n) transforms run on whole machine words.
-* The character form f(x) = (-1)**F(x) is exposed as sign tables / SignVector.
+* The character form f(x) = (-1)**F(x) is exposed as sign tables.
 * Hex truth-table format: ceil(2^n / 4) hex digits, most significant digit
   first; the bit of x = 0...0 is the most significant bit of the whole string.
   (For n = 1 the single digit is padded with two low zero bits.)
@@ -18,11 +18,10 @@ all downstream exact accumulators stay cheap.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .dyadic import DyadicRational
 from .errors import AnfSyntaxError, CapacityError
 
 MAX_N = 24
@@ -110,10 +109,6 @@ def _as_index(x: Point, n: int) -> int:
     return pack_point(list(x), n)
 
 
-def popcount_array(values: np.ndarray) -> np.ndarray:
-    return np.bitwise_count(values)
-
-
 # ---------------------------------------------------------------------------
 # ANF
 # ---------------------------------------------------------------------------
@@ -150,9 +145,6 @@ class Anf:
     def coeffs(self) -> np.ndarray:
         return bits_to_array(self._coeffs, self.n)
 
-    def coefficient(self, u: Point) -> int:
-        return (self._coeffs >> _as_index(u, self.n)) & 1
-
     def monomials(self) -> list[int]:
         """Packed indices u with lambda_u = 1, ascending."""
         return [int(u) for u in np.flatnonzero(self.coeffs)]
@@ -162,7 +154,7 @@ class Anf:
         present = np.flatnonzero(self.coeffs)
         if present.size == 0:
             return 0
-        return int(popcount_array(present.astype(np.uint32)).max())
+        return int(np.bitwise_count(present.astype(np.uint32)).max())
 
     def to_function(self) -> "BooleanFunction":
         return BooleanFunction.from_packed(self.n, mobius_packed(self._coeffs, self.n))
@@ -292,10 +284,6 @@ class BooleanFunction:
         return obj
 
     @classmethod
-    def from_anf(cls, anf: Anf) -> "BooleanFunction":
-        return anf.to_function()
-
-    @classmethod
     def from_anf_string(cls, text: str, n: int) -> "BooleanFunction":
         _check_n(n)
         return Anf.from_packed(n, _parse_anf(text, n)).to_function()
@@ -334,9 +322,6 @@ class BooleanFunction:
     def sign_table(self, dtype=np.int8) -> np.ndarray:
         """Character form f(x) = (-1)**F(x) as an array of +-1."""
         return (1 - 2 * self.table.astype(np.int16)).astype(dtype)
-
-    def sign_vector(self) -> "SignVector":
-        return SignVector(self.n, self.sign_table())
 
     def value(self, x: Point) -> int:
         return (self._bits >> _as_index(x, self.n)) & 1
@@ -393,77 +378,6 @@ class BooleanFunction:
         return f"BooleanFunction(n={self.n}, weight={self.weight})"
 
 
-class SignVector:
-    """The +-1 character form of a Boolean function."""
-
-    __slots__ = ("n", "signs")
-
-    def __init__(self, n: int, signs: np.ndarray):
-        _check_n(n)
-        arr = np.asarray(signs)
-        if arr.shape != (1 << n,):
-            raise ValueError(f"sign vector must have length {1 << n}")
-        if not np.isin(arr, (-1, 1)).all():
-            raise ValueError("sign entries must be +1 or -1")
-        arr = arr.astype(np.int8).copy()
-        arr.setflags(write=False)
-        self.n = n
-        self.signs = arr
-
-    @classmethod
-    def from_function(cls, f: BooleanFunction) -> "SignVector":
-        return f.sign_vector()
-
-    def to_function(self) -> BooleanFunction:
-        return BooleanFunction(self.n, (1 - self.signs.astype(np.int16)) // 2)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SignVector)
-            and self.n == other.n
-            and np.array_equal(self.signs, other.signs)
-        )
-
-    def __repr__(self) -> str:
-        return f"SignVector(n={self.n})"
-
-
-class HammingResult(NamedTuple):
-    weight: int
-    dist: DyadicRational
-
-
-# -- module-level operation surface -------------------------------------------
-
-
-def from_anf_string(text: str, n: int) -> BooleanFunction:
-    return BooleanFunction.from_anf_string(text, n)
-
-
-def to_anf(f: BooleanFunction) -> Anf:
-    return f.to_anf()
-
-
-def degree(f: BooleanFunction) -> int:
-    return f.degree()
-
-
-def derivative(f: BooleanFunction, dirs: Sequence[Point]) -> BooleanFunction:
-    return f.derivative(dirs)
-
-
-def hamming(f: BooleanFunction, g: BooleanFunction | None = None) -> HammingResult:
-    """Hamming weight of f + g (weight of f when g is omitted) and d_H / 2^n."""
-    if g is None:
-        bits = f._bits
-    else:
-        if f.n != g.n:
-            raise ValueError(f"dimension mismatch: n = {f.n} vs {g.n}")
-        bits = f._bits ^ g._bits
-    w = bits.bit_count()
-    return HammingResult(w, DyadicRational(w, f.n))
-
-
 # -- standard families ---------------------------------------------------------
 
 
@@ -480,7 +394,7 @@ def linear(n: int, u: Point | str) -> BooleanFunction:
     _check_n(n)
     mask = _as_mask(u, n)
     idx = np.arange(1 << n, dtype=np.uint32)
-    return BooleanFunction(n, (popcount_array(idx & np.uint32(mask)) & 1).astype(np.uint8))
+    return BooleanFunction(n, (np.bitwise_count(idx & np.uint32(mask)) & 1).astype(np.uint8))
 
 
 def constant(n: int, bit: int = 0) -> BooleanFunction:

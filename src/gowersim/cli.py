@@ -259,7 +259,7 @@ def cmd_estimate(cfg: RunConfig, args: argparse.Namespace) -> int:
         "covered": gv.norm <= report.upper_bound,
     }
     if args.validate:
-        coverage = validate_bound(f, args.m, args.t, args.trials, cfg.seed)
+        coverage = validate_bound(state, gv.norm, args.m, args.t, args.trials, cfg.seed)
         payload["validate"] = {
             "trials": args.trials,
             "coverage": coverage,

@@ -7,7 +7,6 @@ appear only at presentation boundaries (CLI output, 2**-k-th roots).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -95,19 +94,3 @@ class DyadicRational:
     def to_json_dict(self) -> dict:
         return {"num": self.num, "log2_den": self.log2_den, "value": float(self)}
 
-
-ZERO = DyadicRational(0, 0)
-ONE = DyadicRational(1, 0)
-
-
-def from_int(value: int) -> DyadicRational:
-    return DyadicRational(value, 0)
-
-
-def ldexp_exact(value: int, log2_den: int) -> DyadicRational:
-    """value / 2**log2_den as a DyadicRational (convenience constructor)."""
-    return DyadicRational(value, log2_den)
-
-
-def isclose_float(d: DyadicRational, x: float, tol: float = 1e-12) -> bool:
-    return math.isfinite(x) and abs(float(d) - x) <= tol

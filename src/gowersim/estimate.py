@@ -22,9 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boolfn import BooleanFunction
-from .gowers import u2_spectral
-from .qsim import StateVector, build_u2_circuit, run
+from .qsim import StateVector
 
 RNG_ALGORITHM = "PCG64"
 
@@ -133,21 +131,19 @@ def hoeffding_bound(samples: SampleSet, t: float) -> EstimationReport:
 
 
 def validate_bound(
-    f: BooleanFunction, m: int, t: float, trials: int, seed: int
+    state: StateVector, exact_norm: float, m: int, t: float, trials: int, seed: int
 ) -> float:
-    """Fraction of independent trials whose bound covers the exact U_2 norm.
+    """Fraction of independent trials whose bound covers exact_norm.
 
-    Each trial samples m outcomes from the norm circuit's final state with a
-    derived child seed, computes the Hoeffding report, and checks
-    exact_norm <= upper_bound against the exact spectral value.
+    Each trial samples m outcomes from `state`, the norm circuit's final
+    state, with a derived child seed, computes the Hoeffding report, and
+    checks exact_norm <= upper_bound.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     if not t > 0:
         raise ValueError(f"margin t must be positive, got {t!r}")
-    state = run(build_u2_circuit(f.n), f)
     cum = _cdf(state)
-    exact_norm = u2_spectral(f).norm
     covered = 0
     for i in range(trials):
         samples = _draw(state, cum, m, child_seed(seed, i))

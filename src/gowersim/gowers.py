@@ -20,13 +20,14 @@ the 2^-k-th root is floating point, for display only.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .boolfn import BooleanFunction, bits_to_array, xor_translate
 from .dyadic import DyadicRational
 from .errors import CapacityError
-from .spectral import fwht_inplace, walsh
+from .spectral import _correlation, fwht_inplace, walsh
 
 DEFINITION_GUARD = 24  # uk_definition iterates 2^((k+1) n) cheap word operations
 
@@ -43,42 +44,51 @@ class GowersValue:
         return self.pow_value.root(self.k)
 
 
-def _sum_w4(w: np.ndarray) -> int:
-    """Exact sum of W(u)^4 (Python integers; safe for any n <= 24)."""
+def _power_sum(w: np.ndarray, p: int) -> int:
+    """Exact sum of W(u)^p (Python integers; safe for any n <= 24)."""
     values, counts = np.unique(w, return_counts=True)
-    return sum(int(v) ** 4 * int(c) for v, c in zip(values, counts))
+    return sum(int(v) ** p * int(c) for v, c in zip(values, counts))
 
 
-def _sum_w3(w: np.ndarray) -> int:
-    values, counts = np.unique(w, return_counts=True)
-    return sum(int(v) ** 3 * int(c) for v, c in zip(values, counts))
+def _fold(f: BooleanFunction, depth: int, leaf: Callable[[list[int]], int]) -> int:
+    """Sum of leaf(tables) over all (depth-1)-tuples d1..d_{depth-1}, depth >= 1.
+
+    `tables` lists the packed Delta_{d1..d_depth} F for every last direction
+    d_depth, so a leaf costs no Python call per table.  Each recursion level
+    folds one more direction into the running packed derivative table, so the
+    incremental subset sums are reused.
+    """
+    n = f.n
+
+    def fold(bits: int, level: int) -> int:
+        tables = [bits ^ xor_translate(bits, n, d) for d in range(1 << n)]
+        if level == depth:
+            return leaf(tables)
+        total = 0
+        for table in tables:
+            total += fold(table, level + 1)
+        return total
+
+    return fold(f.packed, 1)
 
 
 def u2_spectral(f: BooleanFunction) -> GowersValue:
     """pow_value = sum_u W(u)^4 / 2^(4n)."""
-    total = _sum_w4(walsh(f).w)
+    total = _power_sum(walsh(f).w, 4)
     return GowersValue(2, DyadicRational(total, 4 * f.n))
 
 
 def u2_autocorrelation(f: BooleanFunction) -> GowersValue:
     """pow_value = 2^-n sum_a (f*f)(a)^2, via packed-word autocorrelations."""
-    if 2 * f.n > 24:
-        raise CapacityError(f"u2_autocorrelation needs 2n <= 24, got n = {f.n}")
-    size = 1 << f.n
-    bits, n = f.packed, f.n
-    total = 0
-    for a in range(size):
-        s = size - 2 * (bits ^ xor_translate(bits, n, a)).bit_count()
-        total += s * s
-    return GowersValue(2, DyadicRational(total, 3 * f.n))
+    r = _correlation(f, f)
+    return GowersValue(2, DyadicRational(int(np.dot(r, r)), 3 * f.n))
 
 
 def uk_definition(f: BooleanFunction, k: int) -> GowersValue:
     """Literal sum over all x, d1, ..., dk of the 2^k-fold subset product.
 
-    Each recursion level folds one more direction into the running packed
-    derivative table, so the incremental subset sums are reused; a leaf then
-    contributes sum_x (-1)^(Delta_{d1..dk} F (x)) in one popcount.
+    Each derivative table Delta_{d1..dk} F contributes
+    sum_x (-1)^(Delta_{d1..dk} F (x)) = 2^n - 2 * popcount.
     """
     if k < 1:
         raise ValueError("order k must be >= 1")
@@ -87,17 +97,8 @@ def uk_definition(f: BooleanFunction, k: int) -> GowersValue:
             f"uk_definition needs (k+1)*n <= {DEFINITION_GUARD}, got k = {k}, n = {f.n}"
         )
     size = 1 << f.n
-    n = f.n
-
-    def fold(bits: int, depth: int) -> int:
-        if depth == k:
-            return size - 2 * bits.bit_count()
-        total = 0
-        for d in range(size):
-            total += fold(bits ^ xor_translate(bits, n, d), depth + 1)
-        return total
-
-    return GowersValue(k, DyadicRational(fold(f.packed, 0), (k + 1) * f.n))
+    total = _fold(f, k, lambda tables: size * len(tables) - 2 * sum(map(int.bit_count, tables)))
+    return GowersValue(k, DyadicRational(total, (k + 1) * f.n))
 
 
 def uk_via_derivatives(f: BooleanFunction, k: int) -> GowersValue:
@@ -108,20 +109,11 @@ def uk_via_derivatives(f: BooleanFunction, k: int) -> GowersValue:
         raise CapacityError(
             f"uk_via_derivatives needs (k-2)*n <= 24, got k = {k}, n = {f.n}"
         )
-    size = 1 << f.n
     n = f.n
 
     def w4_of(bits: int) -> int:
         signs = 1 - 2 * bits_to_array(bits, n).astype(np.int64)
-        return _sum_w4(fwht_inplace(signs))
+        return _power_sum(fwht_inplace(signs), 4)
 
-    def fold(bits: int, depth: int) -> int:
-        if depth == k - 2:
-            return w4_of(bits)
-        total = 0
-        for d in range(size):
-            total += fold(bits ^ xor_translate(bits, n, d), depth + 1)
-        return total
-
-    total = fold(f.packed, 0)
+    total = _fold(f, k - 2, lambda tables: sum(map(w4_of, tables)))
     return GowersValue(k, DyadicRational(total, (k + 2) * f.n))

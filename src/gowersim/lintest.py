@@ -22,13 +22,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .boolfn import BooleanFunction, xor_translate
+from .boolfn import BooleanFunction
 from .dyadic import DyadicRational
-from .errors import CapacityError, CrossCheckError
+from .errors import CrossCheckError
 from .estimate import child_seed, sample
-from .gowers import _sum_w3
+from .gowers import _power_sum
 from .qsim import amplitude_at_zero, build_u2_circuit, run
-from .spectral import dist_to_linear, nonlinearity, walsh
+from .spectral import _correlation, dist_to_linear, nonlinearity, walsh
 
 QUANTUM_QUERIES_PER_SHOT = 4  # phase-oracle calls per circuit execution
 BLR_QUERIES_PER_TRIAL = 3
@@ -115,19 +115,12 @@ def blr_exact_dyadic(f: BooleanFunction, route: str = "auto") -> DyadicRational:
     n = f.n
     results: dict[str, DyadicRational] = {}
     if route in ("auto", "both", "spectral"):
-        s3 = _sum_w3(walsh(f).w)
+        s3 = _power_sum(walsh(f).w, 3)
         results["spectral"] = DyadicRational((1 << (3 * n)) + s3, 3 * n + 1)
     if route in ("both", "enumeration") or (route == "auto" and 2 * n <= 24):
-        if 2 * n > 24:
-            raise CapacityError(f"enumeration route needs 2n <= 24, got n = {n}")
-        size = 1 << n
-        bits = f.packed
-        matches = 0
-        for x in range(size):
-            disagree = (bits ^ xor_translate(bits, n, x)).bit_count()
-            # row y holds F(y) + F(x+y); compare against F(x)
-            matches += disagree if (bits >> x) & 1 else size - disagree
-        results["enumeration"] = DyadicRational(matches, 2 * n)
+        # accepted pairs (x, y): (2^(2n) + sum_x f(x) r(x)) / 2, r(x) = sum_y f(y) f(x+y)
+        s = int(np.dot(f.sign_table(np.int64), _correlation(f, f)))
+        results["enumeration"] = DyadicRational((1 << (2 * n)) + s, 2 * n + 1)
     values = list(results.values())
     if len(values) == 2 and values[0] != values[1]:
         raise CrossCheckError(
@@ -136,18 +129,15 @@ def blr_exact_dyadic(f: BooleanFunction, route: str = "auto") -> DyadicRational:
     return values[0]
 
 
-def blr_exact(f: BooleanFunction, route: str = "auto") -> float:
-    return float(blr_exact_dyadic(f, route))
-
-
 def blr_test(f: BooleanFunction, trials: int, seed: int | None = None) -> TestVerdict:
     """Sampled BLR test; trials = 0 returns the exact-mode verdict."""
     if trials < 0:
         raise ValueError("trials must be >= 0")
-    p_accept = blr_exact(f, "spectral")
+    p_exact = blr_exact_dyadic(f, "spectral")
+    p_accept = float(p_exact)
     if trials == 0:
         return TestVerdict(
-            verdict="ACCEPT" if 1.0 - p_accept <= 1e-12 else "REJECT",
+            verdict="ACCEPT" if p_exact == DyadicRational(1, 0) else "REJECT",
             mode="exact",
             shots=0,
             accept_probability_exact=p_accept,

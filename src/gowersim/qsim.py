@@ -151,9 +151,6 @@ class StateVector:
     def norm(self) -> float:
         return float(np.sqrt(np.dot(self.amp, self.amp)))
 
-    def copy(self) -> "StateVector":
-        return StateVector(self.layout, self.amp.copy())
-
 
 def uniform_state(layout: RegisterLayout) -> StateVector:
     amp = np.full(layout.dim, 2.0 ** (-layout.qubits / 2.0))

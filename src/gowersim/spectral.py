@@ -19,10 +19,12 @@ from .errors import CapacityError
 def fwht_inplace(a: np.ndarray) -> np.ndarray:
     """Unnormalized fast Walsh-Hadamard transform; length must be a power of two."""
     size = a.shape[0]
+    scratch = np.empty(size // 2, dtype=a.dtype)
     h = 1
     while h < size:
         view = a.reshape(-1, 2 * h)
-        lo = view[:, :h].copy()
+        lo = scratch.reshape(-1, h)
+        np.copyto(lo, view[:, :h])
         hi = view[:, h:]
         np.add(lo, hi, out=view[:, :h])
         np.subtract(lo, hi, out=view[:, h:])
@@ -94,16 +96,17 @@ def autocorrelation(f: BooleanFunction, a: Point) -> DyadicRational:
     return DyadicRational((1 << f.n) - 2 * disagreements, f.n)
 
 
-def convolve(f: BooleanFunction, g: BooleanFunction) -> list[DyadicRational]:
-    """Pointwise values of (f * g)(a) = 2^-n sum_y f(y) g(y+a) over all a."""
+def _correlation(f: BooleanFunction, g: BooleanFunction) -> np.ndarray:
+    """r(a) = sum_y f(y) g(y+a) over all a, as int64 (|r| <= 2^n)."""
     if f.n != g.n:
         raise ValueError(f"dimension mismatch: n = {f.n} vs {g.n}")
     if 2 * f.n > 24:
-        raise CapacityError(f"convolve needs 2n <= 24, got n = {f.n}")
-    size = 1 << f.n
+        raise CapacityError(f"the XOR correlation needs 2n <= 24, got n = {f.n}")
     fb, gb, n = f.packed, g.packed, f.n
-    out = []
-    for a in range(size):
-        disagreements = (fb ^ xor_translate(gb, n, a)).bit_count()
-        out.append(DyadicRational(size - 2 * disagreements, n))
-    return out
+    disagreements = [(fb ^ xor_translate(gb, n, a)).bit_count() for a in range(1 << n)]
+    return (1 << n) - 2 * np.array(disagreements, dtype=np.int64)
+
+
+def convolve(f: BooleanFunction, g: BooleanFunction) -> list[DyadicRational]:
+    """Pointwise values of (f * g)(a) = 2^-n sum_y f(y) g(y+a) over all a."""
+    return [DyadicRational(int(r), f.n) for r in _correlation(f, g)]

@@ -1,6 +1,9 @@
 """End-to-end CLI behaviour: happy paths, exit codes, determinism."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -242,3 +245,19 @@ def test_deterministic_runs_are_identical(capsys):
     _, out1, _ = run_cli(capsys, *argv)
     _, out2, _ = run_cli(capsys, *argv)
     assert out1 == out2
+
+
+def test_trace_launcher_finds_every_traced_name(tmp_path):
+    # perfbench/tracing.py looks functions and methods up by name; a removed
+    # name would break `perfbench/run.py --trace 1`
+    launcher = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    trace = tmp_path / "trace.json"
+    argv = ["gowers", "--anf", "x1*x2 + x3", "-n", "3", "-k", "2", "--deterministic"]
+    proc = subprocess.run(
+        [sys.executable, str(launcher), str(trace), *argv],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["agreement"] is True
+    names = {span[2] for span in json.loads(trace.read_text())["spans"]}
+    assert {"gowers.u2_autocorrelation", "cli.resolve_function"} <= names

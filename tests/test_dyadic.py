@@ -3,17 +3,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gowersim.dyadic import ONE, ZERO, DyadicRational, from_int, isclose_float, ldexp_exact
+from gowersim.dyadic import DyadicRational
 
 
 def test_canonical_form():
     assert DyadicRational(4, 4) == DyadicRational(1, 2)
     assert DyadicRational(4, 4).num == 1
     assert DyadicRational(4, 4).log2_den == 2
-    assert DyadicRational(0, 7) == ZERO
+    assert DyadicRational(0, 7) == DyadicRational(0, 0)
     assert DyadicRational(0, 7).log2_den == 0
-    assert DyadicRational(-8, 3) == from_int(-1)
-    assert ONE.num == 1 and ONE.log2_den == 0
+    assert DyadicRational(-8, 3) == DyadicRational(-1, 0)
 
 
 def test_negative_log2_den_rejected():
@@ -42,7 +41,7 @@ def test_comparisons_are_exact():
     assert not DyadicRational(1, 0) < DyadicRational(1, 0)
     # huge denominators must not lose precision the way floats would
     tiny = DyadicRational(1, 400)
-    assert ZERO < tiny < DyadicRational(1, 399)
+    assert DyadicRational(0, 0) < tiny < DyadicRational(1, 399)
 
 
 def test_pow_rejects_negative_exponent():
@@ -54,7 +53,7 @@ def test_float_and_root():
     d = DyadicRational(11, 5)
     assert float(d) == 11 / 32
     assert d.root(3) == pytest.approx((11 / 32) ** 0.125, abs=1e-15)
-    assert ONE.root(4) == 1.0
+    assert DyadicRational(1, 0).root(4) == 1.0
     with pytest.raises(ValueError):
         DyadicRational(-1, 1).root(2)
 
@@ -64,8 +63,3 @@ def test_str_and_json():
     assert str(d) == "3/2^4"
     assert d.to_json_dict() == {"num": 3, "log2_den": 4, "value": 3 / 16}
 
-
-def test_ldexp_exact_and_isclose():
-    assert ldexp_exact(5, 3) == DyadicRational(5, 3)
-    assert isclose_float(DyadicRational(1, 2), 0.25)
-    assert not isclose_float(DyadicRational(1, 2), 0.25 + 1e-9)

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gowersim.boolfn import bent_quadratic, from_anf_string, linear, random_function
+from gowersim.boolfn import BooleanFunction, bent_quadratic, linear, random_function
 from gowersim.estimate import (
     SampleSet,
     child_seed,
@@ -14,8 +14,16 @@ from gowersim.estimate import (
     sample,
     validate_bound,
 )
+from gowersim.gowers import u2_spectral
 from gowersim.qsim import RegisterLayout, StateVector, build_u2_circuit, run, uniform_state
 from gowersim.spectral import fwht_inplace
+
+from_anf_string = BooleanFunction.from_anf_string
+
+
+def u2_state_and_norm(f):
+    """The norm circuit's final state and the exact U2 norm it bounds."""
+    return run(build_u2_circuit(f.n), f), u2_spectral(f).norm
 
 
 def point_mass(layout, index):
@@ -134,19 +142,20 @@ def test_mean_y_never_exceeds_rejection_mass():
 
 
 def test_validate_bound_linear_is_always_covered():
-    assert validate_bound(linear(2, 0b10), m=20, t=0.1, trials=30, seed=5) == 1.0
+    state, norm = u2_state_and_norm(linear(2, 0b10))
+    assert validate_bound(state, norm, m=20, t=0.1, trials=30, seed=5) == 1.0
 
 
 def test_validate_bound_inputs():
-    f = bent_quadratic(2)
+    state, norm = u2_state_and_norm(bent_quadratic(2))
     with pytest.raises(ValueError):
-        validate_bound(f, m=10, t=0.0, trials=5, seed=1)
+        validate_bound(state, norm, m=10, t=0.0, trials=5, seed=1)
     with pytest.raises(ValueError):
-        validate_bound(f, m=10, t=0.1, trials=0, seed=1)
+        validate_bound(state, norm, m=10, t=0.1, trials=0, seed=1)
 
 
 def test_validate_bound_reproducible():
-    f = bent_quadratic(4)
-    a = validate_bound(f, m=25, t=0.05, trials=40, seed=9)
-    b = validate_bound(f, m=25, t=0.05, trials=40, seed=9)
+    state, norm = u2_state_and_norm(bent_quadratic(4))
+    a = validate_bound(state, norm, m=25, t=0.05, trials=40, seed=9)
+    b = validate_bound(state, norm, m=25, t=0.05, trials=40, seed=9)
     assert a == b

@@ -12,7 +12,6 @@ from gowersim.boolfn import (
     BooleanFunction,
     bent_quadratic,
     constant,
-    from_anf_string,
     linear,
     random_function,
 )
@@ -25,6 +24,8 @@ from gowersim.gowers import (
     uk_via_derivatives,
 )
 from gowersim.spectral import walsh
+
+from_anf_string = BooleanFunction.from_anf_string
 
 
 def brute_uk_pow(f, k):

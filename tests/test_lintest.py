@@ -10,7 +10,6 @@ from gowersim.boolfn import (
     BooleanFunction,
     bent_quadratic,
     constant,
-    from_anf_string,
     linear,
     random_function,
 )
@@ -21,7 +20,6 @@ from gowersim.lintest import (
     BLR_QUERIES_PER_TRIAL,
     QUANTUM_QUERIES_PER_SHOT,
     ComparisonReport,
-    blr_exact,
     blr_exact_dyadic,
     blr_test,
     compare,
@@ -29,6 +27,8 @@ from gowersim.lintest import (
     rejection_lower_bound,
 )
 from gowersim.spectral import dist_to_linear, walsh
+
+from_anf_string = BooleanFunction.from_anf_string
 
 
 def test_linear_always_accepts():
@@ -86,7 +86,7 @@ def test_blr_known_values():
     assert blr_exact_dyadic(bent_quadratic(4)) == DyadicRational(17, 5)
     assert blr_exact_dyadic(linear(3, 0b101)) == DyadicRational(1, 0)
     # constant 1 fails BLR often: F(x)+F(y) = 0 but F(x+y) = 1 always
-    assert blr_exact(constant(2, 1)) == 0.0
+    assert blr_exact_dyadic(constant(2, 1)) == DyadicRational(0, 0)
 
 
 def test_blr_routes_agree_exactly():
@@ -120,7 +120,7 @@ def test_blr_enumeration_capacity():
     with pytest.raises(CapacityError):
         blr_exact_dyadic(f, "enumeration")
     # auto falls back to the spectral route alone above the cutoff
-    assert 0.0 <= blr_exact(f) <= 1.0
+    assert DyadicRational(0, 0) <= blr_exact_dyadic(f) <= DyadicRational(1, 0)
     with pytest.raises(ValueError):
         blr_exact_dyadic(f, "fft")
 
@@ -134,6 +134,7 @@ def test_blr_sampled():
 
     exact = blr_test(f, trials=0)
     assert exact.mode == "exact" and exact.verdict == "REJECT"
+    assert blr_test(linear(3, 0b010), trials=0).verdict == "ACCEPT"
 
     ok = blr_test(linear(3, 0b010), trials=2000, seed=5)
     assert ok.verdict == "ACCEPT" and ok.rejection_frequency == 0.0

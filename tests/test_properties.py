@@ -1,0 +1,56 @@
+"""Property tests: the exact routes agree on randomly generated functions.
+
+Every comparison is integer (dyadic) equality, never a float tolerance.
+"""
+
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gowersim.boolfn import BooleanFunction
+from gowersim.gowers import u2_autocorrelation, u2_spectral, uk_definition, uk_via_derivatives
+from gowersim.lintest import blr_exact_dyadic
+from gowersim.spectral import convolve
+
+
+def functions(max_n: int, min_n: int = 1):
+    """Any packed truth table with min_n <= n <= max_n (shrinks towards F = 0)."""
+    return st.integers(min_n, max_n).flatmap(
+        lambda n: st.builds(
+            BooleanFunction.from_packed, st.just(n), st.integers(0, (1 << (1 << n)) - 1)
+        )
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(functions(6))
+def test_u2_routes_agree(f):
+    spectral = u2_spectral(f).pow_value
+    assert u2_autocorrelation(f).pow_value == spectral
+    assert uk_definition(f, 2).pow_value == spectral
+
+
+# uk_definition admits n <= 6 at k = 3, but one n = 6 call takes ~0.4 s
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(st.tuples(st.just(3), functions(5)), st.tuples(st.just(4), functions(4))))
+def test_uk_definition_equals_derivative_route(case):
+    k, f = case
+    assert uk_definition(f, k).pow_value == uk_via_derivatives(f, k).pow_value
+
+
+@settings(max_examples=60, deadline=None)
+@given(functions(6))
+def test_blr_spectral_equals_enumeration(f):
+    assert blr_exact_dyadic(f, "spectral") == blr_exact_dyadic(f, "enumeration")
+
+
+@settings(max_examples=40, deadline=None)
+@given(functions(6).flatmap(lambda f: st.tuples(st.just(f), functions(f.n, f.n))))
+def test_convolve_matches_brute_force(fg):
+    f, g = fg
+    size = 1 << f.n
+    conv = convolve(f, g)
+    for a in range(size):
+        total = sum(1 - 2 * (f.value(y) ^ g.value(y ^ a)) for y in range(size))
+        assert conv[a].as_fraction() == Fraction(total, size)

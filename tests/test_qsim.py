@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gowersim.boolfn import bent_quadratic, constant, from_anf_string, linear, random_function
+from gowersim.boolfn import BooleanFunction, bent_quadratic, constant, linear, random_function
 from gowersim.dyadic import DyadicRational
 from gowersim.errors import CapacityError
 from gowersim.gowers import u2_spectral, uk_definition
@@ -31,6 +31,8 @@ from gowersim.qsim import (
     uniform_state,
 )
 from gowersim.spectral import fwht_inplace
+
+from_anf_string = BooleanFunction.from_anf_string
 
 
 def basis_state(layout, index):

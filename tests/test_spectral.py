@@ -9,7 +9,6 @@ from gowersim.boolfn import (
     BooleanFunction,
     bent_quadratic,
     constant,
-    from_anf_string,
     linear,
     random_function,
 )
@@ -23,6 +22,8 @@ from gowersim.spectral import (
     nonlinearity,
     walsh,
 )
+
+from_anf_string = BooleanFunction.from_anf_string
 
 
 def brute_walsh(f):
