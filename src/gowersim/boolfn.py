@@ -50,8 +50,10 @@ def _fold_masks(n: int) -> list[tuple[int, int]]:
         cached = []
         for j in range(n):
             stride = 1 << j
-            block = (1 << stride) - 1
-            mask = block * (((1 << size) - 1) // ((1 << (2 * stride)) - 1))
+            mask, width = (1 << stride) - 1, 2 * stride
+            while width < size:  # doubling: no division of 2^n-bit integers
+                mask |= mask << width
+                width *= 2
             cached.append((stride, mask))
         _FOLD_MASKS[n] = cached
     return cached
@@ -147,7 +149,7 @@ class Anf:
 
     def monomials(self) -> list[int]:
         """Packed indices u with lambda_u = 1, ascending."""
-        return [int(u) for u in np.flatnonzero(self.coeffs)]
+        return np.flatnonzero(self.coeffs).tolist()
 
     def degree(self) -> int:
         """Max Hamming weight of a monomial; 0 for the constant functions."""
@@ -160,13 +162,13 @@ class Anf:
         return BooleanFunction.from_packed(self.n, mobius_packed(self._coeffs, self.n))
 
     def to_string(self) -> str:
+        """Monomials in ascending u joined by ' + '; '1' for u = 0, '0' if none."""
+        low = self.n // 2  # u = (high field x1..x_{n-low}, low field: the rest)
+        high_names, low_names = _products(self.n - low, 1), _products(low, self.n - low + 1)
         terms = []
         for u in self.monomials():
-            if u == 0:
-                terms.append("1")
-            else:
-                vec = unpack_point(u, self.n)
-                terms.append("*".join(f"x{i + 1}" for i, b in enumerate(vec) if b))
+            h, l = high_names[u >> low], low_names[u & ((1 << low) - 1)]
+            terms.append(h + "*" + l if h and l else h or l or "1")
         return " + ".join(terms) if terms else "0"
 
     def __eq__(self, other) -> bool:
@@ -179,6 +181,12 @@ class Anf:
 
     def __repr__(self) -> str:
         return f"Anf(n={self.n}, {self.to_string()!r})"
+
+
+def _products(width: int, first: int) -> list[str]:
+    """'x_i*...*x_j' for every value of a width-bit field whose top bit is x_first."""
+    return ["*".join(f"x{first + i}" for i in range(width) if v >> (width - 1 - i) & 1)
+            for v in range(1 << width)]
 
 
 def _parse_anf(text: str, n: int) -> int:

@@ -105,9 +105,9 @@ def uk_via_derivatives(f: BooleanFunction, k: int) -> GowersValue:
     """2^(-(k-2)n) sum over (k-2)-tuples of ||Delta_dirs f||_{U_2}^4, exact."""
     if k < 3:
         raise ValueError("the derivative route is defined for k >= 3")
-    if (k - 2) * f.n > 24:
+    if (k - 1) * f.n > 24:  # 2^((k-2)n) FWHTs of length 2^n
         raise CapacityError(
-            f"uk_via_derivatives needs (k-2)*n <= 24, got k = {k}, n = {f.n}"
+            f"uk_via_derivatives needs (k-1)*n <= 24, got k = {k}, n = {f.n}"
         )
     n = f.n
 

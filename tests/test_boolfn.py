@@ -6,10 +6,14 @@ table index, so at n = 2 the table order is F(00), F(01), F(10), F(11).
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gowersim.boolfn import (
+    _FOLD_MASKS,
     Anf,
     BooleanFunction,
+    _fold_masks,
     bent_quadratic,
     constant,
     linear,
@@ -92,6 +96,49 @@ def test_anf_round_trip_random():
             if f.to_anf().monomials():
                 h = from_anf_string(f.to_anf().to_string(), n)
                 assert h == f
+
+
+def test_fold_masks_match_closed_form():
+    _FOLD_MASKS.clear()
+    for n in range(1, 15):
+        size = 1 << n
+        expected = []
+        for j in range(n):
+            stride = 1 << j
+            block = (1 << stride) - 1
+            expected.append((stride, block * (((1 << size) - 1) // ((1 << (2 * stride)) - 1))))
+        assert _fold_masks(n) == expected
+
+
+def reference_anf_string(anf):
+    """One unpack_point and one join per monomial."""
+    terms = []
+    for u in anf.monomials():
+        vec = unpack_point(u, anf.n)
+        terms.append("*".join(f"x{i + 1}" for i, b in enumerate(vec) if b) if u else "1")
+    return " + ".join(terms) if terms else "0"
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 8).flatmap(
+    lambda n: st.builds(BooleanFunction.from_packed, st.just(n), st.integers(0, (1 << (1 << n)) - 1))
+))
+def test_anf_string_round_trip(f):
+    text = f.to_anf().to_string()
+    assert text == reference_anf_string(f.to_anf())
+    assert from_anf_string(text, f.n) == f
+
+
+def test_anf_string_edge_cases():
+    # n = 1 has an empty low field; constants print as the empty sum and "1"
+    assert from_anf_string("x1", 1).to_anf().to_string() == "x1"
+    assert from_anf_string("1 + x1", 1).to_anf().to_string() == "1 + x1"
+    assert constant(1, 0).to_anf().to_string() == "0"
+    assert constant(1, 1).to_anf().to_string() == "1"
+    assert constant(5, 0).to_anf().to_string() == "0"
+    assert constant(5, 1).to_anf().to_string() == "1"
+    # ascending u; at n = 5 the high field is x1..x3, so x3*x4*x5 spans both fields
+    assert from_anf_string("x1*x5 + x3*x4*x5", 5).to_anf().to_string() == "x3*x4*x5 + x1*x5"
 
 
 def test_mobius_is_an_involution():

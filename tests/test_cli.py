@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from gowersim import cli
+from gowersim.boolfn import BooleanFunction, bent_quadratic
 from gowersim.dyadic import DyadicRational
 from gowersim.gowers import GowersValue
 
@@ -41,6 +42,12 @@ def test_analyze_tt_hex_matches_anf(capsys):
     via_hex = run_json(capsys, "analyze", "--tt-hex", "1", "-n", "2", "--deterministic")
     via_anf = run_json(capsys, "analyze", "--anf", "x1*x2", "-n", "2", "--deterministic")
     assert via_hex == via_anf
+
+
+def test_analyze_anf_parses_back(capsys):
+    doc = run_json(capsys, "analyze", "--family", "bent", "-n", "12", "--deterministic")
+    assert BooleanFunction.from_anf_string(doc["anf"], 12) == bent_quadratic(12)
+    assert len(doc["anf"].split(" + ")) == 6
 
 
 def test_analyze_timestamp_present_by_default(capsys):
@@ -220,6 +227,9 @@ def test_exit_code_3_on_capacity(capsys):
     code, _, err = run_cli(capsys, "gowers", "--family", "bent", "-n", "14", "-k", "2",
                            "--route", "definition")
     assert code == 3 and "<= 24" in err
+    code, _, err = run_cli(capsys, "gowers", "--family", "bent", "-n", "14", "-k", "3",
+                           "--route", "derivatives")
+    assert code == 3 and "(k-1)*n <= 24" in err
 
 
 def test_exit_code_4_on_cross_check_failure(capsys, monkeypatch):

@@ -142,7 +142,9 @@ def test_derivative_route_asymmetric_to_definition_capacity():
         uk_definition(constant(9, 0), 2)  # (k+1)n = 27
     assert uk_via_derivatives(constant(9, 0), 3).pow_value == DyadicRational(1, 0)
     with pytest.raises(CapacityError):
-        uk_via_derivatives(constant(13, 0), 5)  # (k-2)n = 39
+        uk_via_derivatives(constant(13, 0), 5)  # (k-1)n = 52
+    with pytest.raises(CapacityError):
+        uk_via_derivatives(constant(13, 0), 3)  # (k-1)n = 26: 2^13 FWHTs of length 2^13
 
 
 def test_argument_validation():
