@@ -18,6 +18,7 @@ from .dyadic import DyadicRational
 from .errors import AnfSyntaxError, CapacityError, CrossCheckError
 from .estimate import (
     EstimationReport,
+    Measurement,
     SampleSet,
     child_seed,
     hoeffding_bound,
@@ -51,6 +52,7 @@ from .qsim import (
     phase_audit,
     run,
     uniform_state,
+    zero_amplitude,
 )
 from .spectral import (
     LinearDistance,
@@ -79,6 +81,7 @@ __all__ = [
     "HadamardAll",
     "LinearDistance",
     "MCnot",
+    "Measurement",
     "PhaseAudit",
     "PhaseOracle",
     "RegisterLayout",
@@ -118,4 +121,5 @@ __all__ = [
     "uniform_state",
     "validate_bound",
     "walsh",
+    "zero_amplitude",
 ]

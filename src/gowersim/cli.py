@@ -30,7 +30,7 @@ from .boolfn import (
     random_function,
 )
 from .errors import AnfSyntaxError, CapacityError, CrossCheckError
-from .estimate import hoeffding_bound, sample, validate_bound
+from .estimate import Measurement, hoeffding_bound, validate_bound
 from .lintest import (
     ComparisonReport,
     blr_exact_dyadic,
@@ -159,8 +159,8 @@ def cmd_analyze(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def _gowers_routes(cfg: RunConfig, f: BooleanFunction, k: int, route: str) -> dict:
-    if route == "spectral" and k != 2:
-        raise ValueError("--route spectral is only defined for k = 2")
+    if route in ("spectral", "autocorrelation") and k != 2:
+        raise ValueError(f"--route {route} is only defined for k = 2")
     if route == "derivatives" and k < 3:
         raise ValueError("--route derivatives requires k >= 3")
     if route == "all":
@@ -238,8 +238,7 @@ def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> int:
         }
     if has_function:
         f = cfg.resolve_function()
-        state = qsim.run(circuit, f)
-        amp0 = qsim.amplitude_at_zero(state)
+        amp0 = qsim.zero_amplitude(circuit, f)
         payload["amplitude_at_zero"] = amp0
         payload["probability_zero"] = amp0 * amp0
     _emit(cfg, payload)
@@ -248,9 +247,8 @@ def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 def cmd_estimate(cfg: RunConfig, args: argparse.Namespace) -> int:
     f = cfg.resolve_function()
-    state = qsim.run(qsim.build_u2_circuit(cfg.n), f)
-    samples = sample(state, args.m, cfg.seed)
-    report = hoeffding_bound(samples, args.t)
+    measurement = Measurement(qsim.run(qsim.build_u2_circuit(cfg.n), f))
+    report = hoeffding_bound(measurement.sample(args.m, cfg.seed), args.t)
     gv = gowers_mod.u2_spectral(f)
     payload = {
         "report": report.to_json_dict(f.to_hex()),
@@ -259,7 +257,7 @@ def cmd_estimate(cfg: RunConfig, args: argparse.Namespace) -> int:
         "covered": gv.norm <= report.upper_bound,
     }
     if args.validate:
-        coverage = validate_bound(state, gv.norm, args.m, args.t, args.trials, cfg.seed)
+        coverage = validate_bound(measurement, gv.norm, args.m, args.t, args.trials, cfg.seed)
         payload["validate"] = {
             "trials": args.trials,
             "coverage": coverage,
@@ -347,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-k", type=int, default=2, help="norm order (default 2)")
     p.add_argument(
         "--route",
-        choices=("definition", "spectral", "derivatives", "all"),
+        choices=("definition", "spectral", "autocorrelation", "derivatives", "all"),
         default="all",
     )
 
@@ -419,3 +417,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def run() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

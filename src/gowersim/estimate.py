@@ -80,14 +80,44 @@ class EstimationReport:
         return out
 
 
-def sample(state: StateVector, m: int, seed) -> SampleSet:
-    """m independent computational-basis measurements of `state`.
+class Measurement:
+    """Computational-basis measurements of one state, by inverse-CDF sampling.
 
-    Inverse-CDF sampling over the cumulative |amp|^2 array: deterministic for
-    a given seed.  A norm drift beyond 1e-9 is an error; smaller drift is
-    renormalized away.
+    The cumulative |amp|^2 array is built once, on construction, and every
+    `sample` call reuses it.  A norm drift beyond 1e-9 is an error; smaller
+    drift is renormalized away.
     """
-    return _draw(state, _cdf(state), m, seed)
+
+    def __init__(self, state: StateVector):
+        self.layout = state.layout
+        self.cum = _cdf(state)
+
+    def sample(self, m: int, seed) -> SampleSet:
+        """m independent measurements; deterministic for a given seed."""
+        if m < 1:
+            raise ValueError("need at least one sample")
+        rng = _generator(seed)
+        draws = rng.random(m)
+        outcomes = np.searchsorted(self.cum, draws, side="right").astype(np.int64)
+        y_values = outcomes / float(self.layout.dim)
+        stored_seed = seed if isinstance(seed, int) else None
+        return SampleSet(self.layout.n, m, outcomes, y_values, stored_seed)
+
+
+def sample(state: StateVector, m: int, seed) -> SampleSet:
+    """m independent computational-basis measurements of `state`."""
+    return Measurement(state).sample(m, seed)
+
+
+def count_nonzero_outcomes(p0: float, m: int, seed) -> int:
+    """count_nonzero(sample(state, m, seed).outcomes) for a state with |amp_0|^2 = p0.
+
+    Exact on the same PCG64 stream whenever the state's amplitudes are
+    integers / 2^q, as every norm circuit's are: then each partial sum of
+    |amp|^2 is a float64 without rounding, the CDF's total is exactly 1.0, and
+    a draw maps to outcome 0 iff it is below cum[0] = p0.
+    """
+    return int(np.count_nonzero(_generator(seed).random(m) >= p0))
 
 
 def _cdf(state: StateVector) -> np.ndarray:
@@ -99,17 +129,6 @@ def _cdf(state: StateVector) -> np.ndarray:
     cum = np.cumsum(p, out=p)
     cum[-1] = 1.0
     return cum
-
-
-def _draw(state: StateVector, cum: np.ndarray, m: int, seed) -> SampleSet:
-    if m < 1:
-        raise ValueError("need at least one sample")
-    rng = _generator(seed)
-    draws = rng.random(m)
-    outcomes = np.searchsorted(cum, draws, side="right").astype(np.int64)
-    y_values = outcomes / float(state.layout.dim)
-    stored_seed = seed if isinstance(seed, int) else None
-    return SampleSet(state.layout.n, m, outcomes, y_values, stored_seed)
 
 
 def hoeffding_bound(samples: SampleSet, t: float) -> EstimationReport:
@@ -131,23 +150,21 @@ def hoeffding_bound(samples: SampleSet, t: float) -> EstimationReport:
 
 
 def validate_bound(
-    state: StateVector, exact_norm: float, m: int, t: float, trials: int, seed: int
+    measurement: Measurement, exact_norm: float, m: int, t: float, trials: int, seed: int
 ) -> float:
     """Fraction of independent trials whose bound covers exact_norm.
 
-    Each trial samples m outcomes from `state`, the norm circuit's final
-    state, with a derived child seed, computes the Hoeffding report, and
+    Each trial samples m outcomes from `measurement`, of the norm circuit's
+    final state, with a derived child seed, computes the Hoeffding report, and
     checks exact_norm <= upper_bound.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     if not t > 0:
         raise ValueError(f"margin t must be positive, got {t!r}")
-    cum = _cdf(state)
     covered = 0
     for i in range(trials):
-        samples = _draw(state, cum, m, child_seed(seed, i))
-        report = hoeffding_bound(samples, t)
+        report = hoeffding_bound(measurement.sample(m, child_seed(seed, i)), t)
         if exact_norm <= report.upper_bound:
             covered += 1
     return covered / trials

@@ -1,12 +1,18 @@
 """Linearity testing: the norm-circuit test, the classical BLR test, and a
 head-to-head comparison harness.
 
-The quantum test prepares the 3-register norm circuit's final state and
-accepts a shot iff the measured index is all-zeros, which happens with
-probability exactly ||f||_{U_2}^8.  A linear f therefore accepts with
-probability 1; so does any function with ||f||_{U_2} = 1, i.e. every affine
-function (constant 1 included) -- the test distinguishes linear functions
-from functions *far from linear* only under that promise.
+The quantum test runs the 3-register norm circuit and accepts a shot iff the
+measured index is all-zeros, which happens with probability exactly
+p0 = ||f||_{U_2}^8.  A linear f therefore accepts with probability 1; so does
+any function with ||f||_{U_2} = 1, i.e. every affine function (constant 1
+included) -- the test distinguishes linear functions from functions *far
+from linear* only under that promise.
+
+Only that statistic is simulated, never the 2^(3n) final state: p0 is the
+square of the exact spectral U_2 value, and the shots are drawn against it
+on the PCG64 stream that sampling the state would use (see
+estimate.count_nonzero_outcomes), so the counts equal the state sampler's.
+The circuit's 3n <= 24 qubit envelope is kept.
 
 The BLR test draws x, y uniformly and accepts iff F(x) + F(y) = F(x+y); its
 exact acceptance probability is 1/2 + 1/2 sum_u fhat(u)^3, also computable
@@ -25,9 +31,9 @@ import numpy as np
 from .boolfn import BooleanFunction
 from .dyadic import DyadicRational
 from .errors import CrossCheckError
-from .estimate import child_seed, sample
-from .gowers import _power_sum
-from .qsim import amplitude_at_zero, build_u2_circuit, run
+from .estimate import child_seed, count_nonzero_outcomes
+from .gowers import _power_sum, u2_spectral
+from .qsim import RegisterLayout
 from .spectral import _correlation, dist_to_linear, nonlinearity, walsh
 
 QUANTUM_QUERIES_PER_SHOT = 4  # phase-oracle calls per circuit execution
@@ -70,13 +76,13 @@ def quantum_linearity_test(f: BooleanFunction, shots: int, seed: int | None = No
     """Per-shot test: ACCEPT iff the measured index is 0.
 
     shots >= 1 samples that many measurements (verdict REJECT iff any shot
-    rejects); shots = 0 returns the exact-mode verdict computed from the
-    amplitude alone.
+    rejects); shots = 0 returns the exact-mode verdict computed from p0
+    alone.
     """
     if shots < 0:
         raise ValueError("shots must be >= 0")
-    state = run(build_u2_circuit(f.n), f)
-    p_accept = amplitude_at_zero(state) ** 2
+    RegisterLayout(f.n, 3)  # the circuit's capacity guard: 3n <= MAX_QUBITS
+    p_accept = float(u2_spectral(f).pow_value) ** 2
     if shots == 0:
         return TestVerdict(
             verdict="ACCEPT" if p_accept == 1.0 else "REJECT",
@@ -86,8 +92,7 @@ def quantum_linearity_test(f: BooleanFunction, shots: int, seed: int | None = No
             rejection_frequency=None,
             seed=None,
         )
-    outcomes = sample(state, shots, seed).outcomes
-    rejections = int(np.count_nonzero(outcomes))
+    rejections = count_nonzero_outcomes(p_accept, shots, seed)
     return TestVerdict(
         verdict="REJECT" if rejections else "ACCEPT",
         mode="sampled",
@@ -232,11 +237,8 @@ def compare(f: BooleanFunction, shots: int, seed: int) -> ComparisonReport:
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    state = run(build_u2_circuit(f.n), f)
-    p_accept = amplitude_at_zero(state) ** 2
-    q_reject_exact = 1.0 - p_accept
-    outcomes = sample(state, shots, child_seed(seed, 0)).outcomes
-    q_reject_freq = int(np.count_nonzero(outcomes)) / shots
+    quantum = quantum_linearity_test(f, shots, child_seed(seed, 0))
+    q_reject_exact = 1.0 - quantum.accept_probability_exact
     blr_verdict = blr_test(f, shots, child_seed(seed, 1))
     eps_dy, _ = dist_to_linear(f)
     eps = float(eps_dy)
@@ -248,7 +250,7 @@ def compare(f: BooleanFunction, shots: int, seed: int) -> ComparisonReport:
         eps_log2_den=eps_dy.log2_den,
         nonlinearity=nonlinearity(f),
         quantum_reject_exact=q_reject_exact,
-        quantum_reject_freq=q_reject_freq,
+        quantum_reject_freq=quantum.rejection_frequency,
         quantum_reject_bound=_bound_polynomial(eps),
         blr_reject_exact=1.0 - blr_verdict.accept_probability_exact,
         blr_reject_freq=blr_verdict.rejection_frequency,

@@ -11,7 +11,10 @@ flips, register permutations, Hadamard layers) is real orthogonal.
 the symbolic walk shared with `phase_audit` gives each oracle call's XOR-coset
 and the final register map, the cosets give one phase table, and a final
 HadamardAll is one int32 FWHT of its signs.  Amplitudes are thus exactly
-integer / 2^q for q qubits before one conversion to float64.
+integer / 2^q for q qubits before one conversion to float64.  When only the
+amplitude at index 0 is asked for, `zero_amplitude` reads it from the same
+phase table without preparing the final state: the register map fixes 0 and
+the transform's entry 0 is the sum of the signs.
 
 Circuit builders:
 
@@ -203,10 +206,14 @@ def _walk(circuit: Circuit) -> tuple[list[frozenset[int]], dict[int, frozenset[i
     return cosets, contents
 
 
-def run(circuit: Circuit, f: BooleanFunction | None = None) -> StateVector:
-    """The circuit applied to uniform_state, compiled (see the module docstring)."""
+def _phase_table(circuit: Circuit, f: BooleanFunction | None):
+    """Flat uint8 parity of F over every oracle call's coset, per basis index.
+
+    Also returns the final register contents and `register_sum`, the XOR of
+    some registers' initial contents broadcast over the m register axes.
+    """
     layout = circuit.layout
-    n, m, q = layout.n, layout.m, layout.qubits
+    n, m = layout.n, layout.m
     cosets, contents = _walk(circuit)
     if cosets and (f is None or f.n != n):
         raise ValueError(f"the oracle needs a BooleanFunction with n = {n}")
@@ -219,7 +226,15 @@ def run(circuit: Circuit, f: BooleanFunction | None = None) -> StateVector:
     phase = np.zeros((1 << n,) * m, dtype=np.uint8)
     for coset in cosets:
         phase ^= f.table[register_sum(coset)]
-    a = (1 - 2 * phase.reshape(-1).view(np.int8)).astype(np.int32)
+    return phase.reshape(-1), contents, register_sum
+
+
+def run(circuit: Circuit, f: BooleanFunction | None = None) -> StateVector:
+    """The circuit applied to uniform_state, compiled (see the module docstring)."""
+    layout = circuit.layout
+    q = layout.qubits
+    phase, contents, register_sum = _phase_table(circuit, f)
+    a = (1 - 2 * phase.view(np.int8)).astype(np.int32)
     if any(c != {r} for r, c in contents.items()):
         index = sum(register_sum(c).astype(np.int64) << layout.shift(r)
                     for r, c in contents.items())
@@ -231,6 +246,20 @@ def run(circuit: Circuit, f: BooleanFunction | None = None) -> StateVector:
 
 def amplitude_at_zero(state: StateVector) -> float:
     return float(state.amp[0])
+
+
+def zero_amplitude(circuit: Circuit, f: BooleanFunction | None = None) -> float:
+    """amplitude_at_zero(run(circuit, f)), from the phase table alone.
+
+    The final register map is linear, so it fixes index 0, and a final HALL
+    puts sum(signs) = 2^q - 2 popcount(phase) at index 0: no permutation and
+    no transform.
+    """
+    q = circuit.layout.qubits
+    phase = _phase_table(circuit, f)[0]
+    if circuit.gates and isinstance(circuit.gates[-1], HadamardAll):
+        return ((1 << q) - 2 * int(np.count_nonzero(phase))) * 2.0**-q
+    return (1 - 2 * int(phase[0])) * 2.0 ** (-q / 2.0)
 
 
 # ---------------------------------------------------------------------------

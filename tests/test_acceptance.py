@@ -29,7 +29,7 @@ from gowersim.boolfn import (
     random_function,
 )
 from gowersim.dyadic import DyadicRational
-from gowersim.estimate import sample, validate_bound
+from gowersim.estimate import Measurement, sample, validate_bound
 from gowersim.gowers import u2_spectral, uk_definition, uk_via_derivatives
 from gowersim.lintest import blr_exact_dyadic, compare
 from gowersim.qsim import (
@@ -179,9 +179,9 @@ def test_criterion_07_hoeffding_coverage(capsys):
     with criterion(capsys, 7, "upper bound covers the exact norm often enough"):
         coverages = {}
         for name, f in (("and", from_anf_string("x1*x2", 2)), ("bent", bent_quadratic(4))):
-            state = run(build_u2_circuit(f.n), f)
+            measurement = Measurement(run(build_u2_circuit(f.n), f))
             coverages[name] = validate_bound(
-                state, u2_spectral(f).norm, m=m, t=t, trials=trials, seed=707
+                measurement, u2_spectral(f).norm, m=m, t=t, trials=trials, seed=707
             )
             assert coverages[name] >= confidence_standard
     with capsys.disabled():

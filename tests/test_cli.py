@@ -1,13 +1,14 @@
 """End-to-end CLI behaviour: happy paths, exit codes, determinism."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from gowersim import cli
+from gowersim import cli, estimate
 from gowersim.boolfn import BooleanFunction, bent_quadratic
 from gowersim.dyadic import DyadicRational
 from gowersim.gowers import GowersValue
@@ -84,6 +85,18 @@ def test_gowers_single_route_and_validation(capsys):
     assert code == 2
 
 
+def test_gowers_autocorrelation_route(capsys):
+    doc = run_json(capsys, "gowers", "--anf", "x1*x2", "-n", "2", "--route",
+                   "autocorrelation", "--deterministic")
+    assert list(doc["routes"]) == ["autocorrelation"]
+    assert doc["routes"]["autocorrelation"]["pow"] == {"num": 1, "log2_den": 2, "value": 0.25}
+    for k in ("1", "3"):
+        code, _, err = run_cli(capsys, "gowers", "--anf", "x1", "-n", "2", "-k", k,
+                               "--route", "autocorrelation")
+        assert code == 2
+        assert "--route autocorrelation is only defined for k = 2" in err
+
+
 def test_simulate_dump_and_audit(capsys):
     doc = run_json(
         capsys, "simulate", "--circuit", "u2", "-n", "2", "--dump", "--audit",
@@ -135,6 +148,21 @@ def test_estimate(capsys):
     )
     assert doc["validate"]["trials"] == 20
     assert doc["validate"]["coverage"] == 1.0
+
+
+def test_estimate_validate_builds_the_cdf_once(capsys, monkeypatch):
+    calls = []
+
+    def counting_cdf(state):
+        calls.append(state)
+        return cdf(state)
+
+    cdf = estimate._cdf
+    monkeypatch.setattr(estimate, "_cdf", counting_cdf)
+    doc = run_json(capsys, "estimate", "--family", "bent", "-n", "4", "-m", "30", "-t", "0.1",
+                   "--seed", "5", "--validate", "--trials", "7", "--deterministic")
+    assert doc["validate"]["trials"] == 7
+    assert len(calls) == 1
 
 
 def test_estimate_rejects_bad_t(capsys):
@@ -230,6 +258,10 @@ def test_exit_code_3_on_capacity(capsys):
     code, _, err = run_cli(capsys, "gowers", "--family", "bent", "-n", "14", "-k", "3",
                            "--route", "derivatives")
     assert code == 3 and "(k-1)*n <= 24" in err
+    # the u2 circuit's 3n <= 24 qubit envelope also bounds the state-free tests
+    for argv in (("lintest", "--shots", "10"), ("compare", "--shots", "10")):
+        code, out, err = run_cli(capsys, *argv, "--family", "bent", "-n", "10", "--seed", "1")
+        assert code == 3 and out == "" and "m*n <= 24" in err
 
 
 def test_exit_code_4_on_cross_check_failure(capsys, monkeypatch):
@@ -241,6 +273,21 @@ def test_exit_code_4_on_cross_check_failure(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "gowers", "--anf", "x1*x2", "-n", "2",
                            "--deterministic")
     assert code == 4 and "disagree" in err
+
+
+def test_module_runs_as_a_script():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = ["gowers", "--anf", "x1*x2", "-n", "2", "--route", "spectral", "--deterministic"]
+    proc = subprocess.run([sys.executable, "-m", "gowersim.cli", *argv],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["command"] == "gowers"
+    assert doc["routes"]["spectral"]["pow"] == {"num": 1, "log2_den": 2, "value": 0.25}
+    proc = subprocess.run([sys.executable, "-m", "gowersim.cli", "analyze", "-n", "2"],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 2 and "exactly one" in proc.stderr
 
 
 def test_help_exits_zero(capsys):

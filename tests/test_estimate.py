@@ -8,6 +8,7 @@ import pytest
 
 from gowersim.boolfn import BooleanFunction, bent_quadratic, linear, random_function
 from gowersim.estimate import (
+    Measurement,
     SampleSet,
     child_seed,
     hoeffding_bound,
@@ -21,9 +22,9 @@ from gowersim.spectral import fwht_inplace
 from_anf_string = BooleanFunction.from_anf_string
 
 
-def u2_state_and_norm(f):
-    """The norm circuit's final state and the exact U2 norm it bounds."""
-    return run(build_u2_circuit(f.n), f), u2_spectral(f).norm
+def u2_measurement_and_norm(f):
+    """Measurements of the norm circuit's final state and the exact U2 norm they bound."""
+    return Measurement(run(build_u2_circuit(f.n), f)), u2_spectral(f).norm
 
 
 def point_mass(layout, index):
@@ -142,20 +143,20 @@ def test_mean_y_never_exceeds_rejection_mass():
 
 
 def test_validate_bound_linear_is_always_covered():
-    state, norm = u2_state_and_norm(linear(2, 0b10))
-    assert validate_bound(state, norm, m=20, t=0.1, trials=30, seed=5) == 1.0
+    measurement, norm = u2_measurement_and_norm(linear(2, 0b10))
+    assert validate_bound(measurement, norm, m=20, t=0.1, trials=30, seed=5) == 1.0
 
 
 def test_validate_bound_inputs():
-    state, norm = u2_state_and_norm(bent_quadratic(2))
+    measurement, norm = u2_measurement_and_norm(bent_quadratic(2))
     with pytest.raises(ValueError):
-        validate_bound(state, norm, m=10, t=0.0, trials=5, seed=1)
+        validate_bound(measurement, norm, m=10, t=0.0, trials=5, seed=1)
     with pytest.raises(ValueError):
-        validate_bound(state, norm, m=10, t=0.1, trials=0, seed=1)
+        validate_bound(measurement, norm, m=10, t=0.1, trials=0, seed=1)
 
 
 def test_validate_bound_reproducible():
-    state, norm = u2_state_and_norm(bent_quadratic(4))
-    a = validate_bound(state, norm, m=25, t=0.05, trials=40, seed=9)
-    b = validate_bound(state, norm, m=25, t=0.05, trials=40, seed=9)
+    measurement, norm = u2_measurement_and_norm(bent_quadratic(4))
+    a = validate_bound(measurement, norm, m=25, t=0.05, trials=40, seed=9)
+    b = validate_bound(measurement, norm, m=25, t=0.05, trials=40, seed=9)
     assert a == b

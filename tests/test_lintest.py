@@ -1,10 +1,14 @@
 """Quantum linearity test, classical BLR, rejection bounds, comparison."""
 
+import dataclasses
+import json
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gowersim.boolfn import (
     BooleanFunction,
@@ -15,17 +19,20 @@ from gowersim.boolfn import (
 )
 from gowersim.dyadic import DyadicRational
 from gowersim.errors import CapacityError
+from gowersim.estimate import child_seed, sample
 from gowersim.gowers import u2_spectral
 from gowersim.lintest import (
     BLR_QUERIES_PER_TRIAL,
     QUANTUM_QUERIES_PER_SHOT,
     ComparisonReport,
+    TestVerdict as Verdict,
     blr_exact_dyadic,
     blr_test,
     compare,
     quantum_linearity_test,
     rejection_lower_bound,
 )
+from gowersim.qsim import amplitude_at_zero, build_u2_circuit, run
 from gowersim.spectral import dist_to_linear, walsh
 
 from_anf_string = BooleanFunction.from_anf_string
@@ -207,3 +214,66 @@ def test_signed_distance_bound_has_counterexamples():
         if u2_spectral(g).pow_value ** 2 > one_minus_2eps**4:
             violations += 1
     assert violations > 0
+
+
+# ---------------------------------------------------------------------------
+# the state-free test against the full-state oracle: run + sample
+# ---------------------------------------------------------------------------
+
+
+def state_verdict(f, shots, seed):
+    """quantum_linearity_test computed from the u2 circuit's final state."""
+    state = run(build_u2_circuit(f.n), f)
+    p_accept = amplitude_at_zero(state) ** 2
+    if shots == 0:
+        verdict = "ACCEPT" if p_accept == 1.0 else "REJECT"
+        return Verdict(verdict, "exact", 0, p_accept, None, None)
+    rejections = int(np.count_nonzero(sample(state, shots, seed).outcomes))
+    verdict = "REJECT" if rejections else "ACCEPT"
+    return Verdict(verdict, "sampled", shots, p_accept, rejections / shots, seed)
+
+
+@st.composite
+def near_affine(draw, max_n=6):
+    """An affine function with some table entries flipped, so p0 spans (0, 1]."""
+    n = draw(st.integers(1, max_n))
+    table = linear(n, draw(st.integers(0, (1 << n) - 1))).table ^ draw(st.integers(0, 1))
+    flips = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=1 << (n - 1)))
+    table[flips] ^= 1
+    return BooleanFunction(n, table)
+
+
+@settings(max_examples=150, deadline=None)
+@given(near_affine(), st.one_of(st.just(0), st.integers(1, 3000)), st.integers(0, 2**128 - 1))
+def test_quantum_test_matches_state_sampler(f, shots, seed):
+    got = quantum_linearity_test(f, shots, seed).to_json_dict()
+    assert json.dumps(got) == json.dumps(state_verdict(f, shots, seed).to_json_dict())
+
+
+@settings(max_examples=80, deadline=None)
+@given(near_affine(), st.integers(1, 3000), st.integers(0, 2**128 - 1))
+def test_compare_matches_state_sampler(f, shots, seed):
+    report = compare(f, shots, seed)
+    oracle = state_verdict(f, shots, child_seed(seed, 0))
+    reject = 1.0 - oracle.accept_probability_exact
+    expected = dataclasses.replace(
+        report,
+        quantum_reject_exact=reject,
+        quantum_reject_freq=oracle.rejection_frequency,
+        quantum_reject_per_query=reject / QUANTUM_QUERIES_PER_SHOT,
+    )
+    assert json.dumps(report.to_json_dict()) == json.dumps(expected.to_json_dict())
+
+
+def test_compare_pinned_at_n8():
+    # values from the full-state run + sample path at 24 qubits
+    table = linear(8, 0b10110101).table
+    table[[3, 77, 200]] ^= 1
+    rep = compare(BooleanFunction(8, table), shots=50_000, seed=8080)
+    assert rep.function_tt_hex.startswith("4a5aa5a5a5a55a5a")
+    assert (rep.eps_num, rep.eps_log2_den, rep.nonlinearity) == (3, 8, 3)
+    assert rep.quantum_reject_exact == 0.17278350674223475
+    assert rep.quantum_reject_freq == 0.17292
+    assert rep.quantum_reject_per_query == 0.04319587668555869
+    assert rep.blr_reject_exact == 0.034332275390625
+    assert rep.blr_reject_freq == 0.03268

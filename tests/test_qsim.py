@@ -29,6 +29,7 @@ from gowersim.qsim import (
     phase_audit,
     run,
     uniform_state,
+    zero_amplitude,
 )
 from gowersim.spectral import fwht_inplace
 
@@ -89,6 +90,8 @@ def test_phase_oracle_needs_matching_function():
     for f in (None, constant(3, 0)):
         with pytest.raises(ValueError):
             run(Circuit(lay, (PhaseOracle(1), HadamardAll())), f)
+        with pytest.raises(ValueError):
+            zero_amplitude(Circuit(lay, (PhaseOracle(1),)), f)
 
 
 def test_mcnot_is_a_basis_permutation():
@@ -292,10 +295,10 @@ def test_walk_p0_known_value():
 
 
 @st.composite
-def circuits_and_functions(draw):
-    """A random layout with n*m <= 10, an oracle/MCNOT prefix and an optional final HALL."""
+def circuits_and_functions(draw, max_qubits=10):
+    """A random layout with n*m <= max_qubits, an oracle/MCNOT prefix and an optional final HALL."""
     n = draw(st.integers(1, 5))
-    m = draw(st.integers(1, 10 // n))
+    m = draw(st.integers(1, max_qubits // n))
     register = st.integers(1, m)
     gate = register.map(PhaseOracle)
     if m > 1:
@@ -330,3 +333,19 @@ def test_walk_amplitude_equals_uk_exactly(n, k, seed):
     f = random_function(n, seed)
     amp0 = amplitude_at_zero(run(build_derivative_walk_circuit(n, k), f))
     assert Fraction(amp0) == uk_definition(f, k).pow_value.as_fraction()
+
+
+@st.composite
+def built_circuits(draw):
+    """A walk circuit of order k <= 3 or the appendix U3 circuit, 12 qubits at most."""
+    k = draw(st.integers(1, 4))  # 4 stands for the appendix circuit (4 registers)
+    n = draw(st.integers(1, 12 // (min(k, 3) + 1)))
+    circuit = build_appendix_u3_circuit(n) if k == 4 else build_derivative_walk_circuit(n, k)
+    return circuit, random_function(n, draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(built_circuits(), circuits_and_functions(max_qubits=12)))
+def test_zero_amplitude_equals_run(case):
+    circuit, f = case
+    assert zero_amplitude(circuit, f) == amplitude_at_zero(run(circuit, f))
