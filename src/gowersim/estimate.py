@@ -25,6 +25,7 @@ import numpy as np
 from .qsim import StateVector
 
 RNG_ALGORITHM = "PCG64"
+_DRAW_CHUNK = 1 << 16  # draws per Generator.random call in count_nonzero_outcomes
 
 
 def child_seed(seed: int, index: int) -> int:
@@ -115,9 +116,12 @@ def count_nonzero_outcomes(p0: float, m: int, seed) -> int:
     Exact on the same PCG64 stream whenever the state's amplitudes are
     integers / 2^q, as every norm circuit's are: then each partial sum of
     |amp|^2 is a float64 without rounding, the CDF's total is exactly 1.0, and
-    a draw maps to outcome 0 iff it is below cum[0] = p0.
+    a draw maps to outcome 0 iff it is below cum[0] = p0.  Chunked draws give
+    the stream of one rng.random(m) call, in memory that does not grow with m.
     """
-    return int(np.count_nonzero(_generator(seed).random(m) >= p0))
+    rng = _generator(seed)
+    sizes = (min(_DRAW_CHUNK, m - start) for start in range(0, m, _DRAW_CHUNK))
+    return sum(int(np.count_nonzero(rng.random(size) >= p0)) for size in sizes)
 
 
 def _cdf(state: StateVector) -> np.ndarray:

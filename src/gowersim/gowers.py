@@ -20,16 +20,15 @@ the 2^-k-th root is floating point, for display only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .boolfn import BooleanFunction, bits_to_array, xor_translate
+from .boolfn import BooleanFunction
 from .dyadic import DyadicRational
 from .errors import CapacityError
-from .spectral import _correlation, fwht_inplace, walsh
+from .spectral import _correlation, _derivative_rows, fwht_inplace, walsh
 
-DEFINITION_GUARD = 24  # uk_definition iterates 2^((k+1) n) cheap word operations
+DEFINITION_GUARD = 24  # uk_definition sums 2^((k+1) n) terms
 
 
 @dataclass(frozen=True)
@@ -50,28 +49,6 @@ def _power_sum(w: np.ndarray, p: int) -> int:
     return sum(int(v) ** p * int(c) for v, c in zip(values, counts))
 
 
-def _fold(f: BooleanFunction, depth: int, leaf: Callable[[list[int]], int]) -> int:
-    """Sum of leaf(tables) over all (depth-1)-tuples d1..d_{depth-1}, depth >= 1.
-
-    `tables` lists the packed Delta_{d1..d_depth} F for every last direction
-    d_depth, so a leaf costs no Python call per table.  Each recursion level
-    folds one more direction into the running packed derivative table, so the
-    incremental subset sums are reused.
-    """
-    n = f.n
-
-    def fold(bits: int, level: int) -> int:
-        tables = [bits ^ xor_translate(bits, n, d) for d in range(1 << n)]
-        if level == depth:
-            return leaf(tables)
-        total = 0
-        for table in tables:
-            total += fold(table, level + 1)
-        return total
-
-    return fold(f.packed, 1)
-
-
 def u2_spectral(f: BooleanFunction) -> GowersValue:
     """pow_value = sum_u W(u)^4 / 2^(4n)."""
     total = _power_sum(walsh(f).w, 4)
@@ -79,7 +56,7 @@ def u2_spectral(f: BooleanFunction) -> GowersValue:
 
 
 def u2_autocorrelation(f: BooleanFunction) -> GowersValue:
-    """pow_value = 2^-n sum_a (f*f)(a)^2, via packed-word autocorrelations."""
+    """pow_value = 2^-n sum_a (f*f)(a)^2, from the blocked XOR correlation."""
     r = _correlation(f, f)
     return GowersValue(2, DyadicRational(int(np.dot(r, r)), 3 * f.n))
 
@@ -94,11 +71,11 @@ def uk_definition(f: BooleanFunction, k: int) -> GowersValue:
         raise ValueError("order k must be >= 1")
     if (k + 1) * f.n > DEFINITION_GUARD:
         raise CapacityError(
-            f"uk_definition needs (k+1)*n <= {DEFINITION_GUARD}, got k = {k}, n = {f.n}"
+            f"uk_definition needs (k+1)*n <= {DEFINITION_GUARD}, got k = {k}, n = {f.n}: "
+            f"2^{(k + 1) * f.n} terms > 2^{DEFINITION_GUARD}"
         )
-    size = 1 << f.n
-    total = _fold(f, k, lambda tables: size * len(tables) - 2 * sum(map(int.bit_count, tables)))
-    return GowersValue(k, DyadicRational(total, (k + 1) * f.n))
+    ones = sum(int(np.count_nonzero(rows)) for rows in _derivative_rows(f.table[None], k))
+    return GowersValue(k, DyadicRational((1 << (k + 1) * f.n) - 2 * ones, (k + 1) * f.n))
 
 
 def uk_via_derivatives(f: BooleanFunction, k: int) -> GowersValue:
@@ -107,13 +84,12 @@ def uk_via_derivatives(f: BooleanFunction, k: int) -> GowersValue:
         raise ValueError("the derivative route is defined for k >= 3")
     if (k - 1) * f.n > 24:  # 2^((k-2)n) FWHTs of length 2^n
         raise CapacityError(
-            f"uk_via_derivatives needs (k-1)*n <= 24, got k = {k}, n = {f.n}"
+            f"uk_via_derivatives needs (k-1)*n <= 24, got k = {k}, n = {f.n}: "
+            f"2^{(k - 1) * f.n} transform entries > 2^24"
         )
-    n = f.n
-
-    def w4_of(bits: int) -> int:
-        signs = 1 - 2 * bits_to_array(bits, n).astype(np.int64)
-        return _power_sum(fwht_inplace(signs), 4)
-
-    total = _fold(f, k - 2, lambda tables: sum(map(w4_of, tables)))
+    # int16 butterflies are exact for n <= 14; sum W^4 <= 2^((k+2)n) <= 2^60 fits int64
+    total = 0
+    for rows in _derivative_rows(f.table[None], k - 2):
+        w2 = np.square(fwht_inplace(1 - 2 * rows.astype(np.int16)), dtype=np.int32)
+        total += int(np.einsum("ij,ij->", w2, w2, dtype=np.int64))
     return GowersValue(k, DyadicRational(total, (k + 2) * f.n))

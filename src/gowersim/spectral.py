@@ -7,7 +7,7 @@ unnormalized +-1 butterfly; the 2^-n normalizations live in DyadicRational.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -15,11 +15,13 @@ from .boolfn import BooleanFunction, Point, _as_index, unpack_point, xor_transla
 from .dyadic import DyadicRational
 from .errors import CapacityError
 
+_BLOCK_CELLS = 1 << 17  # entries per _derivative_rows block: ~1 MB with an int16/int32 leaf
+
 
 def fwht_inplace(a: np.ndarray) -> np.ndarray:
-    """Unnormalized fast Walsh-Hadamard transform; length must be a power of two."""
-    size = a.shape[0]
-    scratch = np.empty(size // 2, dtype=a.dtype)
+    """In-place unnormalized FWHT along the last axis (a power of two) of a contiguous array."""
+    size = a.shape[-1]
+    scratch = np.empty(a.size // 2, dtype=a.dtype)
     h = 1
     while h < size:
         view = a.reshape(-1, 2 * h)
@@ -96,15 +98,41 @@ def autocorrelation(f: BooleanFunction, a: Point) -> DyadicRational:
     return DyadicRational((1 << f.n) - 2 * disagreements, f.n)
 
 
+def _derivative_rows(g: np.ndarray, depth: int = 1) -> Iterator[np.ndarray]:
+    """Blocks of ~_BLOCK_CELLS entries of the tables Delta_{d1..d_depth} G over all d1..d_depth,
+    for every 0/1 table G in the (B, 2^n) uint8 array g.  At depth 1, whole tables' rows
+    share a block when they fit; else each table gives c blocks, and block `low` holds the
+    rows x -> G(x) ^ G(x ^ d) of d = low, low + c, low + 2c, ...
+    """
+    size = g.shape[1]
+    per = min(size, 1 << max(0, (_BLOCK_CELLS // size).bit_length() - 1))  # rows per table
+    c, group = size // per, max(1, _BLOCK_CELLS // (per * size))
+    for start in range(0, len(g), group):
+        base = g[start : start + group]
+        for low in range(c):
+            block = np.empty((len(base), per, size), np.uint8)
+            block[:, 0] = base.reshape(-1, size // c, c)[..., np.arange(c) ^ low].reshape(-1, size)
+            for j in range(per.bit_length() - 1):  # rows [2^j, 2^(j+1)) = rows [0, 2^j) ^ c*2^j
+                v = block.reshape(len(base), per, -1, 2, c << j)
+                v[:, 1 << j : 2 << j] = v[:, : 1 << j, :, ::-1]
+            block ^= base[:, None, :]
+            rows = block.reshape(-1, size)
+            yield from [rows] if depth == 1 else _derivative_rows(rows, depth - 1)
+
+
 def _correlation(f: BooleanFunction, g: BooleanFunction) -> np.ndarray:
     """r(a) = sum_y f(y) g(y+a) over all a, as int64 (|r| <= 2^n)."""
     if f.n != g.n:
         raise ValueError(f"dimension mismatch: n = {f.n} vs {g.n}")
     if 2 * f.n > 24:
-        raise CapacityError(f"the XOR correlation needs 2n <= 24, got n = {f.n}")
-    fb, gb, n = f.packed, g.packed, f.n
-    disagreements = [(fb ^ xor_translate(gb, n, a)).bit_count() for a in range(1 << n)]
-    return (1 << n) - 2 * np.array(disagreements, dtype=np.int64)
+        raise CapacityError(
+            f"the XOR correlation needs 2n <= 24, got n = {f.n}: 2^{2 * f.n} terms > 2^24"
+        )
+    gt = g.table
+    mask = f.table ^ gt  # F(y) ^ G(y ^ a) = (F ^ G)(y) ^ G(y) ^ G(y ^ a)
+    counts = [(rows ^ mask).sum(axis=1, dtype=np.int64) for rows in _derivative_rows(gt[None])]
+    # block `low` holds a = low + c * t, so stacking on axis 1 puts a in order
+    return (1 << f.n) - 2 * np.stack(counts, axis=1).ravel()
 
 
 def convolve(f: BooleanFunction, g: BooleanFunction) -> list[DyadicRational]:

@@ -264,6 +264,17 @@ def test_exit_code_3_on_capacity(capsys):
         assert code == 3 and out == "" and "m*n <= 24" in err
 
 
+def test_capacity_errors_state_the_cost_and_budget(capsys):
+    for k, route, cost in (
+        (2, "definition", "2^42 terms"),
+        (3, "derivatives", "2^28 transform entries"),
+        (2, "autocorrelation", "2^28 terms"),
+    ):
+        code, out, err = run_cli(capsys, "gowers", "--family", "bent", "-n", "14", "-k", str(k),
+                                 "--route", route)
+        assert code == 3 and out == "" and f"{cost} > 2^24" in err
+
+
 def test_exit_code_4_on_cross_check_failure(capsys, monkeypatch):
     monkeypatch.setattr(
         cli.gowers_mod,

@@ -6,11 +6,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from gowersim import estimate
 from gowersim.boolfn import BooleanFunction, bent_quadratic, linear, random_function
 from gowersim.estimate import (
     Measurement,
     SampleSet,
     child_seed,
+    count_nonzero_outcomes,
     hoeffding_bound,
     sample,
     validate_bound,
@@ -160,3 +162,29 @@ def test_validate_bound_reproducible():
     a = validate_bound(measurement, norm, m=25, t=0.05, trials=40, seed=9)
     b = validate_bound(measurement, norm, m=25, t=0.05, trials=40, seed=9)
     assert a == b
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_chunked_count_equals_one_draw(offset):
+    m = estimate._DRAW_CHUNK + offset
+    for p0, seed in ((0.3, 4), (11 / 32, 5)):
+        single = np.random.default_rng(seed).random(m)  # PCG64(SeedSequence(seed)), one call
+        assert count_nonzero_outcomes(p0, m, seed) == int(np.count_nonzero(single >= p0))
+
+
+def test_count_draws_at_most_one_chunk_at_a_time(monkeypatch):
+    sizes = []
+
+    class Recorder:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def random(self, size):
+            sizes.append(size)
+            return self.rng.random(size)
+
+    monkeypatch.setattr(estimate, "_DRAW_CHUNK", 1000)
+    monkeypatch.setattr(estimate, "_generator", lambda seed: Recorder(np.random.default_rng(seed)))
+    count = count_nonzero_outcomes(0.5, 3005, 7)
+    assert sizes == [1000, 1000, 1000, 5]
+    assert count == int(np.count_nonzero(np.random.default_rng(7).random(3005) >= 0.5))

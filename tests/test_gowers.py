@@ -23,7 +23,8 @@ from gowersim.gowers import (
     uk_definition,
     uk_via_derivatives,
 )
-from gowersim.spectral import walsh
+from gowersim import spectral
+from gowersim.spectral import convolve, walsh
 
 from_anf_string = BooleanFunction.from_anf_string
 
@@ -68,11 +69,30 @@ def test_u3_known_value():
 
 
 def test_uk_definition_against_brute_force():
+    # brute_uk_pow evaluates F at every x + sum_S d_i: no translate, no block kernel
     rng = np.random.default_rng(12021)
-    for n, k in ((2, 1), (2, 2), (2, 3), (3, 2)):
-        for _ in range(4):
+    extra = ((1, 1), (1, 2), (1, 3), (1, 4), (2, 4), (3, 1), (3, 3), (3, 4))
+    for n, k in ((2, 1), (2, 2), (2, 3), (3, 2), *extra):
+        for _ in range(1 if (n, k) == (3, 4) else 4):
             f = random_function(n, int(rng.integers(0, 2**32)))
             assert uk_definition(f, k).pow_value.as_fraction() == brute_uk_pow(f, k)
+
+
+@pytest.mark.parametrize("cells", [64, 1 << 14])
+def test_block_size_does_not_change_values(monkeypatch, cells):
+    # small blocks force one-row blocks, split rows and several tables per block
+    g = random_function(8, 11)
+    routes = [
+        (random_function(12, 5), lambda f: uk_definition(f, 1)),
+        (random_function(12, 6), u2_autocorrelation),
+        (random_function(4, 7), lambda f: uk_definition(f, 3)),
+        (random_function(5, 8), lambda f: uk_via_derivatives(f, 4)),
+        (random_function(8, 9), lambda f: uk_via_derivatives(f, 3)),
+        (random_function(8, 10), lambda f: convolve(f, g)),
+    ]
+    expected = [route(f) for f, route in routes]
+    monkeypatch.setattr(spectral, "_BLOCK_CELLS", cells)
+    assert [route(f) for f, route in routes] == expected
 
 
 def test_u1_is_squared_bias():

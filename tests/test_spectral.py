@@ -13,8 +13,10 @@ from gowersim.boolfn import (
     random_function,
 )
 from gowersim.dyadic import DyadicRational
+from gowersim import spectral
 from gowersim.errors import CapacityError
 from gowersim.spectral import (
+    _derivative_rows,
     autocorrelation,
     convolve,
     dist_to_linear,
@@ -186,3 +188,23 @@ def test_autocorrelation_is_self_convolution():
     conv = convolve(f, f)
     for a in range(16):
         assert conv[a] == autocorrelation(f, a)
+
+
+@pytest.mark.parametrize("n, tables", [(3, 40), (5, 3), (6, 1), (10, 1)])
+def test_derivative_rows_bounded_blocks_of_every_translate(monkeypatch, n, tables):
+    # 2^10 cells: several tables per block (n = 3), split rows (n = 5, 6), one-row blocks (n = 10)
+    monkeypatch.setattr(spectral, "_BLOCK_CELLS", 1 << 10)
+    size = 1 << n
+    g = np.random.default_rng(n).integers(0, 2, (tables, size), dtype=np.uint8)
+    blocks = list(_derivative_rows(g))
+    assert max(block.size for block in blocks) <= max(1 << 10, size)
+    x = np.arange(size)
+    want = np.concatenate([[t ^ t[x ^ d] for d in range(size)] for t in g])
+    got = np.concatenate(blocks)
+
+    def ordered(rows):
+        return rows[np.lexsort(rows.T[::-1])]
+
+    assert np.array_equal(ordered(got), ordered(want))
+    if tables == 1:  # block `low` of c holds d = low, low + c, ...: stacking restores d's order
+        assert np.array_equal(np.stack(blocks, axis=1).reshape(size, size), want)
