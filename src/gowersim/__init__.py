@@ -45,13 +45,11 @@ from .qsim import (
     RegisterLayout,
     StateVector,
     amplitude_at_zero,
-    apply,
     build_appendix_u3_circuit,
     build_derivative_walk_circuit,
     build_u2_circuit,
     phase_audit,
     run,
-    uniform_state,
     zero_amplitude,
 )
 from .spectral import (
@@ -91,7 +89,6 @@ __all__ = [
     "TestVerdict",
     "WalshSpectrum",
     "amplitude_at_zero",
-    "apply",
     "autocorrelation",
     "bent_quadratic",
     "blr_exact_dyadic",
@@ -118,7 +115,6 @@ __all__ = [
     "u2_spectral",
     "uk_definition",
     "uk_via_derivatives",
-    "uniform_state",
     "validate_bound",
     "walsh",
     "zero_amplitude",

@@ -152,8 +152,8 @@ def blr_test(f: BooleanFunction, trials: int, seed: int | None = None) -> TestVe
     rng = np.random.default_rng(seed)
     size = 1 << f.n
     table = f.table
-    xs = rng.integers(0, size, size=trials)
-    ys = rng.integers(0, size, size=trials)
+    xs = rng.integers(0, size, size=trials, dtype=np.uint32)
+    ys = rng.integers(0, size, size=trials, dtype=np.uint32)
     rejections = int(np.count_nonzero(table[xs] ^ table[ys] ^ table[xs ^ ys]))
     return TestVerdict(
         verdict="REJECT" if rejections else "ACCEPT",

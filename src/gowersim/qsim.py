@@ -7,14 +7,17 @@ The phase-kickback target qubit is factored out and never stored: the phase
 oracle multiplies amplitudes by (-1)^F directly.  Every gate in scope (phase
 flips, register permutations, Hadamard layers) is real orthogonal.
 
-`run` compiles a circuit into the state that `apply` reaches gate by gate:
-the symbolic walk shared with `phase_audit` gives each oracle call's XOR-coset
-and the final register map, the cosets give one phase table, and a final
-HadamardAll is one int32 FWHT of its signs.  Amplitudes are thus exactly
-integer / 2^q for q qubits before one conversion to float64.  When only the
-amplitude at index 0 is asked for, `zero_amplitude` reads it from the same
-phase table without preparing the final state: the register map fixes 0 and
-the transform's entry 0 is the sum of the signs.
+`run` compiles a circuit into the state that applying its gates one by one
+reaches (the tests keep that float fold as the reference): the symbolic walk
+shared with `phase_audit` gives each oracle call's XOR-coset and the final
+register map, the cosets give the phase table, and a final HadamardAll is one
+int32 FWHT of its signs.  Amplitudes are thus exactly integer / 2^q for q
+qubits before one conversion to float64.  The phase table is built in blocks
+of ~2^17 entries along register 1, each from whole rows x -> F(x ^ v) of a
+2^(2n) table of translates, so no 2^q table is held.  When only the amplitude
+at index 0 is asked for, `zero_amplitude` reads it from the same blocks
+without preparing the final state: the register map fixes 0 and the
+transform's entry 0 is the sum of the signs.
 
 Circuit builders:
 
@@ -40,6 +43,7 @@ from typing import Union
 
 import numpy as np
 
+from . import spectral
 from .boolfn import BooleanFunction
 from .errors import CapacityError
 from .spectral import fwht_inplace
@@ -151,42 +155,6 @@ class StateVector:
     layout: RegisterLayout
     amp: np.ndarray = field(repr=False)
 
-    def norm(self) -> float:
-        return float(np.sqrt(np.dot(self.amp, self.amp)))
-
-
-def uniform_state(layout: RegisterLayout) -> StateVector:
-    amp = np.full(layout.dim, 2.0 ** (-layout.qubits / 2.0))
-    return StateVector(layout, amp)
-
-
-def apply(state: StateVector, gate: Gate, f: BooleanFunction | None = None) -> StateVector:
-    """Apply one gate, returning a new StateVector (inputs are not mutated)."""
-    layout = state.layout
-    if isinstance(gate, PhaseOracle):
-        layout._check_register(gate.register)
-        if f is None:
-            raise ValueError("PhaseOracle requires a BooleanFunction")
-        if f.n != layout.n:
-            raise ValueError(f"oracle function has n = {f.n}, layout has n = {layout.n}")
-        pre = 1 << ((gate.register - 1) * layout.n)
-        post = 1 << ((layout.m - gate.register) * layout.n)
-        signs = f.sign_table(np.float64)
-        amp = (state.amp.reshape(pre, 1 << layout.n, post) * signs[None, :, None]).reshape(-1)
-        return StateVector(layout, amp)
-    if isinstance(gate, MCnot):
-        layout._check_register(gate.target)
-        layout._check_register(gate.source)
-        idx = np.arange(layout.dim, dtype=np.int64)
-        content = (idx >> layout.shift(gate.source)) & ((1 << layout.n) - 1)
-        perm = idx ^ (content << layout.shift(gate.target))
-        return StateVector(layout, state.amp[perm])  # the permutation is an involution
-    if isinstance(gate, HadamardAll):
-        amp = fwht_inplace(state.amp.astype(np.float64, copy=True))
-        amp *= 2.0 ** (-layout.qubits / 2.0)
-        return StateVector(layout, amp)
-    raise TypeError(f"unknown gate {gate!r}")
-
 
 def _walk(circuit: Circuit) -> tuple[list[frozenset[int]], dict[int, frozenset[int]]]:
     """Coset read by each oracle call and final register contents, as register-id sets."""
@@ -206,37 +174,66 @@ def _walk(circuit: Circuit) -> tuple[list[frozenset[int]], dict[int, frozenset[i
     return cosets, contents
 
 
-def _phase_table(circuit: Circuit, f: BooleanFunction | None):
-    """Flat uint8 parity of F over every oracle call's coset, per basis index.
+def _register_axes(n: int, m: int, first: slice = slice(None)) -> dict[int, np.ndarray]:
+    """Each register's contents along its own axis of m; register 1 only at `first`."""
+    ramp = np.arange(1 << n, dtype=np.min_scalar_type((1 << n) - 1))
+    return {r: (ramp[first] if r == 1 else ramp).reshape((-1,) + (1,) * (m - r))
+            for r in range(1, m + 1)}
 
-    Also returns the final register contents and `register_sum`, the XOR of
-    some registers' initial contents broadcast over the m register axes.
+
+def _register_sum(axes: dict[int, np.ndarray], regs) -> np.ndarray:
+    """XOR of some registers' initial contents, broadcast over their axes."""
+    return functools.reduce(np.bitwise_xor, (axes[r] for r in regs))
+
+
+def _phase_blocks(circuit: Circuit, f: BooleanFunction | None):
+    """Flat uint8 parity of F over every oracle call's coset, per basis index, in order.
+
+    Each block is a run of register-1 contents, ~spectral._BLOCK_CELLS entries
+    (at least one register-1 value).  A coset C with highest register h adds
+    rows[v] = (x -> F(x ^ v)) at v = XOR of C's other registers, laid along
+    h's axis; without room for the 2^(2n) rows, F is gathered per entry.
     """
     layout = circuit.layout
     n, m = layout.n, layout.m
-    cosets, contents = _walk(circuit)
+    cosets, _ = _walk(circuit)
     if cosets and (f is None or f.n != n):
         raise ValueError(f"the oracle needs a BooleanFunction with n = {n}")
-    ramp = np.arange(1 << n, dtype=np.min_scalar_type((1 << n) - 1))
-    axes = {r: ramp.reshape((-1,) + (1,) * (m - r)) for r in contents}  # register r's axis
-
-    def register_sum(regs: frozenset[int]) -> np.ndarray:
-        return functools.reduce(np.bitwise_xor, (axes[r] for r in regs))
-
-    phase = np.zeros((1 << n,) * m, dtype=np.uint8)
-    for coset in cosets:
-        phase ^= f.table[register_sum(coset)]
-    return phase.reshape(-1), contents, register_sum
+    cells = spectral._BLOCK_CELLS
+    rows = None
+    if cosets and 4**n <= cells:
+        ramp = np.arange(1 << n)
+        rows = f.table[np.bitwise_xor.outer(ramp, ramp)]
+    step = max(1, cells >> ((m - 1) * n))  # register-1 contents per block
+    for start in range(0, 1 << n, step):
+        axes = _register_axes(n, m, slice(start, start + step))
+        block = np.zeros((len(axes[1]),) + (1 << n,) * (m - 1), dtype=np.uint8)
+        for coset in cosets:
+            h = max(coset)
+            if rows is None or len(coset) == 1:
+                block ^= f.table[_register_sum(axes, coset)]
+                continue
+            v = _register_sum(axes, coset - {h})
+            # v broadcasts from the right: pad it to m axes, keep registers 1..h-1
+            lead = v.reshape((1,) * (m - v.ndim) + v.shape).shape[: h - 1]
+            row = rows.take(v.reshape(lead), axis=0)
+            block ^= row.reshape(lead + (1 << n,) + (1,) * (m - h))
+        yield block.reshape(-1)
 
 
 def run(circuit: Circuit, f: BooleanFunction | None = None) -> StateVector:
-    """The circuit applied to uniform_state, compiled (see the module docstring)."""
+    """The circuit applied to the uniform state, compiled (see the module docstring)."""
     layout = circuit.layout
     q = layout.qubits
-    phase, contents, register_sum = _phase_table(circuit, f)
-    a = (1 - 2 * phase.view(np.int8)).astype(np.int32)
+    a = np.empty(layout.dim, dtype=np.int32)
+    start = 0
+    for block in _phase_blocks(circuit, f):
+        a[start : start + block.size] = 1 - 2 * block.view(np.int8)
+        start += block.size
+    contents = _walk(circuit)[1]
     if any(c != {r} for r, c in contents.items()):
-        index = sum(register_sum(c).astype(np.int64) << layout.shift(r)
+        axes = _register_axes(layout.n, layout.m)
+        index = sum(_register_sum(axes, c).astype(np.int64) << layout.shift(r)
                     for r, c in contents.items())
         a[index.reshape(-1)] = a.copy()
     if circuit.gates and isinstance(circuit.gates[-1], HadamardAll):
@@ -249,17 +246,18 @@ def amplitude_at_zero(state: StateVector) -> float:
 
 
 def zero_amplitude(circuit: Circuit, f: BooleanFunction | None = None) -> float:
-    """amplitude_at_zero(run(circuit, f)), from the phase table alone.
+    """amplitude_at_zero(run(circuit, f)), from the phase blocks alone.
 
     The final register map is linear, so it fixes index 0, and a final HALL
     puts sum(signs) = 2^q - 2 popcount(phase) at index 0: no permutation and
-    no transform.
+    no transform.  Without it, only the first block's entry 0 is read.
     """
     q = circuit.layout.qubits
-    phase = _phase_table(circuit, f)[0]
+    blocks = _phase_blocks(circuit, f)
     if circuit.gates and isinstance(circuit.gates[-1], HadamardAll):
-        return ((1 << q) - 2 * int(np.count_nonzero(phase))) * 2.0**-q
-    return (1 - 2 * int(phase[0])) * 2.0 ** (-q / 2.0)
+        ones = sum(int(np.count_nonzero(block)) for block in blocks)
+        return ((1 << q) - 2 * ones) * 2.0**-q
+    return (1 - 2 * int(next(blocks)[0])) * 2.0 ** (-q / 2.0)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from .boolfn import BooleanFunction, Point, _as_index, unpack_point, xor_transla
 from .dyadic import DyadicRational
 from .errors import CapacityError
 
-_BLOCK_CELLS = 1 << 17  # entries per _derivative_rows block: ~1 MB with an int16/int32 leaf
+_BLOCK_CELLS = 1 << 17  # entries per block of _derivative_rows and qsim._phase_blocks
 
 
 def fwht_inplace(a: np.ndarray) -> np.ndarray:

@@ -123,6 +123,22 @@ def test_simulate_dump_and_audit(capsys):
     assert doc["probability_zero"] == pytest.approx(doc["amplitude_at_zero"] ** 2)
 
 
+@pytest.mark.parametrize(
+    ("circuit", "expected"),
+    [
+        (("u2", "-n", "8"), 0.01111602783203125),
+        (("derivative_walk", "-k", "3", "-n", "6"), 0.102783203125),
+        (("u3_appendix", "-n", "6"), 0.00384521484375),
+        (("derivative_walk", "-k", "1", "-n", "12"), 0.000244140625),
+    ],
+)
+def test_simulate_24_qubit_amplitudes_are_pinned(capsys, circuit, expected):
+    doc = run_json(capsys, "simulate", "--circuit", *circuit, "--family", "random", "--seed", "7",
+                   "--deterministic")
+    assert doc["qubits"] == 24
+    assert doc["amplitude_at_zero"] == expected
+
+
 def test_simulate_requires_something_to_do(capsys):
     code, _, err = run_cli(capsys, "simulate", "--circuit", "u2", "-n", "2")
     assert code == 2 and "nothing to do" in err

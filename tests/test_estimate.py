@@ -18,8 +18,10 @@ from gowersim.estimate import (
     validate_bound,
 )
 from gowersim.gowers import u2_spectral
-from gowersim.qsim import RegisterLayout, StateVector, build_u2_circuit, run, uniform_state
+from gowersim.qsim import RegisterLayout, StateVector, build_u2_circuit, run
 from gowersim.spectral import fwht_inplace
+
+from gate_reference import uniform_state
 
 from_anf_string = BooleanFunction.from_anf_string
 

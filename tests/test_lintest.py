@@ -132,6 +132,20 @@ def test_blr_enumeration_capacity():
         blr_exact_dyadic(f, "fft")
 
 
+@pytest.mark.parametrize("n", [1, 4, 12, 20])
+def test_blr_rejections_match_int64_draws(n):
+    # uint32 draws take numpy's bounded-integer path on the same PCG64 values
+    for seed in (0, 1, 2024):
+        f = random_function(n, seed + 17)
+        trials = 5001
+        rng = np.random.default_rng(seed)
+        xs = rng.integers(0, 1 << n, size=trials)
+        ys = rng.integers(0, 1 << n, size=trials)
+        t = f.table
+        rejections = int(np.count_nonzero(t[xs] ^ t[ys] ^ t[xs ^ ys]))
+        assert blr_test(f, trials, seed).rejection_frequency == rejections / trials
+
+
 def test_blr_sampled():
     f = from_anf_string("x1*x2", 2)
     verdict = blr_test(f, trials=50_000, seed=77)

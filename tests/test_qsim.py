@@ -2,14 +2,17 @@
 end-to-end amplitudes, and the symbolic phase audit.
 """
 
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from gowersim import spectral
 from gowersim.boolfn import BooleanFunction, bent_quadratic, constant, linear, random_function
 from gowersim.dyadic import DyadicRational
 from gowersim.errors import CapacityError
@@ -22,16 +25,16 @@ from gowersim.qsim import (
     RegisterLayout,
     StateVector,
     amplitude_at_zero,
-    apply,
     build_appendix_u3_circuit,
     build_derivative_walk_circuit,
     build_u2_circuit,
     phase_audit,
     run,
-    uniform_state,
     zero_amplitude,
 )
 from gowersim.spectral import fwht_inplace
+
+from gate_reference import apply, fold, norm, uniform_state
 
 from_anf_string = BooleanFunction.from_anf_string
 
@@ -62,7 +65,7 @@ def test_register_layout():
 def test_uniform_state():
     st = uniform_state(RegisterLayout(2, 2))
     assert np.allclose(st.amp, 0.25)
-    assert st.norm() == pytest.approx(1.0)
+    assert norm(st) == pytest.approx(1.0)
 
 
 def test_phase_oracle_action():
@@ -144,7 +147,7 @@ def test_gates_preserve_norm():
     st = uniform_state(lay)
     for gate in (PhaseOracle(1), MCnot(1, 2), HadamardAll(), MCnot(3, 1), PhaseOracle(3)):
         st = apply(st, gate, f)
-        assert st.norm() == pytest.approx(1.0, abs=1e-12)
+        assert norm(st) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_u2_circuit_structure():
@@ -312,13 +315,12 @@ def circuits_and_functions(draw, max_qubits=10):
 
 
 @settings(max_examples=300, deadline=None)
-@given(circuits_and_functions())
-def test_run_matches_gate_by_gate_fold(case):
+@given(circuits_and_functions(), st.sampled_from([4, 64, spectral._BLOCK_CELLS]))
+def test_run_matches_gate_by_gate_fold(case, cells):
     circuit, f = case
-    state = uniform_state(circuit.layout)
-    for gate in circuit.gates:
-        state = apply(state, gate, f)
-    amp = run(circuit, f).amp
+    state = fold(circuit, f)
+    with mock.patch.object(spectral, "_BLOCK_CELLS", cells):
+        amp = run(circuit, f).amp
     if circuit.layout.qubits % 2 == 0:
         # 2^(-q/2) is a power of two: the float fold is exact too
         assert amp.tobytes() == state.amp.tobytes()
@@ -349,3 +351,61 @@ def built_circuits(draw):
 def test_zero_amplitude_equals_run(case):
     circuit, f = case
     assert zero_amplitude(circuit, f) == amplitude_at_zero(run(circuit, f))
+
+
+@settings(max_examples=200, deadline=None)
+@given(circuits_and_functions(), st.sampled_from([4, 64, spectral._BLOCK_CELLS]))
+def test_zero_amplitude_matches_gate_by_gate_fold(case, cells):
+    # the fold is the independent oracle: oracles on every register, cosets
+    # without register 1, no final HALL, several blocks and both gather paths
+    circuit, f = case
+    expected = fold(circuit, f).amp[0]
+    with mock.patch.object(spectral, "_BLOCK_CELLS", cells):
+        amp0 = zero_amplitude(circuit, f)
+    if circuit.layout.qubits % 2 == 0:
+        assert amp0 == expected
+    else:
+        assert abs(amp0 - expected) <= 1e-15
+
+
+BLOCKED_CIRCUITS = [
+    pytest.param(Circuit(RegisterLayout(12, 1), (PhaseOracle(1), HadamardAll())), id="m1-n12"),
+    # m = 2 at n >= 9: the 2^(2n) translate rows never fit a block
+    pytest.param(build_derivative_walk_circuit(9, 1), id="walk1-n9"),
+    pytest.param(build_derivative_walk_circuit(12, 1), id="walk1-n12"),
+    pytest.param(build_appendix_u3_circuit(4), id="u3-n4"),
+    pytest.param(build_appendix_u3_circuit(6), id="u3-n6"),
+    pytest.param(build_u2_circuit(6), id="u2-n6"),
+    pytest.param(build_u2_circuit(8), id="u2-n8"),
+    pytest.param(Circuit(RegisterLayout(4, 4), (MCnot(2, 1), PhaseOracle(2), MCnot(4, 3),
+                                                 PhaseOracle(4), MCnot(1, 4), PhaseOracle(3))),
+                 id="permuted-n4"),
+]
+
+
+def simulated(circuit, f):
+    """zero_amplitude, and run's state bytes up to 18 qubits (2^24 states are not run)."""
+    state = run(circuit, f).amp.tobytes() if circuit.layout.qubits <= 18 else None
+    return zero_amplitude(circuit, f), state
+
+
+@pytest.mark.parametrize("cells", [64, 1 << 14])
+@pytest.mark.parametrize("circuit", BLOCKED_CIRCUITS)
+def test_block_size_does_not_change_the_simulation(monkeypatch, cells, circuit):
+    f = random_function(circuit.layout.n, 21)
+    expected = simulated(circuit, f)
+    monkeypatch.setattr(spectral, "_BLOCK_CELLS", cells)
+    assert simulated(circuit, f) == expected
+
+
+def test_zero_amplitude_never_holds_the_phase_table():
+    # a 24-qubit table is 16 MiB of uint8; blocks of 2^17 entries stay far below
+    f = random_function(8, 3)
+    circuit = build_u2_circuit(8)
+    tracemalloc.start()
+    try:
+        zero_amplitude(circuit, f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
