@@ -22,7 +22,6 @@ from .estimate import (
     SampleSet,
     child_seed,
     hoeffding_bound,
-    sample,
     validate_bound,
 )
 from .gowers import GowersValue, u2_autocorrelation, u2_spectral, uk_definition, uk_via_derivatives
@@ -110,7 +109,6 @@ __all__ = [
     "random_function",
     "rejection_lower_bound",
     "run",
-    "sample",
     "u2_autocorrelation",
     "u2_spectral",
     "uk_definition",

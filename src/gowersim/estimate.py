@@ -25,13 +25,21 @@ import numpy as np
 from .qsim import StateVector
 
 RNG_ALGORITHM = "PCG64"
-_DRAW_CHUNK = 1 << 16  # draws per Generator.random call in count_nonzero_outcomes
+_DRAW_CHUNK = 1 << 16  # draws per Generator call in every sampler (see _draw_sizes)
 
 
 def child_seed(seed: int, index: int) -> int:
     """Deterministic 128-bit child seed for trial `index` under a master seed."""
     words = np.random.SeedSequence([seed, index]).generate_state(2, np.uint64)
     return (int(words[0]) << 64) | int(words[1])
+
+
+def _draw_sizes(count: int):
+    """Chunk sizes of at most _DRAW_CHUNK that add up to count.
+
+    Drawn in turn from one generator, the chunks are the stream of one call.
+    """
+    return (min(_DRAW_CHUNK, count - start) for start in range(0, count, _DRAW_CHUNK))
 
 
 def _generator(seed) -> np.random.Generator:
@@ -94,34 +102,37 @@ class Measurement:
         self.cum = _cdf(state)
 
     def sample(self, m: int, seed) -> SampleSet:
-        """m independent measurements; deterministic for a given seed."""
+        """m independent measurements; deterministic for a given seed.
+
+        Each chunk of draws is looked up in the CDF in sorted order, which
+        walks it forwards, and scattered back into draw order.
+        """
         if m < 1:
             raise ValueError("need at least one sample")
         rng = _generator(seed)
-        draws = rng.random(m)
-        outcomes = np.searchsorted(self.cum, draws, side="right").astype(np.int64)
+        outcomes = np.empty(m, dtype=np.int64)
+        start = 0
+        for size in _draw_sizes(m):
+            draws = rng.random(size)
+            order = np.argsort(draws)
+            chunk = outcomes[start : start + size]
+            chunk[order] = np.searchsorted(self.cum, draws[order], side="right")
+            start += size
         y_values = outcomes / float(self.layout.dim)
         stored_seed = seed if isinstance(seed, int) else None
         return SampleSet(self.layout.n, m, outcomes, y_values, stored_seed)
 
 
-def sample(state: StateVector, m: int, seed) -> SampleSet:
-    """m independent computational-basis measurements of `state`."""
-    return Measurement(state).sample(m, seed)
-
-
 def count_nonzero_outcomes(p0: float, m: int, seed) -> int:
-    """count_nonzero(sample(state, m, seed).outcomes) for a state with |amp_0|^2 = p0.
+    """count_nonzero(Measurement(state).sample(m, seed).outcomes) when |amp_0|^2 = p0.
 
     Exact on the same PCG64 stream whenever the state's amplitudes are
     integers / 2^q, as every norm circuit's are: then each partial sum of
     |amp|^2 is a float64 without rounding, the CDF's total is exactly 1.0, and
-    a draw maps to outcome 0 iff it is below cum[0] = p0.  Chunked draws give
-    the stream of one rng.random(m) call, in memory that does not grow with m.
+    a draw maps to outcome 0 iff it is below cum[0] = p0.
     """
     rng = _generator(seed)
-    sizes = (min(_DRAW_CHUNK, m - start) for start in range(0, m, _DRAW_CHUNK))
-    return sum(int(np.count_nonzero(rng.random(size) >= p0)) for size in sizes)
+    return sum(int(np.count_nonzero(rng.random(size) >= p0)) for size in _draw_sizes(m))
 
 
 def _cdf(state: StateVector) -> np.ndarray:

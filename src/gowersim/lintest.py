@@ -17,11 +17,14 @@ The circuit's 3n <= 24 qubit envelope is kept.
 The BLR test draws x, y uniformly and accepts iff F(x) + F(y) = F(x+y); its
 exact acceptance probability is 1/2 + 1/2 sum_u fhat(u)^3, also computable
 by brute enumeration of all 2^(2n) pairs (both routes are kept and
-cross-checked).
+cross-checked).  Its trials are drawn in chunks, in memory that does not
+grow with their count, on the stream of one call for all xs and one for all
+ys.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -31,7 +34,7 @@ import numpy as np
 from .boolfn import BooleanFunction
 from .dyadic import DyadicRational
 from .errors import CrossCheckError
-from .estimate import child_seed, count_nonzero_outcomes
+from .estimate import _draw_sizes, child_seed, count_nonzero_outcomes
 from .gowers import _power_sum, u2_spectral
 from .qsim import RegisterLayout
 from .spectral import _correlation, dist_to_linear, nonlinearity, walsh
@@ -134,8 +137,29 @@ def blr_exact_dyadic(f: BooleanFunction, route: str = "auto") -> DyadicRational:
     return values[0]
 
 
+def _after_uint32_draws(rng: np.random.Generator, count: int) -> np.random.Generator:
+    """A copy of rng's PCG64 stream, moved past `count` >= 1 uint32 draws; rng is untouched.
+
+    A uint32 draw takes the low half of a 64-bit output and keeps the high
+    half for the next one, so after a buffered half the draws use up
+    (count - buffered) // 2 outputs, and an odd remainder leaves a high half
+    buffered.  Its raw output is read before the state that it advances.
+    """
+    bits = copy.deepcopy(rng.bit_generator)
+    owed = count - bits.state["has_uint32"]
+    bits.advance(owed // 2)  # also drops any buffered half
+    if owed % 2:
+        high = int(bits.random_raw()) >> 32
+        bits.state = {**bits.state, "has_uint32": 1, "uinteger": high}
+    return np.random.Generator(bits)
+
+
 def blr_test(f: BooleanFunction, trials: int, seed: int | None = None) -> TestVerdict:
-    """Sampled BLR test; trials = 0 returns the exact-mode verdict."""
+    """Sampled BLR test; trials = 0 returns the exact-mode verdict.
+
+    xs and ys are the seed's first and second `trials` uint32 draws, taken
+    chunk by chunk, the ys from a second generator started past the xs.
+    """
     if trials < 0:
         raise ValueError("trials must be >= 0")
     p_exact = blr_exact_dyadic(f, "spectral")
@@ -149,12 +173,14 @@ def blr_test(f: BooleanFunction, trials: int, seed: int | None = None) -> TestVe
             rejection_frequency=None,
             seed=None,
         )
-    rng = np.random.default_rng(seed)
-    size = 1 << f.n
-    table = f.table
-    xs = rng.integers(0, size, size=trials, dtype=np.uint32)
-    ys = rng.integers(0, size, size=trials, dtype=np.uint32)
-    rejections = int(np.count_nonzero(table[xs] ^ table[ys] ^ table[xs ^ ys]))
+    x_rng = np.random.default_rng(seed)
+    y_rng = _after_uint32_draws(x_rng, trials)
+    size, table = 1 << f.n, f.table
+    rejections = 0
+    for count in _draw_sizes(trials):
+        xs = x_rng.integers(0, size, size=count, dtype=np.uint32)
+        ys = y_rng.integers(0, size, size=count, dtype=np.uint32)
+        rejections += int(np.count_nonzero(table[xs] ^ table[ys] ^ table[xs ^ ys]))
     return TestVerdict(
         verdict="REJECT" if rejections else "ACCEPT",
         mode="sampled",

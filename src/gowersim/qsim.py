@@ -13,10 +13,10 @@ shared with `phase_audit` gives each oracle call's XOR-coset and the final
 register map, the cosets give the phase table, and a final HadamardAll is one
 int32 FWHT of its signs.  Amplitudes are thus exactly integer / 2^q for q
 qubits before one conversion to float64.  The phase table is built in blocks
-of ~2^17 entries along register 1, each from whole rows x -> F(x ^ v) of a
-2^(2n) table of translates, so no 2^q table is held.  When only the amplitude
-at index 0 is asked for, `zero_amplitude` reads it from the same blocks
-without preparing the final state: the register map fixes 0 and the
+of at most 2^17 consecutive basis indices, each from whole rows x -> F(x ^ v)
+of a 2^(2n) table of translates, so no 2^q table is held.  When only the
+amplitude at index 0 is asked for, `zero_amplitude` reads it from the same
+blocks without preparing the final state: the register map fixes 0 and the
 transform's entry 0 is the sum of the signs.
 
 Circuit builders:
@@ -174,10 +174,16 @@ def _walk(circuit: Circuit) -> tuple[list[frozenset[int]], dict[int, frozenset[i
     return cosets, contents
 
 
-def _register_axes(n: int, m: int, first: slice = slice(None)) -> dict[int, np.ndarray]:
-    """Each register's contents along its own axis of m; register 1 only at `first`."""
+def _register_axes(n: int, m: int, size: int | None = None) -> dict[int, np.ndarray]:
+    """Each register's contents along its own axis of m, over the first `size` basis indices.
+
+    size is a power of two (default: all of them).  Over the `size` indices
+    from any multiple of size, a register holds its content at the first one
+    XOR these values.
+    """
     ramp = np.arange(1 << n, dtype=np.min_scalar_type((1 << n) - 1))
-    return {r: (ramp[first] if r == 1 else ramp).reshape((-1,) + (1,) * (m - r))
+    size = 1 << (n * m) if size is None else size
+    return {r: ramp[: max(1, size >> ((m - r) * n))].reshape((-1,) + (1,) * (m - r))
             for r in range(1, m + 1)}
 
 
@@ -189,10 +195,15 @@ def _register_sum(axes: dict[int, np.ndarray], regs) -> np.ndarray:
 def _phase_blocks(circuit: Circuit, f: BooleanFunction | None):
     """Flat uint8 parity of F over every oracle call's coset, per basis index, in order.
 
-    Each block is a run of register-1 contents, ~spectral._BLOCK_CELLS entries
-    (at least one register-1 value).  A coset C with highest register h adds
-    rows[v] = (x -> F(x ^ v)) at v = XOR of C's other registers, laid along
-    h's axis; without room for the 2^(2n) rows, F is gathered per entry.
+    Each block is a run of consecutive basis indices, spectral._BLOCK_CELLS
+    of them (rounded down to a power of two) or all 2^q if fewer.  In a
+    block each register holds c_r XOR a run 0, 1, ... along its own axis, c_r
+    its content at the block's start, so a coset C's part differs between
+    blocks only by c = XOR of C's c_r.  The part is the bit F(c) if all of
+    C's registers are fixed in a block; else rows[v] = (x -> F(x ^ v)) along
+    the run of C's highest register h, at v = c XOR the runs of C's other
+    registers; without room for the 2^(2n) rows, F is gathered per entry.
+    Parts are XORed in order of h, so few of them span the whole block.
     """
     layout = circuit.layout
     n, m = layout.n, layout.m
@@ -200,25 +211,46 @@ def _phase_blocks(circuit: Circuit, f: BooleanFunction | None):
     if cosets and (f is None or f.n != n):
         raise ValueError(f"the oracle needs a BooleanFunction with n = {n}")
     cells = spectral._BLOCK_CELLS
+    size = 1 << min(layout.qubits, cells.bit_length() - 1)
+    axes = _register_axes(n, m, size)
+    shape = tuple(len(axes[r]) for r in range(1, m + 1))
+    table = f.table if cosets else None
     rows = None
     if cosets and 4**n <= cells:
         ramp = np.arange(1 << n)
-        rows = f.table[np.bitwise_xor.outer(ramp, ramp)]
-    step = max(1, cells >> ((m - 1) * n))  # register-1 contents per block
-    for start in range(0, 1 << n, step):
-        axes = _register_axes(n, m, slice(start, start + step))
-        block = np.zeros((len(axes[1]),) + (1 << n,) * (m - 1), dtype=np.uint8)
-        for coset in cosets:
-            h = max(coset)
-            if rows is None or len(coset) == 1:
-                block ^= f.table[_register_sum(axes, coset)]
-                continue
+        rows = table[np.bitwise_xor.outer(ramp, ramp)]
+    starts = np.arange(0, layout.dim, size, dtype=np.int64)
+
+    def start_xor(coset: frozenset[int]) -> np.ndarray:  # c of the coset, per block
+        parts = [(starts >> layout.shift(r)) & ((1 << n) - 1) for r in coset]
+        return functools.reduce(np.bitwise_xor, parts).astype(axes[1].dtype)
+
+    plan, flips, acc_shape = [], np.zeros(len(starts), dtype=np.uint8), (1,) * m
+    for coset in sorted(cosets, key=max):
+        h = max(coset)
+        if shape[h - 1] == 1:  # every register of the coset is fixed in a block
+            flips ^= table[start_xor(coset)]
+            continue
+        if rows is None or len(coset) == 1:
+            source, pattern = table, _register_sum(axes, coset)
+            part_shape = (1,) * (m - pattern.ndim) + pattern.shape
+        else:
             v = _register_sum(axes, coset - {h})
             # v broadcasts from the right: pad it to m axes, keep registers 1..h-1
             lead = v.reshape((1,) * (m - v.ndim) + v.shape).shape[: h - 1]
-            row = rows.take(v.reshape(lead), axis=0)
-            block ^= row.reshape(lead + (1 << n,) + (1,) * (m - h))
-        yield block.reshape(-1)
+            source, pattern = rows[:, : shape[h - 1]], v.reshape(lead)
+            part_shape = lead + (shape[h - 1],) + (1,) * (m - h)
+        grown = np.broadcast_shapes(acc_shape, part_shape)
+        plan.append((start_xor(coset), source, pattern, part_shape, grown != acc_shape))
+        acc_shape = grown
+    for j, flip in enumerate(flips):
+        phase = np.zeros((1,) * m, dtype=np.uint8)
+        for cs, source, pattern, part_shape, grows in plan:
+            part = source.take(pattern ^ cs[j], axis=0).reshape(part_shape)
+            phase = phase ^ part if grows else np.bitwise_xor(phase, part, out=phase)
+        if flip:
+            phase ^= 1
+        yield (phase if acc_shape == shape else np.broadcast_to(phase, shape)).reshape(-1)
 
 
 def run(circuit: Circuit, f: BooleanFunction | None = None) -> StateVector:

@@ -29,7 +29,7 @@ from gowersim.boolfn import (
     random_function,
 )
 from gowersim.dyadic import DyadicRational
-from gowersim.estimate import Measurement, sample, validate_bound
+from gowersim.estimate import Measurement, validate_bound
 from gowersim.gowers import u2_spectral, uk_definition, uk_via_derivatives
 from gowersim.lintest import blr_exact_dyadic, compare
 from gowersim.qsim import (
@@ -223,7 +223,7 @@ def test_criterion_08_spectral_infrastructure(capsys):
         m = 100_000
         for i, f in enumerate(fixtures):
             state = run(build_u2_circuit(f.n), f)
-            outcomes = sample(state, m, 8100 + i).outcomes
+            outcomes = Measurement(state).sample(m, 8100 + i).outcomes
             probs = state.amp**2
             observed = np.bincount(outcomes, minlength=probs.size).astype(float)
             assert observed[probs == 0].sum() == 0

@@ -214,6 +214,38 @@ def test_lintest_and_blr(capsys):
     }
 
 
+def test_sampled_outputs_are_pinned(capsys):
+    # odd trials: the ys start on the spare half of a 64-bit PCG64 output
+    doc = run_json(capsys, "blr", "--family", "random", "-n", "12", "--seed", "4",
+                   "--trials", "1000001", "--deterministic")
+    assert doc.pop("tt_hex").startswith("39bbfb568d08393e")
+    assert doc == {
+        "command": "blr", "n": 12, "seed": 4, "verdict": "REJECT", "mode": "sampled",
+        "shots": 1000001, "accept_probability_exact": 0.5003280639648438,
+        "rejection_frequency": 0.4997545002454998,
+        "accept_probability_exact_dyadic": {
+            "num": 65579, "log2_den": 17, "value": 0.5003280639648438,
+        },
+    }
+    # m spans two draw chunks
+    doc = run_json(capsys, "estimate", "--family", "random", "-n", "4", "--seed", "9",
+                   "-m", "70001", "-t", "0.001", "--validate", "--trials", "9",
+                   "--deterministic")
+    assert doc == {
+        "command": "estimate", "n": 4, "seed": 9,
+        "report": {
+            "y_bar": 0.37742154743771517, "t": 0.001, "m": 70001,
+            "upper_bound": 0.9426736930208779, "confidence_paper": 1.0,
+            "confidence_standard": 0.13064350331592622, "seed": 9, "rng": "PCG64",
+            "function_tt_hex": "6f14",
+        },
+        "exact_norm": 0.6287167148414677,
+        "exact_pow": {"num": 5, "log2_den": 5, "value": 0.15625},
+        "covered": True,
+        "validate": {"trials": 9, "coverage": 1.0, "meets_confidence_standard": True},
+    }
+
+
 def test_compare_json_and_csv(capsys):
     doc = run_json(
         capsys, "compare", "--anf", "x1*x2", "-n", "2", "--shots", "1000",

@@ -14,7 +14,6 @@ from gowersim.estimate import (
     child_seed,
     count_nonzero_outcomes,
     hoeffding_bound,
-    sample,
     validate_bound,
 )
 from gowersim.gowers import u2_spectral
@@ -42,12 +41,12 @@ def test_sample_y_convention():
     lay = RegisterLayout(2, 3)
     idx = lay.index((0b01, 0b10, 0b11))
     assert idx == 27
-    samples = sample(point_mass(lay, idx), 10, 1)
+    samples = Measurement(point_mass(lay, idx)).sample(10, 1)
     assert np.all(samples.outcomes == 27)
     assert np.all(samples.y_values == 27 / 64)
     assert samples.m_samples == 10
 
-    zeros = sample(point_mass(lay, 0), 5, 1)
+    zeros = Measurement(point_mass(lay, 0)).sample(5, 1)
     assert np.all(zeros.y_values == 0.0)
 
 
@@ -56,7 +55,7 @@ def test_sample_matches_distribution():
     f = from_anf_string("x1*x2", 2)
     state = run(build_u2_circuit(2), f)
     m = 100_000
-    samples = sample(state, m, 2718)
+    samples = Measurement(state).sample(m, 2718)
     freq = np.count_nonzero(samples.outcomes == 0) / m
     p = 1 / 16
     sigma = math.sqrt(p * (1 - p) / m)
@@ -65,10 +64,10 @@ def test_sample_matches_distribution():
 
 def test_sample_is_deterministic():
     state = run(build_u2_circuit(2), bent_quadratic(2))
-    a = sample(state, 1000, 42)
-    b = sample(state, 1000, 42)
+    a = Measurement(state).sample(1000, 42)
+    b = Measurement(state).sample(1000, 42)
     assert np.array_equal(a.outcomes, b.outcomes)
-    c = sample(state, 1000, 43)
+    c = Measurement(state).sample(1000, 43)
     assert not np.array_equal(a.outcomes, c.outcomes)
 
 
@@ -76,9 +75,9 @@ def test_sample_rejects_unnormalized_state():
     lay = RegisterLayout(1, 3)
     bad = StateVector(lay, np.full(lay.dim, 0.25))
     with pytest.raises(ValueError):
-        sample(bad, 10, 0)
+        Measurement(bad).sample(10, 0)
     with pytest.raises(ValueError):
-        sample(uniform_state(lay), 0, 0)
+        Measurement(uniform_state(lay)).sample(0, 0)
 
 
 def test_child_seed():
@@ -190,3 +189,18 @@ def test_count_draws_at_most_one_chunk_at_a_time(monkeypatch):
     count = count_nonzero_outcomes(0.5, 3005, 7)
     assert sizes == [1000, 1000, 1000, 5]
     assert count == int(np.count_nonzero(np.random.default_rng(7).random(3005) >= 0.5))
+
+
+@pytest.mark.parametrize("chunk", [7, 1000])
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_chunked_sample_equals_one_call_lookup(monkeypatch, chunk, offset):
+    # sorted lookups per chunk, scattered back, give the one-call outcomes
+    amp = np.random.default_rng(12).normal(size=1 << 9)
+    measurement = Measurement(StateVector(RegisterLayout(3, 3), amp / np.linalg.norm(amp)))
+    monkeypatch.setattr(estimate, "_DRAW_CHUNK", chunk)
+    for m in (chunk + offset, 3 * chunk + offset):
+        samples = measurement.sample(m, 77)
+        draws = np.random.default_rng(77).random(m)
+        expected = np.searchsorted(measurement.cum, draws, side="right")
+        assert samples.outcomes.tolist() == expected.tolist()
+        assert samples.y_values.tolist() == (expected / 512).tolist()

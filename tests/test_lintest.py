@@ -1,15 +1,19 @@
 """Quantum linearity test, classical BLR, rejection bounds, comparison."""
 
 import dataclasses
+import functools
 import json
 import math
+import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gowersim import estimate, lintest
 from gowersim.boolfn import (
     BooleanFunction,
     bent_quadratic,
@@ -19,7 +23,7 @@ from gowersim.boolfn import (
 )
 from gowersim.dyadic import DyadicRational
 from gowersim.errors import CapacityError
-from gowersim.estimate import child_seed, sample
+from gowersim.estimate import Measurement, child_seed
 from gowersim.gowers import u2_spectral
 from gowersim.lintest import (
     BLR_QUERIES_PER_TRIAL,
@@ -161,6 +165,60 @@ def test_blr_sampled():
     assert ok.verdict == "ACCEPT" and ok.rejection_frequency == 0.0
 
 
+def blr_one_call_rejections(f, trials, seed):
+    """BLR rejections with all xs, then all ys, drawn in one call each."""
+    rng = np.random.default_rng(seed)
+    xs = rng.integers(0, 1 << f.n, trials, dtype=np.uint32)
+    ys = rng.integers(0, 1 << f.n, trials, dtype=np.uint32)
+    t = f.table
+    return int(np.count_nonzero(t[xs] ^ t[ys] ^ t[xs ^ ys]))
+
+
+@functools.lru_cache(maxsize=None)
+def cached_random_function(n):
+    return random_function(n, 900 + n)
+
+
+@st.composite
+def chunks_and_trials(draw):
+    """A patched draw chunk and a trial count, often chunk - 1, chunk or chunk + 1 times k."""
+    chunk = draw(st.sampled_from([7, 1000]))
+    near_edge = st.builds(lambda k, d: k * chunk + d, st.integers(1, 3), st.integers(-1, 1))
+    return chunk, draw(near_edge | st.integers(1, 3 * chunk + 2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 24), chunks_and_trials(), st.integers(0, 2**128 - 1))
+def test_chunked_blr_equals_one_call_draws(n, chunk_and_trials, seed):
+    chunk, trials = chunk_and_trials
+    f = cached_random_function(n)
+    # only the draws are under test: skip the exact route's 2^n-point FWHT
+    with mock.patch.object(estimate, "_DRAW_CHUNK", chunk), \
+            mock.patch.object(lintest, "blr_exact_dyadic", return_value=DyadicRational(1, 1)):
+        got = blr_test(f, trials, seed).rejection_frequency
+    assert got == blr_one_call_rejections(f, trials, seed) / trials
+
+
+@pytest.mark.parametrize("trials", [1, 2, 65535, 65536, 65537, 200001])
+def test_chunked_blr_at_the_real_chunk_size(trials):
+    assert estimate._DRAW_CHUNK == 65536
+    f = cached_random_function(10)
+    got = blr_test(f, trials, 31337).rejection_frequency
+    assert got == blr_one_call_rejections(f, trials, 31337) / trials
+
+
+def test_blr_memory_does_not_grow_with_trials():
+    # 10^6 trials drawn at once held ~13 MiB of xs, ys and gathers
+    f = random_function(12, 5)
+    tracemalloc.start()
+    try:
+        blr_test(f, 10**6, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20
+
+
 def test_compare_report():
     f = from_anf_string("x1*x2", 2)
     rep = compare(f, shots=20_000, seed=123)
@@ -231,7 +289,7 @@ def test_signed_distance_bound_has_counterexamples():
 
 
 # ---------------------------------------------------------------------------
-# the state-free test against the full-state oracle: run + sample
+# the state-free test against the full-state oracle: run + Measurement.sample
 # ---------------------------------------------------------------------------
 
 
@@ -242,7 +300,7 @@ def state_verdict(f, shots, seed):
     if shots == 0:
         verdict = "ACCEPT" if p_accept == 1.0 else "REJECT"
         return Verdict(verdict, "exact", 0, p_accept, None, None)
-    rejections = int(np.count_nonzero(sample(state, shots, seed).outcomes))
+    rejections = int(np.count_nonzero(Measurement(state).sample(shots, seed).outcomes))
     verdict = "REJECT" if rejections else "ACCEPT"
     return Verdict(verdict, "sampled", shots, p_accept, rejections / shots, seed)
 

@@ -24,6 +24,7 @@ from gowersim.qsim import (
     PhaseOracle,
     RegisterLayout,
     StateVector,
+    _phase_blocks,
     amplitude_at_zero,
     build_appendix_u3_circuit,
     build_derivative_walk_circuit,
@@ -396,6 +397,45 @@ def test_block_size_does_not_change_the_simulation(monkeypatch, cells, circuit):
     expected = simulated(circuit, f)
     monkeypatch.setattr(spectral, "_BLOCK_CELLS", cells)
     assert simulated(circuit, f) == expected
+
+
+def idle_register_circuit(m):
+    """Oracles on registers 1 and m only, so the other m - 2 registers sit idle."""
+    gates = (PhaseOracle(1), MCnot(1, m), PhaseOracle(1), PhaseOracle(m), MCnot(1, m))
+    return Circuit(RegisterLayout(1, m), gates + (HadamardAll(),))
+
+
+@pytest.mark.parametrize(
+    ("circuit", "cells"),
+    [
+        # one register-1 value spans 2^18, 2^20 and 2^23 entries
+        pytest.param(build_derivative_walk_circuit(6, 3), spectral._BLOCK_CELLS, id="walk3-n6"),
+        pytest.param(build_derivative_walk_circuit(4, 5), spectral._BLOCK_CELLS, id="walk5-n4"),
+        pytest.param(idle_register_circuit(24), spectral._BLOCK_CELLS, id="idle-m24-n1"),
+        # patched bounds: a block holds part of one register's range (2, 3, 5, 3)
+        pytest.param(build_derivative_walk_circuit(4, 3), 1 << 10, id="walk3-n4-1024"),
+        pytest.param(build_appendix_u3_circuit(3), 16, id="u3-n3-16"),
+        pytest.param(build_derivative_walk_circuit(2, 5), 8, id="walk5-n2-8"),
+        pytest.param(build_u2_circuit(4), 4, id="u2-n4-4"),
+    ],
+)
+def test_every_block_is_bounded(monkeypatch, circuit, cells):
+    layout = circuit.layout
+    f = random_function(layout.n, 44)
+    if layout.qubits <= 16:
+        expected = fold(circuit, f).amp  # exact: every circuit here has an even qubit count
+    monkeypatch.setattr(spectral, "_BLOCK_CELLS", cells)
+    sizes = [block.size for block in _phase_blocks(circuit, f)]
+    assert sizes == [cells] * (layout.dim // cells)
+    amp0 = zero_amplitude(circuit, f)
+    if layout.qubits <= 16:
+        assert amp0 == expected[0]
+        assert run(circuit, f).amp.tobytes() == expected.tobytes()
+    elif layout.n == 1:
+        assert amp0 == zero_amplitude(idle_register_circuit(2), f)
+    else:
+        k = layout.m - 1
+        assert Fraction(amp0) == uk_definition(f, k).pow_value.as_fraction()
 
 
 def test_zero_amplitude_never_holds_the_phase_table():
