@@ -43,7 +43,6 @@ from .qsim import (
     PhaseOracle,
     RegisterLayout,
     StateVector,
-    amplitude_at_zero,
     build_appendix_u3_circuit,
     build_derivative_walk_circuit,
     build_u2_circuit,
@@ -53,7 +52,6 @@ from .qsim import (
 )
 from .spectral import (
     LinearDistance,
-    WalshSpectrum,
     autocorrelation,
     convolve,
     dist_to_linear,
@@ -86,8 +84,6 @@ __all__ = [
     "SampleSet",
     "StateVector",
     "TestVerdict",
-    "WalshSpectrum",
-    "amplitude_at_zero",
     "autocorrelation",
     "bent_quadratic",
     "blr_exact_dyadic",

@@ -117,27 +117,16 @@ def _as_index(x: Point, n: int) -> int:
 
 
 class Anf:
-    """Algebraic normal form: coefficient lambda_u at packed index u."""
+    """Algebraic normal form: coefficient lambda_u is bit u of the packed coeff_bits."""
 
     __slots__ = ("n", "_coeffs")
 
-    def __init__(self, n: int, coeffs: Iterable[int] | np.ndarray):
-        _check_n(n)
-        arr = np.asarray(list(coeffs) if not isinstance(coeffs, np.ndarray) else coeffs)
-        if arr.shape != (1 << n,):
-            raise ValueError(f"coefficient sequence must have length {1 << n}")
-        self.n = n
-        self._coeffs = array_to_bits(arr)
-
-    @classmethod
-    def from_packed(cls, n: int, coeff_bits: int) -> "Anf":
+    def __init__(self, n: int, coeff_bits: int):
         _check_n(n)
         if not 0 <= coeff_bits < (1 << (1 << n)):
             raise ValueError("packed coefficients out of range")
-        obj = cls.__new__(cls)
-        obj.n = n
-        obj._coeffs = coeff_bits
-        return obj
+        self.n = n
+        self._coeffs = coeff_bits
 
     @property
     def packed(self) -> int:
@@ -294,7 +283,7 @@ class BooleanFunction:
     @classmethod
     def from_anf_string(cls, text: str, n: int) -> "BooleanFunction":
         _check_n(n)
-        return Anf.from_packed(n, _parse_anf(text, n)).to_function()
+        return Anf(n, _parse_anf(text, n)).to_function()
 
     @classmethod
     def from_hex(cls, n: int, digits: str) -> "BooleanFunction":
@@ -306,11 +295,9 @@ class BooleanFunction:
             raise ValueError(
                 f"tt-hex for n = {n} must have {ndigits} hex digits, got {len(digits)}"
             )
-        try:
-            value = int(digits, 16)
-        except ValueError:
-            raise ValueError(f"invalid hex digits {digits!r}") from None
-        bitstr = format(value, f"0{4 * ndigits}b")
+        if not set(digits) <= set("0123456789abcdefABCDEF"):  # int() also takes 0x, _, -
+            raise ValueError(f"tt-hex must be the digits 0-9, a-f, A-F, got {digits!r}")
+        bitstr = format(int(digits, 16), f"0{4 * ndigits}b")
         if any(c != "0" for c in bitstr[size:]):
             raise ValueError("padding bits beyond 2^n positions must be zero")
         head = bitstr[:size][::-1]
@@ -347,7 +334,7 @@ class BooleanFunction:
     # -- algebra ---------------------------------------------------------------
 
     def to_anf(self) -> Anf:
-        return Anf.from_packed(self.n, mobius_packed(self._bits, self.n))
+        return Anf(self.n, mobius_packed(self._bits, self.n))
 
     def degree(self) -> int:
         return self.to_anf().degree()
@@ -421,7 +408,7 @@ def bent_quadratic(n: int) -> BooleanFunction:
     for i in range(0, n, 2):
         u = (1 << (n - (i + 1))) | (1 << (n - (i + 2)))
         coeffs |= 1 << u
-    return Anf.from_packed(n, coeffs).to_function()
+    return Anf(n, coeffs).to_function()
 
 
 def random_function(n: int, seed) -> BooleanFunction:

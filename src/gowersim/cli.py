@@ -51,7 +51,6 @@ class RunConfig:
     command: str
     n: int
     seed: int
-    seed_was_given: bool
     deterministic: bool
     anf: str | None = None
     tt_hex: str | None = None
@@ -60,18 +59,15 @@ class RunConfig:
 
     @classmethod
     def from_args(cls, args: argparse.Namespace) -> "RunConfig":
-        seed_given = getattr(args, "seed", None) is not None
-        if seed_given:
-            seed = args.seed
-            if seed < 0:
-                raise ValueError("--seed must be a non-negative integer")
-        else:
+        seed = getattr(args, "seed", None)
+        if seed is None:
             seed = int(np.random.SeedSequence().entropy)
+        elif seed < 0:
+            raise ValueError("--seed must be a non-negative integer")
         cfg = cls(
             command=args.command,
             n=args.n,
             seed=seed,
-            seed_was_given=seed_given,
             deterministic=bool(getattr(args, "deterministic", False)),
             anf=getattr(args, "anf", None),
             tt_hex=getattr(args, "tt_hex", None),
@@ -134,7 +130,7 @@ def _emit(cfg: RunConfig, payload: dict) -> None:
 
 def cmd_analyze(cfg: RunConfig, args: argparse.Namespace) -> int:
     f = cfg.resolve_function()
-    spec = walsh(f)
+    w = walsh(f)
     eps, argmin = dist_to_linear(f)
     gv = gowers_mod.u2_spectral(f)
     payload = {
@@ -149,8 +145,8 @@ def cmd_analyze(cfg: RunConfig, args: argparse.Namespace) -> int:
             "argmin_index": pack_point(argmin),
         },
         "walsh": {
-            "max_abs": spec.max_abs,
-            "max_signed": spec.max_signed,
+            "max_abs": int(np.abs(w).max()),
+            "max_signed": int(w.max()),
         },
         "u2": {"pow": gv.pow_value.to_json_dict(), "norm": gv.norm},
     }
@@ -158,7 +154,7 @@ def cmd_analyze(cfg: RunConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-def _gowers_routes(cfg: RunConfig, f: BooleanFunction, k: int, route: str) -> dict:
+def _gowers_routes(f: BooleanFunction, k: int, route: str) -> dict:
     if route in ("spectral", "autocorrelation") and k != 2:
         raise ValueError(f"--route {route} is only defined for k = 2")
     if route == "derivatives" and k < 3:
@@ -184,7 +180,7 @@ def _gowers_routes(cfg: RunConfig, f: BooleanFunction, k: int, route: str) -> di
 
 def cmd_gowers(cfg: RunConfig, args: argparse.Namespace) -> int:
     f = cfg.resolve_function()
-    results = _gowers_routes(cfg, f, args.k, args.route)
+    results = _gowers_routes(f, args.k, args.route)
     values = list(results.values())
     agreement = all(v.pow_value == values[0].pow_value for v in values)
     if not agreement:

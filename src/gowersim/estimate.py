@@ -18,7 +18,7 @@ derived via SeedSequence([seed, i]) (see child_seed).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -74,16 +74,7 @@ class EstimationReport:
     seed: int | None
 
     def to_json_dict(self, function_hex: str | None = None) -> dict:
-        out = {
-            "y_bar": self.y_bar,
-            "t": self.t,
-            "m": self.m,
-            "upper_bound": self.upper_bound,
-            "confidence_paper": self.confidence_paper,
-            "confidence_standard": self.confidence_standard,
-            "seed": self.seed,
-            "rng": RNG_ALGORITHM,
-        }
+        out = {**asdict(self), "rng": RNG_ALGORITHM}
         if function_hex is not None:
             out["function_tt_hex"] = function_hex
         return out

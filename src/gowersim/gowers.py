@@ -51,7 +51,7 @@ def _power_sum(w: np.ndarray, p: int) -> int:
 
 def u2_spectral(f: BooleanFunction) -> GowersValue:
     """pow_value = sum_u W(u)^4 / 2^(4n)."""
-    total = _power_sum(walsh(f).w, 4)
+    total = _power_sum(walsh(f), 4)
     return GowersValue(2, DyadicRational(total, 4 * f.n))
 
 

@@ -26,8 +26,8 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass
-from typing import NamedTuple
+from dataclasses import asdict, dataclass, fields
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -53,14 +53,15 @@ class TestVerdict:
     seed: int | None
 
     def to_json_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "mode": self.mode,
-            "shots": self.shots,
-            "accept_probability_exact": self.accept_probability_exact,
-            "rejection_frequency": self.rejection_frequency,
-            "seed": self.seed,
-        }
+        return asdict(self)
+
+
+def _verdict(certain: bool, p_accept: float, count: int, rejections: int, seed) -> TestVerdict:
+    """The exact-mode verdict (ACCEPT iff `certain`) for count = 0, else the sampled one."""
+    if count == 0:
+        return TestVerdict("ACCEPT" if certain else "REJECT", "exact", 0, p_accept, None, None)
+    return TestVerdict("REJECT" if rejections else "ACCEPT", "sampled", count, p_accept,
+                       rejections / count, seed if isinstance(seed, int) else None)
 
 
 class RejectionBound(NamedTuple):
@@ -68,11 +69,15 @@ class RejectionBound(NamedTuple):
     exponential: float  # 1 - exp(-8 eps), the stated approximation
 
 
+def _bound_polynomial(eps: float) -> float:
+    return 1.0 - (1.0 - 2.0 * eps) ** 4
+
+
 def rejection_lower_bound(eps: float) -> RejectionBound:
     """Lower bound on the per-shot rejection probability at distance eps from linear."""
     if not 0.0 < eps <= 0.5:
         raise ValueError(f"eps must lie in (0, 1/2], got {eps!r}")
-    return RejectionBound(1.0 - (1.0 - 2.0 * eps) ** 4, 1.0 - math.exp(-8.0 * eps))
+    return RejectionBound(_bound_polynomial(eps), 1.0 - math.exp(-8.0 * eps))
 
 
 def quantum_linearity_test(f: BooleanFunction, shots: int, seed: int | None = None) -> TestVerdict:
@@ -86,24 +91,8 @@ def quantum_linearity_test(f: BooleanFunction, shots: int, seed: int | None = No
         raise ValueError("shots must be >= 0")
     RegisterLayout(f.n, 3)  # the circuit's capacity guard: 3n <= MAX_QUBITS
     p_accept = float(u2_spectral(f).pow_value) ** 2
-    if shots == 0:
-        return TestVerdict(
-            verdict="ACCEPT" if p_accept == 1.0 else "REJECT",
-            mode="exact",
-            shots=0,
-            accept_probability_exact=p_accept,
-            rejection_frequency=None,
-            seed=None,
-        )
-    rejections = count_nonzero_outcomes(p_accept, shots, seed)
-    return TestVerdict(
-        verdict="REJECT" if rejections else "ACCEPT",
-        mode="sampled",
-        shots=shots,
-        accept_probability_exact=p_accept,
-        rejection_frequency=rejections / shots,
-        seed=seed if isinstance(seed, int) else None,
-    )
+    rejections = count_nonzero_outcomes(p_accept, shots, seed) if shots else 0
+    return _verdict(p_accept == 1.0, p_accept, shots, rejections, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -115,17 +104,17 @@ def blr_exact_dyadic(f: BooleanFunction, route: str = "auto") -> DyadicRational:
     """Exact BLR acceptance probability.
 
     route: "spectral" (1/2 + 1/2 sum fhat^3, any n), "enumeration" (all 2^(2n)
-    pairs, needs 2n <= 24), "auto"/"both" (run every route in capacity and
+    pairs, needs 2n <= 24), "auto" (run every route in capacity and
     cross-check exact equality).
     """
-    if route not in ("auto", "both", "spectral", "enumeration"):
+    if route not in ("auto", "spectral", "enumeration"):
         raise ValueError(f"unknown route {route!r}")
     n = f.n
     results: dict[str, DyadicRational] = {}
-    if route in ("auto", "both", "spectral"):
-        s3 = _power_sum(walsh(f).w, 3)
+    if route != "enumeration":
+        s3 = _power_sum(walsh(f), 3)
         results["spectral"] = DyadicRational((1 << (3 * n)) + s3, 3 * n + 1)
-    if route in ("both", "enumeration") or (route == "auto" and 2 * n <= 24):
+    if route == "enumeration" or (route == "auto" and 2 * n <= 24):
         # accepted pairs (x, y): (2^(2n) + sum_x f(x) r(x)) / 2, r(x) = sum_y f(y) f(x+y)
         s = int(np.dot(f.sign_table(np.int64), _correlation(f, f)))
         results["enumeration"] = DyadicRational((1 << (2 * n)) + s, 2 * n + 1)
@@ -163,32 +152,16 @@ def blr_test(f: BooleanFunction, trials: int, seed: int | None = None) -> TestVe
     if trials < 0:
         raise ValueError("trials must be >= 0")
     p_exact = blr_exact_dyadic(f, "spectral")
-    p_accept = float(p_exact)
-    if trials == 0:
-        return TestVerdict(
-            verdict="ACCEPT" if p_exact == DyadicRational(1, 0) else "REJECT",
-            mode="exact",
-            shots=0,
-            accept_probability_exact=p_accept,
-            rejection_frequency=None,
-            seed=None,
-        )
-    x_rng = np.random.default_rng(seed)
-    y_rng = _after_uint32_draws(x_rng, trials)
-    size, table = 1 << f.n, f.table
     rejections = 0
-    for count in _draw_sizes(trials):
-        xs = x_rng.integers(0, size, size=count, dtype=np.uint32)
-        ys = y_rng.integers(0, size, size=count, dtype=np.uint32)
-        rejections += int(np.count_nonzero(table[xs] ^ table[ys] ^ table[xs ^ ys]))
-    return TestVerdict(
-        verdict="REJECT" if rejections else "ACCEPT",
-        mode="sampled",
-        shots=trials,
-        accept_probability_exact=p_accept,
-        rejection_frequency=rejections / trials,
-        seed=seed if isinstance(seed, int) else None,
-    )
+    if trials:
+        x_rng = np.random.default_rng(seed)
+        y_rng = _after_uint32_draws(x_rng, trials)
+        size, table = 1 << f.n, f.table
+        for count in _draw_sizes(trials):
+            xs = x_rng.integers(0, size, size=count, dtype=np.uint32)
+            ys = y_rng.integers(0, size, size=count, dtype=np.uint32)
+            rejections += int(np.count_nonzero(table[xs] ^ table[ys] ^ table[xs ^ ys]))
+    return _verdict(p_exact == DyadicRational(1, 0), float(p_exact), trials, rejections, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -196,17 +169,11 @@ def blr_test(f: BooleanFunction, trials: int, seed: int | None = None) -> TestVe
 # ---------------------------------------------------------------------------
 
 
-def _bound_polynomial(eps: float) -> float:
-    return 1.0 - (1.0 - 2.0 * eps) ** 4
-
-
 @dataclass(frozen=True)
 class ComparisonReport:
     n: int
     function_tt_hex: str
-    eps: float  # exact distance to the linear functions
-    eps_num: int
-    eps_log2_den: int
+    eps: float  # distance to the linear functions; eps_num / 2^eps_log2_den exactly
     nonlinearity: int
     quantum_reject_exact: float
     quantum_reject_freq: float
@@ -219,24 +186,10 @@ class ComparisonReport:
     quantum_reject_per_query: float
     blr_reject_per_query: float
     seed: int | None
+    eps_num: int  # JSON only, after the CSV columns
+    eps_log2_den: int
 
-    CSV_FIELDS = (
-        "n",
-        "function_tt_hex",
-        "eps",
-        "nonlinearity",
-        "quantum_reject_exact",
-        "quantum_reject_freq",
-        "quantum_reject_bound",
-        "blr_reject_exact",
-        "blr_reject_freq",
-        "shots",
-        "quantum_queries_per_shot",
-        "blr_queries_per_trial",
-        "quantum_reject_per_query",
-        "blr_reject_per_query",
-        "seed",
-    )
+    CSV_FIELDS: ClassVar[tuple[str, ...]]
 
     @classmethod
     def csv_header(cls) -> str:
@@ -246,10 +199,13 @@ class ComparisonReport:
         return ",".join(str(getattr(self, name)) for name in self.CSV_FIELDS)
 
     def to_json_dict(self) -> dict:
-        out = {name: getattr(self, name) for name in self.CSV_FIELDS}
-        out["eps_num"] = self.eps_num
-        out["eps_log2_den"] = self.eps_log2_den
-        return out
+        return asdict(self)
+
+
+ComparisonReport.CSV_FIELDS = tuple(
+    column.name for column in fields(ComparisonReport)
+    if column.name not in ("eps_num", "eps_log2_den")
+)
 
 
 def compare(f: BooleanFunction, shots: int, seed: int) -> ComparisonReport:

@@ -273,12 +273,8 @@ def run(circuit: Circuit, f: BooleanFunction | None = None) -> StateVector:
     return StateVector(layout, a * 2.0 ** (-q / 2.0))
 
 
-def amplitude_at_zero(state: StateVector) -> float:
-    return float(state.amp[0])
-
-
 def zero_amplitude(circuit: Circuit, f: BooleanFunction | None = None) -> float:
-    """amplitude_at_zero(run(circuit, f)), from the phase blocks alone.
+    """float(run(circuit, f).amp[0]), from the phase blocks alone.
 
     The final register map is linear, so it fixes index 0, and a final HALL
     puts sum(signs) = 2^q - 2 popcount(phase) at index 0: no permutation and

@@ -6,7 +6,6 @@ unnormalized +-1 butterfly; the 2^-n normalizations live in DyadicRational.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -34,48 +33,21 @@ def fwht_inplace(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True, eq=False)
-class WalshSpectrum:
-    """Integer Walsh coefficients W(u), indexed by the packed index of u."""
-
-    n: int
-    w: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        self.w.setflags(write=False)
-
-    @property
-    def max_abs(self) -> int:
-        return int(np.abs(self.w).max())
-
-    @property
-    def max_signed(self) -> int:
-        return int(self.w.max())
-
-    def __getitem__(self, u) -> int:
-        return int(self.w[_as_index(u, self.n)])
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, WalshSpectrum)
-            and self.n == other.n
-            and np.array_equal(self.w, other.w)
-        )
-
-
 class LinearDistance(NamedTuple):
     eps: DyadicRational
     argmin: tuple[int, ...]
 
 
-def walsh(f: BooleanFunction) -> WalshSpectrum:
-    signs = f.sign_table(np.int64)
-    return WalshSpectrum(f.n, fwht_inplace(signs))
+def walsh(f: BooleanFunction) -> np.ndarray:
+    """The integer W(u) as a read-only int64 array, indexed by the packed index of u."""
+    w = fwht_inplace(f.sign_table(np.int64))
+    w.setflags(write=False)
+    return w
 
 
 def nonlinearity(f: BooleanFunction) -> int:
     """Minimum Hamming distance to the 2^(n+1) affine functions."""
-    return ((1 << f.n) - walsh(f).max_abs) // 2
+    return ((1 << f.n) - int(np.abs(walsh(f)).max())) // 2
 
 
 def dist_to_linear(f: BooleanFunction) -> LinearDistance:
@@ -84,7 +56,7 @@ def dist_to_linear(f: BooleanFunction) -> LinearDistance:
     eps = (1 - max_u W(u) / 2^n) / 2, with the signed maximum; argmin is the
     maximizing u, ties broken by smallest packed index.
     """
-    w = walsh(f).w
+    w = walsh(f)
     wmax = int(w.max())
     u = int(np.argmax(w == wmax))
     eps = DyadicRational((1 << f.n) - wmax, f.n + 1)

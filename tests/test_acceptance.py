@@ -33,7 +33,6 @@ from gowersim.estimate import Measurement, validate_bound
 from gowersim.gowers import u2_spectral, uk_definition, uk_via_derivatives
 from gowersim.lintest import blr_exact_dyadic, compare
 from gowersim.qsim import (
-    amplitude_at_zero,
     build_appendix_u3_circuit,
     build_derivative_walk_circuit,
     build_u2_circuit,
@@ -57,7 +56,7 @@ def criterion(capsys, label, name):
 
 
 def zero_probability(f):
-    return amplitude_at_zero(run(build_u2_circuit(f.n), f)) ** 2
+    return float(run(build_u2_circuit(f.n), f).amp[0]) ** 2
 
 
 def test_criterion_01_amplitude_equals_norm_power(capsys):
@@ -96,12 +95,12 @@ def test_criterion_03_u3_circuit_identity(capsys):
         for n in (2, 3):
             for _ in range(100):
                 f = random_function(n, int(rng.integers(0, 2**63)))
-                p0 = amplitude_at_zero(run(build_derivative_walk_circuit(n, 3), f)) ** 2
+                p0 = float(run(build_derivative_walk_circuit(n, 3), f).amp[0]) ** 2
                 exact = uk_definition(f, 3).pow_value
                 assert abs(p0 - float(exact * exact)) <= 1e-12
         f = from_anf_string("x1*x2*x3", 3)
         assert uk_definition(f, 3).pow_value == DyadicRational(11, 5)
-        p0 = amplitude_at_zero(run(build_derivative_walk_circuit(3, 3), f)) ** 2
+        p0 = float(run(build_derivative_walk_circuit(3, 3), f).amp[0]) ** 2
         assert abs(p0 - float(DyadicRational(11, 5) ** 2)) <= 1e-12
 
 
@@ -161,7 +160,7 @@ def test_criterion_06_quantum_vs_blr_on_and(capsys):
     with criterion(capsys, 6, "AND rejection rates, exact and sampled"):
         f = from_anf_string("x1*x2", 2)
         assert 1.0 - zero_probability(f) == 0.9375
-        assert blr_exact_dyadic(f, route="both") == DyadicRational(5, 3)
+        assert blr_exact_dyadic(f, route="auto") == DyadicRational(5, 3)
 
         rep = compare(f, shots=100_000, seed=606)
         assert rep.quantum_reject_exact == 0.9375
@@ -201,7 +200,7 @@ def test_criterion_08_spectral_infrastructure(capsys):
         for n in range(1, 11):
             for _ in range(200):
                 f = random_function(n, int(rng.integers(0, 2**63)))
-                w = walsh(f).w.astype(object)
+                w = walsh(f).astype(object)
                 assert int(np.sum(w * w)) == 1 << (2 * n)
 
         for n in range(1, 7):
@@ -212,7 +211,7 @@ def test_criterion_08_spectral_infrastructure(capsys):
             )
             fwht_inplace(scaled)
             assert np.array_equal(
-                scaled, walsh(f).w.astype(object) * walsh(g).w.astype(object)
+                scaled, walsh(f).astype(object) * walsh(g).astype(object)
             )
 
         fixtures = (

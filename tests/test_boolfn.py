@@ -4,6 +4,8 @@ Index convention under test everywhere: x1 is the most significant bit of the
 table index, so at n = 2 the table order is F(00), F(01), F(10), F(11).
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -153,7 +155,7 @@ def test_degree():
     assert from_anf_string("x1 + x2", 3).degree() == 1
     assert constant(3, 0).degree() == 0
     assert constant(3, 1).degree() == 0
-    assert Anf.from_packed(3, 0).degree() == 0
+    assert Anf(3, 0).degree() == 0
 
 
 def test_hex_round_trip():
@@ -178,6 +180,11 @@ def test_hex_conventions():
         BooleanFunction.from_hex(2, "12")  # wrong digit count
     with pytest.raises(ValueError):
         BooleanFunction.from_hex(2, "g")
+    # only 0-9a-fA-F: int(text, 16) alone would take a prefix, separators and signs
+    assert BooleanFunction.from_hex(4, "1F2E") == BooleanFunction.from_hex(4, "1f2e")
+    for text in ("0x1f", "1_2f", "-001", "+1f2", "\u0661\u0662\u0663\u0664"):
+        with pytest.raises(ValueError, match=re.escape(repr(text))):
+            BooleanFunction.from_hex(4, text)
 
 
 def test_table_validation():

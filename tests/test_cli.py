@@ -32,6 +32,7 @@ def test_analyze(capsys):
     assert doc["tt_hex"] == "1"
     assert doc["degree"] == 2
     assert doc["nonlinearity"] == 1
+    assert doc["walsh"] == {"max_abs": 2, "max_signed": 2}
     assert doc["dist_to_linear"]["num"] == 1
     assert doc["dist_to_linear"]["log2_den"] == 2
     assert doc["u2"]["pow"] == {"num": 1, "log2_den": 2, "value": 0.25}
@@ -297,6 +298,8 @@ def test_exit_code_2_on_parse_and_domain_errors(capsys):
     assert code == 2
     code, _, _ = run_cli(capsys, "nonsense")
     assert code == 2
+    code, out, err = run_cli(capsys, "analyze", "-n", "4", "--tt-hex", "0x1f")
+    assert code == 2 and out == "" and "'0x1f'" in err
 
 
 def test_exit_code_3_on_capacity(capsys):

@@ -1,4 +1,5 @@
-"""Property tests: the exact routes agree on randomly generated functions.
+"""Property tests: the exact routes agree on randomly generated functions, and
+the table conversions (hex, Mobius, ANF) invert each other.
 
 Every comparison is integer (dyadic) equality, never a float tolerance.
 """
@@ -8,18 +9,17 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gowersim.boolfn import BooleanFunction
+from gowersim.boolfn import Anf, BooleanFunction, mobius_packed
 from gowersim.gowers import u2_autocorrelation, u2_spectral, uk_definition, uk_via_derivatives
 from gowersim.lintest import blr_exact_dyadic
 from gowersim.spectral import convolve
 
 
-def functions(max_n: int, min_n: int = 1):
-    """Any packed truth table with min_n <= n <= max_n (shrinks towards F = 0)."""
+def functions(max_n: int, min_n: int = 1, build=BooleanFunction.from_packed):
+    """Any packed truth table with min_n <= n <= max_n (shrinks towards F = 0);
+    `build` (n, bits) may read the bits as something else, e.g. ANF coefficients."""
     return st.integers(min_n, max_n).flatmap(
-        lambda n: st.builds(
-            BooleanFunction.from_packed, st.just(n), st.integers(0, (1 << (1 << n)) - 1)
-        )
+        lambda n: st.builds(build, st.just(n), st.integers(0, (1 << (1 << n)) - 1))
     )
 
 
@@ -54,3 +54,23 @@ def test_convolve_matches_brute_force(fg):
     for a in range(size):
         total = sum(1 - 2 * (f.value(y) ^ g.value(y ^ a)) for y in range(size))
         assert conv[a].as_fraction() == Fraction(total, size)
+
+
+@settings(max_examples=60, deadline=None)
+@given(functions(10))
+def test_hex_round_trip(f):
+    text = f.to_hex()
+    assert BooleanFunction.from_hex(f.n, text) == f
+    assert BooleanFunction.from_hex(f.n, text.upper()) == f
+
+
+@settings(max_examples=60, deadline=None)
+@given(functions(10))
+def test_mobius_is_an_involution(f):
+    assert mobius_packed(mobius_packed(f.packed, f.n), f.n) == f.packed
+
+
+@settings(max_examples=60, deadline=None)
+@given(functions(10, build=Anf))
+def test_anf_round_trip(anf):
+    assert anf.to_function().to_anf() == anf

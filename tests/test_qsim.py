@@ -25,7 +25,6 @@ from gowersim.qsim import (
     RegisterLayout,
     StateVector,
     _phase_blocks,
-    amplitude_at_zero,
     build_appendix_u3_circuit,
     build_derivative_walk_circuit,
     build_u2_circuit,
@@ -203,11 +202,10 @@ def test_appendix_u3_structure():
 
 
 def test_run_known_amplitudes():
-    assert amplitude_at_zero(run(build_u2_circuit(3), linear(3, 0b110))) == pytest.approx(1.0)
-    assert amplitude_at_zero(
-        run(build_u2_circuit(2), from_anf_string("x1*x2", 2))
-    ) == pytest.approx(0.25)
-    assert amplitude_at_zero(run(build_u2_circuit(4), bent_quadratic(4))) == pytest.approx(
+    assert float(run(build_u2_circuit(3), linear(3, 0b110)).amp[0]) == pytest.approx(1.0)
+    and_state = run(build_u2_circuit(2), from_anf_string("x1*x2", 2))
+    assert float(and_state.amp[0]) == pytest.approx(0.25)
+    assert float(run(build_u2_circuit(4), bent_quadratic(4)).amp[0]) == pytest.approx(
         1 / 16
     )
 
@@ -237,7 +235,7 @@ def test_walk_circuit_measures_uk():
     rng = np.random.default_rng(14)
     for n, k in ((2, 2), (2, 3), (3, 3), (2, 4)):
         f = random_function(n, int(rng.integers(0, 2**32)))
-        p0 = amplitude_at_zero(run(build_derivative_walk_circuit(n, k), f)) ** 2
+        p0 = float(run(build_derivative_walk_circuit(n, k), f).amp[0]) ** 2
         exact = uk_definition(f, k).pow_value
         assert p0 == pytest.approx(float(exact * exact), abs=1e-12)
 
@@ -293,7 +291,7 @@ def test_circuit_capacity():
 
 def test_walk_p0_known_value():
     f = from_anf_string("x1*x2*x3", 3)
-    p0 = amplitude_at_zero(run(build_derivative_walk_circuit(3, 3), f)) ** 2
+    p0 = float(run(build_derivative_walk_circuit(3, 3), f).amp[0]) ** 2
     expected = DyadicRational(11, 5) ** 2
     assert p0 == pytest.approx(float(expected), abs=1e-12)
 
@@ -334,7 +332,7 @@ def test_run_matches_gate_by_gate_fold(case, cells):
 def test_walk_amplitude_equals_uk_exactly(n, k, seed):
     assume(n * (k + 1) <= 16)
     f = random_function(n, seed)
-    amp0 = amplitude_at_zero(run(build_derivative_walk_circuit(n, k), f))
+    amp0 = float(run(build_derivative_walk_circuit(n, k), f).amp[0])
     assert Fraction(amp0) == uk_definition(f, k).pow_value.as_fraction()
 
 
@@ -351,7 +349,7 @@ def built_circuits(draw):
 @given(st.one_of(built_circuits(), circuits_and_functions(max_qubits=12)))
 def test_zero_amplitude_equals_run(case):
     circuit, f = case
-    assert zero_amplitude(circuit, f) == amplitude_at_zero(run(circuit, f))
+    assert zero_amplitude(circuit, f) == float(run(circuit, f).amp[0])
 
 
 @settings(max_examples=200, deadline=None)
@@ -369,18 +367,31 @@ def test_zero_amplitude_matches_gate_by_gate_fold(case, cells):
         assert abs(amp0 - expected) <= 1e-15
 
 
+SMALL_BLOCKS = 64
+
+
+def blocked(circuit, name, cells=(SMALL_BLOCKS, 1 << 14)):
+    return [pytest.param(circuit, c, id=f"{name}-{c}") for c in cells]
+
+
 BLOCKED_CIRCUITS = [
-    pytest.param(Circuit(RegisterLayout(12, 1), (PhaseOracle(1), HadamardAll())), id="m1-n12"),
+    *blocked(Circuit(RegisterLayout(12, 1), (PhaseOracle(1), HadamardAll())), "m1-n12"),
     # m = 2 at n >= 9: the 2^(2n) translate rows never fit a block
-    pytest.param(build_derivative_walk_circuit(9, 1), id="walk1-n9"),
-    pytest.param(build_derivative_walk_circuit(12, 1), id="walk1-n12"),
-    pytest.param(build_appendix_u3_circuit(4), id="u3-n4"),
-    pytest.param(build_appendix_u3_circuit(6), id="u3-n6"),
-    pytest.param(build_u2_circuit(6), id="u2-n6"),
-    pytest.param(build_u2_circuit(8), id="u2-n8"),
-    pytest.param(Circuit(RegisterLayout(4, 4), (MCnot(2, 1), PhaseOracle(2), MCnot(4, 3),
-                                                 PhaseOracle(4), MCnot(1, 4), PhaseOracle(3))),
-                 id="permuted-n4"),
+    *blocked(build_derivative_walk_circuit(9, 1), "walk1-n9"),
+    *blocked(build_appendix_u3_circuit(4), "u3-n4"),
+    *blocked(build_u2_circuit(6), "u2-n6"),
+    *blocked(Circuit(RegisterLayout(4, 4), (MCnot(2, 1), PhaseOracle(2), MCnot(4, 3),
+                                             PhaseOracle(4), MCnot(1, 4), PhaseOracle(3))),
+             "permuted-n4"),
+    # 24 qubits split into 2^10 blocks; their small-block splits (2^18 blocks, seconds
+    # each) are covered by walk1-n9-64 and the two cases below
+    *blocked(build_derivative_walk_circuit(12, 1), "walk1-n12", [1 << 14]),
+    *blocked(build_appendix_u3_circuit(6), "u3-n6", [1 << 14]),
+    *blocked(build_u2_circuit(8), "u2-n8", [1 << 14]),
+    # a block ends inside register 3 as for u2-n8 at 64 cells, and at register 4 as
+    # for u3-n6 at 64 cells, on the same gather paths
+    *blocked(build_u2_circuit(7), "u2-n7", [SMALL_BLOCKS]),
+    *blocked(build_appendix_u3_circuit(5), "u3-n5", [32]),
 ]
 
 
@@ -390,8 +401,7 @@ def simulated(circuit, f):
     return zero_amplitude(circuit, f), state
 
 
-@pytest.mark.parametrize("cells", [64, 1 << 14])
-@pytest.mark.parametrize("circuit", BLOCKED_CIRCUITS)
+@pytest.mark.parametrize(("circuit", "cells"), BLOCKED_CIRCUITS)
 def test_block_size_does_not_change_the_simulation(monkeypatch, cells, circuit):
     f = random_function(circuit.layout.n, 21)
     expected = simulated(circuit, f)
