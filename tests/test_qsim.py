@@ -383,9 +383,9 @@ BLOCKED_CIRCUITS = [
     *blocked(Circuit(RegisterLayout(4, 4), (MCnot(2, 1), PhaseOracle(2), MCnot(4, 3),
                                              PhaseOracle(4), MCnot(1, 4), PhaseOracle(3))),
              "permuted-n4"),
-    # 24 qubits split into 2^10 blocks; their small-block splits (2^18 blocks, seconds
-    # each) are covered by walk1-n9-64 and the two cases below
-    *blocked(build_derivative_walk_circuit(12, 1), "walk1-n12", [1 << 14]),
+    # 24 qubits split into 2^10 blocks; the small-block splits of u3-n6 and u2-n8
+    # (2^18 blocks, seconds each) are covered by the two cases below
+    *blocked(build_derivative_walk_circuit(12, 1), "walk1-n12"),
     *blocked(build_appendix_u3_circuit(6), "u3-n6", [1 << 14]),
     *blocked(build_u2_circuit(8), "u2-n8", [1 << 14]),
     # a block ends inside register 3 as for u2-n8 at 64 cells, and at register 4 as
