@@ -5,8 +5,9 @@ Conventions used library-wide:
 * A point x = (x1, ..., xn) is packed into an index with x1 as the most
   significant bit: idx(x) = sum x_i * 2**(n-i).  Truth tables are listed in
   increasing index order, i.e. lexicographically in (x1, ..., xn).
-* Truth tables are stored as packed Python integers (bit idx(x) holds F(x)),
-  so the O(2^n) transforms run on whole machine words.
+* Truth tables (and ANF coefficient tables) are stored as read-only uint8
+  numpy arrays indexed by idx(x), so every consumer reads them without a copy
+  and objects may share them.
 * The character form f(x) = (-1)**F(x) is exposed as sign tables.
 * Hex truth-table format: ceil(2^n / 4) hex digits, most significant digit
   first; the bit of x = 0...0 is the most significant bit of the whole string.
@@ -29,10 +30,8 @@ MAX_N = 24
 Point = Union[int, Sequence[int]]
 
 # ---------------------------------------------------------------------------
-# packed-integer plumbing
+# table plumbing
 # ---------------------------------------------------------------------------
-
-_FOLD_MASKS: dict[int, list[tuple[int, int]]] = {}
 
 
 def _check_n(n: int) -> None:
@@ -42,48 +41,23 @@ def _check_n(n: int) -> None:
         raise CapacityError(f"n = {n} exceeds the supported maximum {MAX_N}")
 
 
-def _fold_masks(n: int) -> list[tuple[int, int]]:
-    """For each index bit j: (stride, mask of positions with bit j clear)."""
-    cached = _FOLD_MASKS.get(n)
-    if cached is None:
-        size = 1 << n
-        cached = []
-        for j in range(n):
-            stride = 1 << j
-            mask, width = (1 << stride) - 1, 2 * stride
-            while width < size:  # doubling: no division of 2^n-bit integers
-                mask |= mask << width
-                width *= 2
-            cached.append((stride, mask))
-        _FOLD_MASKS[n] = cached
-    return cached
+def _mobius(table: np.ndarray) -> np.ndarray:
+    """Binary Mobius transform of a 0/1 table, as a new array; it is an involution."""
+    out = table.copy()
+    h = 1
+    while h < out.size:  # each stage XORs the low half of every 2h-block into its high half
+        halves = out.reshape(-1, 2, h)
+        halves[:, 1] ^= halves[:, 0]
+        h *= 2
+    return out
 
 
-def xor_translate(bits: int, n: int, a: int) -> int:
-    """Packed table of x -> F(x + a), given the packed table of F."""
-    for stride, mask in _fold_masks(n):
-        if a & stride:
-            bits = ((bits & mask) << stride) | ((bits >> stride) & mask)
-    return bits
-
-
-def mobius_packed(bits: int, n: int) -> int:
-    """Binary Mobius transform on a packed table; it is an involution."""
-    for stride, mask in _fold_masks(n):
-        bits ^= (bits & mask) << stride
-    return bits
-
-
-def bits_to_array(bits: int, n: int) -> np.ndarray:
-    """Packed table -> uint8 array indexed by idx(x)."""
-    size = 1 << n
-    raw = bits.to_bytes((size + 7) // 8, "little")
-    return np.unpackbits(np.frombuffer(raw, np.uint8), count=size, bitorder="little")
-
-
-def array_to_bits(table: np.ndarray) -> int:
-    packed = np.packbits(table.astype(np.uint8) & 1, bitorder="little")
-    return int.from_bytes(packed.tobytes(), "little")
+def _translated(table: np.ndarray, a: int) -> np.ndarray:
+    """The table of x -> t(x + a), as a new array: one copy of t viewed as a 2 x ... x 2
+    array (axis i is bit n-1-i of the index) and reversed along the axes of a's set bits."""
+    n = table.size.bit_length() - 1
+    axes = tuple(i for i in range(n) if a >> (n - 1 - i) & 1)
+    return np.flip(table.reshape((2,) * n), axes).flatten()
 
 
 def pack_point(vec: Sequence[int], n: int | None = None) -> int:
@@ -117,24 +91,21 @@ def _as_index(x: Point, n: int) -> int:
 
 
 class Anf:
-    """Algebraic normal form: coefficient lambda_u is bit u of the packed coeff_bits."""
+    """Algebraic normal form: coefficient lambda_u is entry u of the uint8 table `coeffs`."""
 
-    __slots__ = ("n", "_coeffs")
+    __slots__ = ("n", "coeffs")
 
     def __init__(self, n: int, coeff_bits: int):
-        _check_n(n)
-        if not 0 <= coeff_bits < (1 << (1 << n)):
-            raise ValueError("packed coefficients out of range")
-        self.n = n
-        self._coeffs = coeff_bits
+        """Coefficients packed into an integer: bit u holds lambda_u."""
+        self.n, self.coeffs = n, BooleanFunction.from_packed(n, coeff_bits).table
 
-    @property
-    def packed(self) -> int:
-        return self._coeffs
-
-    @property
-    def coeffs(self) -> np.ndarray:
-        return bits_to_array(self._coeffs, self.n)
+    @classmethod
+    def _of(cls, n: int, coeffs: np.ndarray) -> "Anf":
+        """Wrap a 0/1 uint8 table that nothing else writes to; it is frozen in place."""
+        coeffs.setflags(write=False)
+        anf = cls.__new__(cls)
+        anf.n, anf.coeffs = n, coeffs
+        return anf
 
     def monomials(self) -> list[int]:
         """Packed indices u with lambda_u = 1, ascending."""
@@ -148,7 +119,7 @@ class Anf:
         return int(np.bitwise_count(present.astype(np.uint32)).max())
 
     def to_function(self) -> "BooleanFunction":
-        return BooleanFunction.from_packed(self.n, mobius_packed(self._coeffs, self.n))
+        return BooleanFunction._of(self.n, _mobius(self.coeffs))
 
     def to_string(self) -> str:
         """Monomials in ascending u joined by ' + '; '1' for u = 0, '0' if none."""
@@ -162,11 +133,13 @@ class Anf:
 
     def __eq__(self, other) -> bool:
         return (
-            isinstance(other, Anf) and self.n == other.n and self._coeffs == other._coeffs
+            isinstance(other, Anf)
+            and self.n == other.n
+            and np.array_equal(self.coeffs, other.coeffs)
         )
 
     def __hash__(self) -> int:
-        return hash((self.n, self._coeffs))
+        return hash((self.n, self.coeffs.tobytes()))
 
     def __repr__(self) -> str:
         return f"Anf(n={self.n}, {self.to_string()!r})"
@@ -178,14 +151,14 @@ def _products(width: int, first: int) -> list[str]:
             for v in range(1 << width)]
 
 
-def _parse_anf(text: str, n: int) -> int:
-    """Parse a sum of monomials into packed ANF coefficients.
+def _parse_anf(text: str, n: int) -> np.ndarray:
+    """Parse a sum of monomials into the uint8 table of its ANF coefficients.
 
     Grammar: expr := term ('+' term)*; term := factor (('*' | '&') factor)*;
     factor := '1' | '0' | 'x'<digits>.  Whitespace is free between tokens.
     '0' (the empty sum) is accepted as a courtesy extension.
     """
-    coeffs = 0
+    monomials = []
     pos = 0
     length = len(text)
 
@@ -240,13 +213,15 @@ def _parse_anf(text: str, n: int) -> int:
             else:
                 break
         if not zero:
-            coeffs ^= 1 << u
+            monomials.append(u)
         skip_ws()
         if pos >= length:
             break
         if text[pos] != "+":
             raise AnfSyntaxError(f"expected '+' but found {text[pos]!r}", pos + 1)
         pos += 1
+    coeffs = np.zeros(1 << n, np.uint8)
+    np.bitwise_xor.at(coeffs, np.array(monomials, np.int64), 1)  # a repeated term cancels
     return coeffs
 
 
@@ -256,34 +231,43 @@ def _parse_anf(text: str, n: int) -> int:
 
 
 class BooleanFunction:
-    """An n-variable Boolean function backed by a packed truth table."""
+    """An n-variable Boolean function backed by a read-only uint8 truth table."""
 
-    __slots__ = ("n", "_bits")
+    __slots__ = ("n", "table")
 
     def __init__(self, n: int, table: Iterable[int] | np.ndarray):
+        """The table is copied, so the caller's array is never frozen."""
         _check_n(n)
         arr = np.asarray(list(table) if not isinstance(table, np.ndarray) else table)
         if arr.shape != (1 << n,):
             raise ValueError(f"truth table must have length {1 << n}")
         if not np.isin(arr, (0, 1)).all():
             raise ValueError("truth table entries must be 0/1")
-        self.n = n
-        self._bits = array_to_bits(arr)
+        self.n, self.table = n, arr.astype(np.uint8)
+        self.table.setflags(write=False)
+
+    @classmethod
+    def _of(cls, n: int, table: np.ndarray) -> "BooleanFunction":
+        """Wrap a 0/1 uint8 table that nothing else writes to; it is frozen in place."""
+        table.setflags(write=False)
+        obj = cls.__new__(cls)
+        obj.n, obj.table = n, table
+        return obj
 
     @classmethod
     def from_packed(cls, n: int, bits: int) -> "BooleanFunction":
+        """The table packed into an integer: bit idx(x) holds F(x)."""
         _check_n(n)
-        if not 0 <= bits < (1 << (1 << n)):
+        size = 1 << n
+        if not 0 <= bits < (1 << size):
             raise ValueError("packed table out of range")
-        obj = cls.__new__(cls)
-        obj.n = n
-        obj._bits = bits
-        return obj
+        raw = np.frombuffer(bits.to_bytes((size + 7) // 8, "little"), np.uint8)
+        return cls._of(n, np.unpackbits(raw, count=size, bitorder="little"))
 
     @classmethod
     def from_anf_string(cls, text: str, n: int) -> "BooleanFunction":
         _check_n(n)
-        return Anf(n, _parse_anf(text, n)).to_function()
+        return cls._of(n, _mobius(_parse_anf(text, n)))
 
     @classmethod
     def from_hex(cls, n: int, digits: str) -> "BooleanFunction":
@@ -295,55 +279,47 @@ class BooleanFunction:
             raise ValueError(
                 f"tt-hex for n = {n} must have {ndigits} hex digits, got {len(digits)}"
             )
-        if not set(digits) <= set("0123456789abcdefABCDEF"):  # int() also takes 0x, _, -
+        if not set(digits) <= set("0123456789abcdefABCDEF"):  # fromhex also skips whitespace
             raise ValueError(f"tt-hex must be the digits 0-9, a-f, A-F, got {digits!r}")
-        bitstr = format(int(digits, 16), f"0{4 * ndigits}b")
-        if any(c != "0" for c in bitstr[size:]):
+        raw = bytes.fromhex(digits.ljust(ndigits + ndigits % 2, "0"))
+        bits = np.unpackbits(np.frombuffer(raw, np.uint8))
+        if bits[size:].any():
             raise ValueError("padding bits beyond 2^n positions must be zero")
-        head = bitstr[:size][::-1]
-        return cls.from_packed(n, int(head, 2) if head else 0)
+        return cls._of(n, bits[:size])
 
     # -- basic accessors ------------------------------------------------------
 
     @property
     def packed(self) -> int:
-        return self._bits
-
-    @property
-    def table(self) -> np.ndarray:
-        """Truth table as a uint8 array indexed by idx(x)."""
-        return bits_to_array(self._bits, self.n)
+        """The table packed into an integer: bit idx(x) holds F(x)."""
+        return int.from_bytes(np.packbits(self.table, bitorder="little").tobytes(), "little")
 
     def sign_table(self, dtype=np.int8) -> np.ndarray:
         """Character form f(x) = (-1)**F(x) as an array of +-1."""
         return (1 - 2 * self.table.astype(np.int16)).astype(dtype)
 
     def value(self, x: Point) -> int:
-        return (self._bits >> _as_index(x, self.n)) & 1
+        return int(self.table[_as_index(x, self.n)])
 
     @property
     def weight(self) -> int:
-        return self._bits.bit_count()
+        return int(np.count_nonzero(self.table))
 
     def to_hex(self) -> str:
-        size = 1 << self.n
-        ndigits = (size + 3) // 4
-        bitstr = format(self._bits, f"0{size}b")[::-1]  # F(0) F(1) ... F(2^n-1)
-        return format(int(bitstr.ljust(4 * ndigits, "0"), 2), f"0{ndigits}x")
+        ndigits = ((1 << self.n) + 3) // 4  # F(0) is the most significant bit
+        return np.packbits(self.table).tobytes().hex()[:ndigits]
 
     # -- algebra ---------------------------------------------------------------
 
     def to_anf(self) -> Anf:
-        return Anf(self.n, mobius_packed(self._bits, self.n))
+        return Anf._of(self.n, _mobius(self.table))
 
     def degree(self) -> int:
         return self.to_anf().degree()
 
     def translate(self, a: Point) -> "BooleanFunction":
         """x -> F(x + a)."""
-        return BooleanFunction.from_packed(
-            self.n, xor_translate(self._bits, self.n, _as_index(a, self.n))
-        )
+        return BooleanFunction._of(self.n, _translated(self.table, _as_index(a, self.n)))
 
     def derivative(self, dirs: Sequence[Point]) -> "BooleanFunction":
         """Iterated discrete derivative along the given directions.
@@ -351,21 +327,22 @@ class BooleanFunction:
         Each step maps the table t to t(x) + t(x + a); the composite sums F
         over all subset-shifts of the direction list.
         """
-        bits = self._bits
+        table = self.table
         for a in dirs:
-            offset = _as_index(a, self.n)
-            bits ^= xor_translate(bits, self.n, offset)
-        return BooleanFunction.from_packed(self.n, bits)
+            moved = _translated(table, _as_index(a, self.n))
+            moved ^= table
+            table = moved
+        return BooleanFunction._of(self.n, table)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, BooleanFunction)
             and self.n == other.n
-            and self._bits == other._bits
+            and np.array_equal(self.table, other.table)
         )
 
     def __hash__(self) -> int:
-        return hash((self.n, self._bits))
+        return hash((self.n, self.table.tobytes()))
 
     def __repr__(self) -> str:
         if self.n <= 4:
@@ -389,14 +366,14 @@ def linear(n: int, u: Point | str) -> BooleanFunction:
     _check_n(n)
     mask = _as_mask(u, n)
     idx = np.arange(1 << n, dtype=np.uint32)
-    return BooleanFunction(n, (np.bitwise_count(idx & np.uint32(mask)) & 1).astype(np.uint8))
+    return BooleanFunction._of(n, (np.bitwise_count(idx & np.uint32(mask)) & 1).astype(np.uint8))
 
 
 def constant(n: int, bit: int = 0) -> BooleanFunction:
     _check_n(n)
     if bit not in (0, 1):
         raise ValueError("constant bit must be 0 or 1")
-    return BooleanFunction.from_packed(n, ((1 << (1 << n)) - 1) if bit else 0)
+    return BooleanFunction._of(n, np.full(1 << n, bit, np.uint8))
 
 
 def bent_quadratic(n: int) -> BooleanFunction:
@@ -404,15 +381,12 @@ def bent_quadratic(n: int) -> BooleanFunction:
     _check_n(n)
     if n % 2:
         raise ValueError("bent_quadratic requires an even number of variables")
-    coeffs = 0
-    for i in range(0, n, 2):
-        u = (1 << (n - (i + 1))) | (1 << (n - (i + 2)))
-        coeffs |= 1 << u
-    return Anf(n, coeffs).to_function()
+    text = " + ".join(f"x{i}*x{i + 1}" for i in range(1, n, 2))
+    return BooleanFunction.from_anf_string(text, n)
 
 
 def random_function(n: int, seed) -> BooleanFunction:
     """Uniformly random truth table from a PCG64 generator seeded with `seed`."""
     _check_n(n)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    return BooleanFunction(n, rng.integers(0, 2, size=1 << n, dtype=np.uint8))
+    return BooleanFunction._of(n, rng.integers(0, 2, size=1 << n, dtype=np.uint8))

@@ -133,11 +133,12 @@ def cmd_analyze(cfg: RunConfig, args: argparse.Namespace) -> int:
     w = walsh(f)
     eps, argmin = dist_to_linear(f)
     gv = gowers_mod.u2_spectral(f)
+    anf = f.to_anf()
     payload = {
         "tt_hex": f.to_hex(),
-        "anf": f.to_anf().to_string(),
+        "anf": anf.to_string(),
         "weight": f.weight,
-        "degree": f.degree(),
+        "degree": anf.degree(),
         "nonlinearity": nonlinearity(f),
         "dist_to_linear": {
             **eps.to_json_dict(),

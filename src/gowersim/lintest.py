@@ -46,20 +46,17 @@ BLR_QUERIES_PER_TRIAL = 3
 @dataclass(frozen=True)
 class TestVerdict:
     verdict: str  # "ACCEPT" | "REJECT"
-    mode: str  # "exact" | "sampled"
+    mode: str  # always "sampled"
     shots: int
     accept_probability_exact: float
-    rejection_frequency: float | None
+    rejection_frequency: float
     seed: int | None
 
     def to_json_dict(self) -> dict:
         return asdict(self)
 
 
-def _verdict(certain: bool, p_accept: float, count: int, rejections: int, seed) -> TestVerdict:
-    """The exact-mode verdict (ACCEPT iff `certain`) for count = 0, else the sampled one."""
-    if count == 0:
-        return TestVerdict("ACCEPT" if certain else "REJECT", "exact", 0, p_accept, None, None)
+def _verdict(p_accept: float, count: int, rejections: int, seed) -> TestVerdict:
     return TestVerdict("REJECT" if rejections else "ACCEPT", "sampled", count, p_accept,
                        rejections / count, seed if isinstance(seed, int) else None)
 
@@ -83,16 +80,14 @@ def rejection_lower_bound(eps: float) -> RejectionBound:
 def quantum_linearity_test(f: BooleanFunction, shots: int, seed: int | None = None) -> TestVerdict:
     """Per-shot test: ACCEPT iff the measured index is 0.
 
-    shots >= 1 samples that many measurements (verdict REJECT iff any shot
-    rejects); shots = 0 returns the exact-mode verdict computed from p0
-    alone.
+    Samples `shots` >= 1 measurements; the verdict is REJECT iff any shot
+    rejects.
     """
-    if shots < 0:
-        raise ValueError("shots must be >= 0")
+    if shots < 1:
+        raise ValueError("shots must be >= 1")
     RegisterLayout(f.n, 3)  # the circuit's capacity guard: 3n <= MAX_QUBITS
     p_accept = float(u2_spectral(f).pow_value) ** 2
-    rejections = count_nonzero_outcomes(p_accept, shots, seed) if shots else 0
-    return _verdict(p_accept == 1.0, p_accept, shots, rejections, seed)
+    return _verdict(p_accept, shots, count_nonzero_outcomes(p_accept, shots, seed), seed)
 
 
 # ---------------------------------------------------------------------------
@@ -144,24 +139,22 @@ def _after_uint32_draws(rng: np.random.Generator, count: int) -> np.random.Gener
 
 
 def blr_test(f: BooleanFunction, trials: int, seed: int | None = None) -> TestVerdict:
-    """Sampled BLR test; trials = 0 returns the exact-mode verdict.
+    """Sampled BLR test of `trials` >= 1 draws; REJECT iff any trial rejects.
 
     xs and ys are the seed's first and second `trials` uint32 draws, taken
     chunk by chunk, the ys from a second generator started past the xs.
     """
-    if trials < 0:
-        raise ValueError("trials must be >= 0")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     p_exact = blr_exact_dyadic(f, "spectral")
-    rejections = 0
-    if trials:
-        x_rng = np.random.default_rng(seed)
-        y_rng = _after_uint32_draws(x_rng, trials)
-        size, table = 1 << f.n, f.table
-        for count in _draw_sizes(trials):
-            xs = x_rng.integers(0, size, size=count, dtype=np.uint32)
-            ys = y_rng.integers(0, size, size=count, dtype=np.uint32)
-            rejections += int(np.count_nonzero(table[xs] ^ table[ys] ^ table[xs ^ ys]))
-    return _verdict(p_exact == DyadicRational(1, 0), float(p_exact), trials, rejections, seed)
+    x_rng = np.random.default_rng(seed)
+    y_rng = _after_uint32_draws(x_rng, trials)
+    size, table, rejections = 1 << f.n, f.table, 0
+    for count in _draw_sizes(trials):
+        xs = x_rng.integers(0, size, size=count, dtype=np.uint32)
+        ys = y_rng.integers(0, size, size=count, dtype=np.uint32)
+        rejections += int(np.count_nonzero(table[xs] ^ table[ys] ^ table[xs ^ ys]))
+    return _verdict(float(p_exact), trials, rejections, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -217,8 +210,6 @@ def compare(f: BooleanFunction, shots: int, seed: int) -> ComparisonReport:
     (4 phase queries quantum, 3 classical queries BLR), because a raw
     per-shot comparison silently hands the quantum side a 4-query budget.
     """
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
     quantum = quantum_linearity_test(f, shots, child_seed(seed, 0))
     q_reject_exact = 1.0 - quantum.accept_probability_exact
     blr_verdict = blr_test(f, shots, child_seed(seed, 1))

@@ -10,7 +10,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .boolfn import BooleanFunction, Point, _as_index, unpack_point, xor_translate
+from .boolfn import BooleanFunction, Point, unpack_point
 from .dyadic import DyadicRational
 from .errors import CapacityError
 
@@ -64,10 +64,8 @@ def dist_to_linear(f: BooleanFunction) -> LinearDistance:
 
 
 def autocorrelation(f: BooleanFunction, a: Point) -> DyadicRational:
-    """(f * f)(a) = 2^-n sum_y f(y) f(y+a), exact."""
-    offset = _as_index(a, f.n)
-    disagreements = (f.packed ^ xor_translate(f.packed, f.n, offset)).bit_count()
-    return DyadicRational((1 << f.n) - 2 * disagreements, f.n)
+    """(f * f)(a) = 2^-n sum_y f(y) f(y+a), exact: F(y) and F(y+a) disagree where D_a F = 1."""
+    return DyadicRational((1 << f.n) - 2 * f.derivative([a]).weight, f.n)
 
 
 def _derivative_rows(g: np.ndarray, depth: int = 1) -> Iterator[np.ndarray]:

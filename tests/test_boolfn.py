@@ -5,6 +5,7 @@ table index, so at n = 2 the table order is F(00), F(01), F(10), F(11).
 """
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,19 +13,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gowersim.boolfn import (
-    _FOLD_MASKS,
     Anf,
     BooleanFunction,
-    _fold_masks,
     bent_quadratic,
     constant,
     linear,
-    mobius_packed,
     pack_point,
     random_function,
     unpack_point,
 )
+from gowersim.dyadic import DyadicRational
 from gowersim.errors import AnfSyntaxError, CapacityError
+from gowersim.spectral import autocorrelation
 
 from_anf_string = BooleanFunction.from_anf_string
 
@@ -100,18 +100,6 @@ def test_anf_round_trip_random():
                 assert h == f
 
 
-def test_fold_masks_match_closed_form():
-    _FOLD_MASKS.clear()
-    for n in range(1, 15):
-        size = 1 << n
-        expected = []
-        for j in range(n):
-            stride = 1 << j
-            block = (1 << stride) - 1
-            expected.append((stride, block * (((1 << size) - 1) // ((1 << (2 * stride)) - 1))))
-        assert _fold_masks(n) == expected
-
-
 def reference_anf_string(anf):
     """One unpack_point and one join per monomial."""
     terms = []
@@ -141,13 +129,6 @@ def test_anf_string_edge_cases():
     assert constant(5, 1).to_anf().to_string() == "1"
     # ascending u; at n = 5 the high field is x1..x3, so x3*x4*x5 spans both fields
     assert from_anf_string("x1*x5 + x3*x4*x5", 5).to_anf().to_string() == "x3*x4*x5 + x1*x5"
-
-
-def test_mobius_is_an_involution():
-    rng = np.random.default_rng(4242)
-    for n in range(1, 11):
-        bits = int(rng.integers(0, 2 ** min(2**n, 63)))
-        assert mobius_packed(mobius_packed(bits, n), n) == bits
 
 
 def test_degree():
@@ -185,6 +166,65 @@ def test_hex_conventions():
     for text in ("0x1f", "1_2f", "-001", "+1f2", "\u0661\u0662\u0663\u0664"):
         with pytest.raises(ValueError, match=re.escape(repr(text))):
             BooleanFunction.from_hex(4, text)
+
+
+def test_tables_are_read_only():
+    f = random_function(5, 31)
+    anf = f.to_anf()
+    for table in (f.table, anf.coeffs, f.translate(3).table, f.derivative([1, 6]).table):
+        assert table.dtype == np.uint8 and not table.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] ^= 1
+    assert anf.to_function() == f
+
+
+def test_constructor_copies_its_input():
+    arr = np.array([0, 1, 1, 0], dtype=np.uint8)
+    f = BooleanFunction(2, arr)
+    assert arr.flags.writeable
+    arr[0] = 1  # the caller's array is neither frozen nor shared
+    tables_equal(f, [0, 1, 1, 0])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 8).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(0, (1 << (1 << n)) - 1))
+))
+def test_packed_round_trip(case):
+    n, bits = case
+    f = BooleanFunction.from_packed(n, bits)
+    assert f.packed == bits
+    assert f.value(0) == bits & 1 and f.value((1 << n) - 1) == bits >> ((1 << n) - 1)
+    g = BooleanFunction.from_packed(n, f.packed)
+    assert g == f and hash(g) == hash(f)
+    h = BooleanFunction(n, f.table)
+    assert h == f and hash(h) == hash(f)
+    assert Anf(n, bits) == Anf(n, bits) and hash(Anf(n, bits)) == hash(Anf(n, bits))
+
+
+def test_translates_need_no_index_array():
+    # n = 20: the table is 1 MiB; an int64 index array x ^ a would take 8 MiB
+    f = random_function(20, 2020)
+    a, b = 0b1011_0110_0101_1100_1011, 0b0100_0000_0000_0000_0001
+    calls = (
+        lambda: f.translate(a),
+        lambda: f.derivative([a, b]),
+        lambda: autocorrelation(f, a),
+    )
+    for call in calls:
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 << 20
+    t = f.table
+    x = np.arange(1 << 20)
+    assert np.array_equal(f.translate(a).table, t[x ^ a])
+    assert np.array_equal(f.derivative([a, b]).table, t ^ t[x ^ a] ^ t[x ^ b] ^ t[x ^ a ^ b])
+    disagreements = int(np.count_nonzero(t ^ t[x ^ a]))
+    assert autocorrelation(f, a) == DyadicRational((1 << 20) - 2 * disagreements, 20)
 
 
 def test_table_validation():

@@ -69,14 +69,12 @@ def test_and_rejection_probability():
 
 
 def test_exact_mode():
-    verdict = quantum_linearity_test(from_anf_string("x1*x2", 2), shots=0)
-    assert verdict.mode == "exact"
-    assert verdict.verdict == "REJECT"
-    assert verdict.shots == 0
-    assert verdict.rejection_frequency is None
-
-    ok = quantum_linearity_test(linear(4, 0b1001), shots=0)
-    assert ok.verdict == "ACCEPT" and ok.mode == "exact"
+    # there is no count-0 exact mode: every verdict is sampled from >= 1 draws
+    with pytest.raises(ValueError, match="shots must be >= 1"):
+        quantum_linearity_test(from_anf_string("x1*x2", 2), shots=0)
+    with pytest.raises(ValueError, match="shots must be >= 1"):
+        quantum_linearity_test(linear(4, 0b1001), shots=0)
+    assert quantum_linearity_test(linear(4, 0b1001), shots=1, seed=3).mode == "sampled"
 
     with pytest.raises(ValueError):
         quantum_linearity_test(linear(2, 1), shots=-1)
@@ -157,9 +155,10 @@ def test_blr_sampled():
     sigma = math.sqrt(0.375 * 0.625 / 50_000)
     assert abs(verdict.rejection_frequency - 0.375) <= 4 * sigma
 
-    exact = blr_test(f, trials=0)
-    assert exact.mode == "exact" and exact.verdict == "REJECT"
-    assert blr_test(linear(3, 0b010), trials=0).verdict == "ACCEPT"
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        blr_test(f, trials=0)
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        blr_test(linear(3, 0b010), trials=0)
 
     ok = blr_test(linear(3, 0b010), trials=2000, seed=5)
     assert ok.verdict == "ACCEPT" and ok.rejection_frequency == 0.0
@@ -297,9 +296,6 @@ def state_verdict(f, shots, seed):
     """quantum_linearity_test computed from the u2 circuit's final state."""
     state = run(build_u2_circuit(f.n), f)
     p_accept = float(state.amp[0]) ** 2
-    if shots == 0:
-        verdict = "ACCEPT" if p_accept == 1.0 else "REJECT"
-        return Verdict(verdict, "exact", 0, p_accept, None, None)
     rejections = int(np.count_nonzero(Measurement(state).sample(shots, seed).outcomes))
     verdict = "REJECT" if rejections else "ACCEPT"
     return Verdict(verdict, "sampled", shots, p_accept, rejections / shots, seed)
@@ -316,10 +312,12 @@ def near_affine(draw, max_n=6):
 
 
 @settings(max_examples=150, deadline=None)
-@given(near_affine(), st.one_of(st.just(0), st.integers(1, 3000)), st.integers(0, 2**128 - 1))
+@given(near_affine(), st.integers(1, 3000), st.integers(0, 2**128 - 1))
 def test_quantum_test_matches_state_sampler(f, shots, seed):
     got = quantum_linearity_test(f, shots, seed).to_json_dict()
     assert json.dumps(got) == json.dumps(state_verdict(f, shots, seed).to_json_dict())
+    with pytest.raises(ValueError):
+        quantum_linearity_test(f, 0, seed)
 
 
 @settings(max_examples=80, deadline=None)
@@ -339,7 +337,7 @@ def test_compare_matches_state_sampler(f, shots, seed):
 
 def test_compare_pinned_at_n8():
     # values from the full-state run + sample path at 24 qubits
-    table = linear(8, 0b10110101).table
+    table = linear(8, 0b10110101).table.copy()  # the function's own table is read-only
     table[[3, 77, 200]] ^= 1
     rep = compare(BooleanFunction(8, table), shots=50_000, seed=8080)
     assert rep.function_tt_hex.startswith("4a5aa5a5a5a55a5a")

@@ -6,10 +6,11 @@ Every comparison is integer (dyadic) equality, never a float tolerance.
 
 from fractions import Fraction
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gowersim.boolfn import Anf, BooleanFunction, mobius_packed
+from gowersim.boolfn import Anf, BooleanFunction, _mobius, unpack_point
 from gowersim.gowers import u2_autocorrelation, u2_spectral, uk_definition, uk_via_derivatives
 from gowersim.lintest import blr_exact_dyadic
 from gowersim.spectral import convolve
@@ -67,7 +68,23 @@ def test_hex_round_trip(f):
 @settings(max_examples=60, deadline=None)
 @given(functions(10))
 def test_mobius_is_an_involution(f):
-    assert mobius_packed(mobius_packed(f.packed, f.n), f.n) == f.packed
+    once = _mobius(f.table)
+    assert once.dtype == np.uint8 and np.array_equal(once, f.to_anf().coeffs)
+    assert np.array_equal(_mobius(once), f.table)
+
+
+@settings(max_examples=60, deadline=None)
+@given(functions(6, build=lambda n, bits: (n, bits)))
+def test_anf_evaluates_pointwise(case):
+    # F(x) = XOR of lambda_u (bit u of the packed coefficients) over the u with u & x == u
+    n, bits = case
+    f = Anf(n, bits).to_function()
+    for x in range(1 << n):
+        expected = 0
+        for u in range(1 << n):
+            if u & x == u:
+                expected ^= bits >> u & 1
+        assert f.value(x) == f.value(unpack_point(x, n)) == expected
 
 
 @settings(max_examples=60, deadline=None)
