@@ -131,6 +131,17 @@ def test_anf_string_edge_cases():
     assert from_anf_string("x1*x5 + x3*x4*x5", 5).to_anf().to_string() == "x3*x4*x5 + x1*x5"
 
 
+def test_mobius_is_an_involution():
+    rng = np.random.default_rng(4242)
+    for n in range(1, 11):
+        f = random_function(n, rng)
+        anf = f.to_anf()
+        assert anf.coeffs.dtype == np.uint8 and anf.coeffs.shape == (1 << n,)
+        assert anf.to_function() == f
+        # the same transform applied to the coefficient table gives back the truth table
+        assert np.array_equal(BooleanFunction(n, anf.coeffs).to_anf().coeffs, f.table)
+
+
 def test_degree():
     assert from_anf_string("x1*x2*x3", 3).degree() == 3
     assert from_anf_string("x1 + x2", 3).degree() == 1
