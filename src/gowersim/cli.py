@@ -2,44 +2,26 @@
 
 Subcommands: analyze, gowers, simulate, estimate, lintest, blr, compare.
 Output is JSON on stdout (CSV available for `compare`).  All randomness
-flows from a single --seed; when omitted, a fresh seed is drawn and printed
-in the output.  --deterministic suppresses the timestamp field so that equal
-arguments and seeds give byte-identical output.
+flows from a single --seed; when it is omitted and the command uses
+randomness, a fresh seed is drawn and printed in the output.  --deterministic
+suppresses the timestamp field so that equal arguments and seeds give
+byte-identical output.  Each subcommand imports only the modules it runs.
 
-Exit statuses: 0 success, 2 usage/parse/domain errors, 3 capacity errors,
-4 internal cross-check failures.
+Exit statuses: 0 success, 1 stdout closed early (broken pipe), 2
+usage/parse/domain errors, 3 capacity errors, 4 internal cross-check failures.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
-import numpy as np
-
-from . import gowers as gowers_mod
-from . import qsim
-from .boolfn import (
-    BooleanFunction,
-    bent_quadratic,
-    linear,
-    pack_point,
-    random_function,
-)
-from .errors import AnfSyntaxError, CapacityError, CrossCheckError
-from .estimate import Measurement, hoeffding_bound, validate_bound
-from .lintest import (
-    ComparisonReport,
-    blr_exact_dyadic,
-    blr_test,
-    compare,
-    quantum_linearity_test,
-    rejection_lower_bound,
-)
-from .spectral import dist_to_linear, nonlinearity, walsh
+from .boolfn import BooleanFunction, bent_quadratic, linear, pack_point, random_function
+from .errors import CapacityError, CrossCheckError
 
 FAMILIES = ("linear", "bent", "bent_quadratic", "random")
 
@@ -50,7 +32,7 @@ class RunConfig:
 
     command: str
     n: int
-    seed: int
+    seed: int | None
     deterministic: bool
     anf: str | None = None
     tt_hex: str | None = None
@@ -60,9 +42,7 @@ class RunConfig:
     @classmethod
     def from_args(cls, args: argparse.Namespace) -> "RunConfig":
         seed = getattr(args, "seed", None)
-        if seed is None:
-            seed = int(np.random.SeedSequence().entropy)
-        elif seed < 0:
+        if seed is not None and seed < 0:
             raise ValueError("--seed must be a non-negative integer")
         cfg = cls(
             command=args.command,
@@ -81,6 +61,10 @@ class RunConfig:
         t = getattr(args, "t", None)
         if t is not None and not t > 0:
             raise ValueError(f"-t must be positive, got {t}")
+        if cfg.seed is None and cfg.uses_seed():
+            from numpy.random import SeedSequence
+
+            cfg.seed = int(SeedSequence().entropy)
         return cfg
 
     def function_choice_count(self) -> int:
@@ -105,12 +89,7 @@ class RunConfig:
         raise ValueError(f"unknown family {family!r}")
 
     def uses_seed(self) -> bool:
-        return self.family == "random" or self.command in (
-            "estimate",
-            "lintest",
-            "blr",
-            "compare",
-        )
+        return self.family == "random" or self.command in ("estimate", "lintest", "blr", "compare")
 
 
 def _emit(cfg: RunConfig, payload: dict) -> None:
@@ -129,10 +108,13 @@ def _emit(cfg: RunConfig, payload: dict) -> None:
 
 
 def cmd_analyze(cfg: RunConfig, args: argparse.Namespace) -> int:
+    from .gowers import u2_spectral
+    from .spectral import dist_to_linear, nonlinearity, walsh
+
     f = cfg.resolve_function()
     w = walsh(f)
     eps, argmin = dist_to_linear(f)
-    gv = gowers_mod.u2_spectral(f)
+    gv = u2_spectral(f)
     anf = f.to_anf()
     payload = {
         "tt_hex": f.to_hex(),
@@ -146,7 +128,7 @@ def cmd_analyze(cfg: RunConfig, args: argparse.Namespace) -> int:
             "argmin_index": pack_point(argmin),
         },
         "walsh": {
-            "max_abs": int(np.abs(w).max()),
+            "max_abs": int(abs(w).max()),
             "max_signed": int(w.max()),
         },
         "u2": {"pow": gv.pow_value.to_json_dict(), "norm": gv.norm},
@@ -156,6 +138,8 @@ def cmd_analyze(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def _gowers_routes(f: BooleanFunction, k: int, route: str) -> dict:
+    from . import gowers
+
     if route in ("spectral", "autocorrelation") and k != 2:
         raise ValueError(f"--route {route} is only defined for k = 2")
     if route == "derivatives" and k < 3:
@@ -166,17 +150,13 @@ def _gowers_routes(f: BooleanFunction, k: int, route: str) -> dict:
             names.append("derivatives")
     else:
         names = [route]
-    out = {}
-    for name in names:
-        if name == "definition":
-            out[name] = gowers_mod.uk_definition(f, k)
-        elif name == "spectral":
-            out[name] = gowers_mod.u2_spectral(f)
-        elif name == "autocorrelation":
-            out[name] = gowers_mod.u2_autocorrelation(f)
-        else:
-            out[name] = gowers_mod.uk_via_derivatives(f, k)
-    return out
+    routes = {
+        "definition": lambda: gowers.uk_definition(f, k),
+        "spectral": lambda: gowers.u2_spectral(f),
+        "autocorrelation": lambda: gowers.u2_autocorrelation(f),
+        "derivatives": lambda: gowers.uk_via_derivatives(f, k),
+    }
+    return {name: routes[name]() for name in names}
 
 
 def cmd_gowers(cfg: RunConfig, args: argparse.Namespace) -> int:
@@ -201,6 +181,10 @@ def cmd_gowers(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> int:
+    from . import qsim
+
+    if args.k is not None and args.circuit != "derivative_walk":
+        raise ValueError(f"-k applies only to --circuit derivative_walk, not {args.circuit}")
     if args.circuit == "u2":
         circuit = qsim.build_u2_circuit(cfg.n)
     elif args.circuit == "u3_appendix":
@@ -243,10 +227,14 @@ def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_estimate(cfg: RunConfig, args: argparse.Namespace) -> int:
+    from . import qsim
+    from .estimate import Measurement, hoeffding_bound, validate_bound
+    from .gowers import u2_spectral
+
     f = cfg.resolve_function()
     measurement = Measurement(qsim.run(qsim.build_u2_circuit(cfg.n), f))
     report = hoeffding_bound(measurement.sample(args.m, cfg.seed), args.t)
-    gv = gowers_mod.u2_spectral(f)
+    gv = u2_spectral(f)
     payload = {
         "report": report.to_json_dict(f.to_hex()),
         "exact_norm": gv.norm,
@@ -265,6 +253,9 @@ def cmd_estimate(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_lintest(cfg: RunConfig, args: argparse.Namespace) -> int:
+    from .lintest import quantum_linearity_test, rejection_lower_bound
+    from .spectral import dist_to_linear
+
     f = cfg.resolve_function()
     verdict = quantum_linearity_test(f, args.shots, cfg.seed)
     eps_dy, argmin = dist_to_linear(f)
@@ -284,6 +275,8 @@ def cmd_lintest(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_blr(cfg: RunConfig, args: argparse.Namespace) -> int:
+    from .lintest import blr_exact_dyadic, blr_test
+
     f = cfg.resolve_function()
     verdict = blr_test(f, args.trials, cfg.seed)
     payload = {
@@ -296,6 +289,8 @@ def cmd_blr(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_compare(cfg: RunConfig, args: argparse.Namespace) -> int:
+    from .lintest import ComparisonReport, compare
+
     f = cfg.resolve_function()
     report = compare(f, args.shots, cfg.seed)
     if args.format == "csv":
@@ -318,7 +313,11 @@ def _add_function_args(p: argparse.ArgumentParser, required: bool = True) -> Non
     group.add_argument("--family", choices=FAMILIES, help="named function family")
     group.add_argument("--u", help="bit string selecting the linear function u.x")
     p.add_argument("-n", type=int, required=True, help="number of variables")
-    p.add_argument("--seed", type=int, help="master RNG seed (drawn and printed if omitted)")
+    p.add_argument(
+        "--seed",
+        type=int,
+        help="master RNG seed (drawn and printed if omitted and the command uses randomness)",
+    )
     p.add_argument(
         "--deterministic",
         action="store_true",
@@ -398,22 +397,27 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = RunConfig.from_args(args)
         return _HANDLERS[args.command](cfg, args)
-    except AnfSyntaxError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except CrossCheckError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
-    except ValueError as exc:
+    except ValueError as exc:  # AnfSyntaxError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
 
 def run() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+    except BrokenPipeError:
+        # the reader is gone: send what is still buffered to devnull so that
+        # the flush at exit cannot fail again (Python's SIGPIPE recipe)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

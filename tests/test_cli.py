@@ -148,6 +148,13 @@ def test_simulate_requires_something_to_do(capsys):
     assert code == 2 and "-k" in err
 
 
+def test_simulate_rejects_k_on_fixed_circuits(capsys):
+    for circuit in ("u2", "u3_appendix"):
+        code, out, err = run_cli(capsys, "simulate", "--circuit", circuit, "-n", "2", "-k", "5",
+                                 "--audit", "--deterministic")
+        assert code == 2 and out == "" and "-k" in err and circuit in err
+
+
 def test_estimate(capsys):
     doc = run_json(
         capsys, "estimate", "--family", "bent", "-n", "4", "-m", "50", "-t", "0.2",
@@ -328,8 +335,7 @@ def test_capacity_errors_state_the_cost_and_budget(capsys):
 
 def test_exit_code_4_on_cross_check_failure(capsys, monkeypatch):
     monkeypatch.setattr(
-        cli.gowers_mod,
-        "u2_autocorrelation",
+        "gowersim.gowers.u2_autocorrelation",
         lambda f: GowersValue(2, DyadicRational(1, 7)),
     )
     code, _, err = run_cli(capsys, "gowers", "--anf", "x1*x2", "-n", "2",
@@ -350,6 +356,21 @@ def test_module_runs_as_a_script():
     proc = subprocess.run([sys.executable, "-m", "gowersim.cli", "analyze", "-n", "2"],
                           capture_output=True, text=True, timeout=60, env=env)
     assert proc.returncode == 2 and "exactly one" in proc.stderr
+
+
+def test_closed_stdout_exits_1_without_a_traceback():
+    # ~1 MB of JSON: far more than a pipe buffer, so the writer meets the closed end
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = ["analyze", "--family", "random", "-n", "16", "--seed", "1", "--deterministic"]
+    proc = subprocess.Popen([sys.executable, "-m", "gowersim.cli", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == ""
 
 
 def test_help_exits_zero(capsys):
