@@ -155,7 +155,7 @@ def _parse_anf(text: str, n: int) -> np.ndarray:
     """Parse a sum of monomials into the uint8 table of its ANF coefficients.
 
     Grammar: expr := term ('+' term)*; term := factor (('*' | '&') factor)*;
-    factor := '1' | '0' | 'x'<digits>.  Whitespace is free between tokens.
+    factor := '1' | '0' | 'x'[0-9]+.  Whitespace is free between tokens.
     '0' (the empty sum) is accepted as a courtesy extension.
     """
     monomials = []
@@ -184,7 +184,7 @@ def _parse_anf(text: str, n: int) -> np.ndarray:
             start = pos
             pos += 1
             digits = ""
-            while pos < length and text[pos].isdigit():
+            while pos < length and text[pos] in "0123456789":  # not str.isdigit: ASCII only
                 digits += text[pos]
                 pos += 1
             if not digits:

@@ -7,6 +7,9 @@ randomness, a fresh seed is drawn and printed in the output.  --deterministic
 suppresses the timestamp field so that equal arguments and seeds give
 byte-identical output.  Each subcommand imports only the modules it runs.
 
+argparse parses each run into one `RunConfig`, the only argument of every
+handler; each number is range-checked by its option's type (exit 2, before any work).
+
 Exit statuses: 0 success, 1 stdout closed early (broken pipe), 2
 usage/parse/domain errors, 3 capacity errors, 4 internal cross-check failures.
 """
@@ -15,9 +18,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
-from dataclasses import dataclass
 from datetime import datetime, timezone
 
 from .boolfn import BooleanFunction, bent_quadratic, linear, pack_point, random_function
@@ -26,67 +29,25 @@ from .errors import CapacityError, CrossCheckError
 FAMILIES = ("linear", "bent", "bent_quadratic", "random")
 
 
-@dataclass
-class RunConfig:
-    """Validated run parameters; numeric checks happen before any computation."""
-
-    command: str
-    n: int
-    seed: int | None
-    deterministic: bool
-    anf: str | None = None
-    tt_hex: str | None = None
-    family: str | None = None
-    u: str | None = None
-
-    @classmethod
-    def from_args(cls, args: argparse.Namespace) -> "RunConfig":
-        seed = getattr(args, "seed", None)
-        if seed is not None and seed < 0:
-            raise ValueError("--seed must be a non-negative integer")
-        cfg = cls(
-            command=args.command,
-            n=args.n,
-            seed=seed,
-            deterministic=bool(getattr(args, "deterministic", False)),
-            anf=getattr(args, "anf", None),
-            tt_hex=getattr(args, "tt_hex", None),
-            family=getattr(args, "family", None),
-            u=getattr(args, "u", None),
-        )
-        for name, low in (("shots", 1), ("trials", 1), ("m", 1), ("k", 1)):
-            value = getattr(args, name, None)
-            if value is not None and value < low:
-                raise ValueError(f"--{name} must be >= {low}, got {value}")
-        t = getattr(args, "t", None)
-        if t is not None and not t > 0:
-            raise ValueError(f"-t must be positive, got {t}")
-        if cfg.seed is None and cfg.uses_seed():
-            from numpy.random import SeedSequence
-
-            cfg.seed = int(SeedSequence().entropy)
-        return cfg
-
-    def function_choice_count(self) -> int:
-        return sum(x is not None for x in (self.anf, self.tt_hex, self.family))
+class RunConfig(argparse.Namespace):
+    """The options of one run, as parsed by `build_parser`."""
 
     def resolve_function(self) -> BooleanFunction:
-        if self.function_choice_count() != 1:
+        if self.u is not None and self.family != "linear":
+            raise ValueError("--u applies only to --family linear")
+        if sum(x is not None for x in (self.anf, self.tt_hex, self.family)) != 1:
             raise ValueError("specify exactly one of --anf, --tt-hex, --family")
         if self.anf is not None:
             return BooleanFunction.from_anf_string(self.anf, self.n)
         if self.tt_hex is not None:
             return BooleanFunction.from_hex(self.n, self.tt_hex)
-        family = self.family
-        if family in ("bent", "bent_quadratic"):
-            return bent_quadratic(self.n)
-        if family == "linear":
+        if self.family == "linear":
             if self.u is None:
                 raise ValueError("--family linear requires --u <bit string>")
             return linear(self.n, self.u)
-        if family == "random":
+        if self.family == "random":
             return random_function(self.n, self.seed)
-        raise ValueError(f"unknown family {family!r}")
+        return bent_quadratic(self.n)  # "bent" or "bent_quadratic" (argparse checked the choice)
 
     def uses_seed(self) -> bool:
         return self.family == "random" or self.command in ("estimate", "lintest", "blr", "compare")
@@ -107,7 +68,7 @@ def _emit(cfg: RunConfig, payload: dict) -> None:
 # ---------------------------------------------------------------------------
 
 
-def cmd_analyze(cfg: RunConfig, args: argparse.Namespace) -> int:
+def cmd_analyze(cfg: RunConfig) -> int:
     from .gowers import u2_spectral
     from .spectral import dist_to_linear, nonlinearity, walsh
 
@@ -159,17 +120,17 @@ def _gowers_routes(f: BooleanFunction, k: int, route: str) -> dict:
     return {name: routes[name]() for name in names}
 
 
-def cmd_gowers(cfg: RunConfig, args: argparse.Namespace) -> int:
+def cmd_gowers(cfg: RunConfig) -> int:
     f = cfg.resolve_function()
-    results = _gowers_routes(f, args.k, args.route)
+    results = _gowers_routes(f, cfg.k, cfg.route)
     values = list(results.values())
     agreement = all(v.pow_value == values[0].pow_value for v in values)
     if not agreement:
         detail = {name: str(v.pow_value) for name, v in results.items()}
         raise CrossCheckError(f"Gowers routes disagree: {detail}")
     payload = {
-        "k": args.k,
-        "route": args.route,
+        "k": cfg.k,
+        "route": cfg.route,
         "routes": {
             name: {"pow": v.pow_value.to_json_dict(), "norm": v.norm}
             for name, v in results.items()
@@ -180,34 +141,34 @@ def cmd_gowers(cfg: RunConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> int:
+def cmd_simulate(cfg: RunConfig) -> int:
     from . import qsim
 
-    if args.k is not None and args.circuit != "derivative_walk":
-        raise ValueError(f"-k applies only to --circuit derivative_walk, not {args.circuit}")
-    if args.circuit == "u2":
+    if cfg.k is not None and cfg.circuit != "derivative_walk":
+        raise ValueError(f"-k applies only to --circuit derivative_walk, not {cfg.circuit}")
+    if cfg.circuit == "u2":
         circuit = qsim.build_u2_circuit(cfg.n)
-    elif args.circuit == "u3_appendix":
+    elif cfg.circuit == "u3_appendix":
         circuit = qsim.build_appendix_u3_circuit(cfg.n)
     else:
-        if args.k is None:
+        if cfg.k is None:
             raise ValueError("--circuit derivative_walk requires -k")
-        circuit = qsim.build_derivative_walk_circuit(cfg.n, args.k)
-    has_function = cfg.function_choice_count() > 0
-    if not (has_function or args.dump or args.audit):
+        circuit = qsim.build_derivative_walk_circuit(cfg.n, cfg.k)
+    has_function = any(x is not None for x in (cfg.anf, cfg.tt_hex, cfg.family, cfg.u))
+    if not (has_function or cfg.dump or cfg.audit):
         raise ValueError("nothing to do: give a function, --dump, or --audit")
     payload: dict = {
-        "circuit": args.circuit,
+        "circuit": cfg.circuit,
         "registers": circuit.layout.m,
         "qubits": circuit.layout.qubits,
         "gate_count": len(circuit.gates),
         "oracle_count": circuit.oracle_count,
     }
-    if args.k is not None:
-        payload["k"] = args.k
-    if args.dump:
+    if cfg.k is not None:
+        payload["k"] = cfg.k
+    if cfg.dump:
         payload["dump"] = circuit.dump().splitlines()
-    if args.audit:
+    if cfg.audit:
         audit = qsim.phase_audit(circuit)
         payload["audit"] = {
             "status": audit.status,
@@ -226,14 +187,14 @@ def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_estimate(cfg: RunConfig, args: argparse.Namespace) -> int:
+def cmd_estimate(cfg: RunConfig) -> int:
     from . import qsim
     from .estimate import Measurement, hoeffding_bound, validate_bound
     from .gowers import u2_spectral
 
     f = cfg.resolve_function()
     measurement = Measurement(qsim.run(qsim.build_u2_circuit(cfg.n), f))
-    report = hoeffding_bound(measurement.sample(args.m, cfg.seed), args.t)
+    report = hoeffding_bound(measurement.sample(cfg.m, cfg.seed), cfg.t)
     gv = u2_spectral(f)
     payload = {
         "report": report.to_json_dict(f.to_hex()),
@@ -241,10 +202,10 @@ def cmd_estimate(cfg: RunConfig, args: argparse.Namespace) -> int:
         "exact_pow": gv.pow_value.to_json_dict(),
         "covered": gv.norm <= report.upper_bound,
     }
-    if args.validate:
-        coverage = validate_bound(measurement, gv.norm, args.m, args.t, args.trials, cfg.seed)
+    if cfg.validate:
+        coverage = validate_bound(measurement, gv.norm, cfg.m, cfg.t, cfg.trials, cfg.seed)
         payload["validate"] = {
-            "trials": args.trials,
+            "trials": cfg.trials,
             "coverage": coverage,
             "meets_confidence_standard": coverage >= report.confidence_standard,
         }
@@ -252,12 +213,12 @@ def cmd_estimate(cfg: RunConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_lintest(cfg: RunConfig, args: argparse.Namespace) -> int:
+def cmd_lintest(cfg: RunConfig) -> int:
     from .lintest import quantum_linearity_test, rejection_lower_bound
     from .spectral import dist_to_linear
 
     f = cfg.resolve_function()
-    verdict = quantum_linearity_test(f, args.shots, cfg.seed)
+    verdict = quantum_linearity_test(f, cfg.shots, cfg.seed)
     eps_dy, argmin = dist_to_linear(f)
     eps = float(eps_dy)
     bound = None
@@ -274,11 +235,11 @@ def cmd_lintest(cfg: RunConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_blr(cfg: RunConfig, args: argparse.Namespace) -> int:
+def cmd_blr(cfg: RunConfig) -> int:
     from .lintest import blr_exact_dyadic, blr_test
 
     f = cfg.resolve_function()
-    verdict = blr_test(f, args.trials, cfg.seed)
+    verdict = blr_test(f, cfg.trials, cfg.seed)
     payload = {
         "tt_hex": f.to_hex(),
         **verdict.to_json_dict(),
@@ -288,12 +249,12 @@ def cmd_blr(cfg: RunConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_compare(cfg: RunConfig, args: argparse.Namespace) -> int:
+def cmd_compare(cfg: RunConfig) -> int:
     from .lintest import ComparisonReport, compare
 
     f = cfg.resolve_function()
-    report = compare(f, args.shots, cfg.seed)
-    if args.format == "csv":
+    report = compare(f, cfg.shots, cfg.seed)
+    if cfg.format == "csv":
         print(ComparisonReport.csv_header())
         print(report.csv_row())
     else:
@@ -306,7 +267,23 @@ def cmd_compare(cfg: RunConfig, args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_function_args(p: argparse.ArgumentParser, required: bool = True) -> None:
+def _checked(convert, ok, rule: str):
+    """An argparse type: `convert` the text, then require `ok(value)`, worded as `rule`."""
+    def check(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {value}")
+        return value
+    check.__name__ = convert.__name__  # argparse's "invalid int value: 'x'" names it
+    return check
+
+
+_SEED = _checked(int, lambda v: v >= 0, ">= 0")
+_COUNT = _checked(int, lambda v: v >= 1, ">= 1")
+_MARGIN = _checked(float, lambda v: math.isfinite(v) and v > 0, "finite and positive")
+
+
+def _add_function_args(p: argparse.ArgumentParser) -> None:
     group = p.add_argument_group("function")
     group.add_argument("--anf", help="ANF expression, e.g. 'x1*x2 + x3'")
     group.add_argument("--tt-hex", dest="tt_hex", help="hex truth table, MSB first")
@@ -315,7 +292,7 @@ def _add_function_args(p: argparse.ArgumentParser, required: bool = True) -> Non
     p.add_argument("-n", type=int, required=True, help="number of variables")
     p.add_argument(
         "--seed",
-        type=int,
+        type=_SEED,
         help="master RNG seed (drawn and printed if omitted and the command uses randomness)",
     )
     p.add_argument(
@@ -338,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gowers", help="exact U_k by one or all routes")
     _add_function_args(p)
-    p.add_argument("-k", type=int, default=2, help="norm order (default 2)")
+    p.add_argument("-k", type=_COUNT, default=2, help="norm order (default 2)")
     p.add_argument(
         "--route",
         choices=("definition", "spectral", "autocorrelation", "derivatives", "all"),
@@ -350,28 +327,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--circuit", choices=("u2", "u3_appendix", "derivative_walk"), required=True
     )
-    p.add_argument("-k", type=int, help="walk order (derivative_walk only)")
+    p.add_argument("-k", type=_COUNT, help="walk order (derivative_walk only)")
     p.add_argument("--dump", action="store_true", help="print the gate list")
     p.add_argument("--audit", action="store_true", help="print the symbolic phase audit")
 
     p = sub.add_parser("estimate", help="Hoeffding upper bound on the U2 norm")
     _add_function_args(p)
-    p.add_argument("-m", type=int, required=True, help="samples per trial")
-    p.add_argument("-t", type=float, required=True, help="margin t > 0")
+    p.add_argument("-m", type=_COUNT, required=True, help="samples per trial")
+    p.add_argument("-t", type=_MARGIN, required=True, help="margin t > 0")
     p.add_argument("--validate", action="store_true", help="measure bound coverage")
-    p.add_argument("--trials", type=int, default=200, help="trials for --validate")
+    p.add_argument("--trials", type=_COUNT, default=200, help="trials for --validate")
 
     p = sub.add_parser("lintest", help="sampled quantum linearity test")
     _add_function_args(p)
-    p.add_argument("--shots", type=int, default=1000)
+    p.add_argument("--shots", type=_COUNT, default=1000)
 
     p = sub.add_parser("blr", help="sampled classical BLR linearity test")
     _add_function_args(p)
-    p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--trials", type=_COUNT, default=1000)
 
     p = sub.add_parser("compare", help="quantum vs BLR side by side")
     _add_function_args(p)
-    p.add_argument("--shots", type=int, default=10000)
+    p.add_argument("--shots", type=_COUNT, default=10000)
     p.add_argument("--format", choices=("json", "csv"), default="json")
 
     return parser
@@ -389,14 +366,16 @@ _HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        cfg = build_parser().parse_args(argv, namespace=RunConfig())
     except SystemExit as exc:  # argparse signals usage errors (and --help) this way
         return int(exc.code or 0)
+    if cfg.seed is None and cfg.uses_seed():
+        from numpy.random import SeedSequence
+
+        cfg.seed = int(SeedSequence().entropy)
     try:
-        cfg = RunConfig.from_args(args)
-        return _HANDLERS[args.command](cfg, args)
+        return _HANDLERS[cfg.command](cfg)
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -139,8 +139,8 @@ def _cdf(state: StateVector) -> np.ndarray:
 
 def hoeffding_bound(samples: SampleSet, t: float) -> EstimationReport:
     """Upper bound min(1, (1 + t - Ybar)^(1/8)) with both confidence labels."""
-    if not t > 0:
-        raise ValueError(f"margin t must be positive, got {t!r}")
+    if not (math.isfinite(t) and t > 0):
+        raise ValueError(f"margin t must be finite and positive, got {t!r}")
     m = samples.m_samples
     y_bar = float(np.mean(samples.y_values))
     upper = min(1.0, (1.0 + t - y_bar) ** 0.125)
@@ -166,8 +166,8 @@ def validate_bound(
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    if not t > 0:
-        raise ValueError(f"margin t must be positive, got {t!r}")
+    if not (math.isfinite(t) and t > 0):
+        raise ValueError(f"margin t must be finite and positive, got {t!r}")
     covered = 0
     for i in range(trials):
         report = hoeffding_bound(measurement.sample(m, child_seed(seed, i)), t)

@@ -25,7 +25,8 @@ Circuit builders:
   schedule D_1 = [UF, M(1,2), UF, M(1,2)], D_j = D_{j-1} + [M(1,j+1)] +
   D_{j-1} + [M(1,j+1)], visiting every coset x + sum_{i in S} d_i exactly
   once (binary-counter subset order) and restoring register 1, then a global
-  Hadamard layer.
+  Hadamard layer.  Its 2^k calls read 2^((k+1) n) entries each, so k + (k+1) n
+  above WALK_GUARD is a CapacityError before any gate is built.
 * build_u2_circuit(n) -- the walk for k = 2: the four cosets x, x+a, x+b,
   x+a+b.  Measuring all-zeros afterwards has probability ||f||_{U_2}^8.
 * build_appendix_u3_circuit(n) -- a fixed 4-register 16-gate U_3 variant,
@@ -49,6 +50,7 @@ from .errors import CapacityError
 from .spectral import fwht_inplace
 
 MAX_QUBITS = 24
+WALK_GUARD = 32  # a walk's phases take 2^k oracle calls over 2^((k+1) n) basis states
 
 
 @dataclass(frozen=True)
@@ -305,6 +307,11 @@ def build_derivative_walk_circuit(n: int, k: int) -> Circuit:
     if k < 1:
         raise ValueError("order k must be >= 1")
     layout = RegisterLayout(n, k + 1)
+    if k + layout.qubits > WALK_GUARD:
+        raise CapacityError(
+            f"derivative walk needs k + (k+1)*n <= {WALK_GUARD}, got k = {k}, n = {n}: "
+            f"2^{k + layout.qubits} oracle-entry evaluations > 2^{WALK_GUARD}"
+        )
     return Circuit(layout, tuple(_walk_gates(k) + [HadamardAll()]))
 
 

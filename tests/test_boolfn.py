@@ -88,6 +88,17 @@ def test_anf_syntax_errors_carry_positions():
         from_anf_string("x1 * + x2", 2)
 
 
+def test_anf_variable_indices_are_ascii_digits():
+    # str.isdigit() and int() would read the Arabic-Indic digits as x1*x2
+    with pytest.raises(AnfSyntaxError) as err:
+        from_anf_string("x\u0661*x\u0662", 2)
+    assert err.value.position == 1
+    assert "'x' must be followed by a variable index" in str(err.value)
+    with pytest.raises(AnfSyntaxError) as err:
+        from_anf_string("x1 + x\uff12", 2)  # fullwidth 2
+    assert err.value.position == 6
+
+
 def test_anf_round_trip_random():
     rng = np.random.default_rng(811)
     for n in range(1, 9):

@@ -198,6 +198,30 @@ def test_estimate_rejects_bad_t(capsys):
     assert code == 2
 
 
+def test_estimate_rejects_infinite_t(capsys):
+    # "t": Infinity is not JSON (RFC 8259), so the margin must be finite
+    for t in ("inf", "nan"):
+        code, out, err = run_cli(capsys, "estimate", "--anf", "x1", "-n", "1", "-m", "5",
+                                 "-t", t, "--seed", "1", "--deterministic")
+        assert code == 2 and out == "" and "argument -t: must be finite and positive" in err
+
+
+def test_numbers_are_checked_by_their_option(capsys):
+    for argv, option, message in (
+        (("analyze", "--anf", "x1", "-n", "2", "--seed", "-1"), "--seed", "must be >= 0, got -1"),
+        (("lintest", "--anf", "x1", "-n", "2", "--shots", "0"), "--shots", "must be >= 1, got 0"),
+        (("blr", "--anf", "x1", "-n", "2", "--trials", "0"), "--trials", "must be >= 1, got 0"),
+        (("gowers", "--anf", "x1", "-n", "2", "-k", "0"), "-k", "must be >= 1, got 0"),
+        (("estimate", "--anf", "x1", "-n", "1", "-m", "5", "-t", "x"), "-t",
+         "invalid float value: 'x'"),
+        (("lintest", "--anf", "x1", "-n", "2", "--shots", "1e3"), "--shots",
+         "invalid int value: '1e3'"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert f"gowersim {argv[0]}: error: argument {option}: {message}" in err
+
+
 def test_lintest_and_blr(capsys):
     doc = run_json(
         capsys, "lintest", "--family", "linear", "--u", "101", "-n", "3",
@@ -287,6 +311,14 @@ def test_seed_is_drawn_and_printed_when_omitted(capsys):
     assert replay == doc
 
 
+def test_u_is_refused_without_family_linear(capsys):
+    for argv in (("analyze", "--anf", "x1", "-n", "3"),
+                 ("analyze", "--family", "bent", "-n", "4"),
+                 ("simulate", "--circuit", "u2", "-n", "2", "--dump")):
+        code, out, err = run_cli(capsys, *argv, "--u", "101", "--deterministic")
+        assert code == 2 and out == "" and "--u applies only to --family linear" in err
+
+
 def test_function_flags_are_exclusive(capsys):
     code, _, err = run_cli(capsys, "analyze", "-n", "2")
     assert code == 2 and "exactly one" in err
@@ -320,6 +352,15 @@ def test_exit_code_3_on_capacity(capsys):
     for argv in (("lintest", "--shots", "10"), ("compare", "--shots", "10")):
         code, out, err = run_cli(capsys, *argv, "--family", "bent", "-n", "10", "--seed", "1")
         assert code == 3 and out == "" and "m*n <= 24" in err
+
+
+def test_derivative_walk_work_is_guarded(capsys):
+    # both fit 24 qubits, but 2^k oracle calls over 2^q states is 2^47 and 2^35
+    for k, n, work in (("23", "1", 47), ("11", "2", 35)):
+        code, out, err = run_cli(capsys, "simulate", "--circuit", "derivative_walk", "-k", k,
+                                 "-n", n, "--dump", "--deterministic")
+        assert code == 3 and out == ""
+        assert f"2^{work} oracle-entry evaluations > 2^32" in err
 
 
 def test_capacity_errors_state_the_cost_and_budget(capsys):
@@ -401,3 +442,16 @@ def test_trace_launcher_finds_every_traced_name(tmp_path):
     assert json.loads(proc.stdout)["agreement"] is True
     names = {span[2] for span in json.loads(trace.read_text())["spans"]}
     assert {"gowers.u2_autocorrelation", "cli.resolve_function"} <= names
+
+
+def test_benchmark_job_arguments_parse(monkeypatch):
+    # every job the benchmark launches must still parse, or it would count as failed
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    from workloads import WORKLOADS
+
+    parser = cli.build_parser()
+    for build in WORKLOADS.values():
+        for seed in (1, 7):
+            for job in build(seed):
+                cfg = parser.parse_args([*job.args, "--deterministic"], namespace=cli.RunConfig())
+                assert cfg.command == job.args[0] and cfg.deterministic

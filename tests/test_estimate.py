@@ -117,6 +117,18 @@ def test_hoeffding_bound_monotone_in_t():
         hoeffding_bound(ss, -0.1)
 
 
+def test_bounds_reject_non_finite_t():
+    # t = inf would print "t": Infinity, which is not JSON
+    ss = SampleSet(n=2, m_samples=4, outcomes=np.zeros(4, dtype=np.int64),
+                   y_values=np.full(4, 0.7), seed=None)
+    measurement, norm = u2_measurement_and_norm(bent_quadratic(2))
+    for t in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            hoeffding_bound(ss, t)
+        with pytest.raises(ValueError, match="finite"):
+            validate_bound(measurement, norm, m=10, t=t, trials=5, seed=1)
+
+
 def test_mean_y_never_exceeds_rejection_mass():
     # E[Y] <= 1 - p0 exactly, with equality only when all mass sits at zero;
     # this is what makes (1 + t - ybar)^(1/8) an upper bound on the norm

@@ -289,6 +289,15 @@ def test_circuit_capacity():
         build_derivative_walk_circuit(2, 0)
 
 
+def test_walk_work_guard():
+    # 2^k oracle calls over 2^((k+1) n) states: k + (k+1) n <= 32 runs, more is refused
+    assert build_derivative_walk_circuit(2, 10).oracle_count == 1 << 10  # 2^32, on budget
+    assert build_derivative_walk_circuit(4, 5).layout.qubits == 24  # 2^29
+    for n, k, work in ((1, 16, 33), (2, 11, 35), (1, 23, 47)):
+        with pytest.raises(CapacityError, match=rf"2\^{work} oracle-entry evaluations > 2\^32"):
+            build_derivative_walk_circuit(n, k)
+
+
 def test_walk_p0_known_value():
     f = from_anf_string("x1*x2*x3", 3)
     p0 = float(run(build_derivative_walk_circuit(3, 3), f).amp[0]) ** 2
