@@ -17,7 +17,7 @@ _EXPORTS = {
     "boolfn": "Anf BooleanFunction bent_quadratic constant linear random_function",
     "dyadic": "DyadicRational",
     "errors": "AnfSyntaxError CapacityError CrossCheckError",
-    "estimate": "EstimationReport Measurement SampleSet child_seed hoeffding_bound validate_bound",
+    "estimate": "EstimationReport Measurement child_seed hoeffding_bound validate_bound",
     "gowers": "GowersValue u2_autocorrelation u2_spectral uk_definition uk_via_derivatives",
     "lintest": "ComparisonReport RejectionBound TestVerdict blr_exact_dyadic blr_test compare "
     "quantum_linearity_test rejection_lower_bound",

@@ -388,5 +388,5 @@ def bent_quadratic(n: int) -> BooleanFunction:
 def random_function(n: int, seed) -> BooleanFunction:
     """Uniformly random truth table from a PCG64 generator seeded with `seed`."""
     _check_n(n)
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     return BooleanFunction._of(n, rng.integers(0, 2, size=1 << n, dtype=np.uint8))

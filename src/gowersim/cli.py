@@ -194,7 +194,7 @@ def cmd_estimate(cfg: RunConfig) -> int:
 
     f = cfg.resolve_function()
     measurement = Measurement(qsim.run(qsim.build_u2_circuit(cfg.n), f))
-    report = hoeffding_bound(measurement.sample(cfg.m, cfg.seed), cfg.t)
+    report = hoeffding_bound(measurement.y_bar(cfg.m, cfg.seed), cfg.m, cfg.t, cfg.seed)
     gv = u2_spectral(f)
     payload = {
         "report": report.to_json_dict(f.to_hex()),
@@ -289,7 +289,7 @@ def _add_function_args(p: argparse.ArgumentParser) -> None:
     group.add_argument("--tt-hex", dest="tt_hex", help="hex truth table, MSB first")
     group.add_argument("--family", choices=FAMILIES, help="named function family")
     group.add_argument("--u", help="bit string selecting the linear function u.x")
-    p.add_argument("-n", type=int, required=True, help="number of variables")
+    p.add_argument("-n", type=_COUNT, required=True, help="number of variables")
     p.add_argument(
         "--seed",
         type=_SEED,

@@ -11,14 +11,16 @@ exp(-2 m^2 t^2), the optimistic exponent this estimator is usually stated
 with, while confidence_standard uses exp(-2 m t^2), the textbook Hoeffding
 rate for a mean of m bounded i.i.d. variables.  The standard form is the
 defensible one; both are always computed so the discrepancy stays visible.
-All randomness comes from numpy's PCG64; child streams for trial i are
-derived via SeedSequence([seed, i]) (see child_seed).
+Ybar is streamed: `Measurement.y_bar` adds exact integer sums of the outcomes
+chunk by chunk, so its memory does not grow with m.  All randomness comes from
+numpy's PCG64 (`np.random.default_rng`); child streams for trial i are derived
+via SeedSequence([seed, i]) (see child_seed).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -42,27 +44,6 @@ def _draw_sizes(count: int):
     return (min(_DRAW_CHUNK, count - start) for start in range(0, count, _DRAW_CHUNK))
 
 
-def _generator(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    if seed is None or (isinstance(seed, int) and seed >= 0):
-        return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-
-
-@dataclass(frozen=True)
-class SampleSet:
-    n: int  # qubits per register of the sampled state
-    m_samples: int
-    outcomes: np.ndarray = field(repr=False)  # basis indices
-    y_values: np.ndarray = field(repr=False)  # outcome / 2^(total qubits)
-    seed: int | None
-
-    def __post_init__(self):
-        self.outcomes.setflags(write=False)
-        self.y_values.setflags(write=False)
-
-
 @dataclass(frozen=True)
 class EstimationReport:
     y_bar: float
@@ -84,45 +65,62 @@ class Measurement:
     """Computational-basis measurements of one state, by inverse-CDF sampling.
 
     The cumulative |amp|^2 array is built once, on construction, and every
-    `sample` call reuses it.  A norm drift beyond 1e-9 is an error; smaller
-    drift is renormalized away.
+    draw reuses it.  A norm drift beyond 1e-9 is an error; smaller drift is
+    renormalized away.
     """
 
     def __init__(self, state: StateVector):
         self.layout = state.layout
         self.cum = _cdf(state)
 
-    def sample(self, m: int, seed) -> SampleSet:
-        """m independent measurements; deterministic for a given seed.
-
-        Each chunk of draws is looked up in the CDF in sorted order, which
-        walks it forwards, and scattered back into draw order.
-        """
+    def _outcome_chunks(self, m: int, seed):
+        """The outcomes of m independent measurements, chunk by chunk in draw order."""
         if m < 1:
             raise ValueError("need at least one sample")
-        rng = _generator(seed)
-        outcomes = np.empty(m, dtype=np.int64)
-        start = 0
+        rng = np.random.default_rng(seed)
         for size in _draw_sizes(m):
-            draws = rng.random(size)
-            order = np.argsort(draws)
-            chunk = outcomes[start : start + size]
-            chunk[order] = np.searchsorted(self.cum, draws[order], side="right")
-            start += size
-        y_values = outcomes / float(self.layout.dim)
-        stored_seed = seed if isinstance(seed, int) else None
-        return SampleSet(self.layout.n, m, outcomes, y_values, stored_seed)
+            yield self._lookup(rng.random(size))
+
+    def _lookup(self, draws: np.ndarray) -> np.ndarray:
+        """Outcomes of `draws` in draw order.
+
+        The draws are looked up in sorted order, which walks the CDF forwards,
+        and scattered back.  Rebinding `draws` and scattering in place keep at
+        most three chunk-sized arrays alive.
+        """
+        order = np.argsort(draws)
+        draws = draws[order]
+        outcomes = np.searchsorted(self.cum, draws, side="right")
+        del draws
+        outcomes[order] = outcomes.copy()
+        return outcomes
+
+    def sample(self, m: int, seed) -> np.ndarray:
+        """The int64 basis indices of m measurements; deterministic for a given seed."""
+        return np.concatenate(list(self._outcome_chunks(m, seed)))
+
+    def y_bar(self, m: int, seed) -> float:
+        """Mean of Y = outcome / dim over m measurements, in memory independent of m.
+
+        The outcome sum S is an exact integer and S / (dim * m) is rounded once.
+        Whenever m * dim <= 2^53 this is the float np.mean(sample(m, seed) / dim)
+        gives, since all its partial sums are exact; beyond, it is still the
+        correctly rounded mean.
+        """
+        # map drops each chunk before the next is drawn
+        total = sum(map(int, map(np.sum, self._outcome_chunks(m, seed))))
+        return total / (self.layout.dim * m)
 
 
 def count_nonzero_outcomes(p0: float, m: int, seed) -> int:
-    """count_nonzero(Measurement(state).sample(m, seed).outcomes) when |amp_0|^2 = p0.
+    """count_nonzero(Measurement(state).sample(m, seed)) when |amp_0|^2 = p0.
 
     Exact on the same PCG64 stream whenever the state's amplitudes are
     integers / 2^q, as every norm circuit's are: then each partial sum of
     |amp|^2 is a float64 without rounding, the CDF's total is exactly 1.0, and
     a draw maps to outcome 0 iff it is below cum[0] = p0.
     """
-    rng = _generator(seed)
+    rng = np.random.default_rng(seed)
     return sum(int(np.count_nonzero(rng.random(size) >= p0)) for size in _draw_sizes(m))
 
 
@@ -137,12 +135,11 @@ def _cdf(state: StateVector) -> np.ndarray:
     return cum
 
 
-def hoeffding_bound(samples: SampleSet, t: float) -> EstimationReport:
-    """Upper bound min(1, (1 + t - Ybar)^(1/8)) with both confidence labels."""
+def hoeffding_bound(y_bar: float, m: int, t: float, seed: int | None = None) -> EstimationReport:
+    """Upper bound min(1, (1 + t - Ybar)^(1/8)) from the mean of m samples, with both
+    confidence labels; `seed` is only recorded in the report."""
     if not (math.isfinite(t) and t > 0):
         raise ValueError(f"margin t must be finite and positive, got {t!r}")
-    m = samples.m_samples
-    y_bar = float(np.mean(samples.y_values))
     upper = min(1.0, (1.0 + t - y_bar) ** 0.125)
     return EstimationReport(
         y_bar=y_bar,
@@ -151,7 +148,7 @@ def hoeffding_bound(samples: SampleSet, t: float) -> EstimationReport:
         upper_bound=upper,
         confidence_paper=1.0 - math.exp(-2.0 * m * m * t * t),
         confidence_standard=1.0 - math.exp(-2.0 * m * t * t),
-        seed=samples.seed,
+        seed=seed,
     )
 
 
@@ -170,7 +167,7 @@ def validate_bound(
         raise ValueError(f"margin t must be finite and positive, got {t!r}")
     covered = 0
     for i in range(trials):
-        report = hoeffding_bound(measurement.sample(m, child_seed(seed, i)), t)
+        report = hoeffding_bound(measurement.y_bar(m, child_seed(seed, i)), m, t)
         if exact_norm <= report.upper_bound:
             covered += 1
     return covered / trials

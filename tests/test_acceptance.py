@@ -222,7 +222,7 @@ def test_criterion_08_spectral_infrastructure(capsys):
         m = 100_000
         for i, f in enumerate(fixtures):
             state = run(build_u2_circuit(f.n), f)
-            outcomes = Measurement(state).sample(m, 8100 + i).outcomes
+            outcomes = Measurement(state).sample(m, 8100 + i)
             probs = state.amp**2
             observed = np.bincount(outcomes, minlength=probs.size).astype(float)
             assert observed[probs == 0].sum() == 0

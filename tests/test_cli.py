@@ -276,6 +276,21 @@ def test_sampled_outputs_are_pinned(capsys):
         "covered": True,
         "validate": {"trials": 9, "coverage": 1.0, "meets_confidence_standard": True},
     }
+    # m spans sixteen draw chunks; the mean is summed chunk by chunk
+    doc = run_json(capsys, "estimate", "--family", "bent", "-n", "2", "-m", "1000000",
+                   "-t", "0.001", "--seed", "5", "--deterministic")
+    assert doc == {
+        "command": "estimate", "n": 2, "seed": 5,
+        "report": {
+            "y_bar": 0.1172645, "t": 0.001, "m": 1000000,
+            "upper_bound": 0.9846690504503649, "confidence_paper": 1.0,
+            "confidence_standard": 0.8646647167633873, "seed": 5, "rng": "PCG64",
+            "function_tt_hex": "1",
+        },
+        "exact_norm": 0.7071067811865476,
+        "exact_pow": {"num": 1, "log2_den": 2, "value": 0.25},
+        "covered": True,
+    }
 
 
 def test_compare_json_and_csv(capsys):
@@ -333,8 +348,10 @@ def test_exit_code_2_on_parse_and_domain_errors(capsys):
     assert code == 2 and "out of range" in err
     code, _, _ = run_cli(capsys, "analyze", "--anf", "x1", "-n", "2", "--seed", "-1")
     assert code == 2
-    code, _, _ = run_cli(capsys, "analyze", "--anf", "x1", "-n", "0")
-    assert code == 2
+    code, _, err = run_cli(capsys, "analyze", "--anf", "x1", "-n", "0")
+    assert code == 2 and "argument -n: must be >= 1, got 0" in err
+    code, out, err = run_cli(capsys, "simulate", "--circuit", "u2", "-n", "0", "--dump")
+    assert code == 2 and out == "" and "argument -n: must be >= 1, got 0" in err
     code, _, _ = run_cli(capsys, "nonsense")
     assert code == 2
     code, out, err = run_cli(capsys, "analyze", "-n", "4", "--tt-hex", "0x1f")
@@ -342,6 +359,9 @@ def test_exit_code_2_on_parse_and_domain_errors(capsys):
 
 
 def test_exit_code_3_on_capacity(capsys):
+    # -n passes argparse's >= 1 check; the 24-variable cap is boolfn's
+    code, out, err = run_cli(capsys, "analyze", "--family", "random", "-n", "25", "--seed", "1")
+    assert code == 3 and out == "" and "exceeds the supported maximum 24" in err
     code, _, err = run_cli(capsys, "gowers", "--family", "bent", "-n", "14", "-k", "2",
                            "--route", "definition")
     assert code == 3 and "<= 24" in err

@@ -1,6 +1,7 @@
 """Measurement sampling and the Hoeffding-style norm estimator."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +11,6 @@ from gowersim import estimate
 from gowersim.boolfn import BooleanFunction, bent_quadratic, linear, random_function
 from gowersim.estimate import (
     Measurement,
-    SampleSet,
     child_seed,
     count_nonzero_outcomes,
     hoeffding_bound,
@@ -41,13 +41,13 @@ def test_sample_y_convention():
     lay = RegisterLayout(2, 3)
     idx = lay.index((0b01, 0b10, 0b11))
     assert idx == 27
-    samples = Measurement(point_mass(lay, idx)).sample(10, 1)
-    assert np.all(samples.outcomes == 27)
-    assert np.all(samples.y_values == 27 / 64)
-    assert samples.m_samples == 10
+    outcomes = Measurement(point_mass(lay, idx)).sample(10, 1)
+    assert np.all(outcomes == 27)
+    assert np.all(outcomes / lay.dim == 27 / 64)
+    assert outcomes.size == 10
 
     zeros = Measurement(point_mass(lay, 0)).sample(5, 1)
-    assert np.all(zeros.y_values == 0.0)
+    assert np.all(zeros / lay.dim == 0.0)
 
 
 def test_sample_matches_distribution():
@@ -55,8 +55,8 @@ def test_sample_matches_distribution():
     f = from_anf_string("x1*x2", 2)
     state = run(build_u2_circuit(2), f)
     m = 100_000
-    samples = Measurement(state).sample(m, 2718)
-    freq = np.count_nonzero(samples.outcomes == 0) / m
+    outcomes = Measurement(state).sample(m, 2718)
+    freq = np.count_nonzero(outcomes == 0) / m
     p = 1 / 16
     sigma = math.sqrt(p * (1 - p) / m)
     assert abs(freq - p) <= 4 * sigma
@@ -66,9 +66,9 @@ def test_sample_is_deterministic():
     state = run(build_u2_circuit(2), bent_quadratic(2))
     a = Measurement(state).sample(1000, 42)
     b = Measurement(state).sample(1000, 42)
-    assert np.array_equal(a.outcomes, b.outcomes)
+    assert np.array_equal(a, b)
     c = Measurement(state).sample(1000, 43)
-    assert not np.array_equal(a.outcomes, c.outcomes)
+    assert not np.array_equal(a, c)
 
 
 def test_sample_rejects_unnormalized_state():
@@ -88,18 +88,12 @@ def test_child_seed():
 
 
 def test_hoeffding_report_values():
-    ys = np.full(10, 0.9)
-    ss = SampleSet(n=2, m_samples=10, outcomes=np.zeros(10, dtype=np.int64), y_values=ys, seed=None)
-    report = hoeffding_bound(ss, 0.05)
+    report = hoeffding_bound(0.9, 10, 0.05)
     assert report.y_bar == pytest.approx(0.9)
     assert report.upper_bound == pytest.approx(0.15**0.125)
     assert report.upper_bound == pytest.approx(0.789, abs=5e-4)
 
-    report50 = hoeffding_bound(
-        SampleSet(n=2, m_samples=50, outcomes=np.zeros(50, dtype=np.int64),
-                  y_values=np.zeros(50), seed=None),
-        0.2,
-    )
+    report50 = hoeffding_bound(0.0, 50, 0.2)
     assert report50.confidence_paper == pytest.approx(1 - math.exp(-200))
     assert report50.confidence_standard == pytest.approx(1 - math.exp(-4))
     # ybar = 0 makes the raw bound exceed 1, so it clips
@@ -107,24 +101,20 @@ def test_hoeffding_report_values():
 
 
 def test_hoeffding_bound_monotone_in_t():
-    ss = SampleSet(n=2, m_samples=4, outcomes=np.zeros(4, dtype=np.int64),
-                   y_values=np.full(4, 0.7), seed=None)
-    bounds = [hoeffding_bound(ss, t).upper_bound for t in (0.01, 0.1, 0.2, 0.301)]
+    bounds = [hoeffding_bound(0.7, 4, t).upper_bound for t in (0.01, 0.1, 0.2, 0.301)]
     assert bounds == sorted(bounds)
     with pytest.raises(ValueError):
-        hoeffding_bound(ss, 0.0)
+        hoeffding_bound(0.7, 4, 0.0)
     with pytest.raises(ValueError):
-        hoeffding_bound(ss, -0.1)
+        hoeffding_bound(0.7, 4, -0.1)
 
 
 def test_bounds_reject_non_finite_t():
     # t = inf would print "t": Infinity, which is not JSON
-    ss = SampleSet(n=2, m_samples=4, outcomes=np.zeros(4, dtype=np.int64),
-                   y_values=np.full(4, 0.7), seed=None)
     measurement, norm = u2_measurement_and_norm(bent_quadratic(2))
     for t in (math.inf, math.nan):
         with pytest.raises(ValueError, match="finite"):
-            hoeffding_bound(ss, t)
+            hoeffding_bound(0.7, 4, t)
         with pytest.raises(ValueError, match="finite"):
             validate_bound(measurement, norm, m=10, t=t, trials=5, seed=1)
 
@@ -197,7 +187,8 @@ def test_count_draws_at_most_one_chunk_at_a_time(monkeypatch):
             return self.rng.random(size)
 
     monkeypatch.setattr(estimate, "_DRAW_CHUNK", 1000)
-    monkeypatch.setattr(estimate, "_generator", lambda seed: Recorder(np.random.default_rng(seed)))
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(estimate.np.random, "default_rng", lambda seed: Recorder(default_rng(seed)))
     count = count_nonzero_outcomes(0.5, 3005, 7)
     assert sizes == [1000, 1000, 1000, 5]
     assert count == int(np.count_nonzero(np.random.default_rng(7).random(3005) >= 0.5))
@@ -211,8 +202,22 @@ def test_chunked_sample_equals_one_call_lookup(monkeypatch, chunk, offset):
     measurement = Measurement(StateVector(RegisterLayout(3, 3), amp / np.linalg.norm(amp)))
     monkeypatch.setattr(estimate, "_DRAW_CHUNK", chunk)
     for m in (chunk + offset, 3 * chunk + offset):
-        samples = measurement.sample(m, 77)
+        outcomes = measurement.sample(m, 77)
         draws = np.random.default_rng(77).random(m)
         expected = np.searchsorted(measurement.cum, draws, side="right")
-        assert samples.outcomes.tolist() == expected.tolist()
-        assert samples.y_values.tolist() == (expected / 512).tolist()
+        assert outcomes.tolist() == expected.tolist()
+        assert (outcomes / 512).tolist() == (expected / 512).tolist()
+        assert measurement.y_bar(m, 77) == float(np.mean(expected / 512))
+
+
+def test_y_bar_memory_does_not_grow_with_m():
+    # all 10^6 outcomes as int64 alone would take 7.6 MiB
+    measurement = Measurement(run(build_u2_circuit(2), bent_quadratic(2)))
+    measurement.y_bar(1, 5)  # the first generator built in a process allocates ~1 MiB once
+    tracemalloc.start()
+    try:
+        measurement.y_bar(10**6, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20

@@ -296,7 +296,7 @@ def state_verdict(f, shots, seed):
     """quantum_linearity_test computed from the u2 circuit's final state."""
     state = run(build_u2_circuit(f.n), f)
     p_accept = float(state.amp[0]) ** 2
-    rejections = int(np.count_nonzero(Measurement(state).sample(shots, seed).outcomes))
+    rejections = int(np.count_nonzero(Measurement(state).sample(shots, seed)))
     verdict = "REJECT" if rejections else "ACCEPT"
     return Verdict(verdict, "sampled", shots, p_accept, rejections / shots, seed)
 

@@ -1,6 +1,7 @@
 """The package namespace exports exactly its public classes and functions."""
 
 import inspect
+from pathlib import Path
 
 import gowersim
 
@@ -16,3 +17,11 @@ def test_exports_resolve_and_cover_the_public_names():
         if not name.startswith("_") and (inspect.isclass(value) or inspect.isfunction(value))
     }
     assert set(exported) == public
+
+
+def test_readme_library_example_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    exec(compile(code, "README.md (## Library)", "exec"), {})
+    assert "0.0625" in capsys.readouterr().out
