@@ -17,11 +17,11 @@ _EXPORTS = {
     "boolfn": "Anf BooleanFunction bent_quadratic constant linear random_function",
     "dyadic": "DyadicRational",
     "errors": "AnfSyntaxError CapacityError CrossCheckError",
-    "estimate": "EstimationReport Measurement child_seed hoeffding_bound validate_bound",
+    "estimate": "Measurement child_seed hoeffding_bound validate_bound",
     "gowers": "GowersValue u2_autocorrelation u2_spectral uk_definition uk_via_derivatives",
-    "lintest": "ComparisonReport RejectionBound TestVerdict blr_exact_dyadic blr_test compare "
-    "quantum_linearity_test rejection_lower_bound",
-    "qsim": "Circuit HadamardAll MCnot PhaseAudit PhaseOracle RegisterLayout StateVector "
+    "lintest": "RejectionBound blr_exact_dyadic blr_test compare quantum_linearity_test "
+    "rejection_lower_bound",
+    "qsim": "Circuit HadamardAll MCnot PhaseOracle RegisterLayout StateVector "
     "build_appendix_u3_circuit build_derivative_walk_circuit build_u2_circuit phase_audit run "
     "zero_amplitude",
     "spectral": "LinearDistance autocorrelation convolve dist_to_linear fwht_inplace "

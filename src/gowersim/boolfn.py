@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import AnfSyntaxError, CapacityError
 
-MAX_N = 24
+MAX_N = 24  # the design envelope: bits of table index, simulated qubits, log2 of a sum's terms
 
 Point = Union[int, Sequence[int]]
 

@@ -169,15 +169,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
     if cfg.dump:
         payload["dump"] = circuit.dump().splitlines()
     if cfg.audit:
-        audit = qsim.phase_audit(circuit)
-        payload["audit"] = {
-            "status": audit.status,
-            "oracle_calls": audit.oracle_count,
-            "register_one_restored": audit.register_one_restored,
-            "cosets": [list(c) for c in audit.cosets],
-            "missing": [list(c) for c in audit.missing],
-            "extra": [list(c) for c in audit.extra],
-        }
+        payload["audit"] = qsim.phase_audit(circuit)
     if has_function:
         f = cfg.resolve_function()
         amp0 = qsim.zero_amplitude(circuit, f)
@@ -189,25 +181,27 @@ def cmd_simulate(cfg: RunConfig) -> int:
 
 def cmd_estimate(cfg: RunConfig) -> int:
     from . import qsim
-    from .estimate import Measurement, hoeffding_bound, validate_bound
+    from .estimate import Measurement, _check_draws, hoeffding_bound, validate_bound
     from .gowers import u2_spectral
 
     f = cfg.resolve_function()
+    _check_draws(cfg.m * (1 + cfg.trials) if cfg.validate else cfg.m)
     measurement = Measurement(qsim.run(qsim.build_u2_circuit(cfg.n), f))
     report = hoeffding_bound(measurement.y_bar(cfg.m, cfg.seed), cfg.m, cfg.t, cfg.seed)
+    report["function_tt_hex"] = f.to_hex()
     gv = u2_spectral(f)
     payload = {
-        "report": report.to_json_dict(f.to_hex()),
+        "report": report,
         "exact_norm": gv.norm,
         "exact_pow": gv.pow_value.to_json_dict(),
-        "covered": gv.norm <= report.upper_bound,
+        "covered": gv.norm <= report["upper_bound"],
     }
     if cfg.validate:
         coverage = validate_bound(measurement, gv.norm, cfg.m, cfg.t, cfg.trials, cfg.seed)
         payload["validate"] = {
             "trials": cfg.trials,
             "coverage": coverage,
-            "meets_confidence_standard": coverage >= report.confidence_standard,
+            "meets_confidence_standard": coverage >= report["confidence_standard"],
         }
     _emit(cfg, payload)
     return 0
@@ -227,7 +221,7 @@ def cmd_lintest(cfg: RunConfig) -> int:
         bound = {"exact": b.exact, "exponential": b.exponential}
     payload = {
         "tt_hex": f.to_hex(),
-        **verdict.to_json_dict(),
+        **verdict,
         "dist_to_linear": {**eps_dy.to_json_dict(), "argmin_u": "".join(map(str, argmin))},
         "rejection_lower_bound": bound,
     }
@@ -242,7 +236,7 @@ def cmd_blr(cfg: RunConfig) -> int:
     verdict = blr_test(f, cfg.trials, cfg.seed)
     payload = {
         "tt_hex": f.to_hex(),
-        **verdict.to_json_dict(),
+        **verdict,
         "accept_probability_exact_dyadic": blr_exact_dyadic(f).to_json_dict(),
     }
     _emit(cfg, payload)
@@ -250,15 +244,16 @@ def cmd_blr(cfg: RunConfig) -> int:
 
 
 def cmd_compare(cfg: RunConfig) -> int:
-    from .lintest import ComparisonReport, compare
+    from .lintest import compare
 
     f = cfg.resolve_function()
-    report = compare(f, cfg.shots, cfg.seed)
+    row = compare(f, cfg.shots, cfg.seed)
     if cfg.format == "csv":
-        print(ComparisonReport.csv_header())
-        print(report.csv_row())
+        columns = [name for name in row if name not in ("eps_num", "eps_log2_den")]
+        print(",".join(columns))
+        print(",".join(str(row[name]) for name in columns))
     else:
-        _emit(cfg, report.to_json_dict())
+        _emit(cfg, row)
     return 0
 
 

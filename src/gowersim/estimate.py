@@ -11,23 +11,28 @@ exp(-2 m^2 t^2), the optimistic exponent this estimator is usually stated
 with, while confidence_standard uses exp(-2 m t^2), the textbook Hoeffding
 rate for a mean of m bounded i.i.d. variables.  The standard form is the
 defensible one; both are always computed so the discrepancy stays visible.
+`hoeffding_bound` returns the report as the dict the CLI prints.
 Ybar is streamed: `Measurement.y_bar` adds exact integer sums of the outcomes
 chunk by chunk, so its memory does not grow with m.  All randomness comes from
 numpy's PCG64 (`np.random.default_rng`); child streams for trial i are derived
-via SeedSequence([seed, i]) (see child_seed).
+via SeedSequence([seed, i]) (see child_seed).  Every sampler draws in chunks
+(`_draw_sizes`), and a request for more than DRAW_BUDGET draws is a
+CapacityError before the first one.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .errors import CapacityError
 from .qsim import StateVector
 
 RNG_ALGORITHM = "PCG64"
 _DRAW_CHUNK = 1 << 16  # draws per Generator call in every sampler (see _draw_sizes)
+# most draws one sampling request may ask for: ~2 minutes at y_bar's ~1e7 draws/s
+DRAW_BUDGET = 2**30
 
 
 def child_seed(seed: int, index: int) -> int:
@@ -36,29 +41,19 @@ def child_seed(seed: int, index: int) -> int:
     return (int(words[0]) << 64) | int(words[1])
 
 
+def _check_draws(count: int) -> None:
+    if count > DRAW_BUDGET:
+        raise CapacityError(f"{count} draws > the draw budget of {DRAW_BUDGET}")
+
+
 def _draw_sizes(count: int):
     """Chunk sizes of at most _DRAW_CHUNK that add up to count.
 
     Drawn in turn from one generator, the chunks are the stream of one call.
+    A count over DRAW_BUDGET is refused here, before anything is drawn.
     """
+    _check_draws(count)
     return (min(_DRAW_CHUNK, count - start) for start in range(0, count, _DRAW_CHUNK))
-
-
-@dataclass(frozen=True)
-class EstimationReport:
-    y_bar: float
-    t: float
-    m: int
-    upper_bound: float
-    confidence_paper: float  # 1 - exp(-2 m^2 t^2); see the module docstring
-    confidence_standard: float  # 1 - exp(-2 m t^2), textbook Hoeffding
-    seed: int | None
-
-    def to_json_dict(self, function_hex: str | None = None) -> dict:
-        out = {**asdict(self), "rng": RNG_ALGORITHM}
-        if function_hex is not None:
-            out["function_tt_hex"] = function_hex
-        return out
 
 
 class Measurement:
@@ -135,21 +130,21 @@ def _cdf(state: StateVector) -> np.ndarray:
     return cum
 
 
-def hoeffding_bound(y_bar: float, m: int, t: float, seed: int | None = None) -> EstimationReport:
-    """Upper bound min(1, (1 + t - Ybar)^(1/8)) from the mean of m samples, with both
-    confidence labels; `seed` is only recorded in the report."""
+def hoeffding_bound(y_bar: float, m: int, t: float, seed: int | None = None) -> dict:
+    """The report of the upper bound min(1, (1 + t - Ybar)^(1/8)) from the mean of m
+    samples, with both confidence labels; `seed` is only recorded in it."""
     if not (math.isfinite(t) and t > 0):
         raise ValueError(f"margin t must be finite and positive, got {t!r}")
-    upper = min(1.0, (1.0 + t - y_bar) ** 0.125)
-    return EstimationReport(
-        y_bar=y_bar,
-        t=t,
-        m=m,
-        upper_bound=upper,
-        confidence_paper=1.0 - math.exp(-2.0 * m * m * t * t),
-        confidence_standard=1.0 - math.exp(-2.0 * m * t * t),
-        seed=seed,
-    )
+    return {
+        "y_bar": y_bar,
+        "t": t,
+        "m": m,
+        "upper_bound": min(1.0, (1.0 + t - y_bar) ** 0.125),
+        "confidence_paper": 1.0 - math.exp(-2.0 * m * m * t * t),  # see the module docstring
+        "confidence_standard": 1.0 - math.exp(-2.0 * m * t * t),  # textbook Hoeffding
+        "seed": seed,
+        "rng": RNG_ALGORITHM,
+    }
 
 
 def validate_bound(
@@ -165,9 +160,10 @@ def validate_bound(
         raise ValueError("need at least one trial")
     if not (math.isfinite(t) and t > 0):
         raise ValueError(f"margin t must be finite and positive, got {t!r}")
+    _check_draws(m * trials)
     covered = 0
     for i in range(trials):
         report = hoeffding_bound(measurement.y_bar(m, child_seed(seed, i)), m, t)
-        if exact_norm <= report.upper_bound:
+        if exact_norm <= report["upper_bound"]:
             covered += 1
     return covered / trials

@@ -23,12 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boolfn import BooleanFunction
+from .boolfn import MAX_N, BooleanFunction
 from .dyadic import DyadicRational
 from .errors import CapacityError
 from .spectral import _correlation, _derivative_rows, fwht_inplace, walsh
-
-DEFINITION_GUARD = 24  # uk_definition sums 2^((k+1) n) terms
 
 
 @dataclass(frozen=True)
@@ -69,10 +67,10 @@ def uk_definition(f: BooleanFunction, k: int) -> GowersValue:
     """
     if k < 1:
         raise ValueError("order k must be >= 1")
-    if (k + 1) * f.n > DEFINITION_GUARD:
+    if (k + 1) * f.n > MAX_N:  # 2^((k+1) n) terms
         raise CapacityError(
-            f"uk_definition needs (k+1)*n <= {DEFINITION_GUARD}, got k = {k}, n = {f.n}: "
-            f"2^{(k + 1) * f.n} terms > 2^{DEFINITION_GUARD}"
+            f"uk_definition needs (k+1)*n <= {MAX_N}, got k = {k}, n = {f.n}: "
+            f"2^{(k + 1) * f.n} terms > 2^{MAX_N}"
         )
     ones = sum(int(np.count_nonzero(rows)) for rows in _derivative_rows(f.table[None], k))
     return GowersValue(k, DyadicRational((1 << (k + 1) * f.n) - 2 * ones, (k + 1) * f.n))
@@ -82,10 +80,10 @@ def uk_via_derivatives(f: BooleanFunction, k: int) -> GowersValue:
     """2^(-(k-2)n) sum over (k-2)-tuples of ||Delta_dirs f||_{U_2}^4, exact."""
     if k < 3:
         raise ValueError("the derivative route is defined for k >= 3")
-    if (k - 1) * f.n > 24:  # 2^((k-2)n) FWHTs of length 2^n
+    if (k - 1) * f.n > MAX_N:  # 2^((k-2)n) FWHTs of length 2^n
         raise CapacityError(
-            f"uk_via_derivatives needs (k-1)*n <= 24, got k = {k}, n = {f.n}: "
-            f"2^{(k - 1) * f.n} transform entries > 2^24"
+            f"uk_via_derivatives needs (k-1)*n <= {MAX_N}, got k = {k}, n = {f.n}: "
+            f"2^{(k - 1) * f.n} transform entries > 2^{MAX_N}"
         )
     # int16 butterflies are exact for n <= 14; sum W^4 <= 2^((k+2)n) <= 2^60 fits int64
     total = 0

@@ -19,19 +19,18 @@ exact acceptance probability is 1/2 + 1/2 sum_u fhat(u)^3, also computable
 by brute enumeration of all 2^(2n) pairs (both routes are kept and
 cross-checked).  Its trials are drawn in chunks, in memory that does not
 grow with their count, on the stream of one call for all xs and one for all
-ys.
+ys.  Results are the dicts the CLI prints: a verdict per test, a row from compare.
 """
 
 from __future__ import annotations
 
 import copy
 import math
-from dataclasses import asdict, dataclass, fields
-from typing import ClassVar, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
-from .boolfn import BooleanFunction
+from .boolfn import MAX_N, BooleanFunction
 from .dyadic import DyadicRational
 from .errors import CrossCheckError
 from .estimate import _draw_sizes, child_seed, count_nonzero_outcomes
@@ -43,22 +42,16 @@ QUANTUM_QUERIES_PER_SHOT = 4  # phase-oracle calls per circuit execution
 BLR_QUERIES_PER_TRIAL = 3
 
 
-@dataclass(frozen=True)
-class TestVerdict:
-    verdict: str  # "ACCEPT" | "REJECT"
-    mode: str  # always "sampled"
-    shots: int
-    accept_probability_exact: float
-    rejection_frequency: float
-    seed: int | None
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
-
-def _verdict(p_accept: float, count: int, rejections: int, seed) -> TestVerdict:
-    return TestVerdict("REJECT" if rejections else "ACCEPT", "sampled", count, p_accept,
-                       rejections / count, seed if isinstance(seed, int) else None)
+def _verdict(p_accept: float, count: int, rejections: int, seed) -> dict:
+    """The verdict document that `lintest` and `blr` print."""
+    return {
+        "verdict": "REJECT" if rejections else "ACCEPT",
+        "mode": "sampled",
+        "shots": count,
+        "accept_probability_exact": p_accept,
+        "rejection_frequency": rejections / count,
+        "seed": seed if isinstance(seed, int) else None,
+    }
 
 
 class RejectionBound(NamedTuple):
@@ -77,7 +70,7 @@ def rejection_lower_bound(eps: float) -> RejectionBound:
     return RejectionBound(_bound_polynomial(eps), 1.0 - math.exp(-8.0 * eps))
 
 
-def quantum_linearity_test(f: BooleanFunction, shots: int, seed: int | None = None) -> TestVerdict:
+def quantum_linearity_test(f: BooleanFunction, shots: int, seed: int | None = None) -> dict:
     """Per-shot test: ACCEPT iff the measured index is 0.
 
     Samples `shots` >= 1 measurements; the verdict is REJECT iff any shot
@@ -85,7 +78,7 @@ def quantum_linearity_test(f: BooleanFunction, shots: int, seed: int | None = No
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    RegisterLayout(f.n, 3)  # the circuit's capacity guard: 3n <= MAX_QUBITS
+    RegisterLayout(f.n, 3)  # the circuit's capacity guard: 3n <= MAX_N
     p_accept = float(u2_spectral(f).pow_value) ** 2
     return _verdict(p_accept, shots, count_nonzero_outcomes(p_accept, shots, seed), seed)
 
@@ -109,7 +102,7 @@ def blr_exact_dyadic(f: BooleanFunction, route: str = "auto") -> DyadicRational:
     if route != "enumeration":
         s3 = _power_sum(walsh(f), 3)
         results["spectral"] = DyadicRational((1 << (3 * n)) + s3, 3 * n + 1)
-    if route == "enumeration" or (route == "auto" and 2 * n <= 24):
+    if route == "enumeration" or (route == "auto" and 2 * n <= MAX_N):
         # accepted pairs (x, y): (2^(2n) + sum_x f(x) r(x)) / 2, r(x) = sum_y f(y) f(x+y)
         s = int(np.dot(f.sign_table(np.int64), _correlation(f, f)))
         results["enumeration"] = DyadicRational((1 << (2 * n)) + s, 2 * n + 1)
@@ -138,7 +131,7 @@ def _after_uint32_draws(rng: np.random.Generator, count: int) -> np.random.Gener
     return np.random.Generator(bits)
 
 
-def blr_test(f: BooleanFunction, trials: int, seed: int | None = None) -> TestVerdict:
+def blr_test(f: BooleanFunction, trials: int, seed: int | None = None) -> dict:
     """Sampled BLR test of `trials` >= 1 draws; REJECT iff any trial rejects.
 
     xs and ys are the seed's first and second `trials` uint32 draws, taken
@@ -162,76 +155,39 @@ def blr_test(f: BooleanFunction, trials: int, seed: int | None = None) -> TestVe
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
-    n: int
-    function_tt_hex: str
-    eps: float  # distance to the linear functions; eps_num / 2^eps_log2_den exactly
-    nonlinearity: int
-    quantum_reject_exact: float
-    quantum_reject_freq: float
-    quantum_reject_bound: float  # 1 - (1 - 2 eps)^4 at the exact eps
-    blr_reject_exact: float
-    blr_reject_freq: float
-    shots: int
-    quantum_queries_per_shot: int
-    blr_queries_per_trial: int
-    quantum_reject_per_query: float
-    blr_reject_per_query: float
-    seed: int | None
-    eps_num: int  # JSON only, after the CSV columns
-    eps_log2_den: int
-
-    CSV_FIELDS: ClassVar[tuple[str, ...]]
-
-    @classmethod
-    def csv_header(cls) -> str:
-        return ",".join(cls.CSV_FIELDS)
-
-    def csv_row(self) -> str:
-        return ",".join(str(getattr(self, name)) for name in self.CSV_FIELDS)
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
-
-ComparisonReport.CSV_FIELDS = tuple(
-    column.name for column in fields(ComparisonReport)
-    if column.name not in ("eps_num", "eps_log2_den")
-)
-
-
-def compare(f: BooleanFunction, shots: int, seed: int) -> ComparisonReport:
-    """Side-by-side exact and sampled rejection rates, quantum vs BLR.
+def compare(f: BooleanFunction, shots: int, seed: int) -> dict:
+    """Side-by-side exact and sampled rejection rates, quantum vs BLR, as one row.
 
     `shots` is used for both sides (circuit shots and BLR trials); the two
     samplers draw from child seeds (seed, 0) and (seed, 1).  Per-query rates
     divide the per-shot rejection by the oracle queries one shot consumes
     (4 phase queries quantum, 3 classical queries BLR), because a raw
     per-shot comparison silently hands the quantum side a 4-query budget.
+    `eps` is the distance to the linear functions, eps_num / 2^eps_log2_den
+    exactly; those two keys come last and are not CSV columns.
     """
     quantum = quantum_linearity_test(f, shots, child_seed(seed, 0))
-    q_reject_exact = 1.0 - quantum.accept_probability_exact
-    blr_verdict = blr_test(f, shots, child_seed(seed, 1))
+    q_reject_exact = 1.0 - quantum["accept_probability_exact"]
+    blr = blr_test(f, shots, child_seed(seed, 1))
+    blr_reject_exact = 1.0 - blr["accept_probability_exact"]
     eps_dy, _ = dist_to_linear(f)
     eps = float(eps_dy)
-    return ComparisonReport(
-        n=f.n,
-        function_tt_hex=f.to_hex(),
-        eps=eps,
-        eps_num=eps_dy.num,
-        eps_log2_den=eps_dy.log2_den,
-        nonlinearity=nonlinearity(f),
-        quantum_reject_exact=q_reject_exact,
-        quantum_reject_freq=quantum.rejection_frequency,
-        quantum_reject_bound=_bound_polynomial(eps),
-        blr_reject_exact=1.0 - blr_verdict.accept_probability_exact,
-        blr_reject_freq=blr_verdict.rejection_frequency,
-        shots=shots,
-        quantum_queries_per_shot=QUANTUM_QUERIES_PER_SHOT,
-        blr_queries_per_trial=BLR_QUERIES_PER_TRIAL,
-        quantum_reject_per_query=q_reject_exact / QUANTUM_QUERIES_PER_SHOT,
-        blr_reject_per_query=(1.0 - blr_verdict.accept_probability_exact)
-        / BLR_QUERIES_PER_TRIAL,
-        seed=seed,
-    )
+    return {
+        "n": f.n,
+        "function_tt_hex": f.to_hex(),
+        "eps": eps,
+        "nonlinearity": nonlinearity(f),
+        "quantum_reject_exact": q_reject_exact,
+        "quantum_reject_freq": quantum["rejection_frequency"],
+        "quantum_reject_bound": _bound_polynomial(eps),  # 1 - (1 - 2 eps)^4 at the exact eps
+        "blr_reject_exact": blr_reject_exact,
+        "blr_reject_freq": blr["rejection_frequency"],
+        "shots": shots,
+        "quantum_queries_per_shot": QUANTUM_QUERIES_PER_SHOT,
+        "blr_queries_per_trial": BLR_QUERIES_PER_TRIAL,
+        "quantum_reject_per_query": q_reject_exact / QUANTUM_QUERIES_PER_SHOT,
+        "blr_reject_per_query": blr_reject_exact / BLR_QUERIES_PER_TRIAL,
+        "seed": seed,
+        "eps_num": eps_dy.num,
+        "eps_log2_den": eps_dy.log2_den,
+    }

@@ -1,8 +1,8 @@
 """State-vector simulation of the norm-measuring circuits.
 
-The simulated system is m registers of n qubits each.  Basis index layout:
-register 1 occupies the most significant n bits, register m the least
-significant, matching the library's x1-most-significant point convention.
+The simulated system is m registers of n qubits each, m*n <= boolfn.MAX_N.
+Basis index layout: register 1 occupies the most significant n bits, register
+m the least significant, matching the library's x1-most-significant points.
 The phase-kickback target qubit is factored out and never stored: the phase
 oracle multiplies amplitudes by (-1)^F directly.  Every gate in scope (phase
 flips, register permutations, Hadamard layers) is real orthogonal.
@@ -30,8 +30,9 @@ Circuit builders:
 * build_u2_circuit(n) -- the walk for k = 2: the four cosets x, x+a, x+b,
   x+a+b.  Measuring all-zeros afterwards has probability ||f||_{U_2}^8.
 * build_appendix_u3_circuit(n) -- a fixed 4-register 16-gate U_3 variant,
-  kept so its defect stays demonstrable: phase_audit shows it queries only 7
-  of the 8 cosets (x+a+c is missed) even though register 1 is restored.
+  kept so its defect stays demonstrable: phase_audit, which returns the CLI's
+  "audit" dict, shows it queries only 7 of the 8 cosets (x+a+c is missed)
+  even though register 1 is restored.
 """
 
 from __future__ import annotations
@@ -45,11 +46,10 @@ from typing import Union
 import numpy as np
 
 from . import spectral
-from .boolfn import BooleanFunction
+from .boolfn import MAX_N, BooleanFunction
 from .errors import CapacityError
 from .spectral import fwht_inplace
 
-MAX_QUBITS = 24
 WALK_GUARD = 32  # a walk's phases take 2^k oracle calls over 2^((k+1) n) basis states
 
 
@@ -61,10 +61,8 @@ class RegisterLayout:
     def __post_init__(self):
         if self.n < 1 or self.m < 1:
             raise ValueError("need n >= 1 qubits per register and m >= 1 registers")
-        if self.qubits > MAX_QUBITS:
-            raise CapacityError(
-                f"layout needs m*n <= {MAX_QUBITS}, got {self.m} x {self.n}"
-            )
+        if self.qubits > MAX_N:
+            raise CapacityError(f"layout needs m*n <= {MAX_N}, got {self.m} x {self.n}")
 
     @property
     def qubits(self) -> int:
@@ -349,48 +347,32 @@ def build_appendix_u3_circuit(n: int) -> Circuit:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PhaseAudit:
-    """Symbolic trace of which coset each oracle call evaluates.
+def phase_audit(circuit: Circuit) -> dict:
+    """Symbolic trace of which coset each oracle call evaluates, as the CLI prints it.
 
-    Cosets are sets of register ids whose initial contents are XOR-summed;
+    Cosets are lists of register ids whose initial contents are XOR-summed;
     register 1 stands for the point x, registers 2..m for the directions.
-    The circuit implements a full iterated-derivative phase iff every coset
-    {1} union S (S over all subsets of {2..m}) occurs exactly once and
-    register 1 ends restored.
+    The circuit implements a full iterated-derivative phase (status "ok") iff
+    every coset {1} union S (S over all subsets of {2..m}) occurs exactly once
+    and register 1 ends restored.
     """
-
-    oracle_count: int
-    cosets: tuple[tuple[int, ...], ...]
-    register_one_restored: bool
-    missing: tuple[tuple[int, ...], ...]
-    extra: tuple[tuple[int, ...], ...]
-
-    @property
-    def implements_derivative(self) -> bool:
-        return self.register_one_restored and not self.missing and not self.extra
-
-    @property
-    def status(self) -> str:
-        return "ok" if self.implements_derivative else "not-a-derivative"
-
-
-def phase_audit(circuit: Circuit) -> PhaseAudit:
     m = circuit.layout.m
     walked, contents = _walk(circuit)
-    cosets = [tuple(sorted(c)) for c in walked]
+    cosets = [sorted(c) for c in walked]
     expected = Counter(
         tuple(sorted({1, *subset}))
         for size in range(m)
         for subset in combinations(range(2, m + 1), size)
     )
-    actual = Counter(cosets)
-    missing = tuple(sorted((expected - actual).elements()))
-    extra = tuple(sorted((actual - expected).elements()))
-    return PhaseAudit(
-        oracle_count=len(cosets),
-        cosets=tuple(cosets),
-        register_one_restored=contents[1] == frozenset({1}),
-        missing=missing,
-        extra=extra,
-    )
+    actual = Counter(map(tuple, cosets))
+    missing = [list(c) for c in sorted((expected - actual).elements())]
+    extra = [list(c) for c in sorted((actual - expected).elements())]
+    restored = contents[1] == frozenset({1})
+    return {
+        "status": "ok" if restored and not missing and not extra else "not-a-derivative",
+        "oracle_calls": len(cosets),
+        "register_one_restored": restored,
+        "cosets": cosets,
+        "missing": missing,
+        "extra": extra,
+    }

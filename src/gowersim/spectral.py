@@ -10,7 +10,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .boolfn import BooleanFunction, Point, unpack_point
+from .boolfn import MAX_N, BooleanFunction, Point, unpack_point
 from .dyadic import DyadicRational
 from .errors import CapacityError
 
@@ -94,9 +94,10 @@ def _correlation(f: BooleanFunction, g: BooleanFunction) -> np.ndarray:
     """r(a) = sum_y f(y) g(y+a) over all a, as int64 (|r| <= 2^n)."""
     if f.n != g.n:
         raise ValueError(f"dimension mismatch: n = {f.n} vs {g.n}")
-    if 2 * f.n > 24:
+    if 2 * f.n > MAX_N:
         raise CapacityError(
-            f"the XOR correlation needs 2n <= 24, got n = {f.n}: 2^{2 * f.n} terms > 2^24"
+            f"the XOR correlation needs 2n <= {MAX_N}, got n = {f.n}: "
+            f"2^{2 * f.n} terms > 2^{MAX_N}"
         )
     gt = g.table
     mask = f.table ^ gt  # F(y) ^ G(y ^ a) = (F ^ G)(y) ^ G(y) ^ G(y ^ a)

@@ -107,17 +107,17 @@ def test_criterion_03_u3_circuit_identity(capsys):
 def test_criterion_04_circuit_audits(capsys):
     with criterion(capsys, 4, "oracle-coset audits and builder equivalence"):
         appendix = phase_audit(build_appendix_u3_circuit(2))
-        assert appendix.oracle_count == 7
-        assert len(appendix.cosets) == 7
+        assert appendix["oracle_calls"] == 7
+        assert len(appendix["cosets"]) == 7
 
         walk3 = phase_audit(build_derivative_walk_circuit(2, 3))
         expected = {
             (1,), (1, 2), (1, 3), (1, 4),
             (1, 2, 3), (1, 2, 4), (1, 3, 4), (1, 2, 3, 4),
         }
-        assert set(walk3.cosets) == expected
-        assert len(walk3.cosets) == 8
-        assert walk3.missing == () and walk3.extra == ()
+        assert set(map(tuple, walk3["cosets"])) == expected
+        assert len(walk3["cosets"]) == 8
+        assert walk3["missing"] == [] and walk3["extra"] == []
 
         for n in (1, 2, 3, 4):
             assert build_derivative_walk_circuit(n, 2).gates == build_u2_circuit(n).gates
@@ -163,12 +163,12 @@ def test_criterion_06_quantum_vs_blr_on_and(capsys):
         assert blr_exact_dyadic(f, route="auto") == DyadicRational(5, 3)
 
         rep = compare(f, shots=100_000, seed=606)
-        assert rep.quantum_reject_exact == 0.9375
-        assert rep.blr_reject_exact == 0.375
-        sigma_q = math.sqrt(0.9375 * 0.0625 / rep.shots)
-        sigma_b = math.sqrt(0.375 * 0.625 / rep.shots)
-        assert abs(rep.quantum_reject_freq - 0.9375) <= 4 * sigma_q
-        assert abs(rep.blr_reject_freq - 0.375) <= 4 * sigma_b
+        assert rep["quantum_reject_exact"] == 0.9375
+        assert rep["blr_reject_exact"] == 0.375
+        sigma_q = math.sqrt(0.9375 * 0.0625 / rep["shots"])
+        sigma_b = math.sqrt(0.375 * 0.625 / rep["shots"])
+        assert abs(rep["quantum_reject_freq"] - 0.9375) <= 4 * sigma_q
+        assert abs(rep["blr_reject_freq"] - 0.375) <= 4 * sigma_b
 
 
 def test_criterion_07_hoeffding_coverage(capsys):

@@ -189,6 +189,32 @@ def test_estimate_validate_builds_the_cdf_once(capsys, monkeypatch):
     assert len(calls) == 1
 
 
+def test_draw_budget_exits_3_before_any_work(capsys, monkeypatch):
+    # arithmetic only: the budget is patched down, never run at its real size
+    from gowersim import qsim
+
+    monkeypatch.setattr(estimate, "DRAW_BUDGET", 1000)
+    function = ("--anf", "x1*x2", "-n", "2", "--seed", "1", "--deterministic")
+    for argv in (("estimate", "-m", "1001", "-t", "0.1"),
+                 ("estimate", "-m", "334", "-t", "0.1", "--validate", "--trials", "2"),
+                 ("lintest", "--shots", "1001"),
+                 ("blr", "--trials", "1001"),
+                 ("compare", "--shots", "1001")):
+        code, out, err = run_cli(capsys, *argv, *function)
+        assert code == 3 and out == "", argv
+        assert "draws > the draw budget of 1000" in err
+    for argv in (("estimate", "-m", "1000", "-t", "0.1"),
+                 ("estimate", "-m", "500", "-t", "0.1", "--validate", "--trials", "1"),
+                 ("lintest", "--shots", "1000"),
+                 ("blr", "--trials", "1000"),
+                 ("compare", "--shots", "1000")):
+        run_json(capsys, *argv, *function)
+    # estimate refuses m * (1 + trials) before it simulates the circuit
+    monkeypatch.setattr(qsim, "run", None)
+    code, out, err = run_cli(capsys, "estimate", "-m", "1001", "-t", "0.1", *function)
+    assert code == 3 and out == "" and "1001 draws" in err
+
+
 def test_estimate_rejects_bad_t(capsys):
     code, _, err = run_cli(capsys, "estimate", "--anf", "x1", "-n", "1", "-m", "5",
                            "-t", "0")
@@ -291,6 +317,71 @@ def test_sampled_outputs_are_pinned(capsys):
         "exact_pow": {"num": 1, "log2_den": 2, "value": 0.25},
         "covered": True,
     }
+
+
+_AUDIT_U3 = {
+    "status": "not-a-derivative", "oracle_calls": 7, "register_one_restored": True,
+    "cosets": [[1], [1, 2], [1, 2, 3], [1, 2, 3, 4], [1, 3, 4], [1, 4], [1, 3]],
+    "missing": [[1, 2, 4]], "extra": [],
+}
+_U3_DUMP = ["UF r1", "MCNOT r1 r2", "UF r1", "MCNOT r1 r3", "UF r1", "MCNOT r1 r4", "UF r1",
+            "MCNOT r1 r2", "UF r1", "MCNOT r1 r3", "UF r1", "MCNOT r1 r4", "MCNOT r1 r3",
+            "UF r1", "MCNOT r1 r3", "HALL"]
+_COMPARE_CSV = (
+    "n,function_tt_hex,eps,nonlinearity,quantum_reject_exact,quantum_reject_freq,"
+    "quantum_reject_bound,blr_reject_exact,blr_reject_freq,shots,quantum_queries_per_shot,"
+    "blr_queries_per_trial,quantum_reject_per_query,blr_reject_per_query,seed\n"
+    "2,1,0.25,1,0.9375,0.942,0.9375,0.375,0.38,1000,4,3,0.234375,0.125,11\n"
+)
+
+
+@pytest.mark.parametrize("argv, expected", [
+    ("lintest --anf x1*x2 -n 2 --shots 1000 --seed 2", {
+        "command": "lintest", "n": 2, "seed": 2, "tt_hex": "1", "verdict": "REJECT",
+        "mode": "sampled", "shots": 1000, "accept_probability_exact": 0.0625,
+        "rejection_frequency": 0.949,
+        "dist_to_linear": {"num": 1, "log2_den": 2, "value": 0.25, "argmin_u": "00"},
+        "rejection_lower_bound": {"exact": 0.9375, "exponential": 0.8646647167633873},
+    }),
+    ("blr --anf x1*x2 -n 2 --trials 1000 --seed 5", {
+        "command": "blr", "n": 2, "seed": 5, "tt_hex": "1", "verdict": "REJECT",
+        "mode": "sampled", "shots": 1000, "accept_probability_exact": 0.625,
+        "rejection_frequency": 0.363,
+        "accept_probability_exact_dyadic": {"num": 5, "log2_den": 3, "value": 0.625},
+    }),
+    ("estimate --family bent -n 4 -m 50 -t 0.2 --seed 7 --validate --trials 3", {
+        "command": "estimate", "n": 4, "seed": 7,
+        "report": {
+            "y_bar": 0.03080078125, "t": 0.2, "m": 50, "upper_bound": 1.0,
+            "confidence_paper": 1.0, "confidence_standard": 0.9816843611112658, "seed": 7,
+            "rng": "PCG64", "function_tt_hex": "111e",
+        },
+        "exact_norm": 0.5, "exact_pow": {"num": 1, "log2_den": 4, "value": 0.0625},
+        "covered": True,
+        "validate": {"trials": 3, "coverage": 1.0, "meets_confidence_standard": True},
+    }),
+    ("compare --anf x1*x2 -n 2 --shots 1000 --seed 11", {
+        "command": "compare", "n": 2, "seed": 11, "function_tt_hex": "1", "eps": 0.25,
+        "nonlinearity": 1, "quantum_reject_exact": 0.9375, "quantum_reject_freq": 0.942,
+        "quantum_reject_bound": 0.9375, "blr_reject_exact": 0.375, "blr_reject_freq": 0.38,
+        "shots": 1000, "quantum_queries_per_shot": 4, "blr_queries_per_trial": 3,
+        "quantum_reject_per_query": 0.234375, "blr_reject_per_query": 0.125,
+        "eps_num": 1, "eps_log2_den": 2,
+    }),
+    ("compare --anf x1*x2 -n 2 --shots 1000 --seed 11 --format csv", _COMPARE_CSV),
+    ("simulate --circuit u3_appendix -n 2 --anf x1*x2 --audit --dump", {
+        "command": "simulate", "n": 2, "circuit": "u3_appendix", "registers": 4, "qubits": 8,
+        "gate_count": 16, "oracle_count": 7, "dump": _U3_DUMP, "audit": _AUDIT_U3,
+        "amplitude_at_zero": 0.5, "probability_zero": 0.25,
+    }),
+])
+def test_stdout_text_is_pinned(capsys, argv, expected):
+    # the exact text, key order included; a dict literal keeps its order in json.dumps
+    code, out, err = run_cli(capsys, *argv.split(), "--deterministic")
+    assert code == 0 and err == ""
+    if isinstance(expected, dict):
+        expected = json.dumps(expected, indent=2) + "\n"
+    assert out == expected
 
 
 def test_compare_json_and_csv(capsys):
@@ -475,3 +566,20 @@ def test_benchmark_job_arguments_parse(monkeypatch):
             for job in build(seed):
                 cfg = parser.parse_args([*job.args, "--deterministic"], namespace=cli.RunConfig())
                 assert cfg.command == job.args[0] and cfg.deterministic
+
+
+def test_benchmark_jobs_pass_their_checks(monkeypatch, capsys):
+    # each benchmark job's own output check, run in process on this tree
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    from workloads import WORKLOADS
+
+    # `--route all` at k = 2 still stops at uk_definition's capacity guard
+    over_capacity = {"gowers-k2-n10-0", "gowers-k2-n12-0"}
+    for workload in ("sim-24q", "small-n-batch"):
+        for job in WORKLOADS[workload](1):
+            code, out, err = run_cli(capsys, *job.args, "--deterministic")
+            if job.name in over_capacity:
+                assert code == 3 and out == "", job.name
+                continue
+            assert code == 0, (job.name, err)
+            assert job.check(out) == [], job.name

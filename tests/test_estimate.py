@@ -9,6 +9,7 @@ import pytest
 
 from gowersim import estimate
 from gowersim.boolfn import BooleanFunction, bent_quadratic, linear, random_function
+from gowersim.errors import CapacityError
 from gowersim.estimate import (
     Measurement,
     child_seed,
@@ -89,19 +90,19 @@ def test_child_seed():
 
 def test_hoeffding_report_values():
     report = hoeffding_bound(0.9, 10, 0.05)
-    assert report.y_bar == pytest.approx(0.9)
-    assert report.upper_bound == pytest.approx(0.15**0.125)
-    assert report.upper_bound == pytest.approx(0.789, abs=5e-4)
+    assert report["y_bar"] == pytest.approx(0.9)
+    assert report["upper_bound"] == pytest.approx(0.15**0.125)
+    assert report["upper_bound"] == pytest.approx(0.789, abs=5e-4)
 
     report50 = hoeffding_bound(0.0, 50, 0.2)
-    assert report50.confidence_paper == pytest.approx(1 - math.exp(-200))
-    assert report50.confidence_standard == pytest.approx(1 - math.exp(-4))
+    assert report50["confidence_paper"] == pytest.approx(1 - math.exp(-200))
+    assert report50["confidence_standard"] == pytest.approx(1 - math.exp(-4))
     # ybar = 0 makes the raw bound exceed 1, so it clips
-    assert report50.upper_bound == 1.0
+    assert report50["upper_bound"] == 1.0
 
 
 def test_hoeffding_bound_monotone_in_t():
-    bounds = [hoeffding_bound(0.7, 4, t).upper_bound for t in (0.01, 0.1, 0.2, 0.301)]
+    bounds = [hoeffding_bound(0.7, 4, t)["upper_bound"] for t in (0.01, 0.1, 0.2, 0.301)]
     assert bounds == sorted(bounds)
     with pytest.raises(ValueError):
         hoeffding_bound(0.7, 4, 0.0)
@@ -221,3 +222,21 @@ def test_y_bar_memory_does_not_grow_with_m():
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2**20
+
+
+def test_draw_budget_is_refused_before_the_first_draw(monkeypatch):
+    # arithmetic only: the budget is patched down, never run at its real size
+    measurement, norm = u2_measurement_and_norm(bent_quadratic(2))
+    monkeypatch.setattr(estimate, "DRAW_BUDGET", 1000)
+
+    class NoDraws:
+        def random(self, size):
+            raise AssertionError("a draw was made before the budget check")
+
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: NoDraws())
+    for call in (lambda: measurement.sample(1001, 1),
+                 lambda: measurement.y_bar(1001, 1),
+                 lambda: count_nonzero_outcomes(0.5, 1001, 1),
+                 lambda: validate_bound(measurement, norm, m=334, t=0.1, trials=3, seed=1)):
+        with pytest.raises(CapacityError, match="1001 draws|1002 draws"):
+            call()

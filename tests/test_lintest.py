@@ -1,6 +1,5 @@
 """Quantum linearity test, classical BLR, rejection bounds, comparison."""
 
-import dataclasses
 import functools
 import json
 import math
@@ -28,8 +27,6 @@ from gowersim.gowers import u2_spectral
 from gowersim.lintest import (
     BLR_QUERIES_PER_TRIAL,
     QUANTUM_QUERIES_PER_SHOT,
-    ComparisonReport,
-    TestVerdict as Verdict,
     blr_exact_dyadic,
     blr_test,
     compare,
@@ -45,27 +42,27 @@ from_anf_string = BooleanFunction.from_anf_string
 def test_linear_always_accepts():
     for u in (0, 0b011, 0b111):
         verdict = quantum_linearity_test(linear(3, u), shots=1000, seed=7)
-        assert verdict.verdict == "ACCEPT"
-        assert verdict.rejection_frequency == 0.0
-        assert verdict.accept_probability_exact == pytest.approx(1.0, abs=1e-12)
+        assert verdict["verdict"] == "ACCEPT"
+        assert verdict["rejection_frequency"] == 0.0
+        assert verdict["accept_probability_exact"] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_affine_complement_also_accepts():
     # the test measures ||f||_{U_2}^8, which is 1 for every affine function,
     # so the constant-1 function is accepted even though it is not linear
     verdict = quantum_linearity_test(constant(2, 1), shots=500, seed=1)
-    assert verdict.verdict == "ACCEPT"
-    assert verdict.accept_probability_exact == pytest.approx(1.0, abs=1e-12)
+    assert verdict["verdict"] == "ACCEPT"
+    assert verdict["accept_probability_exact"] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_and_rejection_probability():
     f = from_anf_string("x1*x2", 2)
     verdict = quantum_linearity_test(f, shots=20_000, seed=404)
-    assert verdict.accept_probability_exact == pytest.approx(1 / 16, abs=1e-12)
+    assert verdict["accept_probability_exact"] == pytest.approx(1 / 16, abs=1e-12)
     p_rej = 15 / 16
-    sigma = math.sqrt(p_rej * (1 - p_rej) / verdict.shots)
-    assert verdict.verdict == "REJECT"
-    assert abs(verdict.rejection_frequency - p_rej) <= 4 * sigma
+    sigma = math.sqrt(p_rej * (1 - p_rej) / verdict["shots"])
+    assert verdict["verdict"] == "REJECT"
+    assert abs(verdict["rejection_frequency"] - p_rej) <= 4 * sigma
 
 
 def test_exact_mode():
@@ -74,7 +71,7 @@ def test_exact_mode():
         quantum_linearity_test(from_anf_string("x1*x2", 2), shots=0)
     with pytest.raises(ValueError, match="shots must be >= 1"):
         quantum_linearity_test(linear(4, 0b1001), shots=0)
-    assert quantum_linearity_test(linear(4, 0b1001), shots=1, seed=3).mode == "sampled"
+    assert quantum_linearity_test(linear(4, 0b1001), shots=1, seed=3)["mode"] == "sampled"
 
     with pytest.raises(ValueError):
         quantum_linearity_test(linear(2, 1), shots=-1)
@@ -145,15 +142,15 @@ def test_blr_rejections_match_int64_draws(n):
         ys = rng.integers(0, 1 << n, size=trials)
         t = f.table
         rejections = int(np.count_nonzero(t[xs] ^ t[ys] ^ t[xs ^ ys]))
-        assert blr_test(f, trials, seed).rejection_frequency == rejections / trials
+        assert blr_test(f, trials, seed)["rejection_frequency"] == rejections / trials
 
 
 def test_blr_sampled():
     f = from_anf_string("x1*x2", 2)
     verdict = blr_test(f, trials=50_000, seed=77)
-    assert verdict.accept_probability_exact == pytest.approx(5 / 8)
+    assert verdict["accept_probability_exact"] == pytest.approx(5 / 8)
     sigma = math.sqrt(0.375 * 0.625 / 50_000)
-    assert abs(verdict.rejection_frequency - 0.375) <= 4 * sigma
+    assert abs(verdict["rejection_frequency"] - 0.375) <= 4 * sigma
 
     with pytest.raises(ValueError, match="trials must be >= 1"):
         blr_test(f, trials=0)
@@ -161,7 +158,7 @@ def test_blr_sampled():
         blr_test(linear(3, 0b010), trials=0)
 
     ok = blr_test(linear(3, 0b010), trials=2000, seed=5)
-    assert ok.verdict == "ACCEPT" and ok.rejection_frequency == 0.0
+    assert ok["verdict"] == "ACCEPT" and ok["rejection_frequency"] == 0.0
 
 
 def blr_one_call_rejections(f, trials, seed):
@@ -194,7 +191,7 @@ def test_chunked_blr_equals_one_call_draws(n, chunk_and_trials, seed):
     # only the draws are under test: skip the exact route's 2^n-point FWHT
     with mock.patch.object(estimate, "_DRAW_CHUNK", chunk), \
             mock.patch.object(lintest, "blr_exact_dyadic", return_value=DyadicRational(1, 1)):
-        got = blr_test(f, trials, seed).rejection_frequency
+        got = blr_test(f, trials, seed)["rejection_frequency"]
     assert got == blr_one_call_rejections(f, trials, seed) / trials
 
 
@@ -202,7 +199,7 @@ def test_chunked_blr_equals_one_call_draws(n, chunk_and_trials, seed):
 def test_chunked_blr_at_the_real_chunk_size(trials):
     assert estimate._DRAW_CHUNK == 65536
     f = cached_random_function(10)
-    got = blr_test(f, trials, 31337).rejection_frequency
+    got = blr_test(f, trials, 31337)["rejection_frequency"]
     assert got == blr_one_call_rejections(f, trials, 31337) / trials
 
 
@@ -221,23 +218,23 @@ def test_blr_memory_does_not_grow_with_trials():
 def test_compare_report():
     f = from_anf_string("x1*x2", 2)
     rep = compare(f, shots=20_000, seed=123)
-    assert rep.n == 2
-    assert rep.function_tt_hex == "1"
-    assert rep.eps == 0.25
-    assert rep.nonlinearity == 1
-    assert rep.quantum_reject_exact == pytest.approx(15 / 16)
-    assert rep.blr_reject_exact == pytest.approx(3 / 8)
-    assert rep.quantum_reject_bound == pytest.approx(15 / 16)  # tight for AND
-    assert rep.quantum_queries_per_shot == QUANTUM_QUERIES_PER_SHOT == 4
-    assert rep.blr_queries_per_trial == BLR_QUERIES_PER_TRIAL == 3
-    assert rep.quantum_reject_per_query == pytest.approx(15 / 64)
-    assert rep.blr_reject_per_query == pytest.approx(1 / 8)
-    sigma_q = math.sqrt((15 / 16) * (1 / 16) / rep.shots)
-    assert abs(rep.quantum_reject_freq - 15 / 16) <= 4 * sigma_q
+    assert rep["n"] == 2
+    assert rep["function_tt_hex"] == "1"
+    assert rep["eps"] == 0.25
+    assert rep["nonlinearity"] == 1
+    assert rep["quantum_reject_exact"] == pytest.approx(15 / 16)
+    assert rep["blr_reject_exact"] == pytest.approx(3 / 8)
+    assert rep["quantum_reject_bound"] == pytest.approx(15 / 16)  # tight for AND
+    assert rep["quantum_queries_per_shot"] == QUANTUM_QUERIES_PER_SHOT == 4
+    assert rep["blr_queries_per_trial"] == BLR_QUERIES_PER_TRIAL == 3
+    assert rep["quantum_reject_per_query"] == pytest.approx(15 / 64)
+    assert rep["blr_reject_per_query"] == pytest.approx(1 / 8)
+    sigma_q = math.sqrt((15 / 16) * (1 / 16) / rep["shots"])
+    assert abs(rep["quantum_reject_freq"] - 15 / 16) <= 4 * sigma_q
 
-    row = rep.csv_row()
-    assert len(row.split(",")) == len(ComparisonReport.CSV_FIELDS)
-    assert ComparisonReport.csv_header().startswith("n,function_tt_hex,")
+    # the CSV columns are every key but the exact eps, which comes last
+    assert list(rep)[:2] == ["n", "function_tt_hex"]
+    assert list(rep)[-2:] == ["eps_num", "eps_log2_den"]
 
 
 def test_compare_is_seeded():
@@ -297,8 +294,11 @@ def state_verdict(f, shots, seed):
     state = run(build_u2_circuit(f.n), f)
     p_accept = float(state.amp[0]) ** 2
     rejections = int(np.count_nonzero(Measurement(state).sample(shots, seed)))
-    verdict = "REJECT" if rejections else "ACCEPT"
-    return Verdict(verdict, "sampled", shots, p_accept, rejections / shots, seed)
+    return {
+        "verdict": "REJECT" if rejections else "ACCEPT", "mode": "sampled", "shots": shots,
+        "accept_probability_exact": p_accept, "rejection_frequency": rejections / shots,
+        "seed": seed,
+    }
 
 
 @st.composite
@@ -314,8 +314,8 @@ def near_affine(draw, max_n=6):
 @settings(max_examples=150, deadline=None)
 @given(near_affine(), st.integers(1, 3000), st.integers(0, 2**128 - 1))
 def test_quantum_test_matches_state_sampler(f, shots, seed):
-    got = quantum_linearity_test(f, shots, seed).to_json_dict()
-    assert json.dumps(got) == json.dumps(state_verdict(f, shots, seed).to_json_dict())
+    got = quantum_linearity_test(f, shots, seed)
+    assert json.dumps(got) == json.dumps(state_verdict(f, shots, seed))
     with pytest.raises(ValueError):
         quantum_linearity_test(f, 0, seed)
 
@@ -325,14 +325,14 @@ def test_quantum_test_matches_state_sampler(f, shots, seed):
 def test_compare_matches_state_sampler(f, shots, seed):
     report = compare(f, shots, seed)
     oracle = state_verdict(f, shots, child_seed(seed, 0))
-    reject = 1.0 - oracle.accept_probability_exact
-    expected = dataclasses.replace(
-        report,
-        quantum_reject_exact=reject,
-        quantum_reject_freq=oracle.rejection_frequency,
-        quantum_reject_per_query=reject / QUANTUM_QUERIES_PER_SHOT,
-    )
-    assert json.dumps(report.to_json_dict()) == json.dumps(expected.to_json_dict())
+    reject = 1.0 - oracle["accept_probability_exact"]
+    expected = {
+        **report,
+        "quantum_reject_exact": reject,
+        "quantum_reject_freq": oracle["rejection_frequency"],
+        "quantum_reject_per_query": reject / QUANTUM_QUERIES_PER_SHOT,
+    }
+    assert json.dumps(report) == json.dumps(expected)
 
 
 def test_compare_pinned_at_n8():
@@ -340,10 +340,10 @@ def test_compare_pinned_at_n8():
     table = linear(8, 0b10110101).table.copy()  # the function's own table is read-only
     table[[3, 77, 200]] ^= 1
     rep = compare(BooleanFunction(8, table), shots=50_000, seed=8080)
-    assert rep.function_tt_hex.startswith("4a5aa5a5a5a55a5a")
-    assert (rep.eps_num, rep.eps_log2_den, rep.nonlinearity) == (3, 8, 3)
-    assert rep.quantum_reject_exact == 0.17278350674223475
-    assert rep.quantum_reject_freq == 0.17292
-    assert rep.quantum_reject_per_query == 0.04319587668555869
-    assert rep.blr_reject_exact == 0.034332275390625
-    assert rep.blr_reject_freq == 0.03268
+    assert rep["function_tt_hex"].startswith("4a5aa5a5a5a55a5a")
+    assert (rep["eps_num"], rep["eps_log2_den"], rep["nonlinearity"]) == (3, 8, 3)
+    assert rep["quantum_reject_exact"] == 0.17278350674223475
+    assert rep["quantum_reject_freq"] == 0.17292
+    assert rep["quantum_reject_per_query"] == 0.04319587668555869
+    assert rep["blr_reject_exact"] == 0.034332275390625
+    assert rep["blr_reject_freq"] == 0.03268
