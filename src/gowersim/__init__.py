@@ -1,9 +1,10 @@
 """Exact Gowers uniformity norms of Boolean functions, a gate-level simulator
 for the quantum circuits that measure them, and linearity testing built on top.
 
-The package keeps every norm value exact (as a dyadic rational) wherever a
-closed-form route exists, and cross-checks the floating-point quantum
-simulation against those exact values.
+The package keeps every norm value exact (as a DyadicRational, the
+fractions.Fraction num / 2**log2_den) wherever a closed-form route exists,
+and cross-checks the floating-point quantum simulation against those exact
+values.
 
 Importing the package loads none of its modules: each public name below is
 imported from its module the first time it is read (PEP 562).

@@ -19,6 +19,7 @@ all downstream exact accumulators stay cheap.
 
 from __future__ import annotations
 
+import re
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -151,6 +152,9 @@ def _products(width: int, first: int) -> list[str]:
             for v in range(1 << width)]
 
 
+_ANF_TOKEN = re.compile(r"\s*(x([0-9]*)|\S)")  # [0-9], not \d: ASCII indices only
+
+
 def _parse_anf(text: str, n: int) -> np.ndarray:
     """Parse a sum of monomials into the uint8 table of its ANF coefficients.
 
@@ -158,68 +162,35 @@ def _parse_anf(text: str, n: int) -> np.ndarray:
     factor := '1' | '0' | 'x'[0-9]+.  Whitespace is free between tokens.
     '0' (the empty sum) is accepted as a courtesy extension.
     """
-    monomials = []
-    pos = 0
-    length = len(text)
-
-    def skip_ws():
-        nonlocal pos
-        while pos < length and text[pos].isspace():
-            pos += 1
-
-    def parse_factor() -> tuple[int, bool]:
-        """Returns (monomial mask, is_zero)."""
-        nonlocal pos
-        skip_ws()
-        if pos >= length:
-            raise AnfSyntaxError("expected a variable or constant", pos + 1)
-        ch = text[pos]
-        if ch == "1":
-            pos += 1
-            return 0, False
-        if ch == "0":
-            pos += 1
-            return 0, True
-        if ch == "x":
-            start = pos
-            pos += 1
-            digits = ""
-            while pos < length and text[pos] in "0123456789":  # not str.isdigit: ASCII only
-                digits += text[pos]
-                pos += 1
-            if not digits:
-                raise AnfSyntaxError("'x' must be followed by a variable index", start + 1)
-            index = int(digits)
-            if not 1 <= index <= n:
-                raise AnfSyntaxError(
-                    f"variable x{index} out of range [1, {n}]", start + 1
-                )
-            return 1 << (n - index), False
-        raise AnfSyntaxError(f"unexpected character {ch!r}", pos + 1)
-
-    skip_ws()
-    if pos >= length:
+    if not text.strip():
         raise AnfSyntaxError("empty ANF expression", 1)
-
+    monomials, u, zero, pos = [], 0, False, 0
     while True:
-        u, zero = parse_factor()
-        while True:
-            skip_ws()
-            if pos < length and text[pos] in "*&":
-                pos += 1
-                u2, zero2 = parse_factor()
-                u |= u2  # x*x = x over GF(2)
-                zero = zero or zero2
-            else:
+        token = _ANF_TOKEN.match(text, pos)  # a factor is due
+        if token is None:
+            raise AnfSyntaxError("expected a variable or constant", len(text) + 1)
+        column, pos = token.start(1) + 1, token.end()
+        if token[2]:
+            index = int(token[2])
+            if not 1 <= index <= n:
+                raise AnfSyntaxError(f"variable x{index} out of range [1, {n}]", column)
+            u |= 1 << (n - index)  # x*x = x over GF(2)
+        elif token[1] == "x":
+            raise AnfSyntaxError("'x' must be followed by a variable index", column)
+        elif token[1] == "0":
+            zero = True
+        elif token[1] != "1":
+            raise AnfSyntaxError(f"unexpected character {token[1]!r}", column)
+        token = _ANF_TOKEN.match(text, pos)  # an operator or the end is due
+        if token is None or token[1] == "+":
+            if not zero:
+                monomials.append(u)
+            if token is None:
                 break
-        if not zero:
-            monomials.append(u)
-        skip_ws()
-        if pos >= length:
-            break
-        if text[pos] != "+":
-            raise AnfSyntaxError(f"expected '+' but found {text[pos]!r}", pos + 1)
-        pos += 1
+            u, zero = 0, False
+        elif token[1] not in ("*", "&"):
+            raise AnfSyntaxError(f"expected '+' but found {token[1][0]!r}", token.start(1) + 1)
+        pos = token.end()
     coeffs = np.zeros(1 << n, np.uint8)
     np.bitwise_xor.at(coeffs, np.array(monomials, np.int64), 1)  # a repeated term cancels
     return coeffs

@@ -3,94 +3,62 @@
 Every normalized quantity in this library is a sum of 2**(-k*n)-scaled
 integers, so dyadic rationals carry all of them without rounding.  Floats
 appear only at presentation boundaries (CLI output, 2**-k-th roots).
+
+A DyadicRational is a fractions.Fraction: exact arithmetic, comparison,
+hashing and the correctly rounded float() come from the standard library,
+and arithmetic on it gives plain Fractions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 
-@dataclass(frozen=True)
-class DyadicRational:
-    """num / 2**log2_den in canonical form (num odd, or num == 0 and log2_den == 0)."""
+class DyadicRational(Fraction):
+    """num / 2**log2_den in lowest terms (num odd, or num == 0 and log2_den == 0).
 
-    num: int
-    log2_den: int
+    The constructor takes (num, log2_den), not a denominator, so every method
+    that rebuilds an instance from (numerator, denominator) is overridden;
+    the inherited class methods from_float and from_decimal do not apply.
+    """
 
-    def __post_init__(self):
-        if self.log2_den < 0:
+    __slots__ = ()
+
+    def __new__(cls, num: int, log2_den: int):
+        if log2_den < 0:
             raise ValueError("log2_den must be non-negative")
-        num, den = self.num, self.log2_den
-        if num == 0:
-            den = 0
-        else:
-            while num % 2 == 0 and den > 0:
-                num //= 2
-                den -= 1
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "log2_den", den)
+        return super().__new__(cls, num, 1 << log2_den)
 
-    # -- arithmetic ---------------------------------------------------------
+    @property
+    def num(self) -> int:
+        return self.numerator
 
-    def __add__(self, other: DyadicRational) -> DyadicRational:
-        d = max(self.log2_den, other.log2_den)
-        return DyadicRational(
-            (self.num << (d - self.log2_den)) + (other.num << (d - other.log2_den)), d
-        )
+    @property
+    def log2_den(self) -> int:
+        return self.denominator.bit_length() - 1
 
-    def __sub__(self, other: DyadicRational) -> DyadicRational:
-        return self + (-other)
+    def __reduce__(self):
+        return type(self), (self.num, self.log2_den)
 
-    def __neg__(self) -> DyadicRational:
-        return DyadicRational(-self.num, self.log2_den)
+    def __copy__(self) -> DyadicRational:
+        return self  # immutable
 
-    def __mul__(self, other: DyadicRational) -> DyadicRational:
-        return DyadicRational(self.num * other.num, self.log2_den + other.log2_den)
+    def __deepcopy__(self, memo) -> DyadicRational:
+        return self
 
-    def __pow__(self, exponent: int) -> DyadicRational:
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("only non-negative integer exponents are exact")
-        return DyadicRational(self.num**exponent, self.log2_den * exponent)
-
-    # -- comparisons (exact, via cross-multiplication by powers of two) ------
-
-    def _cmp_key(self, other: DyadicRational) -> tuple[int, int]:
-        return self.num << other.log2_den, other.num << self.log2_den
-
-    def __lt__(self, other: DyadicRational) -> bool:
-        a, b = self._cmp_key(other)
-        return a < b
-
-    def __le__(self, other: DyadicRational) -> bool:
-        a, b = self._cmp_key(other)
-        return a <= b
-
-    def __gt__(self, other: DyadicRational) -> bool:
-        return other < self
-
-    def __ge__(self, other: DyadicRational) -> bool:
-        return other <= self
-
-    # -- conversion and display ----------------------------------------------
-
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.num, 1 << self.log2_den)
-
-    def __float__(self) -> float:
-        return float(self.as_fraction())
+    def __repr__(self) -> str:
+        return f"DyadicRational({self.num}, {self.log2_den})"
 
     def root(self, log2_degree: int) -> float:
         """Presentation-only 2**log2_degree-th root (requires a non-negative value)."""
-        if self.num < 0:
+        if self < 0:
             raise ValueError("root of a negative dyadic rational")
         return float(self) ** (2.0**-log2_degree)
 
     def __str__(self) -> str:
-        if self.log2_den == 0:
+        if self.denominator == 1:
             return str(self.num)
         return f"{self.num}/2^{self.log2_den}"
 
     def to_json_dict(self) -> dict:
         return {"num": self.num, "log2_den": self.log2_den, "value": float(self)}
-

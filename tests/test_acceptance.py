@@ -207,7 +207,7 @@ def test_criterion_08_spectral_infrastructure(capsys):
             f = random_function(n, int(rng.integers(0, 2**63)))
             g = random_function(n, int(rng.integers(0, 2**63)))
             scaled = np.array(
-                [int(c.as_fraction() * (1 << n)) for c in convolve(f, g)], dtype=object
+                [int(c * (1 << n)) for c in convolve(f, g)], dtype=object
             )
             fwht_inplace(scaled)
             assert np.array_equal(

@@ -99,6 +99,55 @@ def test_anf_variable_indices_are_ascii_digits():
     assert err.value.position == 6
 
 
+# message and column of each malformed input, as reported by the character-scanning parser
+ANF_ERRORS = [
+    ("", 2, "empty ANF expression", 1),
+    ("   ", 2, "empty ANF expression", 1),
+    ("\t", 2, "empty ANF expression", 1),
+    ("x", 2, "'x' must be followed by a variable index", 1),
+    ("x1 + ", 2, "expected a variable or constant", 6),
+    ("x1 +", 2, "expected a variable or constant", 5),
+    ("x1 *", 2, "expected a variable or constant", 5),
+    ("x1 & ", 2, "expected a variable or constant", 6),
+    ("x1\xa0+\u3000x2 *", 2, "expected a variable or constant", 10),
+    ("x1 x2", 2, "expected '+' but found 'x'", 4),
+    ("x1x2", 2, "expected '+' but found 'x'", 3),
+    ("x1 + x2 x3", 3, "expected '+' but found 'x'", 9),
+    ("1 0", 2, "expected '+' but found '0'", 3),
+    ("x1 - x2", 2, "expected '+' but found '-'", 4),
+    ("x3", 2, "variable x3 out of range [1, 2]", 1),
+    ("x0", 2, "variable x0 out of range [1, 2]", 1),
+    ("x00", 2, "variable x0 out of range [1, 2]", 1),
+    ("x1 * + x2", 2, "unexpected character '+'", 6),
+    ("y", 2, "unexpected character 'y'", 1),
+    ("+", 2, "unexpected character '+'", 1),
+    ("x1 ** x2", 2, "unexpected character '*'", 5),
+    ("x1 ++ x2", 2, "unexpected character '+'", 5),
+    ("(x1)", 2, "unexpected character '('", 1),
+    ("x\u0661*x\u0662", 2, "'x' must be followed by a variable index", 1),
+    ("x1 + x\uff12", 2, "'x' must be followed by a variable index", 6),
+]
+
+
+@pytest.mark.parametrize("text, n, message, column", ANF_ERRORS)
+def test_anf_syntax_error_messages_and_columns(text, n, message, column):
+    with pytest.raises(AnfSyntaxError) as err:
+        from_anf_string(text, n)
+    assert str(err.value) == f"{message} (column {column})"
+    assert err.value.position == column
+
+
+@pytest.mark.parametrize("text, table", [
+    ("x01", [0, 0, 1, 1]),
+    ("x1 +\tx2", [0, 1, 1, 0]),
+    ("x1*x1 + x1", [0, 0, 0, 0]),
+    ("1 + 1", [0, 0, 0, 0]),
+    ("x1&x2+0*x1 + 1", [1, 1, 1, 0]),
+])
+def test_anf_valid_edge_cases(text, table):
+    tables_equal(from_anf_string(text, 2), table)
+
+
 def test_anf_round_trip_random():
     rng = np.random.default_rng(811)
     for n in range(1, 9):

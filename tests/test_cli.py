@@ -575,11 +575,12 @@ def test_benchmark_jobs_pass_their_checks(monkeypatch, capsys):
 
     # `--route all` at k = 2 still stops at uk_definition's capacity guard
     over_capacity = {"gowers-k2-n10-0", "gowers-k2-n12-0"}
-    for workload in ("sim-24q", "small-n-batch"):
-        for job in WORKLOADS[workload](1):
-            code, out, err = run_cli(capsys, *job.args, "--deterministic")
-            if job.name in over_capacity:
-                assert code == 3 and out == "", job.name
-                continue
-            assert code == 0, (job.name, err)
-            assert job.check(out) == [], job.name
+    # analyze-random-20 is left out: it takes ~2 s, and its check re-parses a 19.6 MB ANF
+    exact = [job for job in WORKLOADS["exact-large-n"](1) if job.name != "analyze-random-20"]
+    for job in [*exact, *WORKLOADS["sim-24q"](1), *WORKLOADS["small-n-batch"](1)]:
+        code, out, err = run_cli(capsys, *job.args, "--deterministic")
+        if job.name in over_capacity:
+            assert code == 3 and out == "", job.name
+            continue
+        assert code == 0, (job.name, err)
+        assert job.check(out) == [], job.name
