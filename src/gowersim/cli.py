@@ -23,7 +23,7 @@ import os
 import sys
 from datetime import datetime, timezone
 
-from .boolfn import BooleanFunction, bent_quadratic, linear, pack_point, random_function
+from .boolfn import BooleanFunction, bent_quadratic, linear, random_function
 from .errors import CapacityError, CrossCheckError
 
 FAMILIES = ("linear", "bent", "bent_quadratic", "random")
@@ -74,7 +74,7 @@ def cmd_analyze(cfg: RunConfig) -> int:
 
     f = cfg.resolve_function()
     w = walsh(f)
-    eps, argmin = dist_to_linear(f)
+    eps, u = dist_to_linear(f)
     gv = u2_spectral(f)
     anf = f.to_anf()
     payload = {
@@ -85,8 +85,8 @@ def cmd_analyze(cfg: RunConfig) -> int:
         "nonlinearity": nonlinearity(f),
         "dist_to_linear": {
             **eps.to_json_dict(),
-            "argmin_u": "".join(map(str, argmin)),
-            "argmin_index": pack_point(argmin),
+            "argmin_u": format(u, f"0{f.n}b"),
+            "argmin_index": u,
         },
         "walsh": {
             "max_abs": int(abs(w).max()),
@@ -213,17 +213,12 @@ def cmd_lintest(cfg: RunConfig) -> int:
 
     f = cfg.resolve_function()
     verdict = quantum_linearity_test(f, cfg.shots, cfg.seed)
-    eps_dy, argmin = dist_to_linear(f)
-    eps = float(eps_dy)
-    bound = None
-    if 0.0 < eps <= 0.5:
-        b = rejection_lower_bound(eps)
-        bound = {"exact": b.exact, "exponential": b.exponential}
+    eps, u = dist_to_linear(f)
     payload = {
         "tt_hex": f.to_hex(),
         **verdict,
-        "dist_to_linear": {**eps_dy.to_json_dict(), "argmin_u": "".join(map(str, argmin))},
-        "rejection_lower_bound": bound,
+        "dist_to_linear": {**eps.to_json_dict(), "argmin_u": format(u, f"0{f.n}b")},
+        "rejection_lower_bound": rejection_lower_bound(float(eps)) if 0 < eps <= 0.5 else None,
     }
     _emit(cfg, payload)
     return 0

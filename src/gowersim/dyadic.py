@@ -18,8 +18,9 @@ class DyadicRational(Fraction):
     """num / 2**log2_den in lowest terms (num odd, or num == 0 and log2_den == 0).
 
     The constructor takes (num, log2_den), not a denominator, so every method
-    that rebuilds an instance from (numerator, denominator) is overridden;
-    the inherited class methods from_float and from_decimal do not apply.
+    that rebuilds an instance from (numerator, denominator) is overridden,
+    from_float and from_decimal included: both give the exact value, and
+    from_decimal raises ValueError for a value that is not dyadic.
     """
 
     __slots__ = ()
@@ -36,6 +37,21 @@ class DyadicRational(Fraction):
     @property
     def log2_den(self) -> int:
         return self.denominator.bit_length() - 1
+
+    @classmethod
+    def from_float(cls, f: float) -> DyadicRational:
+        return cls._exact(Fraction.from_float(f))
+
+    @classmethod
+    def from_decimal(cls, dec) -> DyadicRational:
+        return cls._exact(Fraction.from_decimal(dec))
+
+    @classmethod
+    def _exact(cls, q: Fraction) -> DyadicRational:
+        log2_den = q.denominator.bit_length() - 1
+        if q.denominator != 1 << log2_den:
+            raise ValueError(f"{q} is not a dyadic rational")
+        return cls(q.numerator, log2_den)
 
     def __reduce__(self):
         return type(self), (self.num, self.log2_den)

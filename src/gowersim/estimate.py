@@ -27,7 +27,6 @@ import math
 import numpy as np
 
 from .errors import CapacityError
-from .qsim import StateVector
 
 RNG_ALGORITHM = "PCG64"
 _DRAW_CHUNK = 1 << 16  # draws per Generator call in every sampler (see _draw_sizes)
@@ -57,16 +56,15 @@ def _draw_sizes(count: int):
 
 
 class Measurement:
-    """Computational-basis measurements of one state, by inverse-CDF sampling.
+    """Computational-basis measurements of one amplitude array, by inverse-CDF sampling.
 
     The cumulative |amp|^2 array is built once, on construction, and every
     draw reuses it.  A norm drift beyond 1e-9 is an error; smaller drift is
     renormalized away.
     """
 
-    def __init__(self, state: StateVector):
-        self.layout = state.layout
-        self.cum = _cdf(state)
+    def __init__(self, amp: np.ndarray):
+        self.cum = _cdf(amp)
 
     def _outcome_chunks(self, m: int, seed):
         """The outcomes of m independent measurements, chunk by chunk in draw order."""
@@ -95,7 +93,7 @@ class Measurement:
         return np.concatenate(list(self._outcome_chunks(m, seed)))
 
     def y_bar(self, m: int, seed) -> float:
-        """Mean of Y = outcome / dim over m measurements, in memory independent of m.
+        """Mean of Y = outcome / dim (dim = amp.size) over m measurements, in constant memory.
 
         The outcome sum S is an exact integer and S / (dim * m) is rounded once.
         Whenever m * dim <= 2^53 this is the float np.mean(sample(m, seed) / dim)
@@ -104,11 +102,11 @@ class Measurement:
         """
         # map drops each chunk before the next is drawn
         total = sum(map(int, map(np.sum, self._outcome_chunks(m, seed))))
-        return total / (self.layout.dim * m)
+        return total / (self.cum.size * m)
 
 
 def count_nonzero_outcomes(p0: float, m: int, seed) -> int:
-    """count_nonzero(Measurement(state).sample(m, seed)) when |amp_0|^2 = p0.
+    """count_nonzero(Measurement(amp).sample(m, seed)) when |amp[0]|^2 = p0.
 
     Exact on the same PCG64 stream whenever the state's amplitudes are
     integers / 2^q, as every norm circuit's are: then each partial sum of
@@ -119,8 +117,8 @@ def count_nonzero_outcomes(p0: float, m: int, seed) -> int:
     return sum(int(np.count_nonzero(rng.random(size) >= p0)) for size in _draw_sizes(m))
 
 
-def _cdf(state: StateVector) -> np.ndarray:
-    p = np.square(state.amp, dtype=np.float64)
+def _cdf(amp: np.ndarray) -> np.ndarray:
+    p = np.square(amp, dtype=np.float64)
     total = float(p.sum())
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"state is not normalized: sum |amp|^2 = {total!r}")

@@ -26,7 +26,7 @@ import numpy as np
 from .boolfn import MAX_N, BooleanFunction
 from .dyadic import DyadicRational
 from .errors import CapacityError
-from .spectral import _correlation, _derivative_rows, fwht_inplace, walsh
+from .spectral import _derivative_rows, convolve, fwht_inplace, walsh
 
 
 @dataclass(frozen=True)
@@ -55,7 +55,7 @@ def u2_spectral(f: BooleanFunction) -> GowersValue:
 
 def u2_autocorrelation(f: BooleanFunction) -> GowersValue:
     """pow_value = 2^-n sum_a (f*f)(a)^2, from the blocked XOR correlation."""
-    r = _correlation(f, f)
+    r = convolve(f, f)
     return GowersValue(2, DyadicRational(int(np.dot(r, r)), 3 * f.n))
 
 

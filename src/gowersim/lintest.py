@@ -26,17 +26,15 @@ from __future__ import annotations
 
 import copy
 import math
-from typing import NamedTuple
 
 import numpy as np
 
 from .boolfn import MAX_N, BooleanFunction
 from .dyadic import DyadicRational
-from .errors import CrossCheckError
+from .errors import CapacityError, CrossCheckError
 from .estimate import _draw_sizes, child_seed, count_nonzero_outcomes
 from .gowers import _power_sum, u2_spectral
-from .qsim import RegisterLayout
-from .spectral import _correlation, dist_to_linear, nonlinearity, walsh
+from .spectral import convolve, dist_to_linear, nonlinearity, walsh
 
 QUANTUM_QUERIES_PER_SHOT = 4  # phase-oracle calls per circuit execution
 BLR_QUERIES_PER_TRIAL = 3
@@ -54,20 +52,16 @@ def _verdict(p_accept: float, count: int, rejections: int, seed) -> dict:
     }
 
 
-class RejectionBound(NamedTuple):
-    exact: float  # 1 - (1 - 2 eps)^4
-    exponential: float  # 1 - exp(-8 eps), the stated approximation
-
-
 def _bound_polynomial(eps: float) -> float:
     return 1.0 - (1.0 - 2.0 * eps) ** 4
 
 
-def rejection_lower_bound(eps: float) -> RejectionBound:
-    """Lower bound on the per-shot rejection probability at distance eps from linear."""
+def rejection_lower_bound(eps: float) -> dict:
+    """Lower bound on the per-shot rejection probability at distance eps from linear:
+    `exact` 1 - (1 - 2 eps)^4 and `exponential` 1 - exp(-8 eps), the stated approximation."""
     if not 0.0 < eps <= 0.5:
         raise ValueError(f"eps must lie in (0, 1/2], got {eps!r}")
-    return RejectionBound(_bound_polynomial(eps), 1.0 - math.exp(-8.0 * eps))
+    return {"exact": _bound_polynomial(eps), "exponential": 1.0 - math.exp(-8.0 * eps)}
 
 
 def quantum_linearity_test(f: BooleanFunction, shots: int, seed: int | None = None) -> dict:
@@ -78,7 +72,8 @@ def quantum_linearity_test(f: BooleanFunction, shots: int, seed: int | None = No
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    RegisterLayout(f.n, 3)  # the circuit's capacity guard: 3n <= MAX_N
+    if 3 * f.n > MAX_N:  # the circuit's 3 registers of n qubits
+        raise CapacityError(f"layout needs m*n <= {MAX_N}, got 3 x {f.n}")
     p_accept = float(u2_spectral(f).pow_value) ** 2
     return _verdict(p_accept, shots, count_nonzero_outcomes(p_accept, shots, seed), seed)
 
@@ -104,7 +99,7 @@ def blr_exact_dyadic(f: BooleanFunction, route: str = "auto") -> DyadicRational:
         results["spectral"] = DyadicRational((1 << (3 * n)) + s3, 3 * n + 1)
     if route == "enumeration" or (route == "auto" and 2 * n <= MAX_N):
         # accepted pairs (x, y): (2^(2n) + sum_x f(x) r(x)) / 2, r(x) = sum_y f(y) f(x+y)
-        s = int(np.dot(f.sign_table(np.int64), _correlation(f, f)))
+        s = int(np.dot(f.sign_table(np.int64), convolve(f, f)))
         results["enumeration"] = DyadicRational((1 << (2 * n)) + s, 2 * n + 1)
     values = list(results.values())
     if len(values) == 2 and values[0] != values[1]:

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import functools
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Union
 
@@ -150,12 +150,6 @@ class Circuit:
         return "\n".join(lines)
 
 
-@dataclass
-class StateVector:
-    layout: RegisterLayout
-    amp: np.ndarray = field(repr=False)
-
-
 def _walk(circuit: Circuit) -> tuple[list[frozenset[int]], dict[int, frozenset[int]]]:
     """Coset read by each oracle call and final register contents, as register-id sets."""
     layout, gates = circuit.layout, circuit.gates
@@ -253,8 +247,8 @@ def _phase_blocks(circuit: Circuit, f: BooleanFunction | None):
         yield (phase if acc_shape == shape else np.broadcast_to(phase, shape)).reshape(-1)
 
 
-def run(circuit: Circuit, f: BooleanFunction | None = None) -> StateVector:
-    """The circuit applied to the uniform state, compiled (see the module docstring)."""
+def run(circuit: Circuit, f: BooleanFunction | None = None) -> np.ndarray:
+    """The float64 amplitudes of the circuit applied to the uniform state (module docstring)."""
     layout = circuit.layout
     q = layout.qubits
     a = np.empty(layout.dim, dtype=np.int32)
@@ -269,12 +263,12 @@ def run(circuit: Circuit, f: BooleanFunction | None = None) -> StateVector:
                     for r, c in contents.items())
         a[index.reshape(-1)] = a.copy()
     if circuit.gates and isinstance(circuit.gates[-1], HadamardAll):
-        return StateVector(layout, fwht_inplace(a) * 2.0**-q)
-    return StateVector(layout, a * 2.0 ** (-q / 2.0))
+        return fwht_inplace(a) * 2.0**-q
+    return a * 2.0 ** (-q / 2.0)
 
 
 def zero_amplitude(circuit: Circuit, f: BooleanFunction | None = None) -> float:
-    """float(run(circuit, f).amp[0]), from the phase blocks alone.
+    """float(run(circuit, f)[0]), from the phase blocks alone.
 
     The final register map is linear, so it fixes index 0, and a final HALL
     puts sum(signs) = 2^q - 2 popcount(phase) at index 0: no permutation and

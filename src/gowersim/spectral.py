@@ -6,11 +6,11 @@ unnormalized +-1 butterfly; the 2^-n normalizations live in DyadicRational.
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 import numpy as np
 
-from .boolfn import MAX_N, BooleanFunction, Point, unpack_point
+from .boolfn import MAX_N, BooleanFunction, Point
 from .dyadic import DyadicRational
 from .errors import CapacityError
 
@@ -33,11 +33,6 @@ def fwht_inplace(a: np.ndarray) -> np.ndarray:
     return a
 
 
-class LinearDistance(NamedTuple):
-    eps: DyadicRational
-    argmin: tuple[int, ...]
-
-
 def walsh(f: BooleanFunction) -> np.ndarray:
     """The integer W(u) as a read-only int64 array, indexed by the packed index of u."""
     w = fwht_inplace(f.sign_table(np.int64))
@@ -50,17 +45,13 @@ def nonlinearity(f: BooleanFunction) -> int:
     return ((1 << f.n) - int(np.abs(walsh(f)).max())) // 2
 
 
-def dist_to_linear(f: BooleanFunction) -> LinearDistance:
-    """Normalized distance to the 2^n linear functions (complements excluded).
-
-    eps = (1 - max_u W(u) / 2^n) / 2, with the signed maximum; argmin is the
-    maximizing u, ties broken by smallest packed index.
-    """
+def dist_to_linear(f: BooleanFunction) -> tuple[DyadicRational, int]:
+    """(eps, u): eps = (1 - max_u W(u) / 2^n) / 2 is the normalized distance to the 2^n
+    linear functions (complements excluded), u the packed index of the nearest one, the
+    smallest on ties."""
     w = walsh(f)
-    wmax = int(w.max())
-    u = int(np.argmax(w == wmax))
-    eps = DyadicRational((1 << f.n) - wmax, f.n + 1)
-    return LinearDistance(eps, unpack_point(u, f.n))
+    u = int(np.argmax(w))  # the first maximum
+    return DyadicRational((1 << f.n) - int(w[u]), f.n + 1), u
 
 
 def autocorrelation(f: BooleanFunction, a: Point) -> DyadicRational:
@@ -90,8 +81,8 @@ def _derivative_rows(g: np.ndarray, depth: int = 1) -> Iterator[np.ndarray]:
             yield from [rows] if depth == 1 else _derivative_rows(rows, depth - 1)
 
 
-def _correlation(f: BooleanFunction, g: BooleanFunction) -> np.ndarray:
-    """r(a) = sum_y f(y) g(y+a) over all a, as int64 (|r| <= 2^n)."""
+def convolve(f: BooleanFunction, g: BooleanFunction) -> np.ndarray:
+    """r(a) = sum_y f(y) g(y+a) = 2^n (f * g)(a), as a read-only int64 array indexed by a."""
     if f.n != g.n:
         raise ValueError(f"dimension mismatch: n = {f.n} vs {g.n}")
     if 2 * f.n > MAX_N:
@@ -103,9 +94,6 @@ def _correlation(f: BooleanFunction, g: BooleanFunction) -> np.ndarray:
     mask = f.table ^ gt  # F(y) ^ G(y ^ a) = (F ^ G)(y) ^ G(y) ^ G(y ^ a)
     counts = [(rows ^ mask).sum(axis=1, dtype=np.int64) for rows in _derivative_rows(gt[None])]
     # block `low` holds a = low + c * t, so stacking on axis 1 puts a in order
-    return (1 << f.n) - 2 * np.stack(counts, axis=1).ravel()
-
-
-def convolve(f: BooleanFunction, g: BooleanFunction) -> list[DyadicRational]:
-    """Pointwise values of (f * g)(a) = 2^-n sum_y f(y) g(y+a) over all a."""
-    return [DyadicRational(int(r), f.n) for r in _correlation(f, g)]
+    r = (1 << f.n) - 2 * np.stack(counts, axis=1).ravel()
+    r.setflags(write=False)
+    return r

@@ -1,6 +1,8 @@
 import copy
 import json
+import math
 import pickle
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -120,3 +122,29 @@ def test_equal_to_fraction_with_equal_hash():
         d, f = DyadicRational(num, k), Fraction(num, 2**k)
         assert d == f and hash(d) == hash(f)
         assert (d.num, 1 << d.log2_den) == (f.numerator, f.denominator)
+
+
+@pytest.mark.parametrize(("make", "value", "num", "log2_den"), [
+    (DyadicRational.from_float, 0.25, 1, 2),
+    (DyadicRational.from_float, -3.0, -3, 0),
+    (DyadicRational.from_float, 2.0**-1074, 1, 1074),  # the smallest subnormal
+    (DyadicRational.from_decimal, Decimal("0.375"), 3, 3),
+])
+def test_from_float_and_from_decimal_are_exact(make, value, num, log2_den):
+    q = make(value)
+    assert type(q) is DyadicRational
+    assert (q.num, q.log2_den) == (num, log2_den)
+    assert q == Fraction(value)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: DyadicRational.from_decimal(Decimal("0.1")),  # 1/10 is not dyadic
+    lambda: DyadicRational.from_float(math.nan),
+    lambda: DyadicRational.from_float(math.inf),
+    lambda: DyadicRational.from_float(-math.inf),
+    lambda: DyadicRational.from_decimal(Decimal("NaN")),
+    lambda: DyadicRational.from_decimal(Decimal("Infinity")),
+])
+def test_from_float_and_from_decimal_refuse_what_is_not_dyadic(call):
+    with pytest.raises((ValueError, OverflowError)):
+        call()

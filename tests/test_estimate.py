@@ -18,7 +18,7 @@ from gowersim.estimate import (
     validate_bound,
 )
 from gowersim.gowers import u2_spectral
-from gowersim.qsim import RegisterLayout, StateVector, build_u2_circuit, run
+from gowersim.qsim import RegisterLayout, build_u2_circuit, run
 from gowersim.spectral import fwht_inplace
 
 from gate_reference import uniform_state
@@ -34,7 +34,7 @@ def u2_measurement_and_norm(f):
 def point_mass(layout, index):
     amp = np.zeros(layout.dim)
     amp[index] = 1.0
-    return StateVector(layout, amp)
+    return amp
 
 
 def test_sample_y_convention():
@@ -54,9 +54,9 @@ def test_sample_y_convention():
 def test_sample_matches_distribution():
     # frequency of the zero outcome for AND must track p0 = 1/16
     f = from_anf_string("x1*x2", 2)
-    state = run(build_u2_circuit(2), f)
+    amp = run(build_u2_circuit(2), f)
     m = 100_000
-    outcomes = Measurement(state).sample(m, 2718)
+    outcomes = Measurement(amp).sample(m, 2718)
     freq = np.count_nonzero(outcomes == 0) / m
     p = 1 / 16
     sigma = math.sqrt(p * (1 - p) / m)
@@ -64,17 +64,17 @@ def test_sample_matches_distribution():
 
 
 def test_sample_is_deterministic():
-    state = run(build_u2_circuit(2), bent_quadratic(2))
-    a = Measurement(state).sample(1000, 42)
-    b = Measurement(state).sample(1000, 42)
+    amp = run(build_u2_circuit(2), bent_quadratic(2))
+    a = Measurement(amp).sample(1000, 42)
+    b = Measurement(amp).sample(1000, 42)
     assert np.array_equal(a, b)
-    c = Measurement(state).sample(1000, 43)
+    c = Measurement(amp).sample(1000, 43)
     assert not np.array_equal(a, c)
 
 
 def test_sample_rejects_unnormalized_state():
     lay = RegisterLayout(1, 3)
-    bad = StateVector(lay, np.full(lay.dim, 0.25))
+    bad = np.full(lay.dim, 0.25)
     with pytest.raises(ValueError):
         Measurement(bad).sample(10, 0)
     with pytest.raises(ValueError):
@@ -200,7 +200,7 @@ def test_count_draws_at_most_one_chunk_at_a_time(monkeypatch):
 def test_chunked_sample_equals_one_call_lookup(monkeypatch, chunk, offset):
     # sorted lookups per chunk, scattered back, give the one-call outcomes
     amp = np.random.default_rng(12).normal(size=1 << 9)
-    measurement = Measurement(StateVector(RegisterLayout(3, 3), amp / np.linalg.norm(amp)))
+    measurement = Measurement(amp / np.linalg.norm(amp))
     monkeypatch.setattr(estimate, "_DRAW_CHUNK", chunk)
     for m in (chunk + offset, 3 * chunk + offset):
         outcomes = measurement.sample(m, 77)

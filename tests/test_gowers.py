@@ -88,7 +88,7 @@ def test_block_size_does_not_change_values(monkeypatch, cells):
         (random_function(4, 7), lambda f: uk_definition(f, 3)),
         (random_function(5, 8), lambda f: uk_via_derivatives(f, 4)),
         (random_function(8, 9), lambda f: uk_via_derivatives(f, 3)),
-        (random_function(8, 10), lambda f: convolve(f, g)),
+        (random_function(8, 10), lambda f: convolve(f, g).tolist()),
     ]
     expected = [route(f) for f, route in routes]
     monkeypatch.setattr(spectral, "_BLOCK_CELLS", cells)

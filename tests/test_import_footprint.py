@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
@@ -32,6 +34,21 @@ def test_gowers_without_seed_loads_no_sampling_module():
     assert {"gowersim.gowers", "gowersim.spectral", "gowersim.dyadic"} <= loaded
     unused = {"gowersim.qsim", "gowersim.estimate", "gowersim.lintest", "numpy.random"}
     assert not unused & loaded
+
+
+@pytest.mark.parametrize("argv", [
+    ["lintest", "--anf", "x1*x2", "-n", "2", "--shots", "10", "--seed", "1"],
+    ["blr", "--anf", "x1*x2", "-n", "2", "--trials", "10", "--seed", "1"],
+    ["compare", "--anf", "x1*x2", "-n", "2", "--shots", "10", "--seed", "1", "--format", "csv"],
+])
+def test_linearity_tests_load_no_simulator(argv):
+    # the quantum test needs only the exact p0, never a circuit or a state
+    loaded = loaded_modules(
+        "from gowersim.cli import main\n"
+        f"assert main({argv!r} + ['--deterministic']) == 0"
+    )
+    assert "gowersim.lintest" in loaded
+    assert "gowersim.qsim" not in loaded
 
 
 def test_names_and_modules_resolve_on_first_use():

@@ -79,9 +79,10 @@ def test_exact_mode():
 
 def test_rejection_lower_bound_values():
     b = rejection_lower_bound(0.1)
-    assert b.exact == pytest.approx(0.5904)
-    assert b.exponential == pytest.approx(1 - math.exp(-0.8))
-    assert rejection_lower_bound(0.5).exact == pytest.approx(1.0)
+    assert b.keys() == {"exact", "exponential"}
+    assert b["exact"] == pytest.approx(0.5904)
+    assert b["exponential"] == pytest.approx(1 - math.exp(-0.8))
+    assert rejection_lower_bound(0.5)["exact"] == pytest.approx(1.0)
     for bad in (0.0, -0.2, 0.51, 1.0):
         with pytest.raises(ValueError):
             rejection_lower_bound(bad)
@@ -291,9 +292,9 @@ def test_signed_distance_bound_has_counterexamples():
 
 def state_verdict(f, shots, seed):
     """quantum_linearity_test computed from the u2 circuit's final state."""
-    state = run(build_u2_circuit(f.n), f)
-    p_accept = float(state.amp[0]) ** 2
-    rejections = int(np.count_nonzero(Measurement(state).sample(shots, seed)))
+    amp = run(build_u2_circuit(f.n), f)
+    p_accept = float(amp[0]) ** 2
+    rejections = int(np.count_nonzero(Measurement(amp).sample(shots, seed)))
     return {
         "verdict": "REJECT" if rejections else "ACCEPT", "mode": "sampled", "shots": shots,
         "accept_probability_exact": p_accept, "rejection_frequency": rejections / shots,
@@ -347,3 +348,47 @@ def test_compare_pinned_at_n8():
     assert rep["quantum_reject_per_query"] == 0.04319587668555869
     assert rep["blr_reject_exact"] == 0.034332275390625
     assert rep["blr_reject_freq"] == 0.03268
+
+
+# ---------------------------------------------------------------------------
+# the paper's "better than BLR" claim, exactly, for every function at n = 4
+# ---------------------------------------------------------------------------
+
+
+def all_spectra_n4():
+    """W of all 65,536 functions at n = 4, row `bits` for BooleanFunction.from_packed(4, bits).
+
+    One int64 product with the 16 x 16 Hadamard matrix, independent of the library's FWHT.
+    """
+    points = np.arange(16)
+    tables = (np.arange(1 << 16)[:, None] >> points) & 1  # bit idx(x) of `bits` is F(x)
+    hadamard = 1 - 2 * (np.bitwise_count(points[:, None] & points) & 1).astype(np.int64)
+    return (1 - 2 * tables) @ hadamard
+
+
+def test_quantum_test_against_blr_for_every_function_at_n4():
+    # per shot the quantum test rejects with 1 - ||f||^8 = (2^32 - S4^2) / 2^32 and
+    # BLR with 1 - (2^12 + S3) / 2^13 = 2^19 (2^12 - S3) / 2^32, where Sp = sum_u W(u)^p
+    w = all_spectra_n4()
+    s3, s4 = (w**3).sum(axis=1), (w**4).sum(axis=1)
+    quantum = (1 << 32) - s4 * s4
+    blr = (1 << 19) * ((1 << 12) - s3)
+
+    def counts(q, b):
+        return int((q > b).sum()), int((q < b).sum()), int((q == b).sum())
+
+    # more, less, equal: per query each side is divided by its queries per shot (4 and 3)
+    assert counts(3 * quantum, 4 * blr) == (63_568, 1_952, 16)
+    assert counts(quantum, blr) == (65_248, 272, 16)
+    # the 16 linear functions tie at 0; their 16 complements are accepted by the
+    # quantum test with certainty and rejected by BLR with certainty
+    linear_rows = [linear(4, u).packed for u in range(16)]
+    assert not quantum[linear_rows].any() and not blr[linear_rows].any()
+    complements = [row ^ 0xFFFF for row in linear_rows]
+    assert not quantum[complements].any() and (blr[complements] == 1 << 32).all()
+
+    # the same exact values as the library's routes
+    for bits in np.random.default_rng(4).integers(0, 1 << 16, 64):
+        f = BooleanFunction.from_packed(4, int(bits))
+        assert u2_spectral(f).pow_value == Fraction(int(s4[bits]), 1 << 16)
+        assert blr_exact_dyadic(f) == Fraction((1 << 12) + int(s3[bits]), 1 << 13)

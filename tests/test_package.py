@@ -17,6 +17,8 @@ def test_exports_resolve_and_cover_the_public_names():
         if not name.startswith("_") and (inspect.isclass(value) or inspect.isfunction(value))
     }
     assert set(exported) == public
+    # results are plain values: no wrapper of an array, a (value, index) pair or a dict
+    assert not {"StateVector", "LinearDistance", "RejectionBound"} & set(exported)
 
 
 def test_readme_library_example_runs(capsys):

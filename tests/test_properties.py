@@ -4,7 +4,6 @@ the table conversions (hex, Mobius, ANF) invert each other.
 Every comparison is integer (dyadic) equality, never a float tolerance.
 """
 
-from fractions import Fraction
 
 import numpy as np
 from hypothesis import given, settings
@@ -54,7 +53,7 @@ def test_convolve_matches_brute_force(fg):
     conv = convolve(f, g)
     for a in range(size):
         total = sum(1 - 2 * (f.value(y) ^ g.value(y ^ a)) for y in range(size))
-        assert conv[a] == Fraction(total, size)
+        assert conv[a] == total  # 2^n (f * g)(a)
 
 
 @settings(max_examples=60, deadline=None)

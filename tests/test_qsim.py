@@ -23,7 +23,6 @@ from gowersim.qsim import (
     MCnot,
     PhaseOracle,
     RegisterLayout,
-    StateVector,
     _phase_blocks,
     build_appendix_u3_circuit,
     build_derivative_walk_circuit,
@@ -42,7 +41,7 @@ from_anf_string = BooleanFunction.from_anf_string
 def basis_state(layout, index):
     amp = np.zeros(layout.dim)
     amp[index] = 1.0
-    return StateVector(layout, amp)
+    return amp
 
 
 def test_register_layout():
@@ -64,32 +63,32 @@ def test_register_layout():
 
 def test_uniform_state():
     st = uniform_state(RegisterLayout(2, 2))
-    assert np.allclose(st.amp, 0.25)
+    assert np.allclose(st, 0.25)
     assert norm(st) == pytest.approx(1.0)
 
 
 def test_phase_oracle_action():
     lay = RegisterLayout(2, 2)
     f = from_anf_string("x1*x2", 2)
-    st = apply(uniform_state(lay), PhaseOracle(2), f)
+    st = apply(lay, uniform_state(lay), PhaseOracle(2), f)
     # register 2 occupies the low bits; sign flips where its content is 11
     for idx in range(lay.dim):
         expected = -0.25 if (idx & 0b11) == 0b11 else 0.25
-        assert st.amp[idx] == expected
+        assert st[idx] == expected
 
     # constant-0 oracle is the identity; constant-1 is a global minus sign
-    st0 = apply(uniform_state(lay), PhaseOracle(1), constant(2, 0))
-    assert np.array_equal(st0.amp, uniform_state(lay).amp)
-    st1 = apply(uniform_state(lay), PhaseOracle(1), constant(2, 1))
-    assert np.array_equal(st1.amp, -uniform_state(lay).amp)
+    st0 = apply(lay, uniform_state(lay), PhaseOracle(1), constant(2, 0))
+    assert np.array_equal(st0, uniform_state(lay))
+    st1 = apply(lay, uniform_state(lay), PhaseOracle(1), constant(2, 1))
+    assert np.array_equal(st1, -uniform_state(lay))
 
 
 def test_phase_oracle_needs_matching_function():
     lay = RegisterLayout(2, 2)
     with pytest.raises(ValueError):
-        apply(uniform_state(lay), PhaseOracle(1), None)
+        apply(lay, uniform_state(lay), PhaseOracle(1), None)
     with pytest.raises(ValueError):
-        apply(uniform_state(lay), PhaseOracle(1), constant(3, 0))
+        apply(lay, uniform_state(lay), PhaseOracle(1), constant(3, 0))
     for f in (None, constant(3, 0)):
         with pytest.raises(ValueError):
             run(Circuit(lay, (PhaseOracle(1), HadamardAll())), f)
@@ -101,10 +100,10 @@ def test_mcnot_is_a_basis_permutation():
     lay = RegisterLayout(2, 3)
     gate = MCnot(target=1, source=3)
     for idx in (0, 0b01_10_11, 0b11_11_11):
-        st = apply(basis_state(lay, idx), gate)
+        st = apply(lay, basis_state(lay, idx), gate)
         expected = idx ^ (lay.content(idx, 3) << lay.shift(1))
-        assert st.amp[expected] == 1.0
-        assert np.count_nonzero(st.amp) == 1
+        assert st[expected] == 1.0
+        assert np.count_nonzero(st) == 1
 
 
 def test_mcnot_is_an_involution():
@@ -112,9 +111,8 @@ def test_mcnot_is_an_involution():
     rng = np.random.default_rng(10)
     amp = rng.standard_normal(lay.dim)
     amp /= np.linalg.norm(amp)
-    st = StateVector(lay, amp)
-    twice = apply(apply(st, MCnot(2, 1)), MCnot(2, 1))
-    assert np.allclose(twice.amp, amp)
+    twice = apply(lay, apply(lay, amp, MCnot(2, 1)), MCnot(2, 1))
+    assert np.allclose(twice, amp)
 
 
 def test_mcnot_validation():
@@ -124,20 +122,20 @@ def test_mcnot_validation():
         MCnot(0, 1)
     lay = RegisterLayout(2, 2)
     with pytest.raises(ValueError):
-        apply(uniform_state(lay), MCnot(1, 3))
+        apply(lay, uniform_state(lay), MCnot(1, 3))
 
 
 def test_hadamard_all():
     lay = RegisterLayout(2, 2)
-    st = apply(uniform_state(lay), HadamardAll())
-    assert st.amp[0] == pytest.approx(1.0)
-    assert np.allclose(st.amp[1:], 0.0)
+    st = apply(lay, uniform_state(lay), HadamardAll())
+    assert st[0] == pytest.approx(1.0)
+    assert np.allclose(st[1:], 0.0)
     # self-inverse
     rng = np.random.default_rng(11)
     amp = rng.standard_normal(lay.dim)
     amp /= np.linalg.norm(amp)
-    back = apply(apply(StateVector(lay, amp), HadamardAll()), HadamardAll())
-    assert np.allclose(back.amp, amp)
+    back = apply(lay, apply(lay, amp, HadamardAll()), HadamardAll())
+    assert np.allclose(back, amp)
 
 
 def test_gates_preserve_norm():
@@ -146,7 +144,7 @@ def test_gates_preserve_norm():
     f = random_function(2, 99)
     st = uniform_state(lay)
     for gate in (PhaseOracle(1), MCnot(1, 2), HadamardAll(), MCnot(3, 1), PhaseOracle(3)):
-        st = apply(st, gate, f)
+        st = apply(lay, st, gate, f)
         assert norm(st) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -202,10 +200,11 @@ def test_appendix_u3_structure():
 
 
 def test_run_known_amplitudes():
-    assert float(run(build_u2_circuit(3), linear(3, 0b110)).amp[0]) == pytest.approx(1.0)
-    and_state = run(build_u2_circuit(2), from_anf_string("x1*x2", 2))
-    assert float(and_state.amp[0]) == pytest.approx(0.25)
-    assert float(run(build_u2_circuit(4), bent_quadratic(4)).amp[0]) == pytest.approx(
+    assert float(run(build_u2_circuit(3), linear(3, 0b110))[0]) == pytest.approx(1.0)
+    and_amp = run(build_u2_circuit(2), from_anf_string("x1*x2", 2))
+    assert and_amp.dtype == np.float64 and and_amp.shape == (1 << 6,)  # the amplitude array
+    assert float(and_amp[0]) == pytest.approx(0.25)
+    assert float(run(build_u2_circuit(4), bent_quadratic(4))[0]) == pytest.approx(
         1 / 16
     )
 
@@ -227,15 +226,15 @@ def test_u2_circuit_full_spectrum():
                         sign[x] * sign[x ^ a] * sign[x ^ b] * sign[x ^ a ^ b]
                     )
         fwht_inplace(tensor)
-        state = run(build_u2_circuit(n), f)
-        assert np.allclose(state.amp, tensor / size**3, atol=1e-12)
+        amp = run(build_u2_circuit(n), f)
+        assert np.allclose(amp, tensor / size**3, atol=1e-12)
 
 
 def test_walk_circuit_measures_uk():
     rng = np.random.default_rng(14)
     for n, k in ((2, 2), (2, 3), (3, 3), (2, 4)):
         f = random_function(n, int(rng.integers(0, 2**32)))
-        p0 = float(run(build_derivative_walk_circuit(n, k), f).amp[0]) ** 2
+        p0 = float(run(build_derivative_walk_circuit(n, k), f)[0]) ** 2
         exact = uk_definition(f, k).pow_value
         assert p0 == pytest.approx(float(exact * exact), abs=1e-12)
 
@@ -298,7 +297,7 @@ def test_walk_work_guard():
 
 def test_walk_p0_known_value():
     f = from_anf_string("x1*x2*x3", 3)
-    p0 = float(run(build_derivative_walk_circuit(3, 3), f).amp[0]) ** 2
+    p0 = float(run(build_derivative_walk_circuit(3, 3), f)[0]) ** 2
     expected = DyadicRational(11, 5) ** 2
     assert p0 == pytest.approx(float(expected), abs=1e-12)
 
@@ -326,12 +325,12 @@ def test_run_matches_gate_by_gate_fold(case, cells):
     circuit, f = case
     state = fold(circuit, f)
     with mock.patch.object(spectral, "_BLOCK_CELLS", cells):
-        amp = run(circuit, f).amp
+        amp = run(circuit, f)
     if circuit.layout.qubits % 2 == 0:
         # 2^(-q/2) is a power of two: the float fold is exact too
-        assert amp.tobytes() == state.amp.tobytes()
+        assert amp.tobytes() == state.tobytes()
     else:
-        assert np.max(np.abs(amp - state.amp)) <= 1e-15
+        assert np.max(np.abs(amp - state)) <= 1e-15
 
 
 @settings(max_examples=60, deadline=None)
@@ -339,7 +338,7 @@ def test_run_matches_gate_by_gate_fold(case, cells):
 def test_walk_amplitude_equals_uk_exactly(n, k, seed):
     assume(n * (k + 1) <= 16)
     f = random_function(n, seed)
-    amp0 = float(run(build_derivative_walk_circuit(n, k), f).amp[0])
+    amp0 = float(run(build_derivative_walk_circuit(n, k), f)[0])
     assert Fraction(amp0) == uk_definition(f, k).pow_value
 
 
@@ -356,7 +355,7 @@ def built_circuits(draw):
 @given(st.one_of(built_circuits(), circuits_and_functions(max_qubits=12)))
 def test_zero_amplitude_equals_run(case):
     circuit, f = case
-    assert zero_amplitude(circuit, f) == float(run(circuit, f).amp[0])
+    assert zero_amplitude(circuit, f) == float(run(circuit, f)[0])
 
 
 @settings(max_examples=200, deadline=None)
@@ -365,7 +364,7 @@ def test_zero_amplitude_matches_gate_by_gate_fold(case, cells):
     # the fold is the independent oracle: oracles on every register, cosets
     # without register 1, no final HALL, several blocks and both gather paths
     circuit, f = case
-    expected = fold(circuit, f).amp[0]
+    expected = fold(circuit, f)[0]
     with mock.patch.object(spectral, "_BLOCK_CELLS", cells):
         amp0 = zero_amplitude(circuit, f)
     if circuit.layout.qubits % 2 == 0:
@@ -404,7 +403,7 @@ BLOCKED_CIRCUITS = [
 
 def simulated(circuit, f):
     """zero_amplitude, and run's state bytes up to 18 qubits (2^24 states are not run)."""
-    state = run(circuit, f).amp.tobytes() if circuit.layout.qubits <= 18 else None
+    state = run(circuit, f).tobytes() if circuit.layout.qubits <= 18 else None
     return zero_amplitude(circuit, f), state
 
 
@@ -440,14 +439,14 @@ def test_every_block_is_bounded(monkeypatch, circuit, cells):
     layout = circuit.layout
     f = random_function(layout.n, 44)
     if layout.qubits <= 16:
-        expected = fold(circuit, f).amp  # exact: every circuit here has an even qubit count
+        expected = fold(circuit, f)  # exact: every circuit here has an even qubit count
     monkeypatch.setattr(spectral, "_BLOCK_CELLS", cells)
     sizes = [block.size for block in _phase_blocks(circuit, f)]
     assert sizes == [cells] * (layout.dim // cells)
     amp0 = zero_amplitude(circuit, f)
     if layout.qubits <= 16:
         assert amp0 == expected[0]
-        assert run(circuit, f).amp.tobytes() == expected.tobytes()
+        assert run(circuit, f).tobytes() == expected.tobytes()
     elif layout.n == 1:
         assert amp0 == zero_amplitude(idle_register_circuit(2), f)
     else:
