@@ -3,8 +3,8 @@ for the quantum circuits that measure them, and linearity testing built on top.
 
 The package keeps every norm value exact (as a DyadicRational, the
 fractions.Fraction num / 2**log2_den) wherever a closed-form route exists,
-and cross-checks the floating-point quantum simulation against those exact
-values.
+and the quantum simulation's amplitudes exact too: integer numerators over a
+power of two, checked against those values.
 
 Importing the package loads none of its modules: each public name below is
 imported from its module the first time it is read (PEP 562).

@@ -258,8 +258,10 @@ def cmd_compare(cfg: RunConfig) -> int:
 
 
 def _checked(convert, ok, rule: str):
-    """An argparse type: `convert` the text, then require `ok(value)`, worded as `rule`."""
+    """An argparse type: `convert` ASCII text, then require `ok(value)`, worded as `rule`."""
     def check(text: str):
+        if not text.isascii():  # int() and float() would read any Unicode digit
+            raise ValueError(text)  # argparse words it as "invalid int value: '...'"
         value = convert(text)
         if not ok(value):
             raise argparse.ArgumentTypeError(f"must be {rule}, got {value}")

@@ -56,15 +56,25 @@ def _draw_sizes(count: int):
 
 
 class Measurement:
-    """Computational-basis measurements of one amplitude array, by inverse-CDF sampling.
+    """Computational-basis measurements of one state, by inverse-CDF sampling in integers.
 
-    The cumulative |amp|^2 array is built once, on construction, and every
-    draw reuses it.  A norm drift beyond 1e-9 is an error; smaller drift is
-    renormalized away.
+    `num` holds the state's integer amplitude numerators, as `qsim.run`
+    returns them: outcome i has probability num[i]^2 / S, S = sum num^2.  The
+    int64 partial sums of num^2 are built once, on construction, and every
+    draw reuses them.  S must be a power of two <= 2^53, so every partial sum
+    is exact; float amplitudes and numerators wider than int32 are refused.
     """
 
-    def __init__(self, amp: np.ndarray):
-        self.cum = _cdf(amp)
+    def __init__(self, num: np.ndarray):
+        if not np.can_cast(num.dtype, np.int32):
+            raise TypeError(f"need amplitude numerators of at most 32 bits, got {num.dtype}")
+        cum = num.astype(np.int64)
+        np.square(cum, out=cum)  # each <= 2^62, so a partial sum that wraps turns negative
+        np.cumsum(cum, out=cum)
+        total = int(cum[-1]) if cum.size else 0
+        if total < 1 or total & (total - 1) or total > 1 << 53 or cum.min() < 0:
+            raise ValueError(f"squares must sum to a power of two <= 2^53, got {total}")
+        self.cum = cum
 
     def _outcome_chunks(self, m: int, seed):
         """The outcomes of m independent measurements, chunk by chunk in draw order."""
@@ -77,14 +87,19 @@ class Measurement:
     def _lookup(self, draws: np.ndarray) -> np.ndarray:
         """Outcomes of `draws` in draw order.
 
-        The draws are looked up in sorted order, which walks the CDF forwards,
-        and scattered back.  Rebinding `draws` and scattering in place keep at
-        most three chunk-sized arrays alive.
+        A draw r maps to the first outcome whose partial sum exceeds
+        floor(r * S); r * S is exact, S being a power of two.  The draws are
+        looked up in sorted order, which walks the CDF forwards, and scattered
+        back.  Deleting each array once it is read keeps at most three
+        chunk-sized arrays alive.
         """
         order = np.argsort(draws)
         draws = draws[order]
-        outcomes = np.searchsorted(self.cum, draws, side="right")
+        draws *= self.cum[-1]
+        thresholds = draws.astype(np.int64)  # truncation is floor, as r >= 0
         del draws
+        outcomes = np.searchsorted(self.cum, thresholds, side="right")
+        del thresholds
         outcomes[order] = outcomes.copy()
         return outcomes
 
@@ -93,9 +108,9 @@ class Measurement:
         return np.concatenate(list(self._outcome_chunks(m, seed)))
 
     def y_bar(self, m: int, seed) -> float:
-        """Mean of Y = outcome / dim (dim = amp.size) over m measurements, in constant memory.
+        """Mean of Y = outcome / dim (dim = num.size) over m measurements, in constant memory.
 
-        The outcome sum S is an exact integer and S / (dim * m) is rounded once.
+        The outcome sum T is an exact integer and T / (dim * m) is rounded once.
         Whenever m * dim <= 2^53 this is the float np.mean(sample(m, seed) / dim)
         gives, since all its partial sums are exact; beyond, it is still the
         correctly rounded mean.
@@ -106,26 +121,14 @@ class Measurement:
 
 
 def count_nonzero_outcomes(p0: float, m: int, seed) -> int:
-    """count_nonzero(Measurement(amp).sample(m, seed)) when |amp[0]|^2 = p0.
+    """count_nonzero(Measurement(num).sample(m, seed)) when num[0]^2 / S = p0.
 
-    Exact on the same PCG64 stream whenever the state's amplitudes are
-    integers / 2^q, as every norm circuit's are: then each partial sum of
-    |amp|^2 is a float64 without rounding, the CDF's total is exactly 1.0, and
-    a draw maps to outcome 0 iff it is below cum[0] = p0.
+    Exact on the same PCG64 stream: S is a power of two <= 2^53, so p0 is
+    the float num[0]^2 / S without rounding, and a draw r maps to outcome 0
+    iff floor(r * S) < num[0]^2, that is iff r < p0.
     """
     rng = np.random.default_rng(seed)
     return sum(int(np.count_nonzero(rng.random(size) >= p0)) for size in _draw_sizes(m))
-
-
-def _cdf(amp: np.ndarray) -> np.ndarray:
-    p = np.square(amp, dtype=np.float64)
-    total = float(p.sum())
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"state is not normalized: sum |amp|^2 = {total!r}")
-    p /= total
-    cum = np.cumsum(p, out=p)
-    cum[-1] = 1.0
-    return cum
 
 
 def hoeffding_bound(y_bar: float, m: int, t: float, seed: int | None = None) -> dict:

@@ -8,13 +8,15 @@ oracle multiplies amplitudes by (-1)^F directly.  Every gate in scope (phase
 flips, register permutations, Hadamard layers) is real orthogonal.
 
 `run` compiles a circuit into the state that applying its gates one by one
-reaches (the tests keep that float fold as the reference): the symbolic walk
-shared with `phase_audit` gives each oracle call's XOR-coset and the final
+reaches (the tests keep that gate-by-gate fold as the reference): the symbolic
+walk shared with `phase_audit` gives each oracle call's XOR-coset and the final
 register map, the cosets give the phase table, and a final HadamardAll is one
-int32 FWHT of its signs.  Amplitudes are thus exactly integer / 2^q for q
-qubits before one conversion to float64.  The phase table is built in blocks
-of at most 2^17 consecutive basis indices, each from whole rows x -> F(x ^ v)
-of a 2^(2n) table of translates, so no 2^q table is held.  When only the
+int32 FWHT of its signs.  `run` returns those int32 numerators: for q qubits
+the amplitude is num / 2^q after a final HadamardAll and num / 2^(q/2) without
+one, so no float is involved and `estimate.Measurement` samples them exactly.
+The phase table is built in blocks of at most 2^17 consecutive basis indices,
+each from whole rows x -> F(x ^ v) of a 2^(2n) table of translates, so no 2^q
+table is held.  When only the
 amplitude at index 0 is asked for, `zero_amplitude` reads it from the same
 blocks without preparing the final state: the register map fixes 0 and the
 transform's entry 0 is the sum of the signs.
@@ -80,19 +82,6 @@ class RegisterLayout:
     def _check_register(self, register: int) -> None:
         if not 1 <= register <= self.m:
             raise ValueError(f"register {register} out of range [1, {self.m}]")
-
-    def content(self, index: int, register: int) -> int:
-        return (index >> self.shift(register)) & ((1 << self.n) - 1)
-
-    def index(self, contents) -> int:
-        if len(contents) != self.m:
-            raise ValueError(f"need {self.m} register contents")
-        out = 0
-        for c in contents:
-            if not 0 <= c < (1 << self.n):
-                raise ValueError("register content out of range")
-            out = (out << self.n) | c
-        return out
 
 
 @dataclass(frozen=True)
@@ -248,9 +237,8 @@ def _phase_blocks(circuit: Circuit, f: BooleanFunction | None):
 
 
 def run(circuit: Circuit, f: BooleanFunction | None = None) -> np.ndarray:
-    """The float64 amplitudes of the circuit applied to the uniform state (module docstring)."""
+    """The int32 numerators of the final amplitudes num / 2^q (num / 2^(q/2) without a HALL)."""
     layout = circuit.layout
-    q = layout.qubits
     a = np.empty(layout.dim, dtype=np.int32)
     start = 0
     for block in _phase_blocks(circuit, f):
@@ -263,12 +251,12 @@ def run(circuit: Circuit, f: BooleanFunction | None = None) -> np.ndarray:
                     for r, c in contents.items())
         a[index.reshape(-1)] = a.copy()
     if circuit.gates and isinstance(circuit.gates[-1], HadamardAll):
-        return fwht_inplace(a) * 2.0**-q
-    return a * 2.0 ** (-q / 2.0)
+        fwht_inplace(a)
+    return a
 
 
 def zero_amplitude(circuit: Circuit, f: BooleanFunction | None = None) -> float:
-    """float(run(circuit, f)[0]), from the phase blocks alone.
+    """The float amplitude at 0, run(circuit, f)[0] over its power of two, from the blocks alone.
 
     The final register map is linear, so it fixes index 0, and a final HALL
     puts sum(signs) = 2^q - 2 popcount(phase) at index 0: no permutation and

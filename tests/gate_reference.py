@@ -1,10 +1,11 @@
-"""Gate-by-gate float reference for the compiled executor `qsim.run`.
+"""Gate-by-gate integer reference for the compiled executor `qsim.run`.
 
-Each gate acts on a float64 state vector exactly as the circuit model says:
-a phase oracle multiplies by (-1)^F(register), an MCNOT permutes basis
-indices, and a Hadamard layer is the normalized FWHT.  Tests fold a circuit
-through `apply` from `uniform_state` and compare with `run`/`zero_amplitude`.
-A state is its float64 amplitude array, read with the circuit's layout.
+A state is its int32 array of amplitude numerators, read with the circuit's
+layout, as `run` returns it: the uniform state is all ones over 2^(q/2) for q
+qubits, a phase oracle multiplies by (-1)^F(register), an MCNOT permutes
+basis indices, and a Hadamard layer is the unnormalized FWHT, which moves the
+denominator from 2^(q/2) to 2^q.  Tests fold a circuit through `apply` from
+`uniform_state` and compare with `run`/`zero_amplitude` by equality.
 """
 
 import numpy as np
@@ -14,17 +15,13 @@ from gowersim.qsim import Gate, HadamardAll, MCnot, PhaseOracle, RegisterLayout
 from gowersim.spectral import fwht_inplace
 
 
-def norm(amp: np.ndarray) -> float:
-    return float(np.sqrt(np.dot(amp, amp)))
-
-
 def uniform_state(layout: RegisterLayout) -> np.ndarray:
-    return np.full(layout.dim, 2.0 ** (-layout.qubits / 2.0))
+    return np.ones(layout.dim, dtype=np.int32)
 
 
-def apply(layout: RegisterLayout, amp: np.ndarray, gate: Gate,
+def apply(layout: RegisterLayout, num: np.ndarray, gate: Gate,
           f: BooleanFunction | None = None) -> np.ndarray:
-    """Apply one gate, returning a new amplitude array (inputs are not mutated)."""
+    """Apply one gate, returning a new numerator array (inputs are not mutated)."""
     if isinstance(gate, PhaseOracle):
         layout._check_register(gate.register)
         if f is None:
@@ -33,25 +30,23 @@ def apply(layout: RegisterLayout, amp: np.ndarray, gate: Gate,
             raise ValueError(f"oracle function has n = {f.n}, layout has n = {layout.n}")
         pre = 1 << ((gate.register - 1) * layout.n)
         post = 1 << ((layout.m - gate.register) * layout.n)
-        signs = f.sign_table(np.float64)
-        return (amp.reshape(pre, 1 << layout.n, post) * signs[None, :, None]).reshape(-1)
+        signs = f.sign_table(num.dtype)
+        return (num.reshape(pre, 1 << layout.n, post) * signs[None, :, None]).reshape(-1)
     if isinstance(gate, MCnot):
         layout._check_register(gate.target)
         layout._check_register(gate.source)
         idx = np.arange(layout.dim, dtype=np.int64)
         content = (idx >> layout.shift(gate.source)) & ((1 << layout.n) - 1)
         perm = idx ^ (content << layout.shift(gate.target))
-        return amp[perm]  # the permutation is an involution
+        return num[perm]  # the permutation is an involution
     if isinstance(gate, HadamardAll):
-        out = fwht_inplace(amp.astype(np.float64, copy=True))
-        out *= 2.0 ** (-layout.qubits / 2.0)
-        return out
+        return fwht_inplace(num.copy())
     raise TypeError(f"unknown gate {gate!r}")
 
 
 def fold(circuit, f: BooleanFunction | None = None) -> np.ndarray:
     """The circuit's gates applied one by one to the uniform state."""
-    amp = uniform_state(circuit.layout)
+    num = uniform_state(circuit.layout)
     for gate in circuit.gates:
-        amp = apply(circuit.layout, amp, gate, f)
-    return amp
+        num = apply(circuit.layout, num, gate, f)
+    return num

@@ -16,6 +16,7 @@ acceptance check") for the analysis.
 import json
 import math
 from contextlib import contextmanager
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -55,16 +56,15 @@ def criterion(capsys, label, name):
             print(f"[criterion {label}] {name}: {'FAIL' if failed else 'PASS'}")
 
 
-def zero_probability(f):
-    return float(run(build_u2_circuit(f.n), f)[0]) ** 2
+def zero_probability(circuit, f):
+    """|amplitude at 0|^2 = (num / 2^q)^2 for a circuit that ends in a Hadamard layer."""
+    return Fraction(int(run(circuit, f)[0]), 1 << circuit.layout.qubits) ** 2
 
 
 def test_criterion_01_amplitude_equals_norm_power(capsys):
     with criterion(capsys, 1, "zero amplitude squared equals the U2 norm to the 8th"):
         def check(f):
-            p0 = zero_probability(f)
-            exact = u2_spectral(f).pow_value
-            assert abs(p0 - float(exact * exact)) <= 1e-12
+            assert zero_probability(build_u2_circuit(f.n), f) == u2_spectral(f).pow_value ** 2
 
         for bits in range(16):
             check(BooleanFunction.from_packed(2, bits))
@@ -95,13 +95,12 @@ def test_criterion_03_u3_circuit_identity(capsys):
         for n in (2, 3):
             for _ in range(100):
                 f = random_function(n, int(rng.integers(0, 2**63)))
-                p0 = float(run(build_derivative_walk_circuit(n, 3), f)[0]) ** 2
-                exact = uk_definition(f, 3).pow_value
-                assert abs(p0 - float(exact * exact)) <= 1e-12
+                p0 = zero_probability(build_derivative_walk_circuit(n, 3), f)
+                assert p0 == uk_definition(f, 3).pow_value ** 2
         f = from_anf_string("x1*x2*x3", 3)
         assert uk_definition(f, 3).pow_value == DyadicRational(11, 5)
-        p0 = float(run(build_derivative_walk_circuit(3, 3), f)[0]) ** 2
-        assert abs(p0 - float(DyadicRational(11, 5) ** 2)) <= 1e-12
+        p0 = zero_probability(build_derivative_walk_circuit(3, 3), f)
+        assert p0 == DyadicRational(11, 5) ** 2
 
 
 def test_criterion_04_circuit_audits(capsys):
@@ -127,8 +126,7 @@ def test_criterion_05a_linear_functions_accept(capsys):
     with criterion(capsys, "5a", "every linear function accepts with probability 1"):
         for n in (2, 3):
             for u in range(1 << n):
-                p = zero_probability(linear(n, u))
-                assert abs(p - 1.0) <= 1e-12
+                assert zero_probability(build_u2_circuit(n), linear(n, u)) == 1
 
 
 def test_criterion_05b_far_functions_reject_at_stated_rate(capsys):
@@ -159,7 +157,7 @@ def test_criterion_05b_far_functions_reject_at_stated_rate(capsys):
 def test_criterion_06_quantum_vs_blr_on_and(capsys):
     with criterion(capsys, 6, "AND rejection rates, exact and sampled"):
         f = from_anf_string("x1*x2", 2)
-        assert 1.0 - zero_probability(f) == 0.9375
+        assert 1 - zero_probability(build_u2_circuit(2), f) == Fraction(15, 16)
         assert blr_exact_dyadic(f, route="auto") == DyadicRational(5, 3)
 
         rep = compare(f, shots=100_000, seed=606)
@@ -219,9 +217,9 @@ def test_criterion_08_spectral_infrastructure(capsys):
         )
         m = 100_000
         for i, f in enumerate(fixtures):
-            amp = run(build_u2_circuit(f.n), f)
-            outcomes = Measurement(amp).sample(m, 8100 + i)
-            probs = amp**2
+            num = run(build_u2_circuit(f.n), f)
+            outcomes = Measurement(num).sample(m, 8100 + i)
+            probs = num.astype(np.int64) ** 2 / num.size**2  # num / 2^q, 2^q = num.size
             observed = np.bincount(outcomes, minlength=probs.size).astype(float)
             assert observed[probs == 0].sum() == 0
             keep = probs * m >= 5

@@ -31,7 +31,7 @@ from hypothesis import strategies as st
 from gowersim import cli, estimate
 
 HUGE = str(10**30)
-NON_ASCII = ["٣", "３", "२"]  # Arabic-Indic, fullwidth and Devanagari digits: int() reads them
+NON_ASCII = ["٣", "３", "२"]  # Arabic-Indic, fullwidth and Devanagari digits: refused (exit 2)
 MALFORMED = ["", " ", "nan", "inf", "-inf", "1.5", "1e3", "0x10", "one", "1_000", "\u00a0"]
 JUNK = ["", " ", "\t", "\n", "\x00", "é", "٣", "３", "x", "+", "*", "&", "(", "0", "1", "-", "#"]
 HEX = "0123456789abcdefABCDEF"

@@ -2,10 +2,14 @@
 
 import math
 import tracemalloc
+from bisect import bisect_right
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gowersim import estimate
 from gowersim.boolfn import BooleanFunction, bent_quadratic, linear, random_function
@@ -18,10 +22,10 @@ from gowersim.estimate import (
     validate_bound,
 )
 from gowersim.gowers import u2_spectral
-from gowersim.qsim import RegisterLayout, build_u2_circuit, run
+from gowersim.qsim import RegisterLayout, build_derivative_walk_circuit, build_u2_circuit, run
 from gowersim.spectral import fwht_inplace
 
-from gate_reference import uniform_state
+from gate_reference import fold, uniform_state
 
 from_anf_string = BooleanFunction.from_anf_string
 
@@ -32,15 +36,15 @@ def u2_measurement_and_norm(f):
 
 
 def point_mass(layout, index):
-    amp = np.zeros(layout.dim)
-    amp[index] = 1.0
-    return amp
+    num = np.zeros(layout.dim, dtype=np.int32)
+    num[index] = 1
+    return num
 
 
 def test_sample_y_convention():
     # measured register contents (01, 10, 11) at n = 2 pack to index 27 of 64
     lay = RegisterLayout(2, 3)
-    idx = lay.index((0b01, 0b10, 0b11))
+    idx = (0b01 << lay.shift(1)) | (0b10 << lay.shift(2)) | (0b11 << lay.shift(3))
     assert idx == 27
     outcomes = Measurement(point_mass(lay, idx)).sample(10, 1)
     assert np.all(outcomes == 27)
@@ -54,9 +58,9 @@ def test_sample_y_convention():
 def test_sample_matches_distribution():
     # frequency of the zero outcome for AND must track p0 = 1/16
     f = from_anf_string("x1*x2", 2)
-    amp = run(build_u2_circuit(2), f)
+    num = run(build_u2_circuit(2), f)
     m = 100_000
-    outcomes = Measurement(amp).sample(m, 2718)
+    outcomes = Measurement(num).sample(m, 2718)
     freq = np.count_nonzero(outcomes == 0) / m
     p = 1 / 16
     sigma = math.sqrt(p * (1 - p) / m)
@@ -64,21 +68,32 @@ def test_sample_matches_distribution():
 
 
 def test_sample_is_deterministic():
-    amp = run(build_u2_circuit(2), bent_quadratic(2))
-    a = Measurement(amp).sample(1000, 42)
-    b = Measurement(amp).sample(1000, 42)
+    num = run(build_u2_circuit(2), bent_quadratic(2))
+    a = Measurement(num).sample(1000, 42)
+    b = Measurement(num).sample(1000, 42)
     assert np.array_equal(a, b)
-    c = Measurement(amp).sample(1000, 43)
+    c = Measurement(num).sample(1000, 43)
     assert not np.array_equal(a, c)
 
 
 def test_sample_rejects_unnormalized_state():
+    # the total of the squared numerators must be a power of two <= 2^53
     lay = RegisterLayout(1, 3)
-    bad = np.full(lay.dim, 0.25)
-    with pytest.raises(ValueError):
-        Measurement(bad).sample(10, 0)
+    # squares of -2^31 wrap int64 to 0 after four terms, so this total reads as 2^52
+    wraps = [-(2**31)] * 4 + [2**26]
+    assert sum(v * v for v in wraps) == 2**64 + 2**52
+    for num, total in (([3] * lay.dim, 72), ([0] * lay.dim, 0), ([], 0),
+                       ([2**27, 0], 2**54), (wraps, 2**52)):
+        with pytest.raises(ValueError, match=rf"power of two <= 2\^53, got {total}$"):
+            Measurement(np.array(num, dtype=np.int32))
     with pytest.raises(ValueError):
         Measurement(uniform_state(lay)).sample(0, 0)
+
+
+def test_measurement_refuses_float_and_wide_amplitudes():
+    for amp in (np.full(8, 8.0**-0.5), np.ones(8, dtype=np.int64), np.ones(8, dtype=np.uint32)):
+        with pytest.raises(TypeError, match=str(amp.dtype)):
+            Measurement(amp)
 
 
 def test_child_seed():
@@ -198,15 +213,19 @@ def test_count_draws_at_most_one_chunk_at_a_time(monkeypatch):
 @pytest.mark.parametrize("chunk", [7, 1000])
 @pytest.mark.parametrize("offset", [-1, 0, 1])
 def test_chunked_sample_equals_one_call_lookup(monkeypatch, chunk, offset):
-    # sorted lookups per chunk, scattered back, give the one-call outcomes
-    amp = np.random.default_rng(12).normal(size=1 << 9)
-    measurement = Measurement(amp / np.linalg.norm(amp))
+    # sorted lookups per chunk, scattered back, give the one-call outcomes,
+    # which the float CDF of the amplitudes gives too
+    num = run(build_u2_circuit(3), random_function(3, 12))
+    measurement = Measurement(num)
+    cdf = np.cumsum((num * 2.0**-9) ** 2)
     monkeypatch.setattr(estimate, "_DRAW_CHUNK", chunk)
     for m in (chunk + offset, 3 * chunk + offset):
         outcomes = measurement.sample(m, 77)
         draws = np.random.default_rng(77).random(m)
-        expected = np.searchsorted(measurement.cum, draws, side="right")
+        thresholds = (draws * 2**18).astype(np.int64)  # floor(r * S), S = (2^9)^2
+        expected = np.searchsorted(measurement.cum, thresholds, side="right")
         assert outcomes.tolist() == expected.tolist()
+        assert expected.tolist() == np.searchsorted(cdf, draws, side="right").tolist()
         assert (outcomes / 512).tolist() == (expected / 512).tolist()
         assert measurement.y_bar(m, 77) == float(np.mean(expected / 512))
 
@@ -222,6 +241,51 @@ def test_y_bar_memory_does_not_grow_with_m():
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2**20
+
+
+def test_measurement_holds_twelve_bytes_per_state():
+    # 4 bytes of int32 numerators and 8 of int64 partial sums per basis state
+    f = random_function(7, 70)
+    circuit = build_u2_circuit(7)
+    tracemalloc.start()
+    try:
+        Measurement(run(circuit, f))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * circuit.layout.dim + 2**20
+
+
+@st.composite
+def sampled_circuits(draw):
+    """The u2 circuit at n <= 3 or a walk of order k <= 3 at n <= 2, with a random f."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 3))
+        circuit = build_u2_circuit(n)
+    else:
+        n = draw(st.integers(1, 2))
+        circuit = build_derivative_walk_circuit(n, draw(st.integers(1, 3)))
+    return circuit, random_function(n, draw(st.integers(0, 2**32 - 1)))
+
+
+def fraction_sample(num, draws):
+    """Inverse CDF over the Fraction partial sums of num^2 / S: the first outcome
+    whose partial sum exceeds r, for each draw r."""
+    weights = [int(v) ** 2 for v in num]
+    total = sum(weights)
+    partial = list(accumulate(Fraction(w, total) for w in weights))
+    return [bisect_right(partial, Fraction(r)) for r in draws]
+
+
+@settings(max_examples=80, deadline=None)
+@given(sampled_circuits(), st.integers(1, 400), st.integers(0, 2**64 - 1))
+def test_sample_equals_the_fraction_inverse_cdf(case, m, seed):
+    circuit, f = case
+    num = fold(circuit, f)  # the integer gate-by-gate fold, independent of run
+    outcomes = Measurement(run(circuit, f)).sample(m, seed)
+    assert outcomes.tolist() == fraction_sample(num, np.random.default_rng(seed).random(m))
+    p0 = float(Fraction(int(num[0]) ** 2, int(np.sum(num.astype(np.int64) ** 2))))
+    assert count_nonzero_outcomes(p0, m, seed) == int(np.count_nonzero(outcomes))
 
 
 def test_draw_budget_is_refused_before_the_first_draw(monkeypatch):

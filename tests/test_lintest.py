@@ -44,7 +44,7 @@ def test_linear_always_accepts():
         verdict = quantum_linearity_test(linear(3, u), shots=1000, seed=7)
         assert verdict["verdict"] == "ACCEPT"
         assert verdict["rejection_frequency"] == 0.0
-        assert verdict["accept_probability_exact"] == pytest.approx(1.0, abs=1e-12)
+        assert verdict["accept_probability_exact"] == 1.0
 
 
 def test_affine_complement_also_accepts():
@@ -52,13 +52,13 @@ def test_affine_complement_also_accepts():
     # so the constant-1 function is accepted even though it is not linear
     verdict = quantum_linearity_test(constant(2, 1), shots=500, seed=1)
     assert verdict["verdict"] == "ACCEPT"
-    assert verdict["accept_probability_exact"] == pytest.approx(1.0, abs=1e-12)
+    assert verdict["accept_probability_exact"] == 1.0
 
 
 def test_and_rejection_probability():
     f = from_anf_string("x1*x2", 2)
     verdict = quantum_linearity_test(f, shots=20_000, seed=404)
-    assert verdict["accept_probability_exact"] == pytest.approx(1 / 16, abs=1e-12)
+    assert verdict["accept_probability_exact"] == 1 / 16
     p_rej = 15 / 16
     sigma = math.sqrt(p_rej * (1 - p_rej) / verdict["shots"])
     assert verdict["verdict"] == "REJECT"
@@ -149,7 +149,7 @@ def test_blr_rejections_match_int64_draws(n):
 def test_blr_sampled():
     f = from_anf_string("x1*x2", 2)
     verdict = blr_test(f, trials=50_000, seed=77)
-    assert verdict["accept_probability_exact"] == pytest.approx(5 / 8)
+    assert verdict["accept_probability_exact"] == 5 / 8
     sigma = math.sqrt(0.375 * 0.625 / 50_000)
     assert abs(verdict["rejection_frequency"] - 0.375) <= 4 * sigma
 
@@ -223,13 +223,13 @@ def test_compare_report():
     assert rep["function_tt_hex"] == "1"
     assert rep["eps"] == 0.25
     assert rep["nonlinearity"] == 1
-    assert rep["quantum_reject_exact"] == pytest.approx(15 / 16)
-    assert rep["blr_reject_exact"] == pytest.approx(3 / 8)
-    assert rep["quantum_reject_bound"] == pytest.approx(15 / 16)  # tight for AND
+    assert rep["quantum_reject_exact"] == 15 / 16
+    assert rep["blr_reject_exact"] == 3 / 8
+    assert rep["quantum_reject_bound"] == 15 / 16  # tight for AND
     assert rep["quantum_queries_per_shot"] == QUANTUM_QUERIES_PER_SHOT == 4
     assert rep["blr_queries_per_trial"] == BLR_QUERIES_PER_TRIAL == 3
-    assert rep["quantum_reject_per_query"] == pytest.approx(15 / 64)
-    assert rep["blr_reject_per_query"] == pytest.approx(1 / 8)
+    assert rep["quantum_reject_per_query"] == 15 / 64
+    assert rep["blr_reject_per_query"] == 1 / 8
     sigma_q = math.sqrt((15 / 16) * (1 / 16) / rep["shots"])
     assert abs(rep["quantum_reject_freq"] - 15 / 16) <= 4 * sigma_q
 
@@ -292,9 +292,9 @@ def test_signed_distance_bound_has_counterexamples():
 
 def state_verdict(f, shots, seed):
     """quantum_linearity_test computed from the u2 circuit's final state."""
-    amp = run(build_u2_circuit(f.n), f)
-    p_accept = float(amp[0]) ** 2
-    rejections = int(np.count_nonzero(Measurement(amp).sample(shots, seed)))
+    num = run(build_u2_circuit(f.n), f)
+    p_accept = float(Fraction(int(num[0]), num.size) ** 2)  # num / 2^q, 2^q = num.size
+    rejections = int(np.count_nonzero(Measurement(num).sample(shots, seed)))
     return {
         "verdict": "REJECT" if rejections else "ACCEPT", "mode": "sampled", "shots": shots,
         "accept_probability_exact": p_accept, "rejection_frequency": rejections / shots,

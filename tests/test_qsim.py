@@ -33,15 +33,26 @@ from gowersim.qsim import (
 )
 from gowersim.spectral import fwht_inplace
 
-from gate_reference import apply, fold, norm, uniform_state
+from gate_reference import apply, fold, uniform_state
 
 from_anf_string = BooleanFunction.from_anf_string
 
 
 def basis_state(layout, index):
-    amp = np.zeros(layout.dim)
-    amp[index] = 1.0
-    return amp
+    num = np.zeros(layout.dim, dtype=np.int32)
+    num[index] = 1
+    return num
+
+
+def amplitude(circuit, num: int) -> float:
+    """The float amplitude of a numerator: num / 2^q after a final HALL, num / 2^(q/2) without.
+
+    Written as zero_amplitude computes it, so that the two compare with ==
+    (2^(-q/2) is not a dyadic rational for odd q)."""
+    q = circuit.layout.qubits
+    if circuit.gates and isinstance(circuit.gates[-1], HadamardAll):
+        return int(num) * 2.0**-q
+    return int(num) * 2.0 ** (-q / 2.0)
 
 
 def test_register_layout():
@@ -49,12 +60,10 @@ def test_register_layout():
     assert lay.qubits == 9
     assert lay.dim == 512
     assert lay.shift(1) == 6 and lay.shift(3) == 0
-    idx = lay.index((0b101, 0b010, 0b111))
+    idx = (0b101 << lay.shift(1)) | (0b010 << lay.shift(2)) | (0b111 << lay.shift(3))
     assert idx == 0b101_010_111
-    assert lay.content(idx, 1) == 0b101
-    assert lay.content(idx, 3) == 0b111
     with pytest.raises(ValueError):
-        lay.content(0, 4)
+        lay.shift(4)
     with pytest.raises(ValueError):
         RegisterLayout(0, 2)
     with pytest.raises(CapacityError):
@@ -63,8 +72,7 @@ def test_register_layout():
 
 def test_uniform_state():
     st = uniform_state(RegisterLayout(2, 2))
-    assert np.allclose(st, 0.25)
-    assert norm(st) == pytest.approx(1.0)
+    assert st.dtype == np.int32 and np.all(st == 1)  # amplitude 1 / 2^(q/2) = 1/4 each
 
 
 def test_phase_oracle_action():
@@ -73,7 +81,7 @@ def test_phase_oracle_action():
     st = apply(lay, uniform_state(lay), PhaseOracle(2), f)
     # register 2 occupies the low bits; sign flips where its content is 11
     for idx in range(lay.dim):
-        expected = -0.25 if (idx & 0b11) == 0b11 else 0.25
+        expected = -1 if (idx & 0b11) == 0b11 else 1
         assert st[idx] == expected
 
     # constant-0 oracle is the identity; constant-1 is a global minus sign
@@ -101,18 +109,16 @@ def test_mcnot_is_a_basis_permutation():
     gate = MCnot(target=1, source=3)
     for idx in (0, 0b01_10_11, 0b11_11_11):
         st = apply(lay, basis_state(lay, idx), gate)
-        expected = idx ^ (lay.content(idx, 3) << lay.shift(1))
-        assert st[expected] == 1.0
+        expected = idx ^ (((idx >> lay.shift(3)) & 0b11) << lay.shift(1))
+        assert st[expected] == 1
         assert np.count_nonzero(st) == 1
 
 
 def test_mcnot_is_an_involution():
     lay = RegisterLayout(2, 2)
-    rng = np.random.default_rng(10)
-    amp = rng.standard_normal(lay.dim)
-    amp /= np.linalg.norm(amp)
-    twice = apply(lay, apply(lay, amp, MCnot(2, 1)), MCnot(2, 1))
-    assert np.allclose(twice, amp)
+    num = np.random.default_rng(10).integers(-8, 8, lay.dim, dtype=np.int32)
+    twice = apply(lay, apply(lay, num, MCnot(2, 1)), MCnot(2, 1))
+    assert np.array_equal(twice, num)
 
 
 def test_mcnot_validation():
@@ -128,14 +134,12 @@ def test_mcnot_validation():
 def test_hadamard_all():
     lay = RegisterLayout(2, 2)
     st = apply(lay, uniform_state(lay), HadamardAll())
-    assert st[0] == pytest.approx(1.0)
-    assert np.allclose(st[1:], 0.0)
-    # self-inverse
-    rng = np.random.default_rng(11)
-    amp = rng.standard_normal(lay.dim)
-    amp /= np.linalg.norm(amp)
-    back = apply(lay, apply(lay, amp, HadamardAll()), HadamardAll())
-    assert np.allclose(back, amp)
+    assert st[0] == lay.dim  # amplitude 2^q / 2^q = 1
+    assert not np.any(st[1:])
+    # self-inverse up to the 2^q of the unnormalized transform
+    num = np.random.default_rng(11).integers(-8, 8, lay.dim, dtype=np.int32)
+    back = apply(lay, apply(lay, num, HadamardAll()), HadamardAll())
+    assert np.array_equal(back, lay.dim * num)
 
 
 def test_gates_preserve_norm():
@@ -143,9 +147,12 @@ def test_gates_preserve_norm():
     lay = RegisterLayout(2, 3)
     f = random_function(2, 99)
     st = uniform_state(lay)
+    squared_den = lay.dim  # |amplitude|^2 = num^2 / 2^q in the uniform state
     for gate in (PhaseOracle(1), MCnot(1, 2), HadamardAll(), MCnot(3, 1), PhaseOracle(3)):
         st = apply(lay, st, gate, f)
-        assert norm(st) == pytest.approx(1.0, abs=1e-12)
+        if isinstance(gate, HadamardAll):
+            squared_den *= lay.dim  # the denominator goes from 2^(q/2) to 2^q
+        assert int(np.sum(st.astype(np.int64) ** 2)) == squared_den
 
 
 def test_u2_circuit_structure():
@@ -200,18 +207,17 @@ def test_appendix_u3_structure():
 
 
 def test_run_known_amplitudes():
-    assert float(run(build_u2_circuit(3), linear(3, 0b110))[0]) == pytest.approx(1.0)
-    and_amp = run(build_u2_circuit(2), from_anf_string("x1*x2", 2))
-    assert and_amp.dtype == np.float64 and and_amp.shape == (1 << 6,)  # the amplitude array
-    assert float(and_amp[0]) == pytest.approx(0.25)
-    assert float(run(build_u2_circuit(4), bent_quadratic(4))[0]) == pytest.approx(
-        1 / 16
-    )
+    # numerators over 2^q: amplitudes 1, 1/4 and 1/16
+    assert run(build_u2_circuit(3), linear(3, 0b110))[0] == 1 << 9
+    and_num = run(build_u2_circuit(2), from_anf_string("x1*x2", 2))
+    assert and_num.dtype == np.int32 and and_num.shape == (1 << 6,)
+    assert and_num[0] == (1 << 6) // 4
+    assert run(build_u2_circuit(4), bent_quadratic(4))[0] == (1 << 12) // 16
 
 
 def test_u2_circuit_full_spectrum():
-    # the final state is the 3n-bit Hadamard transform of the sign tensor
-    # s(x, a, b) = f(x) f(x+a) f(x+b) f(x+a+b), scaled by 2^(-3n)
+    # the final numerators are the 3n-bit Hadamard transform of the sign tensor
+    # s(x, a, b) = f(x) f(x+a) f(x+b) f(x+a+b), over 2^(3n)
     rng = np.random.default_rng(13)
     for n in (1, 2, 3):
         f = random_function(n, int(rng.integers(0, 2**32)))
@@ -226,17 +232,15 @@ def test_u2_circuit_full_spectrum():
                         sign[x] * sign[x ^ a] * sign[x ^ b] * sign[x ^ a ^ b]
                     )
         fwht_inplace(tensor)
-        amp = run(build_u2_circuit(n), f)
-        assert np.allclose(amp, tensor / size**3, atol=1e-12)
+        assert np.array_equal(run(build_u2_circuit(n), f), tensor)
 
 
 def test_walk_circuit_measures_uk():
     rng = np.random.default_rng(14)
     for n, k in ((2, 2), (2, 3), (3, 3), (2, 4)):
         f = random_function(n, int(rng.integers(0, 2**32)))
-        p0 = float(run(build_derivative_walk_circuit(n, k), f)[0]) ** 2
-        exact = uk_definition(f, k).pow_value
-        assert p0 == pytest.approx(float(exact * exact), abs=1e-12)
+        p0 = Fraction(int(run(build_derivative_walk_circuit(n, k), f)[0]), 1 << (k + 1) * n) ** 2
+        assert p0 == uk_definition(f, k).pow_value ** 2
 
 
 def test_phase_audit_u2():
@@ -297,9 +301,8 @@ def test_walk_work_guard():
 
 def test_walk_p0_known_value():
     f = from_anf_string("x1*x2*x3", 3)
-    p0 = float(run(build_derivative_walk_circuit(3, 3), f)[0]) ** 2
-    expected = DyadicRational(11, 5) ** 2
-    assert p0 == pytest.approx(float(expected), abs=1e-12)
+    p0 = Fraction(int(run(build_derivative_walk_circuit(3, 3), f)[0]), 1 << 12) ** 2
+    assert p0 == DyadicRational(11, 5) ** 2
 
 
 @st.composite
@@ -325,12 +328,8 @@ def test_run_matches_gate_by_gate_fold(case, cells):
     circuit, f = case
     state = fold(circuit, f)
     with mock.patch.object(spectral, "_BLOCK_CELLS", cells):
-        amp = run(circuit, f)
-    if circuit.layout.qubits % 2 == 0:
-        # 2^(-q/2) is a power of two: the float fold is exact too
-        assert amp.tobytes() == state.tobytes()
-    else:
-        assert np.max(np.abs(amp - state)) <= 1e-15
+        num = run(circuit, f)
+    assert num.tobytes() == state.tobytes()
 
 
 @settings(max_examples=60, deadline=None)
@@ -338,8 +337,8 @@ def test_run_matches_gate_by_gate_fold(case, cells):
 def test_walk_amplitude_equals_uk_exactly(n, k, seed):
     assume(n * (k + 1) <= 16)
     f = random_function(n, seed)
-    amp0 = float(run(build_derivative_walk_circuit(n, k), f)[0])
-    assert Fraction(amp0) == uk_definition(f, k).pow_value
+    num0 = int(run(build_derivative_walk_circuit(n, k), f)[0])
+    assert Fraction(num0, 1 << (k + 1) * n) == uk_definition(f, k).pow_value
 
 
 @st.composite
@@ -355,7 +354,7 @@ def built_circuits(draw):
 @given(st.one_of(built_circuits(), circuits_and_functions(max_qubits=12)))
 def test_zero_amplitude_equals_run(case):
     circuit, f = case
-    assert zero_amplitude(circuit, f) == float(run(circuit, f)[0])
+    assert zero_amplitude(circuit, f) == amplitude(circuit, run(circuit, f)[0])
 
 
 @settings(max_examples=200, deadline=None)
@@ -364,13 +363,9 @@ def test_zero_amplitude_matches_gate_by_gate_fold(case, cells):
     # the fold is the independent oracle: oracles on every register, cosets
     # without register 1, no final HALL, several blocks and both gather paths
     circuit, f = case
-    expected = fold(circuit, f)[0]
+    expected = amplitude(circuit, fold(circuit, f)[0])
     with mock.patch.object(spectral, "_BLOCK_CELLS", cells):
-        amp0 = zero_amplitude(circuit, f)
-    if circuit.layout.qubits % 2 == 0:
-        assert amp0 == expected
-    else:
-        assert abs(amp0 - expected) <= 1e-15
+        assert zero_amplitude(circuit, f) == expected
 
 
 SMALL_BLOCKS = 64
@@ -439,13 +434,13 @@ def test_every_block_is_bounded(monkeypatch, circuit, cells):
     layout = circuit.layout
     f = random_function(layout.n, 44)
     if layout.qubits <= 16:
-        expected = fold(circuit, f)  # exact: every circuit here has an even qubit count
+        expected = fold(circuit, f)
     monkeypatch.setattr(spectral, "_BLOCK_CELLS", cells)
     sizes = [block.size for block in _phase_blocks(circuit, f)]
     assert sizes == [cells] * (layout.dim // cells)
     amp0 = zero_amplitude(circuit, f)
     if layout.qubits <= 16:
-        assert amp0 == expected[0]
+        assert amp0 == amplitude(circuit, expected[0])
         assert run(circuit, f).tobytes() == expected.tobytes()
     elif layout.n == 1:
         assert amp0 == zero_amplitude(idle_register_circuit(2), f)

@@ -1,6 +1,7 @@
-"""The benchmark's traced launcher still finds every name it patches."""
+"""The benchmark's traced launcher finds every name it patches and prints what the CLI prints."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -22,3 +23,23 @@ def test_traced_analyze_records_the_boolfn_spans(tmp_path):
     names = {span[2] for span in record["spans"]}
     spans = {"cli.resolve_function", "boolfn.anf_to_string", "boolfn.BooleanFunction.to_anf"}
     assert spans <= names
+
+
+def test_traced_sampling_commands_print_what_the_untraced_cli_prints(tmp_path):
+    # the benchmark's traced pass counts a job whose stdout differs as failed
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    for args in (
+        ["estimate", "--family", "random", "-n", "3", "-m", "500", "-t", "0.1", "--seed", "4",
+         "--validate", "--trials", "5", "--deterministic"],
+        ["simulate", "--circuit", "u2", "-n", "3", "--family", "random", "--seed", "4",
+         "--deterministic"],
+    ):
+        plain = subprocess.run([sys.executable, "-m", "gowersim.cli", *args],
+                               capture_output=True, text=True, timeout=120, env=env)
+        traced = subprocess.run(
+            [sys.executable, str(ROOT / "perfbench" / "tracing.py"), str(tmp_path / "t.json"),
+             *args],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert plain.returncode == traced.returncode == 0, traced.stderr
+        assert traced.stdout == plain.stdout and plain.stdout.strip()
