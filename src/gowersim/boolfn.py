@@ -39,7 +39,9 @@ def _check_n(n: int) -> None:
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
     if n > MAX_N:
-        raise CapacityError(f"n = {n} exceeds the supported maximum {MAX_N}")
+        raise CapacityError(
+            f"n = {n} exceeds the supported maximum {MAX_N}: 2^{n} table entries > 2^{MAX_N}"
+        )
 
 
 def _mobius(table: np.ndarray) -> np.ndarray:

@@ -73,7 +73,9 @@ def quantum_linearity_test(f: BooleanFunction, shots: int, seed: int | None = No
     if shots < 1:
         raise ValueError("shots must be >= 1")
     if 3 * f.n > MAX_N:  # the circuit's 3 registers of n qubits
-        raise CapacityError(f"layout needs m*n <= {MAX_N}, got 3 x {f.n}")
+        raise CapacityError(
+            f"layout needs m*n <= {MAX_N}, got 3 x {f.n}: 2^{3 * f.n} basis states > 2^{MAX_N}"
+        )
     p_accept = float(u2_spectral(f).pow_value) ** 2
     return _verdict(p_accept, shots, count_nonzero_outcomes(p_accept, shots, seed), seed)
 

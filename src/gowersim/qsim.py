@@ -9,17 +9,18 @@ flips, register permutations, Hadamard layers) is real orthogonal.
 
 `run` compiles a circuit into the state that applying its gates one by one
 reaches (the tests keep that gate-by-gate fold as the reference): the symbolic
-walk shared with `phase_audit` gives each oracle call's XOR-coset and the final
-register map, the cosets give the phase table, and a final HadamardAll is one
-int32 FWHT of its signs.  `run` returns those int32 numerators: for q qubits
-the amplitude is num / 2^q after a final HadamardAll and num / 2^(q/2) without
-one, so no float is involved and `estimate.Measurement` samples them exactly.
-The phase table is built in blocks of at most 2^17 consecutive basis indices,
-each from whole rows x -> F(x ^ v) of a 2^(2n) table of translates, so no 2^q
-table is held.  When only the
-amplitude at index 0 is asked for, `zero_amplitude` reads it from the same
-blocks without preparing the final state: the register map fixes 0 and the
-transform's entry 0 is the sum of the signs.
+walk shared with `phase_audit` gives each oracle call's XOR-coset of initial
+registers, one reversed pass over the MCNOTs rewrites it in the registers of
+the final basis index, the cosets give the phase table in those coordinates,
+and a final HadamardAll is one int32 FWHT of its signs.  `run` returns those
+int32 numerators: for q qubits the amplitude is num / 2^q after a final
+HadamardAll and num / 2^(q/2) without one, so no float is involved and
+`estimate.Measurement` samples them exactly.  The phase table is built in
+blocks of at most 2^17 consecutive basis indices, each from whole rows
+x -> F(x ^ v) of a 2^(2n) table of translates, so no 2^q table is held.  When
+only the amplitude at index 0 is asked for, `zero_amplitude` reads it from
+the same blocks without preparing the final state: the transform's entry 0 is
+the sum of the signs.
 
 Circuit builders:
 
@@ -64,7 +65,8 @@ class RegisterLayout:
         if self.n < 1 or self.m < 1:
             raise ValueError("need n >= 1 qubits per register and m >= 1 registers")
         if self.qubits > MAX_N:
-            raise CapacityError(f"layout needs m*n <= {MAX_N}, got {self.m} x {self.n}")
+            raise CapacityError(f"layout needs m*n <= {MAX_N}, got {self.m} x {self.n}: "
+                                f"2^{self.qubits} basis states > 2^{MAX_N}")
 
     @property
     def qubits(self) -> int:
@@ -157,40 +159,43 @@ def _walk(circuit: Circuit) -> tuple[list[frozenset[int]], dict[int, frozenset[i
     return cosets, contents
 
 
-def _register_axes(n: int, m: int, size: int | None = None) -> dict[int, np.ndarray]:
+def _register_axes(n: int, m: int, size: int) -> dict[int, np.ndarray]:
     """Each register's contents along its own axis of m, over the first `size` basis indices.
 
-    size is a power of two (default: all of them).  Over the `size` indices
-    from any multiple of size, a register holds its content at the first one
-    XOR these values.
+    size is a power of two.  Over the `size` indices from any multiple of
+    size, a register holds its content at the first one XOR these values.
     """
     ramp = np.arange(1 << n, dtype=np.min_scalar_type((1 << n) - 1))
-    size = 1 << (n * m) if size is None else size
     return {r: ramp[: max(1, size >> ((m - r) * n))].reshape((-1,) + (1,) * (m - r))
             for r in range(1, m + 1)}
 
 
 def _register_sum(axes: dict[int, np.ndarray], regs) -> np.ndarray:
-    """XOR of some registers' initial contents, broadcast over their axes."""
+    """XOR of some registers' contents, broadcast over their axes."""
     return functools.reduce(np.bitwise_xor, (axes[r] for r in regs))
 
 
 def _phase_blocks(circuit: Circuit, f: BooleanFunction | None):
-    """Flat uint8 parity of F over every oracle call's coset, per basis index, in order.
+    """Flat uint8 parity of F over every oracle call's coset, per final basis index, in order.
 
     Each block is a run of consecutive basis indices, spectral._BLOCK_CELLS
     of them (rounded down to a power of two) or all 2^q if fewer.  In a
     block each register holds c_r XOR a run 0, 1, ... along its own axis, c_r
     its content at the block's start, so a coset C's part differs between
-    blocks only by c = XOR of C's c_r.  The part is the bit F(c) if all of
-    C's registers are fixed in a block; else rows[v] = (x -> F(x ^ v)) along
-    the run of C's highest register h, at v = c XOR the runs of C's other
-    registers; without room for the 2^(2n) rows, F is gathered per entry.
-    Parts are XORed in order of h, so few of them span the whole block.
+    blocks only by c = XOR of C's c_r.  The part is rows[v] = (x -> F(x ^ v))
+    along the run of C's highest register h, at v = c XOR the runs of C's
+    other registers; without room for the 2^(2n) rows, F is gathered per
+    entry.  Parts are XORed in order of h, so few of them span the whole block.
     """
     layout = circuit.layout
     n, m = layout.n, layout.m
-    cosets, _ = _walk(circuit)
+    walked, _ = _walk(circuit)
+    # undoing MCNOT t <- s XORs s into t: each initial register as an XOR of final ones
+    initial = {r: frozenset({r}) for r in range(1, m + 1)}
+    for gate in reversed(circuit.gates):
+        if isinstance(gate, MCnot):
+            initial[gate.target] ^= initial[gate.source]
+    cosets = [functools.reduce(frozenset.__xor__, map(initial.get, c)) for c in walked]
     if cosets and (f is None or f.n != n):
         raise ValueError(f"the oracle needs a BooleanFunction with n = {n}")
     cells = spectral._BLOCK_CELLS
@@ -208,12 +213,9 @@ def _phase_blocks(circuit: Circuit, f: BooleanFunction | None):
         parts = [(starts >> layout.shift(r)) & ((1 << n) - 1) for r in coset]
         return functools.reduce(np.bitwise_xor, parts).astype(axes[1].dtype)
 
-    plan, flips, acc_shape = [], np.zeros(len(starts), dtype=np.uint8), (1,) * m
+    plan, acc_shape = [], (1,) * m
     for coset in sorted(cosets, key=max):
         h = max(coset)
-        if shape[h - 1] == 1:  # every register of the coset is fixed in a block
-            flips ^= table[start_xor(coset)]
-            continue
         if rows is None or len(coset) == 1:
             source, pattern = table, _register_sum(axes, coset)
             part_shape = (1,) * (m - pattern.ndim) + pattern.shape
@@ -226,30 +228,21 @@ def _phase_blocks(circuit: Circuit, f: BooleanFunction | None):
         grown = np.broadcast_shapes(acc_shape, part_shape)
         plan.append((start_xor(coset), source, pattern, part_shape, grown != acc_shape))
         acc_shape = grown
-    for j, flip in enumerate(flips):
+    for j in range(len(starts)):
         phase = np.zeros((1,) * m, dtype=np.uint8)
         for cs, source, pattern, part_shape, grows in plan:
             part = source.take(pattern ^ cs[j], axis=0).reshape(part_shape)
             phase = phase ^ part if grows else np.bitwise_xor(phase, part, out=phase)
-        if flip:
-            phase ^= 1
         yield (phase if acc_shape == shape else np.broadcast_to(phase, shape)).reshape(-1)
 
 
 def run(circuit: Circuit, f: BooleanFunction | None = None) -> np.ndarray:
     """The int32 numerators of the final amplitudes num / 2^q (num / 2^(q/2) without a HALL)."""
-    layout = circuit.layout
-    a = np.empty(layout.dim, dtype=np.int32)
+    a = np.empty(circuit.layout.dim, dtype=np.int32)
     start = 0
     for block in _phase_blocks(circuit, f):
         a[start : start + block.size] = 1 - 2 * block.view(np.int8)
         start += block.size
-    contents = _walk(circuit)[1]
-    if any(c != {r} for r, c in contents.items()):
-        axes = _register_axes(layout.n, layout.m)
-        index = sum(_register_sum(axes, c).astype(np.int64) << layout.shift(r)
-                    for r, c in contents.items())
-        a[index.reshape(-1)] = a.copy()
     if circuit.gates and isinstance(circuit.gates[-1], HadamardAll):
         fwht_inplace(a)
     return a
@@ -258,9 +251,8 @@ def run(circuit: Circuit, f: BooleanFunction | None = None) -> np.ndarray:
 def zero_amplitude(circuit: Circuit, f: BooleanFunction | None = None) -> float:
     """The float amplitude at 0, run(circuit, f)[0] over its power of two, from the blocks alone.
 
-    The final register map is linear, so it fixes index 0, and a final HALL
-    puts sum(signs) = 2^q - 2 popcount(phase) at index 0: no permutation and
-    no transform.  Without it, only the first block's entry 0 is read.
+    A final HALL puts sum(signs) = 2^q - 2 popcount(phase) at index 0, so
+    no transform is needed.  Without it, only the first block's entry 0 is read.
     """
     q = circuit.layout.qubits
     blocks = _phase_blocks(circuit, f)

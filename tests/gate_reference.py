@@ -6,12 +6,18 @@ qubits, a phase oracle multiplies by (-1)^F(register), an MCNOT permutes
 basis indices, and a Hadamard layer is the unnormalized FWHT, which moves the
 denominator from 2^(q/2) to 2^q.  Tests fold a circuit through `apply` from
 `uniform_state` and compare with `run`/`zero_amplitude` by equality.
+
+`permuted_run` reaches the same state another way, also where the fold is too
+slow: the phases in the initial registers, then the final register map as one
+flat permutation of the basis indices.
 """
+
+import functools
 
 import numpy as np
 
 from gowersim.boolfn import BooleanFunction
-from gowersim.qsim import Gate, HadamardAll, MCnot, PhaseOracle, RegisterLayout
+from gowersim.qsim import Circuit, Gate, HadamardAll, MCnot, PhaseOracle, RegisterLayout, run
 from gowersim.spectral import fwht_inplace
 
 
@@ -50,3 +56,28 @@ def fold(circuit, f: BooleanFunction | None = None) -> np.ndarray:
     for gate in circuit.gates:
         num = apply(circuit.layout, num, gate, f)
     return num
+
+
+def permuted_run(circuit: Circuit, f: BooleanFunction | None = None) -> np.ndarray:
+    """run(circuit, f), with its register map applied to the basis indices after the phases.
+
+    The circuit's MCNOTs appended in reverse order restore every register, so
+    `run` of that circuit without the final HALL holds the phase of each
+    initial basis index x.  The amplitude of x then moves to the index whose
+    register r holds the XOR of x's registers in r's final contents.
+    """
+    layout, gates = circuit.layout, circuit.gates
+    phases = [g for g in gates if not isinstance(g, HadamardAll)]
+    undo = [g for g in reversed(phases) if isinstance(g, MCnot)]
+    num = run(Circuit(layout, tuple(phases + undo)), f)
+    contents = {r: {r} for r in range(1, layout.m + 1)}
+    for gate in phases:
+        if isinstance(gate, MCnot):
+            contents[gate.target] ^= contents[gate.source]
+    idx = np.arange(layout.dim, dtype=np.int64)
+    field = {r: (idx >> layout.shift(r)) & ((1 << layout.n) - 1) for r in contents}
+    index = sum(functools.reduce(np.bitwise_xor, (field[s] for s in c)) << layout.shift(r)
+                for r, c in contents.items())
+    state = np.empty_like(num)
+    state[index] = num
+    return fwht_inplace(state) if gates and isinstance(gates[-1], HadamardAll) else state

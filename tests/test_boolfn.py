@@ -305,7 +305,7 @@ def test_table_validation():
         BooleanFunction(2, [0, 1])
     with pytest.raises(ValueError):
         BooleanFunction(0, [])
-    with pytest.raises(CapacityError):
+    with pytest.raises(CapacityError, match=r"maximum 24: 2\^25 table entries > 2\^24$"):
         BooleanFunction.from_packed(25, 0)
 
 

@@ -459,6 +459,7 @@ def test_exit_code_3_on_capacity(capsys):
     # -n passes argparse's >= 1 check; the 24-variable cap is boolfn's
     code, out, err = run_cli(capsys, "analyze", "--family", "random", "-n", "25", "--seed", "1")
     assert code == 3 and out == "" and "exceeds the supported maximum 24" in err
+    assert err.rstrip().endswith(": 2^25 table entries > 2^24")
     code, _, err = run_cli(capsys, "gowers", "--family", "bent", "-n", "14", "-k", "2",
                            "--route", "definition")
     assert code == 3 and "<= 24" in err
@@ -469,6 +470,10 @@ def test_exit_code_3_on_capacity(capsys):
     for argv in (("lintest", "--shots", "10"), ("compare", "--shots", "10")):
         code, out, err = run_cli(capsys, *argv, "--family", "bent", "-n", "10", "--seed", "1")
         assert code == 3 and out == "" and "m*n <= 24" in err
+        assert err.rstrip().endswith("got 3 x 10: 2^30 basis states > 2^24")
+    code, out, err = run_cli(capsys, "simulate", "--circuit", "u2", "-n", "9", "--dump")
+    assert code == 3 and out == ""
+    assert err.rstrip().endswith("layout needs m*n <= 24, got 3 x 9: 2^27 basis states > 2^24")
 
 
 def test_derivative_walk_work_is_guarded(capsys):

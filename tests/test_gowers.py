@@ -24,7 +24,7 @@ from gowersim.gowers import (
     uk_via_derivatives,
 )
 from gowersim import spectral
-from gowersim.spectral import convolve, walsh
+from gowersim.spectral import _derivative_rows, convolve, fwht_inplace, walsh
 
 from_anf_string = BooleanFunction.from_anf_string
 
@@ -189,3 +189,25 @@ def test_monotone_in_k():
         ]
         assert norms[0] <= norms[1] + 1e-12
         assert norms[1] <= norms[2] + 1e-12
+
+
+def test_every_function_at_n4_definition_and_blr_sums_equal_the_spectrum():
+    # all 65,536 tables, through the kernels of uk_definition and the BLR enumeration;
+    # depth-d rows come table by table, each table's 2^(dn) rows of 2^n entries in turn
+    n, size = 4, 16
+    tables = ((np.arange(1 << size)[:, None] >> np.arange(size)) & 1).astype(np.uint8)
+    w = fwht_inplace(1 - 2 * tables.astype(np.int64))
+    ones_d1d2, ones_d = [], []
+    for start in range(0, 1 << size, 4096):
+        batch = tables[start : start + 4096]
+        ones_d1d2 += [np.count_nonzero(rows.reshape(-1, size**3), axis=1)
+                      for rows in _derivative_rows(batch, 2)]
+        ones_d += [np.count_nonzero(rows.reshape(-1, size, size), axis=2)
+                   for rows in _derivative_rows(batch)]
+    # the U2 definition numerator over 2^(3n) is sum W^4 over 2^(4n)
+    definition = (1 << 3 * n) - 2 * np.concatenate(ones_d1d2).astype(np.int64)
+    assert np.array_equal(definition << n, (w**4).sum(axis=1))
+    # BLR: 2^(2n) + sum_x f(x) r(x), r(a) = sum_y f(y) f(y+a), is (2^(3n) + sum W^3) / 2^n
+    r = size - 2 * np.concatenate(ones_d).astype(np.int64)
+    enumeration = (1 << 2 * n) + ((1 - 2 * tables.astype(np.int64)) * r).sum(axis=1)
+    assert np.array_equal(enumeration << n, (1 << 3 * n) + (w**3).sum(axis=1))

@@ -2,8 +2,10 @@
 end-to-end amplitudes, and the symbolic phase audit.
 """
 
+import functools
 import tracemalloc
 from collections import Counter
+from itertools import combinations
 from fractions import Fraction
 from unittest import mock
 
@@ -33,7 +35,7 @@ from gowersim.qsim import (
 )
 from gowersim.spectral import fwht_inplace
 
-from gate_reference import apply, fold, uniform_state
+from gate_reference import apply, fold, permuted_run, uniform_state
 
 from_anf_string = BooleanFunction.from_anf_string
 
@@ -66,7 +68,7 @@ def test_register_layout():
         lay.shift(4)
     with pytest.raises(ValueError):
         RegisterLayout(0, 2)
-    with pytest.raises(CapacityError):
+    with pytest.raises(CapacityError, match=r"got 4 x 7: 2\^28 basis states > 2\^24$"):
         RegisterLayout(7, 4)
 
 
@@ -460,3 +462,122 @@ def test_zero_amplitude_never_holds_the_phase_table():
     finally:
         tracemalloc.stop()
     assert peak < 4 << 20
+
+
+# ---------------------------------------------------------------------------
+# unrestored register maps: the state is simulated in the final registers
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=100, deadline=None)
+@given(circuits_and_functions())
+def test_permuted_run_matches_gate_by_gate_fold(case):
+    circuit, f = case
+    assert permuted_run(circuit, f).tobytes() == fold(circuit, f).tobytes()
+
+
+@pytest.mark.parametrize(
+    "circuit",
+    [
+        Circuit(RegisterLayout(7, 3), (PhaseOracle(1), MCnot(1, 2), PhaseOracle(1), HadamardAll())),
+        Circuit(RegisterLayout(7, 3), (MCnot(2, 1), PhaseOracle(2), MCnot(3, 2), PhaseOracle(1),
+                                       MCnot(1, 3), PhaseOracle(3))),
+        Circuit(RegisterLayout(3, 7), (PhaseOracle(1), MCnot(1, 5), MCnot(7, 1), PhaseOracle(7),
+                                       MCnot(2, 7), PhaseOracle(2), PhaseOracle(1), HadamardAll())),
+        Circuit(RegisterLayout(1, 21), (MCnot(21, 1), PhaseOracle(21), MCnot(1, 20),
+                                        PhaseOracle(1), HadamardAll())),
+    ],
+    ids=["n7-m3", "n7-m3-no-hall", "n3-m7", "n1-m21"],
+)
+def test_run_equals_the_register_map_permutation_at_21_qubits(circuit):
+    # the gate-by-gate fold stops near 16 qubits; this oracle reaches the edge
+    f = random_function(circuit.layout.n, 23)
+    assert run(circuit, f).tobytes() == permuted_run(circuit, f).tobytes()
+
+
+def test_run_holds_no_index_array_and_no_second_state():
+    # register 1 ends as r1 ^ r2; the int32 state and the transform's half-length
+    # scratch are 6 bytes per basis state
+    circuit = Circuit(RegisterLayout(7, 3),
+                      (PhaseOracle(1), MCnot(1, 2), PhaseOracle(1), HadamardAll()))
+    f = random_function(7, 5)
+    tracemalloc.start()
+    try:
+        run(circuit, f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7 * circuit.layout.dim + (1 << 20)
+
+
+# ---------------------------------------------------------------------------
+# symmetries of the walk's state at the envelope edge (no second simulator)
+# ---------------------------------------------------------------------------
+
+
+def random_polynomial(n, degree, rng):
+    """F plus a random ANF of degree exactly `degree` <= 2."""
+    monomials = [f"x{i}" for i in range(1, n + 1)]
+    if degree == 2:
+        monomials = [f"x{i}*x{j}" for i, j in combinations(range(1, n + 1), 2)] + monomials
+    picked = [t for t in ["1", *monomials] if rng.integers(2)]
+    p = from_anf_string(" + ".join([monomials[0], *picked]), n)
+    assert p.degree() == degree
+    return p
+
+
+def plus(f, g):
+    return BooleanFunction(f.n, f.table ^ g.table)
+
+
+@pytest.mark.parametrize(
+    ("circuit", "degree"),
+    [(build_u2_circuit(7), 1), (build_derivative_walk_circuit(5, 3), 2)],
+    ids=["u2-n7-affine", "walk3-n5-quadratic"],
+)
+def test_a_polynomial_of_degree_below_k_leaves_the_state_unchanged(circuit, degree):
+    rng = np.random.default_rng(31)
+    n = circuit.layout.n
+    f = random_function(n, 32)
+    assert run(circuit, plus(f, random_polynomial(n, degree, rng))).tobytes() == (
+        run(circuit, f).tobytes()
+    )
+
+
+def test_a_quadratic_leaves_the_24_qubit_walk_amplitude_unchanged():
+    circuit = build_derivative_walk_circuit(6, 3)
+    f = random_function(6, 33)
+    g = plus(f, random_polynomial(6, 2, np.random.default_rng(34)))
+    assert zero_amplitude(circuit, g) == zero_amplitude(circuit, f)
+
+
+def test_translating_f_signs_the_state_by_register_one():
+    # sum over x of phase(x ^ c, ...) (-1)^(r1 . x) = (-1)^(r1 . c) times the old entry
+    circuit, n = build_u2_circuit(7), 7
+    f = random_function(n, 35)
+    c = 0b1011001
+    shifted = BooleanFunction(n, f.table[np.arange(1 << n) ^ c])
+    base = run(circuit, f)
+    r1 = np.arange(circuit.layout.dim) >> circuit.layout.shift(1)
+    odd = np.bitwise_count(r1 & c) & 1 == 1
+    assert np.array_equal(run(circuit, shifted), np.where(odd, -base, base))
+
+
+def test_composing_f_with_a_linear_map_moves_every_register_field():
+    # F o L at (r_1, ..., r_m) equals F at (M r_1, ..., M r_m), M = (L^-1)^T
+    circuit, n = build_u2_circuit(7), 7
+    rng = np.random.default_rng(36)
+    x = np.arange(1 << n)
+    while True:  # L as the table of its values: XOR of the columns of x's bits
+        columns = rng.integers(0, 1 << n, n)
+        images = functools.reduce(np.bitwise_xor, [((x >> i) & 1) * columns[i] for i in range(n)])
+        if len(np.unique(images)) == 1 << n:
+            break
+    inverse = np.empty_like(images)
+    inverse[images] = x
+    # bit i of M y is column i of L^-1, that is L^-1(2^i), dotted with y
+    moved = sum(((np.bitwise_count(inverse[1 << i] & x) & 1) << i) for i in range(n))
+    f = random_function(n, 37)
+    base = run(circuit, f).reshape((1 << n,) * 3)
+    composed = run(circuit, BooleanFunction(n, f.table[images]))
+    assert np.array_equal(composed, base[np.ix_(moved, moved, moved)].reshape(-1))

@@ -33,6 +33,10 @@ def test_traced_sampling_commands_print_what_the_untraced_cli_prints(tmp_path):
          "--validate", "--trials", "5", "--deterministic"],
         ["simulate", "--circuit", "u2", "-n", "3", "--family", "random", "--seed", "4",
          "--deterministic"],
+        ["simulate", "--circuit", "derivative_walk", "-k", "3", "-n", "4", "--family",
+         "random", "--seed", "4", "--deterministic"],
+        ["simulate", "--audit", "--dump", "--circuit", "u3_appendix", "-n", "3",
+         "--deterministic"],
     ):
         plain = subprocess.run([sys.executable, "-m", "gowersim.cli", *args],
                                capture_output=True, text=True, timeout=120, env=env)
