@@ -13,8 +13,8 @@ Conventions used library-wide:
   first; the bit of x = 0...0 is the most significant bit of the whole string.
   (For n = 1 the single digit is padded with two low zero bits.)
 
-The constructors accept 1 <= n <= 24; larger n raises CapacityError so that
-all downstream exact accumulators stay cheap.
+The constructors accept 1 <= n <= errors.MAX_N = 24; larger n raises
+CapacityError so that all downstream exact accumulators stay cheap.
 """
 
 from __future__ import annotations
@@ -24,9 +24,7 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .errors import AnfSyntaxError, CapacityError
-
-MAX_N = 24  # the design envelope: bits of table index, simulated qubits, log2 of a sum's terms
+from .errors import MAX_N, AnfSyntaxError, check_capacity
 
 Point = Union[int, Sequence[int]]
 
@@ -38,10 +36,7 @@ Point = Union[int, Sequence[int]]
 def _check_n(n: int) -> None:
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
-    if n > MAX_N:
-        raise CapacityError(
-            f"n = {n} exceeds the supported maximum {MAX_N}: 2^{n} table entries > 2^{MAX_N}"
-        )
+    check_capacity(f"n = {n} exceeds the supported maximum {MAX_N}", n, "table entries")
 
 
 def _mobius(table: np.ndarray) -> np.ndarray:

@@ -5,7 +5,8 @@ Output is JSON on stdout (CSV available for `compare`).  All randomness
 flows from a single --seed; when it is omitted and the command uses
 randomness, a fresh seed is drawn and printed in the output.  --deterministic
 suppresses the timestamp field so that equal arguments and seeds give
-byte-identical output.  Each subcommand imports only the modules it runs.
+byte-identical output.  Each subcommand imports only the modules it runs;
+numpy loads only where a truth table is built (see README "Library").
 
 argparse parses each run into one `RunConfig`, the only argument of every
 handler; each number is range-checked by its option's type (exit 2, before any work).
@@ -22,9 +23,12 @@ import math
 import os
 import sys
 from datetime import datetime, timezone
+from typing import TYPE_CHECKING
 
-from .boolfn import BooleanFunction, bent_quadratic, linear, random_function
 from .errors import CapacityError, CrossCheckError
+
+if TYPE_CHECKING:
+    from .boolfn import BooleanFunction
 
 FAMILIES = ("linear", "bent", "bent_quadratic", "random")
 
@@ -37,6 +41,8 @@ class RunConfig(argparse.Namespace):
             raise ValueError("--u applies only to --family linear")
         if sum(x is not None for x in (self.anf, self.tt_hex, self.family)) != 1:
             raise ValueError("specify exactly one of --anf, --tt-hex, --family")
+        from .boolfn import BooleanFunction, bent_quadratic, linear, random_function
+
         if self.anf is not None:
             return BooleanFunction.from_anf_string(self.anf, self.n)
         if self.tt_hex is not None:
@@ -98,9 +104,8 @@ def cmd_analyze(cfg: RunConfig) -> int:
     return 0
 
 
-def _gowers_routes(f: BooleanFunction, k: int, route: str) -> dict:
-    from . import gowers
-
+def cmd_gowers(cfg: RunConfig) -> int:
+    k, route = cfg.k, cfg.route
     if route in ("spectral", "autocorrelation") and k != 2:
         raise ValueError(f"--route {route} is only defined for k = 2")
     if route == "derivatives" and k < 3:
@@ -111,18 +116,16 @@ def _gowers_routes(f: BooleanFunction, k: int, route: str) -> dict:
             names.append("derivatives")
     else:
         names = [route]
+    f = cfg.resolve_function()
+    from . import gowers
+
     routes = {
         "definition": lambda: gowers.uk_definition(f, k),
         "spectral": lambda: gowers.u2_spectral(f),
         "autocorrelation": lambda: gowers.u2_autocorrelation(f),
         "derivatives": lambda: gowers.uk_via_derivatives(f, k),
     }
-    return {name: routes[name]() for name in names}
-
-
-def cmd_gowers(cfg: RunConfig) -> int:
-    f = cfg.resolve_function()
-    results = _gowers_routes(f, cfg.k, cfg.route)
+    results = {name: routes[name]() for name in names}
     values = list(results.values())
     agreement = all(v.pow_value == values[0].pow_value for v in values)
     if not agreement:
@@ -225,16 +228,10 @@ def cmd_lintest(cfg: RunConfig) -> int:
 
 
 def cmd_blr(cfg: RunConfig) -> int:
-    from .lintest import blr_exact_dyadic, blr_test
+    from .lintest import blr_test
 
     f = cfg.resolve_function()
-    verdict = blr_test(f, cfg.trials, cfg.seed)
-    payload = {
-        "tt_hex": f.to_hex(),
-        **verdict,
-        "accept_probability_exact_dyadic": blr_exact_dyadic(f).to_json_dict(),
-    }
-    _emit(cfg, payload)
+    _emit(cfg, {"tt_hex": f.to_hex(), **blr_test(f, cfg.trials, cfg.seed)})
     return 0
 
 

@@ -1,13 +1,21 @@
-"""Shared exception types.
+"""Shared exception types, the size envelope MAX_N and the capacity check on it.
 
 The CLI maps these onto exit statuses: usage/parse problems (including
 ``ValueError`` and ``AnfSyntaxError``) exit 2, ``CapacityError`` exits 3,
 ``CrossCheckError`` exits 4.
 """
 
+MAX_N = 24  # the design envelope: bits of table index, simulated qubits, log2 of a sum's terms
+
 
 class CapacityError(Exception):
     """A requested problem size exceeds the library's exact-arithmetic guards."""
+
+
+def check_capacity(rule: str, cost: int, unit: str, budget: int = MAX_N) -> None:
+    """Refuse 2^cost units of work over 2^budget, worded `rule: 2^cost unit > 2^budget`."""
+    if cost > budget:
+        raise CapacityError(f"{rule}: 2^{cost} {unit} > 2^{budget}")
 
 
 class AnfSyntaxError(ValueError):

@@ -23,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boolfn import MAX_N, BooleanFunction
+from .boolfn import BooleanFunction
 from .dyadic import DyadicRational
-from .errors import CapacityError
+from .errors import MAX_N, check_capacity
 from .spectral import _derivative_rows, convolve, fwht_inplace, walsh
 
 
@@ -67,11 +67,8 @@ def uk_definition(f: BooleanFunction, k: int) -> GowersValue:
     """
     if k < 1:
         raise ValueError("order k must be >= 1")
-    if (k + 1) * f.n > MAX_N:  # 2^((k+1) n) terms
-        raise CapacityError(
-            f"uk_definition needs (k+1)*n <= {MAX_N}, got k = {k}, n = {f.n}: "
-            f"2^{(k + 1) * f.n} terms > 2^{MAX_N}"
-        )
+    check_capacity(f"uk_definition needs (k+1)*n <= {MAX_N}, got k = {k}, n = {f.n}",
+                   (k + 1) * f.n, "terms")
     ones = sum(int(np.count_nonzero(rows)) for rows in _derivative_rows(f.table[None], k))
     return GowersValue(k, DyadicRational((1 << (k + 1) * f.n) - 2 * ones, (k + 1) * f.n))
 
@@ -80,11 +77,8 @@ def uk_via_derivatives(f: BooleanFunction, k: int) -> GowersValue:
     """2^(-(k-2)n) sum over (k-2)-tuples of ||Delta_dirs f||_{U_2}^4, exact."""
     if k < 3:
         raise ValueError("the derivative route is defined for k >= 3")
-    if (k - 1) * f.n > MAX_N:  # 2^((k-2)n) FWHTs of length 2^n
-        raise CapacityError(
-            f"uk_via_derivatives needs (k-1)*n <= {MAX_N}, got k = {k}, n = {f.n}: "
-            f"2^{(k - 1) * f.n} transform entries > 2^{MAX_N}"
-        )
+    check_capacity(f"uk_via_derivatives needs (k-1)*n <= {MAX_N}, got k = {k}, n = {f.n}",
+                   (k - 1) * f.n, "transform entries")  # 2^((k-2)n) FWHTs of length 2^n
     # int16 butterflies are exact for n <= 14; sum W^4 <= 2^((k+2)n) <= 2^60 fits int64
     total = 0
     for rows in _derivative_rows(f.table[None], k - 2):

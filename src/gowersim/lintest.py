@@ -29,9 +29,9 @@ import math
 
 import numpy as np
 
-from .boolfn import MAX_N, BooleanFunction
+from .boolfn import BooleanFunction
 from .dyadic import DyadicRational
-from .errors import CapacityError, CrossCheckError
+from .errors import MAX_N, CrossCheckError, check_capacity
 from .estimate import _draw_sizes, child_seed, count_nonzero_outcomes
 from .gowers import _power_sum, u2_spectral
 from .spectral import convolve, dist_to_linear, nonlinearity, walsh
@@ -72,10 +72,8 @@ def quantum_linearity_test(f: BooleanFunction, shots: int, seed: int | None = No
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    if 3 * f.n > MAX_N:  # the circuit's 3 registers of n qubits
-        raise CapacityError(
-            f"layout needs m*n <= {MAX_N}, got 3 x {f.n}: 2^{3 * f.n} basis states > 2^{MAX_N}"
-        )
+    # the circuit's 3 registers of n qubits, refused as qsim.RegisterLayout refuses them
+    check_capacity(f"layout needs m*n <= {MAX_N}, got 3 x {f.n}", 3 * f.n, "basis states")
     p_accept = float(u2_spectral(f).pow_value) ** 2
     return _verdict(p_accept, shots, count_nonzero_outcomes(p_accept, shots, seed), seed)
 
@@ -131,12 +129,14 @@ def _after_uint32_draws(rng: np.random.Generator, count: int) -> np.random.Gener
 def blr_test(f: BooleanFunction, trials: int, seed: int | None = None) -> dict:
     """Sampled BLR test of `trials` >= 1 draws; REJECT iff any trial rejects.
 
-    xs and ys are the seed's first and second `trials` uint32 draws, taken
-    chunk by chunk, the ys from a second generator started past the xs.
+    The verdict adds the exact acceptance probability as a dyadic, computed
+    once by `blr_exact_dyadic`.  xs and ys are the seed's first and second
+    `trials` uint32 draws, taken chunk by chunk, the ys from a second
+    generator started past the xs.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    p_exact = blr_exact_dyadic(f, "spectral")
+    p_exact = blr_exact_dyadic(f)
     x_rng = np.random.default_rng(seed)
     y_rng = _after_uint32_draws(x_rng, trials)
     size, table, rejections = 1 << f.n, f.table, 0
@@ -144,7 +144,8 @@ def blr_test(f: BooleanFunction, trials: int, seed: int | None = None) -> dict:
         xs = x_rng.integers(0, size, size=count, dtype=np.uint32)
         ys = y_rng.integers(0, size, size=count, dtype=np.uint32)
         rejections += int(np.count_nonzero(table[xs] ^ table[ys] ^ table[xs ^ ys]))
-    return _verdict(float(p_exact), trials, rejections, seed)
+    verdict = _verdict(float(p_exact), trials, rejections, seed)
+    return {**verdict, "accept_probability_exact_dyadic": p_exact.to_json_dict()}
 
 
 # ---------------------------------------------------------------------------

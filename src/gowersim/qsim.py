@@ -1,6 +1,6 @@
 """State-vector simulation of the norm-measuring circuits.
 
-The simulated system is m registers of n qubits each, m*n <= boolfn.MAX_N.
+The simulated system is m registers of n qubits each, m*n <= errors.MAX_N.
 Basis index layout: register 1 occupies the most significant n bits, register
 m the least significant, matching the library's x1-most-significant points.
 The phase-kickback target qubit is factored out and never stored: the phase
@@ -20,7 +20,8 @@ blocks of at most 2^17 consecutive basis indices, each from whole rows
 x -> F(x ^ v) of a 2^(2n) table of translates, so no 2^q table is held.  When
 only the amplitude at index 0 is asked for, `zero_amplitude` reads it from
 the same blocks without preparing the final state: the transform's entry 0 is
-the sum of the signs.
+the sum of the signs.  Only these executors import numpy and `spectral`, so
+building, dumping, auditing or refusing a circuit loads neither.
 
 Circuit builders:
 
@@ -41,17 +42,18 @@ Circuit builders:
 from __future__ import annotations
 
 import functools
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Union
+from typing import TYPE_CHECKING, Union
 
-import numpy as np
+from .errors import MAX_N, check_capacity
 
-from . import spectral
-from .boolfn import MAX_N, BooleanFunction
-from .errors import CapacityError
-from .spectral import fwht_inplace
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .boolfn import BooleanFunction
 
 WALK_GUARD = 32  # a walk's phases take 2^k oracle calls over 2^((k+1) n) basis states
 
@@ -64,9 +66,8 @@ class RegisterLayout:
     def __post_init__(self):
         if self.n < 1 or self.m < 1:
             raise ValueError("need n >= 1 qubits per register and m >= 1 registers")
-        if self.qubits > MAX_N:
-            raise CapacityError(f"layout needs m*n <= {MAX_N}, got {self.m} x {self.n}: "
-                                f"2^{self.qubits} basis states > 2^{MAX_N}")
+        check_capacity(f"layout needs m*n <= {MAX_N}, got {self.m} x {self.n}", self.qubits,
+                       "basis states")
 
     @property
     def qubits(self) -> int:
@@ -165,6 +166,8 @@ def _register_axes(n: int, m: int, size: int) -> dict[int, np.ndarray]:
     size is a power of two.  Over the `size` indices from any multiple of
     size, a register holds its content at the first one XOR these values.
     """
+    import numpy as np
+
     ramp = np.arange(1 << n, dtype=np.min_scalar_type((1 << n) - 1))
     return {r: ramp[: max(1, size >> ((m - r) * n))].reshape((-1,) + (1,) * (m - r))
             for r in range(1, m + 1)}
@@ -172,7 +175,7 @@ def _register_axes(n: int, m: int, size: int) -> dict[int, np.ndarray]:
 
 def _register_sum(axes: dict[int, np.ndarray], regs) -> np.ndarray:
     """XOR of some registers' contents, broadcast over their axes."""
-    return functools.reduce(np.bitwise_xor, (axes[r] for r in regs))
+    return functools.reduce(operator.xor, (axes[r] for r in regs))
 
 
 def _phase_blocks(circuit: Circuit, f: BooleanFunction | None):
@@ -187,6 +190,10 @@ def _phase_blocks(circuit: Circuit, f: BooleanFunction | None):
     other registers; without room for the 2^(2n) rows, F is gathered per
     entry.  Parts are XORed in order of h, so few of them span the whole block.
     """
+    import numpy as np
+
+    from .spectral import _BLOCK_CELLS as cells
+
     layout = circuit.layout
     n, m = layout.n, layout.m
     walked, _ = _walk(circuit)
@@ -198,7 +205,6 @@ def _phase_blocks(circuit: Circuit, f: BooleanFunction | None):
     cosets = [functools.reduce(frozenset.__xor__, map(initial.get, c)) for c in walked]
     if cosets and (f is None or f.n != n):
         raise ValueError(f"the oracle needs a BooleanFunction with n = {n}")
-    cells = spectral._BLOCK_CELLS
     size = 1 << min(layout.qubits, cells.bit_length() - 1)
     axes = _register_axes(n, m, size)
     shape = tuple(len(axes[r]) for r in range(1, m + 1))
@@ -238,6 +244,10 @@ def _phase_blocks(circuit: Circuit, f: BooleanFunction | None):
 
 def run(circuit: Circuit, f: BooleanFunction | None = None) -> np.ndarray:
     """The int32 numerators of the final amplitudes num / 2^q (num / 2^(q/2) without a HALL)."""
+    import numpy as np
+
+    from .spectral import fwht_inplace
+
     a = np.empty(circuit.layout.dim, dtype=np.int32)
     start = 0
     for block in _phase_blocks(circuit, f):
@@ -254,6 +264,8 @@ def zero_amplitude(circuit: Circuit, f: BooleanFunction | None = None) -> float:
     A final HALL puts sum(signs) = 2^q - 2 popcount(phase) at index 0, so
     no transform is needed.  Without it, only the first block's entry 0 is read.
     """
+    import numpy as np
+
     q = circuit.layout.qubits
     blocks = _phase_blocks(circuit, f)
     if circuit.gates and isinstance(circuit.gates[-1], HadamardAll):
@@ -279,11 +291,8 @@ def build_derivative_walk_circuit(n: int, k: int) -> Circuit:
     if k < 1:
         raise ValueError("order k must be >= 1")
     layout = RegisterLayout(n, k + 1)
-    if k + layout.qubits > WALK_GUARD:
-        raise CapacityError(
-            f"derivative walk needs k + (k+1)*n <= {WALK_GUARD}, got k = {k}, n = {n}: "
-            f"2^{k + layout.qubits} oracle-entry evaluations > 2^{WALK_GUARD}"
-        )
+    check_capacity(f"derivative walk needs k + (k+1)*n <= {WALK_GUARD}, got k = {k}, n = {n}",
+                   k + layout.qubits, "oracle-entry evaluations", WALK_GUARD)
     return Circuit(layout, tuple(_walk_gates(k) + [HadamardAll()]))
 
 

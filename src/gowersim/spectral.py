@@ -10,9 +10,9 @@ from typing import Iterator
 
 import numpy as np
 
-from .boolfn import MAX_N, BooleanFunction, Point
+from .boolfn import BooleanFunction, Point
 from .dyadic import DyadicRational
-from .errors import CapacityError
+from .errors import MAX_N, check_capacity
 
 _BLOCK_CELLS = 1 << 17  # entries per block of _derivative_rows and qsim._phase_blocks
 
@@ -85,11 +85,7 @@ def convolve(f: BooleanFunction, g: BooleanFunction) -> np.ndarray:
     """r(a) = sum_y f(y) g(y+a) = 2^n (f * g)(a), as a read-only int64 array indexed by a."""
     if f.n != g.n:
         raise ValueError(f"dimension mismatch: n = {f.n} vs {g.n}")
-    if 2 * f.n > MAX_N:
-        raise CapacityError(
-            f"the XOR correlation needs 2n <= {MAX_N}, got n = {f.n}: "
-            f"2^{2 * f.n} terms > 2^{MAX_N}"
-        )
+    check_capacity(f"the XOR correlation needs 2n <= {MAX_N}, got n = {f.n}", 2 * f.n, "terms")
     gt = g.table
     mask = f.table ^ gt  # F(y) ^ G(y ^ a) = (F ^ G)(y) ^ G(y) ^ G(y ^ a)
     counts = [(rows ^ mask).sum(axis=1, dtype=np.int64) for rows in _derivative_rows(gt[None])]

@@ -84,6 +84,10 @@ def test_gowers_single_route_and_validation(capsys):
     code, _, err = run_cli(capsys, "gowers", "--anf", "x1", "-n", "2", "-k", "2",
                            "--route", "derivatives")
     assert code == 2
+    # the route is checked before the function is built: not the n = 25 capacity error
+    code, _, err = run_cli(capsys, "gowers", "--family", "random", "-n", "25", "--seed", "1",
+                           "-k", "3", "--route", "spectral")
+    assert (code, err) == (2, "error: --route spectral is only defined for k = 2\n")
 
 
 def test_gowers_autocorrelation_route(capsys):
@@ -494,6 +498,48 @@ def test_capacity_errors_state_the_cost_and_budget(capsys):
         code, out, err = run_cli(capsys, "gowers", "--family", "bent", "-n", "14", "-k", str(k),
                                  "--route", route)
         assert code == 3 and out == "" and f"{cost} > 2^24" in err
+    # every refusal's full stderr, byte for byte: the rule, then 2^cost unit > 2^budget
+    from gowersim import boolfn, errors
+
+    assert boolfn.MAX_N == errors.MAX_N == 24  # one constant, still importable from boolfn
+    bent14 = ("gowers", "--family", "bent", "-n", "14")
+    for argv, line in (
+        (("analyze", "--family", "random", "-n", "25", "--seed", "1"),
+         "n = 25 exceeds the supported maximum 24: 2^25 table entries > 2^24"),
+        ((*bent14, "-k", "2", "--route", "definition"),
+         "uk_definition needs (k+1)*n <= 24, got k = 2, n = 14: 2^42 terms > 2^24"),
+        ((*bent14, "-k", "3", "--route", "derivatives"),
+         "uk_via_derivatives needs (k-1)*n <= 24, got k = 3, n = 14: "
+         "2^28 transform entries > 2^24"),
+        ((*bent14, "-k", "2", "--route", "autocorrelation"),
+         "the XOR correlation needs 2n <= 24, got n = 14: 2^28 terms > 2^24"),
+        (("lintest", "--family", "bent", "-n", "10", "--seed", "1"),
+         "layout needs m*n <= 24, got 3 x 10: 2^30 basis states > 2^24"),
+        (("simulate", "--circuit", "u2", "-n", "9", "--family", "bent"),
+         "layout needs m*n <= 24, got 3 x 9: 2^27 basis states > 2^24"),
+        (("simulate", "--circuit", "derivative_walk", "-k", "23", "-n", "1", "--dump"),
+         "derivative walk needs k + (k+1)*n <= 32, got k = 23, n = 1: "
+         "2^47 oracle-entry evaluations > 2^32"),
+        (("estimate", "--anf", "x1", "-n", "1", "-m", str(2**30 + 1), "-t", "0.1", "--seed", "1"),
+         "1073741825 draws > the draw budget of 1073741824"),
+    ):
+        assert run_cli(capsys, *argv) == (3, "", f"error: {line}\n"), argv
+
+
+def test_blr_transforms_its_function_once(capsys, monkeypatch):
+    from gowersim import lintest, spectral
+
+    walsh, calls = spectral.walsh, []
+
+    def counting_walsh(f):
+        calls.append(f.n)
+        return walsh(f)
+
+    for module in (spectral, lintest):  # lintest bound the name at import
+        monkeypatch.setattr(module, "walsh", counting_walsh)
+    run_json(capsys, "blr", "--family", "random", "-n", "10", "--seed", "3", "--trials", "100",
+             "--deterministic")
+    assert calls == [10]  # the exact value is computed once, its cross-check included
 
 
 def test_exit_code_4_on_cross_check_failure(capsys, monkeypatch):

@@ -10,14 +10,17 @@ import pytest
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
-def loaded_modules(code: str) -> set[str]:
-    """The names in sys.modules after running `code` in a fresh interpreter."""
+def loaded_modules(code: str, status: int = 0) -> set[str]:
+    """The names in sys.modules when a fresh interpreter running `code` exits with `status`."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
-    script = f"import sys\n{code}\nsys.stderr.write(' '.join(sys.modules))"
+    # written at exit, after anything `code` wrote to stderr, also when it calls sys.exit
+    script = ("import atexit, sys\n"
+              "atexit.register(lambda: sys.stderr.write('\\n' + ' '.join(sys.modules)))\n"
+              f"{code}")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           timeout=60, env=env)
-    assert proc.returncode == 0, proc.stderr
-    return set(proc.stderr.split())
+    assert proc.returncode == status, proc.stderr
+    return set(proc.stderr.splitlines()[-1].split())
 
 
 def test_import_gowersim_loads_no_submodule():
@@ -49,6 +52,26 @@ def test_linearity_tests_load_no_simulator(argv):
     )
     assert "gowersim.lintest" in loaded
     assert "gowersim.qsim" not in loaded
+
+
+CLI_EXIT = "from gowersim.cli import main\nsys.exit(main({!r}))"
+
+
+@pytest.mark.parametrize("code, status", [
+    ("import gowersim.cli", 0),
+    ("from gowersim.qsim import build_u2_circuit\nbuild_u2_circuit(8)", 0),
+    (CLI_EXIT.format(["--help"]), 0),
+    (CLI_EXIT.format(["analyze", "-n", "0", "--family", "bent"]), 2),
+    (CLI_EXIT.format(["simulate", "--audit", "--dump", "--circuit", "u3_appendix", "-n", "6"]), 0),
+    (CLI_EXIT.format(["simulate", "--audit", "--dump", "--circuit", "derivative_walk", "-k", "3",
+                      "-n", "4"]), 0),
+    (CLI_EXIT.format(["simulate", "--circuit", "u2", "-n", "9", "--family", "bent"]), 3),
+], ids=["import-cli", "build-u2", "help", "usage-error", "audit-u3", "audit-walk", "refused-u2"])
+def test_work_without_a_truth_table_loads_no_numpy(code, status):
+    # circuits are symbolic until run, and a refusal needs only the arguments
+    loaded = loaded_modules(code, status)
+    assert "gowersim.errors" in loaded
+    assert not {name for name in loaded if name == "numpy" or name.startswith("numpy.")}
 
 
 def test_names_and_modules_resolve_on_first_use():

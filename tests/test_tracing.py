@@ -28,15 +28,18 @@ def test_traced_analyze_records_the_boolfn_spans(tmp_path):
 def test_traced_sampling_commands_print_what_the_untraced_cli_prints(tmp_path):
     # the benchmark's traced pass counts a job whose stdout differs as failed
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    for args in (
-        ["estimate", "--family", "random", "-n", "3", "-m", "500", "-t", "0.1", "--seed", "4",
-         "--validate", "--trials", "5", "--deterministic"],
-        ["simulate", "--circuit", "u2", "-n", "3", "--family", "random", "--seed", "4",
-         "--deterministic"],
-        ["simulate", "--circuit", "derivative_walk", "-k", "3", "-n", "4", "--family",
-         "random", "--seed", "4", "--deterministic"],
-        ["simulate", "--audit", "--dump", "--circuit", "u3_appendix", "-n", "3",
-         "--deterministic"],
+    for args, status in (
+        (["estimate", "--family", "random", "-n", "3", "-m", "500", "-t", "0.1", "--seed", "4",
+          "--validate", "--trials", "5", "--deterministic"], 0),
+        (["simulate", "--circuit", "u2", "-n", "3", "--family", "random", "--seed", "4",
+          "--deterministic"], 0),
+        (["simulate", "--circuit", "derivative_walk", "-k", "3", "-n", "4", "--family",
+          "random", "--seed", "4", "--deterministic"], 0),
+        (["simulate", "--audit", "--dump", "--circuit", "u3_appendix", "-n", "3",
+          "--deterministic"], 0),
+        # refusals that the untraced CLI reaches without building a truth table
+        (["simulate", "--circuit", "u2", "-n", "9", "--family", "bent"], 3),
+        (["analyze", "-n", "0", "--family", "bent"], 2),
     ):
         plain = subprocess.run([sys.executable, "-m", "gowersim.cli", *args],
                                capture_output=True, text=True, timeout=120, env=env)
@@ -45,5 +48,6 @@ def test_traced_sampling_commands_print_what_the_untraced_cli_prints(tmp_path):
              *args],
             capture_output=True, text=True, timeout=120,
         )
-        assert plain.returncode == traced.returncode == 0, traced.stderr
-        assert traced.stdout == plain.stdout and plain.stdout.strip()
+        assert plain.returncode == traced.returncode == status, traced.stderr
+        assert traced.stdout == plain.stdout
+        assert bool(plain.stdout.strip()) == (status == 0)
