@@ -10,6 +10,8 @@ numpy loads only where a truth table is built (see README "Library").
 
 argparse parses each run into one `RunConfig`, the only argument of every
 handler; each number is range-checked by its option's type (exit 2, before any work).
+Each handler returns the document that `main` hands to `_emit`, the one
+function that prints a result.
 
 Exit statuses: 0 success, 1 stdout closed early (broken pipe), 2
 usage/parse/domain errors, 3 capacity errors, 4 internal cross-check failures.
@@ -60,6 +62,11 @@ class RunConfig(argparse.Namespace):
 
 
 def _emit(cfg: RunConfig, payload: dict) -> None:
+    """Print a handler's document: JSON after command, n and seed, or `compare`'s CSV rows."""
+    if getattr(cfg, "format", "json") == "csv":
+        columns = [name for name in payload if name not in ("eps_num", "eps_log2_den")]
+        print(",".join(columns) + "\n" + ",".join(str(payload[name]) for name in columns))
+        return
     out: dict = {"command": cfg.command, "n": cfg.n}
     if cfg.uses_seed():
         out["seed"] = cfg.seed
@@ -74,7 +81,7 @@ def _emit(cfg: RunConfig, payload: dict) -> None:
 # ---------------------------------------------------------------------------
 
 
-def cmd_analyze(cfg: RunConfig) -> int:
+def cmd_analyze(cfg: RunConfig) -> dict:
     from .gowers import u2_spectral
     from .spectral import dist_to_linear, nonlinearity, walsh
 
@@ -83,7 +90,7 @@ def cmd_analyze(cfg: RunConfig) -> int:
     eps, u = dist_to_linear(f)
     gv = u2_spectral(f)
     anf = f.to_anf()
-    payload = {
+    return {
         "tt_hex": f.to_hex(),
         "anf": anf.to_string(),
         "weight": f.weight,
@@ -100,11 +107,9 @@ def cmd_analyze(cfg: RunConfig) -> int:
         },
         "u2": {"pow": gv.pow_value.to_json_dict(), "norm": gv.norm},
     }
-    _emit(cfg, payload)
-    return 0
 
 
-def cmd_gowers(cfg: RunConfig) -> int:
+def cmd_gowers(cfg: RunConfig) -> dict:
     k, route = cfg.k, cfg.route
     if route in ("spectral", "autocorrelation") and k != 2:
         raise ValueError(f"--route {route} is only defined for k = 2")
@@ -126,25 +131,21 @@ def cmd_gowers(cfg: RunConfig) -> int:
         "derivatives": lambda: gowers.uk_via_derivatives(f, k),
     }
     results = {name: routes[name]() for name in names}
-    values = list(results.values())
-    agreement = all(v.pow_value == values[0].pow_value for v in values)
-    if not agreement:
+    if len({v.pow_value for v in results.values()}) > 1:
         detail = {name: str(v.pow_value) for name, v in results.items()}
         raise CrossCheckError(f"Gowers routes disagree: {detail}")
-    payload = {
+    return {
         "k": cfg.k,
         "route": cfg.route,
         "routes": {
             name: {"pow": v.pow_value.to_json_dict(), "norm": v.norm}
             for name, v in results.items()
         },
-        "agreement": agreement,
+        "agreement": True,  # routes that disagree raise CrossCheckError above
     }
-    _emit(cfg, payload)
-    return 0
 
 
-def cmd_simulate(cfg: RunConfig) -> int:
+def cmd_simulate(cfg: RunConfig) -> dict:
     from . import qsim
 
     if cfg.k is not None and cfg.circuit != "derivative_walk":
@@ -178,11 +179,10 @@ def cmd_simulate(cfg: RunConfig) -> int:
         amp0 = qsim.zero_amplitude(circuit, f)
         payload["amplitude_at_zero"] = amp0
         payload["probability_zero"] = amp0 * amp0
-    _emit(cfg, payload)
-    return 0
+    return payload
 
 
-def cmd_estimate(cfg: RunConfig) -> int:
+def cmd_estimate(cfg: RunConfig) -> dict:
     from . import qsim
     from .estimate import Measurement, _check_draws, hoeffding_bound, validate_bound
     from .gowers import u2_spectral
@@ -206,47 +206,35 @@ def cmd_estimate(cfg: RunConfig) -> int:
             "coverage": coverage,
             "meets_confidence_standard": coverage >= report["confidence_standard"],
         }
-    _emit(cfg, payload)
-    return 0
+    return payload
 
 
-def cmd_lintest(cfg: RunConfig) -> int:
+def cmd_lintest(cfg: RunConfig) -> dict:
     from .lintest import quantum_linearity_test, rejection_lower_bound
     from .spectral import dist_to_linear
 
     f = cfg.resolve_function()
     verdict = quantum_linearity_test(f, cfg.shots, cfg.seed)
     eps, u = dist_to_linear(f)
-    payload = {
+    return {
         "tt_hex": f.to_hex(),
         **verdict,
         "dist_to_linear": {**eps.to_json_dict(), "argmin_u": format(u, f"0{f.n}b")},
         "rejection_lower_bound": rejection_lower_bound(float(eps)) if 0 < eps <= 0.5 else None,
     }
-    _emit(cfg, payload)
-    return 0
 
 
-def cmd_blr(cfg: RunConfig) -> int:
+def cmd_blr(cfg: RunConfig) -> dict:
     from .lintest import blr_test
 
     f = cfg.resolve_function()
-    _emit(cfg, {"tt_hex": f.to_hex(), **blr_test(f, cfg.trials, cfg.seed)})
-    return 0
+    return {"tt_hex": f.to_hex(), **blr_test(f, cfg.trials, cfg.seed)}
 
 
-def cmd_compare(cfg: RunConfig) -> int:
+def cmd_compare(cfg: RunConfig) -> dict:
     from .lintest import compare
 
-    f = cfg.resolve_function()
-    row = compare(f, cfg.shots, cfg.seed)
-    if cfg.format == "csv":
-        columns = [name for name in row if name not in ("eps_num", "eps_log2_den")]
-        print(",".join(columns))
-        print(",".join(str(row[name]) for name in columns))
-    else:
-        _emit(cfg, row)
-    return 0
+    return compare(cfg.resolve_function(), cfg.shots, cfg.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +352,7 @@ def main(argv: list[str] | None = None) -> int:
 
         cfg.seed = int(SeedSequence().entropy)
     try:
-        return _HANDLERS[cfg.command](cfg)
+        _emit(cfg, _HANDLERS[cfg.command](cfg))
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -374,6 +362,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:  # AnfSyntaxError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 def run() -> None:

@@ -15,9 +15,9 @@ estimate.count_nonzero_outcomes), so the counts equal the state sampler's.
 The circuit's 3n <= 24 qubit envelope is kept.
 
 The BLR test draws x, y uniformly and accepts iff F(x) + F(y) = F(x+y); its
-exact acceptance probability is 1/2 + 1/2 sum_u fhat(u)^3, also computable
-by brute enumeration of all 2^(2n) pairs (both routes are kept and
-cross-checked).  Its trials are drawn in chunks, in memory that does not
+exact acceptance probability is 1/2 + 1/2 sum_u fhat(u)^3, which
+`blr_exact_dyadic(f)` cross-checks against the enumeration of all 2^(2n)
+pairs where 2n <= 24.  Its trials are drawn in chunks, in memory that does not
 grow with their count, on the stream of one call for all xs and one for all
 ys.  Results are the dicts the CLI prints: a verdict per test, a row from compare.
 """
@@ -83,30 +83,22 @@ def quantum_linearity_test(f: BooleanFunction, shots: int, seed: int | None = No
 # ---------------------------------------------------------------------------
 
 
-def blr_exact_dyadic(f: BooleanFunction, route: str = "auto") -> DyadicRational:
-    """Exact BLR acceptance probability.
+def blr_exact_dyadic(f: BooleanFunction) -> DyadicRational:
+    """Exact BLR acceptance probability 1/2 + 1/2 sum fhat^3.
 
-    route: "spectral" (1/2 + 1/2 sum fhat^3, any n), "enumeration" (all 2^(2n)
-    pairs, needs 2n <= 24), "auto" (run every route in capacity and
-    cross-check exact equality).
+    Where 2n <= 24 it is cross-checked against the enumeration of all 2^(2n) pairs.
     """
-    if route not in ("auto", "spectral", "enumeration"):
-        raise ValueError(f"unknown route {route!r}")
     n = f.n
-    results: dict[str, DyadicRational] = {}
-    if route != "enumeration":
-        s3 = _power_sum(walsh(f), 3)
-        results["spectral"] = DyadicRational((1 << (3 * n)) + s3, 3 * n + 1)
-    if route == "enumeration" or (route == "auto" and 2 * n <= MAX_N):
+    spectral = DyadicRational((1 << (3 * n)) + _power_sum(walsh(f), 3), 3 * n + 1)
+    if 2 * n <= MAX_N:
         # accepted pairs (x, y): (2^(2n) + sum_x f(x) r(x)) / 2, r(x) = sum_y f(y) f(x+y)
         s = int(np.dot(f.sign_table(np.int64), convolve(f, f)))
-        results["enumeration"] = DyadicRational((1 << (2 * n)) + s, 2 * n + 1)
-    values = list(results.values())
-    if len(values) == 2 and values[0] != values[1]:
-        raise CrossCheckError(
-            f"BLR routes disagree: spectral {values[0]} vs enumeration {values[1]}"
-        )
-    return values[0]
+        enumerated = DyadicRational((1 << (2 * n)) + s, 2 * n + 1)
+        if spectral != enumerated:
+            raise CrossCheckError(
+                f"BLR routes disagree: spectral {spectral} vs enumeration {enumerated}"
+            )
+    return spectral
 
 
 def _after_uint32_draws(rng: np.random.Generator, count: int) -> np.random.Generator:

@@ -189,6 +189,7 @@ def _phase_blocks(circuit: Circuit, f: BooleanFunction | None):
     along the run of C's highest register h, at v = c XOR the runs of C's
     other registers; without room for the 2^(2n) rows, F is gathered per
     entry.  Parts are XORed in order of h, so few of them span the whole block.
+    The circuit and f are checked on the call; the blocks are built as they are read.
     """
     import numpy as np
 
@@ -234,12 +235,15 @@ def _phase_blocks(circuit: Circuit, f: BooleanFunction | None):
         grown = np.broadcast_shapes(acc_shape, part_shape)
         plan.append((start_xor(coset), source, pattern, part_shape, grown != acc_shape))
         acc_shape = grown
-    for j in range(len(starts)):
+
+    def block(j: int) -> np.ndarray:
         phase = np.zeros((1,) * m, dtype=np.uint8)
         for cs, source, pattern, part_shape, grows in plan:
             part = source.take(pattern ^ cs[j], axis=0).reshape(part_shape)
             phase = phase ^ part if grows else np.bitwise_xor(phase, part, out=phase)
-        yield (phase if acc_shape == shape else np.broadcast_to(phase, shape)).reshape(-1)
+        return (phase if acc_shape == shape else np.broadcast_to(phase, shape)).reshape(-1)
+
+    return map(block, range(len(starts)))
 
 
 def run(circuit: Circuit, f: BooleanFunction | None = None) -> np.ndarray:
@@ -248,9 +252,10 @@ def run(circuit: Circuit, f: BooleanFunction | None = None) -> np.ndarray:
 
     from .spectral import fwht_inplace
 
+    blocks = _phase_blocks(circuit, f)  # refuses a bad circuit or f before the state exists
     a = np.empty(circuit.layout.dim, dtype=np.int32)
     start = 0
-    for block in _phase_blocks(circuit, f):
+    for block in blocks:
         a[start : start + block.size] = 1 - 2 * block.view(np.int8)
         start += block.size
     if circuit.gates and isinstance(circuit.gates[-1], HadamardAll):

@@ -13,6 +13,16 @@ move and sign those values.  Hence
 (MacWilliams & Sloane, The Theory of Error-Correcting Codes, ch. 15).  None
 of these uses a Walsh transform, so they check the library's routes
 independently, also at sizes where only the spectral route runs.
+
+For a cubic F each derivative D_a F is quadratic, and its alternating matrix
+B(a) = sum_i a_i C_i is linear in a, where C_i has entry (j, l) for every cubic
+monomial x_i x_j x_l; the quadratic and linear terms of F only add affine terms
+to D_a F.  Since ||f||_{U_3}^8 is the mean over a of ||D_a f||_{U_2}^4,
+
+    ||f||_{U_3}^8 = 2^(-n) sum_a 2^(-rank B(a))
+
+(Gowers, "A new proof of Szemeredi's theorem", GAFA 2001, for U_3 through
+first derivatives).
 """
 
 from __future__ import annotations
@@ -20,6 +30,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 
 def gf2_rank(rows: list[int]) -> int:
@@ -75,3 +86,44 @@ def random_quadratic(n: int, seed: int) -> Quadratic:
                   if rng.random() < density)
     linear = tuple(i for i in range(1, n + 1) if rng.random() < 0.5)
     return Quadratic(n, pairs, linear, rng.randrange(2))
+
+
+@dataclass(frozen=True)
+class Cubic:
+    """F = sum of x_i x_j x_l over `triples` (i < j < l, 1-based) + the quadratic `lower`."""
+
+    triples: tuple[tuple[int, int, int], ...]
+    lower: Quadratic
+
+    @property
+    def n(self) -> int:
+        return self.lower.n
+
+    def anf(self) -> str:
+        terms = [f"x{i}*x{j}*x{l}" for i, j, l in self.triples]
+        return " + ".join(terms + [self.lower.anf()])
+
+    def u3_pow(self) -> Fraction:
+        """||f||_{U_3}^8 from the ranks of B(a), with a in Gray-code order: one C_i per step."""
+        n = self.n
+        slices = [[0] * (n + 1) for _ in range(n + 1)]  # C_i: row j has bit l iff x_i x_j x_l
+        for triple in self.triples:
+            for i in triple:
+                j, l = (v for v in triple if v != i)
+                slices[i][j] |= 1 << l
+                slices[i][l] |= 1 << j
+        rows, total = [0] * (n + 1), 1 << n  # a = 0: B = 0, rank 0
+        for g in range(1, 1 << n):
+            i = (g & -g).bit_length()  # g ^ (g >> 1) differs from its predecessor in bit i - 1
+            rows = [r ^ c for r, c in zip(rows, slices[i])]
+            total += 1 << (n - gf2_rank(rows))
+        return Fraction(total, 1 << (2 * n))
+
+
+def random_cubic(n: int, seed: int) -> Cubic:
+    """Each of the n(n-1)(n-2)/6 cubic monomials present with a seeded random density,
+    plus `random_quadratic(n, seed)`."""
+    rng = random.Random(seed)
+    density = rng.random()
+    triples = tuple(t for t in combinations(range(1, n + 1), 3) if rng.random() < density)
+    return Cubic(triples, random_quadratic(n, seed))

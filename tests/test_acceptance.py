@@ -158,7 +158,7 @@ def test_criterion_06_quantum_vs_blr_on_and(capsys):
     with criterion(capsys, 6, "AND rejection rates, exact and sampled"):
         f = from_anf_string("x1*x2", 2)
         assert 1 - zero_probability(build_u2_circuit(2), f) == Fraction(15, 16)
-        assert blr_exact_dyadic(f, route="auto") == DyadicRational(5, 3)
+        assert blr_exact_dyadic(f) == DyadicRational(5, 3)
 
         rep = compare(f, shots=100_000, seed=606)
         assert rep["quantum_reject_exact"] == 0.9375

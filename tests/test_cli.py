@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from gowersim import cli, estimate
+from gowersim import cli, estimate, gowers
 from gowersim.boolfn import BooleanFunction, bent_quadratic
 from gowersim.dyadic import DyadicRational
 from gowersim.gowers import GowersValue
@@ -542,14 +542,59 @@ def test_blr_transforms_its_function_once(capsys, monkeypatch):
     assert calls == [10]  # the exact value is computed once, its cross-check included
 
 
-def test_exit_code_4_on_cross_check_failure(capsys, monkeypatch):
-    monkeypatch.setattr(
-        "gowersim.gowers.u2_autocorrelation",
-        lambda f: GowersValue(2, DyadicRational(1, 7)),
-    )
-    code, _, err = run_cli(capsys, "gowers", "--anf", "x1*x2", "-n", "2",
-                           "--deterministic")
-    assert code == 4 and "disagree" in err
+@pytest.mark.parametrize(
+    ("command", "target", "fake", "detail"),
+    [
+        ("gowers", "gowersim.gowers.u2_autocorrelation",
+         lambda f: GowersValue(2, DyadicRational(1, 7)), "Gowers routes disagree: "),
+        # one more in the spectral sum 2^(3n) + sum W^3: 81/128 instead of 5/8
+        ("blr", "gowersim.lintest._power_sum", lambda w, p: gowers._power_sum(w, p) + 1,
+         "BLR routes disagree: spectral 81/2^7 vs enumeration 5/2^3\n"),
+    ],
+    ids=["gowers", "blr"],
+)
+def test_exit_code_4_on_cross_check_failure(capsys, monkeypatch, command, target, fake, detail):
+    monkeypatch.setattr(target, fake)
+    code, out, err = run_cli(capsys, command, "--anf", "x1*x2", "-n", "2", "--seed", "1",
+                             "--deterministic")
+    assert code == 4 and out == ""
+    assert err.startswith(f"internal error: {detail}")
+
+
+CHEAP_ARGVS = [
+    ["analyze", "--anf", "x1*x2", "-n", "2"],
+    ["gowers", "--anf", "x1*x2", "-n", "2"],
+    ["simulate", "--circuit", "u2", "--anf", "x1*x2", "-n", "2", "--audit"],
+    ["estimate", "--anf", "x1*x2", "-n", "2", "-m", "50", "-t", "0.2", "--seed", "3"],
+    ["lintest", "--anf", "x1*x2", "-n", "2", "--shots", "20", "--seed", "3"],
+    ["blr", "--anf", "x1*x2", "-n", "2", "--trials", "20", "--seed", "3"],
+    *(["compare", "--anf", "x1*x2", "-n", "2", "--shots", "20", "--seed", "3", "--format", form]
+      for form in ("json", "csv")),
+]
+
+
+def test_every_handler_has_a_cheap_argv():
+    assert {argv[0] for argv in CHEAP_ARGVS} == set(cli._HANDLERS)
+
+
+def _case_id(argv):
+    return "-".join(a for a in argv if a in (*cli._HANDLERS, "json", "csv"))
+
+
+@pytest.mark.parametrize("argv", CHEAP_ARGVS, ids=_case_id)
+def test_handlers_return_the_document_that_main_prints(capsys, argv):
+    cfg = cli.build_parser().parse_args([*argv, "--deterministic"], namespace=cli.RunConfig())
+    doc = cli._HANDLERS[cfg.command](cfg)
+    assert isinstance(doc, dict)
+    assert capsys.readouterr().out == ""
+    code, out, _ = run_cli(capsys, *argv, "--deterministic")
+    assert code == 0
+    if argv[-1] == "csv":
+        columns = [name for name in doc if name not in ("eps_num", "eps_log2_den")]
+        assert out == ",".join(columns) + "\n" + ",".join(str(doc[c]) for c in columns) + "\n"
+    else:
+        head = {"command": cfg.command, "n": cfg.n, **({"seed": 3} if "--seed" in argv else {})}
+        assert out == json.dumps({**head, **doc}, indent=2) + "\n"
 
 
 def test_module_runs_as_a_script():

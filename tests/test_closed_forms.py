@@ -1,17 +1,19 @@
 """The exact U2 routes, the nonlinearity and `analyze` against the rank closed forms of
-quadratics (tests/closed_forms.py), which use no Walsh transform."""
+quadratics, and the U3 routes against the rank closed form of cubics
+(tests/closed_forms.py), which use no Walsh transform."""
 
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from gowersim import cli
 from gowersim.boolfn import BooleanFunction
-from gowersim.gowers import u2_spectral, uk_definition
+from gowersim.gowers import u2_spectral, uk_definition, uk_via_derivatives
 from gowersim.spectral import nonlinearity, walsh
 
-from closed_forms import Quadratic, gf2_rank, random_quadratic
+from closed_forms import Cubic, Quadratic, gf2_rank, random_cubic, random_quadratic
 
 
 def test_gf2_rank():
@@ -57,3 +59,27 @@ def test_analyze_at_n20_matches_the_rank(capsys, seed):
     assert (u2["num"], 1 << u2["log2_den"]) == (1, q.u2_pow().denominator)
     assert doc["nonlinearity"] == q.nonlinearity()
     assert doc["walsh"]["max_abs"] == q.max_abs_walsh()
+
+
+def test_cubic_closed_form_of_one_monomial():
+    # B(a) has rank 2 for every a != 0: (2^3 + 7 * 2^1) / 2^6
+    cubic = Cubic(((1, 2, 3),), Quadratic(3, (), (), 0))
+    assert cubic.u3_pow() == Fraction(11, 32)
+    assert Cubic((), random_quadratic(5, 1)).u3_pow() == 1
+
+
+def cubics(sizes, per_size, seed):
+    return [random_cubic(n, seed + 100 * n + i) for n in sizes for i in range(per_size)]
+
+
+def test_cubic_rank_matches_the_definition():
+    for c in cubics(range(3, 6), 6, 3):
+        f = BooleanFunction.from_anf_string(c.anf(), c.n)
+        assert uk_definition(f, 3).pow_value == c.u3_pow(), c
+
+
+def test_cubic_rank_matches_the_derivative_route():
+    # n = 12 is the largest the derivative route's guard admits for k = 3
+    for c in cubics(range(3, 9), 6, 4) + cubics((10,), 2, 4) + cubics((12,), 1, 4):
+        f = BooleanFunction.from_anf_string(c.anf(), c.n)
+        assert uk_via_derivatives(f, 3).pow_value == c.u3_pow(), c

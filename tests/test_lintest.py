@@ -34,7 +34,7 @@ from gowersim.lintest import (
     rejection_lower_bound,
 )
 from gowersim.qsim import build_u2_circuit, run
-from gowersim.spectral import dist_to_linear, walsh
+from gowersim.spectral import convolve, dist_to_linear, walsh
 
 from_anf_string = BooleanFunction.from_anf_string
 
@@ -96,15 +96,18 @@ def test_blr_known_values():
     assert blr_exact_dyadic(constant(2, 1)) == DyadicRational(0, 0)
 
 
+def blr_enumerated(f):
+    """The BLR acceptance probability from all 2^(2n) pairs, via the XOR correlation."""
+    s = int(np.dot(f.sign_table(np.int64), convolve(f, f)))
+    return Fraction((1 << (2 * f.n)) + s, 1 << (2 * f.n + 1))
+
+
 def test_blr_routes_agree_exactly():
     rng = np.random.default_rng(16)
     for n in (1, 2, 3, 4, 5):
         for _ in range(10):
             f = random_function(n, int(rng.integers(0, 2**32)))
-            spectral = blr_exact_dyadic(f, "spectral")
-            enumerated = blr_exact_dyadic(f, "enumeration")
-            auto = blr_exact_dyadic(f, "auto")
-            assert spectral == enumerated == auto
+            assert blr_exact_dyadic(f) == blr_enumerated(f)
 
 
 def test_blr_brute_force_oracle():
@@ -125,11 +128,11 @@ def test_blr_brute_force_oracle():
 def test_blr_enumeration_capacity():
     f = random_function(13, 3)
     with pytest.raises(CapacityError):
-        blr_exact_dyadic(f, "enumeration")
-    # auto falls back to the spectral route alone above the cutoff
-    assert DyadicRational(0, 0) <= blr_exact_dyadic(f) <= DyadicRational(1, 0)
-    with pytest.raises(ValueError):
-        blr_exact_dyadic(f, "fft")
+        convolve(f, f)
+    # above the cutoff only the spectral value is computed, and no enumeration is tried
+    s3 = int((walsh(f) ** 3).sum())
+    with mock.patch.object(lintest, "convolve", side_effect=AssertionError("enumerated")):
+        assert blr_exact_dyadic(f) == Fraction((1 << 39) + s3, 1 << 40)
 
 
 @pytest.mark.parametrize("n", [1, 4, 12, 20])

@@ -5,6 +5,8 @@ Every comparison is integer (dyadic) equality, never a float tolerance.
 """
 
 
+from fractions import Fraction
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -42,7 +44,9 @@ def test_uk_definition_equals_derivative_route(case):
 @settings(max_examples=60, deadline=None)
 @given(functions(6))
 def test_blr_spectral_equals_enumeration(f):
-    assert blr_exact_dyadic(f, "spectral") == blr_exact_dyadic(f, "enumeration")
+    # the accepted pairs (x, y), counted from the XOR correlation r(x) = sum_y f(y) f(x+y)
+    s = int(np.dot(f.sign_table(np.int64), convolve(f, f)))
+    assert blr_exact_dyadic(f) == Fraction((1 << (2 * f.n)) + s, 1 << (2 * f.n + 1))
 
 
 @settings(max_examples=40, deadline=None)

@@ -464,6 +464,28 @@ def test_zero_amplitude_never_holds_the_phase_table():
     assert peak < 4 << 20
 
 
+@pytest.mark.parametrize(
+    ("circuit", "f"),
+    [
+        (Circuit(RegisterLayout(8, 3), (PhaseOracle(4), HadamardAll())), random_function(8, 1)),
+        (Circuit(RegisterLayout(8, 3), (HadamardAll(), PhaseOracle(1))), random_function(8, 1)),
+        (build_u2_circuit(8), None),
+        (build_u2_circuit(8), random_function(7, 1)),
+    ],
+    ids=["oracle-register-4-of-3", "hall-not-last", "no-function", "function-n7"],
+)
+def test_run_refuses_before_it_allocates_the_state(circuit, f):
+    # the 24-qubit int32 state would be 64 MiB
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError):
+            run(circuit, f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 # ---------------------------------------------------------------------------
 # unrestored register maps: the state is simulated in the final registers
 # ---------------------------------------------------------------------------

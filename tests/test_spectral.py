@@ -16,6 +16,7 @@ from gowersim.boolfn import (
 from gowersim.dyadic import DyadicRational
 from gowersim import spectral
 from gowersim.errors import CapacityError
+from gowersim.gowers import u2_spectral
 from gowersim.spectral import (
     _derivative_rows,
     autocorrelation,
@@ -25,6 +26,8 @@ from gowersim.spectral import (
     nonlinearity,
     walsh,
 )
+
+from closed_forms import gf2_rank
 
 from_anf_string = BooleanFunction.from_anf_string
 
@@ -203,3 +206,24 @@ def test_derivative_rows_bounded_blocks_of_every_translate(monkeypatch, n, table
     assert np.array_equal(ordered(got), ordered(want))
     if tables == 1:  # block `low` of c holds d = low, low + c, ...: stacking restores d's order
         assert np.array_equal(np.stack(blocks, axis=1).reshape(size, size), want)
+
+
+def test_affine_invariants_at_n20():
+    # for G = F o L + l, L invertible over GF(2)^20 and l linear, W_G(u) = W_F(M u ^ c)
+    # up to sign with M = (L^-1)^T: U2, the nonlinearity, max |W| and eps stay
+    n, rng = 20, np.random.default_rng(41)
+    while True:
+        columns = rng.integers(0, 1 << n, n)
+        if gf2_rank([int(c) for c in columns]) == n:
+            break
+    x = np.arange(1 << n)
+    images = np.zeros_like(x)
+    for i in range(n):  # L x: the XOR of the columns at x's set bits
+        images ^= ((x >> i) & 1) * columns[i]
+    ell = np.bitwise_count(x & int(rng.integers(1, 1 << n))) & 1
+    f = random_function(n, 42)
+    g = BooleanFunction(n, f.table[images] ^ ell)
+    assert u2_spectral(g).pow_value == u2_spectral(f).pow_value
+    assert nonlinearity(g) == nonlinearity(f)
+    assert np.abs(walsh(g)).max() == np.abs(walsh(f)).max()
+    assert dist_to_linear(g)[0] == dist_to_linear(f)[0]
