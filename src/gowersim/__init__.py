@@ -15,7 +15,7 @@ import importlib
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "boolfn": "Anf BooleanFunction bent_quadratic constant linear random_function",
+    "boolfn": "Anf BooleanFunction bent_quadratic linear random_function",
     "dyadic": "DyadicRational",
     "errors": "AnfSyntaxError CapacityError CrossCheckError",
     "estimate": "Measurement child_seed hoeffding_bound validate_bound",
@@ -23,7 +23,7 @@ _EXPORTS = {
     "lintest": "blr_exact_dyadic blr_test compare quantum_linearity_test rejection_lower_bound",
     "qsim": "Circuit HadamardAll MCnot PhaseOracle RegisterLayout build_appendix_u3_circuit "
     "build_derivative_walk_circuit build_u2_circuit phase_audit run zero_amplitude",
-    "spectral": "autocorrelation convolve dist_to_linear fwht_inplace nonlinearity walsh",
+    "spectral": "convolve dist_to_linear fwht_inplace nonlinearity walsh",
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 __all__ = sorted(_OWNER)

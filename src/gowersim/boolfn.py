@@ -1,4 +1,4 @@
-"""Boolean functions F: GF(2)^n -> GF(2): truth tables, ANF, degrees, derivatives.
+"""Boolean functions F: GF(2)^n -> GF(2): truth tables, ANF, degrees and families.
 
 Conventions used library-wide:
 
@@ -50,14 +50,6 @@ def _mobius(table: np.ndarray) -> np.ndarray:
     return out
 
 
-def _translated(table: np.ndarray, a: int) -> np.ndarray:
-    """The table of x -> t(x + a), as a new array: one copy of t viewed as a 2 x ... x 2
-    array (axis i is bit n-1-i of the index) and reversed along the axes of a's set bits."""
-    n = table.size.bit_length() - 1
-    axes = tuple(i for i in range(n) if a >> (n - 1 - i) & 1)
-    return np.flip(table.reshape((2,) * n), axes).flatten()
-
-
 def pack_point(vec: Sequence[int], n: int | None = None) -> int:
     """(x1, ..., xn) -> index with x1 most significant."""
     if n is not None and len(vec) != n:
@@ -70,19 +62,6 @@ def pack_point(vec: Sequence[int], n: int | None = None) -> int:
     return idx
 
 
-def unpack_point(idx: int, n: int) -> tuple[int, ...]:
-    return tuple((idx >> (n - i)) & 1 for i in range(1, n + 1))
-
-
-def _as_index(x: Point, n: int) -> int:
-    if isinstance(x, (int, np.integer)):
-        idx = int(x)
-        if not 0 <= idx < (1 << n):
-            raise ValueError(f"index {idx} out of range for n = {n}")
-        return idx
-    return pack_point(list(x), n)
-
-
 # ---------------------------------------------------------------------------
 # ANF
 # ---------------------------------------------------------------------------
@@ -93,17 +72,10 @@ class Anf:
 
     __slots__ = ("n", "coeffs")
 
-    def __init__(self, n: int, coeff_bits: int):
-        """Coefficients packed into an integer: bit u holds lambda_u."""
-        self.n, self.coeffs = n, BooleanFunction.from_packed(n, coeff_bits).table
-
-    @classmethod
-    def _of(cls, n: int, coeffs: np.ndarray) -> "Anf":
+    def __init__(self, n: int, coeffs: np.ndarray):
         """Wrap a 0/1 uint8 table that nothing else writes to; it is frozen in place."""
         coeffs.setflags(write=False)
-        anf = cls.__new__(cls)
-        anf.n, anf.coeffs = n, coeffs
-        return anf
+        self.n, self.coeffs = n, coeffs
 
     def monomials(self) -> list[int]:
         """Packed indices u with lambda_u = 1, ascending."""
@@ -116,9 +88,6 @@ class Anf:
             return 0
         return int(np.bitwise_count(present.astype(np.uint32)).max())
 
-    def to_function(self) -> "BooleanFunction":
-        return BooleanFunction._of(self.n, _mobius(self.coeffs))
-
     def to_string(self) -> str:
         """Monomials in ascending u joined by ' + '; '1' for u = 0, '0' if none."""
         low = self.n // 2  # u = (high field x1..x_{n-low}, low field: the rest)
@@ -128,19 +97,6 @@ class Anf:
             h, l = high_names[u >> low], low_names[u & ((1 << low) - 1)]
             terms.append(h + "*" + l if h and l else h or l or "1")
         return " + ".join(terms) if terms else "0"
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Anf)
-            and self.n == other.n
-            and np.array_equal(self.coeffs, other.coeffs)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.coeffs.tobytes()))
-
-    def __repr__(self) -> str:
-        return f"Anf(n={self.n}, {self.to_string()!r})"
 
 
 def _products(width: int, first: int) -> list[str]:
@@ -266,9 +222,6 @@ class BooleanFunction:
         """Character form f(x) = (-1)**F(x) as an array of +-1."""
         return (1 - 2 * self.table.astype(np.int16)).astype(dtype)
 
-    def value(self, x: Point) -> int:
-        return int(self.table[_as_index(x, self.n)])
-
     @property
     def weight(self) -> int:
         return int(np.count_nonzero(self.table))
@@ -280,42 +233,10 @@ class BooleanFunction:
     # -- algebra ---------------------------------------------------------------
 
     def to_anf(self) -> Anf:
-        return Anf._of(self.n, _mobius(self.table))
+        return Anf(self.n, _mobius(self.table))
 
     def degree(self) -> int:
         return self.to_anf().degree()
-
-    def translate(self, a: Point) -> "BooleanFunction":
-        """x -> F(x + a)."""
-        return BooleanFunction._of(self.n, _translated(self.table, _as_index(a, self.n)))
-
-    def derivative(self, dirs: Sequence[Point]) -> "BooleanFunction":
-        """Iterated discrete derivative along the given directions.
-
-        Each step maps the table t to t(x) + t(x + a); the composite sums F
-        over all subset-shifts of the direction list.
-        """
-        table = self.table
-        for a in dirs:
-            moved = _translated(table, _as_index(a, self.n))
-            moved ^= table
-            table = moved
-        return BooleanFunction._of(self.n, table)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, BooleanFunction)
-            and self.n == other.n
-            and np.array_equal(self.table, other.table)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.table.tobytes()))
-
-    def __repr__(self) -> str:
-        if self.n <= 4:
-            return f"BooleanFunction(n={self.n}, tt_hex={self.to_hex()!r})"
-        return f"BooleanFunction(n={self.n}, weight={self.weight})"
 
 
 # -- standard families ---------------------------------------------------------
@@ -326,7 +247,11 @@ def _as_mask(u: Point | str, n: int) -> int:
         if len(u) != n or any(c not in "01" for c in u):
             raise ValueError(f"direction string must be {n} bits of 0/1, got {u!r}")
         return int(u, 2)
-    return _as_index(u, n)
+    if isinstance(u, (int, np.integer)):
+        if not 0 <= u < (1 << n):
+            raise ValueError(f"index {u} out of range for n = {n}")
+        return int(u)
+    return pack_point(list(u), n)
 
 
 def linear(n: int, u: Point | str) -> BooleanFunction:
@@ -335,13 +260,6 @@ def linear(n: int, u: Point | str) -> BooleanFunction:
     mask = _as_mask(u, n)
     idx = np.arange(1 << n, dtype=np.uint32)
     return BooleanFunction._of(n, (np.bitwise_count(idx & np.uint32(mask)) & 1).astype(np.uint8))
-
-
-def constant(n: int, bit: int = 0) -> BooleanFunction:
-    _check_n(n)
-    if bit not in (0, 1):
-        raise ValueError("constant bit must be 0 or 1")
-    return BooleanFunction._of(n, np.full(1 << n, bit, np.uint8))
 
 
 def bent_quadratic(n: int) -> BooleanFunction:

@@ -10,7 +10,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .boolfn import BooleanFunction, Point
+from .boolfn import BooleanFunction
 from .dyadic import DyadicRational
 from .errors import MAX_N, check_capacity
 
@@ -52,11 +52,6 @@ def dist_to_linear(f: BooleanFunction) -> tuple[DyadicRational, int]:
     w = walsh(f)
     u = int(np.argmax(w))  # the first maximum
     return DyadicRational((1 << f.n) - int(w[u]), f.n + 1), u
-
-
-def autocorrelation(f: BooleanFunction, a: Point) -> DyadicRational:
-    """(f * f)(a) = 2^-n sum_y f(y) f(y+a), exact: F(y) and F(y+a) disagree where D_a F = 1."""
-    return DyadicRational((1 << f.n) - 2 * f.derivative([a]).weight, f.n)
 
 
 def _derivative_rows(g: np.ndarray, depth: int = 1) -> Iterator[np.ndarray]:

@@ -11,7 +11,6 @@ import pytest
 from gowersim.boolfn import (
     BooleanFunction,
     bent_quadratic,
-    constant,
     linear,
     random_function,
 )
@@ -32,7 +31,7 @@ from_anf_string = BooleanFunction.from_anf_string
 def brute_uk_pow(f, k):
     """Average of the sign product over all k-dimensional parallelepipeds."""
     size = 1 << f.n
-    sign = [1 - 2 * f.value(x) for x in range(size)]
+    sign = [1 - 2 * bit for bit in f.table.tolist()]
     total = 0
     for point in product(range(size), repeat=k + 1):
         x, dirs = point[0], point[1:]
@@ -58,7 +57,7 @@ def test_u2_known_values():
 
     for u in (0, 0b1, 0b101):
         assert u2_spectral(linear(3, u)).pow_value == DyadicRational(1, 0)
-    assert u2_spectral(constant(3, 1)).pow_value == DyadicRational(1, 0)
+    assert u2_spectral(from_anf_string("1", 3)).pow_value == DyadicRational(1, 0)
 
 
 def test_u3_known_value():
@@ -159,22 +158,22 @@ def test_max_walsh_coefficient_lower_bound():
 def test_derivative_route_asymmetric_to_definition_capacity():
     # the two routes trade register width differently, so their guards differ
     with pytest.raises(CapacityError):
-        uk_definition(constant(9, 0), 2)  # (k+1)n = 27
-    assert uk_via_derivatives(constant(9, 0), 3).pow_value == DyadicRational(1, 0)
+        uk_definition(from_anf_string("0", 9), 2)  # (k+1)n = 27
+    assert uk_via_derivatives(from_anf_string("0", 9), 3).pow_value == DyadicRational(1, 0)
     with pytest.raises(CapacityError):
-        uk_via_derivatives(constant(13, 0), 5)  # (k-1)n = 52
+        uk_via_derivatives(from_anf_string("0", 13), 5)  # (k-1)n = 52
     with pytest.raises(CapacityError):
-        uk_via_derivatives(constant(13, 0), 3)  # (k-1)n = 26: 2^13 FWHTs of length 2^13
+        uk_via_derivatives(from_anf_string("0", 13), 3)  # (k-1)n = 26: 2^13 FWHTs of length 2^13
 
 
 def test_argument_validation():
-    f = constant(2, 0)
+    f = from_anf_string("0", 2)
     with pytest.raises(ValueError):
         uk_definition(f, 0)
     with pytest.raises(ValueError):
         uk_via_derivatives(f, 2)
     with pytest.raises(CapacityError):
-        u2_autocorrelation(constant(13, 0))
+        u2_autocorrelation(from_anf_string("0", 13))
 
 
 def test_monotone_in_k():

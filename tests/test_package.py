@@ -1,9 +1,14 @@
-"""The package namespace exports exactly its public classes and functions."""
+"""The package namespace exports exactly its public classes and functions, and the
+README's library and command-line examples print what the README says they print."""
 
 import inspect
+import shlex
 from pathlib import Path
 
 import gowersim
+from gowersim import cli
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 
 
 def test_exports_resolve_and_cover_the_public_names():
@@ -17,13 +22,36 @@ def test_exports_resolve_and_cover_the_public_names():
         if not name.startswith("_") and (inspect.isclass(value) or inspect.isfunction(value))
     }
     assert set(exported) == public
-    # results are plain values: no wrapper of an array, a (value, index) pair or a dict
-    assert not {"StateVector", "LinearDistance", "RejectionBound"} & set(exported)
+    # results are plain values: no wrapper of an array, a (value, index) pair or a dict;
+    # and no library-only helper that the CLI never runs
+    not_exported = {"StateVector", "LinearDistance", "RejectionBound", "constant", "autocorrelation"}
+    assert not not_exported & set(exported)
 
 
 def test_readme_library_example_runs(capsys):
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    section = readme.split("\n## Library\n", 1)[1]
+    section = README.split("\n## Library\n", 1)[1]
     code = section.split("```python\n", 1)[1].split("\n```", 1)[0]
     exec(compile(code, "README.md (## Library)", "exec"), {})
-    assert "0.0625" in capsys.readouterr().out
+    printed = capsys.readouterr().out.splitlines()
+    stated = [line.split("# ", 1)[1] for line in code.splitlines() if line.startswith("print(")]
+    assert len(printed) == len(stated) == 7
+    for out, comment in zip(printed, stated):
+        # each comment opens with the printed line, then explains it
+        assert comment.startswith(out) and not comment[len(out):][:1].isalnum(), (out, comment)
+
+
+def test_readme_cli_examples_run(capsys):
+    # every `$ gowersim ...` line of the README's code blocks, with the output shown under it
+    examples = []
+    for block in README.split("```")[1::2]:
+        for chunk in block.split("$ gowersim ")[1:]:
+            command, _, shown = chunk.partition("\n")
+            examples.append((shlex.split(command), shown))
+    assert len(examples) == 9
+    assert sum(bool(shown) for _, shown in examples) == 1  # the analyze block
+    for argv, shown in examples:
+        code = cli.main(argv)
+        out = capsys.readouterr().out
+        assert code == 0, argv
+        if shown:
+            assert out == shown, argv

@@ -15,7 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gowersim import spectral
-from gowersim.boolfn import BooleanFunction, bent_quadratic, constant, linear, random_function
+from gowersim.boolfn import BooleanFunction, bent_quadratic, linear, random_function
 from gowersim.dyadic import DyadicRational
 from gowersim.errors import CapacityError
 from gowersim.gowers import u2_spectral, uk_definition
@@ -87,9 +87,9 @@ def test_phase_oracle_action():
         assert st[idx] == expected
 
     # constant-0 oracle is the identity; constant-1 is a global minus sign
-    st0 = apply(lay, uniform_state(lay), PhaseOracle(1), constant(2, 0))
+    st0 = apply(lay, uniform_state(lay), PhaseOracle(1), from_anf_string("0", 2))
     assert np.array_equal(st0, uniform_state(lay))
-    st1 = apply(lay, uniform_state(lay), PhaseOracle(1), constant(2, 1))
+    st1 = apply(lay, uniform_state(lay), PhaseOracle(1), from_anf_string("1", 2))
     assert np.array_equal(st1, -uniform_state(lay))
 
 
@@ -98,8 +98,8 @@ def test_phase_oracle_needs_matching_function():
     with pytest.raises(ValueError):
         apply(lay, uniform_state(lay), PhaseOracle(1), None)
     with pytest.raises(ValueError):
-        apply(lay, uniform_state(lay), PhaseOracle(1), constant(3, 0))
-    for f in (None, constant(3, 0)):
+        apply(lay, uniform_state(lay), PhaseOracle(1), from_anf_string("0", 3))
+    for f in (None, from_anf_string("0", 3)):
         with pytest.raises(ValueError):
             run(Circuit(lay, (PhaseOracle(1), HadamardAll())), f)
         with pytest.raises(ValueError):
@@ -282,7 +282,7 @@ def test_phase_audit_flags_repeats_and_midway_hadamard():
     with pytest.raises(ValueError):
         phase_audit(bad)
     with pytest.raises(ValueError):
-        run(bad, constant(2, 0))
+        run(bad, from_anf_string("0", 2))
 
 
 def test_circuit_capacity():

@@ -1,4 +1,4 @@
-"""Walsh spectra, nonlinearity, distances, autocorrelation, convolution."""
+"""Walsh spectra, nonlinearity, distances, autocorrelation as self-convolution, convolution."""
 
 from fractions import Fraction
 
@@ -8,7 +8,6 @@ import pytest
 from gowersim.boolfn import (
     BooleanFunction,
     bent_quadratic,
-    constant,
     linear,
     pack_point,
     random_function,
@@ -19,7 +18,6 @@ from gowersim.errors import CapacityError
 from gowersim.gowers import u2_spectral
 from gowersim.spectral import (
     _derivative_rows,
-    autocorrelation,
     convolve,
     dist_to_linear,
     fwht_inplace,
@@ -33,12 +31,12 @@ from_anf_string = BooleanFunction.from_anf_string
 
 
 def brute_walsh(f):
-    n, size = f.n, 1 << f.n
+    t, size = f.table.tolist(), 1 << f.n
     out = []
     for u in range(size):
         total = 0
         for x in range(size):
-            total += (-1) ** (f.value(x) ^ (bin(u & x).count("1") & 1))
+            total += (-1) ** (t[x] ^ (bin(u & x).count("1") & 1))
         out.append(total)
     return out
 
@@ -59,7 +57,7 @@ def test_walsh_known_values():
         w[0] = 0
 
     assert list(walsh(linear(2, 0b01))) == [0, 4, 0, 0]
-    assert list(walsh(constant(2, 1))) == [-4, 0, 0, 0]
+    assert list(walsh(from_anf_string("1", 2))) == [-4, 0, 0, 0]
 
 
 def test_parseval():
@@ -129,22 +127,22 @@ def test_dist_to_linear_matches_enumeration():
 
 
 def test_autocorrelation():
+    # (f * f)(a) = 2^-n convolve(f, f)[a]
     f = from_anf_string("x1*x2", 2)
-    assert autocorrelation(f, 0) == DyadicRational(1, 0)
-    assert autocorrelation(f, 0b11) == DyadicRational(0, 0)
+    r = convolve(f, f)
+    assert r[0] == 4 and r[0b11] == 0
     b = bent_quadratic(4)
-    for a in range(1, 16):
-        assert autocorrelation(b, a) == DyadicRational(0, 0)
+    assert list(convolve(b, b)) == [16] + [0] * 15
 
 
 def test_autocorrelation_brute():
     rng = np.random.default_rng(31337)
     f = random_function(3, int(rng.integers(0, 2**32)))
+    t = f.table.tolist()
+    r = convolve(f, f)
     for a in range(8):
-        expected = Fraction(
-            sum((-1) ** (f.value(x) ^ f.value(x ^ a)) for x in range(8)), 8
-        )
-        assert autocorrelation(f, a) == expected
+        expected = Fraction(sum((-1) ** (t[x] ^ t[x ^ a]) for x in range(8)), 8)
+        assert Fraction(int(r[a]), 8) == expected
 
 
 def test_convolve():
@@ -154,9 +152,9 @@ def test_convolve():
         g = random_function(n, int(rng.integers(0, 2**32)))
         conv = convolve(f, g)
         assert conv.dtype == np.int64 and not conv.flags.writeable
-        size = 1 << n
+        size, ft, gt = 1 << n, f.table.tolist(), g.table.tolist()
         for a in range(size):
-            expected = sum((-1) ** (f.value(x) ^ g.value(x ^ a)) for x in range(size))
+            expected = sum((-1) ** (ft[x] ^ gt[x ^ a]) for x in range(size))
             assert conv[a] == expected  # 2^n (f * g)(a)
 
 
@@ -176,16 +174,18 @@ def test_convolution_theorem():
 
 def test_convolve_errors():
     with pytest.raises(ValueError):
-        convolve(constant(2, 0), constant(3, 0))
+        convolve(from_anf_string("0", 2), from_anf_string("0", 3))
     with pytest.raises(CapacityError):
-        convolve(constant(13, 0), constant(13, 0))
+        convolve(from_anf_string("0", 13), from_anf_string("0", 13))
 
 
 def test_autocorrelation_is_self_convolution():
+    # F(y) and F(y + a) disagree where the derivative D_a F = 1
     f = random_function(4, 202)
     conv = convolve(f, f)
+    t, x = f.table, np.arange(16)
     for a in range(16):
-        assert Fraction(int(conv[a]), 16) == autocorrelation(f, a)
+        assert conv[a] == 16 - 2 * np.count_nonzero(t ^ t[x ^ a])
 
 
 @pytest.mark.parametrize("n, tables", [(3, 40), (5, 3), (6, 1), (10, 1)])
