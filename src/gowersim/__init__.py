@@ -18,11 +18,11 @@ _EXPORTS = {
     "boolfn": "Anf BooleanFunction bent_quadratic linear random_function",
     "dyadic": "DyadicRational",
     "errors": "AnfSyntaxError CapacityError CrossCheckError",
-    "estimate": "Measurement child_seed hoeffding_bound validate_bound",
+    "estimate": "Measurement child_seed hoeffding_bound u2_partial_sums validate_bound",
     "gowers": "GowersValue u2_autocorrelation u2_spectral uk_definition uk_via_derivatives",
     "lintest": "blr_exact_dyadic blr_test compare quantum_linearity_test rejection_lower_bound",
     "qsim": "Circuit HadamardAll MCnot PhaseOracle RegisterLayout build_appendix_u3_circuit "
-    "build_derivative_walk_circuit build_u2_circuit phase_audit run zero_amplitude",
+    "build_derivative_walk_circuit build_u2_circuit phase_audit zero_amplitude",
     "spectral": "convolve dist_to_linear fwht_inplace nonlinearity walsh",
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names.split()}

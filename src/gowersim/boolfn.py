@@ -39,6 +39,21 @@ def _check_n(n: int) -> None:
     check_capacity(f"n = {n} exceeds the supported maximum {MAX_N}", n, "table entries")
 
 
+def _table(n: int, table: Iterable[int] | np.ndarray, what: str) -> np.ndarray:
+    """A read-only uint8 copy of a 0/1 integer table of 2^n entries; the input is not frozen."""
+    _check_n(n)
+    arr = np.asarray(list(table) if not isinstance(table, np.ndarray) else table)
+    if arr.shape != (1 << n,):
+        raise ValueError(f"{what} must have length {1 << n}")
+    if arr.dtype.kind not in "biu":
+        raise ValueError(f"{what} must hold integers, got {arr.dtype}")
+    if not np.isin(arr, (0, 1)).all():
+        raise ValueError(f"{what} entries must be 0/1")
+    arr = arr.astype(np.uint8)
+    arr.setflags(write=False)
+    return arr
+
+
 def _mobius(table: np.ndarray) -> np.ndarray:
     """Binary Mobius transform of a 0/1 table, as a new array; it is an involution."""
     out = table.copy()
@@ -72,10 +87,9 @@ class Anf:
 
     __slots__ = ("n", "coeffs")
 
-    def __init__(self, n: int, coeffs: np.ndarray):
-        """Wrap a 0/1 uint8 table that nothing else writes to; it is frozen in place."""
-        coeffs.setflags(write=False)
-        self.n, self.coeffs = n, coeffs
+    def __init__(self, n: int, coeffs: Iterable[int] | np.ndarray):
+        """The coefficients are checked and copied, as a BooleanFunction's truth table is."""
+        self.n, self.coeffs = n, _table(n, coeffs, "ANF coefficient table")
 
     def monomials(self) -> list[int]:
         """Packed indices u with lambda_u = 1, ascending."""
@@ -160,15 +174,8 @@ class BooleanFunction:
     __slots__ = ("n", "table")
 
     def __init__(self, n: int, table: Iterable[int] | np.ndarray):
-        """The table is copied, so the caller's array is never frozen."""
-        _check_n(n)
-        arr = np.asarray(list(table) if not isinstance(table, np.ndarray) else table)
-        if arr.shape != (1 << n,):
-            raise ValueError(f"truth table must have length {1 << n}")
-        if not np.isin(arr, (0, 1)).all():
-            raise ValueError("truth table entries must be 0/1")
-        self.n, self.table = n, arr.astype(np.uint8)
-        self.table.setflags(write=False)
+        """The table is checked and copied, so the caller's array is never frozen."""
+        self.n, self.table = n, _table(n, table, "truth table")
 
     @classmethod
     def _of(cls, n: int, table: np.ndarray) -> "BooleanFunction":
@@ -233,7 +240,10 @@ class BooleanFunction:
     # -- algebra ---------------------------------------------------------------
 
     def to_anf(self) -> Anf:
-        return Anf(self.n, _mobius(self.table))
+        anf = Anf.__new__(Anf)  # the transform is a fresh 0/1 table: no check, no copy
+        anf.n, anf.coeffs = self.n, _mobius(self.table)
+        anf.coeffs.setflags(write=False)
+        return anf
 
     def degree(self) -> int:
         return self.to_anf().degree()

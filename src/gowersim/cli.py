@@ -183,13 +183,13 @@ def cmd_simulate(cfg: RunConfig) -> dict:
 
 
 def cmd_estimate(cfg: RunConfig) -> dict:
-    from . import qsim
-    from .estimate import Measurement, _check_draws, hoeffding_bound, validate_bound
+    from .estimate import (Measurement, _check_draws, hoeffding_bound, u2_partial_sums,
+                           validate_bound)
     from .gowers import u2_spectral
 
     f = cfg.resolve_function()
     _check_draws(cfg.m * (1 + cfg.trials) if cfg.validate else cfg.m)
-    measurement = Measurement(qsim.run(qsim.build_u2_circuit(cfg.n), f))
+    measurement = Measurement(u2_partial_sums(f))
     report = hoeffding_bound(measurement.y_bar(cfg.m, cfg.seed), cfg.m, cfg.t, cfg.seed)
     report["function_tt_hex"] = f.to_hex()
     gv = u2_spectral(f)

@@ -1,4 +1,4 @@
-"""Shared exception types, the size envelope MAX_N and the capacity check on it.
+"""Shared exception types, the size envelope MAX_N and the capacity checks on it.
 
 The CLI maps these onto exit statuses: usage/parse problems (including
 ``ValueError`` and ``AnfSyntaxError``) exit 2, ``CapacityError`` exits 3,
@@ -16,6 +16,11 @@ def check_capacity(rule: str, cost: int, unit: str, budget: int = MAX_N) -> None
     """Refuse 2^cost units of work over 2^budget, worded `rule: 2^cost unit > 2^budget`."""
     if cost > budget:
         raise CapacityError(f"{rule}: 2^{cost} {unit} > 2^{budget}")
+
+
+def check_layout(m: int, n: int) -> None:
+    """Refuse m registers of n qubits, more than 2^MAX_N basis states."""
+    check_capacity(f"layout needs m*n <= {MAX_N}, got {m} x {n}", m * n, "basis states")
 
 
 class AnfSyntaxError(ValueError):

@@ -12,10 +12,12 @@ with, while confidence_standard uses exp(-2 m t^2), the textbook Hoeffding
 rate for a mean of m bounded i.i.d. variables.  The standard form is the
 defensible one; both are always computed so the discrepancy stays visible.
 `hoeffding_bound` returns the report as the dict the CLI prints.
-Ybar is streamed: `Measurement.y_bar` adds exact integer sums of the outcomes
-chunk by chunk, so its memory does not grow with m.  All randomness comes from
-numpy's PCG64 (`np.random.default_rng`); child streams for trial i are derived
-via SeedSequence([seed, i]) (see child_seed).  Every sampler draws in chunks
+`u2_partial_sums` gives the circuit's outcome distribution in closed form,
+without simulating it, for `Measurement` to sample.  Ybar is streamed:
+`Measurement.y_bar` adds exact integer sums of the outcomes chunk by chunk, so
+its memory does not grow with m.  All randomness comes from numpy's PCG64
+(`np.random.default_rng`); child streams for trial i are derived via
+SeedSequence([seed, i]) (see child_seed).  Every sampler draws in chunks
 (`_draw_sizes`), and a request for more than DRAW_BUDGET draws is a
 CapacityError before the first one.
 """
@@ -26,7 +28,9 @@ import math
 
 import numpy as np
 
-from .errors import CapacityError
+from . import spectral
+from .boolfn import BooleanFunction
+from .errors import CapacityError, CrossCheckError, check_layout
 
 RNG_ALGORITHM = "PCG64"
 _DRAW_CHUNK = 1 << 16  # draws per Generator call in every sampler (see _draw_sizes)
@@ -55,24 +59,47 @@ def _draw_sizes(count: int):
     return (min(_DRAW_CHUNK, count - start) for start in range(0, count, _DRAW_CHUNK))
 
 
+def u2_partial_sums(f: BooleanFunction) -> np.ndarray:
+    """The int64 partial sums of num^2 over the U_2 circuit's final amplitudes num / 2^(3n).
+
+    num(a || b || c) = sum_s T[s, b] T[s, a ^ b] (-1)^(s . c), T[s] = W_{D_s F}: the
+    Fourier form of ||f||_{U_2}^4 (Gowers 2001).  Blocks of a (_BLOCK_CELLS entries, at
+    least one a) are transformed along s in int32, exact as |num| <= 2^(3n) <= 2^24.
+    A total other than 2^(6n) raises CrossCheckError.
+    """
+    n = f.n
+    check_layout(3, n)
+    # block `low` holds the rows of d = low + c * t, so stacking on axis 1 puts d in order
+    rows = np.stack(list(spectral._derivative_rows(f.table[None])), axis=1).reshape(1 << n, -1)
+    t = spectral.fwht_inplace(1 - 2 * rows.astype(np.int32)).T.copy()  # t[b, s] = T[s, b]
+    ramp = np.arange(1 << n)
+    per = max(1, spectral._BLOCK_CELLS >> 2 * n)  # values of a per block
+    cum = np.empty(1 << 3 * n, np.int64)
+    for a in range(0, 1 << n, per):
+        block = t[ramp ^ ramp[a : a + per, None]]  # [a, b, s] = T[s, a ^ b]
+        block *= t
+        part = cum[a << 2 * n : (a + per) << 2 * n]  # [a, b, c] after the transform: num(a||b||c)
+        np.square(spectral.fwht_inplace(block).reshape(-1), out=part, dtype=np.int64)
+        part[0] += cum[(a << 2 * n) - 1] if a else 0
+        np.cumsum(part, out=part)
+    if cum[-1] != 1 << 6 * n:
+        raise CrossCheckError(f"U_2 circuit probabilities sum to {cum[-1]} / 2^{6 * n}, not 1")
+    return cum
+
+
 class Measurement:
     """Computational-basis measurements of one state, by inverse-CDF sampling in integers.
 
-    `num` holds the state's integer amplitude numerators, as `qsim.run`
-    returns them: outcome i has probability num[i]^2 / S, S = sum num^2.  The
-    int64 partial sums of num^2 are built once, on construction, and every
-    draw reuses them.  S must be a power of two <= 2^53, so every partial sum
-    is exact; float amplitudes and numerators wider than int32 are refused.
+    `cum` holds the int64 partial sums of a state's squared integer amplitude numerators,
+    as `u2_partial_sums` builds them: outcome i has probability (cum[i] - cum[i - 1]) / S,
+    S = cum[-1], a power of two <= 2^53.  Every draw reuses them.
     """
 
-    def __init__(self, num: np.ndarray):
-        if not np.can_cast(num.dtype, np.int32):
-            raise TypeError(f"need amplitude numerators of at most 32 bits, got {num.dtype}")
-        cum = num.astype(np.int64)
-        np.square(cum, out=cum)  # each <= 2^62, so a partial sum that wraps turns negative
-        np.cumsum(cum, out=cum)
+    def __init__(self, cum: np.ndarray):
+        if cum.dtype != np.int64:
+            raise TypeError(f"need int64 partial sums of squared numerators, got {cum.dtype}")
         total = int(cum[-1]) if cum.size else 0
-        if total < 1 or total & (total - 1) or total > 1 << 53 or cum.min() < 0:
+        if total < 1 or total & (total - 1) or total > 1 << 53:
             raise ValueError(f"squares must sum to a power of two <= 2^53, got {total}")
         self.cum = cum
 
@@ -108,7 +135,7 @@ class Measurement:
         return np.concatenate(list(self._outcome_chunks(m, seed)))
 
     def y_bar(self, m: int, seed) -> float:
-        """Mean of Y = outcome / dim (dim = num.size) over m measurements, in constant memory.
+        """Mean of Y = outcome / dim (dim = cum.size) over m measurements, in constant memory.
 
         The outcome sum T is an exact integer and T / (dim * m) is rounded once.
         Whenever m * dim <= 2^53 this is the float np.mean(sample(m, seed) / dim)
@@ -121,11 +148,11 @@ class Measurement:
 
 
 def count_nonzero_outcomes(p0: float, m: int, seed) -> int:
-    """count_nonzero(Measurement(num).sample(m, seed)) when num[0]^2 / S = p0.
+    """count_nonzero(Measurement(cum).sample(m, seed)) when cum[0] / S = p0, S = cum[-1].
 
     Exact on the same PCG64 stream: S is a power of two <= 2^53, so p0 is
-    the float num[0]^2 / S without rounding, and a draw r maps to outcome 0
-    iff floor(r * S) < num[0]^2, that is iff r < p0.
+    the float cum[0] / S without rounding, and a draw r maps to outcome 0
+    iff floor(r * S) < cum[0], that is iff r < p0.
     """
     rng = np.random.default_rng(seed)
     return sum(int(np.count_nonzero(rng.random(size) >= p0)) for size in _draw_sizes(m))
@@ -159,8 +186,6 @@ def validate_bound(
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    if not (math.isfinite(t) and t > 0):
-        raise ValueError(f"margin t must be finite and positive, got {t!r}")
     _check_draws(m * trials)
     covered = 0
     for i in range(trials):

@@ -31,7 +31,7 @@ import numpy as np
 
 from .boolfn import BooleanFunction
 from .dyadic import DyadicRational
-from .errors import MAX_N, CrossCheckError, check_capacity
+from .errors import MAX_N, CrossCheckError, check_layout
 from .estimate import _draw_sizes, child_seed, count_nonzero_outcomes
 from .gowers import _power_sum, u2_spectral
 from .spectral import convolve, dist_to_linear, nonlinearity, walsh
@@ -72,8 +72,7 @@ def quantum_linearity_test(f: BooleanFunction, shots: int, seed: int | None = No
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    # the circuit's 3 registers of n qubits, refused as qsim.RegisterLayout refuses them
-    check_capacity(f"layout needs m*n <= {MAX_N}, got 3 x {f.n}", 3 * f.n, "basis states")
+    check_layout(3, f.n)  # the circuit's 3 registers of n qubits
     p_accept = float(u2_spectral(f).pow_value) ** 2
     return _verdict(p_accept, shots, count_nonzero_outcomes(p_accept, shots, seed), seed)
 

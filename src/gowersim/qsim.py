@@ -1,4 +1,4 @@
-"""State-vector simulation of the norm-measuring circuits.
+"""The norm-measuring circuits: layouts, gates, builders, phase audit, amplitude at 0.
 
 The simulated system is m registers of n qubits each, m*n <= errors.MAX_N.
 Basis index layout: register 1 occupies the most significant n bits, register
@@ -7,36 +7,14 @@ The phase-kickback target qubit is factored out and never stored: the phase
 oracle multiplies amplitudes by (-1)^F directly.  Every gate in scope (phase
 flips, register permutations, Hadamard layers) is real orthogonal.
 
-`run` compiles a circuit into the state that applying its gates one by one
-reaches (the tests keep that gate-by-gate fold as the reference): the symbolic
-walk shared with `phase_audit` gives each oracle call's XOR-coset of initial
-registers, one reversed pass over the MCNOTs rewrites it in the registers of
-the final basis index, the cosets give the phase table in those coordinates,
-and a final HadamardAll is one int32 FWHT of its signs.  `run` returns those
-int32 numerators: for q qubits the amplitude is num / 2^q after a final
-HadamardAll and num / 2^(q/2) without one, so no float is involved and
-`estimate.Measurement` samples them exactly.  The phase table is built in
-blocks of at most 2^17 consecutive basis indices, each from whole rows
-x -> F(x ^ v) of a 2^(2n) table of translates, so no 2^q table is held.  When
-only the amplitude at index 0 is asked for, `zero_amplitude` reads it from
-the same blocks without preparing the final state: the transform's entry 0 is
-the sum of the signs.  Only these executors import numpy and `spectral`, so
-building, dumping, auditing or refusing a circuit loads neither.
-
-Circuit builders:
-
-* build_derivative_walk_circuit(n, k) -- k+1 registers; a recursive-doubling
-  schedule D_1 = [UF, M(1,2), UF, M(1,2)], D_j = D_{j-1} + [M(1,j+1)] +
-  D_{j-1} + [M(1,j+1)], visiting every coset x + sum_{i in S} d_i exactly
-  once (binary-counter subset order) and restoring register 1, then a global
-  Hadamard layer.  Its 2^k calls read 2^((k+1) n) entries each, so k + (k+1) n
-  above WALK_GUARD is a CapacityError before any gate is built.
-* build_u2_circuit(n) -- the walk for k = 2: the four cosets x, x+a, x+b,
-  x+a+b.  Measuring all-zeros afterwards has probability ||f||_{U_2}^8.
-* build_appendix_u3_circuit(n) -- a fixed 4-register 16-gate U_3 variant,
-  kept so its defect stays demonstrable: phase_audit, which returns the CLI's
-  "audit" dict, shows it queries only 7 of the 8 cosets (x+a+c is missed)
-  even though register 1 is restored.
+`zero_amplitude` is the executor: the symbolic walk shared with `phase_audit`
+gives each oracle call's XOR-coset of initial registers, hence the phase of
+every initial basis index.  No MCNOT moves index 0 or changes the sum over all
+indices, and a final HadamardAll puts that sum of signs at 0, so neither the
+register map nor the transform is applied.  The phases come in blocks of at
+most 2^17 basis indices, from whole rows x -> F(x ^ v) of a 2^(2n) table of
+translates.  Only the executor imports numpy and `spectral`, so building,
+dumping, auditing or refusing a circuit loads neither.
 """
 
 from __future__ import annotations
@@ -48,7 +26,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import TYPE_CHECKING, Union
 
-from .errors import MAX_N, check_capacity
+from .errors import check_capacity, check_layout
 
 if TYPE_CHECKING:
     import numpy as np
@@ -66,8 +44,7 @@ class RegisterLayout:
     def __post_init__(self):
         if self.n < 1 or self.m < 1:
             raise ValueError("need n >= 1 qubits per register and m >= 1 registers")
-        check_capacity(f"layout needs m*n <= {MAX_N}, got {self.m} x {self.n}", self.qubits,
-                       "basis states")
+        check_layout(self.m, self.n)
 
     @property
     def qubits(self) -> int:
@@ -179,7 +156,7 @@ def _register_sum(axes: dict[int, np.ndarray], regs) -> np.ndarray:
 
 
 def _phase_blocks(circuit: Circuit, f: BooleanFunction | None):
-    """Flat uint8 parity of F over every oracle call's coset, per final basis index, in order.
+    """Flat uint8 parity of F over every oracle call's coset, per initial basis index, in order.
 
     Each block is a run of consecutive basis indices, spectral._BLOCK_CELLS
     of them (rounded down to a power of two) or all 2^q if fewer.  In a
@@ -197,13 +174,7 @@ def _phase_blocks(circuit: Circuit, f: BooleanFunction | None):
 
     layout = circuit.layout
     n, m = layout.n, layout.m
-    walked, _ = _walk(circuit)
-    # undoing MCNOT t <- s XORs s into t: each initial register as an XOR of final ones
-    initial = {r: frozenset({r}) for r in range(1, m + 1)}
-    for gate in reversed(circuit.gates):
-        if isinstance(gate, MCnot):
-            initial[gate.target] ^= initial[gate.source]
-    cosets = [functools.reduce(frozenset.__xor__, map(initial.get, c)) for c in walked]
+    cosets, _ = _walk(circuit)
     if cosets and (f is None or f.n != n):
         raise ValueError(f"the oracle needs a BooleanFunction with n = {n}")
     size = 1 << min(layout.qubits, cells.bit_length() - 1)
@@ -246,25 +217,8 @@ def _phase_blocks(circuit: Circuit, f: BooleanFunction | None):
     return map(block, range(len(starts)))
 
 
-def run(circuit: Circuit, f: BooleanFunction | None = None) -> np.ndarray:
-    """The int32 numerators of the final amplitudes num / 2^q (num / 2^(q/2) without a HALL)."""
-    import numpy as np
-
-    from .spectral import fwht_inplace
-
-    blocks = _phase_blocks(circuit, f)  # refuses a bad circuit or f before the state exists
-    a = np.empty(circuit.layout.dim, dtype=np.int32)
-    start = 0
-    for block in blocks:
-        a[start : start + block.size] = 1 - 2 * block.view(np.int8)
-        start += block.size
-    if circuit.gates and isinstance(circuit.gates[-1], HadamardAll):
-        fwht_inplace(a)
-    return a
-
-
 def zero_amplitude(circuit: Circuit, f: BooleanFunction | None = None) -> float:
-    """The float amplitude at 0, run(circuit, f)[0] over its power of two, from the blocks alone.
+    """The float amplitude at basis index 0 of the circuit's final state, from the blocks alone.
 
     A final HALL puts sum(signs) = 2^q - 2 popcount(phase) at index 0, so
     no transform is needed.  Without it, only the first block's entry 0 is read.
@@ -292,7 +246,12 @@ def _walk_gates(k: int) -> list[Gate]:
 
 
 def build_derivative_walk_circuit(n: int, k: int) -> Circuit:
-    """k+1 registers; queries all 2^k direction-subsets once and restores register 1."""
+    """k+1 registers; queries all 2^k direction-subsets once and restores register 1.
+
+    The schedule doubles: D_1 = [UF, M(1,2), UF, M(1,2)], D_j = D_{j-1} + [M(1,j+1)] +
+    D_{j-1} + [M(1,j+1)] visits every coset x + sum_{i in S} d_i once, in binary-counter
+    order of S; a Hadamard layer follows.  Its 2^k calls read 2^((k+1) n) entries each.
+    """
     if k < 1:
         raise ValueError("order k must be >= 1")
     layout = RegisterLayout(n, k + 1)
@@ -302,12 +261,13 @@ def build_derivative_walk_circuit(n: int, k: int) -> Circuit:
 
 
 def build_u2_circuit(n: int) -> Circuit:
-    """The 3-register norm circuit: 4 oracle calls, 6 MCNOTs, final Hadamard layer."""
+    """The walk for k = 2, whose all-zeros outcome has probability ||f||_{U_2}^8."""
     return build_derivative_walk_circuit(n, 2)
 
 
 def build_appendix_u3_circuit(n: int) -> Circuit:
-    """The fixed 4-register U_3 variant (7 oracle calls; see phase_audit)."""
+    """A fixed 4-register U_3 variant, kept so its defect stays demonstrable: its 7 oracle
+    calls miss the coset x+a+c, as phase_audit shows, though register 1 is restored."""
     layout = RegisterLayout(n, 4)
     gates: tuple[Gate, ...] = (
         PhaseOracle(1),

@@ -1,15 +1,18 @@
-"""Gate-by-gate integer reference for the compiled executor `qsim.run`.
+"""Integer reference states for the compiled executor `qsim.zero_amplitude` and the
+closed form `estimate.u2_partial_sums`.
 
 A state is its int32 array of amplitude numerators, read with the circuit's
-layout, as `run` returns it: the uniform state is all ones over 2^(q/2) for q
-qubits, a phase oracle multiplies by (-1)^F(register), an MCNOT permutes
-basis indices, and a Hadamard layer is the unnormalized FWHT, which moves the
-denominator from 2^(q/2) to 2^q.  Tests fold a circuit through `apply` from
-`uniform_state` and compare with `run`/`zero_amplitude` by equality.
+layout: the uniform state is all ones over 2^(q/2) for q qubits, a phase
+oracle multiplies by (-1)^F(register), an MCNOT permutes basis indices, and a
+Hadamard layer is the unnormalized FWHT, which moves the denominator from
+2^(q/2) to 2^q.  Tests fold a circuit through `apply` from `uniform_state` and
+compare by equality.
 
 `permuted_run` reaches the same state another way, also where the fold is too
-slow: the phases in the initial registers, then the final register map as one
-flat permutation of the basis indices.
+slow: the phases of `qsim._phase_blocks` in the initial registers, then the
+final register map as one flat permutation of the basis indices.
+`partial_sums` turns a state into the int64 partial sums that
+`estimate.Measurement` samples.
 """
 
 import functools
@@ -17,7 +20,8 @@ import functools
 import numpy as np
 
 from gowersim.boolfn import BooleanFunction
-from gowersim.qsim import Circuit, Gate, HadamardAll, MCnot, PhaseOracle, RegisterLayout, run
+from gowersim.qsim import (Circuit, Gate, HadamardAll, MCnot, PhaseOracle, RegisterLayout,
+                           _phase_blocks)
 from gowersim.spectral import fwht_inplace
 
 
@@ -59,19 +63,16 @@ def fold(circuit, f: BooleanFunction | None = None) -> np.ndarray:
 
 
 def permuted_run(circuit: Circuit, f: BooleanFunction | None = None) -> np.ndarray:
-    """run(circuit, f), with its register map applied to the basis indices after the phases.
+    """The circuit's final int32 numerators, from its phases and its register map.
 
-    The circuit's MCNOTs appended in reverse order restore every register, so
-    `run` of that circuit without the final HALL holds the phase of each
-    initial basis index x.  The amplitude of x then moves to the index whose
-    register r holds the XOR of x's registers in r's final contents.
+    `_phase_blocks` gives the phase of each initial basis index x.  The
+    amplitude of x then moves to the index whose register r holds the XOR of
+    x's registers in r's final contents, and a final HALL transforms the result.
     """
     layout, gates = circuit.layout, circuit.gates
-    phases = [g for g in gates if not isinstance(g, HadamardAll)]
-    undo = [g for g in reversed(phases) if isinstance(g, MCnot)]
-    num = run(Circuit(layout, tuple(phases + undo)), f)
+    num = 1 - 2 * np.concatenate(list(_phase_blocks(circuit, f))).astype(np.int32)
     contents = {r: {r} for r in range(1, layout.m + 1)}
-    for gate in phases:
+    for gate in gates:
         if isinstance(gate, MCnot):
             contents[gate.target] ^= contents[gate.source]
     idx = np.arange(layout.dim, dtype=np.int64)
@@ -81,3 +82,8 @@ def permuted_run(circuit: Circuit, f: BooleanFunction | None = None) -> np.ndarr
     state = np.empty_like(num)
     state[index] = num
     return fwht_inplace(state) if gates and isinstance(gates[-1], HadamardAll) else state
+
+
+def partial_sums(num: np.ndarray) -> np.ndarray:
+    """The int64 partial sums of num^2, the form `estimate.Measurement` samples."""
+    return np.cumsum(num.astype(np.int64) ** 2)

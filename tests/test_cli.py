@@ -1,5 +1,6 @@
 """End-to-end CLI behaviour: happy paths, exit codes, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -180,6 +181,15 @@ def test_estimate(capsys):
     assert doc["validate"]["coverage"] == 1.0
 
 
+def test_estimate_at_24_qubits_is_pinned(capsys):
+    # sha256 of the stdout computed with the full 2^24-entry state, before the closed form
+    code, out, err = run_cli(capsys, "estimate", "--family", "bent", "-n", "8", "-m", "1000",
+                             "-t", "0.05", "--seed", "7", "--deterministic")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "c8c856a6220923e5cbedc4286c4a1d5b9dd8174226fac77c8833a718ae45478b")
+
+
 def test_estimate_validate_builds_the_cdf_once(capsys, monkeypatch):
     built = []
     init = estimate.Measurement.__init__
@@ -197,8 +207,6 @@ def test_estimate_validate_builds_the_cdf_once(capsys, monkeypatch):
 
 def test_draw_budget_exits_3_before_any_work(capsys, monkeypatch):
     # arithmetic only: the budget is patched down, never run at its real size
-    from gowersim import qsim
-
     monkeypatch.setattr(estimate, "DRAW_BUDGET", 1000)
     function = ("--anf", "x1*x2", "-n", "2", "--seed", "1", "--deterministic")
     for argv in (("estimate", "-m", "1001", "-t", "0.1"),
@@ -215,8 +223,8 @@ def test_draw_budget_exits_3_before_any_work(capsys, monkeypatch):
                  ("blr", "--trials", "1000"),
                  ("compare", "--shots", "1000")):
         run_json(capsys, *argv, *function)
-    # estimate refuses m * (1 + trials) before it simulates the circuit
-    monkeypatch.setattr(qsim, "run", None)
+    # estimate refuses m * (1 + trials) before it builds the circuit's partial sums
+    monkeypatch.setattr(estimate, "u2_partial_sums", None)
     code, out, err = run_cli(capsys, "estimate", "-m", "1001", "-t", "0.1", *function)
     assert code == 3 and out == "" and "1001 draws" in err
 
@@ -472,8 +480,10 @@ def test_exit_code_3_on_capacity(capsys):
     code, _, err = run_cli(capsys, "gowers", "--family", "bent", "-n", "14", "-k", "3",
                            "--route", "derivatives")
     assert code == 3 and "(k-1)*n <= 24" in err
-    # the u2 circuit's 3n <= 24 qubit envelope also bounds the state-free tests
-    for argv in (("lintest", "--shots", "10"), ("compare", "--shots", "10")):
+    # the u2 circuit's 3n <= 24 qubit envelope, worded as its layout's, bounds the
+    # state-free tests and estimate's closed form
+    for argv in (("lintest", "--shots", "10"), ("compare", "--shots", "10"),
+                 ("estimate", "-m", "10", "-t", "0.1")):
         code, out, err = run_cli(capsys, *argv, "--family", "bent", "-n", "10", "--seed", "1")
         assert code == 3 and out == "" and "m*n <= 24" in err
         assert err.rstrip().endswith("got 3 x 10: 2^30 basis states > 2^24")

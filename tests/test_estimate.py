@@ -11,34 +11,36 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gowersim import estimate
+from gowersim import estimate, spectral
 from gowersim.boolfn import BooleanFunction, bent_quadratic, linear, random_function
-from gowersim.errors import CapacityError
+from gowersim.errors import CapacityError, CrossCheckError
 from gowersim.estimate import (
     Measurement,
     child_seed,
     count_nonzero_outcomes,
     hoeffding_bound,
+    u2_partial_sums,
     validate_bound,
 )
 from gowersim.gowers import u2_spectral
-from gowersim.qsim import RegisterLayout, build_derivative_walk_circuit, build_u2_circuit, run
+from gowersim.qsim import RegisterLayout, build_derivative_walk_circuit, build_u2_circuit
 from gowersim.spectral import fwht_inplace
 
-from gate_reference import fold, uniform_state
+from gate_reference import fold, partial_sums, permuted_run, uniform_state
 
 from_anf_string = BooleanFunction.from_anf_string
 
 
 def u2_measurement_and_norm(f):
     """Measurements of the norm circuit's final state and the exact U2 norm they bound."""
-    return Measurement(run(build_u2_circuit(f.n), f)), u2_spectral(f).norm
+    return Measurement(u2_partial_sums(f)), u2_spectral(f).norm
 
 
 def point_mass(layout, index):
+    """The partial sums of a state with all its weight on one basis index."""
     num = np.zeros(layout.dim, dtype=np.int32)
     num[index] = 1
-    return num
+    return partial_sums(num)
 
 
 def test_sample_y_convention():
@@ -58,9 +60,8 @@ def test_sample_y_convention():
 def test_sample_matches_distribution():
     # frequency of the zero outcome for AND must track p0 = 1/16
     f = from_anf_string("x1*x2", 2)
-    num = run(build_u2_circuit(2), f)
     m = 100_000
-    outcomes = Measurement(num).sample(m, 2718)
+    outcomes = Measurement(u2_partial_sums(f)).sample(m, 2718)
     freq = np.count_nonzero(outcomes == 0) / m
     p = 1 / 16
     sigma = math.sqrt(p * (1 - p) / m)
@@ -68,32 +69,29 @@ def test_sample_matches_distribution():
 
 
 def test_sample_is_deterministic():
-    num = run(build_u2_circuit(2), bent_quadratic(2))
-    a = Measurement(num).sample(1000, 42)
-    b = Measurement(num).sample(1000, 42)
+    cum = u2_partial_sums(bent_quadratic(2))
+    a = Measurement(cum).sample(1000, 42)
+    b = Measurement(cum).sample(1000, 42)
     assert np.array_equal(a, b)
-    c = Measurement(num).sample(1000, 43)
+    c = Measurement(cum).sample(1000, 43)
     assert not np.array_equal(a, c)
 
 
 def test_sample_rejects_unnormalized_state():
-    # the total of the squared numerators must be a power of two <= 2^53
+    # the partial sums must end in a power of two <= 2^53
     lay = RegisterLayout(1, 3)
-    # squares of -2^31 wrap int64 to 0 after four terms, so this total reads as 2^52
-    wraps = [-(2**31)] * 4 + [2**26]
-    assert sum(v * v for v in wraps) == 2**64 + 2**52
-    for num, total in (([3] * lay.dim, 72), ([0] * lay.dim, 0), ([], 0),
-                       ([2**27, 0], 2**54), (wraps, 2**52)):
+    for squares, total in (([9] * lay.dim, 72), ([0] * lay.dim, 0), ([], 0), ([2**54, 0], 2**54)):
         with pytest.raises(ValueError, match=rf"power of two <= 2\^53, got {total}$"):
-            Measurement(np.array(num, dtype=np.int32))
+            Measurement(np.cumsum(np.array(squares, dtype=np.int64)))
     with pytest.raises(ValueError):
-        Measurement(uniform_state(lay)).sample(0, 0)
+        Measurement(partial_sums(uniform_state(lay))).sample(0, 0)
 
 
-def test_measurement_refuses_float_and_wide_amplitudes():
-    for amp in (np.full(8, 8.0**-0.5), np.ones(8, dtype=np.int64), np.ones(8, dtype=np.uint32)):
-        with pytest.raises(TypeError, match=str(amp.dtype)):
-            Measurement(amp)
+def test_measurement_refuses_sums_that_are_not_int64():
+    for cum in (np.cumsum(np.full(8, 0.125)), np.arange(1, 9, dtype=np.int32),
+                np.arange(1, 9, dtype=np.uint64)):
+        with pytest.raises(TypeError, match=str(cum.dtype)):
+            Measurement(cum)
 
 
 def test_child_seed():
@@ -215,8 +213,9 @@ def test_count_draws_at_most_one_chunk_at_a_time(monkeypatch):
 def test_chunked_sample_equals_one_call_lookup(monkeypatch, chunk, offset):
     # sorted lookups per chunk, scattered back, give the one-call outcomes,
     # which the float CDF of the amplitudes gives too
-    num = run(build_u2_circuit(3), random_function(3, 12))
-    measurement = Measurement(num)
+    f = random_function(3, 12)
+    num = permuted_run(build_u2_circuit(3), f)
+    measurement = Measurement(u2_partial_sums(f))
     cdf = np.cumsum((num * 2.0**-9) ** 2)
     monkeypatch.setattr(estimate, "_DRAW_CHUNK", chunk)
     for m in (chunk + offset, 3 * chunk + offset):
@@ -232,7 +231,7 @@ def test_chunked_sample_equals_one_call_lookup(monkeypatch, chunk, offset):
 
 def test_y_bar_memory_does_not_grow_with_m():
     # all 10^6 outcomes as int64 alone would take 7.6 MiB
-    measurement = Measurement(run(build_u2_circuit(2), bent_quadratic(2)))
+    measurement = Measurement(u2_partial_sums(bent_quadratic(2)))
     measurement.y_bar(1, 5)  # the first generator built in a process allocates ~1 MiB once
     tracemalloc.start()
     try:
@@ -243,17 +242,44 @@ def test_y_bar_memory_does_not_grow_with_m():
     assert peak < 2 * 2**20
 
 
-def test_measurement_holds_twelve_bytes_per_state():
-    # 4 bytes of int32 numerators and 8 of int64 partial sums per basis state
+def test_measurement_holds_eight_bytes_per_state():
+    # 8 bytes of int64 partial sums per basis state, and one block of the transform:
+    # its int32 entries, their half-length scratch and numpy's cast buffers
     f = random_function(7, 70)
-    circuit = build_u2_circuit(7)
+    dim = 1 << 21
     tracemalloc.start()
     try:
-        Measurement(run(circuit, f))
+        Measurement(u2_partial_sums(f))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 12 * circuit.layout.dim + 2**20
+    assert peak <= 8 * dim + 12 * spectral._BLOCK_CELLS
+
+
+def u2_reference_sums(f):
+    return partial_sums(permuted_run(build_u2_circuit(f.n), f))
+
+
+def test_u2_partial_sums_equal_the_reference_state_for_every_function_at_n2():
+    for bits in range(16):
+        f = BooleanFunction.from_packed(2, bits)
+        assert u2_partial_sums(f).tobytes() == u2_reference_sums(f).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 3, 4, 5, 6, 7])
+@pytest.mark.parametrize("cells", [16, spectral._BLOCK_CELLS])
+def test_u2_partial_sums_equal_the_reference_state(monkeypatch, n, cells):
+    # at 16 cells the derivative rows come in interleaved blocks, one a per block
+    f = random_function(n, 50 + n)
+    expected = u2_reference_sums(f)
+    monkeypatch.setattr(spectral, "_BLOCK_CELLS", cells)
+    assert u2_partial_sums(f).tobytes() == expected.tobytes()
+
+
+def test_u2_partial_sums_check_their_total(monkeypatch):
+    monkeypatch.setattr(spectral, "fwht_inplace", lambda a: a)
+    with pytest.raises(CrossCheckError, match=r"sum to 64 / 2\^12, not 1$"):
+        u2_partial_sums(bent_quadratic(2))
 
 
 @st.composite
@@ -281,8 +307,9 @@ def fraction_sample(num, draws):
 @given(sampled_circuits(), st.integers(1, 400), st.integers(0, 2**64 - 1))
 def test_sample_equals_the_fraction_inverse_cdf(case, m, seed):
     circuit, f = case
-    num = fold(circuit, f)  # the integer gate-by-gate fold, independent of run
-    outcomes = Measurement(run(circuit, f)).sample(m, seed)
+    num = fold(circuit, f)  # the integer gate-by-gate fold, independent of both sums
+    u2 = circuit.gates == build_u2_circuit(f.n).gates
+    outcomes = Measurement(u2_partial_sums(f) if u2 else partial_sums(num)).sample(m, seed)
     assert outcomes.tolist() == fraction_sample(num, np.random.default_rng(seed).random(m))
     p0 = float(Fraction(int(num[0]) ** 2, int(np.sum(num.astype(np.int64) ** 2))))
     assert count_nonzero_outcomes(p0, m, seed) == int(np.count_nonzero(outcomes))

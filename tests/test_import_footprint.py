@@ -54,6 +54,19 @@ def test_linearity_tests_load_no_simulator(argv):
     assert "gowersim.qsim" not in loaded
 
 
+@pytest.mark.parametrize("validate", [[], ["--validate", "--trials", "3"]], ids=["plain", "validate"])
+def test_estimate_loads_no_simulator(validate):
+    # the norm circuit's final state has a closed form in the derivatives' spectra
+    argv = ["estimate", "--anf", "x1*x2", "-n", "2", "-m", "10", "-t", "0.1", "--seed", "1",
+            *validate]
+    loaded = loaded_modules(
+        "from gowersim.cli import main\n"
+        f"assert main({argv!r} + ['--deterministic']) == 0"
+    )
+    assert "gowersim.estimate" in loaded
+    assert "gowersim.qsim" not in loaded
+
+
 CLI_EXIT = "from gowersim.cli import main\nsys.exit(main({!r}))"
 
 

@@ -21,7 +21,7 @@ from gowersim.boolfn import (
 )
 from gowersim.dyadic import DyadicRational
 from gowersim.errors import CapacityError
-from gowersim.estimate import Measurement, child_seed
+from gowersim.estimate import Measurement, child_seed, u2_partial_sums
 from gowersim.gowers import u2_spectral
 from gowersim.lintest import (
     BLR_QUERIES_PER_TRIAL,
@@ -32,7 +32,6 @@ from gowersim.lintest import (
     quantum_linearity_test,
     rejection_lower_bound,
 )
-from gowersim.qsim import build_u2_circuit, run
 from gowersim.spectral import convolve, dist_to_linear, walsh
 
 from_anf_string = BooleanFunction.from_anf_string
@@ -283,15 +282,15 @@ def test_signed_distance_bound_has_counterexamples():
 
 
 # ---------------------------------------------------------------------------
-# the state-free test against the full-state oracle: run + Measurement.sample
+# the state-free test against the full-state oracle: u2_partial_sums + Measurement.sample
 # ---------------------------------------------------------------------------
 
 
 def state_verdict(f, shots, seed):
     """quantum_linearity_test computed from the u2 circuit's final state."""
-    num = run(build_u2_circuit(f.n), f)
-    p_accept = float(Fraction(int(num[0]), num.size) ** 2)  # num / 2^q, 2^q = num.size
-    rejections = int(np.count_nonzero(Measurement(num).sample(shots, seed)))
+    cum = u2_partial_sums(f)
+    p_accept = float(Fraction(int(cum[0]), int(cum[-1])))  # num[0]^2 / 2^(2q)
+    rejections = int(np.count_nonzero(Measurement(cum).sample(shots, seed)))
     return {
         "verdict": "REJECT" if rejections else "ACCEPT", "mode": "sampled", "shots": shots,
         "accept_probability_exact": p_accept, "rejection_frequency": rejections / shots,
@@ -334,7 +333,7 @@ def test_compare_matches_state_sampler(f, shots, seed):
 
 
 def test_compare_pinned_at_n8():
-    # values from the full-state run + sample path at 24 qubits
+    # values from the full-state sampler at 24 qubits
     table = linear(8, 0b10110101).table.copy()  # the function's own table is read-only
     table[[3, 77, 200]] ^= 1
     rep = compare(BooleanFunction(8, table), shots=50_000, seed=8080)

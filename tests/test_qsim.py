@@ -30,7 +30,6 @@ from gowersim.qsim import (
     build_derivative_walk_circuit,
     build_u2_circuit,
     phase_audit,
-    run,
     zero_amplitude,
 )
 from gowersim.spectral import fwht_inplace
@@ -101,7 +100,7 @@ def test_phase_oracle_needs_matching_function():
         apply(lay, uniform_state(lay), PhaseOracle(1), from_anf_string("0", 3))
     for f in (None, from_anf_string("0", 3)):
         with pytest.raises(ValueError):
-            run(Circuit(lay, (PhaseOracle(1), HadamardAll())), f)
+            zero_amplitude(Circuit(lay, (PhaseOracle(1), HadamardAll())), f)
         with pytest.raises(ValueError):
             zero_amplitude(Circuit(lay, (PhaseOracle(1),)), f)
 
@@ -210,11 +209,11 @@ def test_appendix_u3_structure():
 
 def test_run_known_amplitudes():
     # numerators over 2^q: amplitudes 1, 1/4 and 1/16
-    assert run(build_u2_circuit(3), linear(3, 0b110))[0] == 1 << 9
-    and_num = run(build_u2_circuit(2), from_anf_string("x1*x2", 2))
+    assert permuted_run(build_u2_circuit(3), linear(3, 0b110))[0] == 1 << 9
+    and_num = permuted_run(build_u2_circuit(2), from_anf_string("x1*x2", 2))
     assert and_num.dtype == np.int32 and and_num.shape == (1 << 6,)
     assert and_num[0] == (1 << 6) // 4
-    assert run(build_u2_circuit(4), bent_quadratic(4))[0] == (1 << 12) // 16
+    assert permuted_run(build_u2_circuit(4), bent_quadratic(4))[0] == (1 << 12) // 16
 
 
 def test_u2_circuit_full_spectrum():
@@ -234,14 +233,15 @@ def test_u2_circuit_full_spectrum():
                         sign[x] * sign[x ^ a] * sign[x ^ b] * sign[x ^ a ^ b]
                     )
         fwht_inplace(tensor)
-        assert np.array_equal(run(build_u2_circuit(n), f), tensor)
+        assert np.array_equal(permuted_run(build_u2_circuit(n), f), tensor)
 
 
 def test_walk_circuit_measures_uk():
     rng = np.random.default_rng(14)
     for n, k in ((2, 2), (2, 3), (3, 3), (2, 4)):
         f = random_function(n, int(rng.integers(0, 2**32)))
-        p0 = Fraction(int(run(build_derivative_walk_circuit(n, k), f)[0]), 1 << (k + 1) * n) ** 2
+        num0 = int(permuted_run(build_derivative_walk_circuit(n, k), f)[0])
+        p0 = Fraction(num0, 1 << (k + 1) * n) ** 2
         assert p0 == uk_definition(f, k).pow_value ** 2
 
 
@@ -282,7 +282,7 @@ def test_phase_audit_flags_repeats_and_midway_hadamard():
     with pytest.raises(ValueError):
         phase_audit(bad)
     with pytest.raises(ValueError):
-        run(bad, from_anf_string("0", 2))
+        zero_amplitude(bad, from_anf_string("0", 2))
 
 
 def test_circuit_capacity():
@@ -303,7 +303,7 @@ def test_walk_work_guard():
 
 def test_walk_p0_known_value():
     f = from_anf_string("x1*x2*x3", 3)
-    p0 = Fraction(int(run(build_derivative_walk_circuit(3, 3), f)[0]), 1 << 12) ** 2
+    p0 = Fraction(int(permuted_run(build_derivative_walk_circuit(3, 3), f)[0]), 1 << 12) ** 2
     assert p0 == DyadicRational(11, 5) ** 2
 
 
@@ -330,7 +330,7 @@ def test_run_matches_gate_by_gate_fold(case, cells):
     circuit, f = case
     state = fold(circuit, f)
     with mock.patch.object(spectral, "_BLOCK_CELLS", cells):
-        num = run(circuit, f)
+        num = permuted_run(circuit, f)
     assert num.tobytes() == state.tobytes()
 
 
@@ -339,7 +339,7 @@ def test_run_matches_gate_by_gate_fold(case, cells):
 def test_walk_amplitude_equals_uk_exactly(n, k, seed):
     assume(n * (k + 1) <= 16)
     f = random_function(n, seed)
-    num0 = int(run(build_derivative_walk_circuit(n, k), f)[0])
+    num0 = int(permuted_run(build_derivative_walk_circuit(n, k), f)[0])
     assert Fraction(num0, 1 << (k + 1) * n) == uk_definition(f, k).pow_value
 
 
@@ -356,7 +356,7 @@ def built_circuits(draw):
 @given(st.one_of(built_circuits(), circuits_and_functions(max_qubits=12)))
 def test_zero_amplitude_equals_run(case):
     circuit, f = case
-    assert zero_amplitude(circuit, f) == amplitude(circuit, run(circuit, f)[0])
+    assert zero_amplitude(circuit, f) == amplitude(circuit, permuted_run(circuit, f)[0])
 
 
 @settings(max_examples=200, deadline=None)
@@ -399,8 +399,8 @@ BLOCKED_CIRCUITS = [
 
 
 def simulated(circuit, f):
-    """zero_amplitude, and run's state bytes up to 18 qubits (2^24 states are not run)."""
-    state = run(circuit, f).tobytes() if circuit.layout.qubits <= 18 else None
+    """zero_amplitude, and permuted_run's state bytes up to 18 qubits (not at 2^24 states)."""
+    state = permuted_run(circuit, f).tobytes() if circuit.layout.qubits <= 18 else None
     return zero_amplitude(circuit, f), state
 
 
@@ -443,7 +443,7 @@ def test_every_block_is_bounded(monkeypatch, circuit, cells):
     amp0 = zero_amplitude(circuit, f)
     if layout.qubits <= 16:
         assert amp0 == amplitude(circuit, expected[0])
-        assert run(circuit, f).tobytes() == expected.tobytes()
+        assert permuted_run(circuit, f).tobytes() == expected.tobytes()
     elif layout.n == 1:
         assert amp0 == zero_amplitude(idle_register_circuit(2), f)
     else:
@@ -475,11 +475,11 @@ def test_zero_amplitude_never_holds_the_phase_table():
     ids=["oracle-register-4-of-3", "hall-not-last", "no-function", "function-n7"],
 )
 def test_run_refuses_before_it_allocates_the_state(circuit, f):
-    # the 24-qubit int32 state would be 64 MiB
+    # the executor refuses before its first block; a 24-qubit phase table would be 16 MiB
     tracemalloc.start()
     try:
         with pytest.raises(ValueError):
-            run(circuit, f)
+            zero_amplitude(circuit, f)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -487,7 +487,7 @@ def test_run_refuses_before_it_allocates_the_state(circuit, f):
 
 
 # ---------------------------------------------------------------------------
-# unrestored register maps: the state is simulated in the final registers
+# unrestored register maps: the phases are read in the initial registers
 # ---------------------------------------------------------------------------
 
 
@@ -512,24 +512,11 @@ def test_permuted_run_matches_gate_by_gate_fold(case):
     ids=["n7-m3", "n7-m3-no-hall", "n3-m7", "n1-m21"],
 )
 def test_run_equals_the_register_map_permutation_at_21_qubits(circuit):
-    # the gate-by-gate fold stops near 16 qubits; this oracle reaches the edge
+    # the hypothesis cases stop near 10 qubits; a few gate-by-gate folds reach the edge
     f = random_function(circuit.layout.n, 23)
-    assert run(circuit, f).tobytes() == permuted_run(circuit, f).tobytes()
-
-
-def test_run_holds_no_index_array_and_no_second_state():
-    # register 1 ends as r1 ^ r2; the int32 state and the transform's half-length
-    # scratch are 6 bytes per basis state
-    circuit = Circuit(RegisterLayout(7, 3),
-                      (PhaseOracle(1), MCnot(1, 2), PhaseOracle(1), HadamardAll()))
-    f = random_function(7, 5)
-    tracemalloc.start()
-    try:
-        run(circuit, f)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 7 * circuit.layout.dim + (1 << 20)
+    state = fold(circuit, f)
+    assert permuted_run(circuit, f).tobytes() == state.tobytes()
+    assert zero_amplitude(circuit, f) == amplitude(circuit, state[0])
 
 
 # ---------------------------------------------------------------------------
@@ -561,8 +548,8 @@ def test_a_polynomial_of_degree_below_k_leaves_the_state_unchanged(circuit, degr
     rng = np.random.default_rng(31)
     n = circuit.layout.n
     f = random_function(n, 32)
-    assert run(circuit, plus(f, random_polynomial(n, degree, rng))).tobytes() == (
-        run(circuit, f).tobytes()
+    assert permuted_run(circuit, plus(f, random_polynomial(n, degree, rng))).tobytes() == (
+        permuted_run(circuit, f).tobytes()
     )
 
 
@@ -579,10 +566,10 @@ def test_translating_f_signs_the_state_by_register_one():
     f = random_function(n, 35)
     c = 0b1011001
     shifted = BooleanFunction(n, f.table[np.arange(1 << n) ^ c])
-    base = run(circuit, f)
+    base = permuted_run(circuit, f)
     r1 = np.arange(circuit.layout.dim) >> circuit.layout.shift(1)
     odd = np.bitwise_count(r1 & c) & 1 == 1
-    assert np.array_equal(run(circuit, shifted), np.where(odd, -base, base))
+    assert np.array_equal(permuted_run(circuit, shifted), np.where(odd, -base, base))
 
 
 def test_composing_f_with_a_linear_map_moves_every_register_field():
@@ -600,6 +587,6 @@ def test_composing_f_with_a_linear_map_moves_every_register_field():
     # bit i of M y is column i of L^-1, that is L^-1(2^i), dotted with y
     moved = sum(((np.bitwise_count(inverse[1 << i] & x) & 1) << i) for i in range(n))
     f = random_function(n, 37)
-    base = run(circuit, f).reshape((1 << n,) * 3)
-    composed = run(circuit, BooleanFunction(n, f.table[images]))
+    base = permuted_run(circuit, f).reshape((1 << n,) * 3)
+    composed = permuted_run(circuit, BooleanFunction(n, f.table[images]))
     assert np.array_equal(composed, base[np.ix_(moved, moved, moved)].reshape(-1))
