@@ -12,15 +12,15 @@ gives each oracle call's XOR-coset of initial registers, hence the phase of
 every initial basis index.  No MCNOT moves index 0 or changes the sum over all
 indices, and a final HadamardAll puts that sum of signs at 0, so neither the
 register map nor the transform is applied.  The phases come in blocks of at
-most 2^17 basis indices, from whole rows x -> F(x ^ v) of a 2^(2n) table of
-translates.  Only the executor imports numpy and `spectral`, so building,
-dumping, auditing or refusing a circuit loads neither.
+most 2^17 basis indices, over an `np.ix_` mesh of register runs, from whole
+rows x -> F(x ^ v) of a 2^(2n) table of translates, or from F entry by entry
+where that table does not fit a block.  Only the executor imports numpy and
+`spectral`, so building, dumping, auditing or refusing a circuit loads neither.
 """
 
 from __future__ import annotations
 
 import functools
-import operator
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
@@ -137,36 +137,20 @@ def _walk(circuit: Circuit) -> tuple[list[frozenset[int]], dict[int, frozenset[i
     return cosets, contents
 
 
-def _register_axes(n: int, m: int, size: int) -> dict[int, np.ndarray]:
-    """Each register's contents along its own axis of m, over the first `size` basis indices.
-
-    size is a power of two.  Over the `size` indices from any multiple of
-    size, a register holds its content at the first one XOR these values.
-    """
-    import numpy as np
-
-    ramp = np.arange(1 << n, dtype=np.min_scalar_type((1 << n) - 1))
-    return {r: ramp[: max(1, size >> ((m - r) * n))].reshape((-1,) + (1,) * (m - r))
-            for r in range(1, m + 1)}
-
-
-def _register_sum(axes: dict[int, np.ndarray], regs) -> np.ndarray:
-    """XOR of some registers' contents, broadcast over their axes."""
-    return functools.reduce(operator.xor, (axes[r] for r in regs))
-
-
 def _phase_blocks(circuit: Circuit, f: BooleanFunction | None):
     """Flat uint8 parity of F over every oracle call's coset, per initial basis index, in order.
 
     Each block is a run of consecutive basis indices, spectral._BLOCK_CELLS
     of them (rounded down to a power of two) or all 2^q if fewer.  In a
-    block each register holds c_r XOR a run 0, 1, ... along its own axis, c_r
-    its content at the block's start, so a coset C's part differs between
-    blocks only by c = XOR of C's c_r.  The part is rows[v] = (x -> F(x ^ v))
-    along the run of C's highest register h, at v = c XOR the runs of C's
-    other registers; without room for the 2^(2n) rows, F is gathered per
-    entry.  Parts are XORed in order of h, so few of them span the whole block.
-    The circuit and f are checked on the call; the blocks are built as they are read.
+    block, register r holds c_r XOR a run 0, 1, ... along axis r of the open
+    mesh `np.ix_` builds, c_r its content at the block's start, so a coset C's
+    part differs between blocks only by c = XOR of C's c_r.  The part is
+    rows[v] = (x -> F(x ^ v)) along the run of C's highest register h, at
+    v = c XOR the runs of C's other registers; without room for the 2^(2n)
+    rows, F is gathered per entry.  Parts are XORed in order of h, in place
+    once the sum spans the part, and the sum is broadcast to the block's
+    shape.  The circuit and f are checked on the call; the blocks are built
+    as they are read.
     """
     import numpy as np
 
@@ -178,33 +162,26 @@ def _phase_blocks(circuit: Circuit, f: BooleanFunction | None):
     if cosets and (f is None or f.n != n):
         raise ValueError(f"the oracle needs a BooleanFunction with n = {n}")
     size = 1 << min(layout.qubits, cells.bit_length() - 1)
-    axes = _register_axes(n, m, size)
-    shape = tuple(len(axes[r]) for r in range(1, m + 1))
+    ramp = np.arange(1 << n, dtype=np.min_scalar_type((1 << n) - 1))
+    mesh = np.ix_(*(ramp[: max(1, size >> ((m - r) * n))] for r in range(1, m + 1)))
+    shape = tuple(axis.size for axis in mesh)
     table = f.table if cosets else None
-    rows = None
-    if cosets and 4**n <= cells:
-        ramp = np.arange(1 << n)
-        rows = table[np.bitwise_xor.outer(ramp, ramp)]
+    rows = table[np.bitwise_xor.outer(ramp, ramp)] if cosets and 4**n <= cells else None
     starts = np.arange(0, layout.dim, size, dtype=np.int64)
-
-    def start_xor(coset: frozenset[int]) -> np.ndarray:  # c of the coset, per block
-        parts = [(starts >> layout.shift(r)) & ((1 << n) - 1) for r in coset]
-        return functools.reduce(np.bitwise_xor, parts).astype(axes[1].dtype)
-
     plan, acc_shape = [], (1,) * m
     for coset in sorted(cosets, key=max):
         h = max(coset)
+        cs = functools.reduce(np.bitwise_xor, [(starts >> layout.shift(r)) & ((1 << n) - 1)
+                                               for r in coset]).astype(ramp.dtype)
         if rows is None or len(coset) == 1:
-            source, pattern = table, _register_sum(axes, coset)
-            part_shape = (1,) * (m - pattern.ndim) + pattern.shape
+            source, pattern = table, functools.reduce(np.bitwise_xor, [mesh[r - 1] for r in coset])
+            part_shape = pattern.shape
         else:
-            v = _register_sum(axes, coset - {h})
-            # v broadcasts from the right: pad it to m axes, keep registers 1..h-1
-            lead = v.reshape((1,) * (m - v.ndim) + v.shape).shape[: h - 1]
-            source, pattern = rows[:, : shape[h - 1]], v.reshape(lead)
-            part_shape = lead + (shape[h - 1],) + (1,) * (m - h)
+            v = functools.reduce(np.bitwise_xor, [mesh[r - 1] for r in coset - {h}])
+            source, pattern = rows[:, : shape[h - 1]], v.reshape(v.shape[: h - 1])
+            part_shape = pattern.shape + (shape[h - 1],) + (1,) * (m - h)
         grown = np.broadcast_shapes(acc_shape, part_shape)
-        plan.append((start_xor(coset), source, pattern, part_shape, grown != acc_shape))
+        plan.append((cs, source, pattern, part_shape, grown != acc_shape))
         acc_shape = grown
 
     def block(j: int) -> np.ndarray:

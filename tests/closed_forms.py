@@ -23,6 +23,14 @@ to D_a F.  Since ||f||_{U_3}^8 is the mean over a of ||D_a f||_{U_2}^4,
 
 (Gowers, "A new proof of Szemeredi's theorem", GAFA 2001, for U_3 through
 first derivatives).
+
+The `u3_appendix` circuit measures no norm.  On registers x, a, b, c its 7
+oracle calls read F at x, x+a, x+a+b, x+a+b+c, x+b+c, x+c and x+b, never at
+x+a+c.  With f = (-1)^F and h_{a,c}(y) = f(y) f(y+a) f(y+c) f(y+a+c), the
+four calls that read b multiply to h_{a,c}(x+b), and the other three to
+h_{a,c}(x) f(x+a+c).  Its final Hadamard layer sums the signs, so
+
+    2^(4n) amp_0 = sum_{a,c} (sum_x h_{a,c}(x) f(x+a+c)) (sum_y h_{a,c}(y)).
 """
 
 from __future__ import annotations
@@ -31,6 +39,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+
+import numpy as np
 
 
 def gf2_rank(rows: list[int]) -> int:
@@ -127,3 +137,13 @@ def random_cubic(n: int, seed: int) -> Cubic:
     density = rng.random()
     triples = tuple(t for t in combinations(range(1, n + 1), 3) if rng.random() < density)
     return Cubic(triples, random_quadratic(n, seed))
+
+
+def u3_appendix_amplitude(table: np.ndarray) -> Fraction:
+    """amp_0 of the `u3_appendix` circuit on the 0/1 table of F, from its cosets grouped by b."""
+    f = 1 - 2 * np.asarray(table, dtype=np.int64)
+    x = np.arange(f.size)
+    a, c, y = x[:, None, None], x[None, :, None], x[None, None, :]  # 2^(3n) triples
+    h = f[y] * f[y ^ a] * f[y ^ c] * f[y ^ a ^ c]
+    total = int(((h * f[y ^ a ^ c]).sum(axis=2) * h.sum(axis=2)).sum())
+    return Fraction(total, f.size**4)

@@ -1,6 +1,7 @@
 """The exact U2 routes, the nonlinearity and `analyze` against the rank closed forms of
-quadratics, and the U3 routes against the rank closed form of cubics
-(tests/closed_forms.py), which use no Walsh transform."""
+quadratics, the U3 routes against the rank closed form of cubics, and the simulated
+`u3_appendix` amplitude against its coset sum (tests/closed_forms.py), which use no Walsh
+transform and no circuit."""
 
 import json
 from fractions import Fraction
@@ -11,9 +12,11 @@ import pytest
 from gowersim import cli
 from gowersim.boolfn import BooleanFunction
 from gowersim.gowers import u2_spectral, uk_definition, uk_via_derivatives
+from gowersim.qsim import build_appendix_u3_circuit, zero_amplitude
 from gowersim.spectral import nonlinearity, walsh
 
-from closed_forms import Cubic, Quadratic, gf2_rank, random_cubic, random_quadratic
+from closed_forms import (Cubic, Quadratic, gf2_rank, random_cubic, random_quadratic,
+                          u3_appendix_amplitude)
 
 
 def test_gf2_rank():
@@ -83,3 +86,20 @@ def test_cubic_rank_matches_the_derivative_route():
     for c in cubics(range(3, 9), 6, 4) + cubics((10,), 2, 4) + cubics((12,), 1, 4):
         f = BooleanFunction.from_anf_string(c.anf(), c.n)
         assert uk_via_derivatives(f, 3).pow_value == c.u3_pow(), c
+
+
+def test_u3_appendix_coset_sum_of_constant_and_linear_functions():
+    # h = 1 for an affine f, so amp_0 is the mean of f
+    assert u3_appendix_amplitude(np.zeros(8, np.uint8)) == 1
+    assert u3_appendix_amplitude(np.ones(8, np.uint8)) == -1
+    assert u3_appendix_amplitude(np.array([0, 0, 0, 0, 1, 1, 1, 1], np.uint8)) == 0  # x1
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_u3_appendix_amplitude_matches_the_coset_sum(n):
+    # n = 6 is the 24-qubit edge of the 4-register layout
+    rng = np.random.default_rng(29 + n)
+    for _ in range(3):
+        f = BooleanFunction(n, rng.integers(0, 2, 1 << n, dtype=np.uint8))
+        want = u3_appendix_amplitude(f.table)
+        assert Fraction(zero_amplitude(build_appendix_u3_circuit(n), f)) == want

@@ -1,0 +1,62 @@
+"""Digests of every benchmark job's and README example's output, one line per run.
+
+    python3 tools/digests.py [--seeds 1 2 3] > digests.txt
+
+Runs each job of every workload in perfbench/workloads.py for each seed, as
+perfbench/run.py runs it (`python -c "from gowersim.cli import run; run()"
+ARGS --deterministic` with the checkout's src/ on PYTHONPATH), then each
+`$ gowersim ...` line of the README as written.  Each line of output is
+`workload seed job exit sha256(stdout) sha256(stderr)`; README examples read
+`readme - example-<i>-<subcommand>`.  Everything is read from the checkout
+that holds this script, so comparing two checkouts is one `diff` of the
+digest files that each one's copy prints.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import shlex
+import subprocess
+import sys
+from pathlib import Path
+
+
+def readme_examples(readme: str) -> list[list[str]]:
+    """The arguments of every `$ gowersim ...` line in the README's code blocks."""
+    return [shlex.split(chunk.partition("\n")[0])
+            for block in readme.split("```")[1::2]
+            for chunk in block.split("$ gowersim ")[1:]]
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
+    opts = parser.parse_args()
+    root = Path(__file__).resolve().parent.parent
+    src = root / "src"
+    sys.path[:0] = [str(root / "perfbench"), str(src)]
+    from workloads import WORKLOADS
+
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1"}
+    cli = [sys.executable, "-c", "from gowersim.cli import run; run()"]
+
+    def digest(workload: str, seed: str, job: str, argv: list[str]) -> None:
+        proc = subprocess.run([*cli, *argv], cwd=root, env=env, capture_output=True)
+        print(workload, seed, job, proc.returncode, hashlib.sha256(proc.stdout).hexdigest(),
+              hashlib.sha256(proc.stderr).hexdigest(), flush=True)
+
+    for workload, jobs in WORKLOADS.items():
+        for seed in opts.seeds:
+            for job in jobs(seed):
+                digest(workload, str(seed), job.name, [*job.args, "--deterministic"])
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    for i, argv in enumerate(readme_examples(readme), 1):
+        digest("readme", "-", f"example-{i}-{argv[0]}", argv)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
