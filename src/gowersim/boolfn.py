@@ -20,13 +20,11 @@ CapacityError so that all downstream exact accumulators stay cheap.
 from __future__ import annotations
 
 import re
-from typing import Iterable, Sequence, Union
+from typing import Iterable
 
 import numpy as np
 
 from .errors import MAX_N, AnfSyntaxError, check_capacity
-
-Point = Union[int, Sequence[int]]
 
 # ---------------------------------------------------------------------------
 # table plumbing
@@ -65,18 +63,6 @@ def _mobius(table: np.ndarray) -> np.ndarray:
     return out
 
 
-def pack_point(vec: Sequence[int], n: int | None = None) -> int:
-    """(x1, ..., xn) -> index with x1 most significant."""
-    if n is not None and len(vec) != n:
-        raise ValueError(f"point has length {len(vec)}, expected {n}")
-    idx = 0
-    for bit in vec:
-        if bit not in (0, 1):
-            raise ValueError(f"point coordinates must be 0/1, got {bit!r}")
-        idx = (idx << 1) | bit
-    return idx
-
-
 # ---------------------------------------------------------------------------
 # ANF
 # ---------------------------------------------------------------------------
@@ -91,10 +77,6 @@ class Anf:
         """The coefficients are checked and copied, as a BooleanFunction's truth table is."""
         self.n, self.coeffs = n, _table(n, coeffs, "ANF coefficient table")
 
-    def monomials(self) -> list[int]:
-        """Packed indices u with lambda_u = 1, ascending."""
-        return np.flatnonzero(self.coeffs).tolist()
-
     def degree(self) -> int:
         """Max Hamming weight of a monomial; 0 for the constant functions."""
         present = np.flatnonzero(self.coeffs)
@@ -107,7 +89,7 @@ class Anf:
         low = self.n // 2  # u = (high field x1..x_{n-low}, low field: the rest)
         high_names, low_names = _products(self.n - low, 1), _products(low, self.n - low + 1)
         terms = []
-        for u in self.monomials():
+        for u in np.flatnonzero(self.coeffs).tolist():
             h, l = high_names[u >> low], low_names[u & ((1 << low) - 1)]
             terms.append(h + "*" + l if h and l else h or l or "1")
         return " + ".join(terms) if terms else "0"
@@ -225,9 +207,10 @@ class BooleanFunction:
         """The table packed into an integer: bit idx(x) holds F(x)."""
         return int.from_bytes(np.packbits(self.table, bitorder="little").tobytes(), "little")
 
-    def sign_table(self, dtype=np.int8) -> np.ndarray:
-        """Character form f(x) = (-1)**F(x) as an array of +-1."""
-        return (1 - 2 * self.table.astype(np.int16)).astype(dtype)
+    def sign_table(self) -> np.ndarray:
+        """Character form f(x) = (-1)**F(x) as an int64 array of +-1."""
+        # int16 arithmetic and one widening cast: ~5x faster than int64 arithmetic
+        return (1 - 2 * self.table.astype(np.int16)).astype(np.int64)
 
     @property
     def weight(self) -> int:
@@ -252,20 +235,20 @@ class BooleanFunction:
 # -- standard families ---------------------------------------------------------
 
 
-def _as_mask(u: Point | str, n: int) -> int:
+def _as_mask(u: int | str, n: int) -> int:
     if isinstance(u, str):
         if len(u) != n or any(c not in "01" for c in u):
             raise ValueError(f"direction string must be {n} bits of 0/1, got {u!r}")
         return int(u, 2)
-    if isinstance(u, (int, np.integer)):
-        if not 0 <= u < (1 << n):
-            raise ValueError(f"index {u} out of range for n = {n}")
-        return int(u)
-    return pack_point(list(u), n)
+    if not isinstance(u, (int, np.integer)):
+        raise TypeError(f"u must be an index or a bit string, got {type(u).__name__}")
+    if not 0 <= u < (1 << n):
+        raise ValueError(f"index {u} out of range for n = {n}")
+    return int(u)
 
 
-def linear(n: int, u: Point | str) -> BooleanFunction:
-    """The linear function x -> u . x (u given as index, bit vector, or bit string)."""
+def linear(n: int, u: int | str) -> BooleanFunction:
+    """The linear function x -> u . x (u given as index or bit string)."""
     _check_n(n)
     mask = _as_mask(u, n)
     idx = np.arange(1 << n, dtype=np.uint32)

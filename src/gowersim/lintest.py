@@ -19,7 +19,8 @@ exact acceptance probability is 1/2 + 1/2 sum_u fhat(u)^3, which
 `blr_exact_dyadic(f)` cross-checks against the enumeration of all 2^(2n)
 pairs where 2n <= 24.  Its trials are drawn in chunks, in memory that does not
 grow with their count, on the stream of one call for all xs and one for all
-ys.  Results are the dicts the CLI prints: a verdict per test, a row from compare.
+ys: the ys come from a copy of the generator advanced past the xs.  Results
+are the dicts the CLI prints: a verdict per test, a row from compare.
 """
 
 from __future__ import annotations
@@ -91,7 +92,7 @@ def blr_exact_dyadic(f: BooleanFunction) -> DyadicRational:
     spectral = DyadicRational((1 << (3 * n)) + _power_sum(walsh(f), 3), 3 * n + 1)
     if 2 * n <= MAX_N:
         # accepted pairs (x, y): (2^(2n) + sum_x f(x) r(x)) / 2, r(x) = sum_y f(y) f(x+y)
-        s = int(np.dot(f.sign_table(np.int64), convolve(f, f)))
+        s = int(np.dot(f.sign_table(), convolve(f, f)))
         enumerated = DyadicRational((1 << (2 * n)) + s, 2 * n + 1)
         if spectral != enumerated:
             raise CrossCheckError(
@@ -100,36 +101,22 @@ def blr_exact_dyadic(f: BooleanFunction) -> DyadicRational:
     return spectral
 
 
-def _after_uint32_draws(rng: np.random.Generator, count: int) -> np.random.Generator:
-    """A copy of rng's PCG64 stream, moved past `count` >= 1 uint32 draws; rng is untouched.
-
-    A uint32 draw takes the low half of a 64-bit output and keeps the high
-    half for the next one, so after a buffered half the draws use up
-    (count - buffered) // 2 outputs, and an odd remainder leaves a high half
-    buffered.  Its raw output is read before the state that it advances.
-    """
-    bits = copy.deepcopy(rng.bit_generator)
-    owed = count - bits.state["has_uint32"]
-    bits.advance(owed // 2)  # also drops any buffered half
-    if owed % 2:
-        high = int(bits.random_raw()) >> 32
-        bits.state = {**bits.state, "has_uint32": 1, "uinteger": high}
-    return np.random.Generator(bits)
-
-
 def blr_test(f: BooleanFunction, trials: int, seed: int | None = None) -> dict:
     """Sampled BLR test of `trials` >= 1 draws; REJECT iff any trial rejects.
 
     The verdict adds the exact acceptance probability as a dyadic, computed
     once by `blr_exact_dyadic`.  xs and ys are the seed's first and second
-    `trials` uint32 draws, taken chunk by chunk, the ys from a second
-    generator started past the xs.
+    `trials` uint32 draws, taken chunk by chunk, the ys from a copy of the
+    generator advanced past the xs.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     p_exact = blr_exact_dyadic(f)
     x_rng = np.random.default_rng(seed)
-    y_rng = _after_uint32_draws(x_rng, trials)
+    y_rng = copy.deepcopy(x_rng)
+    y_rng.bit_generator.advance(trials // 2)  # two uint32 draws per 64-bit output
+    if trials % 2:  # the ys start on the high half that the last x leaves buffered
+        y_rng.integers(1 << 32, dtype=np.uint32)
     size, table, rejections = 1 << f.n, f.table, 0
     for count in _draw_sizes(trials):
         xs = x_rng.integers(0, size, size=count, dtype=np.uint32)

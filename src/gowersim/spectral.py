@@ -35,7 +35,7 @@ def fwht_inplace(a: np.ndarray) -> np.ndarray:
 
 def walsh(f: BooleanFunction) -> np.ndarray:
     """The integer W(u) as a read-only int64 array, indexed by the packed index of u."""
-    w = fwht_inplace(f.sign_table(np.int64))
+    w = fwht_inplace(f.sign_table())
     w.setflags(write=False)
     return w
 

@@ -40,7 +40,7 @@ def apply(layout: RegisterLayout, num: np.ndarray, gate: Gate,
             raise ValueError(f"oracle function has n = {f.n}, layout has n = {layout.n}")
         pre = 1 << ((gate.register - 1) * layout.n)
         post = 1 << ((layout.m - gate.register) * layout.n)
-        signs = f.sign_table(num.dtype)
+        signs = f.sign_table().astype(num.dtype)
         return (num.reshape(pre, 1 << layout.n, post) * signs[None, :, None]).reshape(-1)
     if isinstance(gate, MCnot):
         layout._check_register(gate.target)

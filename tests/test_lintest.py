@@ -96,7 +96,7 @@ def test_blr_known_values():
 
 def blr_enumerated(f):
     """The BLR acceptance probability from all 2^(2n) pairs, via the XOR correlation."""
-    s = int(np.dot(f.sign_table(np.int64), convolve(f, f)))
+    s = int(np.dot(f.sign_table(), convolve(f, f)))
     return Fraction((1 << (2 * f.n)) + s, 1 << (2 * f.n + 1))
 
 
@@ -198,6 +198,15 @@ def test_chunked_blr_at_the_real_chunk_size(trials):
     f = cached_random_function(10)
     got = blr_test(f, trials, 31337)["rejection_frequency"]
     assert got == blr_one_call_rejections(f, trials, 31337) / trials
+
+
+def test_unseeded_blr_draws_its_ys_after_its_xs_from_one_generator():
+    # a second default_rng() for the ys would start them on fresh entropy: here 999's stream
+    f = cached_random_function(10)
+    rngs = iter([np.random.default_rng(4242), np.random.default_rng(999)])
+    with mock.patch.object(lintest.np.random, "default_rng", lambda seed=None: next(rngs)):
+        got = blr_test(f, 5001)["rejection_frequency"]
+    assert got == blr_one_call_rejections(f, 5001, 4242) / 5001
 
 
 def test_blr_memory_does_not_grow_with_trials():

@@ -9,7 +9,6 @@ from gowersim.boolfn import (
     BooleanFunction,
     bent_quadratic,
     linear,
-    pack_point,
     random_function,
 )
 from gowersim.dyadic import DyadicRational
@@ -52,7 +51,7 @@ def test_walsh_matches_brute_force():
 def test_walsh_known_values():
     w = walsh(from_anf_string("x1*x2", 2))
     assert list(w) == [2, 2, 2, -2]
-    assert w[pack_point((1, 1))] == -2
+    assert w[0b11] == -2
     with pytest.raises(ValueError):  # the spectrum is a read-only value
         w[0] = 0
 

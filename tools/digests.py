@@ -1,13 +1,15 @@
-"""Digests of every benchmark job's and README example's output, one line per run.
+"""Digests of the output of every benchmark job, README example and EXTRA argv, one per line.
 
     python3 tools/digests.py [--seeds 1 2 3] > digests.txt
 
 Runs each job of every workload in perfbench/workloads.py for each seed, as
 perfbench/run.py runs it (`python -c "from gowersim.cli import run; run()"
 ARGS --deterministic` with the checkout's src/ on PYTHONPATH), then each
-`$ gowersim ...` line of the README as written.  Each line of output is
-`workload seed job exit sha256(stdout) sha256(stderr)`; README examples read
-`readme - example-<i>-<subcommand>`.  Everything is read from the checkout
+`$ gowersim ...` line of the README as written, then the fixed argvs of
+EXTRA, which reach odd BLR draw counts and options no job uses.  Each line of
+output is `workload seed job exit sha256(stdout) sha256(stderr)`; README
+examples read `readme - example-<i>-<subcommand>` and EXTRA runs
+`extra - <argv joined by _>`.  Everything is read from the checkout
 that holds this script, so comparing two checkouts is one `diff` of the
 digest files that each one's copy prints.
 """
@@ -21,6 +23,17 @@ import shlex
 import subprocess
 import sys
 from pathlib import Path
+
+# what no benchmark job runs: odd BLR draw counts (every job draws an even one),
+# `--family linear --u` and the empty ANF
+EXTRA = [
+    *(["blr", "--family", "random", "--seed", "7", "-n", n, "--trials", trials]
+      for n in ("1", "12", "20") for trials in ("1", "3", "65537", "100001")),
+    *(["compare", "-n", "5", "--family", "random", "--seed", "11", "--shots", shots]
+      for shots in ("1", "10001")),
+    ["analyze", "-n", "3", "--family", "linear", "--u", "101"],
+    ["analyze", "-n", "4", "--anf", "0"],
+]
 
 
 def readme_examples(readme: str) -> list[list[str]]:
@@ -55,6 +68,8 @@ def main() -> int:
     readme = (root / "README.md").read_text(encoding="utf-8")
     for i, argv in enumerate(readme_examples(readme), 1):
         digest("readme", "-", f"example-{i}-{argv[0]}", argv)
+    for argv in EXTRA:
+        digest("extra", "-", "_".join(argv), [*argv, "--deterministic"])
     return 0
 
 
