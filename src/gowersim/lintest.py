@@ -49,7 +49,7 @@ def _verdict(p_accept: float, count: int, rejections: int, seed) -> dict:
         "shots": count,
         "accept_probability_exact": p_accept,
         "rejection_frequency": rejections / count,
-        "seed": seed if isinstance(seed, int) else None,
+        "seed": seed,
     }
 
 

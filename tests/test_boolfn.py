@@ -224,14 +224,17 @@ def test_hex_conventions():
     g = BooleanFunction(1, [1, 0])
     assert g.to_hex() == "8"
     assert same(BooleanFunction.from_hex(1, "8"), g)
-    with pytest.raises(ValueError):
-        BooleanFunction.from_hex(1, "9")  # padding bit set
+    for text in ("9", "a"):  # a padding bit set: the last, or the first
+        with pytest.raises(ValueError, match="padding bits"):
+            BooleanFunction.from_hex(1, text)
     with pytest.raises(ValueError):
         BooleanFunction.from_hex(2, "12")  # wrong digit count
     with pytest.raises(ValueError):
         BooleanFunction.from_hex(2, "g")
     # only 0-9a-fA-F: int(text, 16) alone would take a prefix, separators and signs
     assert same(BooleanFunction.from_hex(4, "1F2E"), BooleanFunction.from_hex(4, "1f2e"))
+    # surrounding whitespace is dropped, as a quoted --tt-hex ' 6a ' passes it on
+    assert same(BooleanFunction.from_hex(3, " 6a "), BooleanFunction.from_hex(3, "6a"))
     for text in ("0x1f", "1_2f", "-001", "+1f2", "\u0661\u0662\u0663\u0664"):
         with pytest.raises(ValueError, match=re.escape(repr(text))):
             BooleanFunction.from_hex(4, text)
@@ -240,7 +243,8 @@ def test_hex_conventions():
 def test_tables_are_read_only():
     f = random_function(5, 31)
     anf = f.to_anf()
-    for table in (f.table, anf.coeffs, linear(5, 6).table, bent_quadratic(4).table):
+    checked = (BooleanFunction(2, [0, 1, 1, 0]).table, Anf(2, [0, 0, 0, 1]).coeffs)
+    for table in (f.table, anf.coeffs, linear(5, 6).table, bent_quadratic(4).table, *checked):
         assert table.dtype == np.uint8 and not table.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             table[0] ^= 1
@@ -299,6 +303,11 @@ def test_table_validation():
         BooleanFunction(0, [])
     with pytest.raises(CapacityError, match=r"maximum 24: 2\^25 table entries > 2\^24$"):
         BooleanFunction.from_packed(25, 0)
+    with pytest.raises(ValueError, match="positive integer, got 2.0$"):
+        BooleanFunction(2.0, [0, 1, 1, 0])
+    for bits in (16, -1):  # 2^(2^n) tables at n = 2
+        with pytest.raises(ValueError, match="packed table out of range"):
+            BooleanFunction.from_packed(2, bits)
 
 
 def derivative_table(f, dirs):

@@ -28,6 +28,9 @@ def run_json(capsys, *argv):
     return json.loads(out)
 
 
+X1X2 = ("--anf", "x1*x2", "-n", "2")
+
+
 def test_analyze(capsys):
     doc = run_json(capsys, "analyze", "--anf", "x1*x2", "-n", "2", "--deterministic")
     assert doc["command"] == "analyze"
@@ -425,16 +428,16 @@ def test_compare_json_and_csv(capsys):
 
 
 def test_seed_is_drawn_and_printed_when_omitted(capsys):
-    code, out, _ = run_cli(capsys, "lintest", "--anf", "x1*x2", "-n", "2",
-                           "--shots", "50", "--deterministic")
-    assert code == 0
-    doc = json.loads(out)
-    seed = doc["seed"]
-    assert isinstance(seed, int) and seed >= 0
-    # replaying the printed seed reproduces the run
-    replay = run_json(capsys, "lintest", "--anf", "x1*x2", "-n", "2",
-                      "--shots", "50", "--seed", str(seed), "--deterministic")
-    assert replay == doc
+    # a command that samples, and a random family under commands that otherwise draw nothing
+    for argv in (("lintest", *X1X2, "--shots", "50"),
+                 ("analyze", "--family", "random", "-n", "4"),
+                 ("gowers", "--family", "random", "-n", "3"),
+                 ("simulate", "--circuit", "u2", "--family", "random", "-n", "2")):
+        doc = run_json(capsys, *argv, "--deterministic")
+        seed = doc["seed"]
+        assert isinstance(seed, int) and seed >= 0
+        # replaying the printed seed reproduces the run: its tt_hex, amplitude or verdict
+        assert run_json(capsys, *argv, "--seed", str(seed), "--deterministic") == doc, argv
 
 
 def test_u_is_refused_without_family_linear(capsys):
@@ -555,20 +558,22 @@ def test_blr_transforms_its_function_once(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    ("command", "target", "fake", "detail"),
+    ("argv", "target", "fake", "detail"),
     [
-        ("gowers", "gowersim.gowers.u2_autocorrelation",
+        (("gowers", *X1X2), "gowersim.gowers.u2_autocorrelation",
          lambda f: GowersValue(2, DyadicRational(1, 7)), "Gowers routes disagree: "),
         # one more in the spectral sum 2^(3n) + sum W^3: 81/128 instead of 5/8
-        ("blr", "gowersim.lintest._power_sum", lambda w, p: gowers._power_sum(w, p) + 1,
+        (("blr", *X1X2), "gowersim.lintest._power_sum", lambda w, p: gowers._power_sum(w, p) + 1,
          "BLR routes disagree: spectral 81/2^7 vs enumeration 5/2^3\n"),
+        # 2n = 24 = MAX_N is the largest n whose pairs are still enumerated
+        (("blr", "--family", "random", "-n", "12"), "gowersim.lintest._power_sum",
+         lambda w, p: gowers._power_sum(w, p) + 1, "BLR routes disagree: spectral "),
     ],
-    ids=["gowers", "blr"],
+    ids=["gowers", "blr", "blr-12"],
 )
-def test_exit_code_4_on_cross_check_failure(capsys, monkeypatch, command, target, fake, detail):
+def test_exit_code_4_on_cross_check_failure(capsys, monkeypatch, argv, target, fake, detail):
     monkeypatch.setattr(target, fake)
-    code, out, err = run_cli(capsys, command, "--anf", "x1*x2", "-n", "2", "--seed", "1",
-                             "--deterministic")
+    code, out, err = run_cli(capsys, *argv, "--seed", "1", "--deterministic")
     assert code == 4 and out == ""
     assert err.startswith(f"internal error: {detail}")
 

@@ -21,7 +21,7 @@ def test_canonical_form():
 
 
 def test_negative_log2_den_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="log2_den must be non-negative"):
         DyadicRational(1, -1)
 
 

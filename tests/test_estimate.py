@@ -83,8 +83,10 @@ def test_sample_rejects_unnormalized_state():
     for squares, total in (([9] * lay.dim, 72), ([0] * lay.dim, 0), ([], 0), ([2**54, 0], 2**54)):
         with pytest.raises(ValueError, match=rf"power of two <= 2\^53, got {total}$"):
             Measurement(np.cumsum(np.array(squares, dtype=np.int64)))
-    with pytest.raises(ValueError):
-        Measurement(partial_sums(uniform_state(lay))).sample(0, 0)
+    measurement = Measurement(partial_sums(uniform_state(lay)))
+    for draw in (measurement.sample, measurement.y_bar):  # not a ZeroDivisionError from y_bar
+        with pytest.raises(ValueError, match="need at least one sample"):
+            draw(0, 0)
 
 
 def test_measurement_refuses_sums_that_are_not_int64():

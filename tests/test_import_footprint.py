@@ -86,11 +86,3 @@ def test_work_without_a_truth_table_loads_no_numpy(code, status):
     assert "gowersim.errors" in loaded
     assert not {name for name in loaded if name == "numpy" or name.startswith("numpy.")}
 
-
-def test_names_and_modules_resolve_on_first_use():
-    import gowersim
-
-    assert gowersim.spectral.walsh is gowersim.walsh
-    namespace: dict = {}
-    exec("from gowersim import *", namespace)
-    assert set(gowersim.__all__) <= set(namespace)

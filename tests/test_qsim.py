@@ -125,8 +125,9 @@ def test_mcnot_is_an_involution():
 def test_mcnot_validation():
     with pytest.raises(ValueError):
         MCnot(1, 1)
-    with pytest.raises(ValueError):
-        MCnot(0, 1)
+    for gate, registers in ((MCnot, (0, 1)), (MCnot, (1, 0)), (PhaseOracle, (0,))):
+        with pytest.raises(ValueError, match="register indices start at 1"):
+            gate(*registers)
     lay = RegisterLayout(2, 2)
     with pytest.raises(ValueError):
         apply(lay, uniform_state(lay), MCnot(1, 3))
@@ -471,8 +472,11 @@ def test_zero_amplitude_never_holds_the_phase_table():
         (Circuit(RegisterLayout(8, 3), (HadamardAll(), PhaseOracle(1))), random_function(8, 1)),
         (build_u2_circuit(8), None),
         (build_u2_circuit(8), random_function(7, 1)),
+        (Circuit(RegisterLayout(8, 3), (MCnot(4, 1), HadamardAll())), random_function(8, 1)),
+        (Circuit(RegisterLayout(8, 3), (MCnot(1, 4), HadamardAll())), random_function(8, 1)),
     ],
-    ids=["oracle-register-4-of-3", "hall-not-last", "no-function", "function-n7"],
+    ids=["oracle-register-4-of-3", "hall-not-last", "no-function", "function-n7",
+         "mcnot-target-4-of-3", "mcnot-source-4-of-3"],
 )
 def test_run_refuses_before_it_allocates_the_state(circuit, f):
     # the executor refuses before its first block; a 24-qubit phase table would be 16 MiB

@@ -172,7 +172,7 @@ def test_convolution_theorem():
 
 
 def test_convolve_errors():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="dimension mismatch: n = 2 vs 3$"):
         convolve(from_anf_string("0", 2), from_anf_string("0", 3))
     with pytest.raises(CapacityError):
         convolve(from_anf_string("0", 13), from_anf_string("0", 13))
