@@ -147,15 +147,16 @@ class Measurement:
         return total / (self.cum.size * m)
 
 
-def count_nonzero_outcomes(p0: float, m: int, seed) -> int:
-    """count_nonzero(Measurement(cum).sample(m, seed)) when cum[0] / S = p0, S = cum[-1].
+def count_nonzero_outcomes(p0, m: int, seed) -> int:
+    """How many of m draws r on the PCG64 stream of `seed` have r >= p0, a rational in [0, 1].
 
-    Exact on the same PCG64 stream: S is a power of two <= 2^53, so p0 is
-    the float cum[0] / S without rounding, and a draw r maps to outcome 0
-    iff floor(r * S) < cum[0], that is iff r < p0.
+    A draw r maps to outcome 0 iff r < p0, as in Measurement(cum).sample(m, seed), where
+    p0 = cum[0] / S: floor(r * S) < cum[0] iff r < p0.  Each draw is a multiple of 2^-53,
+    so r >= p0 iff r >= ceil(p0 * 2^53) / 2^53, a float without rounding at every p0.
     """
+    threshold = math.ceil(p0 * 2**53) / 2**53
     rng = np.random.default_rng(seed)
-    return sum(int(np.count_nonzero(rng.random(size) >= p0)) for size in _draw_sizes(m))
+    return sum(int(np.count_nonzero(rng.random(size) >= threshold)) for size in _draw_sizes(m))
 
 
 def hoeffding_bound(y_bar: float, m: int, t: float, seed: int | None = None) -> dict:

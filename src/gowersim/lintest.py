@@ -12,7 +12,6 @@ Only that statistic is simulated, never the 2^(3n) final state: p0 is the
 square of the exact spectral U_2 value, and the shots are drawn against it
 on the PCG64 stream that sampling the state would use (see
 estimate.count_nonzero_outcomes), so the counts equal the state sampler's.
-The circuit's 3n <= 24 qubit envelope is kept.
 
 The BLR test draws x, y uniformly and accepts iff F(x) + F(y) = F(x+y); its
 exact acceptance probability is 1/2 + 1/2 sum_u fhat(u)^3, which
@@ -32,7 +31,7 @@ import numpy as np
 
 from .boolfn import BooleanFunction
 from .dyadic import DyadicRational
-from .errors import MAX_N, CrossCheckError, check_layout
+from .errors import MAX_N, CrossCheckError
 from .estimate import _draw_sizes, child_seed, count_nonzero_outcomes
 from .gowers import _power_sum, u2_spectral
 from .spectral import convolve, dist_to_linear, nonlinearity, walsh
@@ -73,9 +72,8 @@ def quantum_linearity_test(f: BooleanFunction, shots: int, seed: int | None = No
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    check_layout(3, f.n)  # the circuit's 3 registers of n qubits
-    p_accept = float(u2_spectral(f).pow_value) ** 2
-    return _verdict(p_accept, shots, count_nonzero_outcomes(p_accept, shots, seed), seed)
+    p0 = u2_spectral(f).pow_value ** 2
+    return _verdict(float(p0), shots, count_nonzero_outcomes(p0, shots, seed), seed)
 
 
 # ---------------------------------------------------------------------------

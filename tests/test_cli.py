@@ -483,13 +483,12 @@ def test_exit_code_3_on_capacity(capsys):
     code, _, err = run_cli(capsys, "gowers", "--family", "bent", "-n", "14", "-k", "3",
                            "--route", "derivatives")
     assert code == 3 and "(k-1)*n <= 24" in err
-    # the u2 circuit's 3n <= 24 qubit envelope, worded as its layout's, bounds the
-    # state-free tests and estimate's closed form
-    for argv in (("lintest", "--shots", "10"), ("compare", "--shots", "10"),
-                 ("estimate", "-m", "10", "-t", "0.1")):
-        code, out, err = run_cli(capsys, *argv, "--family", "bent", "-n", "10", "--seed", "1")
-        assert code == 3 and out == "" and "m*n <= 24" in err
-        assert err.rstrip().endswith("got 3 x 10: 2^30 basis states > 2^24")
+    # the u2 circuit's 3n <= 24 qubit envelope, worded as its layout's, bounds estimate's
+    # 2^(3n)-entry CDF; lintest and compare hold no such array (tests/test_lintest.py)
+    code, out, err = run_cli(capsys, "estimate", "-m", "10", "-t", "0.1", "--family", "bent",
+                             "-n", "10", "--seed", "1")
+    assert code == 3 and out == "" and "m*n <= 24" in err
+    assert err.rstrip().endswith("got 3 x 10: 2^30 basis states > 2^24")
     code, out, err = run_cli(capsys, "simulate", "--circuit", "u2", "-n", "9", "--dump")
     assert code == 3 and out == ""
     assert err.rstrip().endswith("layout needs m*n <= 24, got 3 x 9: 2^27 basis states > 2^24")
@@ -528,7 +527,7 @@ def test_capacity_errors_state_the_cost_and_budget(capsys):
          "2^28 transform entries > 2^24"),
         ((*bent14, "-k", "2", "--route", "autocorrelation"),
          "the XOR correlation needs 2n <= 24, got n = 14: 2^28 terms > 2^24"),
-        (("lintest", "--family", "bent", "-n", "10", "--seed", "1"),
+        (("estimate", "--family", "bent", "-n", "10", "-m", "10", "-t", "0.1", "--seed", "1"),
          "layout needs m*n <= 24, got 3 x 10: 2^30 basis states > 2^24"),
         (("simulate", "--circuit", "u2", "-n", "9", "--family", "bent"),
          "layout needs m*n <= 24, got 3 x 9: 2^27 basis states > 2^24"),

@@ -284,6 +284,16 @@ def test_u2_partial_sums_check_their_total(monkeypatch):
         u2_partial_sums(bent_quadratic(2))
 
 
+def test_u2_partial_sums_refuse_before_any_work(monkeypatch):
+    # past 3n = 24 the 2^(3n) int64 CDF is refused before the first derivative row
+    def no_rows(*args):
+        raise AssertionError("the derivative rows were built")
+
+    monkeypatch.setattr(spectral, "_derivative_rows", no_rows)
+    with pytest.raises(CapacityError, match=r"got 3 x 9: 2\^27 basis states > 2\^24$"):
+        u2_partial_sums(random_function(9, 1))
+
+
 @st.composite
 def sampled_circuits(draw):
     """The u2 circuit at n <= 3 or a walk of order k <= 3 at n <= 2, with a random f."""

@@ -22,7 +22,7 @@ from gowersim.gowers import (
     uk_definition,
     uk_via_derivatives,
 )
-from gowersim import spectral
+from gowersim import gowers, spectral
 from gowersim.spectral import _derivative_rows, convolve, fwht_inplace, walsh
 
 from_anf_string = BooleanFunction.from_anf_string
@@ -164,6 +164,16 @@ def test_derivative_route_asymmetric_to_definition_capacity():
         uk_via_derivatives(from_anf_string("0", 13), 5)  # (k-1)n = 52
     with pytest.raises(CapacityError):
         uk_via_derivatives(from_anf_string("0", 13), 3)  # (k-1)n = 26: 2^13 FWHTs of length 2^13
+
+
+def test_derivative_route_refuses_before_any_work(monkeypatch):
+    def no_rows(*args):
+        raise AssertionError("the derivative rows were built")
+
+    monkeypatch.setattr(gowers, "_derivative_rows", no_rows)
+    for k, cost in ((3, 26), (5, 52)):
+        with pytest.raises(CapacityError, match=rf"n = 13: 2\^{cost} transform entries > 2\^24$"):
+            uk_via_derivatives(from_anf_string("0", 13), k)
 
 
 def test_argument_validation():

@@ -12,7 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gowersim import estimate, lintest
+from closed_forms import random_quadratic
+
+from gowersim import cli, estimate, lintest
 from gowersim.boolfn import (
     BooleanFunction,
     bent_quadratic,
@@ -353,6 +355,73 @@ def test_compare_pinned_at_n8():
     assert rep["quantum_reject_per_query"] == 0.04319587668555869
     assert rep["blr_reject_exact"] == 0.034332275390625
     assert rep["blr_reject_freq"] == 0.03268
+
+
+# ---------------------------------------------------------------------------
+# past the circuit's 24 qubits: the state-free test runs wherever the truth table does
+# ---------------------------------------------------------------------------
+
+# x1 + x2 with F(1...1) flipped.  sum_u W(u)^4 = 2^n sum_a r(a)^2 with 4 | r(a), so
+# p0 = (sum W^4)^2 / 2^(8n) fits 53 bits up to n = 10; at n = 11 this p0 rounds down
+NEAR_LINEAR_11 = "x1 + x2 + " + "*".join(f"x{i}" for i in range(1, 12))
+
+
+class ConstantDraws:
+    """A generator whose every uniform draw is `value`."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def random(self, size):
+        return np.full(size, self.value)
+
+
+def test_shots_compare_draws_with_the_exact_p0(monkeypatch):
+    f = from_anf_string(NEAR_LINEAR_11, 11)
+    p0 = u2_spectral(f).pow_value ** 2
+    below = float(p0)  # correctly rounded; p0 >= 1/2, so a multiple of 2^-53
+    above = below + 2.0**-53
+    assert Fraction(1, 2) <= Fraction(below) < p0 < Fraction(above)
+    for draw, verdict in ((below, "ACCEPT"), (above, "REJECT")):
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: ConstantDraws(draw))
+        got = quantum_linearity_test(f, 1, 7)
+        assert (got["verdict"], got["accept_probability_exact"]) == (verdict, below)
+
+
+@pytest.mark.parametrize("n", [9, 11, 12, 13])
+def test_shot_counts_equal_the_integer_reference(n):
+    # a draw r = i / 2^53 rejects iff i >= p0 * 2^53, compared exactly
+    rng = np.random.default_rng(n)
+    table = linear(n, int(rng.integers(1 << n))).table.copy()
+    table[rng.integers(0, 1 << n, 1 << (n - 5))] ^= 1
+    f = BooleanFunction(n, table)
+    p0 = u2_spectral(f).pow_value ** 2
+    shots, seed = 20_000, 100 + n
+    steps = (np.random.default_rng(seed).random(shots) * 2**53).astype(np.int64).tolist()
+    rejections = sum(Fraction(i, 1 << 53) >= p0 for i in steps)
+    assert quantum_linearity_test(f, shots, seed)["rejection_frequency"] == rejections / shots
+
+
+def cli_json(capsys, *argv):
+    code = cli.main(list(argv))
+    out, err = capsys.readouterr()
+    assert code == 0, err
+    return json.loads(out)
+
+
+def test_lintest_and_compare_run_to_the_table_limit(capsys):
+    for n in (9, 16, 20):
+        q = random_quadratic(n, n)
+        p0 = float(q.u2_pow() ** 2)
+        function = ("--anf", q.anf(), "-n", str(n), "--seed", "3", "--shots", "2000")
+        assert cli_json(capsys, "lintest", *function)["accept_probability_exact"] == p0
+        row = cli_json(capsys, "compare", *function)
+        assert row["quantum_reject_exact"] == 1 - p0
+        assert row["nonlinearity"] == q.nonlinearity()
+    # past 24 variables the truth table is refused, before any circuit is considered
+    code = cli.main(["lintest", "--family", "random", "-n", "25", "--seed", "1"])
+    assert (code, *capsys.readouterr()) == (
+        3, "", "error: n = 25 exceeds the supported maximum 24: 2^25 table entries > 2^24\n")
 
 
 # ---------------------------------------------------------------------------

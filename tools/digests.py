@@ -25,7 +25,8 @@ import sys
 from pathlib import Path
 
 # what no benchmark job runs: odd BLR draw counts (every job draws an even one),
-# `--family linear --u` and the empty ANF
+# `--family linear --u`, the empty ANF, and lintest and compare past 3n = 24 qubits,
+# last at n = 11 on x1 + x2 with one entry flipped, whose p0 no float holds
 EXTRA = [
     *(["blr", "--family", "random", "--seed", "7", "-n", n, "--trials", trials]
       for n in ("1", "12", "20") for trials in ("1", "3", "65537", "100001")),
@@ -33,6 +34,11 @@ EXTRA = [
       for shots in ("1", "10001")),
     ["analyze", "-n", "3", "--family", "linear", "--u", "101"],
     ["analyze", "-n", "4", "--anf", "0"],
+    ["lintest", "--family", "random", "--seed", "5", "-n", "9", "--shots", "100001"],
+    *(["compare", "--family", "random", "--seed", "5", "-n", n] for n in ("12", "20")),
+    ["compare", "--format", "csv", "--family", "random", "--seed", "5", "-n", "16"],
+    ["lintest", "-n", "11", "--anf", "x1+x2+" + "*".join(f"x{i}" for i in range(1, 12)),
+     "--seed", "5", "--shots", "100001"],
 ]
 
 

@@ -2,16 +2,20 @@
 
     python3 tools/mutants.py
 
-Each entry of CATALOGUE is (path, original, replacement, test files, kind).
+Each entry of CATALOGUE is (path, original, replacement, tests, kind).
 `original` is exact text that occurs once in `path`; the mutant replaces it
-with `replacement`.  A `kill` mutant must make the named test files fail; an
-`equivalent` one changes no observable behaviour, so it must pass them.
+with `replacement`.  `tests` are test files or pytest node ids.  A `kill`
+mutant must make the named tests fail; an `equivalent` one changes no
+observable behaviour, so it must pass them.  A mutant that weakens a size
+guard names only tests that refuse a size whose unguarded work is cheap, or
+that make the first step of that work raise.
 
 Each mutant runs in turn on a fresh temporary copy of the checkout's TREE,
-with `python -m pytest -x -q -p no:cacheprovider <test files>` and the copy's
+with `python -m pytest -x -q -p no:cacheprovider <tests>` and the copy's
 src/ alone on PYTHONPATH.  The unmutated copy first runs every named file and
-must pass.  One line per mutant reads `status kind seconds path:line
-original -> replacement`, then a line of counts.  The exit status is 1 if an
+must pass.  One line per mutant reads `status kind seconds peak-MB path:line
+original -> replacement`, the peak being pytest's resident set size as
+`os.wait4` reports it, then a line of counts.  The exit status is 1 if an
 original text is not found exactly once, the unmutated tree fails, a `kill`
 mutant survives, an `equivalent` one is killed or pytest cannot run; else 0.
 Each test added for a behaviour comes with the mutant that it kills.
@@ -21,9 +25,11 @@ from __future__ import annotations
 
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 from pathlib import Path
 
@@ -40,6 +46,11 @@ BOOLFN, SPECTRAL, GOWERS, DYADIC, ERRORS, ESTIMATE, LINTEST, QSIM, CLI = (
                  "qsim", "cli")
 )
 T = "tests/test_{}.py".format
+
+
+def node(module: str, test: str) -> str:
+    return f"{T(module)}::{test}"
+
 
 CATALOGUE = [
     # boolfn: the guards on tables, packed integers, hex digits and linear's u
@@ -59,6 +70,9 @@ CATALOGUE = [
     (BOOLFN, "if not 1 <= index <= n:", "if not 1 <= index:", [T("boolfn")], "kill"),
     (BOOLFN, "np.bitwise_xor.at(coeffs,", "np.bitwise_or.at(coeffs,", [T("boolfn")], "kill"),
     (BOOLFN, "tobytes().hex()[:ndigits]", "tobytes().hex()", [T("boolfn")], "kill"),
+    # the table-size guard; unguarded, from_packed(25, 0) builds a 32 MiB table
+    (BOOLFN, 'n, "table entries")', 'n - 1, "table entries")',
+     [node("boolfn", "test_table_validation")], "kill"),
     # spectral: the transform, the block clamps of _derivative_rows and the frozen results
     (SPECTRAL, "np.subtract(lo, hi, out=view[:, h:])", "np.add(lo, hi, out=view[:, h:])",
      [T("spectral")], "kill"),
@@ -72,17 +86,22 @@ CATALOGUE = [
     (SPECTRAL, "u = int(np.argmax(w))", "u = int(np.argmax(np.abs(w)))", [T("spectral")],
      "kill"),
     (SPECTRAL, "if f.n != g.n:", "if False:", [T("spectral")], "kill"),
+    (SPECTRAL, '2 * f.n, "terms")', 'f.n, "terms")', [node("spectral", "test_convolve_errors")],
+     "kill"),
     # gowers and dyadic: the exact sums and their argument checks
     (GOWERS, "int(v) ** p * int(c)", "int(v) ** p", [T("gowers")], "kill"),
     (GOWERS, "(k + 1) * f.n, \"terms\")", "k * f.n, \"terms\")", [T("gowers")], "kill"),
     (GOWERS, "if k < 3:", "if k < 2:", [T("gowers")], "kill"),
+    (GOWERS, '(k - 1) * f.n, "transform entries")', '(k - 2) * f.n, "transform entries")',
+     [node("gowers", "test_derivative_route_refuses_before_any_work")], "kill"),
     (DYADIC, "if log2_den < 0:", "if log2_den < -1:", [T("dyadic")], "kill"),
     (DYADIC, "if q.denominator != 1 << log2_den:", "if False:", [T("dyadic")], "kill"),
     (ERRORS, "if cost > budget:", "if cost >= budget:", [T("lintest")], "kill"),
-    # estimate: the exact distribution, its sampler and the draw budget.  A mutant of a size
-    # guard, such as u2_partial_sums' check_layout, is left out: its test would allocate GBs
+    # estimate: the exact distribution, its sampler, the draw budget and the 3n <= 24 guard
     (ESTIMATE, "if count > DRAW_BUDGET:", "if count > 2 * DRAW_BUDGET:", [T("estimate")],
      "kill"),
+    (ESTIMATE, "    check_layout(3, n)", "    check_layout(2, n)",
+     [node("estimate", "test_u2_partial_sums_refuse_before_any_work")], "kill"),
     (ESTIMATE, "per = max(1, spectral._BLOCK_CELLS >> 2 * n)",
      "per = spectral._BLOCK_CELLS >> 2 * n", [T("estimate")], "kill"),
     (ESTIMATE, "part[0] += cum[(a << 2 * n) - 1] if a else 0", "part[0] += 0",
@@ -96,10 +115,14 @@ CATALOGUE = [
     (ESTIMATE, "        if m < 1:", "        if m < 0:", [T("estimate")], "kill"),
     (ESTIMATE, "return total / (self.cum.size * m)", "return total / (self.cum[-1] * m)",
      [T("estimate")], "kill"),
-    # p0 is cum[0] / S exactly, and a draw r in [0, 1) equals it only with probability ~2^-53
-    (ESTIMATE, "rng.random(size) >= p0", "rng.random(size) > p0", [T("estimate"), T("lintest")],
-     "equivalent"),
-    # lintest: the BLR cross-check, its draws and the verdict
+    # a draw just below and one just above a p0 that no float holds
+    (ESTIMATE, "math.ceil(p0 * 2**53)", "math.floor(p0 * 2**53)",
+     [node("lintest", "test_shots_compare_draws_with_the_exact_p0")], "kill"),
+    (ESTIMATE, "rng.random(size) >= threshold", "rng.random(size) > threshold",
+     [node("lintest", "test_shots_compare_draws_with_the_exact_p0")], "kill"),
+    # lintest: the exact p0, the BLR cross-check, its draws and the verdict
+    (LINTEST, "u2_spectral(f).pow_value ** 2", "float(u2_spectral(f).pow_value) ** 2",
+     [node("lintest", "test_shots_compare_draws_with_the_exact_p0")], "kill"),
     (LINTEST, "if 2 * n <= MAX_N:", "if 2 * n < MAX_N:", [T("cli")], "kill"),
     (LINTEST, "y_rng.bit_generator.advance(trials // 2)",
      "y_rng.bit_generator.advance((trials + 1) // 2)", [T("lintest")], "kill"),
@@ -111,6 +134,10 @@ CATALOGUE = [
     # qsim: layouts, gate and register checks, the executor's mesh and rows
     (QSIM, "return (self.m - register) * self.n", "return (self.m - register + 1) * self.n",
      [T("qsim")], "kill"),
+    (QSIM, "check_layout(self.m, self.n)", "check_layout(self.m - 1, self.n)",
+     [node("qsim", "test_register_layout")], "kill"),
+    (QSIM, "k + layout.qubits,", "layout.qubits,", [node("qsim", "test_walk_work_guard")],
+     "kill"),
     (QSIM, "if not 1 <= register <= self.m:", "if not 1 <= register:", [T("qsim")], "kill"),
     (QSIM, "layout._check_register(gate.target)", "pass", [T("qsim")], "kill"),
     (QSIM, "layout._check_register(gate.source)", "pass", [T("qsim")], "kill"),
@@ -132,6 +159,8 @@ CATALOGUE = [
      "return self.command in", [T("cli")], "kill"),
     (CLI, 'if self.u is not None and self.family != "linear":', "if False:", [T("cli")], "kill"),
     (CLI, "if not cfg.deterministic:", "if cfg.deterministic:", [T("cli")], "kill"),
+    (CLI, "_check_draws(cfg.m * (1 + cfg.trials) if cfg.validate else cfg.m)",
+     "_check_draws(cfg.m)", [node("cli", "test_draw_budget_exits_3_before_any_work")], "kill"),
     # only compare has a --format option, so every other command reads the default
     (CLI, 'if getattr(cfg, "format", "json") == "csv":',
      'if cfg.command == "compare" and cfg.format == "csv":', [T("cli")], "equivalent"),
@@ -148,8 +177,9 @@ def _copy_tree(dst: Path) -> None:
             shutil.copy2(src, dst / name)
 
 
-def _run(tests: list[str], mutant: tuple[str, str, str] | None = None) -> tuple[int, float]:
-    """pytest's exit status on `tests` in a fresh copy, with `mutant` applied, and its seconds."""
+def _run(tests: list[str], mutant: tuple[str, str, str] | None = None) -> tuple[int, float, float]:
+    """pytest's exit status on `tests` in a fresh copy, with `mutant` applied, its seconds
+    and its peak resident set in MB."""
     with tempfile.TemporaryDirectory(prefix="gowersim-mutant-") as tmp:
         copy = Path(tmp)
         _copy_tree(copy)
@@ -161,12 +191,16 @@ def _run(tests: list[str], mutant: tuple[str, str, str] | None = None) -> tuple[
         env = {**os.environ, "PYTHONPATH": str(copy / "src")}
         argv = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
         start = time.perf_counter()
-        try:
-            code = subprocess.run(argv, cwd=copy, env=env, capture_output=True,
-                                  timeout=TIMEOUT_S).returncode
-        except subprocess.TimeoutExpired:
+        proc = subprocess.Popen(argv, cwd=copy, env=env, stdout=subprocess.DEVNULL,
+                                stderr=subprocess.DEVNULL)
+        timer = threading.Timer(TIMEOUT_S, proc.kill)
+        timer.start()
+        _, status, usage = os.wait4(proc.pid, 0)
+        timer.cancel()
+        proc.returncode = code = os.waitstatus_to_exitcode(status)
+        if code == -signal.SIGKILL:
             code = KILLED[0]
-        return code, time.perf_counter() - start
+        return code, time.perf_counter() - start, usage.ru_maxrss / 1024  # KiB on Linux
 
 
 def main() -> int:
@@ -181,23 +215,24 @@ def main() -> int:
             lines[path, original] = text[: text.index(original)].count("\n") + 1
     if failed:
         return 1
-    files = sorted({name for *_, tests, _ in CATALOGUE for name in tests})
-    code, seconds = _run(files)
+    files = sorted({name.partition("::")[0] for *_, tests, _ in CATALOGUE for name in tests})
+    code, seconds, _ = _run(files)
     print(f"unmutated {'passed' if code == 0 else f'exit {code}'} {seconds:.1f}s {' '.join(files)}",
           flush=True)
     if code != 0:
         return 1
     counts = {"killed": 0, "survived": 0, "equivalent": 0}
     for path, original, replacement, tests, kind in CATALOGUE:
-        code, seconds = _run(tests, (path, original, replacement))
+        code, seconds, peak_mb = _run(tests, (path, original, replacement))
         status = "killed" if code in KILLED else "survived" if code == 0 else f"exit-{code}"
         if status in counts:
             counts[status] += 1
         if status == "survived" and kind == "equivalent":
             counts["equivalent"] += 1
         failed |= status != ("killed" if kind == "kill" else "survived")
-        print(f"{status:8} {kind:10} {seconds:5.1f}s {path}:{lines[path, original]} "
-              f"{original.strip()!r} -> {replacement.strip()!r}", flush=True)
+        print(f"{status:8} {kind:10} {seconds:5.1f}s {peak_mb:5.0f}MB "
+              f"{path}:{lines[path, original]} {original.strip()!r} -> {replacement.strip()!r}",
+              flush=True)
     print(f"{len(CATALOGUE)} mutants: {counts['killed']} killed, {counts['survived']} survived, "
           f"{counts['equivalent']} of them recorded as equivalent")
     return 1 if failed else 0
