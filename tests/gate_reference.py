@@ -1,5 +1,6 @@
 """Integer reference states for the compiled executor `qsim.zero_amplitude` and the
-closed form `estimate.u2_partial_sums`.
+closed form `estimate.u2_partial_sums`, and the byte-per-term count that
+`gowers.uk_definition` replaces with packed words.
 
 A state is its int32 array of amplitude numerators, read with the circuit's
 layout: the uniform state is all ones over 2^(q/2) for q qubits, a phase
@@ -12,7 +13,8 @@ compare by equality.
 slow: the phases of `qsim._phase_blocks` in the initial registers, then the
 final register map as one flat permutation of the basis indices.
 `partial_sums` turns a state into the int64 partial sums that
-`estimate.Measurement` samples.
+`estimate.Measurement` samples.  `definition_ones` counts the ones of every
+k-fold derivative table one uint8 entry at a time, with no packed word.
 """
 
 import functools
@@ -22,7 +24,7 @@ import numpy as np
 from gowersim.boolfn import BooleanFunction
 from gowersim.qsim import (Circuit, Gate, HadamardAll, MCnot, PhaseOracle, RegisterLayout,
                            _phase_blocks)
-from gowersim.spectral import fwht_inplace
+from gowersim.spectral import _derivative_rows, fwht_inplace
 
 
 def uniform_state(layout: RegisterLayout) -> np.ndarray:
@@ -87,3 +89,9 @@ def permuted_run(circuit: Circuit, f: BooleanFunction | None = None) -> np.ndarr
 def partial_sums(num: np.ndarray) -> np.ndarray:
     """The int64 partial sums of num^2, the form `estimate.Measurement` samples."""
     return np.cumsum(num.astype(np.int64) ** 2)
+
+
+def definition_ones(f: BooleanFunction, k: int) -> int:
+    """The ones of Delta_{d1..dk} F over all x, d1, ..., dk: ||f||_{U_k}^(2^k) is
+    (2^((k+1)n) - 2 * ones) / 2^((k+1)n).  It builds 2^((k+1)n) bytes, in blocks."""
+    return sum(int(np.count_nonzero(rows)) for rows in _derivative_rows(f.table[None], k))

@@ -503,9 +503,21 @@ def test_derivative_walk_work_is_guarded(capsys):
         assert f"2^{work} oracle-entry evaluations > 2^32" in err
 
 
+def test_route_all_answers_up_to_the_definition_word_guard(capsys):
+    # every route of k = 2 runs to n = 10 and of k = 3 to n = 7; one variable more exits 3
+    for k, n, routes in (("2", "10", 3), ("3", "7", 2)):
+        doc = run_json(capsys, "gowers", "--family", "random", "--seed", "5", "-k", k, "-n", n,
+                       "--deterministic")
+        assert len(doc["routes"]) == routes and doc["agreement"] is True
+    for k, n in (("2", "11"), ("3", "8")):
+        code, out, err = run_cli(capsys, "gowers", "--family", "random", "--seed", "5", "-k", k,
+                                 "-n", n)
+        assert code == 3 and out == "" and err.startswith("error: uk_definition needs")
+
+
 def test_capacity_errors_state_the_cost_and_budget(capsys):
     for k, route, cost in (
-        (2, "definition", "2^42 terms"),
+        (2, "definition", "2^36 words"),
         (3, "derivatives", "2^28 transform entries"),
         (2, "autocorrelation", "2^28 terms"),
     ):
@@ -521,7 +533,7 @@ def test_capacity_errors_state_the_cost_and_budget(capsys):
         (("analyze", "--family", "random", "-n", "25", "--seed", "1"),
          "n = 25 exceeds the supported maximum 24: 2^25 table entries > 2^24"),
         ((*bent14, "-k", "2", "--route", "definition"),
-         "uk_definition needs (k+1)*n <= 24, got k = 2, n = 14: 2^42 terms > 2^24"),
+         "uk_definition needs k*n + max(0, n-6) <= 24, got k = 2, n = 14: 2^36 words > 2^24"),
         ((*bent14, "-k", "3", "--route", "derivatives"),
          "uk_via_derivatives needs (k-1)*n <= 24, got k = 3, n = 14: "
          "2^28 transform entries > 2^24"),
@@ -691,8 +703,8 @@ def test_benchmark_jobs_pass_their_checks(monkeypatch, capsys):
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
     from workloads import WORKLOADS
 
-    # `--route all` at k = 2 still stops at uk_definition's capacity guard
-    over_capacity = {"gowers-k2-n10-0", "gowers-k2-n12-0"}
+    # `--route all` at k = 2 and n = 12 still stops at uk_definition's capacity guard
+    over_capacity = {"gowers-k2-n12-0"}
     # analyze-random-20 is left out: it takes ~2 s, and its check re-parses a 19.6 MB ANF
     exact = [job for job in WORKLOADS["exact-large-n"](1) if job.name != "analyze-random-20"]
     for job in [*exact, *WORKLOADS["sim-24q"](1), *WORKLOADS["small-n-batch"](1)]:

@@ -2,6 +2,7 @@
 against each other.
 """
 
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -24,6 +25,8 @@ from gowersim.gowers import (
 )
 from gowersim import gowers, spectral
 from gowersim.spectral import _derivative_rows, convolve, fwht_inplace, walsh
+
+from closed_forms import random_cubic, random_quadratic
 
 from_anf_string = BooleanFunction.from_anf_string
 
@@ -85,6 +88,8 @@ def test_block_size_does_not_change_values(monkeypatch, cells):
         (random_function(12, 5), lambda f: uk_definition(f, 1)),
         (random_function(12, 6), u2_autocorrelation),
         (random_function(4, 7), lambda f: uk_definition(f, 3)),
+        (random_function(10, 12), lambda f: uk_definition(f, 2)),
+        (random_function(14, 13), lambda f: uk_definition(f, 1)),
         (random_function(5, 8), lambda f: uk_via_derivatives(f, 4)),
         (random_function(8, 9), lambda f: uk_via_derivatives(f, 3)),
         (random_function(8, 10), lambda f: convolve(f, g).tolist()),
@@ -96,7 +101,7 @@ def test_block_size_does_not_change_values(monkeypatch, cells):
 
 def test_u1_is_squared_bias():
     rng = np.random.default_rng(3)
-    for n in (1, 2, 3, 4):
+    for n in (1, 2, 3, 4, 15):
         f = random_function(n, int(rng.integers(0, 2**32)))
         w0 = int(walsh(f)[0])
         assert uk_definition(f, 1).pow_value == Fraction(w0, 1 << n) ** 2
@@ -155,10 +160,58 @@ def test_max_walsh_coefficient_lower_bound():
             assert u2_spectral(f).pow_value >= floor
 
 
+def test_definition_answers_past_one_byte_per_term():
+    # sizes with (k+1)*n > 24 that the word guard admits, against the other routes and the
+    # rank closed forms, which count no derivative entry one by one
+    for n, seed in ((9, 40), (10, 41)):
+        q = random_quadratic(n, seed)
+        f = from_anf_string(q.anf(), n)
+        assert uk_definition(f, 2).pow_value == u2_spectral(f).pow_value == q.u2_pow(), q
+        f = random_function(n, seed)
+        assert uk_definition(f, 2).pow_value == u2_spectral(f).pow_value
+    c = random_cubic(7, 42)
+    f = from_anf_string(c.anf(), 7)
+    assert uk_definition(f, 3).pow_value == uk_via_derivatives(f, 3).pow_value == c.u3_pow(), c
+    f = random_function(6, 43)
+    assert uk_definition(f, 4).pow_value == uk_via_derivatives(f, 4).pow_value
+
+
+def test_definition_guard_admits_the_words_it_xors(monkeypatch):
+    # with the sum stubbed out, the admitted (k, n) past (k+1)*n <= 24 are exactly these
+    monkeypatch.setattr(gowers, "_derivative_rows", lambda g, depth: iter(()))
+    monkeypatch.setattr(gowers, "_pair_ones", lambda rows: 0)
+    admitted = set()
+    for n in range(1, 17):
+        f = from_anf_string("0", n)
+        for k in range(1, 26):
+            try:
+                uk_definition(f, k)
+            except CapacityError:
+                continue
+            admitted.add((k, n))
+    assert {(k, n) for k, n in admitted if (k + 1) * n > 24} == {
+        (1, 13), (1, 14), (1, 15), (2, 9), (2, 10), (3, 7), (4, 5), (4, 6), (6, 4), (8, 3),
+        (12, 2), (24, 1)}
+    assert {(k, n) for k in range(1, 26) for n in range(1, 17) if (k + 1) * n <= 24} < admitted
+
+
+def test_definition_refuses_before_any_work(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("the definition started its sum")
+
+    monkeypatch.setattr(gowers, "_derivative_rows", no_work)
+    monkeypatch.setattr(gowers, "_pair_ones", no_work)
+    for k, n, cost in ((2, 11, 27), (1, 16, 26), (4, 7, 29), (25, 1, 25)):
+        line = (f"uk_definition needs k*n + max(0, n-6) <= 24, got k = {k}, n = {n}: "
+                f"2^{cost} words > 2^24")
+        with pytest.raises(CapacityError, match=f"^{re.escape(line)}$"):
+            uk_definition(from_anf_string("0", n), k)
+
+
 def test_derivative_route_asymmetric_to_definition_capacity():
     # the two routes trade register width differently, so their guards differ
     with pytest.raises(CapacityError):
-        uk_definition(from_anf_string("0", 9), 2)  # (k+1)n = 27
+        uk_definition(from_anf_string("0", 11), 2)  # k*n + n-6 = 27
     assert uk_via_derivatives(from_anf_string("0", 9), 3).pow_value == DyadicRational(1, 0)
     with pytest.raises(CapacityError):
         uk_via_derivatives(from_anf_string("0", 13), 5)  # (k-1)n = 52
@@ -206,16 +259,21 @@ def test_every_function_at_n4_definition_and_blr_sums_equal_the_spectrum():
     n, size = 4, 16
     tables = ((np.arange(1 << size)[:, None] >> np.arange(size)) & 1).astype(np.uint8)
     w = fwht_inplace(1 - 2 * tables.astype(np.int64))
-    ones_d1d2, ones_d = [], []
+    ones_d1d2, ones_d, pairs = [], [], []
     for start in range(0, 1 << size, 4096):
         batch = tables[start : start + 4096]
         ones_d1d2 += [np.count_nonzero(rows.reshape(-1, size**3), axis=1)
                       for rows in _derivative_rows(batch, 2)]
         ones_d += [np.count_nonzero(rows.reshape(-1, size, size), axis=2)
                    for rows in _derivative_rows(batch)]
+        # uk_definition's packed count of the last level, over the depth-1 rows of 16 tables
+        pairs += [gowers._pair_ones(rows) for block in _derivative_rows(batch)
+                  for rows in block.reshape(-1, 16 * size, size)]
     # the U2 definition numerator over 2^(3n) is sum W^4 over 2^(4n)
     definition = (1 << 3 * n) - 2 * np.concatenate(ones_d1d2).astype(np.int64)
     assert np.array_equal(definition << n, (w**4).sum(axis=1))
+    packed = (16 << 3 * n) - 4 * np.array(pairs, dtype=np.int64)
+    assert np.array_equal(packed << n, (w**4).sum(axis=1).reshape(-1, 16).sum(axis=1))
     # BLR: 2^(2n) + sum_x f(x) r(x), r(a) = sum_y f(y) f(y+a), is (2^(3n) + sum W^3) / 2^n
     r = size - 2 * np.concatenate(ones_d).astype(np.int64)
     enumeration = (1 << 2 * n) + ((1 - 2 * tables.astype(np.int64)) * r).sum(axis=1)

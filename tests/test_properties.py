@@ -8,13 +8,16 @@ Every comparison is integer (dyadic) equality, never a float tolerance.
 from fractions import Fraction
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gowersim.boolfn import Anf, BooleanFunction, _mobius
+from gowersim.dyadic import DyadicRational
 from gowersim.gowers import u2_autocorrelation, u2_spectral, uk_definition, uk_via_derivatives
 from gowersim.lintest import blr_exact_dyadic
 from gowersim.spectral import convolve
+
+from gate_reference import definition_ones
 
 
 def functions(max_n: int, min_n: int = 1, build=BooleanFunction.from_packed):
@@ -33,9 +36,33 @@ def test_u2_routes_agree(f):
     assert uk_definition(f, 2).pow_value == spectral
 
 
-# the largest inputs the definition's guard admits: (k+1)*n <= 24
+def definition_cases():
+    """(k, f) for k = 1..5 at every n with (k+1)*n <= 24, the uint8 oracle's reach; n = 5, 6
+    and 7 straddle the 64-entry word, so each k draws them on their own as well."""
+    def sizes(k):
+        edge = [n for n in (5, 6, 7) if (k + 1) * n <= 24]
+        every = st.integers(1, 24 // (k + 1))
+        return st.one_of(st.sampled_from(edge), every) if edge else every
+
+    return st.integers(1, 5).flatmap(
+        lambda k: st.tuples(st.just(k), sizes(k).flatmap(lambda n: functions(n, n))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(definition_cases())
+@example((1, BooleanFunction.from_packed(7, 3 << 100)))
+@example((2, BooleanFunction.from_packed(6, 0xF0F0_3C3C_5A5A_9696)))
+@example((3, BooleanFunction.from_packed(5, 0x8000_0001)))
+def test_uk_definition_equals_the_byte_count(case):
+    k, f = case
+    ones, log2 = definition_ones(f, k), (k + 1) * f.n
+    assert uk_definition(f, k).pow_value == DyadicRational((1 << log2) - 2 * ones, log2)
+
+
+# past (k+1)*n <= 24 at k = 3, n = 7 and k = 4, n = 6: the definition's guard counts words
 @settings(max_examples=30, deadline=None)
-@given(st.one_of(st.tuples(st.just(3), functions(6)), st.tuples(st.just(4), functions(4))))
+@given(st.one_of(st.tuples(st.just(3), functions(7)), st.tuples(st.just(4), functions(4)),
+                 st.tuples(st.just(4), functions(6, 6))))
 def test_uk_definition_equals_derivative_route(case):
     k, f = case
     assert uk_definition(f, k).pow_value == uk_via_derivatives(f, k).pow_value

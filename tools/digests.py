@@ -26,7 +26,8 @@ from pathlib import Path
 
 # what no benchmark job runs: odd BLR draw counts (every job draws an even one),
 # `--family linear --u`, the empty ANF, and lintest and compare past 3n = 24 qubits,
-# last at n = 11 on x1 + x2 with one entry flipped, whose p0 no float holds
+# at n = 11 on x1 + x2 with one entry flipped, whose p0 no float holds, and last the
+# definition route past (k+1)*n <= 24, up to its word guard and one variable over it
 EXTRA = [
     *(["blr", "--family", "random", "--seed", "7", "-n", n, "--trials", trials]
       for n in ("1", "12", "20") for trials in ("1", "3", "65537", "100001")),
@@ -39,6 +40,9 @@ EXTRA = [
     ["compare", "--format", "csv", "--family", "random", "--seed", "5", "-n", "16"],
     ["lintest", "-n", "11", "--anf", "x1+x2+" + "*".join(f"x{i}" for i in range(1, 12)),
      "--seed", "5", "--shots", "100001"],
+    *(["gowers", "-k", k, "-n", n, *route, "--family", "random", "--seed", "5"]
+      for k, n, route in (("2", "10", ()), ("3", "7", ()), ("4", "6", ()),
+                          ("1", "15", ("--route", "definition")), ("2", "11", ()))),
 ]
 
 

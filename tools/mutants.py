@@ -90,7 +90,32 @@ CATALOGUE = [
      "kill"),
     # gowers and dyadic: the exact sums and their argument checks
     (GOWERS, "int(v) ** p * int(c)", "int(v) ** p", [T("gowers")], "kill"),
-    (GOWERS, "(k + 1) * f.n, \"terms\")", "k * f.n, \"terms\")", [T("gowers")], "kill"),
+    # the definition's word guard; its refusal tests stub out the sum, so no mutant runs it
+    (GOWERS, 'k * f.n + max(0, f.n - 6), "words")', '(k - 1) * f.n + max(0, f.n - 6), "words")',
+     [node("gowers", "test_definition_refuses_before_any_work")], "kill"),
+    (GOWERS, 'k * f.n + max(0, f.n - 6), "words")', 'k * f.n + f.n - 6, "words")',
+     [node("gowers", "test_definition_guard_admits_the_words_it_xors")], "kill"),
+    (GOWERS, 'k * f.n + max(0, f.n - 6), "words")', 'k * f.n + max(0, f.n - 7), "words")',
+     [node("gowers", "test_definition_refuses_before_any_work"),
+      node("gowers", "test_definition_guard_admits_the_words_it_xors")], "kill"),
+    # the definition's packed count: a swap mask, the zero padding of blocks under 64 entries
+    # (repeated bits instead), the in-word and the word-pair counts, and the doubling
+    (GOWERS, "0x0000FFFF0000FFFF", "0x0000FFFF00FFFF00",
+     [node("properties", "test_uk_definition_equals_the_byte_count")], "kill"),
+    (GOWERS, "np.pad(packed, (0, -packed.size % 8))", "np.resize(packed, -(-packed.size // 8) * 8)",
+     [node("properties", "test_uk_definition_equals_the_byte_count"),
+      node("gowers", "test_u1_is_squared_bias")], "kill"),
+    (GOWERS, "np.bitwise_and(np.bitwise_xor(hi, w, out=xs), m, out=xs)",
+     "np.bitwise_xor(hi, w, out=xs)",
+     [node("properties", "test_uk_definition_equals_the_byte_count")], "kill"),
+    (GOWERS, "np.bitwise_xor(t[a + 1 :], t[a, 0], out=x[a + 1 :])",
+     "np.bitwise_xor(t[a + 2 :], t[a, 0], out=x[a + 2 :])",
+     [node("gowers", "test_definition_answers_past_one_byte_per_term")], "kill"),
+    (GOWERS, "- 4 * pairs", "- 2 * pairs", [node("gowers", "test_u3_known_value")], "kill"),
+    # D(x) = R(x) ^ R(x ^ e) equals D(x ^ e), so either x of each pair may stand for it
+    (GOWERS, "m, out=xs)  # e's top bit is j", "~m, out=xs)  # e's top bit is j",
+     [node("properties", "test_uk_definition_equals_the_byte_count"), T("gowers")],
+     "equivalent"),
     (GOWERS, "if k < 3:", "if k < 2:", [T("gowers")], "kill"),
     (GOWERS, '(k - 1) * f.n, "transform entries")', '(k - 2) * f.n, "transform entries")',
      [node("gowers", "test_derivative_route_refuses_before_any_work")], "kill"),
