@@ -183,14 +183,13 @@ def cmd_simulate(cfg: RunConfig) -> dict:
 
 
 def cmd_estimate(cfg: RunConfig) -> dict:
-    from .estimate import (Measurement, _check_draws, hoeffding_bound, u2_partial_sums,
-                           validate_bound)
+    from .estimate import _check_draws, hoeffding_bound, u2_partial_sums, validate_bound, y_bar
     from .gowers import u2_spectral
 
     f = cfg.resolve_function()
     _check_draws(cfg.m * (1 + cfg.trials) if cfg.validate else cfg.m)
-    measurement = Measurement(u2_partial_sums(f))
-    report = hoeffding_bound(measurement.y_bar(cfg.m, cfg.seed), cfg.m, cfg.t, cfg.seed)
+    cum = u2_partial_sums(f)
+    report = hoeffding_bound(y_bar(cum, cfg.m, cfg.seed), cfg.m, cfg.t, cfg.seed)
     report["function_tt_hex"] = f.to_hex()
     gv = u2_spectral(f)
     payload = {
@@ -200,7 +199,7 @@ def cmd_estimate(cfg: RunConfig) -> dict:
         "covered": gv.norm <= report["upper_bound"],
     }
     if cfg.validate:
-        coverage = validate_bound(measurement, gv.norm, cfg.m, cfg.t, cfg.trials, cfg.seed)
+        coverage = validate_bound(cum, gv.norm, cfg.m, cfg.t, cfg.trials, cfg.seed)
         payload["validate"] = {
             "trials": cfg.trials,
             "coverage": coverage,

@@ -1,4 +1,4 @@
-"""Measurement sampling and the Hoeffding-style upper bound on ||f||_{U_2}.
+"""Sampled means of the norm circuit's outcomes and the Hoeffding-style upper bound on ||f||_{U_2}.
 
 A measured outcome of the 3n-qubit norm circuit is read as the concatenated
 bit string x' || a' || b'; Y = (its decimal value) / 2^(3n) lies in [0, 1).
@@ -12,10 +12,10 @@ with, while confidence_standard uses exp(-2 m t^2), the textbook Hoeffding
 rate for a mean of m bounded i.i.d. variables.  The standard form is the
 defensible one; both are always computed so the discrepancy stays visible.
 `hoeffding_bound` returns the report as the dict the CLI prints.
-`u2_partial_sums` gives the circuit's outcome distribution in closed form,
-without simulating it, for `Measurement` to sample.  Ybar is streamed:
-`Measurement.y_bar` adds exact integer sums of the outcomes chunk by chunk, so
-its memory does not grow with m.  All randomness comes from numpy's PCG64
+`u2_partial_sums` gives the circuit's outcome distribution in closed form, as
+int64 partial sums, without simulating it.  `y_bar` samples them for Ybar
+alone, adding exact integer sums of the outcomes chunk by chunk in memory that
+does not grow with m.  All randomness comes from numpy's PCG64
 (`np.random.default_rng`); child streams for trial i are derived via
 SeedSequence([seed, i]) (see child_seed).  Every sampler draws in chunks
 (`_draw_sizes`), and a request for more than DRAW_BUDGET draws is a
@@ -34,7 +34,7 @@ from .errors import CapacityError, CrossCheckError, check_layout
 
 RNG_ALGORITHM = "PCG64"
 _DRAW_CHUNK = 1 << 16  # draws per Generator call in every sampler (see _draw_sizes)
-# most draws one sampling request may ask for: ~2 minutes at y_bar's ~1e7 draws/s
+# most draws one sampling request may ask for: ~8 minutes at y_bar's ~2.3e6 draws/s at n = 8
 DRAW_BUDGET = 2**30
 
 
@@ -87,70 +87,38 @@ def u2_partial_sums(f: BooleanFunction) -> np.ndarray:
     return cum
 
 
-class Measurement:
-    """Computational-basis measurements of one state, by inverse-CDF sampling in integers.
+def _lookup(cum: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """The outcomes of sorted `draws`, in their order, walking the CDF forwards: for each r
+    the first outcome whose partial sum exceeds floor(r * S), S = cum[-1].  `draws` is
+    scaled in place, exactly, S being a power of two."""
+    draws *= cum[-1]
+    return np.searchsorted(cum, draws.astype(np.int64), side="right")  # truncation is floor
 
-    `cum` holds the int64 partial sums of a state's squared integer amplitude numerators,
-    as `u2_partial_sums` builds them: outcome i has probability (cum[i] - cum[i - 1]) / S,
-    S = cum[-1], a power of two <= 2^53.  Every draw reuses them.
+
+def y_bar(cum: np.ndarray, m: int, seed) -> float:
+    """Mean of Y = outcome / cum.size over m measurements of a state, in constant memory.
+
+    Outcome i has probability (cum[i] - cum[i - 1]) / S: `cum` holds the int64 partial
+    sums of the state's squared amplitude numerators, S = cum[-1] a power of two <= 2^53,
+    as `u2_partial_sums` builds them.  Chunks of draws from one PCG64 stream are sorted
+    and looked up; their outcome sum T is exact, and T / (cum.size * m) is rounded once.
     """
-
-    def __init__(self, cum: np.ndarray):
-        if cum.dtype != np.int64:
-            raise TypeError(f"need int64 partial sums of squared numerators, got {cum.dtype}")
-        total = int(cum[-1]) if cum.size else 0
-        if total < 1 or total & (total - 1) or total > 1 << 53:
-            raise ValueError(f"squares must sum to a power of two <= 2^53, got {total}")
-        self.cum = cum
-
-    def _outcome_chunks(self, m: int, seed):
-        """The outcomes of m independent measurements, chunk by chunk in draw order."""
-        if m < 1:
-            raise ValueError("need at least one sample")
-        rng = np.random.default_rng(seed)
-        for size in _draw_sizes(m):
-            yield self._lookup(rng.random(size))
-
-    def _lookup(self, draws: np.ndarray) -> np.ndarray:
-        """Outcomes of `draws` in draw order.
-
-        A draw r maps to the first outcome whose partial sum exceeds
-        floor(r * S); r * S is exact, S being a power of two.  The draws are
-        looked up in sorted order, which walks the CDF forwards, and scattered
-        back.  Deleting each array once it is read keeps at most three
-        chunk-sized arrays alive.
-        """
-        order = np.argsort(draws)
-        draws = draws[order]
-        draws *= self.cum[-1]
-        thresholds = draws.astype(np.int64)  # truncation is floor, as r >= 0
-        del draws
-        outcomes = np.searchsorted(self.cum, thresholds, side="right")
-        del thresholds
-        outcomes[order] = outcomes.copy()
-        return outcomes
-
-    def sample(self, m: int, seed) -> np.ndarray:
-        """The int64 basis indices of m measurements; deterministic for a given seed."""
-        return np.concatenate(list(self._outcome_chunks(m, seed)))
-
-    def y_bar(self, m: int, seed) -> float:
-        """Mean of Y = outcome / dim (dim = cum.size) over m measurements, in constant memory.
-
-        The outcome sum T is an exact integer and T / (dim * m) is rounded once.
-        Whenever m * dim <= 2^53 this is the float np.mean(sample(m, seed) / dim)
-        gives, since all its partial sums are exact; beyond, it is still the
-        correctly rounded mean.
-        """
-        # map drops each chunk before the next is drawn
-        total = sum(map(int, map(np.sum, self._outcome_chunks(m, seed))))
-        return total / (self.cum.size * m)
+    if cum.dtype != np.int64:
+        raise TypeError(f"need int64 partial sums of squared numerators, got {cum.dtype}")
+    s = int(cum[-1]) if cum.size else 0
+    if s < 1 or s & (s - 1) or s > 1 << 53:
+        raise ValueError(f"squares must sum to a power of two <= 2^53, got {s}")
+    if m < 1:
+        raise ValueError("need at least one sample")
+    rng = np.random.default_rng(seed)
+    total = sum(int(_lookup(cum, np.sort(rng.random(size))).sum()) for size in _draw_sizes(m))
+    return total / (cum.size * m)
 
 
 def count_nonzero_outcomes(p0, m: int, seed) -> int:
     """How many of m draws r on the PCG64 stream of `seed` have r >= p0, a rational in [0, 1].
 
-    A draw r maps to outcome 0 iff r < p0, as in Measurement(cum).sample(m, seed), where
+    A draw r maps to outcome 0 iff r < p0, as in `y_bar(cum, m, seed)`'s lookup, where
     p0 = cum[0] / S: floor(r * S) < cum[0] iff r < p0.  Each draw is a multiple of 2^-53,
     so r >= p0 iff r >= ceil(p0 * 2^53) / 2^53, a float without rounding at every p0.
     """
@@ -176,21 +144,20 @@ def hoeffding_bound(y_bar: float, m: int, t: float, seed: int | None = None) -> 
     }
 
 
-def validate_bound(
-    measurement: Measurement, exact_norm: float, m: int, t: float, trials: int, seed: int
-) -> float:
+def validate_bound(cum: np.ndarray, exact_norm: float, m: int, t: float, trials: int,
+                   seed: int) -> float:
     """Fraction of independent trials whose bound covers exact_norm.
 
-    Each trial samples m outcomes from `measurement`, of the norm circuit's
-    final state, with a derived child seed, computes the Hoeffding report, and
-    checks exact_norm <= upper_bound.
+    Each trial takes the mean of m outcomes of the norm circuit's final state,
+    given by its partial sums `cum`, with a derived child seed, computes the
+    Hoeffding report, and checks exact_norm <= upper_bound.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     _check_draws(m * trials)
     covered = 0
     for i in range(trials):
-        report = hoeffding_bound(measurement.y_bar(m, child_seed(seed, i)), m, t)
+        report = hoeffding_bound(y_bar(cum, m, child_seed(seed, i)), m, t)
         if exact_norm <= report["upper_bound"]:
             covered += 1
     return covered / trials

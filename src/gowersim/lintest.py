@@ -32,7 +32,7 @@ import numpy as np
 from .boolfn import BooleanFunction
 from .dyadic import DyadicRational
 from .errors import MAX_N, CrossCheckError
-from .estimate import _draw_sizes, child_seed, count_nonzero_outcomes
+from .estimate import _check_draws, _draw_sizes, child_seed, count_nonzero_outcomes
 from .gowers import _power_sum, u2_spectral
 from .spectral import convolve, dist_to_linear, nonlinearity, walsh
 
@@ -72,6 +72,7 @@ def quantum_linearity_test(f: BooleanFunction, shots: int, seed: int | None = No
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
+    _check_draws(shots)  # before the transform
     p0 = u2_spectral(f).pow_value ** 2
     return _verdict(float(p0), shots, count_nonzero_outcomes(p0, shots, seed), seed)
 
@@ -109,6 +110,7 @@ def blr_test(f: BooleanFunction, trials: int, seed: int | None = None) -> dict:
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    _check_draws(trials)  # before the transform
     p_exact = blr_exact_dyadic(f)
     x_rng = np.random.default_rng(seed)
     y_rng = copy.deepcopy(x_rng)

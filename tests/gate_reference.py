@@ -13,7 +13,7 @@ compare by equality.
 slow: the phases of `qsim._phase_blocks` in the initial registers, then the
 final register map as one flat permutation of the basis indices.
 `partial_sums` turns a state into the int64 partial sums that
-`estimate.Measurement` samples.  `definition_ones` counts the ones of every
+`estimate.y_bar` samples.  `definition_ones` counts the ones of every
 k-fold derivative table one uint8 entry at a time, with no packed word.
 """
 
@@ -87,7 +87,7 @@ def permuted_run(circuit: Circuit, f: BooleanFunction | None = None) -> np.ndarr
 
 
 def partial_sums(num: np.ndarray) -> np.ndarray:
-    """The int64 partial sums of num^2, the form `estimate.Measurement` samples."""
+    """The int64 partial sums of num^2, the form `estimate.y_bar` samples."""
     return np.cumsum(num.astype(np.int64) ** 2)
 
 

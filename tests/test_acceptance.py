@@ -30,7 +30,7 @@ from gowersim.boolfn import (
     random_function,
 )
 from gowersim.dyadic import DyadicRational
-from gowersim.estimate import Measurement, u2_partial_sums, validate_bound
+from gowersim.estimate import _lookup, u2_partial_sums, validate_bound
 from gowersim.gowers import u2_spectral, uk_definition, uk_via_derivatives
 from gowersim.lintest import blr_exact_dyadic, compare
 from gowersim.qsim import (
@@ -177,9 +177,8 @@ def test_criterion_07_hoeffding_coverage(capsys):
     with criterion(capsys, 7, "upper bound covers the exact norm often enough"):
         coverages = {}
         for name, f in (("and", from_anf_string("x1*x2", 2)), ("bent", bent_quadratic(4))):
-            measurement = Measurement(u2_partial_sums(f))
             coverages[name] = validate_bound(
-                measurement, u2_spectral(f).norm, m=m, t=t, trials=trials, seed=707
+                u2_partial_sums(f), u2_spectral(f).norm, m=m, t=t, trials=trials, seed=707
             )
             assert coverages[name] >= confidence_standard
     with capsys.disabled():
@@ -219,7 +218,8 @@ def test_criterion_08_spectral_infrastructure(capsys):
         m = 100_000
         for i, f in enumerate(fixtures):
             num = permuted_run(build_u2_circuit(f.n), f)
-            outcomes = Measurement(u2_partial_sums(f)).sample(m, 8100 + i)
+            draws = np.sort(np.random.default_rng(8100 + i).random(m))  # y_bar's stream
+            outcomes = _lookup(u2_partial_sums(f), draws)
             probs = num.astype(np.int64) ** 2 / num.size**2  # num / 2^q, 2^q = num.size
             observed = np.bincount(outcomes, minlength=probs.size).astype(float)
             assert observed[probs == 0].sum() == 0

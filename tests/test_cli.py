@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gowersim import cli, estimate, gowers
+from gowersim import cli, estimate, gowers, lintest, spectral
 from gowersim.boolfn import BooleanFunction, bent_quadratic
 from gowersim.dyadic import DyadicRational
 from gowersim.gowers import GowersValue
@@ -195,13 +195,14 @@ def test_estimate_at_24_qubits_is_pinned(capsys):
 
 def test_estimate_validate_builds_the_cdf_once(capsys, monkeypatch):
     built = []
-    init = estimate.Measurement.__init__
+    partial_sums = estimate.u2_partial_sums
 
-    def counting_init(self, num):
-        built.append(num.size)
-        init(self, num)
+    def counting_partial_sums(f):
+        cum = partial_sums(f)
+        built.append(cum.size)
+        return cum
 
-    monkeypatch.setattr(estimate.Measurement, "__init__", counting_init)
+    monkeypatch.setattr(estimate, "u2_partial_sums", counting_partial_sums)
     doc = run_json(capsys, "estimate", "--family", "bent", "-n", "4", "-m", "30", "-t", "0.1",
                    "--seed", "5", "--validate", "--trials", "7", "--deterministic")
     assert doc["validate"]["trials"] == 7
@@ -212,24 +213,28 @@ def test_draw_budget_exits_3_before_any_work(capsys, monkeypatch):
     # arithmetic only: the budget is patched down, never run at its real size
     monkeypatch.setattr(estimate, "DRAW_BUDGET", 1000)
     function = ("--anf", "x1*x2", "-n", "2", "--seed", "1", "--deterministic")
-    for argv in (("estimate", "-m", "1001", "-t", "0.1"),
-                 ("estimate", "-m", "334", "-t", "0.1", "--validate", "--trials", "2"),
-                 ("lintest", "--shots", "1001"),
-                 ("blr", "--trials", "1001"),
-                 ("compare", "--shots", "1001")):
-        code, out, err = run_cli(capsys, *argv, *function)
-        assert code == 3 and out == "", argv
-        assert "draws > the draw budget of 1000" in err
     for argv in (("estimate", "-m", "1000", "-t", "0.1"),
                  ("estimate", "-m", "500", "-t", "0.1", "--validate", "--trials", "1"),
                  ("lintest", "--shots", "1000"),
                  ("blr", "--trials", "1000"),
                  ("compare", "--shots", "1000")):
         run_json(capsys, *argv, *function)
-    # estimate refuses m * (1 + trials) before it builds the circuit's partial sums
-    monkeypatch.setattr(estimate, "u2_partial_sums", None)
-    code, out, err = run_cli(capsys, "estimate", "-m", "1001", "-t", "0.1", *function)
-    assert code == 3 and out == "" and "1001 draws" in err
+
+    # a request over the budget is refused before the first transform
+    def no_transform(*args):
+        raise AssertionError("a transform ran before the draw budget check")
+
+    for module in (spectral, gowers, lintest):  # every name bound to spectral.walsh
+        monkeypatch.setattr(module, "walsh", no_transform)
+    monkeypatch.setattr(estimate, "u2_partial_sums", no_transform)
+    for count, argv in ((1001, ("estimate", "-m", "1001", "-t", "0.1")),
+                        (1002, ("estimate", "-m", "334", "-t", "0.1", "--validate", "--trials",
+                                "2")),
+                        (1001, ("lintest", "--shots", "1001")),
+                        (1001, ("blr", "--trials", "1001")),
+                        (1001, ("compare", "--shots", "1001"))):
+        code, out, err = run_cli(capsys, *argv, *function)
+        assert (code, out, err) == (3, "", f"error: {count} draws > the draw budget of 1000\n")
 
 
 def test_estimate_rejects_bad_t(capsys):

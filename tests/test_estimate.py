@@ -1,4 +1,4 @@
-"""Measurement sampling and the Hoeffding-style norm estimator."""
+"""The sampled mean of the norm circuit's outcomes and the Hoeffding-style norm estimator."""
 
 import math
 import tracemalloc
@@ -15,12 +15,12 @@ from gowersim import estimate, spectral
 from gowersim.boolfn import BooleanFunction, bent_quadratic, linear, random_function
 from gowersim.errors import CapacityError, CrossCheckError
 from gowersim.estimate import (
-    Measurement,
     child_seed,
     count_nonzero_outcomes,
     hoeffding_bound,
     u2_partial_sums,
     validate_bound,
+    y_bar,
 )
 from gowersim.gowers import u2_spectral
 from gowersim.qsim import RegisterLayout, build_derivative_walk_circuit, build_u2_circuit
@@ -31,9 +31,15 @@ from gate_reference import fold, partial_sums, permuted_run, uniform_state
 from_anf_string = BooleanFunction.from_anf_string
 
 
-def u2_measurement_and_norm(f):
-    """Measurements of the norm circuit's final state and the exact U2 norm they bound."""
-    return Measurement(u2_partial_sums(f)), u2_spectral(f).norm
+def u2_sums_and_norm(f):
+    """The partial sums of the norm circuit's final state and the exact U2 norm they bound."""
+    return u2_partial_sums(f), u2_spectral(f).norm
+
+
+def sorted_outcomes(cum, m, seed):
+    """The outcomes of one `default_rng(seed).random(m)` call, in sorted-draw order: the
+    draws of y_bar(cum, m, seed), as its chunks are one call's stream."""
+    return estimate._lookup(cum, np.sort(np.random.default_rng(seed).random(m)))
 
 
 def point_mass(layout, index):
@@ -48,20 +54,22 @@ def test_sample_y_convention():
     lay = RegisterLayout(2, 3)
     idx = (0b01 << lay.shift(1)) | (0b10 << lay.shift(2)) | (0b11 << lay.shift(3))
     assert idx == 27
-    outcomes = Measurement(point_mass(lay, idx)).sample(10, 1)
+    outcomes = sorted_outcomes(point_mass(lay, idx), 10, 1)
     assert np.all(outcomes == 27)
     assert np.all(outcomes / lay.dim == 27 / 64)
     assert outcomes.size == 10
+    assert y_bar(point_mass(lay, idx), 10, 1) == 27 / 64
 
-    zeros = Measurement(point_mass(lay, 0)).sample(5, 1)
+    zeros = sorted_outcomes(point_mass(lay, 0), 5, 1)
     assert np.all(zeros / lay.dim == 0.0)
+    assert y_bar(point_mass(lay, 0), 5, 1) == 0.0
 
 
 def test_sample_matches_distribution():
     # frequency of the zero outcome for AND must track p0 = 1/16
     f = from_anf_string("x1*x2", 2)
     m = 100_000
-    outcomes = Measurement(u2_partial_sums(f)).sample(m, 2718)
+    outcomes = sorted_outcomes(u2_partial_sums(f), m, 2718)
     freq = np.count_nonzero(outcomes == 0) / m
     p = 1 / 16
     sigma = math.sqrt(p * (1 - p) / m)
@@ -70,11 +78,9 @@ def test_sample_matches_distribution():
 
 def test_sample_is_deterministic():
     cum = u2_partial_sums(bent_quadratic(2))
-    a = Measurement(cum).sample(1000, 42)
-    b = Measurement(cum).sample(1000, 42)
-    assert np.array_equal(a, b)
-    c = Measurement(cum).sample(1000, 43)
-    assert not np.array_equal(a, c)
+    a = y_bar(cum, 1000, 42)
+    assert a == y_bar(cum, 1000, 42)
+    assert a != y_bar(cum, 1000, 43)
 
 
 def test_sample_rejects_unnormalized_state():
@@ -82,18 +88,16 @@ def test_sample_rejects_unnormalized_state():
     lay = RegisterLayout(1, 3)
     for squares, total in (([9] * lay.dim, 72), ([0] * lay.dim, 0), ([], 0), ([2**54, 0], 2**54)):
         with pytest.raises(ValueError, match=rf"power of two <= 2\^53, got {total}$"):
-            Measurement(np.cumsum(np.array(squares, dtype=np.int64)))
-    measurement = Measurement(partial_sums(uniform_state(lay)))
-    for draw in (measurement.sample, measurement.y_bar):  # not a ZeroDivisionError from y_bar
-        with pytest.raises(ValueError, match="need at least one sample"):
-            draw(0, 0)
+            y_bar(np.cumsum(np.array(squares, dtype=np.int64)), 1, 0)
+    with pytest.raises(ValueError, match="need at least one sample"):  # not a ZeroDivisionError
+        y_bar(partial_sums(uniform_state(lay)), 0, 0)
 
 
 def test_measurement_refuses_sums_that_are_not_int64():
     for cum in (np.cumsum(np.full(8, 0.125)), np.arange(1, 9, dtype=np.int32),
                 np.arange(1, 9, dtype=np.uint64)):
         with pytest.raises(TypeError, match=str(cum.dtype)):
-            Measurement(cum)
+            y_bar(cum, 1, 0)
 
 
 def test_child_seed():
@@ -127,12 +131,12 @@ def test_hoeffding_bound_monotone_in_t():
 
 def test_bounds_reject_non_finite_t():
     # t = inf would print "t": Infinity, which is not JSON
-    measurement, norm = u2_measurement_and_norm(bent_quadratic(2))
+    cum, norm = u2_sums_and_norm(bent_quadratic(2))
     for t in (math.inf, math.nan):
         with pytest.raises(ValueError, match="finite"):
             hoeffding_bound(0.7, 4, t)
         with pytest.raises(ValueError, match="finite"):
-            validate_bound(measurement, norm, m=10, t=t, trials=5, seed=1)
+            validate_bound(cum, norm, m=10, t=t, trials=5, seed=1)
 
 
 def test_mean_y_never_exceeds_rejection_mass():
@@ -164,22 +168,22 @@ def test_mean_y_never_exceeds_rejection_mass():
 
 
 def test_validate_bound_linear_is_always_covered():
-    measurement, norm = u2_measurement_and_norm(linear(2, 0b10))
-    assert validate_bound(measurement, norm, m=20, t=0.1, trials=30, seed=5) == 1.0
+    cum, norm = u2_sums_and_norm(linear(2, 0b10))
+    assert validate_bound(cum, norm, m=20, t=0.1, trials=30, seed=5) == 1.0
 
 
 def test_validate_bound_inputs():
-    measurement, norm = u2_measurement_and_norm(bent_quadratic(2))
+    cum, norm = u2_sums_and_norm(bent_quadratic(2))
     with pytest.raises(ValueError):
-        validate_bound(measurement, norm, m=10, t=0.0, trials=5, seed=1)
+        validate_bound(cum, norm, m=10, t=0.0, trials=5, seed=1)
     with pytest.raises(ValueError):
-        validate_bound(measurement, norm, m=10, t=0.1, trials=0, seed=1)
+        validate_bound(cum, norm, m=10, t=0.1, trials=0, seed=1)
 
 
 def test_validate_bound_reproducible():
-    measurement, norm = u2_measurement_and_norm(bent_quadratic(4))
-    a = validate_bound(measurement, norm, m=25, t=0.05, trials=40, seed=9)
-    b = validate_bound(measurement, norm, m=25, t=0.05, trials=40, seed=9)
+    cum, norm = u2_sums_and_norm(bent_quadratic(4))
+    a = validate_bound(cum, norm, m=25, t=0.05, trials=40, seed=9)
+    b = validate_bound(cum, norm, m=25, t=0.05, trials=40, seed=9)
     assert a == b
 
 
@@ -203,41 +207,46 @@ def test_count_draws_at_most_one_chunk_at_a_time(monkeypatch):
             return self.rng.random(size)
 
     monkeypatch.setattr(estimate, "_DRAW_CHUNK", 1000)
+    cum = u2_partial_sums(bent_quadratic(2))
+    draws = np.random.default_rng(7).random(3005)
     default_rng = np.random.default_rng
     monkeypatch.setattr(estimate.np.random, "default_rng", lambda seed: Recorder(default_rng(seed)))
     count = count_nonzero_outcomes(0.5, 3005, 7)
     assert sizes == [1000, 1000, 1000, 5]
-    assert count == int(np.count_nonzero(np.random.default_rng(7).random(3005) >= 0.5))
+    assert count == int(np.count_nonzero(draws >= 0.5))
+    sizes.clear()  # y_bar's chunks too
+    mean = y_bar(cum, 3005, 7)
+    assert sizes == [1000, 1000, 1000, 5]
+    assert mean == float(np.mean(np.searchsorted(cum, (draws * 2**12).astype(np.int64),
+                                                 side="right") / 64))
 
 
 @pytest.mark.parametrize("chunk", [7, 1000])
 @pytest.mark.parametrize("offset", [-1, 0, 1])
 def test_chunked_sample_equals_one_call_lookup(monkeypatch, chunk, offset):
-    # sorted lookups per chunk, scattered back, give the one-call outcomes,
+    # sorted lookups per chunk add up to the mean of the one-call outcomes in draw order,
     # which the float CDF of the amplitudes gives too
     f = random_function(3, 12)
     num = permuted_run(build_u2_circuit(3), f)
-    measurement = Measurement(u2_partial_sums(f))
+    cum = u2_partial_sums(f)
     cdf = np.cumsum((num * 2.0**-9) ** 2)
     monkeypatch.setattr(estimate, "_DRAW_CHUNK", chunk)
     for m in (chunk + offset, 3 * chunk + offset):
-        outcomes = measurement.sample(m, 77)
         draws = np.random.default_rng(77).random(m)
         thresholds = (draws * 2**18).astype(np.int64)  # floor(r * S), S = (2^9)^2
-        expected = np.searchsorted(measurement.cum, thresholds, side="right")
-        assert outcomes.tolist() == expected.tolist()
+        expected = np.searchsorted(cum, thresholds, side="right")
+        assert sorted_outcomes(cum, m, 77).tolist() == sorted(expected.tolist())
         assert expected.tolist() == np.searchsorted(cdf, draws, side="right").tolist()
-        assert (outcomes / 512).tolist() == (expected / 512).tolist()
-        assert measurement.y_bar(m, 77) == float(np.mean(expected / 512))
+        assert y_bar(cum, m, 77) == float(np.mean(expected / 512))
 
 
 def test_y_bar_memory_does_not_grow_with_m():
     # all 10^6 outcomes as int64 alone would take 7.6 MiB
-    measurement = Measurement(u2_partial_sums(bent_quadratic(2)))
-    measurement.y_bar(1, 5)  # the first generator built in a process allocates ~1 MiB once
+    cum = u2_partial_sums(bent_quadratic(2))
+    y_bar(cum, 1, 5)  # the first generator built in a process allocates ~1 MiB once
     tracemalloc.start()
     try:
-        measurement.y_bar(10**6, 5)
+        y_bar(cum, 10**6, 5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -251,7 +260,7 @@ def test_measurement_holds_eight_bytes_per_state():
     dim = 1 << 21
     tracemalloc.start()
     try:
-        Measurement(u2_partial_sums(f))
+        u2_partial_sums(f)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -321,15 +330,18 @@ def test_sample_equals_the_fraction_inverse_cdf(case, m, seed):
     circuit, f = case
     num = fold(circuit, f)  # the integer gate-by-gate fold, independent of both sums
     u2 = circuit.gates == build_u2_circuit(f.n).gates
-    outcomes = Measurement(u2_partial_sums(f) if u2 else partial_sums(num)).sample(m, seed)
-    assert outcomes.tolist() == fraction_sample(num, np.random.default_rng(seed).random(m))
+    cum = u2_partial_sums(f) if u2 else partial_sums(num)
+    # the lookup is monotone in r, so sorted draws give the oracle's outcomes, sorted
+    oracle = sorted(fraction_sample(num, np.random.default_rng(seed).random(m)))
+    assert sorted_outcomes(cum, m, seed).tolist() == oracle
+    assert y_bar(cum, m, seed) == float(Fraction(sum(oracle), cum.size * m))
     p0 = float(Fraction(int(num[0]) ** 2, int(np.sum(num.astype(np.int64) ** 2))))
-    assert count_nonzero_outcomes(p0, m, seed) == int(np.count_nonzero(outcomes))
+    assert count_nonzero_outcomes(p0, m, seed) == sum(map(bool, oracle))
 
 
 def test_draw_budget_is_refused_before_the_first_draw(monkeypatch):
     # arithmetic only: the budget is patched down, never run at its real size
-    measurement, norm = u2_measurement_and_norm(bent_quadratic(2))
+    cum, norm = u2_sums_and_norm(bent_quadratic(2))
     monkeypatch.setattr(estimate, "DRAW_BUDGET", 1000)
 
     class NoDraws:
@@ -337,9 +349,8 @@ def test_draw_budget_is_refused_before_the_first_draw(monkeypatch):
             raise AssertionError("a draw was made before the budget check")
 
     monkeypatch.setattr(np.random, "default_rng", lambda seed: NoDraws())
-    for call in (lambda: measurement.sample(1001, 1),
-                 lambda: measurement.y_bar(1001, 1),
+    for call in (lambda: y_bar(cum, 1001, 1),
                  lambda: count_nonzero_outcomes(0.5, 1001, 1),
-                 lambda: validate_bound(measurement, norm, m=334, t=0.1, trials=3, seed=1)):
+                 lambda: validate_bound(cum, norm, m=334, t=0.1, trials=3, seed=1)):
         with pytest.raises(CapacityError, match="1001 draws|1002 draws"):
             call()

@@ -23,7 +23,7 @@ from gowersim.boolfn import (
 )
 from gowersim.dyadic import DyadicRational
 from gowersim.errors import CapacityError
-from gowersim.estimate import Measurement, child_seed, u2_partial_sums
+from gowersim.estimate import _lookup, child_seed, u2_partial_sums
 from gowersim.gowers import u2_spectral
 from gowersim.lintest import (
     BLR_QUERIES_PER_TRIAL,
@@ -128,6 +128,18 @@ def test_blr_enumeration_capacity():
     s3 = int((walsh(f) ** 3).sum())
     with mock.patch.object(lintest, "convolve", side_effect=AssertionError("enumerated")):
         assert blr_exact_dyadic(f) == Fraction((1 << 39) + s3, 1 << 40)
+
+
+def test_samplers_refuse_the_draw_budget_before_the_transform(monkeypatch):
+    # arithmetic only: the budget is patched down, never run at its real size
+    monkeypatch.setattr(estimate, "DRAW_BUDGET", 1000)
+    monkeypatch.setattr(lintest, "u2_spectral", None)
+    monkeypatch.setattr(lintest, "walsh", None)
+    f = bent_quadratic(2)
+    for call in (lambda: quantum_linearity_test(f, 1001, 1), lambda: blr_test(f, 1001, 1),
+                 lambda: compare(f, 1001, 1)):
+        with pytest.raises(CapacityError, match="^1001 draws > the draw budget of 1000$"):
+            call()
 
 
 @pytest.mark.parametrize("n", [1, 4, 12, 20])
@@ -293,7 +305,7 @@ def test_signed_distance_bound_has_counterexamples():
 
 
 # ---------------------------------------------------------------------------
-# the state-free test against the full-state oracle: u2_partial_sums + Measurement.sample
+# the state-free test against the full-state oracle: u2_partial_sums + the sorted lookup
 # ---------------------------------------------------------------------------
 
 
@@ -301,7 +313,8 @@ def state_verdict(f, shots, seed):
     """quantum_linearity_test computed from the u2 circuit's final state."""
     cum = u2_partial_sums(f)
     p_accept = float(Fraction(int(cum[0]), int(cum[-1])))  # num[0]^2 / 2^(2q)
-    rejections = int(np.count_nonzero(Measurement(cum).sample(shots, seed)))
+    draws = np.sort(np.random.default_rng(seed).random(shots))  # the stream of the shots
+    rejections = int(np.count_nonzero(_lookup(cum, draws)))
     return {
         "verdict": "REJECT" if rejections else "ACCEPT", "mode": "sampled", "shots": shots,
         "accept_probability_exact": p_accept, "rejection_frequency": rejections / shots,

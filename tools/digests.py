@@ -26,8 +26,10 @@ from pathlib import Path
 
 # what no benchmark job runs: odd BLR draw counts (every job draws an even one),
 # `--family linear --u`, the empty ANF, and lintest and compare past 3n = 24 qubits,
-# at n = 11 on x1 + x2 with one entry flipped, whose p0 no float holds, and last the
-# definition route past (k+1)*n <= 24, up to its word guard and one variable over it
+# at n = 11 on x1 + x2 with one entry flipped, whose p0 no float holds, the
+# definition route past (k+1)*n <= 24, up to its word guard and one variable over it,
+# estimate's mean at draw counts around its chunks and --validate with odd trials, and
+# last the draw budget's refusal of each sampling command
 EXTRA = [
     *(["blr", "--family", "random", "--seed", "7", "-n", n, "--trials", trials]
       for n in ("1", "12", "20") for trials in ("1", "3", "65537", "100001")),
@@ -43,6 +45,13 @@ EXTRA = [
     *(["gowers", "-k", k, "-n", n, *route, "--family", "random", "--seed", "5"]
       for k, n, route in (("2", "10", ()), ("3", "7", ()), ("4", "6", ()),
                           ("1", "15", ("--route", "definition")), ("2", "11", ()))),
+    *(["estimate", "--family", "random", "--seed", "5", "-n", n, "-m", m, "-t", "0.05"]
+      for n in ("1", "3", "8") for m in ("65535", "65536", "65537", "131073")),
+    *(["estimate", "--family", "random", "--seed", "5", "-n", n, "-m", "333", "-t", "0.05",
+       "--validate", "--trials", "17"] for n in ("1", "3", "6")),
+    *([*command, "2000000000", "--family", "bent", "-n", "10", "--seed", "5"]
+      for command in (("estimate", "-t", "0.1", "-m"), ("lintest", "--shots"),
+                      ("blr", "--trials"), ("compare", "--shots"))),
 ]
 
 

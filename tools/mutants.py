@@ -131,15 +131,23 @@ CATALOGUE = [
      "per = spectral._BLOCK_CELLS >> 2 * n", [T("estimate")], "kill"),
     (ESTIMATE, "part[0] += cum[(a << 2 * n) - 1] if a else 0", "part[0] += 0",
      [T("estimate")], "kill"),
-    (ESTIMATE, "total = int(cum[-1]) if cum.size else 0", "total = int(cum[-1])",
+    (ESTIMATE, "s = int(cum[-1]) if cum.size else 0", "s = int(cum[-1])",
      [T("estimate")], "kill"),
     (ESTIMATE, "if cum.dtype != np.int64:", "if cum.dtype.kind != \"i\":", [T("estimate")],
      "kill"),
-    (ESTIMATE, "        del thresholds", "        pass", [T("estimate")], "kill"),
+    # y_bar: its chunked stream, the floor of r * S, the lookup and the one division
+    (ESTIMATE, ".sum()) for size in _draw_sizes(m))", ".sum()) for size in [m])",
+     [node("estimate", "test_y_bar_memory_does_not_grow_with_m")], "kill"),
+    (ESTIMATE, "draws.astype(np.int64)", "np.rint(draws).astype(np.int64)", [T("estimate")],
+     "kill"),
     (ESTIMATE, 'side="right"', 'side="left"', [T("estimate")], "kill"),
-    (ESTIMATE, "        if m < 1:", "        if m < 0:", [T("estimate")], "kill"),
-    (ESTIMATE, "return total / (self.cum.size * m)", "return total / (self.cum[-1] * m)",
+    (ESTIMATE, "    if m < 1:", "    if m < 0:", [T("estimate")], "kill"),
+    (ESTIMATE, "return total / (cum.size * m)", "return total / (cum[-1] * m)",
      [T("estimate")], "kill"),
+    # the outcome sum does not depend on the order of the draws; sorted, they are looked
+    # up about twice as fast
+    (ESTIMATE, "_lookup(cum, np.sort(rng.random(size)))", "_lookup(cum, rng.random(size))",
+     [T("estimate"), node("cli", "test_estimate_at_24_qubits_is_pinned")], "equivalent"),
     # a draw just below and one just above a p0 that no float holds
     (ESTIMATE, "math.ceil(p0 * 2**53)", "math.floor(p0 * 2**53)",
      [node("lintest", "test_shots_compare_draws_with_the_exact_p0")], "kill"),
@@ -149,6 +157,13 @@ CATALOGUE = [
     (LINTEST, "u2_spectral(f).pow_value ** 2", "float(u2_spectral(f).pow_value) ** 2",
      [node("lintest", "test_shots_compare_draws_with_the_exact_p0")], "kill"),
     (LINTEST, "if 2 * n <= MAX_N:", "if 2 * n < MAX_N:", [T("cli")], "kill"),
+    # unchecked before the transform, the draws are refused only after it, in _draw_sizes
+    (LINTEST, "    _check_draws(shots)", "    pass",
+     [node("cli", "test_draw_budget_exits_3_before_any_work"),
+      node("lintest", "test_samplers_refuse_the_draw_budget_before_the_transform")], "kill"),
+    (LINTEST, "    _check_draws(trials)", "    pass",
+     [node("cli", "test_draw_budget_exits_3_before_any_work"),
+      node("lintest", "test_samplers_refuse_the_draw_budget_before_the_transform")], "kill"),
     (LINTEST, "y_rng.bit_generator.advance(trials // 2)",
      "y_rng.bit_generator.advance((trials + 1) // 2)", [T("lintest")], "kill"),
     (LINTEST, "    if trials % 2:", "    if False:", [T("lintest")], "kill"),
