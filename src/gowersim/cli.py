@@ -15,6 +15,11 @@ function that prints a result.
 
 Exit statuses: 0 success, 1 stdout closed early (broken pipe), 2
 usage/parse/domain errors, 3 capacity errors, 4 internal cross-check failures.
+`main(argv)` is the in-process API and returns the status; `run`, the
+`gowersim` command, flushes stdout and stderr and ends the process with
+`os._exit`, skipping the interpreter's teardown (~22 ms once numpy has
+loaded).  `simulate` loads `qsim`, `boolfn` and `errors`, never the
+exact-arithmetic `spectral` or `dyadic`.
 """
 
 from __future__ import annotations
@@ -365,15 +370,17 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run() -> None:
+    """The `gowersim` command: `main` on sys.argv, both streams flushed, then `os._exit`."""
     try:
         code = main()
-        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+        sys.stdout.flush()  # a closed pipe raises here, not unseen at os._exit
     except BrokenPipeError:
         # the reader is gone: send what is still buffered to devnull so that
-        # the flush at exit cannot fail again (Python's SIGPIPE recipe)
+        # no later flush can fail again (Python's SIGPIPE recipe)
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = 1
-    sys.exit(code)
+    sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

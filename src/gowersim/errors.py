@@ -1,4 +1,5 @@
-"""Shared exception types, the size envelope MAX_N and the capacity checks on it.
+"""Shared exception types, the size envelope MAX_N, the capacity checks on it and the
+entries per block of the blocked kernels.
 
 The CLI maps these onto exit statuses: usage/parse problems (including
 ``ValueError`` and ``AnfSyntaxError``) exit 2, ``CapacityError`` exits 3,
@@ -6,6 +7,8 @@ The CLI maps these onto exit statuses: usage/parse problems (including
 """
 
 MAX_N = 24  # the design envelope: bits of table index, simulated qubits, log2 of a sum's terms
+# entries per block of spectral._derivative_rows, estimate.u2_partial_sums and qsim._phase_blocks
+_BLOCK_CELLS = 1 << 17
 
 
 class CapacityError(Exception):

@@ -28,7 +28,7 @@ import math
 
 import numpy as np
 
-from . import spectral
+from . import errors, spectral
 from .boolfn import BooleanFunction
 from .errors import CapacityError, CrossCheckError, check_layout
 
@@ -63,7 +63,7 @@ def u2_partial_sums(f: BooleanFunction) -> np.ndarray:
     """The int64 partial sums of num^2 over the U_2 circuit's final amplitudes num / 2^(3n).
 
     num(a || b || c) = sum_s T[s, b] T[s, a ^ b] (-1)^(s . c), T[s] = W_{D_s F}: the
-    Fourier form of ||f||_{U_2}^4 (Gowers 2001).  Blocks of a (_BLOCK_CELLS entries, at
+    Fourier form of ||f||_{U_2}^4 (Gowers 2001).  Blocks of a (errors._BLOCK_CELLS entries, at
     least one a) are transformed along s in int32, exact as |num| <= 2^(3n) <= 2^24.
     A total other than 2^(6n) raises CrossCheckError.
     """
@@ -73,7 +73,7 @@ def u2_partial_sums(f: BooleanFunction) -> np.ndarray:
     rows = np.stack(list(spectral._derivative_rows(f.table[None])), axis=1).reshape(1 << n, -1)
     t = spectral.fwht_inplace(1 - 2 * rows.astype(np.int32)).T.copy()  # t[b, s] = T[s, b]
     ramp = np.arange(1 << n)
-    per = max(1, spectral._BLOCK_CELLS >> 2 * n)  # values of a per block
+    per = max(1, errors._BLOCK_CELLS >> 2 * n)  # values of a per block
     cum = np.empty(1 << 3 * n, np.int64)
     for a in range(0, 1 << n, per):
         block = t[ramp ^ ramp[a : a + per, None]]  # [a, b, s] = T[s, a ^ b]

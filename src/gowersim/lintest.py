@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import copy
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -64,17 +65,23 @@ def rejection_lower_bound(eps: float) -> dict:
     return {"exact": _bound_polynomial(eps), "exponential": 1.0 - math.exp(-8.0 * eps)}
 
 
+def _quantum_shots(f: BooleanFunction, shots: int, seed) -> tuple[Fraction, int]:
+    """The exact p0 and how many of `shots` >= 1 measurements reject, outcome 0 accepting."""
+    if shots < 1:
+        raise ValueError("shots must be >= 1")
+    _check_draws(shots)  # before the transform
+    p0 = u2_spectral(f).pow_value ** 2
+    return p0, count_nonzero_outcomes(p0, shots, seed)
+
+
 def quantum_linearity_test(f: BooleanFunction, shots: int, seed: int | None = None) -> dict:
     """Per-shot test: ACCEPT iff the measured index is 0.
 
     Samples `shots` >= 1 measurements; the verdict is REJECT iff any shot
     rejects.
     """
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
-    _check_draws(shots)  # before the transform
-    p0 = u2_spectral(f).pow_value ** 2
-    return _verdict(float(p0), shots, count_nonzero_outcomes(p0, shots, seed), seed)
+    p0, rejections = _quantum_shots(f, shots, seed)
+    return _verdict(float(p0), shots, rejections, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -100,13 +107,10 @@ def blr_exact_dyadic(f: BooleanFunction) -> DyadicRational:
     return spectral
 
 
-def blr_test(f: BooleanFunction, trials: int, seed: int | None = None) -> dict:
-    """Sampled BLR test of `trials` >= 1 draws; REJECT iff any trial rejects.
-
-    The verdict adds the exact acceptance probability as a dyadic, computed
-    once by `blr_exact_dyadic`.  xs and ys are the seed's first and second
-    `trials` uint32 draws, taken chunk by chunk, the ys from a copy of the
-    generator advanced past the xs.
+def _blr_trials(f: BooleanFunction, trials: int, seed) -> tuple[DyadicRational, int]:
+    """The exact acceptance probability from `blr_exact_dyadic` and how many of `trials` >= 1
+    draws reject.  xs and ys are the seed's first and second `trials` uint32 draws, taken
+    chunk by chunk, the ys from a copy of the generator advanced past the xs.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -122,6 +126,13 @@ def blr_test(f: BooleanFunction, trials: int, seed: int | None = None) -> dict:
         xs = x_rng.integers(0, size, size=count, dtype=np.uint32)
         ys = y_rng.integers(0, size, size=count, dtype=np.uint32)
         rejections += int(np.count_nonzero(table[xs] ^ table[ys] ^ table[xs ^ ys]))
+    return p_exact, rejections
+
+
+def blr_test(f: BooleanFunction, trials: int, seed: int | None = None) -> dict:
+    """Sampled BLR test of `trials` >= 1 draws, REJECT iff any trial rejects; the verdict
+    adds the exact acceptance probability as a dyadic."""
+    p_exact, rejections = _blr_trials(f, trials, seed)
     verdict = _verdict(float(p_exact), trials, rejections, seed)
     return {**verdict, "accept_probability_exact_dyadic": p_exact.to_json_dict()}
 
@@ -140,12 +151,12 @@ def compare(f: BooleanFunction, shots: int, seed: int) -> dict:
     (4 phase queries quantum, 3 classical queries BLR), because a raw
     per-shot comparison silently hands the quantum side a 4-query budget.
     `eps` is the distance to the linear functions, eps_num / 2^eps_log2_den
-    exactly; those two keys come last and are not CSV columns.
+    exactly; those two keys come last and are not CSV columns.  Each exact
+    rate is taken as a Fraction and rounded once.
     """
-    quantum = quantum_linearity_test(f, shots, child_seed(seed, 0))
-    q_reject_exact = 1.0 - quantum["accept_probability_exact"]
-    blr = blr_test(f, shots, child_seed(seed, 1))
-    blr_reject_exact = 1.0 - blr["accept_probability_exact"]
+    p0, q_rejections = _quantum_shots(f, shots, child_seed(seed, 0))
+    p_blr, blr_rejections = _blr_trials(f, shots, child_seed(seed, 1))
+    q_reject, blr_reject = 1 - p0, 1 - p_blr
     eps_dy, _ = dist_to_linear(f)
     eps = float(eps_dy)
     return {
@@ -153,16 +164,16 @@ def compare(f: BooleanFunction, shots: int, seed: int) -> dict:
         "function_tt_hex": f.to_hex(),
         "eps": eps,
         "nonlinearity": nonlinearity(f),
-        "quantum_reject_exact": q_reject_exact,
-        "quantum_reject_freq": quantum["rejection_frequency"],
+        "quantum_reject_exact": float(q_reject),
+        "quantum_reject_freq": q_rejections / shots,
         "quantum_reject_bound": _bound_polynomial(eps),  # 1 - (1 - 2 eps)^4 at the exact eps
-        "blr_reject_exact": blr_reject_exact,
-        "blr_reject_freq": blr["rejection_frequency"],
+        "blr_reject_exact": float(blr_reject),
+        "blr_reject_freq": blr_rejections / shots,
         "shots": shots,
         "quantum_queries_per_shot": QUANTUM_QUERIES_PER_SHOT,
         "blr_queries_per_trial": BLR_QUERIES_PER_TRIAL,
-        "quantum_reject_per_query": q_reject_exact / QUANTUM_QUERIES_PER_SHOT,
-        "blr_reject_per_query": blr_reject_exact / BLR_QUERIES_PER_TRIAL,
+        "quantum_reject_per_query": float(q_reject / QUANTUM_QUERIES_PER_SHOT),
+        "blr_reject_per_query": float(blr_reject / BLR_QUERIES_PER_TRIAL),
         "seed": seed,
         "eps_num": eps_dy.num,
         "eps_log2_den": eps_dy.log2_den,

@@ -14,8 +14,9 @@ indices, and a final HadamardAll puts that sum of signs at 0, so neither the
 register map nor the transform is applied.  The phases come in blocks of at
 most 2^17 basis indices, over an `np.ix_` mesh of register runs, from whole
 rows x -> F(x ^ v) of a 2^(2n) table of translates, or from F entry by entry
-where that table does not fit a block.  Only the executor imports numpy and
-`spectral`, so building, dumping, auditing or refusing a circuit loads neither.
+where that table does not fit a block.  Only the executor imports numpy, so
+building, dumping, auditing or refusing a circuit loads none of it, and no
+circuit loads the exact-arithmetic modules `spectral` and `dyadic`.
 """
 
 from __future__ import annotations
@@ -140,7 +141,7 @@ def _walk(circuit: Circuit) -> tuple[list[frozenset[int]], dict[int, frozenset[i
 def _phase_blocks(circuit: Circuit, f: BooleanFunction | None):
     """Flat uint8 parity of F over every oracle call's coset, per initial basis index, in order.
 
-    Each block is a run of consecutive basis indices, spectral._BLOCK_CELLS
+    Each block is a run of consecutive basis indices, errors._BLOCK_CELLS
     of them (rounded down to a power of two) or all 2^q if fewer.  In a
     block, register r holds c_r XOR a run 0, 1, ... along axis r of the open
     mesh `np.ix_` builds, c_r its content at the block's start, so a coset C's
@@ -154,7 +155,7 @@ def _phase_blocks(circuit: Circuit, f: BooleanFunction | None):
     """
     import numpy as np
 
-    from .spectral import _BLOCK_CELLS as cells
+    from .errors import _BLOCK_CELLS as cells
 
     layout = circuit.layout
     n, m = layout.n, layout.m

@@ -10,11 +10,10 @@ from typing import Iterator
 
 import numpy as np
 
+from . import errors
 from .boolfn import BooleanFunction
 from .dyadic import DyadicRational
 from .errors import MAX_N, check_capacity
-
-_BLOCK_CELLS = 1 << 17  # entries per block of _derivative_rows and qsim._phase_blocks
 
 
 def fwht_inplace(a: np.ndarray) -> np.ndarray:
@@ -55,14 +54,14 @@ def dist_to_linear(f: BooleanFunction) -> tuple[DyadicRational, int]:
 
 
 def _derivative_rows(g: np.ndarray, depth: int = 1) -> Iterator[np.ndarray]:
-    """Blocks of ~_BLOCK_CELLS entries of the tables Delta_{d1..d_depth} G over all d1..d_depth,
-    for every 0/1 table G in the (B, 2^n) uint8 array g.  At depth 1, whole tables' rows
-    share a block when they fit; else each table gives c blocks, and block `low` holds the
-    rows x -> G(x) ^ G(x ^ d) of d = low, low + c, low + 2c, ...
+    """Blocks of ~errors._BLOCK_CELLS entries of the tables Delta_{d1..d_depth} G over all
+    d1..d_depth, for every 0/1 table G in the (B, 2^n) uint8 array g.  At depth 1, whole
+    tables' rows share a block when they fit; else each table gives c blocks, and block
+    `low` holds the rows x -> G(x) ^ G(x ^ d) of d = low, low + c, low + 2c, ...
     """
-    size = g.shape[1]
-    per = min(size, 1 << max(0, (_BLOCK_CELLS // size).bit_length() - 1))  # rows per table
-    c, group = size // per, max(1, _BLOCK_CELLS // (per * size))
+    size, cells = g.shape[1], errors._BLOCK_CELLS
+    per = min(size, 1 << max(0, (cells // size).bit_length() - 1))  # rows per table
+    c, group = size // per, max(1, cells // (per * size))
     for start in range(0, len(g), group):
         base = g[start : start + group]
         for low in range(c):

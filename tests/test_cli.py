@@ -660,6 +660,26 @@ def test_closed_stdout_exits_1_without_a_traceback():
     assert err == ""
 
 
+@pytest.mark.parametrize("argv, status", [
+    (["analyze", "--family", "random", "-n", "16", "--seed", "1", "--deterministic"], 0),
+    (["analyze", "--anf", "x9", "-n", "2"], 2),
+    (["analyze", "--family", "random", "-n", "25", "--seed", "1"], 3),
+], ids=["analyze-1MB", "exit-2", "exit-3"])
+def test_the_command_flushes_what_main_prints(capsys, argv, status):
+    # `run` ends with os._exit, so only its own flushes deliver buffered output;
+    # PYTHONUNBUFFERED would write every line through and hide a missing flush
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", "from gowersim.cli import run; run()", *argv],
+                          capture_output=True, timeout=60, env=env)
+    code, out, err = run_cli(capsys, *argv)
+    assert (proc.returncode, code) == (status, status)
+    assert proc.stdout == out.encode()
+    assert proc.stderr == err.encode()
+    assert (len(out) > 1 << 19) if status == 0 else err.startswith("error: ")  # ~1 MB
+
+
 def test_help_exits_zero(capsys):
     code, out, _ = run_cli(capsys, "--help")
     assert code == 0

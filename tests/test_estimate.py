@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gowersim import estimate, spectral
+from gowersim import errors, estimate, spectral
 from gowersim.boolfn import BooleanFunction, bent_quadratic, linear, random_function
 from gowersim.errors import CapacityError, CrossCheckError
 from gowersim.estimate import (
@@ -264,7 +264,7 @@ def test_measurement_holds_eight_bytes_per_state():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 8 * dim + 12 * spectral._BLOCK_CELLS
+    assert peak <= 8 * dim + 12 * errors._BLOCK_CELLS
 
 
 def u2_reference_sums(f):
@@ -278,12 +278,12 @@ def test_u2_partial_sums_equal_the_reference_state_for_every_function_at_n2():
 
 
 @pytest.mark.parametrize("n", [1, 3, 4, 5, 6, 7])
-@pytest.mark.parametrize("cells", [16, spectral._BLOCK_CELLS])
+@pytest.mark.parametrize("cells", [16, errors._BLOCK_CELLS])
 def test_u2_partial_sums_equal_the_reference_state(monkeypatch, n, cells):
     # at 16 cells the derivative rows come in interleaved blocks, one a per block
     f = random_function(n, 50 + n)
     expected = u2_reference_sums(f)
-    monkeypatch.setattr(spectral, "_BLOCK_CELLS", cells)
+    monkeypatch.setattr(errors, "_BLOCK_CELLS", cells)
     assert u2_partial_sums(f).tobytes() == expected.tobytes()
 
 

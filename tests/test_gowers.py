@@ -23,7 +23,7 @@ from gowersim.gowers import (
     uk_definition,
     uk_via_derivatives,
 )
-from gowersim import gowers, spectral
+from gowersim import errors, gowers
 from gowersim.spectral import _derivative_rows, convolve, fwht_inplace, walsh
 
 from closed_forms import random_cubic, random_quadratic
@@ -95,7 +95,7 @@ def test_block_size_does_not_change_values(monkeypatch, cells):
         (random_function(8, 10), lambda f: convolve(f, g).tolist()),
     ]
     expected = [route(f) for f, route in routes]
-    monkeypatch.setattr(spectral, "_BLOCK_CELLS", cells)
+    monkeypatch.setattr(errors, "_BLOCK_CELLS", cells)
     assert [route(f) for f, route in routes] == expected
 
 

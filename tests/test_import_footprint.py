@@ -67,6 +67,16 @@ def test_estimate_loads_no_simulator(validate):
     assert "gowersim.qsim" not in loaded
 
 
+def test_simulate_loads_no_exact_arithmetic_module():
+    # the executor reads the block size from errors, not from spectral
+    loaded = loaded_modules(
+        "from gowersim.cli import main\n"
+        "assert main(['simulate', '--circuit', 'u2', '-n', '4', '--family', 'bent']) == 0"
+    )
+    assert {"gowersim.qsim", "gowersim.boolfn", "gowersim.errors", "numpy"} <= loaded
+    assert not {"gowersim.spectral", "gowersim.dyadic", "fractions"} & loaded
+
+
 CLI_EXIT = "from gowersim.cli import main\nsys.exit(main({!r}))"
 
 

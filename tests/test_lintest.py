@@ -346,12 +346,13 @@ def test_quantum_test_matches_state_sampler(f, shots, seed):
 def test_compare_matches_state_sampler(f, shots, seed):
     report = compare(f, shots, seed)
     oracle = state_verdict(f, shots, child_seed(seed, 0))
-    reject = 1.0 - oracle["accept_probability_exact"]
+    cum = u2_partial_sums(f)
+    reject = 1 - Fraction(int(cum[0]), int(cum[-1]))  # exact, rounded once below
     expected = {
         **report,
-        "quantum_reject_exact": reject,
+        "quantum_reject_exact": float(reject),
         "quantum_reject_freq": oracle["rejection_frequency"],
-        "quantum_reject_per_query": reject / QUANTUM_QUERIES_PER_SHOT,
+        "quantum_reject_per_query": float(reject / QUANTUM_QUERIES_PER_SHOT),
     }
     assert json.dumps(report) == json.dumps(expected)
 
@@ -415,6 +416,23 @@ def test_shot_counts_equal_the_integer_reference(n):
     assert quantum_linearity_test(f, shots, seed)["rejection_frequency"] == rejections / shots
 
 
+@pytest.mark.parametrize("n", [11, 20])
+def test_each_exact_float_is_one_rounding(n):
+    # x1 + x2 with F(1...1) flipped: 1.0 - float(p0) misses float(1 - p0) by an ulp here.
+    # BLR's complement, rejecting pairs over 2^(2n), fits 53 bits up to n = 26
+    f = from_anf_string("x1 + x2 + " + "*".join(f"x{i}" for i in range(1, n + 1)), n)
+    p0, p_blr, eps = u2_spectral(f).pow_value ** 2, blr_exact_dyadic(f), dist_to_linear(f)[0]
+    assert 1.0 - float(p0) != float(1 - p0)
+    assert quantum_linearity_test(f, 10, 5)["accept_probability_exact"] == float(p0)
+    assert blr_test(f, 10, 5)["accept_probability_exact"] == float(p_blr)
+    row = compare(f, 10, 5)
+    assert row["eps"] == float(eps)
+    assert row["quantum_reject_exact"] == float(1 - p0)
+    assert row["quantum_reject_per_query"] == float((1 - p0) / QUANTUM_QUERIES_PER_SHOT)
+    assert row["blr_reject_exact"] == float(1 - p_blr)
+    assert row["blr_reject_per_query"] == float((1 - p_blr) / BLR_QUERIES_PER_TRIAL)
+
+
 def cli_json(capsys, *argv):
     code = cli.main(list(argv))
     out, err = capsys.readouterr()
@@ -425,11 +443,11 @@ def cli_json(capsys, *argv):
 def test_lintest_and_compare_run_to_the_table_limit(capsys):
     for n in (9, 16, 20):
         q = random_quadratic(n, n)
-        p0 = float(q.u2_pow() ** 2)
+        p0 = q.u2_pow() ** 2
         function = ("--anf", q.anf(), "-n", str(n), "--seed", "3", "--shots", "2000")
-        assert cli_json(capsys, "lintest", *function)["accept_probability_exact"] == p0
+        assert cli_json(capsys, "lintest", *function)["accept_probability_exact"] == float(p0)
         row = cli_json(capsys, "compare", *function)
-        assert row["quantum_reject_exact"] == 1 - p0
+        assert row["quantum_reject_exact"] == float(1 - p0)
         assert row["nonlinearity"] == q.nonlinearity()
     # past 24 variables the truth table is refused, before any circuit is considered
     code = cli.main(["lintest", "--family", "random", "-n", "25", "--seed", "1"])

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gowersim import spectral
+from gowersim import errors
 from gowersim.boolfn import BooleanFunction, bent_quadratic, linear, random_function
 from gowersim.dyadic import DyadicRational
 from gowersim.errors import CapacityError
@@ -326,11 +326,11 @@ def circuits_and_functions(draw, max_qubits=10):
 
 
 @settings(max_examples=300, deadline=None)
-@given(circuits_and_functions(), st.sampled_from([4, 64, spectral._BLOCK_CELLS]))
+@given(circuits_and_functions(), st.sampled_from([4, 64, errors._BLOCK_CELLS]))
 def test_run_matches_gate_by_gate_fold(case, cells):
     circuit, f = case
     state = fold(circuit, f)
-    with mock.patch.object(spectral, "_BLOCK_CELLS", cells):
+    with mock.patch.object(errors, "_BLOCK_CELLS", cells):
         num = permuted_run(circuit, f)
     assert num.tobytes() == state.tobytes()
 
@@ -361,13 +361,13 @@ def test_zero_amplitude_equals_run(case):
 
 
 @settings(max_examples=200, deadline=None)
-@given(circuits_and_functions(), st.sampled_from([4, 64, spectral._BLOCK_CELLS]))
+@given(circuits_and_functions(), st.sampled_from([4, 64, errors._BLOCK_CELLS]))
 def test_zero_amplitude_matches_gate_by_gate_fold(case, cells):
     # the fold is the independent oracle: oracles on every register, cosets
     # without register 1, no final HALL, several blocks and both gather paths
     circuit, f = case
     expected = amplitude(circuit, fold(circuit, f)[0])
-    with mock.patch.object(spectral, "_BLOCK_CELLS", cells):
+    with mock.patch.object(errors, "_BLOCK_CELLS", cells):
         assert zero_amplitude(circuit, f) == expected
 
 
@@ -409,7 +409,7 @@ def simulated(circuit, f):
 def test_block_size_does_not_change_the_simulation(monkeypatch, cells, circuit):
     f = random_function(circuit.layout.n, 21)
     expected = simulated(circuit, f)
-    monkeypatch.setattr(spectral, "_BLOCK_CELLS", cells)
+    monkeypatch.setattr(errors, "_BLOCK_CELLS", cells)
     assert simulated(circuit, f) == expected
 
 
@@ -423,9 +423,9 @@ def idle_register_circuit(m):
     ("circuit", "cells"),
     [
         # one register-1 value spans 2^18, 2^20 and 2^23 entries
-        pytest.param(build_derivative_walk_circuit(6, 3), spectral._BLOCK_CELLS, id="walk3-n6"),
-        pytest.param(build_derivative_walk_circuit(4, 5), spectral._BLOCK_CELLS, id="walk5-n4"),
-        pytest.param(idle_register_circuit(24), spectral._BLOCK_CELLS, id="idle-m24-n1"),
+        pytest.param(build_derivative_walk_circuit(6, 3), errors._BLOCK_CELLS, id="walk3-n6"),
+        pytest.param(build_derivative_walk_circuit(4, 5), errors._BLOCK_CELLS, id="walk5-n4"),
+        pytest.param(idle_register_circuit(24), errors._BLOCK_CELLS, id="idle-m24-n1"),
         # patched bounds: a block holds part of one register's range (2, 3, 5, 3)
         pytest.param(build_derivative_walk_circuit(4, 3), 1 << 10, id="walk3-n4-1024"),
         pytest.param(build_appendix_u3_circuit(3), 16, id="u3-n3-16"),
@@ -438,7 +438,7 @@ def test_every_block_is_bounded(monkeypatch, circuit, cells):
     f = random_function(layout.n, 44)
     if layout.qubits <= 16:
         expected = fold(circuit, f)
-    monkeypatch.setattr(spectral, "_BLOCK_CELLS", cells)
+    monkeypatch.setattr(errors, "_BLOCK_CELLS", cells)
     sizes = [block.size for block in _phase_blocks(circuit, f)]
     assert sizes == [cells] * (layout.dim // cells)
     amp0 = zero_amplitude(circuit, f)

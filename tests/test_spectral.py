@@ -12,7 +12,7 @@ from gowersim.boolfn import (
     random_function,
 )
 from gowersim.dyadic import DyadicRational
-from gowersim import spectral
+from gowersim import errors
 from gowersim.errors import CapacityError
 from gowersim.gowers import u2_spectral
 from gowersim.spectral import (
@@ -190,7 +190,7 @@ def test_autocorrelation_is_self_convolution():
 @pytest.mark.parametrize("n, tables", [(3, 40), (5, 3), (6, 1), (10, 1)])
 def test_derivative_rows_bounded_blocks_of_every_translate(monkeypatch, n, tables):
     # 2^10 cells: several tables per block (n = 3), split rows (n = 5, 6), one-row blocks (n = 10)
-    monkeypatch.setattr(spectral, "_BLOCK_CELLS", 1 << 10)
+    monkeypatch.setattr(errors, "_BLOCK_CELLS", 1 << 10)
     size = 1 << n
     g = np.random.default_rng(n).integers(0, 2, (tables, size), dtype=np.uint8)
     blocks = list(_derivative_rows(g))

@@ -76,10 +76,9 @@ CATALOGUE = [
     # spectral: the transform, the block clamps of _derivative_rows and the frozen results
     (SPECTRAL, "np.subtract(lo, hi, out=view[:, h:])", "np.add(lo, hi, out=view[:, h:])",
      [T("spectral")], "kill"),
-    (SPECTRAL, "1 << max(0, (_BLOCK_CELLS // size).bit_length() - 1))",
-     "1 << (_BLOCK_CELLS // size).bit_length() - 1)", [T("gowers")], "kill"),
-    (SPECTRAL, "max(1, _BLOCK_CELLS // (per * size))", "_BLOCK_CELLS // (per * size)",
-     [T("gowers")], "kill"),
+    (SPECTRAL, "1 << max(0, (cells // size).bit_length() - 1))",
+     "1 << (cells // size).bit_length() - 1)", [T("gowers")], "kill"),
+    (SPECTRAL, "max(1, cells // (per * size))", "cells // (per * size)", [T("gowers")], "kill"),
     (SPECTRAL, "block ^= base[:, None, :]", "block |= base[:, None, :]", [T("spectral")], "kill"),
     (SPECTRAL, "    w.setflags(write=False)", "    pass", [T("spectral")], "kill"),
     (SPECTRAL, "    r.setflags(write=False)", "    pass", [T("spectral")], "kill"),
@@ -127,8 +126,8 @@ CATALOGUE = [
      "kill"),
     (ESTIMATE, "    check_layout(3, n)", "    check_layout(2, n)",
      [node("estimate", "test_u2_partial_sums_refuse_before_any_work")], "kill"),
-    (ESTIMATE, "per = max(1, spectral._BLOCK_CELLS >> 2 * n)",
-     "per = spectral._BLOCK_CELLS >> 2 * n", [T("estimate")], "kill"),
+    (ESTIMATE, "per = max(1, errors._BLOCK_CELLS >> 2 * n)",
+     "per = errors._BLOCK_CELLS >> 2 * n", [T("estimate")], "kill"),
     (ESTIMATE, "part[0] += cum[(a << 2 * n) - 1] if a else 0", "part[0] += 0",
      [T("estimate")], "kill"),
     (ESTIMATE, "s = int(cum[-1]) if cum.size else 0", "s = int(cum[-1])",
@@ -169,8 +168,12 @@ CATALOGUE = [
     (LINTEST, "    if trials % 2:", "    if False:", [T("lintest")], "kill"),
     (LINTEST, '"REJECT" if rejections else "ACCEPT"', '"REJECT" if rejections > 1 else "ACCEPT"',
      [T("lintest")], "kill"),
-    (LINTEST, "blr_test(f, shots, child_seed(seed, 1))", "blr_test(f, shots, child_seed(seed, 0))",
-     [T("lintest")], "kill"),
+    (LINTEST, "_blr_trials(f, shots, child_seed(seed, 1))",
+     "_blr_trials(f, shots, child_seed(seed, 0))", [T("lintest")], "kill"),
+    # each exact complement rounded once, not 1.0 minus the rounded probability
+    (LINTEST, "q_reject, blr_reject = 1 - p0, 1 - p_blr",
+     "q_reject, blr_reject = 1 - float(p0), 1 - float(p_blr)",
+     [node("lintest", "test_each_exact_float_is_one_rounding")], "kill"),
     # qsim: layouts, gate and register checks, the executor's mesh and rows
     (QSIM, "return (self.m - register) * self.n", "return (self.m - register + 1) * self.n",
      [T("qsim")], "kill"),
@@ -189,6 +192,10 @@ CATALOGUE = [
      [T("qsim")], "kill"),
     (QSIM, "table[np.bitwise_xor.outer(ramp, ramp)]", "table[np.bitwise_or.outer(ramp, ramp)]",
      [T("qsim")], "kill"),
+    # the block size read from spectral would load it, dyadic and fractions into simulate
+    (QSIM, "from .errors import _BLOCK_CELLS as cells",
+     "from .spectral import _BLOCK_CELLS as cells",
+     [node("import_footprint", "test_simulate_loads_no_exact_arithmetic_module")], "kill"),
     (QSIM, "if cosets and (f is None or f.n != n):", "if cosets and f is None:", [T("qsim")],
      "kill"),
     # without oracle calls the table is never read, and with them f is checked above
@@ -201,6 +208,10 @@ CATALOGUE = [
     (CLI, "if not cfg.deterministic:", "if cfg.deterministic:", [T("cli")], "kill"),
     (CLI, "_check_draws(cfg.m * (1 + cfg.trials) if cfg.validate else cfg.m)",
      "_check_draws(cfg.m)", [node("cli", "test_draw_budget_exits_3_before_any_work")], "kill"),
+    # without its own flush, the command's buffered stdout is lost at os._exit
+    (CLI, "        sys.stdout.flush()  # a closed pipe raises here",
+     "        pass  # a closed pipe raises here",
+     [node("cli", "test_the_command_flushes_what_main_prints")], "kill"),
     # only compare has a --format option, so every other command reads the default
     (CLI, 'if getattr(cfg, "format", "json") == "csv":',
      'if cfg.command == "compare" and cfg.format == "csv":', [T("cli")], "equivalent"),
