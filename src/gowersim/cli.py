@@ -168,8 +168,8 @@ def cmd_simulate(cfg: RunConfig) -> dict:
         raise ValueError("nothing to do: give a function, --dump, or --audit")
     payload: dict = {
         "circuit": cfg.circuit,
-        "registers": circuit.layout.m,
-        "qubits": circuit.layout.qubits,
+        "registers": circuit.m,
+        "qubits": circuit.qubits,
         "gate_count": len(circuit.gates),
         "oracle_count": circuit.oracle_count,
     }

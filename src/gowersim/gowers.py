@@ -13,13 +13,13 @@ and the routes implemented here are:
 * uk_via_derivatives -- 2^(-(k-2)n) sum over (k-2)-tuples of directions of
   ||Delta_dirs f||_{U_2}^4, for k >= 3.
 
-All routes return the same exact dyadic rational pow_value = ||f||^(2^k);
-the 2^-k-th root is floating point, for display only.
+All routes return a NamedTuple `GowersValue(k, pow_value)`, the same exact dyadic
+pow_value = ||f||^(2^k); its 2^-k-th root `.norm` is floating point, for display only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,8 +33,7 @@ _SWAP_MASKS = [np.uint64(m) for m in (0x5555555555555555, 0x3333333333333333, 0x
                                       0x00FF00FF00FF00FF, 0x0000FFFF0000FFFF, 0x00000000FFFFFFFF)]
 
 
-@dataclass(frozen=True)
-class GowersValue:
+class GowersValue(NamedTuple):
     """k-th Gowers norm carrier: pow_value = ||f||_{U_k}^(2^k), exact."""
 
     k: int

@@ -1,6 +1,8 @@
-"""The norm-measuring circuits: layouts, gates, builders, phase audit, amplitude at 0.
+"""The norm-measuring circuits: gates, checked circuits, builders, phase audit, amplitude at 0.
 
-The simulated system is m registers of n qubits each, m*n <= errors.MAX_N.
+A `Circuit(n, m, gates)` is m registers of n qubits each, m*n <= errors.MAX_N,
+and its gates, value-equal NamedTuples; its constructor is the one place that
+checks a circuit, so the walk, the audit and the executor take it as valid.
 Basis index layout: register 1 occupies the most significant n bits, register
 m the least significant, matching the library's x1-most-significant points.
 The phase-kickback target qubit is factored out and never stored: the phase
@@ -15,17 +17,17 @@ register map nor the transform is applied.  The phases come in blocks of at
 most 2^17 basis indices, over an `np.ix_` mesh of register runs, from whole
 rows x -> F(x ^ v) of a 2^(2n) table of translates, or from F entry by entry
 where that table does not fit a block.  Only the executor imports numpy, so
-building, dumping, auditing or refusing a circuit loads none of it, and no
-circuit loads the exact-arithmetic modules `spectral` and `dyadic`.
+building, dumping, auditing or refusing a circuit loads none of it (nor
+`dataclasses` or `inspect`), and no circuit loads the exact-arithmetic modules
+`spectral` and `dyadic`.
 """
 
 from __future__ import annotations
 
 import functools
 from collections import Counter
-from dataclasses import dataclass
 from itertools import combinations
-from typing import TYPE_CHECKING, Union
+from typing import TYPE_CHECKING, NamedTuple, Union
 
 from .errors import check_capacity, check_layout
 
@@ -37,71 +39,59 @@ if TYPE_CHECKING:
 WALK_GUARD = 32  # a walk's phases take 2^k oracle calls over 2^((k+1) n) basis states
 
 
-@dataclass(frozen=True)
-class RegisterLayout:
-    n: int  # qubits per register
-    m: int  # number of registers
-
-    def __post_init__(self):
-        if self.n < 1 or self.m < 1:
-            raise ValueError("need n >= 1 qubits per register and m >= 1 registers")
-        check_layout(self.m, self.n)
-
-    @property
-    def qubits(self) -> int:
-        return self.n * self.m
-
-    @property
-    def dim(self) -> int:
-        return 1 << self.qubits
-
-    def shift(self, register: int) -> int:
-        """Bit position of the least significant qubit of a register."""
-        self._check_register(register)
-        return (self.m - register) * self.n
-
-    def _check_register(self, register: int) -> None:
-        if not 1 <= register <= self.m:
-            raise ValueError(f"register {register} out of range [1, {self.m}]")
-
-
-@dataclass(frozen=True)
-class PhaseOracle:
+class PhaseOracle(NamedTuple):
     """Multiply each amplitude by (-1)^F(content of `register`)."""
 
     register: int = 1
 
-    def __post_init__(self):
-        if self.register < 1:
-            raise ValueError("register indices start at 1")
 
-
-@dataclass(frozen=True)
-class MCnot:
+class MCnot(NamedTuple):
     """XOR the content of register `source` into register `target` (qubit-wise CNOTs)."""
 
     target: int
     source: int
 
-    def __post_init__(self):
-        if self.target < 1 or self.source < 1:
-            raise ValueError("register indices start at 1")
-        if self.target == self.source:
-            raise ValueError("MCnot target and source must differ")
 
-
-@dataclass(frozen=True)
-class HadamardAll:
+class HadamardAll(NamedTuple):
     """Normalized Walsh-Hadamard transform over all m*n qubits."""
 
 
 Gate = Union[PhaseOracle, MCnot, HadamardAll]
 
 
-@dataclass(frozen=True)
 class Circuit:
-    layout: RegisterLayout
-    gates: tuple[Gate, ...]
+    """m registers of n qubits and the gates applied to them, refused here if malformed."""
+
+    __slots__ = ("n", "m", "gates")
+
+    def __init__(self, n: int, m: int, gates: tuple[Gate, ...]):
+        gates = tuple(gates)
+        if n < 1 or m < 1:
+            raise ValueError("need n >= 1 qubits per register and m >= 1 registers")
+        check_layout(m, n)
+        for i, gate in enumerate(gates):
+            if isinstance(gate, HadamardAll) and i == len(gates) - 1:
+                continue
+            if not isinstance(gate, (PhaseOracle, MCnot)):
+                raise ValueError(f"{gate!r}: only HadamardAll, and only as the final gate")
+            if isinstance(gate, MCnot) and gate.target == gate.source:
+                raise ValueError("MCnot target and source must differ")
+            for register in gate:
+                if not 1 <= register <= m:
+                    raise ValueError(f"register {register} out of range [1, {m}]")
+        for name, value in zip(self.__slots__, (n, m, gates)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"a Circuit is checked once, when built: build a new one, not .{name}")
+
+    @property
+    def qubits(self) -> int:
+        return self.n * self.m
+
+    def shift(self, register: int) -> int:
+        """Bit position of the least significant qubit of a register."""
+        return (self.m - register) * self.n
 
     @property
     def oracle_count(self) -> int:
@@ -122,19 +112,13 @@ class Circuit:
 
 def _walk(circuit: Circuit) -> tuple[list[frozenset[int]], dict[int, frozenset[int]]]:
     """Coset read by each oracle call and final register contents, as register-id sets."""
-    layout, gates = circuit.layout, circuit.gates
-    contents = {r: frozenset({r}) for r in range(1, layout.m + 1)}
+    contents = {r: frozenset({r}) for r in range(1, circuit.m + 1)}
     cosets = []
-    for i, gate in enumerate(gates):
+    for gate in circuit.gates:
         if isinstance(gate, MCnot):
-            layout._check_register(gate.target)
-            layout._check_register(gate.source)
             contents[gate.target] ^= contents[gate.source]
         elif isinstance(gate, PhaseOracle):
-            layout._check_register(gate.register)
             cosets.append(contents[gate.register])
-        elif not (isinstance(gate, HadamardAll) and i == len(gates) - 1):
-            raise ValueError(f"{gate!r}: only HadamardAll, and only as the final gate")
     return cosets, contents
 
 
@@ -150,29 +134,27 @@ def _phase_blocks(circuit: Circuit, f: BooleanFunction | None):
     v = c XOR the runs of C's other registers; without room for the 2^(2n)
     rows, F is gathered per entry.  Parts are XORed in order of h, in place
     once the sum spans the part, and the sum is broadcast to the block's
-    shape.  The circuit and f are checked on the call; the blocks are built
-    as they are read.
+    shape.  f is checked on the call; the blocks are built as they are read.
     """
     import numpy as np
 
     from .errors import _BLOCK_CELLS as cells
 
-    layout = circuit.layout
-    n, m = layout.n, layout.m
+    n, m = circuit.n, circuit.m
     cosets, _ = _walk(circuit)
     if cosets and (f is None or f.n != n):
         raise ValueError(f"the oracle needs a BooleanFunction with n = {n}")
-    size = 1 << min(layout.qubits, cells.bit_length() - 1)
+    size = 1 << min(circuit.qubits, cells.bit_length() - 1)
     ramp = np.arange(1 << n, dtype=np.min_scalar_type((1 << n) - 1))
     mesh = np.ix_(*(ramp[: max(1, size >> ((m - r) * n))] for r in range(1, m + 1)))
     shape = tuple(axis.size for axis in mesh)
     table = f.table if cosets else None
     rows = table[np.bitwise_xor.outer(ramp, ramp)] if cosets and 4**n <= cells else None
-    starts = np.arange(0, layout.dim, size, dtype=np.int64)
+    starts = np.arange(0, 1 << circuit.qubits, size, dtype=np.int64)
     plan, acc_shape = [], (1,) * m
     for coset in sorted(cosets, key=max):
         h = max(coset)
-        cs = functools.reduce(np.bitwise_xor, [(starts >> layout.shift(r)) & ((1 << n) - 1)
+        cs = functools.reduce(np.bitwise_xor, [(starts >> circuit.shift(r)) & ((1 << n) - 1)
                                                for r in coset]).astype(ramp.dtype)
         if rows is None or len(coset) == 1:
             source, pattern = table, functools.reduce(np.bitwise_xor, [mesh[r - 1] for r in coset])
@@ -203,7 +185,7 @@ def zero_amplitude(circuit: Circuit, f: BooleanFunction | None = None) -> float:
     """
     import numpy as np
 
-    q = circuit.layout.qubits
+    q = circuit.qubits
     blocks = _phase_blocks(circuit, f)
     if circuit.gates and isinstance(circuit.gates[-1], HadamardAll):
         ones = sum(int(np.count_nonzero(block)) for block in blocks)
@@ -232,10 +214,10 @@ def build_derivative_walk_circuit(n: int, k: int) -> Circuit:
     """
     if k < 1:
         raise ValueError("order k must be >= 1")
-    layout = RegisterLayout(n, k + 1)
+    Circuit(n, k + 1, ())  # the layout is refused before a gate is built
     check_capacity(f"derivative walk needs k + (k+1)*n <= {WALK_GUARD}, got k = {k}, n = {n}",
-                   k + layout.qubits, "oracle-entry evaluations", WALK_GUARD)
-    return Circuit(layout, tuple(_walk_gates(k) + [HadamardAll()]))
+                   k + (k + 1) * n, "oracle-entry evaluations", WALK_GUARD)
+    return Circuit(n, k + 1, tuple(_walk_gates(k) + [HadamardAll()]))
 
 
 def build_u2_circuit(n: int) -> Circuit:
@@ -246,8 +228,7 @@ def build_u2_circuit(n: int) -> Circuit:
 def build_appendix_u3_circuit(n: int) -> Circuit:
     """A fixed 4-register U_3 variant, kept so its defect stays demonstrable: its 7 oracle
     calls miss the coset x+a+c, as phase_audit shows, though register 1 is restored."""
-    layout = RegisterLayout(n, 4)
-    gates: tuple[Gate, ...] = (
+    gates = (
         PhaseOracle(1),
         MCnot(1, 2),
         PhaseOracle(1),
@@ -265,7 +246,7 @@ def build_appendix_u3_circuit(n: int) -> Circuit:
         MCnot(1, 3),
         HadamardAll(),
     )
-    return Circuit(layout, gates)
+    return Circuit(n, 4, gates)
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +263,7 @@ def phase_audit(circuit: Circuit) -> dict:
     every coset {1} union S (S over all subsets of {2..m}) occurs exactly once
     and register 1 ends restored.
     """
-    m = circuit.layout.m
+    m = circuit.m
     walked, contents = _walk(circuit)
     cosets = [sorted(c) for c in walked]
     expected = Counter(

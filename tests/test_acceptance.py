@@ -59,7 +59,7 @@ def criterion(capsys, label, name):
 
 def zero_probability(circuit, f):
     """|amplitude at 0|^2 = (num / 2^q)^2 for a circuit that ends in a Hadamard layer."""
-    return Fraction(int(permuted_run(circuit, f)[0]), 1 << circuit.layout.qubits) ** 2
+    return Fraction(int(permuted_run(circuit, f)[0]), 1 << circuit.qubits) ** 2
 
 
 def test_criterion_01_amplitude_equals_norm_power(capsys):

@@ -557,6 +557,79 @@ def test_capacity_errors_state_the_cost_and_budget(capsys):
         assert run_cli(capsys, *argv) == (3, "", f"error: {line}\n"), argv
 
 
+BUDGET = 1 << 30  # estimate.DRAW_BUDGET
+# random functions where one is built: an ANF, bent_quadratic's included, runs the Moebius
+# transform; simulate refuses its circuit before it reads the function
+RANDOM = ("--family", "random", "--seed", "1")
+REFUSALS = [
+    *(pytest.param((command, *args, *RANDOM, "-n", "25"),
+                   "n = 25 exceeds the supported maximum 24: 2^25 table entries > 2^24",
+                   id=f"{command}-table")
+      for command, *args in (("analyze",), ("gowers", "-k", "3"),
+                             ("estimate", "-m", "9", "-t", "1"), ("lintest",), ("blr",),
+                             ("compare",))),
+    pytest.param(("gowers", *RANDOM, "-n", "14", "--route", "definition"),
+                 "uk_definition needs k*n + max(0, n-6) <= 24, got k = 2, n = 14: "
+                 "2^36 words > 2^24", id="gowers-definition"),
+    # --route all refuses at its first route, the definition, before the spectral one runs
+    pytest.param(("gowers", *RANDOM, "-n", "11"),
+                 "uk_definition needs k*n + max(0, n-6) <= 24, got k = 2, n = 11: "
+                 "2^27 words > 2^24", id="gowers-all"),
+    pytest.param(("gowers", *RANDOM, "-n", "14", "-k", "3", "--route", "derivatives"),
+                 "uk_via_derivatives needs (k-1)*n <= 24, got k = 3, n = 14: "
+                 "2^28 transform entries > 2^24", id="gowers-derivatives"),
+    pytest.param(("gowers", *RANDOM, "-n", "14", "--route", "autocorrelation"),
+                 "the XOR correlation needs 2n <= 24, got n = 14: 2^28 terms > 2^24",
+                 id="gowers-autocorrelation"),
+    pytest.param(("simulate", "--circuit", "u2", "-n", "9", "--family", "bent"),
+                 "layout needs m*n <= 24, got 3 x 9: 2^27 basis states > 2^24", id="simulate-u2"),
+    pytest.param(("simulate", "--circuit", "u3_appendix", "-n", "7", "--audit"),
+                 "layout needs m*n <= 24, got 4 x 7: 2^28 basis states > 2^24", id="simulate-u3"),
+    # over both the layout and the walk guard: the layout is named first
+    pytest.param(("simulate", "--circuit", "derivative_walk", "-k", "7", "-n", "4", "--family",
+                  "bent"),
+                 "layout needs m*n <= 24, got 8 x 4: 2^32 basis states > 2^24",
+                 id="simulate-walk-layout"),
+    pytest.param(("simulate", "--circuit", "derivative_walk", "-k", "11", "-n", "2", "--dump"),
+                 "derivative walk needs k + (k+1)*n <= 32, got k = 11, n = 2: "
+                 "2^35 oracle-entry evaluations > 2^32", id="simulate-walk-guard"),
+    pytest.param(("estimate", *RANDOM, "-n", "10", "-m", "10", "-t", "0.1"),
+                 "layout needs m*n <= 24, got 3 x 10: 2^30 basis states > 2^24",
+                 id="estimate-layout"),
+    *(pytest.param((*argv, *RANDOM, "-n", "8"), f"{count} draws > the draw budget of {BUDGET}",
+                   id=f"{argv[0]}-draws{'-validate' if '--validate' in argv else ''}")
+      for count, argv in (
+          (BUDGET + 1, ("estimate", "-m", str(BUDGET + 1), "-t", "0.1")),
+          (3 * BUDGET // 2, ("estimate", "-m", str(BUDGET // 2), "-t", "0.1", "--validate",
+                             "--trials", "2")),
+          (BUDGET + 1, ("lintest", "--shots", str(BUDGET + 1))),
+          (BUDGET + 1, ("blr", "--trials", str(BUDGET + 1))),
+          (BUDGET + 1, ("compare", "--shots", str(BUDGET + 1))))),
+]
+
+
+@pytest.mark.parametrize(("argv", "line"), REFUSALS)
+def test_every_guard_refuses_before_any_kernel_runs(capsys, monkeypatch, argv, line):
+    from gowersim import boolfn, qsim
+
+    def no_work(*args):
+        raise AssertionError("a kernel ran before the refusal")
+
+    # every name a caller binds; estimate reads spectral's kernels by attribute, and
+    # u2_partial_sums itself is left in place because it holds estimate's 3n guard
+    for module, name in ((spectral, "walsh"), (gowers, "walsh"), (lintest, "walsh"),
+                         (spectral, "fwht_inplace"), (gowers, "fwht_inplace"),
+                         (spectral, "_derivative_rows"), (gowers, "_derivative_rows"),
+                         (boolfn, "_mobius"), (qsim, "_phase_blocks"), (qsim, "_walk_gates")):
+        monkeypatch.setattr(module, name, no_work)
+    assert estimate.DRAW_BUDGET == BUDGET
+    assert run_cli(capsys, *argv, "--deterministic") == (3, "", f"error: {line}\n")
+
+
+def test_every_subcommand_has_a_guarded_refusal():
+    assert {param.values[0][0] for param in REFUSALS} == set(cli._HANDLERS)
+
+
 def test_blr_transforms_its_function_once(capsys, monkeypatch):
     from gowersim import lintest, spectral
 

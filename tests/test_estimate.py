@@ -23,7 +23,7 @@ from gowersim.estimate import (
     y_bar,
 )
 from gowersim.gowers import u2_spectral
-from gowersim.qsim import RegisterLayout, build_derivative_walk_circuit, build_u2_circuit
+from gowersim.qsim import Circuit, build_derivative_walk_circuit, build_u2_circuit
 from gowersim.spectral import fwht_inplace
 
 from gate_reference import fold, partial_sums, permuted_run, uniform_state
@@ -42,27 +42,27 @@ def sorted_outcomes(cum, m, seed):
     return estimate._lookup(cum, np.sort(np.random.default_rng(seed).random(m)))
 
 
-def point_mass(layout, index):
-    """The partial sums of a state with all its weight on one basis index."""
-    num = np.zeros(layout.dim, dtype=np.int32)
+def point_mass(regs, index):
+    """The partial sums of a state with all its weight on one basis index of regs' qubits."""
+    num = np.zeros(1 << regs.qubits, dtype=np.int32)
     num[index] = 1
     return partial_sums(num)
 
 
 def test_sample_y_convention():
     # measured register contents (01, 10, 11) at n = 2 pack to index 27 of 64
-    lay = RegisterLayout(2, 3)
-    idx = (0b01 << lay.shift(1)) | (0b10 << lay.shift(2)) | (0b11 << lay.shift(3))
+    regs = Circuit(2, 3, ())
+    idx = (0b01 << regs.shift(1)) | (0b10 << regs.shift(2)) | (0b11 << regs.shift(3))
     assert idx == 27
-    outcomes = sorted_outcomes(point_mass(lay, idx), 10, 1)
+    outcomes = sorted_outcomes(point_mass(regs, idx), 10, 1)
     assert np.all(outcomes == 27)
-    assert np.all(outcomes / lay.dim == 27 / 64)
+    assert np.all(outcomes / (1 << regs.qubits) == 27 / 64)
     assert outcomes.size == 10
-    assert y_bar(point_mass(lay, idx), 10, 1) == 27 / 64
+    assert y_bar(point_mass(regs, idx), 10, 1) == 27 / 64
 
-    zeros = sorted_outcomes(point_mass(lay, 0), 5, 1)
-    assert np.all(zeros / lay.dim == 0.0)
-    assert y_bar(point_mass(lay, 0), 5, 1) == 0.0
+    zeros = sorted_outcomes(point_mass(regs, 0), 5, 1)
+    assert np.all(zeros / (1 << regs.qubits) == 0.0)
+    assert y_bar(point_mass(regs, 0), 5, 1) == 0.0
 
 
 def test_sample_matches_distribution():
@@ -85,12 +85,12 @@ def test_sample_is_deterministic():
 
 def test_sample_rejects_unnormalized_state():
     # the partial sums must end in a power of two <= 2^53
-    lay = RegisterLayout(1, 3)
-    for squares, total in (([9] * lay.dim, 72), ([0] * lay.dim, 0), ([], 0), ([2**54, 0], 2**54)):
+    regs = Circuit(1, 3, ())
+    for squares, total in (([9] * 8, 72), ([0] * 8, 0), ([], 0), ([2**54, 0], 2**54)):
         with pytest.raises(ValueError, match=rf"power of two <= 2\^53, got {total}$"):
             y_bar(np.cumsum(np.array(squares, dtype=np.int64)), 1, 0)
     with pytest.raises(ValueError, match="need at least one sample"):  # not a ZeroDivisionError
-        y_bar(partial_sums(uniform_state(lay)), 0, 0)
+        y_bar(partial_sums(uniform_state(regs)), 0, 0)
 
 
 def test_measurement_refuses_sums_that_are_not_int64():

@@ -91,8 +91,29 @@ CLI_EXIT = "from gowersim.cli import main\nsys.exit(main({!r}))"
     (CLI_EXIT.format(["simulate", "--circuit", "u2", "-n", "9", "--family", "bent"]), 3),
 ], ids=["import-cli", "build-u2", "help", "usage-error", "audit-u3", "audit-walk", "refused-u2"])
 def test_work_without_a_truth_table_loads_no_numpy(code, status):
-    # circuits are symbolic until run, and a refusal needs only the arguments
+    # circuits are symbolic until run, and a refusal needs only the arguments; the gates
+    # are NamedTuples, so neither `dataclasses` nor the `inspect` it imports loads either
     loaded = loaded_modules(code, status)
     assert "gowersim.errors" in loaded
     assert not {name for name in loaded if name == "numpy" or name.startswith("numpy.")}
+    assert not {"dataclasses", "inspect"} & loaded
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--family", "bent", "-n", "4"],
+    ["gowers", "-k", "3", "--family", "bent", "-n", "4"],
+    ["simulate", "--circuit", "u2", "-n", "2", "--anf", "x1*x2"],
+    ["estimate", "--anf", "x1*x2", "-n", "2", "-m", "10", "-t", "0.1", "--seed", "1"],
+    ["lintest", "--anf", "x1*x2", "-n", "2", "--shots", "10", "--seed", "1"],
+    ["blr", "--anf", "x1*x2", "-n", "2", "--trials", "10", "--seed", "1"],
+    ["compare", "--anf", "x1*x2", "-n", "2", "--shots", "10", "--seed", "1"],
+], ids=lambda argv: argv[0])
+def test_no_subcommand_loads_dataclasses(argv):
+    # no module of the package defines a dataclass: results and gates are NamedTuples
+    loaded = loaded_modules(
+        "from gowersim.cli import main\n"
+        f"assert main({argv!r} + ['--deterministic']) == 0"
+    )
+    assert f"gowersim.{'qsim' if argv[0] == 'simulate' else 'boolfn'}" in loaded
+    assert "dataclasses" not in loaded
 

@@ -14,8 +14,9 @@ README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding=
 
 def test_no_module_defines_the_removed_names():
     # results are plain values: no wrapper of an array, a (value, index) pair or a dict;
-    # and no library-only helper that the CLI never runs
-    removed = {"StateVector", "LinearDistance", "RejectionBound", "constant", "autocorrelation"}
+    # no library-only helper that the CLI never runs; and a circuit holds its own registers
+    removed = {"StateVector", "LinearDistance", "RejectionBound", "constant", "autocorrelation",
+               "RegisterLayout"}
     for info in pkgutil.iter_modules(gowersim.__path__):
         module = importlib.import_module(f"gowersim.{info.name}")
         assert not removed & set(vars(module)), info.name

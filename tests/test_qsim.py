@@ -1,4 +1,4 @@
-"""Gate-level simulator: register layout, gate actions, circuit builders,
+"""Gate-level simulator: the checked circuit, gate actions, circuit builders,
 end-to-end amplitudes, and the symbolic phase audit.
 """
 
@@ -24,7 +24,6 @@ from gowersim.qsim import (
     HadamardAll,
     MCnot,
     PhaseOracle,
-    RegisterLayout,
     _phase_blocks,
     build_appendix_u3_circuit,
     build_derivative_walk_circuit,
@@ -39,8 +38,8 @@ from gate_reference import apply, fold, permuted_run, uniform_state
 from_anf_string = BooleanFunction.from_anf_string
 
 
-def basis_state(layout, index):
-    num = np.zeros(layout.dim, dtype=np.int32)
+def basis_state(circuit, index):
+    num = np.zeros(1 << circuit.qubits, dtype=np.int32)
     num[index] = 1
     return num
 
@@ -50,116 +49,140 @@ def amplitude(circuit, num: int) -> float:
 
     Written as zero_amplitude computes it, so that the two compare with ==
     (2^(-q/2) is not a dyadic rational for odd q)."""
-    q = circuit.layout.qubits
+    q = circuit.qubits
     if circuit.gates and isinstance(circuit.gates[-1], HadamardAll):
         return int(num) * 2.0**-q
     return int(num) * 2.0 ** (-q / 2.0)
 
 
 def test_register_layout():
-    lay = RegisterLayout(n=3, m=3)
-    assert lay.qubits == 9
-    assert lay.dim == 512
-    assert lay.shift(1) == 6 and lay.shift(3) == 0
-    idx = (0b101 << lay.shift(1)) | (0b010 << lay.shift(2)) | (0b111 << lay.shift(3))
+    regs = Circuit(n=3, m=3, gates=())
+    assert (regs.n, regs.m, regs.gates) == (3, 3, ())
+    assert regs.qubits == 9
+    assert regs.shift(1) == 6 and regs.shift(3) == 0
+    idx = (0b101 << regs.shift(1)) | (0b010 << regs.shift(2)) | (0b111 << regs.shift(3))
     assert idx == 0b101_010_111
-    with pytest.raises(ValueError):
-        lay.shift(4)
-    with pytest.raises(ValueError):
-        RegisterLayout(0, 2)
     with pytest.raises(CapacityError, match=r"got 4 x 7: 2\^28 basis states > 2\^24$"):
-        RegisterLayout(7, 4)
+        Circuit(7, 4, ())
+    assert Circuit(6, 4, ()).qubits == 24
+    assert Circuit(2, 2, (g for g in [PhaseOracle(1)])).gates == (PhaseOracle(1),)
+    with pytest.raises(AttributeError):  # only the constructor sets what it checked
+        regs.m = 9
+
+
+NOT_A_LAYOUT = "need n >= 1 qubits per register and m >= 1 registers"
+NOT_LAST = "only HadamardAll, and only as the final gate"
+
+
+@pytest.mark.parametrize(
+    ("n", "m", "gates", "error", "message"),
+    [
+        (0, 2, (), ValueError, NOT_A_LAYOUT),
+        (2, 0, (), ValueError, NOT_A_LAYOUT),
+        (5, 5, (), CapacityError, "layout needs m*n <= 24, got 5 x 5: 2^25 basis states > 2^24"),
+        (2, 3, (PhaseOracle(0),), ValueError, "register 0 out of range [1, 3]"),
+        (2, 3, (PhaseOracle(4),), ValueError, "register 4 out of range [1, 3]"),
+        (2, 3, (MCnot(0, 1),), ValueError, "register 0 out of range [1, 3]"),
+        (2, 3, (MCnot(4, 1),), ValueError, "register 4 out of range [1, 3]"),
+        (2, 3, (MCnot(1, 0),), ValueError, "register 0 out of range [1, 3]"),
+        (2, 3, (MCnot(1, 4),), ValueError, "register 4 out of range [1, 3]"),
+        (2, 3, (PhaseOracle(1), MCnot(2, 2)), ValueError, "MCnot target and source must differ"),
+        (2, 3, (HadamardAll(), PhaseOracle(1)), ValueError, f"HadamardAll(): {NOT_LAST}"),
+        (2, 3, (PhaseOracle(1), HadamardAll(), HadamardAll()), ValueError,
+         f"HadamardAll(): {NOT_LAST}"),
+        (2, 3, ((1,), HadamardAll()), ValueError, f"(1,): {NOT_LAST}"),
+        (2, 3, (PhaseOracle(1), "HALL"), ValueError, f"'HALL': {NOT_LAST}"),
+    ],
+    ids=["n-0", "m-0", "25-qubits", "oracle-0", "oracle-4-of-3", "target-0", "target-4-of-3",
+         "source-0", "source-4-of-3", "target-is-source", "hall-first", "hall-twice",
+         "plain-tuple", "string-last"],
+)
+def test_circuit_refuses_a_malformed_circuit(n, m, gates, error, message):
+    with pytest.raises(error) as refused:
+        Circuit(n, m, gates)
+    assert str(refused.value) == message
 
 
 def test_uniform_state():
-    st = uniform_state(RegisterLayout(2, 2))
+    st = uniform_state(Circuit(2, 2, ()))
     assert st.dtype == np.int32 and np.all(st == 1)  # amplitude 1 / 2^(q/2) = 1/4 each
 
 
 def test_phase_oracle_action():
-    lay = RegisterLayout(2, 2)
+    regs = Circuit(2, 2, ())
     f = from_anf_string("x1*x2", 2)
-    st = apply(lay, uniform_state(lay), PhaseOracle(2), f)
+    st = apply(regs, uniform_state(regs), PhaseOracle(2), f)
     # register 2 occupies the low bits; sign flips where its content is 11
-    for idx in range(lay.dim):
+    for idx in range(1 << regs.qubits):
         expected = -1 if (idx & 0b11) == 0b11 else 1
         assert st[idx] == expected
 
     # constant-0 oracle is the identity; constant-1 is a global minus sign
-    st0 = apply(lay, uniform_state(lay), PhaseOracle(1), from_anf_string("0", 2))
-    assert np.array_equal(st0, uniform_state(lay))
-    st1 = apply(lay, uniform_state(lay), PhaseOracle(1), from_anf_string("1", 2))
-    assert np.array_equal(st1, -uniform_state(lay))
+    st0 = apply(regs, uniform_state(regs), PhaseOracle(1), from_anf_string("0", 2))
+    assert np.array_equal(st0, uniform_state(regs))
+    st1 = apply(regs, uniform_state(regs), PhaseOracle(1), from_anf_string("1", 2))
+    assert np.array_equal(st1, -uniform_state(regs))
 
 
 def test_phase_oracle_needs_matching_function():
-    lay = RegisterLayout(2, 2)
+    regs = Circuit(2, 2, ())
     with pytest.raises(ValueError):
-        apply(lay, uniform_state(lay), PhaseOracle(1), None)
+        apply(regs, uniform_state(regs), PhaseOracle(1), None)
     with pytest.raises(ValueError):
-        apply(lay, uniform_state(lay), PhaseOracle(1), from_anf_string("0", 3))
+        apply(regs, uniform_state(regs), PhaseOracle(1), from_anf_string("0", 3))
     for f in (None, from_anf_string("0", 3)):
         with pytest.raises(ValueError):
-            zero_amplitude(Circuit(lay, (PhaseOracle(1), HadamardAll())), f)
+            zero_amplitude(Circuit(2, 2, (PhaseOracle(1), HadamardAll())), f)
         with pytest.raises(ValueError):
-            zero_amplitude(Circuit(lay, (PhaseOracle(1),)), f)
+            zero_amplitude(Circuit(2, 2, (PhaseOracle(1),)), f)
 
 
 def test_mcnot_is_a_basis_permutation():
-    lay = RegisterLayout(2, 3)
+    regs = Circuit(2, 3, ())
     gate = MCnot(target=1, source=3)
     for idx in (0, 0b01_10_11, 0b11_11_11):
-        st = apply(lay, basis_state(lay, idx), gate)
-        expected = idx ^ (((idx >> lay.shift(3)) & 0b11) << lay.shift(1))
+        st = apply(regs, basis_state(regs, idx), gate)
+        expected = idx ^ (((idx >> regs.shift(3)) & 0b11) << regs.shift(1))
         assert st[expected] == 1
         assert np.count_nonzero(st) == 1
 
 
 def test_mcnot_is_an_involution():
-    lay = RegisterLayout(2, 2)
-    num = np.random.default_rng(10).integers(-8, 8, lay.dim, dtype=np.int32)
-    twice = apply(lay, apply(lay, num, MCnot(2, 1)), MCnot(2, 1))
+    regs = Circuit(2, 2, ())
+    num = np.random.default_rng(10).integers(-8, 8, 1 << regs.qubits, dtype=np.int32)
+    twice = apply(regs, apply(regs, num, MCnot(2, 1)), MCnot(2, 1))
     assert np.array_equal(twice, num)
 
 
-def test_mcnot_validation():
-    with pytest.raises(ValueError):
-        MCnot(1, 1)
-    for gate, registers in ((MCnot, (0, 1)), (MCnot, (1, 0)), (PhaseOracle, (0,))):
-        with pytest.raises(ValueError, match="register indices start at 1"):
-            gate(*registers)
-    lay = RegisterLayout(2, 2)
-    with pytest.raises(ValueError):
-        apply(lay, uniform_state(lay), MCnot(1, 3))
-
-
 def test_hadamard_all():
-    lay = RegisterLayout(2, 2)
-    st = apply(lay, uniform_state(lay), HadamardAll())
-    assert st[0] == lay.dim  # amplitude 2^q / 2^q = 1
+    regs = Circuit(2, 2, ())
+    dim = 1 << regs.qubits
+    st = apply(regs, uniform_state(regs), HadamardAll())
+    assert st[0] == dim  # amplitude 2^q / 2^q = 1
     assert not np.any(st[1:])
     # self-inverse up to the 2^q of the unnormalized transform
-    num = np.random.default_rng(11).integers(-8, 8, lay.dim, dtype=np.int32)
-    back = apply(lay, apply(lay, num, HadamardAll()), HadamardAll())
-    assert np.array_equal(back, lay.dim * num)
+    num = np.random.default_rng(11).integers(-8, 8, dim, dtype=np.int32)
+    back = apply(regs, apply(regs, num, HadamardAll()), HadamardAll())
+    assert np.array_equal(back, dim * num)
 
 
 def test_gates_preserve_norm():
     rng = np.random.default_rng(12)
-    lay = RegisterLayout(2, 3)
+    regs = Circuit(2, 3, ())
     f = random_function(2, 99)
-    st = uniform_state(lay)
-    squared_den = lay.dim  # |amplitude|^2 = num^2 / 2^q in the uniform state
+    st = uniform_state(regs)
+    dim = 1 << regs.qubits
+    squared_den = dim  # |amplitude|^2 = num^2 / 2^q in the uniform state
     for gate in (PhaseOracle(1), MCnot(1, 2), HadamardAll(), MCnot(3, 1), PhaseOracle(3)):
-        st = apply(lay, st, gate, f)
+        st = apply(regs, st, gate, f)
         if isinstance(gate, HadamardAll):
-            squared_den *= lay.dim  # the denominator goes from 2^(q/2) to 2^q
+            squared_den *= dim  # the denominator goes from 2^(q/2) to 2^q
         assert int(np.sum(st.astype(np.int64) ** 2)) == squared_den
 
 
 def test_u2_circuit_structure():
     c = build_u2_circuit(2)
-    assert c.layout.m == 3
+    assert c.m == 3
     assert c.gates == (
         PhaseOracle(1),
         MCnot(1, 2),
@@ -198,12 +221,12 @@ def test_walk_k3_shape():
     c = build_derivative_walk_circuit(2, 3)
     counts = Counter(type(g).__name__ for g in c.gates)
     assert counts == {"PhaseOracle": 8, "MCnot": 14, "HadamardAll": 1}
-    assert c.layout.m == 4
+    assert c.m == 4
 
 
 def test_appendix_u3_structure():
     c = build_appendix_u3_circuit(2)
-    assert c.layout.m == 4
+    assert c.m == 4
     assert c.oracle_count == 7
     assert len(c.gates) == 16
 
@@ -273,17 +296,13 @@ def test_phase_audit_appendix():
 
 
 def test_phase_audit_flags_repeats_and_midway_hadamard():
-    lay = RegisterLayout(2, 1)
-    doubled = Circuit(lay, (PhaseOracle(1), PhaseOracle(1), HadamardAll()))
+    doubled = Circuit(2, 1, (PhaseOracle(1), PhaseOracle(1), HadamardAll()))
     audit = phase_audit(doubled)
     assert audit["status"] == "not-a-derivative"
     assert audit["extra"] == [[1]]
-
-    bad = Circuit(lay, (HadamardAll(), PhaseOracle(1)))
-    with pytest.raises(ValueError):
-        phase_audit(bad)
-    with pytest.raises(ValueError):
-        zero_amplitude(bad, from_anf_string("0", 2))
+    # a midway Hadamard layer is refused when the circuit is built, before any audit or run
+    with pytest.raises(ValueError, match="only HadamardAll, and only as the final gate"):
+        Circuit(2, 1, (HadamardAll(), PhaseOracle(1)))
 
 
 def test_circuit_capacity():
@@ -296,7 +315,7 @@ def test_circuit_capacity():
 def test_walk_work_guard():
     # 2^k oracle calls over 2^((k+1) n) states: k + (k+1) n <= 32 runs, more is refused
     assert build_derivative_walk_circuit(2, 10).oracle_count == 1 << 10  # 2^32, on budget
-    assert build_derivative_walk_circuit(4, 5).layout.qubits == 24  # 2^29
+    assert build_derivative_walk_circuit(4, 5).qubits == 24  # 2^29
     for n, k, work in ((1, 16, 33), (2, 11, 35), (1, 23, 47)):
         with pytest.raises(CapacityError, match=rf"2\^{work} oracle-entry evaluations > 2\^32"):
             build_derivative_walk_circuit(n, k)
@@ -310,7 +329,8 @@ def test_walk_p0_known_value():
 
 @st.composite
 def circuits_and_functions(draw, max_qubits=10):
-    """A random layout with n*m <= max_qubits, an oracle/MCNOT prefix and an optional final HALL."""
+    """A random circuit on m registers of n qubits, n*m <= max_qubits: an oracle/MCNOT prefix
+    and an optional final HALL."""
     n = draw(st.integers(1, 5))
     m = draw(st.integers(1, max_qubits // n))
     register = st.integers(1, m)
@@ -322,7 +342,7 @@ def circuits_and_functions(draw, max_qubits=10):
     if draw(st.booleans()):
         gates.append(HadamardAll())
     f = random_function(n, draw(st.integers(0, 2**32 - 1)))
-    return Circuit(RegisterLayout(n, m), tuple(gates)), f
+    return Circuit(n, m, tuple(gates)), f
 
 
 @settings(max_examples=300, deadline=None)
@@ -379,13 +399,13 @@ def blocked(circuit, name, cells=(SMALL_BLOCKS, 1 << 14)):
 
 
 BLOCKED_CIRCUITS = [
-    *blocked(Circuit(RegisterLayout(12, 1), (PhaseOracle(1), HadamardAll())), "m1-n12"),
+    *blocked(Circuit(12, 1, (PhaseOracle(1), HadamardAll())), "m1-n12"),
     # m = 2 at n >= 9: the 2^(2n) translate rows never fit a block
     *blocked(build_derivative_walk_circuit(9, 1), "walk1-n9"),
     *blocked(build_appendix_u3_circuit(4), "u3-n4"),
     *blocked(build_u2_circuit(6), "u2-n6"),
-    *blocked(Circuit(RegisterLayout(4, 4), (MCnot(2, 1), PhaseOracle(2), MCnot(4, 3),
-                                             PhaseOracle(4), MCnot(1, 4), PhaseOracle(3))),
+    *blocked(Circuit(4, 4, (MCnot(2, 1), PhaseOracle(2), MCnot(4, 3),
+                            PhaseOracle(4), MCnot(1, 4), PhaseOracle(3))),
              "permuted-n4"),
     # 24 qubits split into 2^10 blocks; the small-block splits of u3-n6 and u2-n8
     # (2^18 blocks, seconds each) are covered by the two cases below
@@ -401,13 +421,13 @@ BLOCKED_CIRCUITS = [
 
 def simulated(circuit, f):
     """zero_amplitude, and permuted_run's state bytes up to 18 qubits (not at 2^24 states)."""
-    state = permuted_run(circuit, f).tobytes() if circuit.layout.qubits <= 18 else None
+    state = permuted_run(circuit, f).tobytes() if circuit.qubits <= 18 else None
     return zero_amplitude(circuit, f), state
 
 
 @pytest.mark.parametrize(("circuit", "cells"), BLOCKED_CIRCUITS)
 def test_block_size_does_not_change_the_simulation(monkeypatch, cells, circuit):
-    f = random_function(circuit.layout.n, 21)
+    f = random_function(circuit.n, 21)
     expected = simulated(circuit, f)
     monkeypatch.setattr(errors, "_BLOCK_CELLS", cells)
     assert simulated(circuit, f) == expected
@@ -416,7 +436,7 @@ def test_block_size_does_not_change_the_simulation(monkeypatch, cells, circuit):
 def idle_register_circuit(m):
     """Oracles on registers 1 and m only, so the other m - 2 registers sit idle."""
     gates = (PhaseOracle(1), MCnot(1, m), PhaseOracle(1), PhaseOracle(m), MCnot(1, m))
-    return Circuit(RegisterLayout(1, m), gates + (HadamardAll(),))
+    return Circuit(1, m, gates + (HadamardAll(),))
 
 
 @pytest.mark.parametrize(
@@ -434,21 +454,20 @@ def idle_register_circuit(m):
     ],
 )
 def test_every_block_is_bounded(monkeypatch, circuit, cells):
-    layout = circuit.layout
-    f = random_function(layout.n, 44)
-    if layout.qubits <= 16:
+    f = random_function(circuit.n, 44)
+    if circuit.qubits <= 16:
         expected = fold(circuit, f)
     monkeypatch.setattr(errors, "_BLOCK_CELLS", cells)
     sizes = [block.size for block in _phase_blocks(circuit, f)]
-    assert sizes == [cells] * (layout.dim // cells)
+    assert sizes == [cells] * ((1 << circuit.qubits) // cells)
     amp0 = zero_amplitude(circuit, f)
-    if layout.qubits <= 16:
+    if circuit.qubits <= 16:
         assert amp0 == amplitude(circuit, expected[0])
         assert permuted_run(circuit, f).tobytes() == expected.tobytes()
-    elif layout.n == 1:
+    elif circuit.n == 1:
         assert amp0 == zero_amplitude(idle_register_circuit(2), f)
     else:
-        k = layout.m - 1
+        k = circuit.m - 1
         assert Fraction(amp0) == uk_definition(f, k).pow_value
 
 
@@ -466,24 +485,25 @@ def test_zero_amplitude_never_holds_the_phase_table():
 
 
 @pytest.mark.parametrize(
-    ("circuit", "f"),
+    ("gates", "f"),
     [
-        (Circuit(RegisterLayout(8, 3), (PhaseOracle(4), HadamardAll())), random_function(8, 1)),
-        (Circuit(RegisterLayout(8, 3), (HadamardAll(), PhaseOracle(1))), random_function(8, 1)),
-        (build_u2_circuit(8), None),
-        (build_u2_circuit(8), random_function(7, 1)),
-        (Circuit(RegisterLayout(8, 3), (MCnot(4, 1), HadamardAll())), random_function(8, 1)),
-        (Circuit(RegisterLayout(8, 3), (MCnot(1, 4), HadamardAll())), random_function(8, 1)),
+        ((PhaseOracle(4), HadamardAll()), random_function(8, 1)),
+        ((HadamardAll(), PhaseOracle(1)), random_function(8, 1)),
+        (build_u2_circuit(8).gates, None),
+        (build_u2_circuit(8).gates, random_function(7, 1)),
+        ((MCnot(4, 1), HadamardAll()), random_function(8, 1)),
+        ((MCnot(1, 4), HadamardAll()), random_function(8, 1)),
     ],
     ids=["oracle-register-4-of-3", "hall-not-last", "no-function", "function-n7",
          "mcnot-target-4-of-3", "mcnot-source-4-of-3"],
 )
-def test_run_refuses_before_it_allocates_the_state(circuit, f):
-    # the executor refuses before its first block; a 24-qubit phase table would be 16 MiB
+def test_run_refuses_before_it_allocates_the_state(gates, f):
+    # a malformed circuit is refused when built, a missing or mismatched f before the
+    # executor's first block; a 24-qubit phase table would be 16 MiB
     tracemalloc.start()
     try:
         with pytest.raises(ValueError):
-            zero_amplitude(circuit, f)
+            zero_amplitude(Circuit(8, 3, gates), f)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -505,19 +525,19 @@ def test_permuted_run_matches_gate_by_gate_fold(case):
 @pytest.mark.parametrize(
     "circuit",
     [
-        Circuit(RegisterLayout(7, 3), (PhaseOracle(1), MCnot(1, 2), PhaseOracle(1), HadamardAll())),
-        Circuit(RegisterLayout(7, 3), (MCnot(2, 1), PhaseOracle(2), MCnot(3, 2), PhaseOracle(1),
-                                       MCnot(1, 3), PhaseOracle(3))),
-        Circuit(RegisterLayout(3, 7), (PhaseOracle(1), MCnot(1, 5), MCnot(7, 1), PhaseOracle(7),
-                                       MCnot(2, 7), PhaseOracle(2), PhaseOracle(1), HadamardAll())),
-        Circuit(RegisterLayout(1, 21), (MCnot(21, 1), PhaseOracle(21), MCnot(1, 20),
-                                        PhaseOracle(1), HadamardAll())),
+        Circuit(7, 3, (PhaseOracle(1), MCnot(1, 2), PhaseOracle(1), HadamardAll())),
+        Circuit(7, 3, (MCnot(2, 1), PhaseOracle(2), MCnot(3, 2), PhaseOracle(1),
+                       MCnot(1, 3), PhaseOracle(3))),
+        Circuit(3, 7, (PhaseOracle(1), MCnot(1, 5), MCnot(7, 1), PhaseOracle(7),
+                       MCnot(2, 7), PhaseOracle(2), PhaseOracle(1), HadamardAll())),
+        Circuit(1, 21, (MCnot(21, 1), PhaseOracle(21), MCnot(1, 20),
+                        PhaseOracle(1), HadamardAll())),
     ],
     ids=["n7-m3", "n7-m3-no-hall", "n3-m7", "n1-m21"],
 )
 def test_run_equals_the_register_map_permutation_at_21_qubits(circuit):
     # the hypothesis cases stop near 10 qubits; a few gate-by-gate folds reach the edge
-    f = random_function(circuit.layout.n, 23)
+    f = random_function(circuit.n, 23)
     state = fold(circuit, f)
     assert permuted_run(circuit, f).tobytes() == state.tobytes()
     assert zero_amplitude(circuit, f) == amplitude(circuit, state[0])
@@ -550,7 +570,7 @@ def plus(f, g):
 )
 def test_a_polynomial_of_degree_below_k_leaves_the_state_unchanged(circuit, degree):
     rng = np.random.default_rng(31)
-    n = circuit.layout.n
+    n = circuit.n
     f = random_function(n, 32)
     assert permuted_run(circuit, plus(f, random_polynomial(n, degree, rng))).tobytes() == (
         permuted_run(circuit, f).tobytes()
@@ -571,7 +591,7 @@ def test_translating_f_signs_the_state_by_register_one():
     c = 0b1011001
     shifted = BooleanFunction(n, f.table[np.arange(1 << n) ^ c])
     base = permuted_run(circuit, f)
-    r1 = np.arange(circuit.layout.dim) >> circuit.layout.shift(1)
+    r1 = np.arange(1 << circuit.qubits) >> circuit.shift(1)
     odd = np.bitwise_count(r1 & c) & 1 == 1
     assert np.array_equal(permuted_run(circuit, shifted), np.where(odd, -base, base))
 

@@ -28,8 +28,11 @@ from pathlib import Path
 # `--family linear --u`, the empty ANF, and lintest and compare past 3n = 24 qubits,
 # at n = 11 on x1 + x2 with one entry flipped, whose p0 no float holds, the
 # definition route past (k+1)*n <= 24, up to its word guard and one variable over it,
-# estimate's mean at draw counts around its chunks and --validate with odd trials, and
-# last the draw budget's refusal of each sampling command
+# estimate's mean at draw counts around its chunks and --validate with odd trials, the
+# draw budget's refusal of each sampling command, and last the circuit layer: simulate's
+# layout and walk-guard refusals (the layout's first where both apply), the largest walk
+# admitted at n = 2, a one-qubit-per-register u2, and compare at n = 11, whose p0 needs
+# more than 53 bits, so that its exact rates are rounded once
 EXTRA = [
     *(["blr", "--family", "random", "--seed", "7", "-n", n, "--trials", trials]
       for n in ("1", "12", "20") for trials in ("1", "3", "65537", "100001")),
@@ -52,6 +55,13 @@ EXTRA = [
     *([*command, "2000000000", "--family", "bent", "-n", "10", "--seed", "5"]
       for command in (("estimate", "-t", "0.1", "-m"), ("lintest", "--shots"),
                       ("blr", "--trials"), ("compare", "--shots"))),
+    ["simulate", "--circuit", "u2", "-n", "9", "--family", "bent"],
+    ["simulate", "--circuit", "derivative_walk", "-k", "7", "-n", "4", "--family", "bent"],
+    ["simulate", "--circuit", "derivative_walk", "-k", "11", "-n", "2", "--dump"],
+    ["simulate", "--circuit", "derivative_walk", "-k", "10", "-n", "2", "--dump", "--audit"],
+    ["simulate", "--circuit", "u2", "-n", "1", "--family", "linear", "--u", "1", "--audit"],
+    ["compare", "-n", "11", "--anf", "x1+x2+" + "*".join(f"x{i}" for i in range(1, 12)),
+     "--seed", "5", "--shots", "1001"],
 ]
 
 

@@ -174,20 +174,33 @@ CATALOGUE = [
     (LINTEST, "q_reject, blr_reject = 1 - p0, 1 - p_blr",
      "q_reject, blr_reject = 1 - float(p0), 1 - float(p_blr)",
      [node("lintest", "test_each_exact_float_is_one_rounding")], "kill"),
-    # qsim: layouts, gate and register checks, the executor's mesh and rows
+    # qsim: the circuit's checks, all in Circuit.__init__, the walk guard, the executor's
+    # mesh and rows
     (QSIM, "return (self.m - register) * self.n", "return (self.m - register + 1) * self.n",
      [T("qsim")], "kill"),
-    (QSIM, "check_layout(self.m, self.n)", "check_layout(self.m - 1, self.n)",
+    (QSIM, "check_layout(m, n)", "check_layout(m - 1, n)",
      [node("qsim", "test_register_layout")], "kill"),
-    (QSIM, "k + layout.qubits,", "layout.qubits,", [node("qsim", "test_walk_work_guard")],
-     "kill"),
-    (QSIM, "if not 1 <= register <= self.m:", "if not 1 <= register:", [T("qsim")], "kill"),
-    (QSIM, "layout._check_register(gate.target)", "pass", [T("qsim")], "kill"),
-    (QSIM, "layout._check_register(gate.source)", "pass", [T("qsim")], "kill"),
-    (QSIM, "layout._check_register(gate.register)", "pass", [T("qsim")], "kill"),
-    (QSIM, "if self.register < 1:", "if False:", [T("qsim")], "kill"),
-    (QSIM, "elif not (isinstance(gate, HadamardAll) and i == len(gates) - 1):",
-     "elif not isinstance(gate, HadamardAll):", [T("qsim")], "kill"),
+    (QSIM, "k + (k + 1) * n,", "(k + 1) * n,", [node("qsim", "test_walk_work_guard")], "kill"),
+    (QSIM, "if not 1 <= register <= m:", "if not 1 <= register:", [T("qsim")], "kill"),
+    (QSIM, "if not 1 <= register <= m:", "if not 1 <= register < m:", [T("qsim")], "kill"),
+    (QSIM, "for register in gate:", "for register in gate[:1]:",
+     [node("qsim", "test_circuit_refuses_a_malformed_circuit")], "kill"),
+    (QSIM, "if isinstance(gate, MCnot) and gate.target == gate.source:", "if False:",
+     [node("qsim", "test_circuit_refuses_a_malformed_circuit")], "kill"),
+    (QSIM, "if isinstance(gate, HadamardAll) and i == len(gates) - 1:",
+     "if isinstance(gate, HadamardAll):",
+     [node("qsim", "test_circuit_refuses_a_malformed_circuit")], "kill"),
+    (QSIM, "if not isinstance(gate, (PhaseOracle, MCnot)):", "if isinstance(gate, HadamardAll):",
+     [node("qsim", "test_circuit_refuses_a_malformed_circuit")], "kill"),
+    (QSIM, "    def __setattr__(self, name, value):", "    def _setattr(self, name, value):",
+     [node("qsim", "test_register_layout")], "kill"),
+    # the walk's layout, refused after the walk guard, names the wrong rule
+    (QSIM, "    Circuit(n, k + 1, ())  # the layout", "    pass  # the layout",
+     [node("cli", "test_every_guard_refuses_before_any_kernel_runs")], "kill"),
+    # a dataclass import loads dataclasses and inspect into every circuit command
+    (QSIM, "from collections import Counter\n",
+     "from collections import Counter\nfrom dataclasses import dataclass\n",
+     [T("import_footprint")], "kill"),
     (QSIM, "ramp[: max(1, size >> ((m - r) * n))]", "ramp[: size >> ((m - r) * n)]",
      [T("qsim")], "kill"),
     (QSIM, "table[np.bitwise_xor.outer(ramp, ramp)]", "table[np.bitwise_or.outer(ramp, ramp)]",
