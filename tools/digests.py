@@ -12,17 +12,31 @@ examples read `readme - example-<i>-<subcommand>` and EXTRA runs
 `extra - <argv joined by _>`.  Everything is read from the checkout
 that holds this script, so comparing two checkouts is one `diff` of the
 digest files that each one's copy prints.
+
+    python3 tools/digests.py --write tests/golden_digests.txt
+
+writes the golden file that tests/test_golden.py checks: the lines of the fast
+runs (the sim-24q and small-n-batch jobs at seed 1, the README examples and
+EXTRA), each run in process through `cli.main`, under a header naming the
+Python, numpy and platform that wrote it.  exact-large-n stays out: its jobs
+take most of this script's run time.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import os
+import platform
 import shlex
 import subprocess
 import sys
 from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+FAST = ("sim-24q", "small-n-batch")  # the workloads of the golden file
 
 # what no benchmark job runs: odd BLR draw counts (every job draws an even one),
 # `--family linear --u`, the empty ANF, and lintest and compare past 3n = 24 qubits,
@@ -72,33 +86,60 @@ def readme_examples(readme: str) -> list[list[str]]:
             for chunk in block.split("$ gowersim ")[1:]]
 
 
+def runs(seeds: list[int], workloads=None) -> list[tuple[str, list[str]]]:
+    """(label, argv) of every job of `workloads` (all by default) at each seed, with
+    --deterministic, then each README example as written, then each EXTRA argv with
+    --deterministic; a label reads `workload seed job`."""
+    for path in (ROOT / "perfbench", ROOT / "src"):
+        if str(path) not in sys.path:
+            sys.path.insert(0, str(path))
+    from workloads import WORKLOADS
+
+    out = [(f"{workload} {seed} {job.name}", [*job.args, "--deterministic"])
+           for workload, jobs in WORKLOADS.items() if workloads is None or workload in workloads
+           for seed in seeds for job in jobs(seed)]
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    out += [(f"readme - example-{i}-{argv[0]}", argv)
+            for i, argv in enumerate(readme_examples(readme), 1)]
+    return out + [(f"extra - {'_'.join(argv)}", [*argv, "--deterministic"]) for argv in EXTRA]
+
+
+def digest_line(label: str, code: int, stdout: bytes, stderr: bytes) -> str:
+    return (f"{label} {code} {hashlib.sha256(stdout).hexdigest()} "
+            f"{hashlib.sha256(stderr).hexdigest()}")
+
+
+def in_process(argv: list[str]) -> tuple[int, bytes, bytes]:
+    """The exit status, stdout and stderr of `cli.main(argv)`, run in this process."""
+    from gowersim.cli import main
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue().encode(), err.getvalue().encode()
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
+    parser.add_argument("--write", metavar="FILE",
+                        help="write the golden file of the fast runs, run in process")
     opts = parser.parse_args()
-    root = Path(__file__).resolve().parent.parent
-    src = root / "src"
-    sys.path[:0] = [str(root / "perfbench"), str(src)]
-    from workloads import WORKLOADS
+    if opts.write:
+        import numpy
 
-    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+        libc = " ".join(platform.libc_ver())
+        lines = [f"# written by python3 tools/digests.py --write: Python {platform.python_version()}, "
+                 f"numpy {numpy.__version__}, {platform.system()} {platform.machine()} {libc}"]
+        lines += [digest_line(label, *in_process(argv)) for label, argv in runs([1], FAST)]
+        Path(opts.write).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return 0
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path, "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1"}
     cli = [sys.executable, "-c", "from gowersim.cli import run; run()"]
-
-    def digest(workload: str, seed: str, job: str, argv: list[str]) -> None:
-        proc = subprocess.run([*cli, *argv], cwd=root, env=env, capture_output=True)
-        print(workload, seed, job, proc.returncode, hashlib.sha256(proc.stdout).hexdigest(),
-              hashlib.sha256(proc.stderr).hexdigest(), flush=True)
-
-    for workload, jobs in WORKLOADS.items():
-        for seed in opts.seeds:
-            for job in jobs(seed):
-                digest(workload, str(seed), job.name, [*job.args, "--deterministic"])
-    readme = (root / "README.md").read_text(encoding="utf-8")
-    for i, argv in enumerate(readme_examples(readme), 1):
-        digest("readme", "-", f"example-{i}-{argv[0]}", argv)
-    for argv in EXTRA:
-        digest("extra", "-", "_".join(argv), [*argv, "--deterministic"])
+    for label, argv in runs(opts.seeds):
+        proc = subprocess.run([*cli, *argv], cwd=ROOT, env=env, capture_output=True)
+        print(digest_line(label, proc.returncode, proc.stdout, proc.stderr), flush=True)
     return 0
 
 
