@@ -13,8 +13,9 @@ Conventions used library-wide:
   first; the bit of x = 0...0 is the most significant bit of the whole string.
   (For n = 1 the single digit is padded with two low zero bits.)
 
-The constructors accept 1 <= n <= errors.MAX_N = 24; larger n raises
-CapacityError so that all downstream exact accumulators stay cheap.
+The constructors, `BooleanFunction(n, table)`, `from_anf_string`, `from_hex` and the
+families `linear`, `bent_quadratic` and `random_function`, accept 1 <= n <= errors.MAX_N
+= 24; larger n raises CapacityError so that all downstream exact accumulators stay cheap.
 """
 
 from __future__ import annotations
@@ -168,16 +169,6 @@ class BooleanFunction:
         return obj
 
     @classmethod
-    def from_packed(cls, n: int, bits: int) -> "BooleanFunction":
-        """The table packed into an integer: bit idx(x) holds F(x)."""
-        _check_n(n)
-        size = 1 << n
-        if not 0 <= bits < (1 << size):
-            raise ValueError("packed table out of range")
-        raw = np.frombuffer(bits.to_bytes((size + 7) // 8, "little"), np.uint8)
-        return cls._of(n, np.unpackbits(raw, count=size, bitorder="little"))
-
-    @classmethod
     def from_anf_string(cls, text: str, n: int) -> "BooleanFunction":
         _check_n(n)
         return cls._of(n, _mobius(_parse_anf(text, n)))
@@ -260,8 +251,9 @@ def bent_quadratic(n: int) -> BooleanFunction:
     _check_n(n)
     if n % 2:
         raise ValueError("bent_quadratic requires an even number of variables")
-    text = " + ".join(f"x{i}*x{i + 1}" for i in range(1, n, 2))
-    return BooleanFunction.from_anf_string(text, n)
+    idx = np.arange(1 << n, dtype=np.uint32)  # x_{2i-1} x_{2i} is bit n-2i of idx & idx >> 1
+    pairs = idx & (idx >> 1) & np.uint32(int("01" * (n // 2), 2))
+    return BooleanFunction._of(n, (np.bitwise_count(pairs) & 1).astype(np.uint8))
 
 
 def random_function(n: int, seed) -> BooleanFunction:

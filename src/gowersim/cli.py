@@ -1,12 +1,12 @@
 """Command-line interface.
 
-Subcommands: analyze, gowers, simulate, estimate, lintest, blr, compare.
-Output is JSON on stdout (CSV available for `compare`).  All randomness
-flows from a single --seed; when it is omitted and the command uses
-randomness, a fresh seed is drawn and printed in the output.  --deterministic
-suppresses the timestamp field so that equal arguments and seeds give
-byte-identical output.  Each subcommand imports only the modules it runs;
-numpy loads only where a truth table is built (see README "Library").
+Subcommands: analyze, gowers, simulate, estimate, lintest, blr, compare.  A function comes
+from --anf, --tt-hex or --family (linear, bent, random), and `simulate --circuit u2` is the
+derivative walk at k = 2.  Output is JSON on stdout (CSV available for `compare`).  All
+randomness flows from a single --seed; when it is omitted and the command uses randomness,
+a fresh seed is drawn and printed in the output.  --deterministic suppresses the timestamp
+field so that equal arguments and seeds give byte-identical output.  Each subcommand imports
+only the modules it runs; numpy loads only where a truth table is built (see README "Library").
 
 argparse parses each run into one `RunConfig`, the only argument of every
 handler; each number is range-checked by its option's type (exit 2, before any work).
@@ -37,7 +37,7 @@ from .errors import CapacityError, CrossCheckError
 if TYPE_CHECKING:
     from .boolfn import BooleanFunction
 
-FAMILIES = ("linear", "bent", "bent_quadratic", "random")
+FAMILIES = ("linear", "bent", "random")
 
 
 class RunConfig(argparse.Namespace):
@@ -60,7 +60,7 @@ class RunConfig(argparse.Namespace):
             return linear(self.n, self.u)
         if self.family == "random":
             return random_function(self.n, self.seed)
-        return bent_quadratic(self.n)  # "bent" or "bent_quadratic" (argparse checked the choice)
+        return bent_quadratic(self.n)  # "bent" (argparse checked the choice)
 
     def uses_seed(self) -> bool:
         return self.family == "random" or self.command in ("estimate", "lintest", "blr", "compare")
@@ -155,14 +155,10 @@ def cmd_simulate(cfg: RunConfig) -> dict:
 
     if cfg.k is not None and cfg.circuit != "derivative_walk":
         raise ValueError(f"-k applies only to --circuit derivative_walk, not {cfg.circuit}")
-    if cfg.circuit == "u2":
-        circuit = qsim.build_u2_circuit(cfg.n)
-    elif cfg.circuit == "u3_appendix":
-        circuit = qsim.build_appendix_u3_circuit(cfg.n)
-    else:
-        if cfg.k is None:
-            raise ValueError("--circuit derivative_walk requires -k")
-        circuit = qsim.build_derivative_walk_circuit(cfg.n, cfg.k)
+    if cfg.circuit == "derivative_walk" and cfg.k is None:
+        raise ValueError("--circuit derivative_walk requires -k")
+    circuit = (qsim.build_appendix_u3_circuit(cfg.n) if cfg.circuit == "u3_appendix"
+               else qsim.build_derivative_walk_circuit(cfg.n, cfg.k or 2))  # u2: the walk at k = 2
     has_function = any(x is not None for x in (cfg.anf, cfg.tt_hex, cfg.family, cfg.u))
     if not (has_function or cfg.dump or cfg.audit):
         raise ValueError("nothing to do: give a function, --dump, or --audit")

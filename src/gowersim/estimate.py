@@ -69,8 +69,7 @@ def u2_partial_sums(f: BooleanFunction) -> np.ndarray:
     """
     n = f.n
     check_layout(3, n)
-    # block `low` holds the rows of d = low + c * t, so stacking on axis 1 puts d in order
-    rows = np.stack(list(spectral._derivative_rows(f.table[None])), axis=1).reshape(1 << n, -1)
+    rows = spectral._by_direction(f.table)  # rows[s] = D_s F
     t = spectral.fwht_inplace(1 - 2 * rows.astype(np.int32)).T.copy()  # t[b, s] = T[s, b]
     ramp = np.arange(1 << n)
     per = max(1, errors._BLOCK_CELLS >> 2 * n)  # values of a per block

@@ -211,6 +211,7 @@ def build_derivative_walk_circuit(n: int, k: int) -> Circuit:
     The schedule doubles: D_1 = [UF, M(1,2), UF, M(1,2)], D_j = D_{j-1} + [M(1,j+1)] +
     D_{j-1} + [M(1,j+1)] visits every coset x + sum_{i in S} d_i once, in binary-counter
     order of S; a Hadamard layer follows.  Its 2^k calls read 2^((k+1) n) entries each.
+    At k = 2 it is the U_2 circuit: outcome 0 has probability ||f||_{U_2}^8.
     """
     if k < 1:
         raise ValueError("order k must be >= 1")
@@ -218,11 +219,6 @@ def build_derivative_walk_circuit(n: int, k: int) -> Circuit:
     check_capacity(f"derivative walk needs k + (k+1)*n <= {WALK_GUARD}, got k = {k}, n = {n}",
                    k + (k + 1) * n, "oracle-entry evaluations", WALK_GUARD)
     return Circuit(n, k + 1, tuple(_walk_gates(k) + [HadamardAll()]))
-
-
-def build_u2_circuit(n: int) -> Circuit:
-    """The walk for k = 2, whose all-zeros outcome has probability ||f||_{U_2}^8."""
-    return build_derivative_walk_circuit(n, 2)
 
 
 def build_appendix_u3_circuit(n: int) -> Circuit:

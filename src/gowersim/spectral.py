@@ -75,6 +75,13 @@ def _derivative_rows(g: np.ndarray, depth: int = 1) -> Iterator[np.ndarray]:
             yield from [rows] if depth == 1 else _derivative_rows(rows, depth - 1)
 
 
+def _by_direction(table: np.ndarray, each=lambda rows: rows) -> np.ndarray:
+    """each(rows) over the rows x -> G(x) ^ G(x ^ d) of the 0/1 table G, stacked in order of d."""
+    parts = [each(rows) for rows in _derivative_rows(table[None])]
+    # block `low` holds the rows of d = low + c * t, so stacking on axis 1 puts d in order
+    return np.stack(parts, axis=1).reshape(-1, *parts[0].shape[1:])
+
+
 def convolve(f: BooleanFunction, g: BooleanFunction) -> np.ndarray:
     """r(a) = sum_y f(y) g(y+a) = 2^n (f * g)(a), as a read-only int64 array indexed by a."""
     if f.n != g.n:
@@ -82,8 +89,6 @@ def convolve(f: BooleanFunction, g: BooleanFunction) -> np.ndarray:
     check_capacity(f"the XOR correlation needs 2n <= {MAX_N}, got n = {f.n}", 2 * f.n, "terms")
     gt = g.table
     mask = f.table ^ gt  # F(y) ^ G(y ^ a) = (F ^ G)(y) ^ G(y) ^ G(y ^ a)
-    counts = [(rows ^ mask).sum(axis=1, dtype=np.int64) for rows in _derivative_rows(gt[None])]
-    # block `low` holds a = low + c * t, so stacking on axis 1 puts a in order
-    r = (1 << f.n) - 2 * np.stack(counts, axis=1).ravel()
+    r = (1 << f.n) - 2 * _by_direction(gt, lambda rows: (rows ^ mask).sum(axis=1, dtype=np.int64))
     r.setflags(write=False)
     return r

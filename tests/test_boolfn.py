@@ -21,6 +21,8 @@ from gowersim.boolfn import (
 from gowersim.errors import AnfSyntaxError, CapacityError
 from gowersim.spectral import _derivative_rows
 
+from packed import from_packed
+
 from_anf_string = BooleanFunction.from_anf_string
 
 
@@ -170,7 +172,7 @@ def reference_anf_string(anf):
 
 @settings(max_examples=80, deadline=None)
 @given(st.integers(1, 8).flatmap(
-    lambda n: st.builds(BooleanFunction.from_packed, st.just(n), st.integers(0, (1 << (1 << n)) - 1))
+    lambda n: st.builds(from_packed, st.just(n), st.integers(0, (1 << (1 << n)) - 1))
 ))
 def test_anf_string_round_trip(f):
     text = f.to_anf().to_string()
@@ -287,11 +289,9 @@ def test_anf_constructor_checks_and_copies_its_input():
 ))
 def test_packed_round_trip(case):
     n, bits = case
-    f = BooleanFunction.from_packed(n, bits)
-    assert f.packed == bits
-    assert f.table[0] == bits & 1 and f.table[-1] == bits >> ((1 << n) - 1)
-    assert BooleanFunction.from_packed(n, f.packed).packed == bits
-    assert BooleanFunction(n, f.table).packed == bits
+    table = [bits >> x & 1 for x in range(1 << n)]  # bit idx(x) holds F(x), one by one
+    assert BooleanFunction(n, table).packed == bits
+    assert np.array_equal(from_packed(n, bits).table, table)  # the tests' helper
 
 
 def test_table_validation():
@@ -302,12 +302,9 @@ def test_table_validation():
     with pytest.raises(ValueError):
         BooleanFunction(0, [])
     with pytest.raises(CapacityError, match=r"maximum 24: 2\^25 table entries > 2\^24$"):
-        BooleanFunction.from_packed(25, 0)
+        BooleanFunction.from_hex(25, "0")
     with pytest.raises(ValueError, match="positive integer, got 2.0$"):
         BooleanFunction(2.0, [0, 1, 1, 0])
-    for bits in (16, -1):  # 2^(2^n) tables at n = 2
-        with pytest.raises(ValueError, match="packed table out of range"):
-            BooleanFunction.from_packed(2, bits)
 
 
 def derivative_table(f, dirs):
@@ -365,8 +362,9 @@ def test_linear_family():
 
 
 def test_bent_family():
-    assert same(bent_quadratic(2), from_anf_string("x1*x2", 2))
-    assert same(bent_quadratic(4), from_anf_string("x1*x2 + x3*x4", 4))
+    for n in range(2, 25, 2):  # the closed form against its ANF, up to the table guard
+        assert same(bent_quadratic(n),
+                    from_anf_string(" + ".join(f"x{i}*x{i + 1}" for i in range(1, n, 2)), n)), n
     with pytest.raises(ValueError):
         bent_quadratic(3)
 

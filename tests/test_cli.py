@@ -270,6 +270,9 @@ def test_numbers_are_checked_by_their_option(capsys):
          "invalid int value: '３'"),
         (("estimate", "--anf", "x1", "-n", "1", "-m", "5", "-t", "١.٥"), "-t",
          "invalid float value: '١.٥'"),
+        # and a family by its choices: bent_quadratic, once an alias of bent, is gone
+        (("analyze", "--family", "bent_quadratic", "-n", "4"), "--family",
+         "invalid choice: 'bent_quadratic'"),
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == "" and err.startswith("usage: ")
@@ -558,8 +561,8 @@ def test_capacity_errors_state_the_cost_and_budget(capsys):
 
 
 BUDGET = 1 << 30  # estimate.DRAW_BUDGET
-# random functions where one is built: an ANF, bent_quadratic's included, runs the Moebius
-# transform; simulate refuses its circuit before it reads the function
+# random functions where one is built, as an ANF runs the Moebius transform; bent's closed
+# form does not, so one row builds it; simulate refuses its circuit before it reads the function
 RANDOM = ("--family", "random", "--seed", "1")
 REFUSALS = [
     *(pytest.param((command, *args, *RANDOM, "-n", "25"),
@@ -571,6 +574,9 @@ REFUSALS = [
     pytest.param(("gowers", *RANDOM, "-n", "14", "--route", "definition"),
                  "uk_definition needs k*n + max(0, n-6) <= 24, got k = 2, n = 14: "
                  "2^36 words > 2^24", id="gowers-definition"),
+    pytest.param(("gowers", "--family", "bent", "-n", "14", "--route", "definition"),
+                 "uk_definition needs k*n + max(0, n-6) <= 24, got k = 2, n = 14: "
+                 "2^36 words > 2^24", id="gowers-definition-bent"),
     # --route all refuses at its first route, the definition, before the spectral one runs
     pytest.param(("gowers", *RANDOM, "-n", "11"),
                  "uk_definition needs k*n + max(0, n-6) <= 24, got k = 2, n = 11: "

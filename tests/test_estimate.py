@@ -23,10 +23,11 @@ from gowersim.estimate import (
     y_bar,
 )
 from gowersim.gowers import u2_spectral
-from gowersim.qsim import Circuit, build_derivative_walk_circuit, build_u2_circuit
+from gowersim.qsim import Circuit, build_derivative_walk_circuit
 from gowersim.spectral import fwht_inplace
 
 from gate_reference import fold, partial_sums, permuted_run, uniform_state
+from packed import from_packed
 
 from_anf_string = BooleanFunction.from_anf_string
 
@@ -227,7 +228,7 @@ def test_chunked_sample_equals_one_call_lookup(monkeypatch, chunk, offset):
     # sorted lookups per chunk add up to the mean of the one-call outcomes in draw order,
     # which the float CDF of the amplitudes gives too
     f = random_function(3, 12)
-    num = permuted_run(build_u2_circuit(3), f)
+    num = permuted_run(build_derivative_walk_circuit(3, 2), f)
     cum = u2_partial_sums(f)
     cdf = np.cumsum((num * 2.0**-9) ** 2)
     monkeypatch.setattr(estimate, "_DRAW_CHUNK", chunk)
@@ -268,12 +269,12 @@ def test_measurement_holds_eight_bytes_per_state():
 
 
 def u2_reference_sums(f):
-    return partial_sums(permuted_run(build_u2_circuit(f.n), f))
+    return partial_sums(permuted_run(build_derivative_walk_circuit(f.n, 2), f))
 
 
 def test_u2_partial_sums_equal_the_reference_state_for_every_function_at_n2():
     for bits in range(16):
-        f = BooleanFunction.from_packed(2, bits)
+        f = from_packed(2, bits)
         assert u2_partial_sums(f).tobytes() == u2_reference_sums(f).tobytes()
 
 
@@ -308,7 +309,7 @@ def sampled_circuits(draw):
     """The u2 circuit at n <= 3 or a walk of order k <= 3 at n <= 2, with a random f."""
     if draw(st.booleans()):
         n = draw(st.integers(1, 3))
-        circuit = build_u2_circuit(n)
+        circuit = build_derivative_walk_circuit(n, 2)
     else:
         n = draw(st.integers(1, 2))
         circuit = build_derivative_walk_circuit(n, draw(st.integers(1, 3)))
@@ -329,7 +330,7 @@ def fraction_sample(num, draws):
 def test_sample_equals_the_fraction_inverse_cdf(case, m, seed):
     circuit, f = case
     num = fold(circuit, f)  # the integer gate-by-gate fold, independent of both sums
-    u2 = circuit.gates == build_u2_circuit(f.n).gates
+    u2 = circuit.gates == build_derivative_walk_circuit(f.n, 2).gates
     cum = u2_partial_sums(f) if u2 else partial_sums(num)
     # the lookup is monotone in r, so sorted draws give the oracle's outcomes, sorted
     oracle = sorted(fraction_sample(num, np.random.default_rng(seed).random(m)))

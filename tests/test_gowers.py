@@ -27,6 +27,7 @@ from gowersim import errors, gowers
 from gowersim.spectral import _derivative_rows, convolve, fwht_inplace, walsh
 
 from closed_forms import random_cubic, random_quadratic
+from packed import from_packed
 
 from_anf_string = BooleanFunction.from_anf_string
 
@@ -109,7 +110,7 @@ def test_u1_is_squared_bias():
 
 def test_route_agreement_u2():
     rng = np.random.default_rng(60)
-    for f in (BooleanFunction.from_packed(2, bits) for bits in range(16)):
+    for f in (from_packed(2, bits) for bits in range(16)):
         assert uk_definition(f, 2).pow_value == u2_spectral(f).pow_value
         assert u2_autocorrelation(f).pow_value == u2_spectral(f).pow_value
     for n in (3, 4, 5, 6):
@@ -134,7 +135,7 @@ def test_route_agreement_u3_u4():
 def test_norm_one_exactly_for_affine():
     for n in (2, 3):
         for bits in range(1 << (1 << n)):
-            f = BooleanFunction.from_packed(n, bits)
+            f = from_packed(n, bits)
             is_affine = f.degree() <= 1
             assert (u2_spectral(f).pow_value == DyadicRational(1, 0)) == is_affine
 

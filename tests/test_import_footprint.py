@@ -82,7 +82,8 @@ CLI_EXIT = "from gowersim.cli import main\nsys.exit(main({!r}))"
 
 @pytest.mark.parametrize("code, status", [
     ("import gowersim.cli", 0),
-    ("from gowersim.qsim import build_u2_circuit\nbuild_u2_circuit(8)", 0),
+    ("from gowersim.qsim import build_derivative_walk_circuit\n"
+     "build_derivative_walk_circuit(8, 2)", 0),
     (CLI_EXIT.format(["--help"]), 0),
     (CLI_EXIT.format(["analyze", "-n", "0", "--family", "bent"]), 2),
     (CLI_EXIT.format(["simulate", "--audit", "--dump", "--circuit", "u3_appendix", "-n", "6"]), 0),

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from closed_forms import random_quadratic
+from packed import from_packed
 
 from gowersim import cli, estimate, lintest
 from gowersim.boolfn import (
@@ -273,7 +274,7 @@ def test_rejection_bound_holds_with_affine_distance():
 
     for n in (2, 3):
         for bits in range(1 << (1 << n)):
-            f = BooleanFunction.from_packed(n, bits)
+            f = from_packed(n, bits)
             p_accept = u2_spectral(f).pow_value ** 2
             cap = DyadicRational(int(np.abs(walsh(f)).max()) ** 4, 4 * n)
             assert p_accept <= cap
@@ -294,7 +295,7 @@ def test_signed_distance_bound_has_counterexamples():
 
     violations = 0
     for bits in range(1 << 8):
-        g = BooleanFunction.from_packed(3, bits)
+        g = from_packed(3, bits)
         eps_g, _ = dist_to_linear(g)
         if not DyadicRational(0, 0) < eps_g < DyadicRational(1, 1):
             continue
@@ -461,7 +462,7 @@ def test_lintest_and_compare_run_to_the_table_limit(capsys):
 
 
 def all_spectra_n4():
-    """W of all 65,536 functions at n = 4, row `bits` for BooleanFunction.from_packed(4, bits).
+    """W of all 65,536 functions at n = 4, row `bits` for from_packed(4, bits).
 
     One int64 product with the 16 x 16 Hadamard matrix, independent of the library's FWHT.
     """
@@ -494,6 +495,6 @@ def test_quantum_test_against_blr_for_every_function_at_n4():
 
     # the same exact values as the library's routes
     for bits in np.random.default_rng(4).integers(0, 1 << 16, 64):
-        f = BooleanFunction.from_packed(4, int(bits))
+        f = from_packed(4, int(bits))
         assert u2_spectral(f).pow_value == Fraction(int(s4[bits]), 1 << 16)
         assert blr_exact_dyadic(f) == Fraction((1 << 12) + int(s3[bits]), 1 << 13)

@@ -18,9 +18,10 @@ from gowersim.lintest import blr_exact_dyadic
 from gowersim.spectral import convolve
 
 from gate_reference import definition_ones
+from packed import from_packed
 
 
-def functions(max_n: int, min_n: int = 1, build=BooleanFunction.from_packed):
+def functions(max_n: int, min_n: int = 1, build=from_packed):
     """Any packed truth table with min_n <= n <= max_n (shrinks towards F = 0);
     `build` (n, bits) may read the bits as something else, e.g. ANF coefficients."""
     return st.integers(min_n, max_n).flatmap(
@@ -50,9 +51,9 @@ def definition_cases():
 
 @settings(max_examples=40, deadline=None)
 @given(definition_cases())
-@example((1, BooleanFunction.from_packed(7, 3 << 100)))
-@example((2, BooleanFunction.from_packed(6, 0xF0F0_3C3C_5A5A_9696)))
-@example((3, BooleanFunction.from_packed(5, 0x8000_0001)))
+@example((1, from_packed(7, 3 << 100)))
+@example((2, from_packed(6, 0xF0F0_3C3C_5A5A_9696)))
+@example((3, from_packed(5, 0x8000_0001)))
 def test_uk_definition_equals_the_byte_count(case):
     k, f = case
     ones, log2 = definition_ones(f, k), (k + 1) * f.n
@@ -108,7 +109,7 @@ def test_mobius_is_an_involution(f):
 def test_anf_evaluates_pointwise(case):
     # F(x) = XOR of lambda_u (bit u of the packed coefficients) over the u with u & x == u
     n, bits = case
-    table = _mobius(BooleanFunction.from_packed(n, bits).table)
+    table = _mobius(from_packed(n, bits).table)
     for x in range(1 << n):
         expected = 0
         for u in range(1 << n):
@@ -118,7 +119,7 @@ def test_anf_evaluates_pointwise(case):
 
 
 @settings(max_examples=60, deadline=None)
-@given(functions(10, build=lambda n, bits: Anf(n, BooleanFunction.from_packed(n, bits).table)))
+@given(functions(10, build=lambda n, bits: Anf(n, from_packed(n, bits).table)))
 def test_anf_round_trip(anf):
     # the function whose table is the Moebius transform of the coefficients has this ANF
     f = BooleanFunction(anf.n, _mobius(anf.coeffs))

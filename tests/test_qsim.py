@@ -3,6 +3,7 @@ end-to-end amplitudes, and the symbolic phase audit.
 """
 
 import functools
+import json
 import tracemalloc
 from collections import Counter
 from itertools import combinations
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 from gowersim import errors
 from gowersim.boolfn import BooleanFunction, bent_quadratic, linear, random_function
+from gowersim.cli import main
 from gowersim.dyadic import DyadicRational
 from gowersim.errors import CapacityError
 from gowersim.gowers import u2_spectral, uk_definition
@@ -27,7 +29,6 @@ from gowersim.qsim import (
     _phase_blocks,
     build_appendix_u3_circuit,
     build_derivative_walk_circuit,
-    build_u2_circuit,
     phase_audit,
     zero_amplitude,
 )
@@ -181,7 +182,7 @@ def test_gates_preserve_norm():
 
 
 def test_u2_circuit_structure():
-    c = build_u2_circuit(2)
+    c = build_derivative_walk_circuit(2, 2)
     assert c.m == 3
     assert c.gates == (
         PhaseOracle(1),
@@ -212,9 +213,12 @@ def test_u2_circuit_structure():
     ]
 
 
-def test_walk_k2_matches_u2_circuit():
+def test_walk_k2_matches_u2_circuit(capsys):
+    # the CLI's --circuit u2 is the derivative walk at k = 2
     for n in (1, 2, 3):
-        assert build_derivative_walk_circuit(n, 2).gates == build_u2_circuit(n).gates
+        assert main(["simulate", "--circuit", "u2", "-n", str(n), "--dump"]) == 0
+        dump = json.loads(capsys.readouterr().out)["dump"]
+        assert dump == build_derivative_walk_circuit(n, 2).dump().splitlines()
 
 
 def test_walk_k3_shape():
@@ -233,11 +237,12 @@ def test_appendix_u3_structure():
 
 def test_run_known_amplitudes():
     # numerators over 2^q: amplitudes 1, 1/4 and 1/16
-    assert permuted_run(build_u2_circuit(3), linear(3, 0b110))[0] == 1 << 9
-    and_num = permuted_run(build_u2_circuit(2), from_anf_string("x1*x2", 2))
+    assert permuted_run(build_derivative_walk_circuit(3, 2), linear(3, 0b110))[0] == 1 << 9
+    and_num = permuted_run(build_derivative_walk_circuit(2, 2), from_anf_string("x1*x2", 2))
     assert and_num.dtype == np.int32 and and_num.shape == (1 << 6,)
     assert and_num[0] == (1 << 6) // 4
-    assert permuted_run(build_u2_circuit(4), bent_quadratic(4))[0] == (1 << 12) // 16
+    bent_num = permuted_run(build_derivative_walk_circuit(4, 2), bent_quadratic(4))
+    assert bent_num[0] == (1 << 12) // 16
 
 
 def test_u2_circuit_full_spectrum():
@@ -257,7 +262,7 @@ def test_u2_circuit_full_spectrum():
                         sign[x] * sign[x ^ a] * sign[x ^ b] * sign[x ^ a ^ b]
                     )
         fwht_inplace(tensor)
-        assert np.array_equal(permuted_run(build_u2_circuit(n), f), tensor)
+        assert np.array_equal(permuted_run(build_derivative_walk_circuit(n, 2), f), tensor)
 
 
 def test_walk_circuit_measures_uk():
@@ -270,7 +275,7 @@ def test_walk_circuit_measures_uk():
 
 
 def test_phase_audit_u2():
-    audit = phase_audit(build_u2_circuit(2))
+    audit = phase_audit(build_derivative_walk_circuit(2, 2))
     assert audit["status"] == "ok"
     assert audit["oracle_calls"] == 4
     assert audit["register_one_restored"]
@@ -403,7 +408,7 @@ BLOCKED_CIRCUITS = [
     # m = 2 at n >= 9: the 2^(2n) translate rows never fit a block
     *blocked(build_derivative_walk_circuit(9, 1), "walk1-n9"),
     *blocked(build_appendix_u3_circuit(4), "u3-n4"),
-    *blocked(build_u2_circuit(6), "u2-n6"),
+    *blocked(build_derivative_walk_circuit(6, 2), "u2-n6"),
     *blocked(Circuit(4, 4, (MCnot(2, 1), PhaseOracle(2), MCnot(4, 3),
                             PhaseOracle(4), MCnot(1, 4), PhaseOracle(3))),
              "permuted-n4"),
@@ -411,10 +416,10 @@ BLOCKED_CIRCUITS = [
     # (2^18 blocks, seconds each) are covered by the two cases below
     *blocked(build_derivative_walk_circuit(12, 1), "walk1-n12"),
     *blocked(build_appendix_u3_circuit(6), "u3-n6", [1 << 14]),
-    *blocked(build_u2_circuit(8), "u2-n8", [1 << 14]),
+    *blocked(build_derivative_walk_circuit(8, 2), "u2-n8", [1 << 14]),
     # a block ends inside register 3 as for u2-n8 at 64 cells, and at register 4 as
     # for u3-n6 at 64 cells, on the same gather paths
-    *blocked(build_u2_circuit(7), "u2-n7", [SMALL_BLOCKS]),
+    *blocked(build_derivative_walk_circuit(7, 2), "u2-n7", [SMALL_BLOCKS]),
     *blocked(build_appendix_u3_circuit(5), "u3-n5", [32]),
 ]
 
@@ -450,7 +455,7 @@ def idle_register_circuit(m):
         pytest.param(build_derivative_walk_circuit(4, 3), 1 << 10, id="walk3-n4-1024"),
         pytest.param(build_appendix_u3_circuit(3), 16, id="u3-n3-16"),
         pytest.param(build_derivative_walk_circuit(2, 5), 8, id="walk5-n2-8"),
-        pytest.param(build_u2_circuit(4), 4, id="u2-n4-4"),
+        pytest.param(build_derivative_walk_circuit(4, 2), 4, id="u2-n4-4"),
     ],
 )
 def test_every_block_is_bounded(monkeypatch, circuit, cells):
@@ -474,7 +479,7 @@ def test_every_block_is_bounded(monkeypatch, circuit, cells):
 def test_zero_amplitude_never_holds_the_phase_table():
     # a 24-qubit table is 16 MiB of uint8; blocks of 2^17 entries stay far below
     f = random_function(8, 3)
-    circuit = build_u2_circuit(8)
+    circuit = build_derivative_walk_circuit(8, 2)
     tracemalloc.start()
     try:
         zero_amplitude(circuit, f)
@@ -489,8 +494,8 @@ def test_zero_amplitude_never_holds_the_phase_table():
     [
         ((PhaseOracle(4), HadamardAll()), random_function(8, 1)),
         ((HadamardAll(), PhaseOracle(1)), random_function(8, 1)),
-        (build_u2_circuit(8).gates, None),
-        (build_u2_circuit(8).gates, random_function(7, 1)),
+        (build_derivative_walk_circuit(8, 2).gates, None),
+        (build_derivative_walk_circuit(8, 2).gates, random_function(7, 1)),
         ((MCnot(4, 1), HadamardAll()), random_function(8, 1)),
         ((MCnot(1, 4), HadamardAll()), random_function(8, 1)),
     ],
@@ -565,7 +570,7 @@ def plus(f, g):
 
 @pytest.mark.parametrize(
     ("circuit", "degree"),
-    [(build_u2_circuit(7), 1), (build_derivative_walk_circuit(5, 3), 2)],
+    [(build_derivative_walk_circuit(7, 2), 1), (build_derivative_walk_circuit(5, 3), 2)],
     ids=["u2-n7-affine", "walk3-n5-quadratic"],
 )
 def test_a_polynomial_of_degree_below_k_leaves_the_state_unchanged(circuit, degree):
@@ -586,7 +591,7 @@ def test_a_quadratic_leaves_the_24_qubit_walk_amplitude_unchanged():
 
 def test_translating_f_signs_the_state_by_register_one():
     # sum over x of phase(x ^ c, ...) (-1)^(r1 . x) = (-1)^(r1 . c) times the old entry
-    circuit, n = build_u2_circuit(7), 7
+    circuit, n = build_derivative_walk_circuit(7, 2), 7
     f = random_function(n, 35)
     c = 0b1011001
     shifted = BooleanFunction(n, f.table[np.arange(1 << n) ^ c])
@@ -598,7 +603,7 @@ def test_translating_f_signs_the_state_by_register_one():
 
 def test_composing_f_with_a_linear_map_moves_every_register_field():
     # F o L at (r_1, ..., r_m) equals F at (M r_1, ..., M r_m), M = (L^-1)^T
-    circuit, n = build_u2_circuit(7), 7
+    circuit, n = build_derivative_walk_circuit(7, 2), 7
     rng = np.random.default_rng(36)
     x = np.arange(1 << n)
     while True:  # L as the table of its values: XOR of the columns of x's bits

@@ -46,7 +46,9 @@ FAST = ("sim-24q", "small-n-batch")  # the workloads of the golden file
 # draw budget's refusal of each sampling command, and last the circuit layer: simulate's
 # layout and walk-guard refusals (the layout's first where both apply), the largest walk
 # admitted at n = 2, a one-qubit-per-register u2, and compare at n = 11, whose p0 needs
-# more than 53 bits, so that its exact rates are rounded once
+# more than 53 bits, so that its exact rates are rounded once; then the bent family from
+# its closed form at its smallest n and on the spectral route, and the name that was once
+# its alias, now an invalid choice
 EXTRA = [
     *(["blr", "--family", "random", "--seed", "7", "-n", n, "--trials", trials]
       for n in ("1", "12", "20") for trials in ("1", "3", "65537", "100001")),
@@ -76,6 +78,9 @@ EXTRA = [
     ["simulate", "--circuit", "u2", "-n", "1", "--family", "linear", "--u", "1", "--audit"],
     ["compare", "-n", "11", "--anf", "x1+x2+" + "*".join(f"x{i}" for i in range(1, 12)),
      "--seed", "5", "--shots", "1001"],
+    ["analyze", "--family", "bent", "-n", "2"],
+    ["gowers", "-k", "2", "--route", "spectral", "--family", "bent", "-n", "16"],
+    ["analyze", "--family", "bent_quadratic", "-n", "4"],
 ]
 
 
@@ -128,9 +133,9 @@ def main() -> int:
     if opts.write:
         import numpy
 
-        libc = " ".join(platform.libc_ver())
-        lines = [f"# written by python3 tools/digests.py --write: Python {platform.python_version()}, "
-                 f"numpy {numpy.__version__}, {platform.system()} {platform.machine()} {libc}"]
+        system = " ".join([platform.system(), platform.machine(), *platform.libc_ver()])
+        lines = [f"# written by python3 tools/digests.py --write: Python "
+                 f"{platform.python_version()}, numpy {numpy.__version__}, {system}"]
         lines += [digest_line(label, *in_process(argv)) for label, argv in runs([1], FAST)]
         Path(opts.write).write_text("\n".join(lines) + "\n", encoding="utf-8")
         return 0

@@ -62,7 +62,6 @@ CATALOGUE = [
     (BOOLFN, "    arr.setflags(write=False)", "    pass", [T("boolfn")], "kill"),
     (BOOLFN, "        table.setflags(write=False)", "        pass", [T("boolfn")], "kill"),
     (BOOLFN, "anf.coeffs.setflags(write=False)", "pass", [T("boolfn")], "kill"),
-    (BOOLFN, "if not 0 <= bits < (1 << size):", "if False:", [T("boolfn")], "kill"),
     (BOOLFN, "digits = digits.strip()", "digits = digits", [T("boolfn")], "kill"),
     (BOOLFN, "if bits[size:].any():", "if bits[size + 1:].any():", [T("boolfn")], "kill"),
     (BOOLFN, "if not isinstance(u, (int, np.integer)):", "if False:", [T("boolfn")], "kill"),
@@ -70,7 +69,10 @@ CATALOGUE = [
     (BOOLFN, "if not 1 <= index <= n:", "if not 1 <= index:", [T("boolfn")], "kill"),
     (BOOLFN, "np.bitwise_xor.at(coeffs,", "np.bitwise_or.at(coeffs,", [T("boolfn")], "kill"),
     (BOOLFN, "tobytes().hex()[:ndigits]", "tobytes().hex()", [T("boolfn")], "kill"),
-    # the table-size guard; unguarded, from_packed(25, 0) builds a 32 MiB table
+    # bent's closed form: the pairs x1 x2, x3 x4, ... shifted by one bit
+    (BOOLFN, 'int("01" * (n // 2), 2)', 'int("10" * (n // 2), 2)',
+     [node("boolfn", "test_bent_family")], "kill"),
+    # the table-size guard; unguarded, from_hex(25, "0") refuses its digit count instead
     (BOOLFN, 'n, "table entries")', 'n - 1, "table entries")',
      [node("boolfn", "test_table_validation")], "kill"),
     # spectral: the transform, the block clamps of _derivative_rows and the frozen results
@@ -80,6 +82,10 @@ CATALOGUE = [
      "1 << (cells // size).bit_length() - 1)", [T("gowers")], "kill"),
     (SPECTRAL, "max(1, cells // (per * size))", "cells // (per * size)", [T("gowers")], "kill"),
     (SPECTRAL, "block ^= base[:, None, :]", "block |= base[:, None, :]", [T("spectral")], "kill"),
+    # the blocks' results in block order, not in order of d, once a table spans blocks (n >= 9)
+    (SPECTRAL, "np.stack(parts, axis=1)", "np.stack(parts, axis=0)",
+     [node("spectral", "test_convolution_theorem"),
+      node("estimate", "test_u2_partial_sums_equal_the_reference_state")], "kill"),
     (SPECTRAL, "    w.setflags(write=False)", "    pass", [T("spectral")], "kill"),
     (SPECTRAL, "    r.setflags(write=False)", "    pass", [T("spectral")], "kill"),
     (SPECTRAL, "u = int(np.argmax(w))", "u = int(np.argmax(np.abs(w)))", [T("spectral")],
@@ -219,6 +225,12 @@ CATALOGUE = [
      "return self.command in", [T("cli")], "kill"),
     (CLI, 'if self.u is not None and self.family != "linear":', "if False:", [T("cli")], "kill"),
     (CLI, "if not cfg.deterministic:", "if cfg.deterministic:", [T("cli")], "kill"),
+    # one changed byte in every JSON document
+    (CLI, "json.dumps(out, indent=2)", "json.dumps(out, indent=1)", [T("golden")], "kill"),
+    # the alias of bent, refused as an invalid choice
+    (CLI, 'FAMILIES = ("linear", "bent", "random")',
+     'FAMILIES = ("linear", "bent", "bent_quadratic", "random")',
+     [node("cli", "test_numbers_are_checked_by_their_option")], "kill"),
     (CLI, "_check_draws(cfg.m * (1 + cfg.trials) if cfg.validate else cfg.m)",
      "_check_draws(cfg.m)", [node("cli", "test_draw_budget_exits_3_before_any_work")], "kill"),
     # without its own flush, the command's buffered stdout is lost at os._exit
