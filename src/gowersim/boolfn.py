@@ -16,6 +16,8 @@ Conventions used library-wide:
 The constructors, `BooleanFunction(n, table)`, `from_anf_string`, `from_hex` and the
 families `linear`, `bent_quadratic` and `random_function`, accept 1 <= n <= errors.MAX_N
 = 24; larger n raises CapacityError so that all downstream exact accumulators stay cheap.
+`BooleanFunction(n, table)` is the one that checks a given 0/1 table; `linear` takes u as
+the bit string u1...un; an `Anf` comes only from `BooleanFunction.to_anf`.
 """
 
 from __future__ import annotations
@@ -38,21 +40,6 @@ def _check_n(n: int) -> None:
     check_capacity(f"n = {n} exceeds the supported maximum {MAX_N}", n, "table entries")
 
 
-def _table(n: int, table: Iterable[int] | np.ndarray, what: str) -> np.ndarray:
-    """A read-only uint8 copy of a 0/1 integer table of 2^n entries; the input is not frozen."""
-    _check_n(n)
-    arr = np.asarray(list(table) if not isinstance(table, np.ndarray) else table)
-    if arr.shape != (1 << n,):
-        raise ValueError(f"{what} must have length {1 << n}")
-    if arr.dtype.kind not in "biu":
-        raise ValueError(f"{what} must hold integers, got {arr.dtype}")
-    if not np.isin(arr, (0, 1)).all():
-        raise ValueError(f"{what} entries must be 0/1")
-    arr = arr.astype(np.uint8)
-    arr.setflags(write=False)
-    return arr
-
-
 def _mobius(table: np.ndarray) -> np.ndarray:
     """Binary Mobius transform of a 0/1 table, as a new array; it is an involution."""
     out = table.copy()
@@ -70,13 +57,9 @@ def _mobius(table: np.ndarray) -> np.ndarray:
 
 
 class Anf:
-    """Algebraic normal form: coefficient lambda_u is entry u of the uint8 table `coeffs`."""
+    """Algebraic normal form from `BooleanFunction.to_anf`: lambda_u is entry u of `coeffs`."""
 
     __slots__ = ("n", "coeffs")
-
-    def __init__(self, n: int, coeffs: Iterable[int] | np.ndarray):
-        """The coefficients are checked and copied, as a BooleanFunction's truth table is."""
-        self.n, self.coeffs = n, _table(n, coeffs, "ANF coefficient table")
 
     def degree(self) -> int:
         """Max Hamming weight of a monomial; 0 for the constant functions."""
@@ -158,7 +141,16 @@ class BooleanFunction:
 
     def __init__(self, n: int, table: Iterable[int] | np.ndarray):
         """The table is checked and copied, so the caller's array is never frozen."""
-        self.n, self.table = n, _table(n, table, "truth table")
+        _check_n(n)
+        arr = np.asarray(list(table) if not isinstance(table, np.ndarray) else table)
+        if arr.shape != (1 << n,):
+            raise ValueError(f"truth table must have length {1 << n}")
+        if arr.dtype.kind not in "biu":
+            raise ValueError(f"truth table must hold integers, got {arr.dtype}")
+        if not np.isin(arr, (0, 1)).all():
+            raise ValueError("truth table entries must be 0/1")
+        self.n, self.table = n, arr.astype(np.uint8)
+        self.table.setflags(write=False)
 
     @classmethod
     def _of(cls, n: int, table: np.ndarray) -> "BooleanFunction":
@@ -226,24 +218,13 @@ class BooleanFunction:
 # -- standard families ---------------------------------------------------------
 
 
-def _as_mask(u: int | str, n: int) -> int:
-    if isinstance(u, str):
-        if len(u) != n or any(c not in "01" for c in u):
-            raise ValueError(f"direction string must be {n} bits of 0/1, got {u!r}")
-        return int(u, 2)
-    if not isinstance(u, (int, np.integer)):
-        raise TypeError(f"u must be an index or a bit string, got {type(u).__name__}")
-    if not 0 <= u < (1 << n):
-        raise ValueError(f"index {u} out of range for n = {n}")
-    return int(u)
-
-
-def linear(n: int, u: int | str) -> BooleanFunction:
-    """The linear function x -> u . x (u given as index or bit string)."""
+def linear(n: int, u: str) -> BooleanFunction:
+    """The linear function x -> u . x, u given as the bit string u1...un that --u takes."""
     _check_n(n)
-    mask = _as_mask(u, n)
-    idx = np.arange(1 << n, dtype=np.uint32)
-    return BooleanFunction._of(n, (np.bitwise_count(idx & np.uint32(mask)) & 1).astype(np.uint8))
+    if not isinstance(u, str) or len(u) != n or any(c not in "01" for c in u):
+        raise ValueError(f"direction string must be {n} bits of 0/1, got {u!r}")
+    idx = np.arange(1 << n, dtype=np.uint32) & np.uint32(int(u, 2))
+    return BooleanFunction._of(n, (np.bitwise_count(idx) & 1).astype(np.uint8))
 
 
 def bent_quadratic(n: int) -> BooleanFunction:

@@ -125,7 +125,8 @@ def test_criterion_05a_linear_functions_accept(capsys):
     with criterion(capsys, "5a", "every linear function accepts with probability 1"):
         for n in (2, 3):
             for u in range(1 << n):
-                assert zero_probability(build_derivative_walk_circuit(n, 2), linear(n, u)) == 1
+                f = linear(n, format(u, f"0{n}b"))
+                assert zero_probability(build_derivative_walk_circuit(n, 2), f) == 1
 
 
 def test_criterion_05b_far_functions_reject_at_stated_rate(capsys):

@@ -207,7 +207,6 @@ def test_degree():
     assert from_anf_string("x1 + x2", 3).degree() == 1
     assert BooleanFunction(3, [0] * 8).degree() == 0
     assert BooleanFunction(3, [1] * 8).degree() == 0
-    assert Anf(3, np.zeros(8, np.uint8)).degree() == 0
 
 
 def test_hex_round_trip():
@@ -245,42 +244,45 @@ def test_hex_conventions():
 def test_tables_are_read_only():
     f = random_function(5, 31)
     anf = f.to_anf()
-    checked = (BooleanFunction(2, [0, 1, 1, 0]).table, Anf(2, [0, 0, 0, 1]).coeffs)
-    for table in (f.table, anf.coeffs, linear(5, 6).table, bent_quadratic(4).table, *checked):
+    checked = BooleanFunction(2, [0, 1, 1, 0]).table
+    for table in (f.table, anf.coeffs, linear(5, "00110").table, bent_quadratic(4).table, checked):
         assert table.dtype == np.uint8 and not table.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             table[0] ^= 1
     assert np.array_equal(BooleanFunction(5, anf.coeffs).to_anf().coeffs, f.table)
 
 
-def test_constructor_copies_its_input():
+def test_constructor_checks_and_copies_its_input():
     arr = np.array([0, 1, 1, 0], dtype=np.uint8)
     f = BooleanFunction(2, arr)
     assert arr.flags.writeable
     arr[0] = 1  # the caller's array is neither frozen nor shared
     tables_equal(f, [0, 1, 1, 0])
-
-
-def test_anf_constructor_checks_and_copies_its_input():
-    # 8 coefficients are not a 5-variable ANF, and 2..7 are not coefficients
-    with pytest.raises(ValueError, match="must have length 32$"):
-        Anf(5, np.zeros(8, np.uint8))
+    wide = np.array([0, 0, 0, 1, 0, 0, 0, 0], dtype=np.int64)
+    g = BooleanFunction(3, wide)
+    assert wide.flags.writeable and g.table.dtype == np.uint8
+    wide[0] = 1  # nor is a wider integer array
+    tables_equal(g, [0, 0, 0, 1, 0, 0, 0, 0])
+    # 8 entries are not a 5-variable table, and 2..7 are not table entries
+    with pytest.raises(ValueError, match="truth table must have length 32$"):
+        BooleanFunction(5, np.zeros(8, np.uint8))
     a = np.arange(8, dtype=np.uint8)
-    with pytest.raises(ValueError, match="entries must be 0/1$"):
-        Anf(3, a)
+    with pytest.raises(ValueError, match="truth table entries must be 0/1$"):
+        BooleanFunction(3, a)
     assert a.flags.writeable
     for bad in (np.zeros(8), np.zeros(8, np.complex64)):
-        with pytest.raises(ValueError, match=f"must hold integers, got {bad.dtype}$"):
-            Anf(3, bad)
-    with pytest.raises(ValueError, match="positive integer"):
-        Anf(0, [])
-    coeffs = np.array([0, 0, 0, 1, 0, 0, 0, 0], dtype=np.int64)
-    anf = Anf(3, coeffs)
-    assert coeffs.flags.writeable and anf.coeffs.dtype == np.uint8
-    coeffs[0] = 1  # the caller's array is neither frozen nor shared
-    assert anf.to_string() == "x2*x3"
+        with pytest.raises(ValueError, match=f"truth table must hold integers, got {bad.dtype}$"):
+            BooleanFunction(3, bad)
     with pytest.raises(ValueError, match="must hold integers, got float64$"):
         BooleanFunction(1, [0.0, 1.0])
+    with pytest.raises(ValueError, match="positive integer, got 0$"):
+        BooleanFunction(0, [])
+
+
+def test_anf_has_no_public_constructor():
+    # BooleanFunction.to_anf is the one source of an Anf, so its table needs no check
+    with pytest.raises(TypeError):
+        Anf(2, [0, 0, 0, 1])
 
 
 @settings(max_examples=80, deadline=None)
@@ -344,21 +346,18 @@ def test_derivative_properties():
 
 
 def test_linear_family():
-    f = linear(3, 0b101)
+    f = linear(3, "101")  # u1, the coefficient of x1, comes first, as --u reads it
     for x in range(8):
         assert f.table[x] == (bin(x & 0b101).count("1") & 1)
-    # the same u as a bit string and as a numpy integer
-    assert same(linear(3, "101"), f)
-    assert same(linear(3, np.int64(0b101)), f)
-    assert linear(3, 0).weight == 0
-    with pytest.raises(ValueError, match="index 8 out of range for n = 3"):
-        linear(3, 0b1000)
-    with pytest.raises(ValueError, match="index -1 out of range"):
-        linear(3, -1)
-    with pytest.raises(ValueError, match="direction string must be 3 bits"):
-        linear(3, "10")
-    with pytest.raises(TypeError, match="u must be an index or a bit string, got list"):
-        linear(3, [1, 0, 1])
+    assert same(from_anf_string("x1 + x3", 3), f)
+    assert linear(3, "000").weight == 0
+    # u is the bit string alone: no index, bit vector or bytes
+    for bad in ("10", "1010", "102", " 101", 5, [1, 0, 1], b"101"):
+        with pytest.raises(ValueError, match=f"^direction string must be 3 bits of 0/1, got "
+                                             f"{re.escape(repr(bad))}$"):
+            linear(3, bad)
+    with pytest.raises(ValueError, match="^direction string must be 2 bits of 0/1, got 1$"):
+        linear(2, 1)
 
 
 def test_bent_family():

@@ -169,7 +169,7 @@ def test_mean_y_never_exceeds_rejection_mass():
 
 
 def test_validate_bound_linear_is_always_covered():
-    cum, norm = u2_sums_and_norm(linear(2, 0b10))
+    cum, norm = u2_sums_and_norm(linear(2, "10"))
     assert validate_bound(cum, norm, m=20, t=0.1, trials=30, seed=5) == 1.0
 
 

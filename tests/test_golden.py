@@ -1,6 +1,6 @@
-"""Byte identity: each fast run of tools/digests.py prints what tests/golden_digests.txt records.
+"""Byte identity: each seed-1 run of tools/digests.py prints what tests/golden_digests.txt records.
 
-The fast runs are the sim-24q and small-n-batch jobs at seed 1, the README
+The runs are every job of the three benchmark workloads at seed 1, the README
 examples and the EXTRA argvs.  Each runs in process through `cli.main`; its
 exit status and the sha256 of its stdout and stderr must equal the golden
 line.  A change of output rewrites the file with
@@ -25,10 +25,10 @@ _spec.loader.exec_module(digests)
 
 HEADER, *LINES = GOLDEN.read_text(encoding="utf-8").splitlines()
 EXPECTED = {line.rsplit(" ", 3)[0]: line for line in LINES}
-RUNS = digests.runs([1], digests.FAST)
+RUNS = digests.runs([1])
 
 
-def test_the_golden_file_lists_every_fast_run_once():
+def test_the_golden_file_lists_every_run_once():
     assert len(EXPECTED) == len(LINES)
     assert list(EXPECTED) == [label for label, _ in RUNS]
 

@@ -41,7 +41,7 @@ from_anf_string = BooleanFunction.from_anf_string
 
 
 def test_linear_always_accepts():
-    for u in (0, 0b011, 0b111):
+    for u in ("000", "011", "111"):
         verdict = quantum_linearity_test(linear(3, u), shots=1000, seed=7)
         assert verdict["verdict"] == "ACCEPT"
         assert verdict["rejection_frequency"] == 0.0
@@ -71,11 +71,11 @@ def test_exact_mode():
     with pytest.raises(ValueError, match="shots must be >= 1"):
         quantum_linearity_test(from_anf_string("x1*x2", 2), shots=0)
     with pytest.raises(ValueError, match="shots must be >= 1"):
-        quantum_linearity_test(linear(4, 0b1001), shots=0)
-    assert quantum_linearity_test(linear(4, 0b1001), shots=1, seed=3)["mode"] == "sampled"
+        quantum_linearity_test(linear(4, "1001"), shots=0)
+    assert quantum_linearity_test(linear(4, "1001"), shots=1, seed=3)["mode"] == "sampled"
 
     with pytest.raises(ValueError):
-        quantum_linearity_test(linear(2, 1), shots=-1)
+        quantum_linearity_test(linear(2, "01"), shots=-1)
 
 
 def test_rejection_lower_bound_values():
@@ -92,7 +92,7 @@ def test_rejection_lower_bound_values():
 def test_blr_known_values():
     assert blr_exact_dyadic(from_anf_string("x1*x2", 2)) == DyadicRational(5, 3)
     assert blr_exact_dyadic(bent_quadratic(4)) == DyadicRational(17, 5)
-    assert blr_exact_dyadic(linear(3, 0b101)) == DyadicRational(1, 0)
+    assert blr_exact_dyadic(linear(3, "101")) == DyadicRational(1, 0)
     # constant 1 fails BLR often: F(x)+F(y) = 0 but F(x+y) = 1 always
     assert blr_exact_dyadic(from_anf_string("1", 2)) == DyadicRational(0, 0)
 
@@ -167,9 +167,9 @@ def test_blr_sampled():
     with pytest.raises(ValueError, match="trials must be >= 1"):
         blr_test(f, trials=0)
     with pytest.raises(ValueError, match="trials must be >= 1"):
-        blr_test(linear(3, 0b010), trials=0)
+        blr_test(linear(3, "010"), trials=0)
 
-    ok = blr_test(linear(3, 0b010), trials=2000, seed=5)
+    ok = blr_test(linear(3, "010"), trials=2000, seed=5)
     assert ok["verdict"] == "ACCEPT" and ok["rejection_frequency"] == 0.0
 
 
@@ -327,7 +327,8 @@ def state_verdict(f, shots, seed):
 def near_affine(draw, max_n=6):
     """An affine function with some table entries flipped, so p0 spans (0, 1]."""
     n = draw(st.integers(1, max_n))
-    table = linear(n, draw(st.integers(0, (1 << n) - 1))).table ^ draw(st.integers(0, 1))
+    u = format(draw(st.integers(0, (1 << n) - 1)), f"0{n}b")
+    table = linear(n, u).table ^ draw(st.integers(0, 1))
     flips = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=1 << (n - 1)))
     table[flips] ^= 1
     return BooleanFunction(n, table)
@@ -360,7 +361,7 @@ def test_compare_matches_state_sampler(f, shots, seed):
 
 def test_compare_pinned_at_n8():
     # values from the full-state sampler at 24 qubits
-    table = linear(8, 0b10110101).table.copy()  # the function's own table is read-only
+    table = linear(8, "10110101").table.copy()  # the function's own table is read-only
     table[[3, 77, 200]] ^= 1
     rep = compare(BooleanFunction(8, table), shots=50_000, seed=8080)
     assert rep["function_tt_hex"].startswith("4a5aa5a5a5a55a5a")
@@ -407,7 +408,7 @@ def test_shots_compare_draws_with_the_exact_p0(monkeypatch):
 def test_shot_counts_equal_the_integer_reference(n):
     # a draw r = i / 2^53 rejects iff i >= p0 * 2^53, compared exactly
     rng = np.random.default_rng(n)
-    table = linear(n, int(rng.integers(1 << n))).table.copy()
+    table = linear(n, format(int(rng.integers(1 << n)), f"0{n}b")).table.copy()
     table[rng.integers(0, 1 << n, 1 << (n - 5))] ^= 1
     f = BooleanFunction(n, table)
     p0 = u2_spectral(f).pow_value ** 2
@@ -488,7 +489,7 @@ def test_quantum_test_against_blr_for_every_function_at_n4():
     assert counts(quantum, blr) == (65_248, 272, 16)
     # the 16 linear functions tie at 0; their 16 complements are accepted by the
     # quantum test with certainty and rejected by BLR with certainty
-    linear_rows = [linear(4, u).packed for u in range(16)]
+    linear_rows = [linear(4, format(u, "04b")).packed for u in range(16)]
     assert not quantum[linear_rows].any() and not blr[linear_rows].any()
     complements = [row ^ 0xFFFF for row in linear_rows]
     assert not quantum[complements].any() and (blr[complements] == 1 << 32).all()

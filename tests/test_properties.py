@@ -11,7 +11,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gowersim.boolfn import Anf, BooleanFunction, _mobius
+from gowersim.boolfn import BooleanFunction, _mobius
 from gowersim.dyadic import DyadicRational
 from gowersim.gowers import u2_autocorrelation, u2_spectral, uk_definition, uk_via_derivatives
 from gowersim.lintest import blr_exact_dyadic
@@ -119,7 +119,7 @@ def test_anf_evaluates_pointwise(case):
 
 
 @settings(max_examples=60, deadline=None)
-@given(functions(10, build=lambda n, bits: Anf(n, from_packed(n, bits).table)))
+@given(functions(10, build=lambda n, bits: from_packed(n, bits).to_anf()))
 def test_anf_round_trip(anf):
     # the function whose table is the Moebius transform of the coefficients has this ANF
     f = BooleanFunction(anf.n, _mobius(anf.coeffs))

@@ -237,7 +237,7 @@ def test_appendix_u3_structure():
 
 def test_run_known_amplitudes():
     # numerators over 2^q: amplitudes 1, 1/4 and 1/16
-    assert permuted_run(build_derivative_walk_circuit(3, 2), linear(3, 0b110))[0] == 1 << 9
+    assert permuted_run(build_derivative_walk_circuit(3, 2), linear(3, "110"))[0] == 1 << 9
     and_num = permuted_run(build_derivative_walk_circuit(2, 2), from_anf_string("x1*x2", 2))
     assert and_num.dtype == np.int32 and and_num.shape == (1 << 6,)
     assert and_num[0] == (1 << 6) // 4

@@ -55,7 +55,7 @@ def test_walsh_known_values():
     with pytest.raises(ValueError):  # the spectrum is a read-only value
         w[0] = 0
 
-    assert list(walsh(linear(2, 0b01))) == [0, 4, 0, 0]
+    assert list(walsh(linear(2, "01"))) == [0, 4, 0, 0]
     assert list(walsh(from_anf_string("1", 2))) == [-4, 0, 0, 0]
 
 
@@ -78,7 +78,7 @@ def test_fwht_self_inverse():
 
 
 def test_nonlinearity():
-    assert nonlinearity(linear(3, 0b110)) == 0
+    assert nonlinearity(linear(3, "110")) == 0
     assert nonlinearity(from_anf_string("x1*x2", 2)) == 1
     assert nonlinearity(bent_quadratic(4)) == 6  # 2^(n-1) - 2^(n/2-1)
     assert nonlinearity(bent_quadratic(6)) == 28
@@ -91,14 +91,15 @@ def test_nonlinearity_is_distance_to_nearest_affine():
         f = random_function(n, int(rng.integers(0, 2**32)))
         best = 1 << n
         for u in range(1 << n):
+            lin = linear(n, format(u, f"0{n}b"))
             for c in (0, 1):
-                g = linear(n, u) if c == 0 else BooleanFunction(n, 1 - linear(n, u).table)
+                g = lin if c == 0 else BooleanFunction(n, 1 - lin.table)
                 best = min(best, int(np.sum(f.table != g.table)))
         assert nonlinearity(f) == best
 
 
 def test_dist_to_linear():
-    eps, u = dist_to_linear(linear(3, 0b011))
+    eps, u = dist_to_linear(linear(3, "011"))
     assert eps == DyadicRational(0, 0)
     assert u == 0b011
 
@@ -107,7 +108,7 @@ def test_dist_to_linear():
     assert u == 0  # ties broken toward the smallest index
 
     # the complement of a linear function is affine but maximally far from linear
-    comp = BooleanFunction(2, 1 - linear(2, 0b10).table)
+    comp = BooleanFunction(2, 1 - linear(2, "10").table)
     eps, u = dist_to_linear(comp)
     assert eps == DyadicRational(1, 1)
     assert u == 0
@@ -118,7 +119,8 @@ def test_dist_to_linear_matches_enumeration():
     for n in (2, 3):
         for _ in range(20):
             f = random_function(n, int(rng.integers(0, 2**32)))
-            dists = [int(np.sum(f.table != linear(n, u).table)) for u in range(1 << n)]
+            dists = [int(np.sum(f.table != linear(n, format(u, f"0{n}b")).table))
+                     for u in range(1 << n)]
             eps, packed = dist_to_linear(f)
             assert eps == Fraction(min(dists), 1 << n)
             assert dists[packed] == min(dists)

@@ -2,24 +2,22 @@
 
     python3 tools/digests.py [--seeds 1 2 3] > digests.txt
 
-Runs each job of every workload in perfbench/workloads.py for each seed, as
-perfbench/run.py runs it (`python -c "from gowersim.cli import run; run()"
-ARGS --deterministic` with the checkout's src/ on PYTHONPATH), then each
-`$ gowersim ...` line of the README as written, then the fixed argvs of
-EXTRA, which reach odd BLR draw counts and options no job uses.  Each line of
-output is `workload seed job exit sha256(stdout) sha256(stderr)`; README
-examples read `readme - example-<i>-<subcommand>` and EXTRA runs
-`extra - <argv joined by _>`.  Everything is read from the checkout
-that holds this script, so comparing two checkouts is one `diff` of the
-digest files that each one's copy prints.
+Runs each job of every workload in perfbench/workloads.py for each seed, with
+--deterministic, then each `$ gowersim ...` line of the README as written,
+then the fixed argvs of EXTRA, which reach odd BLR draw counts and options no
+job uses.  Every run goes in process through `cli.main`, which prints the
+bytes that perfbench/run.py's `gowersim` process prints for the same argv.
+Each line of output is `workload seed job exit sha256(stdout) sha256(stderr)`;
+README examples read `readme - example-<i>-<subcommand>` and EXTRA runs
+`extra - <argv joined by _>`.  Everything is read from the checkout that
+holds this script, so comparing two checkouts is one `diff` of the digest
+files that each one's copy prints.
 
     python3 tools/digests.py --write tests/golden_digests.txt
 
-writes the golden file that tests/test_golden.py checks: the lines of the fast
-runs (the sim-24q and small-n-batch jobs at seed 1, the README examples and
-EXTRA), each run in process through `cli.main`, under a header naming the
-Python, numpy and platform that wrote it.  exact-large-n stays out: its jobs
-take most of this script's run time.
+writes the golden file that tests/test_golden.py checks: the lines of every
+run at seed 1, under a header naming the Python, numpy and platform that
+wrote it.
 """
 
 from __future__ import annotations
@@ -28,15 +26,12 @@ import argparse
 import contextlib
 import hashlib
 import io
-import os
 import platform
 import shlex
-import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-FAST = ("sim-24q", "small-n-batch")  # the workloads of the golden file
 
 # what no benchmark job runs: odd BLR draw counts (every job draws an even one),
 # `--family linear --u`, the empty ANF, and lintest and compare past 3n = 24 qubits,
@@ -91,8 +86,8 @@ def readme_examples(readme: str) -> list[list[str]]:
             for chunk in block.split("$ gowersim ")[1:]]
 
 
-def runs(seeds: list[int], workloads=None) -> list[tuple[str, list[str]]]:
-    """(label, argv) of every job of `workloads` (all by default) at each seed, with
+def runs(seeds: list[int]) -> list[tuple[str, list[str]]]:
+    """(label, argv) of every benchmark job at each seed, with
     --deterministic, then each README example as written, then each EXTRA argv with
     --deterministic; a label reads `workload seed job`."""
     for path in (ROOT / "perfbench", ROOT / "src"):
@@ -101,7 +96,7 @@ def runs(seeds: list[int], workloads=None) -> list[tuple[str, list[str]]]:
     from workloads import WORKLOADS
 
     out = [(f"{workload} {seed} {job.name}", [*job.args, "--deterministic"])
-           for workload, jobs in WORKLOADS.items() if workloads is None or workload in workloads
+           for workload, jobs in WORKLOADS.items()
            for seed in seeds for job in jobs(seed)]
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     out += [(f"readme - example-{i}-{argv[0]}", argv)
@@ -128,23 +123,19 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
     parser.add_argument("--write", metavar="FILE",
-                        help="write the golden file of the fast runs, run in process")
+                        help="write the golden file of every run at seed 1")
     opts = parser.parse_args()
-    if opts.write:
-        import numpy
-
-        system = " ".join([platform.system(), platform.machine(), *platform.libc_ver()])
-        lines = [f"# written by python3 tools/digests.py --write: Python "
-                 f"{platform.python_version()}, numpy {numpy.__version__}, {system}"]
-        lines += [digest_line(label, *in_process(argv)) for label, argv in runs([1], FAST)]
-        Path(opts.write).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    if not opts.write:
+        for label, argv in runs(opts.seeds):
+            print(digest_line(label, *in_process(argv)), flush=True)
         return 0
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path, "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1"}
-    cli = [sys.executable, "-c", "from gowersim.cli import run; run()"]
-    for label, argv in runs(opts.seeds):
-        proc = subprocess.run([*cli, *argv], cwd=ROOT, env=env, capture_output=True)
-        print(digest_line(label, proc.returncode, proc.stdout, proc.stderr), flush=True)
+    import numpy
+
+    system = " ".join([platform.system(), platform.machine(), *platform.libc_ver()])
+    lines = [f"# written by python3 tools/digests.py --write: Python "
+             f"{platform.python_version()}, numpy {numpy.__version__}, {system}"]
+    lines += [digest_line(label, *in_process(argv)) for label, argv in runs([1])]
+    Path(opts.write).write_text("\n".join(lines) + "\n", encoding="utf-8")
     return 0
 
 

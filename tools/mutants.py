@@ -59,13 +59,17 @@ CATALOGUE = [
      [T("boolfn")], "kill"),
     (BOOLFN, "if not np.isin(arr, (0, 1)).all():", "if not np.isin(arr, (0, 1, 2)).all():",
      [T("boolfn")], "kill"),
-    (BOOLFN, "    arr.setflags(write=False)", "    pass", [T("boolfn")], "kill"),
+    (BOOLFN, "self.table.setflags(write=False)", "pass", [T("boolfn")], "kill"),
     (BOOLFN, "        table.setflags(write=False)", "        pass", [T("boolfn")], "kill"),
     (BOOLFN, "anf.coeffs.setflags(write=False)", "pass", [T("boolfn")], "kill"),
     (BOOLFN, "digits = digits.strip()", "digits = digits", [T("boolfn")], "kill"),
     (BOOLFN, "if bits[size:].any():", "if bits[size + 1:].any():", [T("boolfn")], "kill"),
-    (BOOLFN, "if not isinstance(u, (int, np.integer)):", "if False:", [T("boolfn")], "kill"),
-    (BOOLFN, "if not 0 <= u < (1 << n):", "if not 0 <= u <= (1 << n):", [T("boolfn")], "kill"),
+    (BOOLFN, "if not isinstance(u, str) or ", "if ",
+     [node("boolfn", "test_linear_family")], "kill"),
+    # a public Anf constructor: to_anf is its one source, so its tables go unchecked
+    (BOOLFN, '__slots__ = ("n", "coeffs")',
+     '__slots__ = ("n", "coeffs"); __init__ = lambda self, n, coeffs: None',
+     [node("boolfn", "test_anf_has_no_public_constructor")], "kill"),
     (BOOLFN, "if not 1 <= index <= n:", "if not 1 <= index:", [T("boolfn")], "kill"),
     (BOOLFN, "np.bitwise_xor.at(coeffs,", "np.bitwise_or.at(coeffs,", [T("boolfn")], "kill"),
     (BOOLFN, "tobytes().hex()[:ndigits]", "tobytes().hex()", [T("boolfn")], "kill"),
