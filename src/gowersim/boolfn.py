@@ -6,8 +6,7 @@ Conventions used library-wide:
   significant bit: idx(x) = sum x_i * 2**(n-i).  Truth tables are listed in
   increasing index order, i.e. lexicographically in (x1, ..., xn).
 * Truth tables (and ANF coefficient tables) are stored as read-only uint8
-  numpy arrays indexed by idx(x), so every consumer reads them without a copy
-  and objects may share them.
+  numpy arrays indexed by idx(x), so every consumer reads them without a copy.
 * The character form f(x) = (-1)**F(x) is exposed as sign tables.
 * Hex truth-table format: ceil(2^n / 4) hex digits, most significant digit
   first; the bit of x = 0...0 is the most significant bit of the whole string.
@@ -16,8 +15,9 @@ Conventions used library-wide:
 The constructors, `BooleanFunction(n, table)`, `from_anf_string`, `from_hex` and the
 families `linear`, `bent_quadratic` and `random_function`, accept 1 <= n <= errors.MAX_N
 = 24; larger n raises CapacityError so that all downstream exact accumulators stay cheap.
-`BooleanFunction(n, table)` is the one that checks a given 0/1 table; `linear` takes u as
-the bit string u1...un; an `Anf` comes only from `BooleanFunction.to_anf`.
+Every parser and family builds its table through `BooleanFunction(n, table)`, which checks
+it is 2^n integers of 0/1, then copies and freezes it; `linear` takes u as the bit string
+u1...un; an `Anf` comes only from `BooleanFunction.to_anf`.
 """
 
 from __future__ import annotations
@@ -147,23 +147,15 @@ class BooleanFunction:
             raise ValueError(f"truth table must have length {1 << n}")
         if arr.dtype.kind not in "biu":
             raise ValueError(f"truth table must hold integers, got {arr.dtype}")
-        if not np.isin(arr, (0, 1)).all():
+        if arr.min() < 0 or arr.max() > 1:
             raise ValueError("truth table entries must be 0/1")
         self.n, self.table = n, arr.astype(np.uint8)
         self.table.setflags(write=False)
 
     @classmethod
-    def _of(cls, n: int, table: np.ndarray) -> "BooleanFunction":
-        """Wrap a 0/1 uint8 table that nothing else writes to; it is frozen in place."""
-        table.setflags(write=False)
-        obj = cls.__new__(cls)
-        obj.n, obj.table = n, table
-        return obj
-
-    @classmethod
     def from_anf_string(cls, text: str, n: int) -> "BooleanFunction":
         _check_n(n)
-        return cls._of(n, _mobius(_parse_anf(text, n)))
+        return cls(n, _mobius(_parse_anf(text, n)))
 
     @classmethod
     def from_hex(cls, n: int, digits: str) -> "BooleanFunction":
@@ -181,7 +173,7 @@ class BooleanFunction:
         bits = np.unpackbits(np.frombuffer(raw, np.uint8))
         if bits[size:].any():
             raise ValueError("padding bits beyond 2^n positions must be zero")
-        return cls._of(n, bits[:size])
+        return cls(n, bits[:size])
 
     # -- basic accessors ------------------------------------------------------
 
@@ -224,7 +216,7 @@ def linear(n: int, u: str) -> BooleanFunction:
     if not isinstance(u, str) or len(u) != n or any(c not in "01" for c in u):
         raise ValueError(f"direction string must be {n} bits of 0/1, got {u!r}")
     idx = np.arange(1 << n, dtype=np.uint32) & np.uint32(int(u, 2))
-    return BooleanFunction._of(n, (np.bitwise_count(idx) & 1).astype(np.uint8))
+    return BooleanFunction(n, np.bitwise_count(idx) & 1)
 
 
 def bent_quadratic(n: int) -> BooleanFunction:
@@ -234,11 +226,11 @@ def bent_quadratic(n: int) -> BooleanFunction:
         raise ValueError("bent_quadratic requires an even number of variables")
     idx = np.arange(1 << n, dtype=np.uint32)  # x_{2i-1} x_{2i} is bit n-2i of idx & idx >> 1
     pairs = idx & (idx >> 1) & np.uint32(int("01" * (n // 2), 2))
-    return BooleanFunction._of(n, (np.bitwise_count(pairs) & 1).astype(np.uint8))
+    return BooleanFunction(n, np.bitwise_count(pairs) & 1)
 
 
 def random_function(n: int, seed) -> BooleanFunction:
     """Uniformly random truth table from a PCG64 generator seeded with `seed`."""
     _check_n(n)
     rng = np.random.default_rng(seed)
-    return BooleanFunction._of(n, rng.integers(0, 2, size=1 << n, dtype=np.uint8))
+    return BooleanFunction(n, rng.integers(0, 2, size=1 << n, dtype=np.uint8))

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gowersim import cli
 from gowersim.boolfn import (
     Anf,
     BooleanFunction,
@@ -307,6 +308,42 @@ def test_table_validation():
         BooleanFunction.from_hex(25, "0")
     with pytest.raises(ValueError, match="positive integer, got 2.0$"):
         BooleanFunction(2.0, [0, 1, 1, 0])
+    # 0/1 tables of every admitted dtype pass, and each out-of-range entry a dtype holds fails
+    for dtype in (np.bool_, np.int8, np.int64, np.uint8, np.uint64):
+        tables_equal(BooleanFunction(2, np.array([0, 1, 1, 0], dtype)), [0, 1, 1, 0])
+        for bad in (-1, 2, 255):
+            if dtype is not np.bool_ and np.iinfo(dtype).min <= bad <= np.iinfo(dtype).max:
+                with pytest.raises(ValueError, match="truth table entries must be 0/1$"):
+                    BooleanFunction(2, np.array([0, 1, bad, 0], dtype))
+
+
+@pytest.mark.parametrize("build", [
+    ["-n", "3", "--anf", "1 + x1*x2"],
+    ["-n", "3", "--tt-hex", "6a"],
+    ["-n", "3", "--family", "linear", "--u", "101"],
+    ["-n", "4", "--family", "bent"],
+    ["-n", "3", "--family", "random", "--seed", "5"],
+    lambda: from_anf_string("1 + x1*x2", 3),
+    lambda: BooleanFunction.from_hex(3, "6a"),
+    lambda: linear(3, "101"),
+    lambda: bent_quadratic(4),
+    lambda: random_function(3, 5),
+], ids=["cli-anf", "cli-tt-hex", "cli-linear", "cli-bent", "cli-random",
+        "from_anf_string", "from_hex", "linear", "bent_quadratic", "random_function"])
+def test_every_function_is_built_by_the_checked_constructor_once(monkeypatch, capsys, build):
+    calls = []
+    checked = BooleanFunction.__init__
+
+    def counted(self, n, table):
+        calls.append(n)
+        checked(self, n, table)
+
+    monkeypatch.setattr(BooleanFunction, "__init__", counted)
+    if callable(build):
+        build()
+    else:
+        assert cli.main(["analyze", *build, "--deterministic"]) == 0
+    assert len(calls) == 1
 
 
 def derivative_table(f, dirs):

@@ -50,7 +50,7 @@ def point_mass(regs, index):
     return partial_sums(num)
 
 
-def test_sample_y_convention():
+def test_lookup_y_convention():
     # measured register contents (01, 10, 11) at n = 2 pack to index 27 of 64
     regs = Circuit(2, 3, ())
     idx = (0b01 << regs.shift(1)) | (0b10 << regs.shift(2)) | (0b11 << regs.shift(3))
@@ -66,7 +66,7 @@ def test_sample_y_convention():
     assert y_bar(point_mass(regs, 0), 5, 1) == 0.0
 
 
-def test_sample_matches_distribution():
+def test_lookup_matches_distribution():
     # frequency of the zero outcome for AND must track p0 = 1/16
     f = from_anf_string("x1*x2", 2)
     m = 100_000
@@ -77,14 +77,14 @@ def test_sample_matches_distribution():
     assert abs(freq - p) <= 4 * sigma
 
 
-def test_sample_is_deterministic():
+def test_y_bar_is_deterministic():
     cum = u2_partial_sums(bent_quadratic(2))
     a = y_bar(cum, 1000, 42)
     assert a == y_bar(cum, 1000, 42)
     assert a != y_bar(cum, 1000, 43)
 
 
-def test_sample_rejects_unnormalized_state():
+def test_y_bar_rejects_unnormalized_sums():
     # the partial sums must end in a power of two <= 2^53
     regs = Circuit(1, 3, ())
     for squares, total in (([9] * 8, 72), ([0] * 8, 0), ([], 0), ([2**54, 0], 2**54)):
@@ -94,7 +94,7 @@ def test_sample_rejects_unnormalized_state():
         y_bar(partial_sums(uniform_state(regs)), 0, 0)
 
 
-def test_measurement_refuses_sums_that_are_not_int64():
+def test_y_bar_refuses_sums_that_are_not_int64():
     for cum in (np.cumsum(np.full(8, 0.125)), np.arange(1, 9, dtype=np.int32),
                 np.arange(1, 9, dtype=np.uint64)):
         with pytest.raises(TypeError, match=str(cum.dtype)):
@@ -224,7 +224,7 @@ def test_count_draws_at_most_one_chunk_at_a_time(monkeypatch):
 
 @pytest.mark.parametrize("chunk", [7, 1000])
 @pytest.mark.parametrize("offset", [-1, 0, 1])
-def test_chunked_sample_equals_one_call_lookup(monkeypatch, chunk, offset):
+def test_chunked_y_bar_equals_one_call_lookup(monkeypatch, chunk, offset):
     # sorted lookups per chunk add up to the mean of the one-call outcomes in draw order,
     # which the float CDF of the amplitudes gives too
     f = random_function(3, 12)
@@ -254,7 +254,7 @@ def test_y_bar_memory_does_not_grow_with_m():
     assert peak < 2 * 2**20
 
 
-def test_measurement_holds_eight_bytes_per_state():
+def test_partial_sums_hold_eight_bytes_per_state():
     # 8 bytes of int64 partial sums per basis state, and one block of the transform:
     # its int32 entries, their half-length scratch and numpy's cast buffers
     f = random_function(7, 70)
@@ -327,7 +327,7 @@ def fraction_sample(num, draws):
 
 @settings(max_examples=80, deadline=None)
 @given(sampled_circuits(), st.integers(1, 400), st.integers(0, 2**64 - 1))
-def test_sample_equals_the_fraction_inverse_cdf(case, m, seed):
+def test_y_bar_equals_the_fraction_inverse_cdf(case, m, seed):
     circuit, f = case
     num = fold(circuit, f)  # the integer gate-by-gate fold, independent of both sums
     u2 = circuit.gates == build_derivative_walk_circuit(f.n, 2).gates

@@ -235,7 +235,7 @@ def test_appendix_u3_structure():
     assert len(c.gates) == 16
 
 
-def test_run_known_amplitudes():
+def test_permuted_run_known_amplitudes():
     # numerators over 2^q: amplitudes 1, 1/4 and 1/16
     assert permuted_run(build_derivative_walk_circuit(3, 2), linear(3, "110"))[0] == 1 << 9
     and_num = permuted_run(build_derivative_walk_circuit(2, 2), from_anf_string("x1*x2", 2))
@@ -352,7 +352,7 @@ def circuits_and_functions(draw, max_qubits=10):
 
 @settings(max_examples=300, deadline=None)
 @given(circuits_and_functions(), st.sampled_from([4, 64, errors._BLOCK_CELLS]))
-def test_run_matches_gate_by_gate_fold(case, cells):
+def test_permuted_run_matches_the_fold_at_every_block_size(case, cells):
     circuit, f = case
     state = fold(circuit, f)
     with mock.patch.object(errors, "_BLOCK_CELLS", cells):
@@ -380,7 +380,7 @@ def built_circuits(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(built_circuits(), circuits_and_functions(max_qubits=12)))
-def test_zero_amplitude_equals_run(case):
+def test_zero_amplitude_equals_permuted_run(case):
     circuit, f = case
     assert zero_amplitude(circuit, f) == amplitude(circuit, permuted_run(circuit, f)[0])
 
@@ -502,7 +502,7 @@ def test_zero_amplitude_never_holds_the_phase_table():
     ids=["oracle-register-4-of-3", "hall-not-last", "no-function", "function-n7",
          "mcnot-target-4-of-3", "mcnot-source-4-of-3"],
 )
-def test_run_refuses_before_it_allocates_the_state(gates, f):
+def test_zero_amplitude_refuses_before_it_allocates_the_state(gates, f):
     # a malformed circuit is refused when built, a missing or mismatched f before the
     # executor's first block; a 24-qubit phase table would be 16 MiB
     tracemalloc.start()
@@ -540,7 +540,7 @@ def test_permuted_run_matches_gate_by_gate_fold(case):
     ],
     ids=["n7-m3", "n7-m3-no-hall", "n3-m7", "n1-m21"],
 )
-def test_run_equals_the_register_map_permutation_at_21_qubits(circuit):
+def test_permuted_run_and_zero_amplitude_equal_the_fold_at_21_qubits(circuit):
     # the hypothesis cases stop near 10 qubits; a few gate-by-gate folds reach the edge
     f = random_function(circuit.n, 23)
     state = fold(circuit, f)

@@ -33,10 +33,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# what no benchmark job runs: odd BLR draw counts (every job draws an even one),
-# `--family linear --u`, the empty ANF, and lintest and compare past 3n = 24 qubits,
-# at n = 11 on x1 + x2 with one entry flipped, whose p0 no float holds, the
-# definition route past (k+1)*n <= 24, up to its word guard and one variable over it,
+# what no benchmark job runs: odd BLR draw counts (every job draws an even one), `--family
+# linear --u`, the empty ANF and an ANF with a constant term, and lintest and compare past
+# 3n = 24 qubits, at n = 11 on x1 + x2 with one entry flipped, whose p0 no float holds,
+# the definition route past (k+1)*n <= 24, up to its word guard and one variable over it,
 # estimate's mean at draw counts around its chunks and --validate with odd trials, the
 # draw budget's refusal of each sampling command, and last the circuit layer: simulate's
 # layout and walk-guard refusals (the layout's first where both apply), the largest walk
@@ -51,6 +51,7 @@ EXTRA = [
       for shots in ("1", "10001")),
     ["analyze", "-n", "3", "--family", "linear", "--u", "101"],
     ["analyze", "-n", "4", "--anf", "0"],
+    ["analyze", "-n", "3", "--anf", "1 + x1*x2"],
     ["lintest", "--family", "random", "--seed", "5", "-n", "9", "--shots", "100001"],
     *(["compare", "--family", "random", "--seed", "5", "-n", n] for n in ("12", "20")),
     ["compare", "--format", "csv", "--family", "random", "--seed", "5", "-n", "16"],

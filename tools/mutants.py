@@ -57,10 +57,16 @@ CATALOGUE = [
     (BOOLFN, "if not isinstance(n, int) or n < 1:", "if n < 1:", [T("boolfn")], "kill"),
     (BOOLFN, 'if arr.dtype.kind not in "biu":', 'if arr.dtype.kind not in "biuf":',
      [T("boolfn")], "kill"),
-    (BOOLFN, "if not np.isin(arr, (0, 1)).all():", "if not np.isin(arr, (0, 1, 2)).all():",
-     [T("boolfn")], "kill"),
+    # bool tables are admitted, and the 0/1 check's two bounds are tight
+    (BOOLFN, 'if arr.dtype.kind not in "biu":', 'if arr.dtype.kind not in "iu":',
+     [node("boolfn", "test_table_validation")], "kill"),
+    (BOOLFN, "if arr.min() < 0 or", "if arr.min() < -1 or",
+     [node("boolfn", "test_table_validation")], "kill"),
+    (BOOLFN, "or arr.max() > 1:", "or arr.max() > 2:", [T("boolfn")], "kill"),
     (BOOLFN, "self.table.setflags(write=False)", "pass", [T("boolfn")], "kill"),
-    (BOOLFN, "        table.setflags(write=False)", "        pass", [T("boolfn")], "kill"),
+    # a builder that checks and copies its table twice
+    (BOOLFN, "return cls(n, bits[:size])", "return cls(n, cls(n, bits[:size]).table)",
+     [node("boolfn", "test_every_function_is_built_by_the_checked_constructor_once")], "kill"),
     (BOOLFN, "anf.coeffs.setflags(write=False)", "pass", [T("boolfn")], "kill"),
     (BOOLFN, "digits = digits.strip()", "digits = digits", [T("boolfn")], "kill"),
     (BOOLFN, "if bits[size:].any():", "if bits[size + 1:].any():", [T("boolfn")], "kill"),
