@@ -13,13 +13,13 @@ rate for a mean of m bounded i.i.d. variables.  The standard form is the
 defensible one; both are always computed so the discrepancy stays visible.
 `hoeffding_bound` returns the report as the dict the CLI prints.
 `u2_partial_sums` gives the circuit's outcome distribution in closed form, as
-int64 partial sums, without simulating it.  `y_bar` samples them for Ybar
-alone, adding exact integer sums of the outcomes chunk by chunk in memory that
-does not grow with m.  All randomness comes from numpy's PCG64
-(`np.random.default_rng`); child streams for trial i are derived via
-SeedSequence([seed, i]) (see child_seed).  Every sampler draws in chunks
-(`_draw_sizes`), and a request for more than DRAW_BUDGET draws is a
-CapacityError before the first one.
+int64 partial sums, without simulating it.  `y_bar` and `validate_bound`
+sample them through `_means`: sorted pools of keys take the draws of many
+streams at once, in memory that grows with neither m nor the streams.  All
+randomness comes from numpy's PCG64 (`np.random.default_rng`); child streams
+for trial i are derived via SeedSequence([seed, i]) (see child_seed).  Every
+sampler draws in chunks (`_draw_sizes`), and a request for more than
+DRAW_BUDGET draws is a CapacityError before the first one.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .errors import CapacityError, CrossCheckError, check_layout
 
 RNG_ALGORITHM = "PCG64"
 _DRAW_CHUNK = 1 << 16  # draws per Generator call in every sampler (see _draw_sizes)
-# most draws one sampling request may ask for: ~8 minutes at y_bar's ~2.3e6 draws/s at n = 8
+# most draws one sampling request may ask for: ~2.5 minutes at y_bar's ~7e6 draws/s at n = 8
 DRAW_BUDGET = 2**30
 
 
@@ -86,21 +86,15 @@ def u2_partial_sums(f: BooleanFunction) -> np.ndarray:
     return cum
 
 
-def _lookup(cum: np.ndarray, draws: np.ndarray) -> np.ndarray:
-    """The outcomes of sorted `draws`, in their order, walking the CDF forwards: for each r
-    the first outcome whose partial sum exceeds floor(r * S), S = cum[-1].  `draws` is
-    scaled in place, exactly, S being a power of two."""
-    draws *= cum[-1]
-    return np.searchsorted(cum, draws.astype(np.int64), side="right")  # truncation is floor
+def _means(cum: np.ndarray, m: int, seeds) -> list[float]:
+    """The mean of Y = outcome / cum.size over m draws on each seed's PCG64 stream.
 
-
-def y_bar(cum: np.ndarray, m: int, seed) -> float:
-    """Mean of Y = outcome / cum.size over m measurements of a state, in constant memory.
-
-    Outcome i has probability (cum[i] - cum[i - 1]) / S: `cum` holds the int64 partial
-    sums of the state's squared amplitude numerators, S = cum[-1] a power of two <= 2^53,
-    as `u2_partial_sums` builds them.  Chunks of draws from one PCG64 stream are sorted
-    and looked up; their outcome sum T is exact, and T / (cum.size * m) is rounded once.
+    Draw r gives the first outcome whose int64 partial sum in `cum` exceeds floor(r * S), S =
+    cum[-1] a power of two <= 2^53.  The streams' chunks (`_draw_sizes(m)`) fill, in turn, a
+    pool of int64 keys floor(r * S) << b | slot, b = 63 - log2 S, slot the stream's place in
+    the pool.  Each pool is sorted once and looked up in chunks, walking the CDF forwards;
+    bincount sums the outcomes per slot, exact below 2^53, and each stream's total T gives its
+    mean T / (cum.size * m), rounded once.
     """
     if cum.dtype != np.int64:
         raise TypeError(f"need int64 partial sums of squared numerators, got {cum.dtype}")
@@ -109,9 +103,37 @@ def y_bar(cum: np.ndarray, m: int, seed) -> float:
         raise ValueError(f"squares must sum to a power of two <= 2^53, got {s}")
     if m < 1:
         raise ValueError("need at least one sample")
-    rng = np.random.default_rng(seed)
-    total = sum(int(_lookup(cum, np.sort(rng.random(size))).sum()) for size in _draw_sizes(m))
-    return total / (cum.size * m)
+    _check_draws(m * len(seeds))
+    b = 64 - s.bit_length()  # floor(r * S) < 2^(63 - b)
+    keys = np.empty(_DRAW_CHUNK * max(1, cum.size >> 22), np.int64)  # 1 chunk, or 1/64 of cum
+    sums = np.zeros(len(seeds), np.int64)
+    fill = first = 0  # keys in the pool, whose streams are first..i, first in slot 0
+
+    def flush():
+        keys[:fill].sort()
+        for start in range(0, fill, _DRAW_CHUNK):
+            block = keys[start : min(fill, start + _DRAW_CHUNK)]
+            outcomes = np.searchsorted(cum, block >> b, side="right")
+            slots = np.bitwise_and(block, (1 << b) - 1, out=block)
+            part = np.bincount(slots, outcomes) if first < i else outcomes.sum(keepdims=True)
+            sums[first : first + part.size] += part.astype(np.int64)  # bincount is slow on one bin
+
+    for i, rng in enumerate(map(np.random.default_rng, seeds)):
+        for size in _draw_sizes(m):
+            if fill + size > keys.size or i - first >> b:
+                flush()
+                fill, first = 0, i
+            view = keys[fill : fill + size]
+            np.multiply(rng.random(size), s, out=view, casting="unsafe")  # truncation is floor
+            np.bitwise_or(np.left_shift(view, b, out=view), i - first, out=view)
+            fill += size
+    flush()
+    return [int(total) / (cum.size * m) for total in sums]
+
+
+def y_bar(cum: np.ndarray, m: int, seed) -> float:
+    """Mean of Y over m measurements of a state, in memory that does not grow with m."""
+    return _means(cum, m, [seed])[0]
 
 
 def count_nonzero_outcomes(p0, m: int, seed) -> int:
@@ -147,16 +169,13 @@ def validate_bound(cum: np.ndarray, exact_norm: float, m: int, t: float, trials:
                    seed: int) -> float:
     """Fraction of independent trials whose bound covers exact_norm.
 
-    Each trial takes the mean of m outcomes of the norm circuit's final state,
-    given by its partial sums `cum`, with a derived child seed, computes the
-    Hoeffding report, and checks exact_norm <= upper_bound.
+    Trial i takes the mean of m outcomes of the norm circuit's final state, given by its
+    partial sums `cum`, on the stream of child seed i; all trials share the pooled, sorted
+    lookups of `_means`.  Each mean gives a Hoeffding report, and the trial is
+    covered if exact_norm <= upper_bound.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    _check_draws(m * trials)
-    covered = 0
-    for i in range(trials):
-        report = hoeffding_bound(y_bar(cum, m, child_seed(seed, i)), m, t)
-        if exact_norm <= report["upper_bound"]:
-            covered += 1
-    return covered / trials
+    hoeffding_bound(0.0, m, t)  # refuses a bad t before any draw
+    means = _means(cum, m, [child_seed(seed, i) for i in range(trials)])
+    return sum(exact_norm <= hoeffding_bound(y, m, t)["upper_bound"] for y in means) / trials

@@ -125,7 +125,7 @@ def _blr_trials(f: BooleanFunction, trials: int, seed) -> tuple[DyadicRational, 
     for count in _draw_sizes(trials):
         xs = x_rng.integers(0, size, size=count, dtype=np.uint32)
         ys = y_rng.integers(0, size, size=count, dtype=np.uint32)
-        rejections += int(np.count_nonzero(table[xs] ^ table[ys] ^ table[xs ^ ys]))
+        rejections += int(np.count_nonzero(table.take(xs) ^ table.take(ys) ^ table.take(xs ^ ys)))
     return p_exact, rejections
 
 

@@ -13,7 +13,8 @@ compare by equality; a circuit without gates stands for its registers alone.
 slow: the phases of `qsim._phase_blocks` in the initial registers, then the
 final register map as one flat permutation of the basis indices.
 `partial_sums` turns a state into the int64 partial sums that
-`estimate.y_bar` samples.  `definition_ones` counts the ones of every
+`estimate.y_bar` samples, and `lookup` reads the outcomes of given draws from
+them, one binary search each.  `definition_ones` counts the ones of every
 k-fold derivative table one uint8 entry at a time, with no packed word.
 """
 
@@ -87,6 +88,12 @@ def permuted_run(circuit: Circuit, f: BooleanFunction | None = None) -> np.ndarr
 def partial_sums(num: np.ndarray) -> np.ndarray:
     """The int64 partial sums of num^2, the form `estimate.y_bar` samples."""
     return np.cumsum(num.astype(np.int64) ** 2)
+
+
+def lookup(cum: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """The outcome of each draw r, in draw order: the first whose partial sum exceeds
+    floor(r * S), S = cum[-1] a power of two, so r * S is exact."""
+    return np.searchsorted(cum, (draws * cum[-1]).astype(np.int64), side="right")
 
 
 def definition_ones(f: BooleanFunction, k: int) -> int:

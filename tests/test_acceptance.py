@@ -30,7 +30,7 @@ from gowersim.boolfn import (
     random_function,
 )
 from gowersim.dyadic import DyadicRational
-from gowersim.estimate import _lookup, u2_partial_sums, validate_bound
+from gowersim.estimate import u2_partial_sums, validate_bound
 from gowersim.gowers import u2_spectral, uk_definition, uk_via_derivatives
 from gowersim.lintest import blr_exact_dyadic, compare
 from gowersim.qsim import (
@@ -40,7 +40,7 @@ from gowersim.qsim import (
 )
 from gowersim.spectral import dist_to_linear, walsh
 
-from gate_reference import permuted_run
+from gate_reference import lookup, permuted_run
 from packed import from_packed
 
 from_anf_string = BooleanFunction.from_anf_string
@@ -218,7 +218,7 @@ def test_criterion_08_spectral_infrastructure(capsys):
         for i, f in enumerate(fixtures):
             num = permuted_run(build_derivative_walk_circuit(f.n, 2), f)
             draws = np.sort(np.random.default_rng(8100 + i).random(m))  # y_bar's stream
-            outcomes = _lookup(u2_partial_sums(f), draws)
+            outcomes = lookup(u2_partial_sums(f), draws)
             probs = num.astype(np.int64) ** 2 / num.size**2  # num / 2^q, 2^q = num.size
             observed = np.bincount(outcomes, minlength=probs.size).astype(float)
             assert observed[probs == 0].sum() == 0

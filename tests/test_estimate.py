@@ -1,5 +1,6 @@
 """The sampled mean of the norm circuit's outcomes and the Hoeffding-style norm estimator."""
 
+import functools
 import math
 import tracemalloc
 from bisect import bisect_right
@@ -26,7 +27,7 @@ from gowersim.gowers import u2_spectral
 from gowersim.qsim import Circuit, build_derivative_walk_circuit
 from gowersim.spectral import fwht_inplace
 
-from gate_reference import fold, partial_sums, permuted_run, uniform_state
+from gate_reference import fold, lookup, partial_sums, permuted_run, uniform_state
 from packed import from_packed
 
 from_anf_string = BooleanFunction.from_anf_string
@@ -40,7 +41,7 @@ def u2_sums_and_norm(f):
 def sorted_outcomes(cum, m, seed):
     """The outcomes of one `default_rng(seed).random(m)` call, in sorted-draw order: the
     draws of y_bar(cum, m, seed), as its chunks are one call's stream."""
-    return estimate._lookup(cum, np.sort(np.random.default_rng(seed).random(m)))
+    return lookup(cum, np.sort(np.random.default_rng(seed).random(m)))
 
 
 def point_mass(regs, index):
@@ -239,6 +240,72 @@ def test_chunked_y_bar_equals_one_call_lookup(monkeypatch, chunk, offset):
         assert sorted_outcomes(cum, m, 77).tolist() == sorted(expected.tolist())
         assert expected.tolist() == np.searchsorted(cdf, draws, side="right").tolist()
         assert y_bar(cum, m, 77) == float(np.mean(expected / 512))
+
+
+@functools.lru_cache(maxsize=1)
+def pooled_case(n):
+    """The partial sums of a random function's norm circuit and its exact U2 norm."""
+    return u2_sums_and_norm(random_function(n, 400 + n))
+
+
+def stream_mean(cum, m, seed):
+    """Y's mean over the outcomes of one `default_rng(seed).random(m)` call, one lookup each."""
+    return int(lookup(cum, np.random.default_rng(seed).random(m)).sum()) / (cum.size * m)
+
+
+@pytest.mark.parametrize("n", [1, 3, 6, 8])
+def test_pooled_means_equal_each_streams_own_lookup(monkeypatch, n):
+    # with 64-draw chunks a pool holds 64 keys, and 1/64 of the CDF's entries (256) at n = 8:
+    # whole streams share a pool (m < pool), and a stream fills a pool or spans several
+    cum, _ = pooled_case(n)
+    monkeypatch.setattr(estimate, "_DRAW_CHUNK", 64)
+    pool = 64 * max(1, cum.size >> 22)
+    for trials in (1, 17, 200):
+        seeds = [child_seed(n, i) for i in range(trials)]
+        for m in (1, 333, pool - 1, pool, pool + 1, 3 * pool + 1):
+            expected = [stream_mean(cum, m, seed) for seed in seeds]
+            assert estimate._means(cum, m, seeds) == expected
+            # a norm that about half the trials cover: coverage equals a trial-by-trial loop
+            bounds = [hoeffding_bound(y, m, 0.05)["upper_bound"] for y in expected]
+            norm = sorted(bounds)[trials // 2]
+            assert validate_bound(cum, norm, m, 0.05, trials, n) == \
+                sum(norm <= bound for bound in bounds) / trials
+
+
+def test_a_pool_holds_no_more_streams_than_its_slot_field():
+    # at S = 2^53 a key keeps b = 10 bits for its slot, so 1,024 one-draw streams fill a pool
+    cum = np.cumsum(np.full(4, 1 << 51, np.int64))
+    seeds = range(2500)
+    assert estimate._means(cum, 1, seeds) == [stream_mean(cum, 1, seed) for seed in seeds]
+
+
+def test_validate_bound_looks_up_each_pool_once(monkeypatch):
+    # at n = 6, 32 trials of 2,000 draws fill each 2^16-key pool: 7 lookups for 200 trials,
+    # where one lookup per trial makes 200
+    cum, norm = pooled_case(6)
+    calls = []
+    searchsorted = np.searchsorted
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return searchsorted(*args, **kwargs)
+
+    monkeypatch.setattr(np, "searchsorted", counted)
+    validate_bound(cum, norm, m=2000, t=0.05, trials=200, seed=3)
+    assert len(calls) == 7
+
+
+def test_validate_bound_holds_one_pool_of_keys():
+    # at n = 6 a pool of keys is 0.5 MiB; pools of 2^20 draws would hold 8 MiB of keys
+    cum, norm = pooled_case(6)
+    y_bar(cum, 1, 5)  # the first generator built in a process allocates ~1 MiB once
+    tracemalloc.start()
+    try:
+        validate_bound(cum, norm, m=2000, t=0.05, trials=200, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= cum.nbytes + 2**20
 
 
 def test_y_bar_memory_does_not_grow_with_m():

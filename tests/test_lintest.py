@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from closed_forms import random_quadratic
+from gate_reference import lookup
 from packed import from_packed
 
 from gowersim import cli, estimate, lintest
@@ -24,7 +25,7 @@ from gowersim.boolfn import (
 )
 from gowersim.dyadic import DyadicRational
 from gowersim.errors import CapacityError
-from gowersim.estimate import _lookup, child_seed, u2_partial_sums
+from gowersim.estimate import child_seed, u2_partial_sums
 from gowersim.gowers import u2_spectral
 from gowersim.lintest import (
     BLR_QUERIES_PER_TRIAL,
@@ -215,6 +216,13 @@ def test_chunked_blr_at_the_real_chunk_size(trials):
     assert got == blr_one_call_rejections(f, trials, 31337) / trials
 
 
+@pytest.mark.parametrize("n", range(1, 13))
+def test_blr_gathers_equal_the_fancy_index_reference(n):
+    f = random_function(n, 1200 + n)
+    for trials, seed in ((1, 0), (4097, 1), (70001, 2)):
+        assert lintest._blr_trials(f, trials, seed)[1] == blr_one_call_rejections(f, trials, seed)
+
+
 def test_unseeded_blr_draws_its_ys_after_its_xs_from_one_generator():
     # a second default_rng() for the ys would start them on fresh entropy: here 999's stream
     f = cached_random_function(10)
@@ -315,7 +323,7 @@ def state_verdict(f, shots, seed):
     cum = u2_partial_sums(f)
     p_accept = float(Fraction(int(cum[0]), int(cum[-1])))  # num[0]^2 / 2^(2q)
     draws = np.sort(np.random.default_rng(seed).random(shots))  # the stream of the shots
-    rejections = int(np.count_nonzero(_lookup(cum, draws)))
+    rejections = int(np.count_nonzero(lookup(cum, draws)))
     return {
         "verdict": "REJECT" if rejections else "ACCEPT", "mode": "sampled", "shots": shots,
         "accept_probability_exact": p_accept, "rejection_frequency": rejections / shots,

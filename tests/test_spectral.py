@@ -159,6 +159,16 @@ def test_convolve():
             assert conv[a] == expected  # 2^n (f * g)(a)
 
 
+@pytest.mark.parametrize("n", range(1, 13))
+def test_convolve_equals_the_byte_sum_reference(n):
+    # r(a) = 2^n - 2 * the ones of F(x) ^ G(x ^ a), summed one uint8 entry at a time
+    rng = np.random.default_rng(1300 + n)
+    f, g = (random_function(n, int(seed)) for seed in rng.integers(0, 2**32, 2))
+    ft, gt, x = f.table, g.table, np.arange(1 << n)
+    expected = [(1 << n) - 2 * int((ft ^ gt[x ^ a]).sum(dtype=np.int64)) for a in range(1 << n)]
+    assert convolve(f, g).tolist() == expected
+
+
 def test_convolution_theorem():
     # FWHT(2^n * (f conv g)) equals the pointwise product of the two spectra,
     # checked as an exact integer identity; from n = 9 on, the shifts a span several

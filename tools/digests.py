@@ -9,9 +9,9 @@ job uses.  Every run goes in process through `cli.main`, which prints the
 bytes that perfbench/run.py's `gowersim` process prints for the same argv.
 Each line of output is `workload seed job exit sha256(stdout) sha256(stderr)`;
 README examples read `readme - example-<i>-<subcommand>` and EXTRA runs
-`extra - <argv joined by _>`.  Everything is read from the checkout that
-holds this script, so comparing two checkouts is one `diff` of the digest
-files that each one's copy prints.
+`extra - <argv joined by _, spaces dropped>`, so every line has six fields.
+Everything is read from the checkout that holds this script, so comparing two
+checkouts is one `diff` of the digest files that each one's copy prints.
 
     python3 tools/digests.py --write tests/golden_digests.txt
 
@@ -37,7 +37,8 @@ ROOT = Path(__file__).resolve().parent.parent
 # linear --u`, the empty ANF and an ANF with a constant term, and lintest and compare past
 # 3n = 24 qubits, at n = 11 on x1 + x2 with one entry flipped, whose p0 no float holds,
 # the definition route past (k+1)*n <= 24, up to its word guard and one variable over it,
-# estimate's mean at draw counts around its chunks and --validate with odd trials, the
+# estimate's mean at draw counts around its chunks and --validate with odd trials, and
+# --validate at draw counts around its pools of keys (2^16 draws at n = 6, 2^18 at n = 8), the
 # draw budget's refusal of each sampling command, and last the circuit layer: simulate's
 # layout and walk-guard refusals (the layout's first where both apply), the largest walk
 # admitted at n = 2, a one-qubit-per-register u2, and compare at n = 11, whose p0 needs
@@ -64,6 +65,10 @@ EXTRA = [
       for n in ("1", "3", "8") for m in ("65535", "65536", "65537", "131073")),
     *(["estimate", "--family", "random", "--seed", "5", "-n", n, "-m", "333", "-t", "0.05",
        "--validate", "--trials", "17"] for n in ("1", "3", "6")),
+    *(["estimate", "--family", "random", "--seed", "5", "-n", n, "-m", m, "-t", "0.05",
+       "--validate", "--trials", trials]
+      for n, m, trials in (("6", "65535", "3"), ("6", "65536", "3"), ("6", "65537", "3"),
+                           ("8", "1000", "5"))),
     *([*command, "2000000000", "--family", "bent", "-n", "10", "--seed", "5"]
       for command in (("estimate", "-t", "0.1", "-m"), ("lintest", "--shots"),
                       ("blr", "--trials"), ("compare", "--shots"))),
@@ -102,7 +107,8 @@ def runs(seeds: list[int]) -> list[tuple[str, list[str]]]:
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     out += [(f"readme - example-{i}-{argv[0]}", argv)
             for i, argv in enumerate(readme_examples(readme), 1)]
-    return out + [(f"extra - {'_'.join(argv)}", [*argv, "--deterministic"]) for argv in EXTRA]
+    return out + [(f"extra - {'_'.join(argv).replace(' ', '')}", [*argv, "--deterministic"])
+                  for argv in EXTRA]
 
 
 def digest_line(label: str, code: int, stdout: bytes, stderr: bytes) -> str:

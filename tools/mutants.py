@@ -101,6 +101,9 @@ CATALOGUE = [
     (SPECTRAL, "u = int(np.argmax(w))", "u = int(np.argmax(np.abs(w)))", [T("spectral")],
      "kill"),
     (SPECTRAL, "if f.n != g.n:", "if False:", [T("spectral")], "kill"),
+    # the XOR rows packed across rows, not along them
+    (SPECTRAL, "np.packbits(rows ^ mask, axis=1)", "np.packbits(rows ^ mask, axis=0)",
+     [node("spectral", "test_convolve_equals_the_byte_sum_reference")], "kill"),
     (SPECTRAL, '2 * f.n, "terms")', 'f.n, "terms")', [node("spectral", "test_convolve_errors")],
      "kill"),
     # gowers and dyadic: the exact sums and their argument checks
@@ -150,19 +153,31 @@ CATALOGUE = [
      [T("estimate")], "kill"),
     (ESTIMATE, "if cum.dtype != np.int64:", "if cum.dtype.kind != \"i\":", [T("estimate")],
      "kill"),
-    # y_bar: its chunked stream, the floor of r * S, the lookup and the one division
-    (ESTIMATE, ".sum()) for size in _draw_sizes(m))", ".sum()) for size in [m])",
+    # the pooled means: the chunked stream, the floor of r * S, the lookup and the one division
+    (ESTIMATE, "keys = np.empty(_DRAW_CHUNK * max(1, cum.size >> 22), np.int64)",
+     "keys = np.empty(m * len(seeds), np.int64)",
      [node("estimate", "test_y_bar_memory_does_not_grow_with_m")], "kill"),
-    (ESTIMATE, "draws.astype(np.int64)", "np.rint(draws).astype(np.int64)", [T("estimate")],
+    (ESTIMATE, 'np.multiply(rng.random(size), s, out=view, casting="unsafe")',
+     'np.copyto(view, np.rint(rng.random(size) * s), casting="unsafe")', [T("estimate")],
      "kill"),
     (ESTIMATE, 'side="right"', 'side="left"', [T("estimate")], "kill"),
     (ESTIMATE, "    if m < 1:", "    if m < 0:", [T("estimate")], "kill"),
-    (ESTIMATE, "return total / (cum.size * m)", "return total / (cum[-1] * m)",
-     [T("estimate")], "kill"),
-    # the outcome sum does not depend on the order of the draws; sorted, they are looked
-    # up about twice as fast
-    (ESTIMATE, "_lookup(cum, np.sort(rng.random(size)))", "_lookup(cum, rng.random(size))",
+    (ESTIMATE, "int(total) / (cum.size * m)", "int(total) / (cum[-1] * m)", [T("estimate")],
+     "kill"),
+    # the outcome sum does not depend on the order of the keys; sorted, they are looked up
+    # about twice as fast
+    (ESTIMATE, "        keys[:fill].sort()", "        pass",
      [T("estimate"), node("cli", "test_estimate_at_24_qubits_is_pinned")], "equivalent"),
+    # the pools: a slot cap one bit wider than the b-bit slot field, the last partial pool
+    # dropped, a pool 16 times the size, and a pool per stream
+    (ESTIMATE, "i - first >> b:", "i - first >> b + 1:",
+     [node("estimate", "test_a_pool_holds_no_more_streams_than_its_slot_field")], "kill"),
+    (ESTIMATE, "    flush()\n    return", "    return",
+     [node("estimate", "test_pooled_means_equal_each_streams_own_lookup")], "kill"),
+    (ESTIMATE, "keys = np.empty(_DRAW_CHUNK *", "keys = np.empty(16 * _DRAW_CHUNK *",
+     [node("estimate", "test_validate_bound_holds_one_pool_of_keys")], "kill"),
+    (ESTIMATE, "i - first >> b:", "i - first:",
+     [node("estimate", "test_validate_bound_looks_up_each_pool_once")], "kill"),
     # a draw just below and one just above a p0 that no float holds
     (ESTIMATE, "math.ceil(p0 * 2**53)", "math.floor(p0 * 2**53)",
      [node("lintest", "test_shots_compare_draws_with_the_exact_p0")], "kill"),
@@ -172,6 +187,9 @@ CATALOGUE = [
     (LINTEST, "u2_spectral(f).pow_value ** 2", "float(u2_spectral(f).pow_value) ** 2",
      [node("lintest", "test_shots_compare_draws_with_the_exact_p0")], "kill"),
     (LINTEST, "if 2 * n <= MAX_N:", "if 2 * n < MAX_N:", [T("cli")], "kill"),
+    # BLR's gathers: the xs' entries read at the ys
+    (LINTEST, "table.take(xs) ^ table.take(ys)", "table.take(ys) ^ table.take(ys)",
+     [node("lintest", "test_blr_gathers_equal_the_fancy_index_reference")], "kill"),
     # unchecked before the transform, the draws are refused only after it, in _draw_sizes
     (LINTEST, "    _check_draws(shots)", "    pass",
      [node("cli", "test_draw_budget_exits_3_before_any_work"),
