@@ -86,15 +86,15 @@ def u2_partial_sums(f: BooleanFunction) -> np.ndarray:
     return cum
 
 
-def _means(cum: np.ndarray, m: int, seeds) -> list[float]:
-    """The mean of Y = outcome / cum.size over m draws on each seed's PCG64 stream.
+def _means(cum: np.ndarray, m: int, seeds):
+    """Yield, seed by seed, the mean of Y = outcome / cum.size over m draws on its PCG64 stream.
 
     Draw r gives the first outcome whose int64 partial sum in `cum` exceeds floor(r * S), S =
     cum[-1] a power of two <= 2^53.  The streams' chunks (`_draw_sizes(m)`) fill, in turn, a
     pool of int64 keys floor(r * S) << b | slot, b = 63 - log2 S, slot the stream's place in
     the pool.  Each pool is sorted once and looked up in chunks, walking the CDF forwards;
     bincount sums the outcomes per slot, exact below 2^53, and each stream's total T gives its
-    mean T / (cum.size * m), rounded once.
+    mean T / (cum.size * m), rounded once, as soon as its pool is flushed.
     """
     if cum.dtype != np.int64:
         raise TypeError(f"need int64 partial sums of squared numerators, got {cum.dtype}")
@@ -103,37 +103,37 @@ def _means(cum: np.ndarray, m: int, seeds) -> list[float]:
         raise ValueError(f"squares must sum to a power of two <= 2^53, got {s}")
     if m < 1:
         raise ValueError("need at least one sample")
-    _check_draws(m * len(seeds))
     b = 64 - s.bit_length()  # floor(r * S) < 2^(63 - b)
     keys = np.empty(_DRAW_CHUNK * max(1, cum.size >> 22), np.int64)  # 1 chunk, or 1/64 of cum
-    sums = np.zeros(len(seeds), np.int64)
-    fill = first = 0  # keys in the pool, whose streams are first..i, first in slot 0
+    fill = slot = carry = 0  # keys in the pool, the stream being drawn, slot 0's earlier sum
 
-    def flush():
+    def flush():  # yields the means of the streams before `slot`, returns slot's sum so far
         keys[:fill].sort()
-        for start in range(0, fill, _DRAW_CHUNK):
-            block = keys[start : min(fill, start + _DRAW_CHUNK)]
+        sums = np.zeros(slot + 1, np.int64)
+        for block in np.split(keys[:fill], range(_DRAW_CHUNK, fill, _DRAW_CHUNK)):
             outcomes = np.searchsorted(cum, block >> b, side="right")
-            slots = np.bitwise_and(block, (1 << b) - 1, out=block)
-            part = np.bincount(slots, outcomes) if first < i else outcomes.sum(keepdims=True)
-            sums[first : first + part.size] += part.astype(np.int64)  # bincount is slow on one bin
+            np.bitwise_and(block, (1 << b) - 1, out=block)  # each key's slot
+            sums += np.bincount(block, outcomes, slot + 1).astype(np.int64)
+        sums[0] += carry
+        yield from (int(total) / (cum.size * m) for total in sums[:slot])
+        return sums[slot]
 
-    for i, rng in enumerate(map(np.random.default_rng, seeds)):
+    for rng in map(np.random.default_rng, seeds):
         for size in _draw_sizes(m):
-            if fill + size > keys.size or i - first >> b:
-                flush()
-                fill, first = 0, i
+            if fill + size > keys.size or slot >> b:
+                carry = yield from flush()
+                fill = slot = 0
             view = keys[fill : fill + size]
             np.multiply(rng.random(size), s, out=view, casting="unsafe")  # truncation is floor
-            np.bitwise_or(np.left_shift(view, b, out=view), i - first, out=view)
+            np.bitwise_or(np.left_shift(view, b, out=view), slot, out=view)
             fill += size
-    flush()
-    return [int(total) / (cum.size * m) for total in sums]
+        slot += 1
+    yield from flush()
 
 
 def y_bar(cum: np.ndarray, m: int, seed) -> float:
     """Mean of Y over m measurements of a state, in memory that does not grow with m."""
-    return _means(cum, m, [seed])[0]
+    return next(_means(cum, m, [seed]))
 
 
 def count_nonzero_outcomes(p0, m: int, seed) -> int:
@@ -170,12 +170,12 @@ def validate_bound(cum: np.ndarray, exact_norm: float, m: int, t: float, trials:
     """Fraction of independent trials whose bound covers exact_norm.
 
     Trial i takes the mean of m outcomes of the norm circuit's final state, given by its
-    partial sums `cum`, on the stream of child seed i; all trials share the pooled, sorted
-    lookups of `_means`.  Each mean gives a Hoeffding report, and the trial is
-    covered if exact_norm <= upper_bound.
+    partial sums `cum`, on the stream of child seed i, through the pooled, sorted lookups of
+    `_means`; it is covered if exact_norm <= its Hoeffding report's upper_bound.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     hoeffding_bound(0.0, m, t)  # refuses a bad t before any draw
-    means = _means(cum, m, [child_seed(seed, i) for i in range(trials)])
+    _check_draws(m * trials)
+    means = _means(cum, m, (child_seed(seed, i) for i in range(trials)))
     return sum(exact_norm <= hoeffding_bound(y, m, t)["upper_bound"] for y in means) / trials

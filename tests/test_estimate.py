@@ -264,7 +264,7 @@ def test_pooled_means_equal_each_streams_own_lookup(monkeypatch, n):
         seeds = [child_seed(n, i) for i in range(trials)]
         for m in (1, 333, pool - 1, pool, pool + 1, 3 * pool + 1):
             expected = [stream_mean(cum, m, seed) for seed in seeds]
-            assert estimate._means(cum, m, seeds) == expected
+            assert list(estimate._means(cum, m, seeds)) == expected
             # a norm that about half the trials cover: coverage equals a trial-by-trial loop
             bounds = [hoeffding_bound(y, m, 0.05)["upper_bound"] for y in expected]
             norm = sorted(bounds)[trials // 2]
@@ -276,7 +276,7 @@ def test_a_pool_holds_no_more_streams_than_its_slot_field():
     # at S = 2^53 a key keeps b = 10 bits for its slot, so 1,024 one-draw streams fill a pool
     cum = np.cumsum(np.full(4, 1 << 51, np.int64))
     seeds = range(2500)
-    assert estimate._means(cum, 1, seeds) == [stream_mean(cum, 1, seed) for seed in seeds]
+    assert list(estimate._means(cum, 1, seeds)) == [stream_mean(cum, 1, seed) for seed in seeds]
 
 
 def test_validate_bound_looks_up_each_pool_once(monkeypatch):
@@ -306,6 +306,22 @@ def test_validate_bound_holds_one_pool_of_keys():
     finally:
         tracemalloc.stop()
     assert peak <= cum.nbytes + 2**20
+
+
+def test_validate_bound_memory_does_not_grow_with_trials(monkeypatch):
+    # 4,000 one-draw trials in pools of 1,024 keys peak at ~50 KiB; their child seeds and
+    # means held all at once take ~370 KiB, and grow with the trials
+    f = bent_quadratic(2)
+    cum, norm = u2_partial_sums(f), u2_spectral(f).norm
+    monkeypatch.setattr(estimate, "_DRAW_CHUNK", 1024)
+    y_bar(cum, 1, 5)  # the first generator built in a process allocates ~1 MiB once
+    tracemalloc.start()
+    try:
+        validate_bound(cum, norm, m=1, t=0.05, trials=4000, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**17
 
 
 def test_y_bar_memory_does_not_grow_with_m():

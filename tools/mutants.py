@@ -155,7 +155,7 @@ CATALOGUE = [
      "kill"),
     # the pooled means: the chunked stream, the floor of r * S, the lookup and the one division
     (ESTIMATE, "keys = np.empty(_DRAW_CHUNK * max(1, cum.size >> 22), np.int64)",
-     "keys = np.empty(m * len(seeds), np.int64)",
+     "keys = np.empty(max(m, _DRAW_CHUNK), np.int64)",
      [node("estimate", "test_y_bar_memory_does_not_grow_with_m")], "kill"),
     (ESTIMATE, 'np.multiply(rng.random(size), s, out=view, casting="unsafe")',
      'np.copyto(view, np.rint(rng.random(size) * s), casting="unsafe")', [T("estimate")],
@@ -170,14 +170,21 @@ CATALOGUE = [
      [T("estimate"), node("cli", "test_estimate_at_24_qubits_is_pinned")], "equivalent"),
     # the pools: a slot cap one bit wider than the b-bit slot field, the last partial pool
     # dropped, a pool 16 times the size, and a pool per stream
-    (ESTIMATE, "i - first >> b:", "i - first >> b + 1:",
+    (ESTIMATE, "slot >> b:", "slot >> b + 1:",
      [node("estimate", "test_a_pool_holds_no_more_streams_than_its_slot_field")], "kill"),
-    (ESTIMATE, "    flush()\n    return", "    return",
+    (ESTIMATE, "        slot += 1\n    yield from flush()", "        slot += 1",
      [node("estimate", "test_pooled_means_equal_each_streams_own_lookup")], "kill"),
     (ESTIMATE, "keys = np.empty(_DRAW_CHUNK *", "keys = np.empty(16 * _DRAW_CHUNK *",
      [node("estimate", "test_validate_bound_holds_one_pool_of_keys")], "kill"),
-    (ESTIMATE, "i - first >> b:", "i - first:",
+    (ESTIMATE, "slot >> b:", "slot:",
      [node("estimate", "test_validate_bound_looks_up_each_pool_once")], "kill"),
+    # validate_bound holding every trial's child seed, or every trial's mean, at once
+    (ESTIMATE, "(child_seed(seed, i) for i in range(trials))",
+     "[child_seed(seed, i) for i in range(trials)]",
+     [node("estimate", "test_validate_bound_memory_does_not_grow_with_trials")], "kill"),
+    (ESTIMATE, "means = _means(cum, m, (child_seed(seed, i) for i in range(trials)))",
+     "means = list(_means(cum, m, (child_seed(seed, i) for i in range(trials))))",
+     [node("estimate", "test_validate_bound_memory_does_not_grow_with_trials")], "kill"),
     # a draw just below and one just above a p0 that no float holds
     (ESTIMATE, "math.ceil(p0 * 2**53)", "math.floor(p0 * 2**53)",
      [node("lintest", "test_shots_compare_draws_with_the_exact_p0")], "kill"),
