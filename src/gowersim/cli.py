@@ -184,11 +184,14 @@ def cmd_simulate(cfg: RunConfig) -> dict:
 
 
 def cmd_estimate(cfg: RunConfig) -> dict:
-    from .estimate import _check_draws, hoeffding_bound, u2_partial_sums, validate_bound, y_bar
+    from .estimate import (_check_draws, _check_streams, hoeffding_bound, u2_partial_sums,
+                           validate_bound, y_bar)
     from .gowers import u2_spectral
 
     f = cfg.resolve_function()
-    _check_draws(cfg.m * (1 + cfg.trials) if cfg.validate else cfg.m)
+    _check_draws(cfg.m)
+    if cfg.validate:  # y_bar's stream and one per trial
+        _check_streams(1 + cfg.trials, cfg.m)
     cum = u2_partial_sums(f)
     report = hoeffding_bound(y_bar(cum, cfg.m, cfg.seed), cfg.m, cfg.t, cfg.seed)
     report["function_tt_hex"] = f.to_hex()

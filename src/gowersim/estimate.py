@@ -13,13 +13,16 @@ rate for a mean of m bounded i.i.d. variables.  The standard form is the
 defensible one; both are always computed so the discrepancy stays visible.
 `hoeffding_bound` returns the report as the dict the CLI prints.
 `u2_partial_sums` gives the circuit's outcome distribution in closed form, as
-int64 partial sums, without simulating it.  `y_bar` and `validate_bound`
-sample them through `_means`: sorted pools of keys take the draws of many
-streams at once, in memory that grows with neither m nor the streams.  All
-randomness comes from numpy's PCG64 (`np.random.default_rng`); child streams
-for trial i are derived via SeedSequence([seed, i]) (see child_seed).  Every
-sampler draws in chunks (`_draw_sizes`), and a request for more than
-DRAW_BUDGET draws is a CapacityError before the first one.
+int64 partial sums, without simulating it, in blocks of _CDF_CELLS cells.
+`y_bar` and `validate_bound` sample them through `_means`: a sorted pool of
+keys, each read from one raw 64-bit word of a stream, takes the draws of many
+streams at once and is looked up in cache-sized blocks, in memory that grows
+with neither m nor the streams.  All randomness comes from numpy's PCG64
+(`np.random.default_rng`); child streams for trial i are derived via
+SeedSequence([seed, i]) (see child_seed).  Every sampler draws in chunks
+(`_draw_sizes`), which change no stream.  A request for more than DRAW_BUDGET
+draws is a CapacityError before the first one; `validate_bound` also charges
+each stream STREAM_SETUP_DRAWS for its set-up.
 """
 
 from __future__ import annotations
@@ -28,14 +31,24 @@ import math
 
 import numpy as np
 
-from . import errors, spectral
+from . import spectral
 from .boolfn import BooleanFunction
 from .errors import CapacityError, CrossCheckError, check_layout
 
 RNG_ALGORITHM = "PCG64"
-_DRAW_CHUNK = 1 << 16  # draws per Generator call in every sampler (see _draw_sizes)
-# most draws one sampling request may ask for: ~2.5 minutes at y_bar's ~7e6 draws/s at n = 8
+# draws per Generator call of _means and BLR (see _draw_sizes): 64 KiB of 64-bit words, a
+# working set that stays in cache
+_DRAW_CHUNK = 1 << 13
+# count_nonzero_outcomes' draws per call: its one compare per draw leaves the cost of each
+# call in view, ~10 % of its time at 2^13 draws per call
+_COUNT_CHUNK = 1 << 16
+_POOL_KEYS = 1 << 16  # keys per pool of _means (times max(1, cum.size >> 22)): 512 KiB
+_CDF_CELLS = 1 << 14  # cells per transformed block of u2_partial_sums
+# most draws one sampling request may ask for: ~3 minutes at y_bar's ~5.5e6 draws/s at n = 8
 DRAW_BUDGET = 2**30
+# a stream's child seed and generator take ~30 us to set up, the time of ~2^8 draws (~160 at
+# n = 8, ~500 at n = 6)
+STREAM_SETUP_DRAWS = 1 << 8
 
 
 def child_seed(seed: int, index: int) -> int:
@@ -49,22 +62,31 @@ def _check_draws(count: int) -> None:
         raise CapacityError(f"{count} draws > the draw budget of {DRAW_BUDGET}")
 
 
-def _draw_sizes(count: int):
-    """Chunk sizes of at most _DRAW_CHUNK that add up to count.
+def _check_streams(streams: int, m: int) -> None:
+    """Refuse `streams` streams of m draws each, every stream charged STREAM_SETUP_DRAWS."""
+    cost = streams * (m + STREAM_SETUP_DRAWS)
+    if cost > DRAW_BUDGET:
+        raise CapacityError(f"{streams} streams x ({m} + {STREAM_SETUP_DRAWS} set-up) draws = "
+                            f"{cost} draws > the draw budget of {DRAW_BUDGET}")
 
-    Drawn in turn from one generator, the chunks are the stream of one call.
-    A count over DRAW_BUDGET is refused here, before anything is drawn.
+
+def _draw_sizes(count: int, chunk: int | None = None):
+    """Chunk sizes of at most `chunk` (by default _DRAW_CHUNK) that add up to count.
+
+    Drawn in turn from one generator, the chunks are the stream of one call, whatever their
+    size.  A count over DRAW_BUDGET is refused here, before anything is drawn.
     """
     _check_draws(count)
-    return (min(_DRAW_CHUNK, count - start) for start in range(0, count, _DRAW_CHUNK))
+    chunk = chunk or _DRAW_CHUNK
+    return (min(chunk, count - start) for start in range(0, count, chunk))
 
 
 def u2_partial_sums(f: BooleanFunction) -> np.ndarray:
     """The int64 partial sums of num^2 over the U_2 circuit's final amplitudes num / 2^(3n).
 
     num(a || b || c) = sum_s T[s, b] T[s, a ^ b] (-1)^(s . c), T[s] = W_{D_s F}: the
-    Fourier form of ||f||_{U_2}^4 (Gowers 2001).  Blocks of a (errors._BLOCK_CELLS entries, at
-    least one a) are transformed along s in int32, exact as |num| <= 2^(3n) <= 2^24.
+    Fourier form of ||f||_{U_2}^4 (Gowers 2001).  Blocks of a (_CDF_CELLS entries, at least
+    one a) are transformed along s in int32, exact as |num| <= 2^(3n) <= 2^24.
     A total other than 2^(6n) raises CrossCheckError.
     """
     n = f.n
@@ -72,7 +94,7 @@ def u2_partial_sums(f: BooleanFunction) -> np.ndarray:
     rows = spectral._by_direction(f.table)  # rows[s] = D_s F
     t = spectral.fwht_inplace(1 - 2 * rows.astype(np.int32)).T.copy()  # t[b, s] = T[s, b]
     ramp = np.arange(1 << n)
-    per = max(1, errors._BLOCK_CELLS >> 2 * n)  # values of a per block
+    per = max(1, _CDF_CELLS >> 2 * n)  # values of a per block
     cum = np.empty(1 << 3 * n, np.int64)
     for a in range(0, 1 << n, per):
         block = t[ramp ^ ramp[a : a + per, None]]  # [a, b, s] = T[s, a ^ b]
@@ -90,11 +112,13 @@ def _means(cum: np.ndarray, m: int, seeds):
     """Yield, seed by seed, the mean of Y = outcome / cum.size over m draws on its PCG64 stream.
 
     Draw r gives the first outcome whose int64 partial sum in `cum` exceeds floor(r * S), S =
-    cum[-1] a power of two <= 2^53.  The streams' chunks (`_draw_sizes(m)`) fill, in turn, a
-    pool of int64 keys floor(r * S) << b | slot, b = 63 - log2 S, slot the stream's place in
-    the pool.  Each pool is sorted once and looked up in chunks, walking the CDF forwards;
-    bincount sums the outcomes per slot, exact below 2^53, and each stream's total T gives its
-    mean T / (cum.size * m), rounded once, as soon as its pool is flushed.
+    cum[-1] = 2^L <= 2^53.  Generator.random() is r = (w >> 11) / 2^53 for the stream's next
+    64-bit word w, so floor(r * S) = (w >> 11) >> (53 - L) = w >> (b + 1), b = 63 - L.  The
+    streams' chunks of words (`_draw_sizes(m)`) fill, in turn, a pool of int64 keys
+    floor(r * S) << b | slot, slot the stream's place in the pool.  Each pool is sorted once
+    and looked up in blocks of _DRAW_CHUNK keys, walking the CDF forwards; bincount sums the
+    outcomes per slot, exact below 2^53, and each stream's total T gives its mean
+    T / (cum.size * m), rounded once, as soon as its pool is flushed.
     """
     if cum.dtype != np.int64:
         raise TypeError(f"need int64 partial sums of squared numerators, got {cum.dtype}")
@@ -104,14 +128,19 @@ def _means(cum: np.ndarray, m: int, seeds):
     if m < 1:
         raise ValueError("need at least one sample")
     b = 64 - s.bit_length()  # floor(r * S) < 2^(63 - b)
-    keys = np.empty(_DRAW_CHUNK * max(1, cum.size >> 22), np.int64)  # 1 chunk, or 1/64 of cum
+    keys = np.empty(_POOL_KEYS * max(1, cum.size >> 22), np.int64)  # _POOL_KEYS, or 1/64 of cum
+    words = keys.view(np.uint64)
+    shifted = np.empty(_DRAW_CHUNK, np.int64)  # one lookup block's floor(r * S)
     fill = slot = carry = 0  # keys in the pool, the stream being drawn, slot 0's earlier sum
 
     def flush():  # yields the means of the streams before `slot`, returns slot's sum so far
-        keys[:fill].sort()
+        pool = keys[:fill]
+        pool.sort()
         sums = np.zeros(slot + 1, np.int64)
-        for block in np.split(keys[:fill], range(_DRAW_CHUNK, fill, _DRAW_CHUNK)):
-            outcomes = np.searchsorted(cum, block >> b, side="right")
+        for start in range(0, fill, shifted.size):
+            block = pool[start : start + shifted.size]
+            thresholds = np.right_shift(block, b, out=shifted[: block.size])
+            outcomes = np.searchsorted(cum, thresholds, side="right")
             np.bitwise_and(block, (1 << b) - 1, out=block)  # each key's slot
             sums += np.bincount(block, outcomes, slot + 1).astype(np.int64)
         sums[0] += carry
@@ -123,8 +152,8 @@ def _means(cum: np.ndarray, m: int, seeds):
             if fill + size > keys.size or slot >> b:
                 carry = yield from flush()
                 fill = slot = 0
-            view = keys[fill : fill + size]
-            np.multiply(rng.random(size), s, out=view, casting="unsafe")  # truncation is floor
+            view = words[fill : fill + size]
+            np.right_shift(rng.bit_generator.random_raw(size), b + 1, out=view)  # floor(r * S)
             np.bitwise_or(np.left_shift(view, b, out=view), slot, out=view)
             fill += size
         slot += 1
@@ -145,7 +174,8 @@ def count_nonzero_outcomes(p0, m: int, seed) -> int:
     """
     threshold = math.ceil(p0 * 2**53) / 2**53
     rng = np.random.default_rng(seed)
-    return sum(int(np.count_nonzero(rng.random(size) >= threshold)) for size in _draw_sizes(m))
+    return sum(int(np.count_nonzero(rng.random(size) >= threshold))
+               for size in _draw_sizes(m, _COUNT_CHUNK))
 
 
 def hoeffding_bound(y_bar: float, m: int, t: float, seed: int | None = None) -> dict:
@@ -176,6 +206,6 @@ def validate_bound(cum: np.ndarray, exact_norm: float, m: int, t: float, trials:
     if trials < 1:
         raise ValueError("need at least one trial")
     hoeffding_bound(0.0, m, t)  # refuses a bad t before any draw
-    _check_draws(m * trials)
+    _check_streams(trials, m)
     means = _means(cum, m, (child_seed(seed, i) for i in range(trials)))
     return sum(exact_norm <= hoeffding_bound(y, m, t)["upper_bound"] for y in means) / trials

@@ -109,8 +109,8 @@ def blr_exact_dyadic(f: BooleanFunction) -> DyadicRational:
 
 def _blr_trials(f: BooleanFunction, trials: int, seed) -> tuple[DyadicRational, int]:
     """The exact acceptance probability from `blr_exact_dyadic` and how many of `trials` >= 1
-    draws reject.  xs and ys are the seed's first and second `trials` uint32 draws, taken
-    chunk by chunk, the ys from a copy of the generator advanced past the xs.
+    draws reject.  xs and ys are the top n bits of the seed's first and second `trials` uint32
+    draws, taken chunk by chunk, the ys from a copy of the generator advanced past the xs.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -121,10 +121,12 @@ def _blr_trials(f: BooleanFunction, trials: int, seed) -> tuple[DyadicRational, 
     y_rng.bit_generator.advance(trials // 2)  # two uint32 draws per 64-bit output
     if trials % 2:  # the ys start on the high half that the last x leaves buffered
         y_rng.integers(1 << 32, dtype=np.uint32)
-    size, table, rejections = 1 << f.n, f.table, 0
+    shift, table, rejections = 32 - f.n, f.table, 0
     for count in _draw_sizes(trials):
-        xs = x_rng.integers(0, size, size=count, dtype=np.uint32)
-        ys = y_rng.integers(0, size, size=count, dtype=np.uint32)
+        xs = x_rng.integers(1 << 32, size=count, dtype=np.uint32)
+        ys = y_rng.integers(1 << 32, size=count, dtype=np.uint32)
+        xs >>= shift  # integers(0, 2^n) on uint32 is the top n bits of a 32-bit draw
+        ys >>= shift
         rejections += int(np.count_nonzero(table.take(xs) ^ table.take(ys) ^ table.take(xs ^ ys)))
     return p_exact, rejections
 

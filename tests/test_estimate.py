@@ -191,7 +191,7 @@ def test_validate_bound_reproducible():
 
 @pytest.mark.parametrize("offset", [-1, 0, 1])
 def test_chunked_count_equals_one_draw(offset):
-    m = estimate._DRAW_CHUNK + offset
+    m = estimate._COUNT_CHUNK + offset
     for p0, seed in ((0.3, 4), (11 / 32, 5)):
         single = np.random.default_rng(seed).random(m)  # PCG64(SeedSequence(seed)), one call
         assert count_nonzero_outcomes(p0, m, seed) == int(np.count_nonzero(single >= p0))
@@ -200,14 +200,19 @@ def test_chunked_count_equals_one_draw(offset):
 def test_count_draws_at_most_one_chunk_at_a_time(monkeypatch):
     sizes = []
 
-    class Recorder:
+    class Recorder:  # records each call's draws: doubles, or raw words through bit_generator
         def __init__(self, rng):
-            self.rng = rng
+            self.rng, self.bit_generator = rng, self
 
         def random(self, size):
             sizes.append(size)
             return self.rng.random(size)
 
+        def random_raw(self, size):
+            sizes.append(size)
+            return self.rng.bit_generator.random_raw(size)
+
+    monkeypatch.setattr(estimate, "_COUNT_CHUNK", 1000)
     monkeypatch.setattr(estimate, "_DRAW_CHUNK", 1000)
     cum = u2_partial_sums(bent_quadratic(2))
     draws = np.random.default_rng(7).random(3005)
@@ -255,10 +260,12 @@ def stream_mean(cum, m, seed):
 
 @pytest.mark.parametrize("n", [1, 3, 6, 8])
 def test_pooled_means_equal_each_streams_own_lookup(monkeypatch, n):
-    # with 64-draw chunks a pool holds 64 keys, and 1/64 of the CDF's entries (256) at n = 8:
-    # whole streams share a pool (m < pool), and a stream fills a pool or spans several
+    # a pool of 64 keys, and 1/64 of the CDF's entries (256) at n = 8, filled by 16-draw
+    # chunks and looked up in 16-key blocks: whole streams share a pool (m < pool), and a
+    # stream fills a pool or spans several
     cum, _ = pooled_case(n)
-    monkeypatch.setattr(estimate, "_DRAW_CHUNK", 64)
+    monkeypatch.setattr(estimate, "_DRAW_CHUNK", 16)
+    monkeypatch.setattr(estimate, "_POOL_KEYS", 64)
     pool = 64 * max(1, cum.size >> 22)
     for trials in (1, 17, 200):
         seeds = [child_seed(n, i) for i in range(trials)]
@@ -280,32 +287,38 @@ def test_a_pool_holds_no_more_streams_than_its_slot_field():
 
 
 def test_validate_bound_looks_up_each_pool_once(monkeypatch):
-    # at n = 6, 32 trials of 2,000 draws fill each 2^16-key pool: 7 lookups for 200 trials,
-    # where one lookup per trial makes 200
+    # at n = 6, 32 trials of 2,000 draws fill each 2^16-key pool: 7 sorted pools for 200
+    # trials, where one lookup per trial makes 200
     cum, norm = pooled_case(6)
-    calls = []
-    searchsorted = np.searchsorted
+    sorts = []
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return searchsorted(*args, **kwargs)
+    class Pool(np.ndarray):  # the arrays estimate allocates, with their sorts recorded
+        def sort(self, *args, **kwargs):
+            sorts.append(self.size)
+            return super().sort(*args, **kwargs)
 
-    monkeypatch.setattr(np, "searchsorted", counted)
+    empty = np.empty
+    monkeypatch.setattr(estimate.np, "empty", lambda *args, **kwargs:
+                        empty(*args, **kwargs).view(Pool))
     validate_bound(cum, norm, m=2000, t=0.05, trials=200, seed=3)
-    assert len(calls) == 7
+    assert sorts == [32 * 2000] * 6 + [8 * 2000]
 
 
 def test_validate_bound_holds_one_pool_of_keys():
-    # at n = 6 a pool of keys is 0.5 MiB; pools of 2^20 draws would hold 8 MiB of keys
-    cum, norm = pooled_case(6)
-    y_bar(cum, 1, 5)  # the first generator built in a process allocates ~1 MiB once
+    # at n = 6 the CDF is 2 MiB and a pool of keys 0.5 MiB; each of a chunk's raw words and a
+    # lookup block's shifted keys, outcomes and bincount weights takes 64 KiB, where blocks
+    # the size of the pool took 0.5 MiB each
+    f = random_function(6, 406)
+    y_bar(pooled_case(6)[0], 1, 5)  # the first generator built in a process allocates ~1 MiB once
+    norm = u2_spectral(f).norm
     tracemalloc.start()
     try:
+        cum = u2_partial_sums(f)
         validate_bound(cum, norm, m=2000, t=0.05, trials=200, seed=3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= cum.nbytes + 2**20
+    assert peak <= cum.nbytes + 8 * estimate._POOL_KEYS + 2**18
 
 
 def test_validate_bound_memory_does_not_grow_with_trials(monkeypatch):
@@ -314,6 +327,7 @@ def test_validate_bound_memory_does_not_grow_with_trials(monkeypatch):
     f = bent_quadratic(2)
     cum, norm = u2_partial_sums(f), u2_spectral(f).norm
     monkeypatch.setattr(estimate, "_DRAW_CHUNK", 1024)
+    monkeypatch.setattr(estimate, "_POOL_KEYS", 1024)
     y_bar(cum, 1, 5)  # the first generator built in a process allocates ~1 MiB once
     tracemalloc.start()
     try:
@@ -362,12 +376,13 @@ def test_u2_partial_sums_equal_the_reference_state_for_every_function_at_n2():
 
 
 @pytest.mark.parametrize("n", [1, 3, 4, 5, 6, 7])
-@pytest.mark.parametrize("cells", [16, errors._BLOCK_CELLS])
+@pytest.mark.parametrize("cells", [16, estimate._CDF_CELLS, errors._BLOCK_CELLS])
 def test_u2_partial_sums_equal_the_reference_state(monkeypatch, n, cells):
     # at 16 cells the derivative rows come in interleaved blocks, one a per block
     f = random_function(n, 50 + n)
     expected = u2_reference_sums(f)
     monkeypatch.setattr(errors, "_BLOCK_CELLS", cells)
+    monkeypatch.setattr(estimate, "_CDF_CELLS", cells)
     assert u2_partial_sums(f).tobytes() == expected.tobytes()
 
 
@@ -429,12 +444,48 @@ def test_draw_budget_is_refused_before_the_first_draw(monkeypatch):
     monkeypatch.setattr(estimate, "DRAW_BUDGET", 1000)
 
     class NoDraws:
-        def random(self, size):
+        def __getattr__(self, name):  # random, bit_generator.random_raw, ...
             raise AssertionError("a draw was made before the budget check")
 
     monkeypatch.setattr(np.random, "default_rng", lambda seed: NoDraws())
     for call in (lambda: y_bar(cum, 1001, 1),
-                 lambda: count_nonzero_outcomes(0.5, 1001, 1),
-                 lambda: validate_bound(cum, norm, m=334, t=0.1, trials=3, seed=1)):
-        with pytest.raises(CapacityError, match="1001 draws|1002 draws"):
+                 lambda: count_nonzero_outcomes(0.5, 1001, 1)):
+        with pytest.raises(CapacityError, match="^1001 draws > the draw budget of 1000$"):
             call()
+    # 234 draws, but three streams' set-up counts too
+    with pytest.raises(CapacityError, match=r"^3 streams x \(78 \+ 256 set-up\) draws = 1002 "
+                                            r"draws > the draw budget of 1000$"):
+        validate_bound(cum, norm, m=78, t=0.1, trials=3, seed=1)
+
+
+def test_draw_budget_admits_its_streams_and_their_set_up(monkeypatch):
+    cum, norm = u2_sums_and_norm(bent_quadratic(2))
+    monkeypatch.setattr(estimate, "DRAW_BUDGET", 1000)
+    assert estimate.STREAM_SETUP_DRAWS == 256
+    validate_bound(cum, norm, m=77, t=0.1, trials=3, seed=1)  # 3 * (77 + 256) = 999 draws
+    validate_bound(cum, norm, m=244, t=0.1, trials=2, seed=1)  # 2 * (244 + 256) = 1000
+
+
+def test_a_raw_word_gives_the_floor_of_its_draw_times_every_power_of_two():
+    # Generator.random() is (w >> 11) / 2^53 for the next 64-bit word w of PCG64, so the key
+    # floor(r * 2^L) of _means is (w >> 11) >> (53 - L), the w >> (64 - L) that it computes:
+    # numpy shifts every bit out at L = 0
+    words = np.random.default_rng(21).bit_generator.random_raw(4096)
+    draws = np.random.default_rng(21).random(4096)
+    for lg in range(54):
+        floors = np.floor(draws * 2.0**lg).astype(np.uint64)
+        assert np.array_equal((words >> 11) >> (53 - lg), floors), lg
+        assert np.array_equal(words >> (64 - lg), floors), lg
+
+
+@pytest.mark.parametrize("chunk", [1 << 4, 1 << 13, 1 << 16])
+def test_samplers_draw_the_same_streams_at_every_chunk_size(monkeypatch, chunk):
+    # 70,001 draws span several chunks of each size, and end in a partial one
+    cum, _ = pooled_case(6)
+    seeds = [child_seed(6, i) for i in range(3)]
+    means = [stream_mean(cum, 70_001, seed) for seed in seeds]
+    count = int(np.count_nonzero(np.random.default_rng(3).random(70_001) >= 0.3))
+    monkeypatch.setattr(estimate, "_DRAW_CHUNK", chunk)
+    monkeypatch.setattr(estimate, "_COUNT_CHUNK", chunk)
+    assert list(estimate._means(cum, 70_001, seeds)) == means
+    assert count_nonzero_outcomes(0.3, 70_001, 3) == count

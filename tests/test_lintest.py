@@ -208,12 +208,30 @@ def test_chunked_blr_equals_one_call_draws(n, chunk_and_trials, seed):
     assert got == blr_one_call_rejections(f, trials, seed) / trials
 
 
-@pytest.mark.parametrize("trials", [1, 2, 65535, 65536, 65537, 200001])
+@pytest.mark.parametrize("trials", [1, 2, 8191, 8192, 8193, 65535, 65536, 65537, 200001])
 def test_chunked_blr_at_the_real_chunk_size(trials):
-    assert estimate._DRAW_CHUNK == 65536
+    assert estimate._DRAW_CHUNK == 8192
     f = cached_random_function(10)
     got = blr_test(f, trials, 31337)["rejection_frequency"]
     assert got == blr_one_call_rejections(f, trials, 31337) / trials
+
+
+@pytest.mark.parametrize("chunk", [1 << 4, 1 << 13, 1 << 16])
+@pytest.mark.parametrize("trials", [70_000, 70_001])
+def test_blr_trials_are_equal_at_every_chunk_size(monkeypatch, chunk, trials):
+    # odd trials start the ys on the high half of a 64-bit word, at every chunk size
+    f = cached_random_function(10)
+    monkeypatch.setattr(estimate, "_DRAW_CHUNK", chunk)
+    assert lintest._blr_trials(f, trials, 8)[1] == blr_one_call_rejections(f, trials, 8)
+
+
+def test_bounded_uint32_draws_are_the_top_bits_of_full_draws():
+    # numpy's uint32 integers(0, 2^n) keeps the top n bits of each 32-bit draw and rejects
+    # none, so _blr_trials shifts full-width draws, which take a shorter path
+    for n in range(1, 25):
+        bounded = np.random.default_rng(n).integers(0, 1 << n, 1001, dtype=np.uint32)
+        full = np.random.default_rng(n).integers(1 << 32, size=1001, dtype=np.uint32)
+        assert np.array_equal(bounded, full >> (32 - n)), n
 
 
 @pytest.mark.parametrize("n", range(1, 13))
@@ -233,7 +251,7 @@ def test_unseeded_blr_draws_its_ys_after_its_xs_from_one_generator():
 
 
 def test_blr_memory_does_not_grow_with_trials():
-    # 10^6 trials drawn at once held ~13 MiB of xs, ys and gathers
+    # 10^6 trials drawn at once held ~13 MiB of xs, ys and gathers, chunks of 2^16 ~1.4 MiB
     f = random_function(12, 5)
     tracemalloc.start()
     try:
@@ -241,7 +259,7 @@ def test_blr_memory_does_not_grow_with_trials():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2 << 20
+    assert peak < 1 << 19
 
 
 def test_compare_report():

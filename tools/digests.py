@@ -37,8 +37,8 @@ ROOT = Path(__file__).resolve().parent.parent
 # linear --u`, the empty ANF and an ANF with a constant term, and lintest and compare past
 # 3n = 24 qubits, at n = 11 on x1 + x2 with one entry flipped, whose p0 no float holds,
 # the definition route past (k+1)*n <= 24, up to its word guard and one variable over it,
-# estimate's mean at draw counts around its chunks and --validate with odd trials, and
-# --validate at draw counts around its pools of keys (2^16 draws at n = 6, 2^18 at n = 8), the
+# estimate's mean at draw counts around its pools of keys and --validate with odd trials, and
+# --validate at draw counts around those pools (2^16 draws at n = 6, 2^18 at n = 8), the
 # draw budget's refusal of each sampling command, and last the circuit layer: simulate's
 # layout and walk-guard refusals (the layout's first where both apply), the largest walk
 # admitted at n = 2, a one-qubit-per-register u2, and compare at n = 11, whose p0 needs

@@ -1,10 +1,11 @@
 """The committed mutant catalogue: one-line mutants of src/ and the tests that must kill them.
 
-    python3 tools/mutants.py
+    python3 tools/mutants.py [MODULE ...]
 
-Each entry of CATALOGUE is (path, original, replacement, tests, kind).
-`original` is exact text that occurs once in `path`; the mutant replaces it
-with `replacement`.  `tests` are test files or pytest node ids.  A `kill`
+Each entry of CATALOGUE is (path, original, replacement, tests, kind); given
+module names (`estimate lintest`), only the entries of those src/gowersim
+modules run.  `original` is exact text that occurs once in `path`; the mutant
+replaces it with `replacement`.  `tests` are test files or pytest node ids.  A `kill`
 mutant must make the named tests fail; an `equivalent` one changes no
 observable behaviour, so it must pass them.  A mutant that weakens a size
 guard names only tests that refuse a size whose unguarded work is cheap, or
@@ -143,39 +144,53 @@ CATALOGUE = [
     # estimate: the exact distribution, its sampler, the draw budget and the 3n <= 24 guard
     (ESTIMATE, "if count > DRAW_BUDGET:", "if count > 2 * DRAW_BUDGET:", [T("estimate")],
      "kill"),
+    # the streams' set-up left out of the budget, and a budget one draw short
+    (ESTIMATE, "cost = streams * (m + STREAM_SETUP_DRAWS)", "cost = streams * m",
+     [node("estimate", "test_draw_budget_is_refused_before_the_first_draw")], "kill"),
+    (ESTIMATE, "if cost > DRAW_BUDGET:", "if cost >= DRAW_BUDGET:",
+     [node("estimate", "test_draw_budget_admits_its_streams_and_their_set_up")], "kill"),
     (ESTIMATE, "    check_layout(3, n)", "    check_layout(2, n)",
      [node("estimate", "test_u2_partial_sums_refuse_before_any_work")], "kill"),
-    (ESTIMATE, "per = max(1, errors._BLOCK_CELLS >> 2 * n)",
-     "per = errors._BLOCK_CELLS >> 2 * n", [T("estimate")], "kill"),
+    (ESTIMATE, "per = max(1, _CDF_CELLS >> 2 * n)", "per = _CDF_CELLS >> 2 * n",
+     [T("estimate")], "kill"),
     (ESTIMATE, "part[0] += cum[(a << 2 * n) - 1] if a else 0", "part[0] += 0",
      [T("estimate")], "kill"),
     (ESTIMATE, "s = int(cum[-1]) if cum.size else 0", "s = int(cum[-1])",
      [T("estimate")], "kill"),
     (ESTIMATE, "if cum.dtype != np.int64:", "if cum.dtype.kind != \"i\":", [T("estimate")],
      "kill"),
-    # the pooled means: the chunked stream, the floor of r * S, the lookup and the one division
-    (ESTIMATE, "keys = np.empty(_DRAW_CHUNK * max(1, cum.size >> 22), np.int64)",
-     "keys = np.empty(max(m, _DRAW_CHUNK), np.int64)",
+    # the pooled means: the chunked stream, the floor of r * S from a raw word, shifted one
+    # bit too little, the lookup and the one division
+    (ESTIMATE, "keys = np.empty(_POOL_KEYS * max(1, cum.size >> 22), np.int64)",
+     "keys = np.empty(max(m, _POOL_KEYS), np.int64)",
      [node("estimate", "test_y_bar_memory_does_not_grow_with_m")], "kill"),
-    (ESTIMATE, 'np.multiply(rng.random(size), s, out=view, casting="unsafe")',
+    (ESTIMATE, "np.right_shift(rng.bit_generator.random_raw(size), b + 1, out=view)",
      'np.copyto(view, np.rint(rng.random(size) * s), casting="unsafe")', [T("estimate")],
      "kill"),
+    (ESTIMATE, "random_raw(size), b + 1, out=view)", "random_raw(size), b, out=view)",
+     [node("estimate", "test_y_bar_equals_the_fraction_inverse_cdf")], "kill"),
     (ESTIMATE, 'side="right"', 'side="left"', [T("estimate")], "kill"),
     (ESTIMATE, "    if m < 1:", "    if m < 0:", [T("estimate")], "kill"),
     (ESTIMATE, "int(total) / (cum.size * m)", "int(total) / (cum[-1] * m)", [T("estimate")],
      "kill"),
     # the outcome sum does not depend on the order of the keys; sorted, they are looked up
-    # about twice as fast
-    (ESTIMATE, "        keys[:fill].sort()", "        pass",
-     [T("estimate"), node("cli", "test_estimate_at_24_qubits_is_pinned")], "equivalent"),
+    # about twice as fast (test_validate_bound_looks_up_each_pool_once counts the sorts)
+    (ESTIMATE, "        pool.sort()", "        pass",
+     [node("estimate", "test_pooled_means_equal_each_streams_own_lookup"),
+      node("estimate", "test_samplers_draw_the_same_streams_at_every_chunk_size"),
+      node("estimate", "test_y_bar_equals_the_fraction_inverse_cdf"),
+      node("cli", "test_estimate_at_24_qubits_is_pinned")], "equivalent"),
     # the pools: a slot cap one bit wider than the b-bit slot field, the last partial pool
-    # dropped, a pool 16 times the size, and a pool per stream
+    # dropped, a pool 16 times the size, lookup blocks the size of the pool, and a pool per
+    # stream
     (ESTIMATE, "slot >> b:", "slot >> b + 1:",
      [node("estimate", "test_a_pool_holds_no_more_streams_than_its_slot_field")], "kill"),
     (ESTIMATE, "        slot += 1\n    yield from flush()", "        slot += 1",
      [node("estimate", "test_pooled_means_equal_each_streams_own_lookup")], "kill"),
-    (ESTIMATE, "keys = np.empty(_DRAW_CHUNK *", "keys = np.empty(16 * _DRAW_CHUNK *",
+    (ESTIMATE, "keys = np.empty(_POOL_KEYS *", "keys = np.empty(16 * _POOL_KEYS *",
      [node("estimate", "test_validate_bound_holds_one_pool_of_keys")], "kill"),
+    (ESTIMATE, "shifted = np.empty(_DRAW_CHUNK, np.int64)",
+     "shifted = np.empty(keys.size, np.int64)", [node("estimate", "test_validate_bound_holds_one_pool_of_keys")], "kill"),
     (ESTIMATE, "slot >> b:", "slot:",
      [node("estimate", "test_validate_bound_looks_up_each_pool_once")], "kill"),
     # validate_bound holding every trial's child seed, or every trial's mean, at once
@@ -194,8 +209,10 @@ CATALOGUE = [
     (LINTEST, "u2_spectral(f).pow_value ** 2", "float(u2_spectral(f).pow_value) ** 2",
      [node("lintest", "test_shots_compare_draws_with_the_exact_p0")], "kill"),
     (LINTEST, "if 2 * n <= MAX_N:", "if 2 * n < MAX_N:", [T("cli")], "kill"),
-    # BLR's gathers: the xs' entries read at the ys
+    # BLR's gathers: the xs' entries read at the ys; points from the top n + 1 bits
     (LINTEST, "table.take(xs) ^ table.take(ys)", "table.take(ys) ^ table.take(ys)",
+     [node("lintest", "test_blr_gathers_equal_the_fancy_index_reference")], "kill"),
+    (LINTEST, "shift, table, rejections = 32 - f.n,", "shift, table, rejections = 31 - f.n,",
      [node("lintest", "test_blr_gathers_equal_the_fancy_index_reference")], "kill"),
     # unchecked before the transform, the draws are refused only after it, in _draw_sizes
     (LINTEST, "    _check_draws(shots)", "    pass",
@@ -266,8 +283,9 @@ CATALOGUE = [
     (CLI, 'FAMILIES = ("linear", "bent", "random")',
      'FAMILIES = ("linear", "bent", "bent_quadratic", "random")',
      [node("cli", "test_numbers_are_checked_by_their_option")], "kill"),
-    (CLI, "_check_draws(cfg.m * (1 + cfg.trials) if cfg.validate else cfg.m)",
-     "_check_draws(cfg.m)", [node("cli", "test_draw_budget_exits_3_before_any_work")], "kill"),
+    # y_bar's own stream left out of the validate pre-check
+    (CLI, "_check_streams(1 + cfg.trials, cfg.m)", "_check_streams(cfg.trials, cfg.m)",
+     [node("cli", "test_draw_budget_exits_3_before_any_work")], "kill"),
     # without its own flush, the command's buffered stdout is lost at os._exit
     (CLI, "        sys.stdout.flush()  # a closed pipe raises here",
      "        pass  # a closed pipe raises here",
@@ -314,10 +332,11 @@ def _run(tests: list[str], mutant: tuple[str, str, str] | None = None) -> tuple[
         return code, time.perf_counter() - start, usage.ru_maxrss / 1024  # KiB on Linux
 
 
-def main() -> int:
+def main(modules: list[str]) -> int:
+    catalogue = [entry for entry in CATALOGUE if not modules or Path(entry[0]).stem in modules]
     failed = False
     lines = {}
-    for path, original, *_ in CATALOGUE:
+    for path, original, *_ in catalogue:
         text = (ROOT / path).read_text(encoding="utf-8")
         if text.count(original) != 1:
             print(f"error: {path}: {original!r} occurs {text.count(original)} times, not once")
@@ -326,14 +345,14 @@ def main() -> int:
             lines[path, original] = text[: text.index(original)].count("\n") + 1
     if failed:
         return 1
-    files = sorted({name.partition("::")[0] for *_, tests, _ in CATALOGUE for name in tests})
+    files = sorted({name.partition("::")[0] for *_, tests, _ in catalogue for name in tests})
     code, seconds, _ = _run(files)
     print(f"unmutated {'passed' if code == 0 else f'exit {code}'} {seconds:.1f}s {' '.join(files)}",
           flush=True)
     if code != 0:
         return 1
     counts = {"killed": 0, "survived": 0, "equivalent": 0}
-    for path, original, replacement, tests, kind in CATALOGUE:
+    for path, original, replacement, tests, kind in catalogue:
         code, seconds, peak_mb = _run(tests, (path, original, replacement))
         status = "killed" if code in KILLED else "survived" if code == 0 else f"exit-{code}"
         if status in counts:
@@ -344,10 +363,10 @@ def main() -> int:
         print(f"{status:8} {kind:10} {seconds:5.1f}s {peak_mb:5.0f}MB "
               f"{path}:{lines[path, original]} {original.strip()!r} -> {replacement.strip()!r}",
               flush=True)
-    print(f"{len(CATALOGUE)} mutants: {counts['killed']} killed, {counts['survived']} survived, "
+    print(f"{len(catalogue)} mutants: {counts['killed']} killed, {counts['survived']} survived, "
           f"{counts['equivalent']} of them recorded as equivalent")
     return 1 if failed else 0
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(main(sys.argv[1:]))
