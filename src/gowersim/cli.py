@@ -184,14 +184,13 @@ def cmd_simulate(cfg: RunConfig) -> dict:
 
 
 def cmd_estimate(cfg: RunConfig) -> dict:
-    from .estimate import (_check_draws, _check_streams, hoeffding_bound, u2_partial_sums,
+    from .estimate import (STREAM_SETUP_DRAWS, _check_draws, hoeffding_bound, u2_partial_sums,
                            validate_bound, y_bar)
     from .gowers import u2_spectral
 
     f = cfg.resolve_function()
-    _check_draws(cfg.m)
-    if cfg.validate:  # y_bar's stream and one per trial
-        _check_streams(1 + cfg.trials, cfg.m)
+    # under --validate, y_bar's stream and one per trial, each charged its set-up
+    _check_draws((1 + cfg.trials) * (cfg.m + STREAM_SETUP_DRAWS) if cfg.validate else cfg.m)
     cum = u2_partial_sums(f)
     report = hoeffding_bound(y_bar(cum, cfg.m, cfg.seed), cfg.m, cfg.t, cfg.seed)
     report["function_tt_hex"] = f.to_hex()

@@ -13,16 +13,16 @@ rate for a mean of m bounded i.i.d. variables.  The standard form is the
 defensible one; both are always computed so the discrepancy stays visible.
 `hoeffding_bound` returns the report as the dict the CLI prints.
 `u2_partial_sums` gives the circuit's outcome distribution in closed form, as
-int64 partial sums, without simulating it, in blocks of _CDF_CELLS cells.
-`y_bar` and `validate_bound` sample them through `_means`: a sorted pool of
-keys, each read from one raw 64-bit word of a stream, takes the draws of many
-streams at once and is looked up in cache-sized blocks, in memory that grows
-with neither m nor the streams.  All randomness comes from numpy's PCG64
-(`np.random.default_rng`); child streams for trial i are derived via
-SeedSequence([seed, i]) (see child_seed).  Every sampler draws in chunks
-(`_draw_sizes`), which change no stream.  A request for more than DRAW_BUDGET
-draws is a CapacityError before the first one; `validate_bound` also charges
-each stream STREAM_SETUP_DRAWS for its set-up.
+int64 partial sums, without simulating it.  `y_bar` and `validate_bound`
+sample them through `_means`: a sorted pool of keys, each read from one raw
+64-bit word of a stream, takes the draws of many streams at once and is looked
+up in cache-sized blocks, in memory that grows with neither m nor the streams.
+All randomness comes from numpy's PCG64 (`np.random.default_rng`); child
+streams for trial i are derived via SeedSequence([seed, i]) (see child_seed).
+Every sampler draws in chunks (`_draw_sizes`), which change no stream.  A
+request for more than DRAW_BUDGET draws is a CapacityError before the first
+one; `validate_bound` also charges each stream STREAM_SETUP_DRAWS for its
+set-up.
 """
 
 from __future__ import annotations
@@ -31,19 +31,15 @@ import math
 
 import numpy as np
 
-from . import spectral
+from . import errors, spectral
 from .boolfn import BooleanFunction
 from .errors import CapacityError, CrossCheckError, check_layout
 
 RNG_ALGORITHM = "PCG64"
-# draws per Generator call of _means and BLR (see _draw_sizes): 64 KiB of 64-bit words, a
+# draws per Generator call of every sampler (see _draw_sizes): 64 KiB of 64-bit words, a
 # working set that stays in cache
 _DRAW_CHUNK = 1 << 13
-# count_nonzero_outcomes' draws per call: its one compare per draw leaves the cost of each
-# call in view, ~10 % of its time at 2^13 draws per call
-_COUNT_CHUNK = 1 << 16
 _POOL_KEYS = 1 << 16  # keys per pool of _means (times max(1, cum.size >> 22)): 512 KiB
-_CDF_CELLS = 1 << 14  # cells per transformed block of u2_partial_sums
 # most draws one sampling request may ask for: ~3 minutes at y_bar's ~5.5e6 draws/s at n = 8
 DRAW_BUDGET = 2**30
 # a stream's child seed and generator take ~30 us to set up, the time of ~2^8 draws (~160 at
@@ -62,31 +58,22 @@ def _check_draws(count: int) -> None:
         raise CapacityError(f"{count} draws > the draw budget of {DRAW_BUDGET}")
 
 
-def _check_streams(streams: int, m: int) -> None:
-    """Refuse `streams` streams of m draws each, every stream charged STREAM_SETUP_DRAWS."""
-    cost = streams * (m + STREAM_SETUP_DRAWS)
-    if cost > DRAW_BUDGET:
-        raise CapacityError(f"{streams} streams x ({m} + {STREAM_SETUP_DRAWS} set-up) draws = "
-                            f"{cost} draws > the draw budget of {DRAW_BUDGET}")
-
-
-def _draw_sizes(count: int, chunk: int | None = None):
-    """Chunk sizes of at most `chunk` (by default _DRAW_CHUNK) that add up to count.
+def _draw_sizes(count: int):
+    """Chunk sizes of at most _DRAW_CHUNK that add up to count.
 
     Drawn in turn from one generator, the chunks are the stream of one call, whatever their
     size.  A count over DRAW_BUDGET is refused here, before anything is drawn.
     """
     _check_draws(count)
-    chunk = chunk or _DRAW_CHUNK
-    return (min(chunk, count - start) for start in range(0, count, chunk))
+    return (min(_DRAW_CHUNK, count - start) for start in range(0, count, _DRAW_CHUNK))
 
 
 def u2_partial_sums(f: BooleanFunction) -> np.ndarray:
     """The int64 partial sums of num^2 over the U_2 circuit's final amplitudes num / 2^(3n).
 
     num(a || b || c) = sum_s T[s, b] T[s, a ^ b] (-1)^(s . c), T[s] = W_{D_s F}: the
-    Fourier form of ||f||_{U_2}^4 (Gowers 2001).  Blocks of a (_CDF_CELLS entries, at least
-    one a) are transformed along s in int32, exact as |num| <= 2^(3n) <= 2^24.
+    Fourier form of ||f||_{U_2}^4 (Gowers 2001).  Blocks of a (errors._BLOCK_CELLS entries, at
+    least one a) are transformed along s in int32, exact as |num| <= 2^(3n) <= 2^24.
     A total other than 2^(6n) raises CrossCheckError.
     """
     n = f.n
@@ -94,7 +81,7 @@ def u2_partial_sums(f: BooleanFunction) -> np.ndarray:
     rows = spectral._by_direction(f.table)  # rows[s] = D_s F
     t = spectral.fwht_inplace(1 - 2 * rows.astype(np.int32)).T.copy()  # t[b, s] = T[s, b]
     ramp = np.arange(1 << n)
-    per = max(1, _CDF_CELLS >> 2 * n)  # values of a per block
+    per = max(1, errors._BLOCK_CELLS >> 2 * n)  # values of a per block
     cum = np.empty(1 << 3 * n, np.int64)
     for a in range(0, 1 << n, per):
         block = t[ramp ^ ramp[a : a + per, None]]  # [a, b, s] = T[s, a ^ b]
@@ -174,8 +161,7 @@ def count_nonzero_outcomes(p0, m: int, seed) -> int:
     """
     threshold = math.ceil(p0 * 2**53) / 2**53
     rng = np.random.default_rng(seed)
-    return sum(int(np.count_nonzero(rng.random(size) >= threshold))
-               for size in _draw_sizes(m, _COUNT_CHUNK))
+    return sum(int(np.count_nonzero(rng.random(size) >= threshold)) for size in _draw_sizes(m))
 
 
 def hoeffding_bound(y_bar: float, m: int, t: float, seed: int | None = None) -> dict:
@@ -206,6 +192,6 @@ def validate_bound(cum: np.ndarray, exact_norm: float, m: int, t: float, trials:
     if trials < 1:
         raise ValueError("need at least one trial")
     hoeffding_bound(0.0, m, t)  # refuses a bad t before any draw
-    _check_streams(trials, m)
+    _check_draws(trials * (m + STREAM_SETUP_DRAWS))
     means = _means(cum, m, (child_seed(seed, i) for i in range(trials)))
     return sum(exact_norm <= hoeffding_bound(y, m, t)["upper_bound"] for y in means) / trials

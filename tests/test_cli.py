@@ -228,16 +228,14 @@ def test_draw_budget_exits_3_before_any_work(capsys, monkeypatch):
     for module in (spectral, gowers, lintest):  # every name bound to spectral.walsh
         monkeypatch.setattr(module, "walsh", no_transform)
     monkeypatch.setattr(estimate, "u2_partial_sums", no_transform)
-    over = "1001 draws > the draw budget of 1000"
-    for line, argv in ((over, ("estimate", "-m", "1001", "-t", "0.1")),
-                       ("2 streams x (245 + 256 set-up) draws = 1002 draws > the draw budget "
-                        "of 1000", ("estimate", "-m", "245", "-t", "0.1", "--validate",
-                                    "--trials", "1")),
-                       (over, ("lintest", "--shots", "1001")),
-                       (over, ("blr", "--trials", "1001")),
-                       (over, ("compare", "--shots", "1001"))):
+    for count, argv in ((1001, ("estimate", "-m", "1001", "-t", "0.1")),
+                        (1002, ("estimate", "-m", "245", "-t", "0.1", "--validate", "--trials",
+                                "1")),  # 2 * (245 + 256)
+                        (1001, ("lintest", "--shots", "1001")),
+                        (1001, ("blr", "--trials", "1001")),
+                        (1001, ("compare", "--shots", "1001"))):
         code, out, err = run_cli(capsys, *argv, *function)
-        assert (code, out, err) == (3, "", f"error: {line}\n")
+        assert (code, out, err) == (3, "", f"error: {count} draws > the draw budget of 1000\n")
 
 
 def test_estimate_rejects_bad_t(capsys):
@@ -605,21 +603,19 @@ REFUSALS = [
     pytest.param(("estimate", *RANDOM, "-n", "10", "-m", "10", "-t", "0.1"),
                  "layout needs m*n <= 24, got 3 x 10: 2^30 basis states > 2^24",
                  id="estimate-layout"),
-    *(pytest.param((*argv, *RANDOM, "-n", "8"), f"{BUDGET + 1} draws > the draw budget of {BUDGET}",
-                   id=f"{argv[0]}-draws")
-      for argv in (("estimate", "-m", str(BUDGET + 1), "-t", "0.1"),
-                   ("lintest", "--shots", str(BUDGET + 1)),
-                   ("blr", "--trials", str(BUDGET + 1)),
-                   ("compare", "--shots", str(BUDGET + 1)))),
-    pytest.param(("estimate", "-m", str(BUDGET // 2), "-t", "0.1", "--validate", "--trials", "2",
-                  *RANDOM, "-n", "8"),
-                 f"3 streams x ({BUDGET // 2} + 256 set-up) draws = {3 * (BUDGET // 2 + 256)} "
-                 f"draws > the draw budget of {BUDGET}", id="estimate-draws-validate"),
-    # 2^30 one-draw streams, within the budget as draws but ~10 hours of stream set-up
-    pytest.param(("estimate", "-m", "1", "-t", "0.1", "--validate", "--trials", str(BUDGET - 1),
-                  *RANDOM, "-n", "8"),
-                 f"{BUDGET} streams x (1 + 256 set-up) draws = {257 * BUDGET} draws > the draw "
-                 f"budget of {BUDGET}", id="estimate-setup-validate"),
+    *(pytest.param((*argv, *RANDOM, "-n", "8"), f"{count} draws > the draw budget of {BUDGET}",
+                   id=f"{argv[0]}-{name}")
+      for name, count, argv in (
+          ("draws", BUDGET + 1, ("estimate", "-m", str(BUDGET + 1), "-t", "0.1")),
+          # three streams of 2^29 draws, each charged 256 draws of set-up
+          ("draws-validate", 3 * (BUDGET // 2 + 256),
+           ("estimate", "-m", str(BUDGET // 2), "-t", "0.1", "--validate", "--trials", "2")),
+          # 2^30 one-draw streams: within the budget as draws, ~10 hours of stream set-up
+          ("setup-validate", 257 * BUDGET,
+           ("estimate", "-m", "1", "-t", "0.1", "--validate", "--trials", str(BUDGET - 1))),
+          ("draws", BUDGET + 1, ("lintest", "--shots", str(BUDGET + 1))),
+          ("draws", BUDGET + 1, ("blr", "--trials", str(BUDGET + 1))),
+          ("draws", BUDGET + 1, ("compare", "--shots", str(BUDGET + 1))))),
 ]
 
 

@@ -191,7 +191,7 @@ def test_validate_bound_reproducible():
 
 @pytest.mark.parametrize("offset", [-1, 0, 1])
 def test_chunked_count_equals_one_draw(offset):
-    m = estimate._COUNT_CHUNK + offset
+    m = estimate._DRAW_CHUNK + offset
     for p0, seed in ((0.3, 4), (11 / 32, 5)):
         single = np.random.default_rng(seed).random(m)  # PCG64(SeedSequence(seed)), one call
         assert count_nonzero_outcomes(p0, m, seed) == int(np.count_nonzero(single >= p0))
@@ -212,7 +212,6 @@ def test_count_draws_at_most_one_chunk_at_a_time(monkeypatch):
             sizes.append(size)
             return self.rng.bit_generator.random_raw(size)
 
-    monkeypatch.setattr(estimate, "_COUNT_CHUNK", 1000)
     monkeypatch.setattr(estimate, "_DRAW_CHUNK", 1000)
     cum = u2_partial_sums(bent_quadratic(2))
     draws = np.random.default_rng(7).random(3005)
@@ -305,20 +304,18 @@ def test_validate_bound_looks_up_each_pool_once(monkeypatch):
 
 
 def test_validate_bound_holds_one_pool_of_keys():
-    # at n = 6 the CDF is 2 MiB and a pool of keys 0.5 MiB; each of a chunk's raw words and a
-    # lookup block's shifted keys, outcomes and bincount weights takes 64 KiB, where blocks
-    # the size of the pool took 0.5 MiB each
-    f = random_function(6, 406)
-    y_bar(pooled_case(6)[0], 1, 5)  # the first generator built in a process allocates ~1 MiB once
-    norm = u2_spectral(f).norm
+    # at n = 6 a pool of keys is 0.5 MiB; each of a chunk's raw words and a lookup block's
+    # shifted keys, outcomes and bincount weights takes 64 KiB, where blocks the size of the
+    # pool would take 0.5 MiB each
+    cum, norm = pooled_case(6)
+    y_bar(cum, 1, 5)  # the first generator built in a process allocates ~1 MiB once
     tracemalloc.start()
     try:
-        cum = u2_partial_sums(f)
         validate_bound(cum, norm, m=2000, t=0.05, trials=200, seed=3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= cum.nbytes + 8 * estimate._POOL_KEYS + 2**18
+    assert peak <= 8 * estimate._POOL_KEYS + 2**18  # the 2 MiB CDF is built before the trace
 
 
 def test_validate_bound_memory_does_not_grow_with_trials(monkeypatch):
@@ -376,13 +373,12 @@ def test_u2_partial_sums_equal_the_reference_state_for_every_function_at_n2():
 
 
 @pytest.mark.parametrize("n", [1, 3, 4, 5, 6, 7])
-@pytest.mark.parametrize("cells", [16, estimate._CDF_CELLS, errors._BLOCK_CELLS])
+@pytest.mark.parametrize("cells", [16, errors._BLOCK_CELLS])
 def test_u2_partial_sums_equal_the_reference_state(monkeypatch, n, cells):
     # at 16 cells the derivative rows come in interleaved blocks, one a per block
     f = random_function(n, 50 + n)
     expected = u2_reference_sums(f)
     monkeypatch.setattr(errors, "_BLOCK_CELLS", cells)
-    monkeypatch.setattr(estimate, "_CDF_CELLS", cells)
     assert u2_partial_sums(f).tobytes() == expected.tobytes()
 
 
@@ -452,9 +448,8 @@ def test_draw_budget_is_refused_before_the_first_draw(monkeypatch):
                  lambda: count_nonzero_outcomes(0.5, 1001, 1)):
         with pytest.raises(CapacityError, match="^1001 draws > the draw budget of 1000$"):
             call()
-    # 234 draws, but three streams' set-up counts too
-    with pytest.raises(CapacityError, match=r"^3 streams x \(78 \+ 256 set-up\) draws = 1002 "
-                                            r"draws > the draw budget of 1000$"):
+    # 234 draws, but three streams' set-up counts too: 3 * (78 + 256)
+    with pytest.raises(CapacityError, match="^1002 draws > the draw budget of 1000$"):
         validate_bound(cum, norm, m=78, t=0.1, trials=3, seed=1)
 
 
@@ -486,6 +481,5 @@ def test_samplers_draw_the_same_streams_at_every_chunk_size(monkeypatch, chunk):
     means = [stream_mean(cum, 70_001, seed) for seed in seeds]
     count = int(np.count_nonzero(np.random.default_rng(3).random(70_001) >= 0.3))
     monkeypatch.setattr(estimate, "_DRAW_CHUNK", chunk)
-    monkeypatch.setattr(estimate, "_COUNT_CHUNK", chunk)
     assert list(estimate._means(cum, 70_001, seeds)) == means
     assert count_nonzero_outcomes(0.3, 70_001, 3) == count

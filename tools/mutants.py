@@ -1,11 +1,10 @@
 """The committed mutant catalogue: one-line mutants of src/ and the tests that must kill them.
 
-    python3 tools/mutants.py [MODULE ...]
+    python3 tools/mutants.py
 
-Each entry of CATALOGUE is (path, original, replacement, tests, kind); given
-module names (`estimate lintest`), only the entries of those src/gowersim
-modules run.  `original` is exact text that occurs once in `path`; the mutant
-replaces it with `replacement`.  `tests` are test files or pytest node ids.  A `kill`
+Each entry of CATALOGUE is (path, original, replacement, tests, kind).
+`original` is exact text that occurs once in `path`; the mutant replaces it
+with `replacement`.  `tests` are test files or pytest node ids.  A `kill`
 mutant must make the named tests fail; an `equivalent` one changes no
 observable behaviour, so it must pass them.  A mutant that weakens a size
 guard names only tests that refuse a size whose unguarded work is cheap, or
@@ -144,15 +143,15 @@ CATALOGUE = [
     # estimate: the exact distribution, its sampler, the draw budget and the 3n <= 24 guard
     (ESTIMATE, "if count > DRAW_BUDGET:", "if count > 2 * DRAW_BUDGET:", [T("estimate")],
      "kill"),
-    # the streams' set-up left out of the budget, and a budget one draw short
-    (ESTIMATE, "cost = streams * (m + STREAM_SETUP_DRAWS)", "cost = streams * m",
+    # the streams' set-up left out of validate_bound's budget, and a budget one draw short
+    (ESTIMATE, "_check_draws(trials * (m + STREAM_SETUP_DRAWS))", "_check_draws(trials * m)",
      [node("estimate", "test_draw_budget_is_refused_before_the_first_draw")], "kill"),
-    (ESTIMATE, "if cost > DRAW_BUDGET:", "if cost >= DRAW_BUDGET:",
+    (ESTIMATE, "if count > DRAW_BUDGET:", "if count >= DRAW_BUDGET:",
      [node("estimate", "test_draw_budget_admits_its_streams_and_their_set_up")], "kill"),
     (ESTIMATE, "    check_layout(3, n)", "    check_layout(2, n)",
      [node("estimate", "test_u2_partial_sums_refuse_before_any_work")], "kill"),
-    (ESTIMATE, "per = max(1, _CDF_CELLS >> 2 * n)", "per = _CDF_CELLS >> 2 * n",
-     [T("estimate")], "kill"),
+    (ESTIMATE, "per = max(1, errors._BLOCK_CELLS >> 2 * n)",
+     "per = errors._BLOCK_CELLS >> 2 * n", [T("estimate")], "kill"),
     (ESTIMATE, "part[0] += cum[(a << 2 * n) - 1] if a else 0", "part[0] += 0",
      [T("estimate")], "kill"),
     (ESTIMATE, "s = int(cum[-1]) if cum.size else 0", "s = int(cum[-1])",
@@ -190,7 +189,8 @@ CATALOGUE = [
     (ESTIMATE, "keys = np.empty(_POOL_KEYS *", "keys = np.empty(16 * _POOL_KEYS *",
      [node("estimate", "test_validate_bound_holds_one_pool_of_keys")], "kill"),
     (ESTIMATE, "shifted = np.empty(_DRAW_CHUNK, np.int64)",
-     "shifted = np.empty(keys.size, np.int64)", [node("estimate", "test_validate_bound_holds_one_pool_of_keys")], "kill"),
+     "shifted = np.empty(keys.size, np.int64)",
+     [node("estimate", "test_validate_bound_holds_one_pool_of_keys")], "kill"),
     (ESTIMATE, "slot >> b:", "slot:",
      [node("estimate", "test_validate_bound_looks_up_each_pool_once")], "kill"),
     # validate_bound holding every trial's child seed, or every trial's mean, at once
@@ -283,9 +283,12 @@ CATALOGUE = [
     (CLI, 'FAMILIES = ("linear", "bent", "random")',
      'FAMILIES = ("linear", "bent", "bent_quadratic", "random")',
      [node("cli", "test_numbers_are_checked_by_their_option")], "kill"),
-    # y_bar's own stream left out of the validate pre-check
-    (CLI, "_check_streams(1 + cfg.trials, cfg.m)", "_check_streams(cfg.trials, cfg.m)",
+    # y_bar's own stream, or every stream's set-up, left out of the validate pre-check
+    (CLI, "(1 + cfg.trials) * (cfg.m + STREAM_SETUP_DRAWS)",
+     "cfg.trials * (cfg.m + STREAM_SETUP_DRAWS)",
      [node("cli", "test_draw_budget_exits_3_before_any_work")], "kill"),
+    (CLI, "(1 + cfg.trials) * (cfg.m + STREAM_SETUP_DRAWS)", "(1 + cfg.trials) * cfg.m",
+     [node("cli", "test_every_guard_refuses_before_any_kernel_runs")], "kill"),
     # without its own flush, the command's buffered stdout is lost at os._exit
     (CLI, "        sys.stdout.flush()  # a closed pipe raises here",
      "        pass  # a closed pipe raises here",
@@ -332,11 +335,10 @@ def _run(tests: list[str], mutant: tuple[str, str, str] | None = None) -> tuple[
         return code, time.perf_counter() - start, usage.ru_maxrss / 1024  # KiB on Linux
 
 
-def main(modules: list[str]) -> int:
-    catalogue = [entry for entry in CATALOGUE if not modules or Path(entry[0]).stem in modules]
+def main() -> int:
     failed = False
     lines = {}
-    for path, original, *_ in catalogue:
+    for path, original, *_ in CATALOGUE:
         text = (ROOT / path).read_text(encoding="utf-8")
         if text.count(original) != 1:
             print(f"error: {path}: {original!r} occurs {text.count(original)} times, not once")
@@ -345,14 +347,14 @@ def main(modules: list[str]) -> int:
             lines[path, original] = text[: text.index(original)].count("\n") + 1
     if failed:
         return 1
-    files = sorted({name.partition("::")[0] for *_, tests, _ in catalogue for name in tests})
+    files = sorted({name.partition("::")[0] for *_, tests, _ in CATALOGUE for name in tests})
     code, seconds, _ = _run(files)
     print(f"unmutated {'passed' if code == 0 else f'exit {code}'} {seconds:.1f}s {' '.join(files)}",
           flush=True)
     if code != 0:
         return 1
     counts = {"killed": 0, "survived": 0, "equivalent": 0}
-    for path, original, replacement, tests, kind in catalogue:
+    for path, original, replacement, tests, kind in CATALOGUE:
         code, seconds, peak_mb = _run(tests, (path, original, replacement))
         status = "killed" if code in KILLED else "survived" if code == 0 else f"exit-{code}"
         if status in counts:
@@ -363,10 +365,10 @@ def main(modules: list[str]) -> int:
         print(f"{status:8} {kind:10} {seconds:5.1f}s {peak_mb:5.0f}MB "
               f"{path}:{lines[path, original]} {original.strip()!r} -> {replacement.strip()!r}",
               flush=True)
-    print(f"{len(catalogue)} mutants: {counts['killed']} killed, {counts['survived']} survived, "
+    print(f"{len(CATALOGUE)} mutants: {counts['killed']} killed, {counts['survived']} survived, "
           f"{counts['equivalent']} of them recorded as equivalent")
     return 1 if failed else 0
 
 
 if __name__ == "__main__":
-    raise SystemExit(main(sys.argv[1:]))
+    raise SystemExit(main())
