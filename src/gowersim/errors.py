@@ -1,5 +1,4 @@
-"""Shared exception types, the size envelope MAX_N, the capacity checks on it and the
-entries per block of the blocked kernels.
+"""Shared exception types, the size envelope MAX_N, its capacity checks and the kernels' block size.
 
 The CLI maps these onto exit statuses: usage/parse problems (including
 ``ValueError`` and ``AnfSyntaxError``) exit 2, ``CapacityError`` exits 3,
@@ -7,7 +6,8 @@ The CLI maps these onto exit statuses: usage/parse problems (including
 """
 
 MAX_N = 24  # the design envelope: bits of table index, simulated qubits, log2 of a sum's terms
-# entries per block of spectral._derivative_rows, estimate.u2_partial_sums and qsim._phase_blocks
+# entries per block of spectral._derivative_rows, estimate.u2_partial_sums and qsim._phase_blocks,
+# and bytes per block of the words that spectral.convolve gathers
 _BLOCK_CELLS = 1 << 17
 
 

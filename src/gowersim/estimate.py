@@ -78,9 +78,9 @@ def u2_partial_sums(f: BooleanFunction) -> np.ndarray:
     """
     n = f.n
     check_layout(3, n)
-    rows = spectral._by_direction(f.table)  # rows[s] = D_s F
+    ramp, table = np.arange(1 << n), f.table
+    rows = table[ramp ^ ramp[:, None]] ^ table  # rows[s, x] = F(x ^ s) ^ F(x) = D_s F(x)
     t = spectral.fwht_inplace(1 - 2 * rows.astype(np.int32)).T.copy()  # t[b, s] = T[s, b]
-    ramp = np.arange(1 << n)
     per = max(1, errors._BLOCK_CELLS >> 2 * n)  # values of a per block
     cum = np.empty(1 << 3 * n, np.int64)
     for a in range(0, 1 << n, per):

@@ -7,9 +7,9 @@ For k >= 1 the U_k norm of the character form f is
 
 and the routes implemented here are:
 
-* uk_definition   -- the literal (k+1)-fold sum (any k >= 1), 64 terms per word,
+* uk_definition   -- the literal (k+1)-fold sum (any k >= 1), 64 terms per word XOR,
 * u2_spectral     -- sum_u fhat(u)^4 for k = 2,
-* u2_autocorrelation -- 2^-n sum_a (f*f)(a)^2 for k = 2,
+* u2_autocorrelation -- 2^-n sum_a (f*f)(a)^2 for k = 2, 64 terms per word XOR too,
 * uk_via_derivatives -- 2^(-(k-2)n) sum over (k-2)-tuples of directions of
   ||Delta_dirs f||_{U_2}^4, for k >= 3.
 
@@ -26,11 +26,7 @@ import numpy as np
 from .boolfn import BooleanFunction
 from .dyadic import DyadicRational
 from .errors import MAX_N, check_capacity
-from .spectral import _derivative_rows, convolve, fwht_inplace, walsh
-
-# bit p of a word swaps with bit p ^ 2^j, for the positions p with bit j clear
-_SWAP_MASKS = [np.uint64(m) for m in (0x5555555555555555, 0x3333333333333333, 0x0F0F0F0F0F0F0F0F,
-                                      0x00FF00FF00FF00FF, 0x0000FFFF0000FFFF, 0x00000000FFFFFFFF)]
+from .spectral import _derivative_rows, _word_translates, convolve, fwht_inplace, walsh
 
 
 class GowersValue(NamedTuple):
@@ -57,33 +53,22 @@ def u2_spectral(f: BooleanFunction) -> GowersValue:
 
 
 def u2_autocorrelation(f: BooleanFunction) -> GowersValue:
-    """pow_value = 2^-n sum_a (f*f)(a)^2, from the blocked XOR correlation."""
+    """pow_value = 2^-n sum_a (f*f)(a)^2, from `convolve`, the XOR correlation of packed words."""
     r = convolve(f, f)
     return GowersValue(2, DyadicRational(int(np.dot(r, r)), 3 * f.n))
 
 
 def _pair_ones(rows: np.ndarray) -> int:
     """Count, over the 0/1 rows R of 2^n entries and all e, the x with e's top bit clear and
-    R(x) != R(x ^ e): each pair {x, x ^ e} once.  Rows pack 64 entries per word (rows with n < 6
-    share one); e's low six bits swap bit runs inside words, the rest pair words a < b.
-    """
-    n = rows.shape[1].bit_length() - 1
-    packed = np.packbits(rows, bitorder="little")
-    w = np.pad(packed, (0, -packed.size % 8)).view("<u8").reshape(-1, max(1, rows.shape[1] >> 6))
-    t = np.empty((w.shape[1], 1 << min(n, 6), w.shape[0]), np.uint64)  # t[b, e]: word b, bits ^ e
-    x = np.empty_like(t)
-    t[:, 0] = w.T
-    w, pairs = t[:, :1], 0
-    for j, m in enumerate(_SWAP_MASKS[: min(n, 6)]):  # out= t, x: a new array faults its pages in
-        lo, hi, xs = t[:, : 1 << j], t[:, 1 << j : 2 << j], x[:, : 1 << j]
-        np.bitwise_and(np.right_shift(lo, 1 << j, out=hi), m, out=hi)
-        np.bitwise_or(hi, np.left_shift(np.bitwise_and(lo, m, out=xs), 1 << j, out=xs), out=hi)
-        np.bitwise_and(np.bitwise_xor(hi, w, out=xs), m, out=xs)  # e's top bit is j
-        pairs += int(np.bitwise_count(xs, out=xs).sum())
+    R(x) != R(x ^ e): each pair {x, x ^ e} once.  Of the words of `_word_translates`, words a < b
+    pair once (e >= 64), and the translates of one word meet each pair twice (e < 64).  The XORs
+    run in place: XORing word a into the words after it leaves each of them XOR one constant,
+    which cancels in every later XOR of two of its translates."""
+    t, pairs = _word_translates(rows), 0  # t[b, e]: word b, bits ^ e
     for a in range(len(t) - 1):
-        d = np.bitwise_xor(t[a + 1 :], t[a, 0], out=x[a + 1 :])
-        pairs += int(np.bitwise_count(d, out=d).sum())
-    return pairs
+        pairs += int(np.bitwise_count(np.bitwise_xor(t[a + 1 :], t[a, 0], out=t[a + 1 :])).sum())
+    d = np.bitwise_xor(t[:, 1:], t[:, :1], out=t[:, 1:])
+    return pairs + int(np.bitwise_count(d).sum()) // 2
 
 
 def uk_definition(f: BooleanFunction, k: int) -> GowersValue:

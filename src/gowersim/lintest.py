@@ -32,7 +32,7 @@ import numpy as np
 
 from .boolfn import BooleanFunction
 from .dyadic import DyadicRational
-from .errors import MAX_N, CrossCheckError
+from .errors import CapacityError, CrossCheckError
 from .estimate import _check_draws, _draw_sizes, child_seed, count_nonzero_outcomes
 from .gowers import _power_sum, u2_spectral
 from .spectral import convolve, dist_to_linear, nonlinearity, walsh
@@ -90,20 +90,19 @@ def quantum_linearity_test(f: BooleanFunction, shots: int, seed: int | None = No
 
 
 def blr_exact_dyadic(f: BooleanFunction) -> DyadicRational:
-    """Exact BLR acceptance probability 1/2 + 1/2 sum fhat^3.
-
-    Where 2n <= 24 it is cross-checked against the enumeration of all 2^(2n) pairs.
-    """
+    """Exact BLR acceptance probability 1/2 + 1/2 sum fhat^3, cross-checked against the
+    enumeration of all 2^(2n) pairs where `convolve` admits n (2n <= 24)."""
     n = f.n
     spectral = DyadicRational((1 << (3 * n)) + _power_sum(walsh(f), 3), 3 * n + 1)
-    if 2 * n <= MAX_N:
-        # accepted pairs (x, y): (2^(2n) + sum_x f(x) r(x)) / 2, r(x) = sum_y f(y) f(x+y)
-        s = int(np.dot(f.sign_table(), convolve(f, f)))
-        enumerated = DyadicRational((1 << (2 * n)) + s, 2 * n + 1)
-        if spectral != enumerated:
-            raise CrossCheckError(
-                f"BLR routes disagree: spectral {spectral} vs enumeration {enumerated}"
-            )
+    try:  # accepted pairs (x, y): (2^(2n) + sum_x f(x) r(x)) / 2, r(x) = sum_y f(y) f(x+y)
+        r = convolve(f, f)
+    except CapacityError:  # past 2n <= 24, too many pairs to enumerate
+        return spectral
+    s = int(np.dot(f.sign_table(), r))
+    enumerated = DyadicRational((1 << (2 * n)) + s, 2 * n + 1)
+    if spectral != enumerated:
+        raise CrossCheckError(f"BLR routes disagree: spectral {spectral} vs enumeration "
+                              f"{enumerated}")
     return spectral
 
 

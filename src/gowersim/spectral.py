@@ -1,7 +1,7 @@
-"""Walsh-Hadamard spectra and derived quantities, all in exact integer arithmetic.
+"""Walsh-Hadamard spectra, derivative rows and the XOR correlation, in exact integer arithmetic.
 
-W(u) = sum_x (-1)^(F(x) + u.x) = 2^n * fhat(u).  The transform is the
-unnormalized +-1 butterfly; the 2^-n normalizations live in DyadicRational.
+W(u) = sum_x (-1)^(F(x) + u.x) = 2^n * fhat(u), unnormalized; DyadicRational holds the 2^-n.
+`convolve` and `gowers.uk_definition` count 64 entries per XOR of `_word_translates`' words.
 """
 
 from __future__ import annotations
@@ -75,21 +75,37 @@ def _derivative_rows(g: np.ndarray, depth: int = 1) -> Iterator[np.ndarray]:
             yield from [rows] if depth == 1 else _derivative_rows(rows, depth - 1)
 
 
-def _by_direction(table: np.ndarray, each=lambda rows: rows) -> np.ndarray:
-    """each(rows) over the rows x -> G(x) ^ G(x ^ d) of the 0/1 table G, stacked in order of d."""
-    parts = [each(rows) for rows in _derivative_rows(table[None])]
-    # block `low` holds the rows of d = low + c * t, so stacking on axis 1 puts d in order
-    return np.stack(parts, axis=1).reshape(-1, *parts[0].shape[1:])
+def _word_translates(rows: np.ndarray) -> np.ndarray:
+    """t[b, e, r]: word b of the 0/1 rows of 2^n entries, 64 a word (rows under 64 entries share
+    one, zero-padded), bit i holding entry 64 b + (i ^ e) of row r, e < 2^min(n, 6)."""
+    packed = np.packbits(rows, bitorder="little")
+    packed = np.concatenate((packed, np.zeros(-packed.size % 8, np.uint8)))
+    w = packed.view("<u8").reshape(-1, max(1, rows.shape[1] >> 6))
+    t = np.empty((w.shape[1], min(64, rows.shape[1]), w.shape[0]), np.uint64)
+    t[:, 0] = w.T
+    for j in range(t.shape[1].bit_length() - 1):  # e + 2^j: e's word, bits p, p ^ 2^j swapped
+        s, lo, d = 1 << j, t[:, : 1 << j], t[:, 1 << j : 2 << j]  # d = (lo ^ lo >> s) & m
+        m = (2**64 - 1) // ((1 << s) + 1)  # the bits p with bit j clear: 0x5555..., 0x3333..., ...
+        np.bitwise_and(np.bitwise_xor(np.right_shift(lo, s, out=d), lo, out=d), m, out=d)
+        np.bitwise_xor(np.multiply(d, (1 << s) + 1, out=d), lo, out=d)  # lo ^ d ^ d << s, in place
+    return t
 
 
 def convolve(f: BooleanFunction, g: BooleanFunction) -> np.ndarray:
-    """r(a) = sum_y f(y) g(y+a) = 2^n (f * g)(a), as a read-only int64 array indexed by a."""
+    """r(a) = sum_y f(y) g(y+a) = 2^n (f * g)(a), as a read-only int64 array indexed by a:
+    2^n - 2 sum_b popcount(F_b ^ t[a & 63, b ^ (a >> 6)]), F_b the words of F and t[e, b] those
+    of G translated by e (`_word_translates`), gathered in blocks of errors._BLOCK_CELLS bytes."""
     if f.n != g.n:
         raise ValueError(f"dimension mismatch: n = {f.n} vs {g.n}")
     check_capacity(f"the XOR correlation needs 2n <= {MAX_N}, got n = {f.n}", 2 * f.n, "terms")
-    gt = g.table
-    mask = f.table ^ gt  # F(y) ^ G(y ^ a) = (F ^ G)(y) ^ G(y) ^ G(y ^ a)
-    r = (1 << f.n) - 2 * _by_direction(gt, lambda rows: np.bitwise_count(  # 8 entries a byte
-        np.packbits(rows ^ mask, axis=1)).sum(axis=1, dtype=np.int64))
+    words = _word_translates(f.table.reshape(-1, 1))[0, 0]  # F_b: 64 one-entry rows a word
+    t = _word_translates(g.table.reshape(-1, min(64, 1 << f.n)))[0]  # t[e, b]: a row a word
+    ramp = np.arange(t.shape[1])
+    per = max(1, errors._BLOCK_CELLS // t.nbytes)  # values of a >> 6 per block
+    ones = np.empty(t.shape, np.int64)  # [a & 63, a >> 6]
+    for a in range(0, t.shape[1], per):
+        block = t[:, ramp[a : a + per, None] ^ ramp]  # [a & 63, a >> 6, b]: t[a & 63, b ^ (a >> 6)]
+        ones[:, a : a + per] = np.bitwise_count(np.bitwise_xor(block, words, out=block)).sum(axis=2)
+    r = (1 << f.n) - 2 * ones.T.reshape(-1)
     r.setflags(write=False)
     return r

@@ -1,6 +1,7 @@
 """Integer reference states for the compiled executor `qsim.zero_amplitude` and the
-closed form `estimate.u2_partial_sums`, and the byte-per-term count that
-`gowers.uk_definition` replaces with packed words.
+closed form `estimate.u2_partial_sums`, the byte-per-term count that
+`gowers.uk_definition` replaces with packed words, and the byte-packed XOR correlation
+that `spectral.convolve` replaces with them.
 
 A state is its int32 array of amplitude numerators, read with the circuit's
 n and m: the uniform state is all ones over 2^(q/2) for q qubits, a phase
@@ -15,7 +16,9 @@ final register map as one flat permutation of the basis indices.
 `partial_sums` turns a state into the int64 partial sums that
 `estimate.y_bar` samples, and `lookup` reads the outcomes of given draws from
 them, one binary search each.  `definition_ones` counts the ones of every
-k-fold derivative table one uint8 entry at a time, with no packed word.
+k-fold derivative table one uint8 entry at a time, with no packed word, and
+`byte_convolve` is the XOR correlation that `spectral.convolve` replaces with
+64 entries a word: derivative rows packed eight entries a byte.
 """
 
 import functools
@@ -94,6 +97,18 @@ def lookup(cum: np.ndarray, draws: np.ndarray) -> np.ndarray:
     """The outcome of each draw r, in draw order: the first whose partial sum exceeds
     floor(r * S), S = cum[-1] a power of two, so r * S is exact."""
     return np.searchsorted(cum, (draws * cum[-1]).astype(np.int64), side="right")
+
+
+def byte_convolve(f: BooleanFunction, g: BooleanFunction) -> np.ndarray:
+    """r(a) = sum_y f(y) g(y+a), eight entries a byte: the rows x -> G(x) ^ G(x ^ a) of
+    `_derivative_rows`, XORed with F ^ G, packed by `np.packbits` and counted by
+    `np.bitwise_count`, their blocks put back in order of a."""
+    gt = g.table
+    mask = f.table ^ gt  # F(y) ^ G(y ^ a) = (F ^ G)(y) ^ G(y) ^ G(y ^ a)
+    parts = [np.bitwise_count(np.packbits(rows ^ mask, axis=1)).sum(axis=1, dtype=np.int64)
+             for rows in _derivative_rows(gt[None])]
+    # block `low` holds the rows of a = low + c * t, so stacking on axis 1 puts a in order
+    return (1 << f.n) - 2 * np.stack(parts, axis=1).reshape(-1)
 
 
 def definition_ones(f: BooleanFunction, k: int) -> int:

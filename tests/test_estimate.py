@@ -389,13 +389,21 @@ def test_u2_partial_sums_check_their_total(monkeypatch):
 
 
 def test_u2_partial_sums_refuse_before_any_work(monkeypatch):
-    # past 3n = 24 the 2^(3n) int64 CDF is refused before the first derivative row
-    def no_rows(*args):
-        raise AssertionError("the derivative rows were built")
+    # past 3n = 24 the 2^(3n) int64 CDF is refused before the derivative rows are gathered
+    # from the table, and so before their transform
+    class Unread:
+        n = 9
 
-    monkeypatch.setattr(spectral, "_derivative_rows", no_rows)
+        @property
+        def table(self):
+            raise AssertionError("the table was read")
+
+    def no_transform(*args):
+        raise AssertionError("the derivative rows were transformed")
+
+    monkeypatch.setattr(spectral, "fwht_inplace", no_transform)
     with pytest.raises(CapacityError, match=r"got 3 x 9: 2\^27 basis states > 2\^24$"):
-        u2_partial_sums(random_function(9, 1))
+        u2_partial_sums(Unread())
 
 
 @st.composite

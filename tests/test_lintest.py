@@ -16,7 +16,7 @@ from closed_forms import random_quadratic
 from gate_reference import lookup
 from packed import from_packed
 
-from gowersim import cli, estimate, lintest
+from gowersim import cli, estimate, lintest, spectral
 from gowersim.boolfn import (
     BooleanFunction,
     bent_quadratic,
@@ -122,14 +122,26 @@ def test_blr_brute_force_oracle():
         assert blr_exact_dyadic(f) == Fraction(good, size * size)
 
 
-def test_blr_enumeration_capacity():
+def test_blr_enumeration_capacity(monkeypatch):
     f = random_function(13, 3)
     with pytest.raises(CapacityError):
         convolve(f, f)
-    # above the cutoff only the spectral value is computed, and no enumeration is tried
+    # above the cutoff only the spectral value is computed: convolve refuses before its kernel
     s3 = int((walsh(f) ** 3).sum())
-    with mock.patch.object(lintest, "convolve", side_effect=AssertionError("enumerated")):
+    with mock.patch.object(spectral, "_word_translates", side_effect=AssertionError("enumerated")):
         assert blr_exact_dyadic(f) == Fraction((1 << 39) + s3, 1 << 40)
+    # BLR reads convolve's refusal as "too many pairs", so a guard one bit tighter would skip
+    # the enumeration silently: at 2n = 24 the correlation runs and is compared
+    returned = []
+
+    def recording(f, g):
+        returned.append(convolve(f, g))
+        return returned[-1]
+
+    monkeypatch.setattr(lintest, "convolve", recording)
+    f = random_function(12, 3)
+    assert blr_exact_dyadic(f) == blr_enumerated(f)
+    assert len(returned) == 1
 
 
 def test_samplers_refuse_the_draw_budget_before_the_transform(monkeypatch):

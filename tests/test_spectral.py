@@ -25,6 +25,7 @@ from gowersim.spectral import (
 )
 
 from closed_forms import gf2_rank
+from gate_reference import byte_convolve
 
 from_anf_string = BooleanFunction.from_anf_string
 
@@ -159,20 +160,25 @@ def test_convolve():
             assert conv[a] == expected  # 2^n (f * g)(a)
 
 
+@pytest.mark.parametrize("same", [False, True], ids=["f!=g", "f=g"])
 @pytest.mark.parametrize("n", range(1, 13))
-def test_convolve_equals_the_byte_sum_reference(n):
-    # r(a) = 2^n - 2 * the ones of F(x) ^ G(x ^ a), summed one uint8 entry at a time
+def test_convolve_equals_the_byte_references(n, same):
+    # r(a) = 2^n - 2 * the ones of F(x) ^ G(x ^ a), summed one uint8 entry at a time, and the
+    # byte-packed kernel that the words replaced; a table fills part of a word (n < 6), one
+    # word (n = 6) or several, and at n = 12 the gathered words span several blocks
+    assert (8 << 2 * 12 - 6) > errors._BLOCK_CELLS
     rng = np.random.default_rng(1300 + n)
     f, g = (random_function(n, int(seed)) for seed in rng.integers(0, 2**32, 2))
+    g = f if same else g
     ft, gt, x = f.table, g.table, np.arange(1 << n)
     expected = [(1 << n) - 2 * int((ft ^ gt[x ^ a]).sum(dtype=np.int64)) for a in range(1 << n)]
-    assert convolve(f, g).tolist() == expected
+    assert convolve(f, g).tolist() == expected == byte_convolve(f, g).tolist()
 
 
 def test_convolution_theorem():
     # FWHT(2^n * (f conv g)) equals the pointwise product of the two spectra,
-    # checked as an exact integer identity; from n = 9 on, the shifts a span several
-    # blocks of _derivative_rows, which must be put back in order of a
+    # checked as an exact integer identity; from n = 7 on, the shifts a span several
+    # words, and the correlation must put them back in order of a
     rng = np.random.default_rng(414)
     for n in range(1, 11):
         f = random_function(n, int(rng.integers(0, 2**32)))

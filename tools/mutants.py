@@ -92,18 +92,36 @@ CATALOGUE = [
      "1 << (cells // size).bit_length() - 1)", [T("gowers")], "kill"),
     (SPECTRAL, "max(1, cells // (per * size))", "cells // (per * size)", [T("gowers")], "kill"),
     (SPECTRAL, "block ^= base[:, None, :]", "block |= base[:, None, :]", [T("spectral")], "kill"),
-    # the blocks' results in block order, not in order of d, once a table spans blocks (n >= 9)
-    (SPECTRAL, "np.stack(parts, axis=1)", "np.stack(parts, axis=0)",
-     [node("spectral", "test_convolution_theorem"),
-      node("estimate", "test_u2_partial_sums_equal_the_reference_state")], "kill"),
+    # the correlation's word index b ^ (a >> 6) read as b | (a >> 6), wrong once a table spans
+    # two words (n >= 7); its blocks unbounded, 2 MiB of gathered words at n = 12
+    (SPECTRAL, "t[:, ramp[a : a + per, None] ^ ramp]", "t[:, ramp[a : a + per, None] | ramp]",
+     [node("spectral", "test_convolve_equals_the_byte_references")], "kill"),
+    (SPECTRAL, "per = max(1, errors._BLOCK_CELLS // t.nbytes)", "per = t.shape[1]",
+     [node("lintest", "test_blr_memory_does_not_grow_with_trials")], "kill"),
+    # one block per value of a >> 6: the same sums, gathered in more blocks
+    (SPECTRAL, "per = max(1, errors._BLOCK_CELLS // t.nbytes)", "per = 1",
+     [node("spectral", "test_convolve_equals_the_byte_references")], "equivalent"),
+    # u2_partial_sums' rows F(x ^ s) ^ F(x) gathered as the translates F(x ^ s) alone
+    (ESTIMATE, "rows = table[ramp ^ ramp[:, None]] ^ table", "rows = table[ramp ^ ramp[:, None]]",
+     [node("estimate", "test_u2_partial_sums_equal_the_reference_state")], "kill"),
     (SPECTRAL, "    w.setflags(write=False)", "    pass", [T("spectral")], "kill"),
     (SPECTRAL, "    r.setflags(write=False)", "    pass", [T("spectral")], "kill"),
     (SPECTRAL, "u = int(np.argmax(w))", "u = int(np.argmax(np.abs(w)))", [T("spectral")],
      "kill"),
     (SPECTRAL, "if f.n != g.n:", "if False:", [T("spectral")], "kill"),
-    # the XOR rows packed across rows, not along them
-    (SPECTRAL, "np.packbits(rows ^ mask, axis=1)", "np.packbits(rows ^ mask, axis=0)",
-     [node("spectral", "test_convolve_equals_the_byte_sum_reference")], "kill"),
+    # F's words taken from G: r(a) becomes G's autocorrelation, wrong wherever f != g
+    (SPECTRAL, "_word_translates(f.table.reshape(-1, 1))",
+     "_word_translates(g.table.reshape(-1, 1))",
+     [node("spectral", "test_convolve_equals_the_byte_references")], "kill"),
+    # r(a) = sum_y F(y) G(y ^ a) = sum_z G(z) F(z ^ a): which table is translated is free
+    (SPECTRAL, "(f.table.reshape(-1, 1))[0, 0]  # F_b: 64 one-entry rows a word\n"
+     "    t = _word_translates(g.table", "(g.table.reshape(-1, 1))[0, 0]  # F_b: 64 one-entry "
+     "rows a word\n    t = _word_translates(f.table",
+     [node("spectral", "test_convolve_equals_the_byte_references"), T("gowers")],
+     "equivalent"),
+    # a BLR that only skips its enumeration at n = 12 (convolve's guard one bit tighter)
+    (SPECTRAL, '2 * f.n, "terms")', '2 * f.n + 1, "terms")',
+     [node("lintest", "test_blr_enumeration_capacity")], "kill"),
     (SPECTRAL, '2 * f.n, "terms")', 'f.n, "terms")', [node("spectral", "test_convolve_errors")],
      "kill"),
     # gowers and dyadic: the exact sums and their argument checks
@@ -116,22 +134,33 @@ CATALOGUE = [
     (GOWERS, 'k * f.n + max(0, f.n - 6), "words")', 'k * f.n + max(0, f.n - 7), "words")',
      [node("gowers", "test_definition_refuses_before_any_work"),
       node("gowers", "test_definition_guard_admits_the_words_it_xors")], "kill"),
-    # the definition's packed count: a swap mask, the zero padding of blocks under 64 entries
-    # (repeated bits instead), the in-word and the word-pair counts, and the doubling
-    (GOWERS, "0x0000FFFF0000FFFF", "0x0000FFFF00FFFF00",
-     [node("properties", "test_uk_definition_equals_the_byte_count")], "kill"),
-    (GOWERS, "np.pad(packed, (0, -packed.size % 8))", "np.resize(packed, -(-packed.size // 8) * 8)",
+    # the packed words: a swap mask, the swap's two halves, the zero padding of rows under 64
+    # entries (repeated bits instead); then the definition's in-word count, its word-pair
+    # count and the doubling
+    (SPECTRAL, "m = (2**64 - 1) // ((1 << s) + 1)", "m = (2**64 - 1) // ((1 << s) + 3)",
+     [node("properties", "test_uk_definition_equals_the_byte_count"),
+      node("spectral", "test_convolve_equals_the_byte_references")], "kill"),
+    (SPECTRAL, "np.multiply(d, (1 << s) + 1, out=d)", "np.multiply(d, 1 << s, out=d)",
+     [node("spectral", "test_convolve_equals_the_byte_references")], "kill"),
+    (SPECTRAL, "np.concatenate((packed, np.zeros(-packed.size % 8, np.uint8)))",
+     "np.resize(packed, -(-packed.size // 8) * 8)",
      [node("properties", "test_uk_definition_equals_the_byte_count"),
       node("gowers", "test_u1_is_squared_bias")], "kill"),
-    (GOWERS, "np.bitwise_and(np.bitwise_xor(hi, w, out=xs), m, out=xs)",
-     "np.bitwise_xor(hi, w, out=xs)",
+    (GOWERS, "pairs + int(np.bitwise_count(d).sum()) // 2",
+     "pairs + int(np.bitwise_count(d).sum())",
      [node("properties", "test_uk_definition_equals_the_byte_count")], "kill"),
-    (GOWERS, "np.bitwise_xor(t[a + 1 :], t[a, 0], out=x[a + 1 :])",
-     "np.bitwise_xor(t[a + 2 :], t[a, 0], out=x[a + 2 :])",
+    (GOWERS, "np.bitwise_xor(t[a + 1 :], t[a, 0], out=t[a + 1 :])",
+     "np.bitwise_xor(t[a + 2 :], t[a, 0], out=t[a + 2 :])",
      [node("gowers", "test_definition_answers_past_one_byte_per_term")], "kill"),
     (GOWERS, "- 4 * pairs", "- 2 * pairs", [node("gowers", "test_u3_known_value")], "kill"),
-    # D(x) = R(x) ^ R(x ^ e) equals D(x ^ e), so either x of each pair may stand for it
-    (GOWERS, "m, out=xs)  # e's top bit is j", "~m, out=xs)  # e's top bit is j",
+    # translate e = 0 meets no pair: its word XORed with itself counts no ones
+    (GOWERS, "np.bitwise_xor(t[:, 1:], t[:, :1], out=t[:, 1:])",
+     "np.bitwise_xor(t, t[:, :1], out=t)",
+     [node("properties", "test_uk_definition_equals_the_byte_count"), T("gowers")],
+     "equivalent"),
+    # the word pairs XORed into a new array: t keeps its words, and every count is the same
+    (GOWERS, "np.bitwise_xor(t[a + 1 :], t[a, 0], out=t[a + 1 :])",
+     "np.bitwise_xor(t[a + 1 :], t[a, 0])",
      [node("properties", "test_uk_definition_equals_the_byte_count"), T("gowers")],
      "equivalent"),
     (GOWERS, "if k < 3:", "if k < 2:", [T("gowers")], "kill"),
@@ -208,7 +237,10 @@ CATALOGUE = [
     # lintest: the exact p0, the BLR cross-check, its draws and the verdict
     (LINTEST, "u2_spectral(f).pow_value ** 2", "float(u2_spectral(f).pow_value) ** 2",
      [node("lintest", "test_shots_compare_draws_with_the_exact_p0")], "kill"),
-    (LINTEST, "if 2 * n <= MAX_N:", "if 2 * n < MAX_N:", [T("cli")], "kill"),
+    # BLR past convolve's guard: the refusal propagates instead of the spectral value
+    (LINTEST, "    except CapacityError:  # past 2n <= 24",
+     "    except ValueError:  # past 2n <= 24",
+     [node("lintest", "test_blr_enumeration_capacity")], "kill"),
     # BLR's gathers: the xs' entries read at the ys; points from the top n + 1 bits
     (LINTEST, "table.take(xs) ^ table.take(ys)", "table.take(ys) ^ table.take(ys)",
      [node("lintest", "test_blr_gathers_equal_the_fancy_index_reference")], "kill"),
