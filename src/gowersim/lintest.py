@@ -16,10 +16,10 @@ estimate.count_nonzero_outcomes), so the counts equal the state sampler's.
 The BLR test draws x, y uniformly and accepts iff F(x) + F(y) = F(x+y); its
 exact acceptance probability is 1/2 + 1/2 sum_u fhat(u)^3, which
 `blr_exact_dyadic(f)` cross-checks against the enumeration of all 2^(2n)
-pairs where 2n <= 24.  Its trials are drawn in chunks, in memory that does not
-grow with their count, on the stream of one call for all xs and one for all
-ys: the ys come from a copy of the generator advanced past the xs.  Results
-are the dicts the CLI prints: a verdict per test, a row from compare.
+pairs where n <= 15.  Its trials are drawn in chunks, in memory that does not
+grow with their count, on the stream of one call for all xs and one for all ys:
+the ys come from a copy of the generator advanced past the xs.  Results are the
+dicts the CLI prints: a verdict per test, a row from compare.
 """
 
 from __future__ import annotations
@@ -91,12 +91,12 @@ def quantum_linearity_test(f: BooleanFunction, shots: int, seed: int | None = No
 
 def blr_exact_dyadic(f: BooleanFunction) -> DyadicRational:
     """Exact BLR acceptance probability 1/2 + 1/2 sum fhat^3, cross-checked against the
-    enumeration of all 2^(2n) pairs where `convolve` admits n (2n <= 24)."""
+    enumeration of all 2^(2n) pairs where `convolve` admits n (n + max(0, n-6) <= 24)."""
     n = f.n
     spectral = DyadicRational((1 << (3 * n)) + _power_sum(walsh(f), 3), 3 * n + 1)
     try:  # accepted pairs (x, y): (2^(2n) + sum_x f(x) r(x)) / 2, r(x) = sum_y f(y) f(x+y)
         r = convolve(f, f)
-    except CapacityError:  # past 2n <= 24, too many pairs to enumerate
+    except CapacityError:  # past n + max(0, n-6) <= 24, too many words to XOR
         return spectral
     s = int(np.dot(f.sign_table(), r))
     enumerated = DyadicRational((1 << (2 * n)) + s, 2 * n + 1)

@@ -12,14 +12,14 @@ flips, register permutations, Hadamard layers) is real orthogonal.
 `zero_amplitude` is the executor: the symbolic walk shared with `phase_audit`
 gives each oracle call's XOR-coset of initial registers, hence the phase of
 every initial basis index.  No MCNOT moves index 0 or changes the sum over all
-indices, and a final HadamardAll puts that sum of signs at 0, so neither the
-register map nor the transform is applied.  The phases come in blocks of at
-most 2^17 basis indices, over an `np.ix_` mesh of register runs, from whole
-rows x -> F(x ^ v) of a 2^(2n) table of translates, or from F entry by entry
-where that table does not fit a block.  Only the executor imports numpy, so
-building, dumping, auditing or refusing a circuit loads none of it (nor
-`dataclasses` or `inspect`), and no circuit loads the exact-arithmetic modules
-`spectral` and `dyadic`.
+indices, and the final HadamardAll that it requires puts that sum of signs at
+0, so neither the register map nor the transform is applied.  The phases come
+in blocks of at most 2^17 basis indices, over an `np.ix_` mesh of register
+runs, from whole rows x -> F(x ^ v) of a 2^(2n) table of translates, or from F
+entry by entry where that table does not fit a block.  Only the executor
+imports numpy, so building, dumping, auditing or refusing a circuit loads none
+of it (nor `dataclasses` or `inspect`), and no circuit loads the
+exact-arithmetic modules `spectral` and `dyadic`.
 """
 
 from __future__ import annotations
@@ -142,14 +142,14 @@ def _phase_blocks(circuit: Circuit, f: BooleanFunction | None):
 
     n, m = circuit.n, circuit.m
     cosets, _ = _walk(circuit)
-    if cosets and (f is None or f.n != n):
+    if f is None or f.n != n:
         raise ValueError(f"the oracle needs a BooleanFunction with n = {n}")
     size = 1 << min(circuit.qubits, cells.bit_length() - 1)
     ramp = np.arange(1 << n, dtype=np.min_scalar_type((1 << n) - 1))
     mesh = np.ix_(*(ramp[: max(1, size >> ((m - r) * n))] for r in range(1, m + 1)))
     shape = tuple(axis.size for axis in mesh)
-    table = f.table if cosets else None
-    rows = table[np.bitwise_xor.outer(ramp, ramp)] if cosets and 4**n <= cells else None
+    table = f.table
+    rows = table[np.bitwise_xor.outer(ramp, ramp)] if 4**n <= cells else None
     starts = np.arange(0, 1 << circuit.qubits, size, dtype=np.int64)
     plan, acc_shape = [], (1,) * m
     for coset in sorted(cosets, key=max):
@@ -177,20 +177,16 @@ def _phase_blocks(circuit: Circuit, f: BooleanFunction | None):
     return map(block, range(len(starts)))
 
 
-def zero_amplitude(circuit: Circuit, f: BooleanFunction | None = None) -> float:
-    """The float amplitude at basis index 0 of the circuit's final state, from the blocks alone.
-
-    A final HALL puts sum(signs) = 2^q - 2 popcount(phase) at index 0, so
-    no transform is needed.  Without it, only the first block's entry 0 is read.
-    """
+def zero_amplitude(circuit: Circuit, f: BooleanFunction) -> float:
+    """The float amplitude at basis index 0 after the circuit's final HALL, from the blocks alone:
+    the HALL puts sum(signs) = 2^q - 2 popcount(phase) there, so no transform is needed."""
+    if not (circuit.gates and isinstance(circuit.gates[-1], HadamardAll)):
+        raise ValueError("the amplitude at 0 is read after a final HadamardAll")
     import numpy as np
 
     q = circuit.qubits
-    blocks = _phase_blocks(circuit, f)
-    if circuit.gates and isinstance(circuit.gates[-1], HadamardAll):
-        ones = sum(int(np.count_nonzero(block)) for block in blocks)
-        return ((1 << q) - 2 * ones) * 2.0**-q
-    return (1 - 2 * int(next(blocks)[0])) * 2.0 ** (-q / 2.0)
+    ones = sum(int(np.count_nonzero(block)) for block in _phase_blocks(circuit, f))
+    return ((1 << q) - 2 * ones) * 2.0**-q
 
 
 # ---------------------------------------------------------------------------

@@ -94,10 +94,12 @@ def _word_translates(rows: np.ndarray) -> np.ndarray:
 def convolve(f: BooleanFunction, g: BooleanFunction) -> np.ndarray:
     """r(a) = sum_y f(y) g(y+a) = 2^n (f * g)(a), as a read-only int64 array indexed by a:
     2^n - 2 sum_b popcount(F_b ^ t[a & 63, b ^ (a >> 6)]), F_b the words of F and t[e, b] those
-    of G translated by e (`_word_translates`), gathered in blocks of errors._BLOCK_CELLS bytes."""
+    of G translated by e (`_word_translates`), gathered in blocks of errors._BLOCK_CELLS bytes
+    or of one value of a >> 6 (256 KiB at n = 15), under `uk_definition`'s word rule at k = 1."""
     if f.n != g.n:
         raise ValueError(f"dimension mismatch: n = {f.n} vs {g.n}")
-    check_capacity(f"the XOR correlation needs 2n <= {MAX_N}, got n = {f.n}", 2 * f.n, "terms")
+    check_capacity(f"the XOR correlation needs n + max(0, n-6) <= {MAX_N}, got n = {f.n}",
+                   f.n + max(0, f.n - 6), "words")
     words = _word_translates(f.table.reshape(-1, 1))[0, 0]  # F_b: 64 one-entry rows a word
     t = _word_translates(g.table.reshape(-1, min(64, 1 << f.n)))[0]  # t[e, b]: a row a word
     ramp = np.arange(t.shape[1])

@@ -66,7 +66,7 @@ def fold(circuit, f: BooleanFunction | None = None) -> np.ndarray:
     return num
 
 
-def permuted_run(circuit: Circuit, f: BooleanFunction | None = None) -> np.ndarray:
+def permuted_run(circuit: Circuit, f: BooleanFunction) -> np.ndarray:
     """The circuit's final int32 numerators, from its phases and its register map.
 
     `_phase_blocks` gives the phase of each initial basis index x.  The

@@ -108,6 +108,20 @@ def test_gowers_autocorrelation_route(capsys):
         assert "--route autocorrelation is only defined for k = 2" in err
 
 
+@pytest.mark.parametrize("n", ["13", "14", "15"])
+def test_autocorrelation_route_reaches_n15(capsys, n):
+    # the XOR correlation's word rule, n + max(0, n-6) <= 24, admits n = 15
+    families = [("--family", "random", "--seed", "5")]
+    if n == "14":  # bent needs an even n
+        families.append(("--family", "bent"))
+    for family in families:
+        autocorrelation, spectral = (
+            run_json(capsys, "gowers", *family, "-n", n, "--route", route,
+                     "--deterministic")["routes"][route]
+            for route in ("autocorrelation", "spectral"))
+        assert autocorrelation == spectral
+
+
 def test_simulate_dump_and_audit(capsys):
     doc = run_json(
         capsys, "simulate", "--circuit", "u2", "-n", "2", "--dump", "--audit",
@@ -525,12 +539,12 @@ def test_route_all_answers_up_to_the_definition_word_guard(capsys):
 
 
 def test_capacity_errors_state_the_cost_and_budget(capsys):
-    for k, route, cost in (
-        (2, "definition", "2^36 words"),
-        (3, "derivatives", "2^28 transform entries"),
-        (2, "autocorrelation", "2^28 terms"),
+    for k, route, n, cost in (
+        (2, "definition", 14, "2^36 words"),
+        (3, "derivatives", 14, "2^28 transform entries"),
+        (2, "autocorrelation", 16, "2^26 words"),
     ):
-        code, out, err = run_cli(capsys, "gowers", "--family", "bent", "-n", "14", "-k", str(k),
+        code, out, err = run_cli(capsys, "gowers", "--family", "bent", "-n", str(n), "-k", str(k),
                                  "--route", route)
         assert code == 3 and out == "" and f"{cost} > 2^24" in err
     # every refusal's full stderr, byte for byte: the rule, then 2^cost unit > 2^budget
@@ -546,8 +560,8 @@ def test_capacity_errors_state_the_cost_and_budget(capsys):
         ((*bent14, "-k", "3", "--route", "derivatives"),
          "uk_via_derivatives needs (k-1)*n <= 24, got k = 3, n = 14: "
          "2^28 transform entries > 2^24"),
-        ((*bent14, "-k", "2", "--route", "autocorrelation"),
-         "the XOR correlation needs 2n <= 24, got n = 14: 2^28 terms > 2^24"),
+        (("gowers", "--family", "bent", "-n", "16", "-k", "2", "--route", "autocorrelation"),
+         "the XOR correlation needs n + max(0, n-6) <= 24, got n = 16: 2^26 words > 2^24"),
         (("estimate", "--family", "bent", "-n", "10", "-m", "10", "-t", "0.1", "--seed", "1"),
          "layout needs m*n <= 24, got 3 x 10: 2^30 basis states > 2^24"),
         (("simulate", "--circuit", "u2", "-n", "9", "--family", "bent"),
@@ -585,9 +599,9 @@ REFUSALS = [
     pytest.param(("gowers", *RANDOM, "-n", "14", "-k", "3", "--route", "derivatives"),
                  "uk_via_derivatives needs (k-1)*n <= 24, got k = 3, n = 14: "
                  "2^28 transform entries > 2^24", id="gowers-derivatives"),
-    pytest.param(("gowers", *RANDOM, "-n", "14", "--route", "autocorrelation"),
-                 "the XOR correlation needs 2n <= 24, got n = 14: 2^28 terms > 2^24",
-                 id="gowers-autocorrelation"),
+    pytest.param(("gowers", *RANDOM, "-n", "16", "--route", "autocorrelation"),
+                 "the XOR correlation needs n + max(0, n-6) <= 24, got n = 16: "
+                 "2^26 words > 2^24", id="gowers-autocorrelation"),
     pytest.param(("simulate", "--circuit", "u2", "-n", "9", "--family", "bent"),
                  "layout needs m*n <= 24, got 3 x 9: 2^27 basis states > 2^24", id="simulate-u2"),
     pytest.param(("simulate", "--circuit", "u3_appendix", "-n", "7", "--audit"),
@@ -666,11 +680,12 @@ def test_blr_transforms_its_function_once(capsys, monkeypatch):
         # one more in the spectral sum 2^(3n) + sum W^3: 81/128 instead of 5/8
         (("blr", *X1X2), "gowersim.lintest._power_sum", lambda w, p: gowers._power_sum(w, p) + 1,
          "BLR routes disagree: spectral 81/2^7 vs enumeration 5/2^3\n"),
-        # 2n = 24 = MAX_N is the largest n whose pairs are still enumerated
-        (("blr", "--family", "random", "-n", "12"), "gowersim.lintest._power_sum",
-         lambda w, p: gowers._power_sum(w, p) + 1, "BLR routes disagree: spectral "),
+        # the pairs are enumerated at n = 12, and at n = 15, n + max(0, n-6) = 24 words
+        *((("blr", "--family", "random", "-n", n), "gowersim.lintest._power_sum",
+           lambda w, p: gowers._power_sum(w, p) + 1, "BLR routes disagree: spectral ")
+          for n in ("12", "15")),
     ],
-    ids=["gowers", "blr", "blr-12"],
+    ids=["gowers", "blr", "blr-12", "blr-15"],
 )
 def test_exit_code_4_on_cross_check_failure(capsys, monkeypatch, argv, target, fake, detail):
     monkeypatch.setattr(target, fake)

@@ -236,8 +236,8 @@ def test_argument_validation():
         uk_definition(f, 0)
     with pytest.raises(ValueError):
         uk_via_derivatives(f, 2)
-    with pytest.raises(CapacityError):
-        u2_autocorrelation(from_anf_string("0", 13))
+    with pytest.raises(CapacityError, match=r"got n = 16: 2\^26 words > 2\^24$"):
+        u2_autocorrelation(from_anf_string("0", 16))
 
 
 def test_monotone_in_k():

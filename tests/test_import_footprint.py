@@ -90,7 +90,12 @@ CLI_EXIT = "from gowersim.cli import main\nsys.exit(main({!r}))"
     (CLI_EXIT.format(["simulate", "--audit", "--dump", "--circuit", "derivative_walk", "-k", "3",
                       "-n", "4"]), 0),
     (CLI_EXIT.format(["simulate", "--circuit", "u2", "-n", "9", "--family", "bent"]), 3),
-], ids=["import-cli", "build-u2", "help", "usage-error", "audit-u3", "audit-walk", "refused-u2"])
+    ("from gowersim.qsim import Circuit, PhaseOracle, zero_amplitude\n"
+     "try:\n    zero_amplitude(Circuit(8, 3, (PhaseOracle(1),)), None)\n"
+     "except ValueError as refused:\n    assert 'final HadamardAll' in str(refused)\n"
+     "else:\n    raise AssertionError('not refused')", 0),
+], ids=["import-cli", "build-u2", "help", "usage-error", "audit-u3", "audit-walk", "refused-u2",
+        "refused-no-hall"])
 def test_work_without_a_truth_table_loads_no_numpy(code, status):
     # circuits are symbolic until run, and a refusal needs only the arguments; the gates
     # are NamedTuples, so neither `dataclasses` nor the `inspect` it imports loads either

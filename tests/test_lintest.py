@@ -24,7 +24,7 @@ from gowersim.boolfn import (
     random_function,
 )
 from gowersim.dyadic import DyadicRational
-from gowersim.errors import CapacityError
+from gowersim.errors import CapacityError, CrossCheckError
 from gowersim.estimate import child_seed, u2_partial_sums
 from gowersim.gowers import u2_spectral
 from gowersim.lintest import (
@@ -123,15 +123,15 @@ def test_blr_brute_force_oracle():
 
 
 def test_blr_enumeration_capacity(monkeypatch):
-    f = random_function(13, 3)
+    f = random_function(16, 3)
     with pytest.raises(CapacityError):
         convolve(f, f)
     # above the cutoff only the spectral value is computed: convolve refuses before its kernel
     s3 = int((walsh(f) ** 3).sum())
     with mock.patch.object(spectral, "_word_translates", side_effect=AssertionError("enumerated")):
-        assert blr_exact_dyadic(f) == Fraction((1 << 39) + s3, 1 << 40)
+        assert blr_exact_dyadic(f) == Fraction((1 << 48) + s3, 1 << 49)
     # BLR reads convolve's refusal as "too many pairs", so a guard one bit tighter would skip
-    # the enumeration silently: at 2n = 24 the correlation runs and is compared
+    # the enumeration silently: at n + max(0, n-6) = 24 words the correlation runs and is compared
     returned = []
 
     def recording(f, g):
@@ -139,9 +139,37 @@ def test_blr_enumeration_capacity(monkeypatch):
         return returned[-1]
 
     monkeypatch.setattr(lintest, "convolve", recording)
-    f = random_function(12, 3)
+    f = random_function(15, 3)
     assert blr_exact_dyadic(f) == blr_enumerated(f)
     assert len(returned) == 1
+
+
+@pytest.mark.parametrize("n", [13, 15])
+def test_blr_enumerates_its_pairs_up_to_n15(monkeypatch, n):
+    # n = 13 and 15 lie within the correlation's n + max(0, n-6) <= 24 words
+    calls = []
+
+    def counting(f, g):
+        calls.append(f.n)
+        return convolve(f, g)
+
+    monkeypatch.setattr(lintest, "convolve", counting)
+    f = random_function(n, 5)
+    s3 = int((walsh(f) ** 3).sum())
+    assert blr_exact_dyadic(f) == Fraction((1 << 3 * n) + s3, 1 << 3 * n + 1)
+    assert calls == [n]
+
+
+def test_blr_cross_check_fires_at_n15(monkeypatch):
+    # one entry of the enumeration's correlation off by 2: the two routes disagree
+    def perturbed(f, g):
+        r = convolve(f, g).copy()
+        r[12345] += 2
+        return r
+
+    monkeypatch.setattr(lintest, "convolve", perturbed)
+    with pytest.raises(CrossCheckError, match="^BLR routes disagree: spectral "):
+        blr_exact_dyadic(random_function(15, 5))
 
 
 def test_samplers_refuse_the_draw_budget_before_the_transform(monkeypatch):

@@ -46,14 +46,16 @@ def basis_state(circuit, index):
 
 
 def amplitude(circuit, num: int) -> float:
-    """The float amplitude of a numerator: num / 2^q after a final HALL, num / 2^(q/2) without.
+    """The float amplitude num / 2^q of a numerator after a final HALL, written as
+    zero_amplitude computes it, so that the two compare with ==."""
+    return int(num) * 2.0**-circuit.qubits
 
-    Written as zero_amplitude computes it, so that the two compare with ==
-    (2^(-q/2) is not a dyadic rational for odd q)."""
-    q = circuit.qubits
+
+def with_hall(circuit):
+    """The circuit with a final HALL, which sums the phase of every index at index 0."""
     if circuit.gates and isinstance(circuit.gates[-1], HadamardAll):
-        return int(num) * 2.0**-q
-    return int(num) * 2.0 ** (-q / 2.0)
+        return circuit
+    return Circuit(circuit.n, circuit.m, circuit.gates + (HadamardAll(),))
 
 
 def test_register_layout():
@@ -131,11 +133,17 @@ def test_phase_oracle_needs_matching_function():
         apply(regs, uniform_state(regs), PhaseOracle(1), None)
     with pytest.raises(ValueError):
         apply(regs, uniform_state(regs), PhaseOracle(1), from_anf_string("0", 3))
+    # f is checked also where no oracle reads it
     for f in (None, from_anf_string("0", 3)):
-        with pytest.raises(ValueError):
-            zero_amplitude(Circuit(2, 2, (PhaseOracle(1), HadamardAll())), f)
-        with pytest.raises(ValueError):
-            zero_amplitude(Circuit(2, 2, (PhaseOracle(1),)), f)
+        for gates in ((PhaseOracle(1), HadamardAll()), (HadamardAll(),)):
+            with pytest.raises(ValueError, match="^the oracle needs a BooleanFunction with n = 2$"):
+                zero_amplitude(Circuit(2, 2, gates), f)
+    # the amplitude at 0 has one formula, after the final HALL: without it no block is built
+    with mock.patch("gowersim.qsim._phase_blocks", side_effect=AssertionError("a block built")):
+        for gates in ((PhaseOracle(1),), ()):
+            with pytest.raises(ValueError,
+                               match="^the amplitude at 0 is read after a final HadamardAll$"):
+                zero_amplitude(Circuit(2, 2, gates), from_anf_string("0", 2))
 
 
 def test_mcnot_is_a_basis_permutation():
@@ -381,7 +389,7 @@ def built_circuits(draw):
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(built_circuits(), circuits_and_functions(max_qubits=12)))
 def test_zero_amplitude_equals_permuted_run(case):
-    circuit, f = case
+    circuit, f = with_hall(case[0]), case[1]
     assert zero_amplitude(circuit, f) == amplitude(circuit, permuted_run(circuit, f)[0])
 
 
@@ -389,8 +397,9 @@ def test_zero_amplitude_equals_permuted_run(case):
 @given(circuits_and_functions(), st.sampled_from([4, 64, errors._BLOCK_CELLS]))
 def test_zero_amplitude_matches_gate_by_gate_fold(case, cells):
     # the fold is the independent oracle: oracles on every register, cosets
-    # without register 1, no final HALL, several blocks and both gather paths
-    circuit, f = case
+    # without register 1, several blocks and both gather paths; a HALL is appended
+    # where the circuit has none, so the amplitude sums every index's phase
+    circuit, f = with_hall(case[0]), case[1]
     expected = amplitude(circuit, fold(circuit, f)[0])
     with mock.patch.object(errors, "_BLOCK_CELLS", cells):
         assert zero_amplitude(circuit, f) == expected
@@ -425,9 +434,10 @@ BLOCKED_CIRCUITS = [
 
 
 def simulated(circuit, f):
-    """zero_amplitude, and permuted_run's state bytes up to 18 qubits (not at 2^24 states)."""
+    """zero_amplitude after a final HALL, appended where the circuit has none, and
+    permuted_run's state bytes up to 18 qubits (not at 2^24 states)."""
     state = permuted_run(circuit, f).tobytes() if circuit.qubits <= 18 else None
-    return zero_amplitude(circuit, f), state
+    return zero_amplitude(with_hall(circuit), f), state
 
 
 @pytest.mark.parametrize(("circuit", "cells"), BLOCKED_CIRCUITS)
@@ -498,13 +508,14 @@ def test_zero_amplitude_never_holds_the_phase_table():
         (build_derivative_walk_circuit(8, 2).gates, random_function(7, 1)),
         ((MCnot(4, 1), HadamardAll()), random_function(8, 1)),
         ((MCnot(1, 4), HadamardAll()), random_function(8, 1)),
+        (build_derivative_walk_circuit(8, 2).gates[:-1], random_function(8, 1)),
     ],
     ids=["oracle-register-4-of-3", "hall-not-last", "no-function", "function-n7",
-         "mcnot-target-4-of-3", "mcnot-source-4-of-3"],
+         "mcnot-target-4-of-3", "mcnot-source-4-of-3", "no-final-hall"],
 )
 def test_zero_amplitude_refuses_before_it_allocates_the_state(gates, f):
-    # a malformed circuit is refused when built, a missing or mismatched f before the
-    # executor's first block; a 24-qubit phase table would be 16 MiB
+    # a malformed circuit is refused when built, a missing or mismatched f or a missing
+    # final HALL before the executor's first block; a 24-qubit phase table would be 16 MiB
     tracemalloc.start()
     try:
         with pytest.raises(ValueError):
@@ -545,7 +556,10 @@ def test_permuted_run_and_zero_amplitude_equal_the_fold_at_21_qubits(circuit):
     f = random_function(circuit.n, 23)
     state = fold(circuit, f)
     assert permuted_run(circuit, f).tobytes() == state.tobytes()
-    assert zero_amplitude(circuit, f) == amplitude(circuit, state[0])
+    hall = with_hall(circuit)
+    if hall is not circuit:  # one gate more: the HALL puts the sum of every phase at 0
+        state = apply(hall, state, HadamardAll())
+    assert zero_amplitude(hall, f) == amplitude(hall, state[0])
 
 
 # ---------------------------------------------------------------------------

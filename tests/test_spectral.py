@@ -193,8 +193,9 @@ def test_convolution_theorem():
 def test_convolve_errors():
     with pytest.raises(ValueError, match="dimension mismatch: n = 2 vs 3$"):
         convolve(from_anf_string("0", 2), from_anf_string("0", 3))
-    with pytest.raises(CapacityError):
-        convolve(from_anf_string("0", 13), from_anf_string("0", 13))
+    with pytest.raises(CapacityError, match=r"^the XOR correlation needs n \+ max\(0, n-6\) <= 24, "
+                                            r"got n = 16: 2\^26 words > 2\^24$"):
+        convolve(from_anf_string("0", 16), from_anf_string("0", 16))
 
 
 def test_autocorrelation_is_self_convolution():

@@ -33,10 +33,12 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# what no benchmark job runs: odd BLR draw counts (every job draws an even one), `--family
-# linear --u`, the empty ANF and an ANF with a constant term, and lintest and compare past
-# 3n = 24 qubits, at n = 11 on x1 + x2 with one entry flipped, whose p0 no float holds,
+# what no benchmark job runs: odd BLR draw counts (every job draws an even one), at sizes
+# up to and past n = 15, the last whose pairs are enumerated, `--family linear --u`, the
+# empty ANF and an ANF with a constant term, and lintest and compare past 3n = 24 qubits,
+# at n = 11 on x1 + x2 with one entry flipped, whose p0 no float holds,
 # the definition route past (k+1)*n <= 24, up to its word guard and one variable over it,
+# the autocorrelation route at the last n that its word rule admits and one over it,
 # estimate's mean at draw counts around its pools of keys and --validate with odd trials, and
 # --validate at draw counts around those pools (2^16 draws at n = 6, 2^18 at n = 8), the
 # draw budget's refusal of each sampling command, and last the circuit layer: simulate's
@@ -47,7 +49,7 @@ ROOT = Path(__file__).resolve().parent.parent
 # its alias, now an invalid choice
 EXTRA = [
     *(["blr", "--family", "random", "--seed", "7", "-n", n, "--trials", trials]
-      for n in ("1", "12", "20") for trials in ("1", "3", "65537", "100001")),
+      for n in ("1", "12", "15", "20") for trials in ("1", "3", "65537", "100001")),
     *(["compare", "-n", "5", "--family", "random", "--seed", "11", "--shots", shots]
       for shots in ("1", "10001")),
     ["analyze", "-n", "3", "--family", "linear", "--u", "101"],
@@ -60,7 +62,9 @@ EXTRA = [
      "--seed", "5", "--shots", "100001"],
     *(["gowers", "-k", k, "-n", n, *route, "--family", "random", "--seed", "5"]
       for k, n, route in (("2", "10", ()), ("3", "7", ()), ("4", "6", ()),
-                          ("1", "15", ("--route", "definition")), ("2", "11", ()))),
+                          ("1", "15", ("--route", "definition")), ("2", "11", ()),
+                          ("2", "15", ("--route", "autocorrelation")),
+                          ("2", "16", ("--route", "autocorrelation")))),
     *(["estimate", "--family", "random", "--seed", "5", "-n", n, "-m", m, "-t", "0.05"]
       for n in ("1", "3", "8") for m in ("65535", "65536", "65537", "131073")),
     *(["estimate", "--family", "random", "--seed", "5", "-n", n, "-m", "333", "-t", "0.05",
