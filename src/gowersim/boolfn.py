@@ -230,7 +230,13 @@ def bent_quadratic(n: int) -> BooleanFunction:
 
 
 def random_function(n: int, seed) -> BooleanFunction:
-    """Uniformly random truth table from a PCG64 generator seeded with `seed`."""
+    """Uniformly random truth table: F(x) is the top bit of byte x (little-endian) of `seed`'s
+    stream (estimate._words)."""
+    from .estimate import _draw_chunks, _key, _words
+
     _check_n(n)
-    rng = np.random.default_rng(seed)
-    return BooleanFunction(n, rng.integers(0, 2, size=1 << n, dtype=np.uint8))
+    key, table = _key(seed), np.empty(max(8, 1 << n), np.uint8)
+    for at, size in _draw_chunks(table.size >> 3):
+        bits = _words(key, at, size).astype("<u8", copy=False).view(np.uint8) >> 7
+        table[8 * at : 8 * (at + size)] = bits
+    return BooleanFunction(n, table[: 1 << n])

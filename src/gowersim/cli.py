@@ -19,7 +19,7 @@ usage/parse/domain errors, 3 capacity errors, 4 internal cross-check failures.
 `gowersim` command, flushes stdout and stderr and ends the process with
 `os._exit`, skipping the interpreter's teardown (~22 ms once numpy has
 loaded).  `simulate` loads `qsim`, `boolfn` and `errors`, never the
-exact-arithmetic `spectral` or `dyadic`.
+exact-arithmetic `spectral` or `dyadic`; `--family random` adds `estimate`'s stream.
 """
 
 from __future__ import annotations
@@ -350,9 +350,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse signals usage errors (and --help) this way
         return int(exc.code or 0)
     if cfg.seed is None and cfg.uses_seed():
-        from numpy.random import SeedSequence
-
-        cfg.seed = int(SeedSequence().entropy)
+        cfg.seed = int.from_bytes(os.urandom(16), "big")
     try:
         _emit(cfg, _HANDLERS[cfg.command](cfg))
     except CapacityError as exc:

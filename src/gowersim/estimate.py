@@ -17,40 +17,71 @@ int64 partial sums, without simulating it.  `y_bar` and `validate_bound`
 sample them through `_means`: a sorted pool of keys, each read from one raw
 64-bit word of a stream, takes the draws of many streams at once and is looked
 up in cache-sized blocks, in memory that grows with neither m nor the streams.
-All randomness comes from numpy's PCG64 (`np.random.default_rng`); child
-streams for trial i are derived via SeedSequence([seed, i]) (see child_seed).
-Every sampler draws in chunks (`_draw_sizes`), which change no stream.  A
-request for more than DRAW_BUDGET draws is a CapacityError before the first
-one; `validate_bound` also charges each stream STREAM_SETUP_DRAWS for its
-set-up.
+All randomness comes from one counter-based stream, `_words` (SplitMix64; Steele, Lea &
+Flood 2014), drawn in chunks of at most _DRAW_CHUNK (`_draw_chunks`) that change no word.  A
+request for more than DRAW_BUDGET draws is a CapacityError before the first one;
+`validate_bound` also charges each stream STREAM_SETUP_DRAWS for its set-up.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import os
 
 import numpy as np
 
-from . import errors, spectral
+from . import errors
 from .boolfn import BooleanFunction
 from .errors import CapacityError, CrossCheckError, check_layout
 
-RNG_ALGORITHM = "PCG64"
-# draws per Generator call of every sampler (see _draw_sizes): 64 KiB of 64-bit words, a
-# working set that stays in cache
+RNG_ALGORITHM = "SplitMix64"
+# SplitMix64's increment, and its finalizer's (shift, factor) rounds before z ^= z >> 31
+_GAMMA, _ROUNDS = 0x9E3779B97F4A7C15, ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB))
+# words per call of every sampler (see _draw_chunks): 64 KiB, a working set that stays in cache
 _DRAW_CHUNK = 1 << 13
 _POOL_KEYS = 1 << 16  # keys per pool of _means (times max(1, cum.size >> 22)): 512 KiB
 # most draws one sampling request may ask for: ~3 minutes at y_bar's ~5.5e6 draws/s at n = 8
 DRAW_BUDGET = 2**30
-# a stream's child seed and generator take ~30 us to set up, the time of ~2^8 draws (~160 at
-# n = 8, ~500 at n = 6)
+# a stream's key and first chunk take ~20 us to set up, less than the time of ~2^8 draws
 STREAM_SETUP_DRAWS = 1 << 8
 
 
-def child_seed(seed: int, index: int) -> int:
-    """Deterministic 128-bit child seed for trial `index` under a master seed."""
-    words = np.random.SeedSequence([seed, index]).generate_state(2, np.uint64)
-    return (int(words[0]) << 64) | int(words[1])
+def child_seed(seed: int, index: int) -> tuple[int, int]:
+    return seed, index  # the seed of trial `index`'s stream under a master seed, for `_key`
+
+
+def _key(seed) -> int:
+    """The key K of a seed's stream: the 64-bit limbs of each part (an int >= 0, or each of a
+    child_seed pair), least significant first, then their count, each folded as K <- word 0 of
+    the stream of K ^ value, from K = 0.  None stands for a fresh 128-bit seed."""
+    seed, key = int.from_bytes(os.urandom(16), "big") if seed is None else seed, 0
+    for part in seed if isinstance(seed, tuple) else (seed,):
+        if not isinstance(part, int) or part < 0:
+            raise ValueError(f"a seed is an int >= 0, a child_seed pair or None, got {part!r}")
+        limbs = [part >> at & 2**64 - 1 for at in range(0, max(1, part.bit_length()), 64)]
+        for value in (*limbs, len(limbs)):  # _words(K ^ value, 0, 1) on one int, ~8x faster
+            key = (key ^ value) + _GAMMA & 2**64 - 1
+            for shift, factor in _ROUNDS:
+                key = (key ^ key >> shift) * factor & 2**64 - 1
+            key ^= key >> 31
+    return key
+
+
+@functools.lru_cache(maxsize=1)
+def _steps(count: int) -> np.ndarray:  # (i + 1) * gamma for i < count
+    return np.arange(1, count + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+
+
+def _words(key: int, start: int, count: int) -> np.ndarray:
+    """Words [start, start + count) of the stream of `key` K: word i is the SplitMix64
+    finalizer of K + (i + 1) * gamma, mod 2^64."""
+    z = _steps(max(count, _DRAW_CHUNK))[:count] + np.uint64(key + start * _GAMMA & 2**64 - 1)
+    for shift, factor in _ROUNDS:
+        z ^= z >> shift
+        z *= factor
+    z ^= z >> 31
+    return z
 
 
 def _check_draws(count: int) -> None:
@@ -58,14 +89,11 @@ def _check_draws(count: int) -> None:
         raise CapacityError(f"{count} draws > the draw budget of {DRAW_BUDGET}")
 
 
-def _draw_sizes(count: int):
-    """Chunk sizes of at most _DRAW_CHUNK that add up to count.
-
-    Drawn in turn from one generator, the chunks are the stream of one call, whatever their
-    size.  A count over DRAW_BUDGET is refused here, before anything is drawn.
-    """
+def _draw_chunks(count: int):
+    """(start, size) of the chunks of at most _DRAW_CHUNK that cover [0, count); a count over
+    DRAW_BUDGET is refused here, before anything is drawn."""
     _check_draws(count)
-    return (min(_DRAW_CHUNK, count - start) for start in range(0, count, _DRAW_CHUNK))
+    return ((start, min(_DRAW_CHUNK, count - start)) for start in range(0, count, _DRAW_CHUNK))
 
 
 def u2_partial_sums(f: BooleanFunction) -> np.ndarray:
@@ -76,6 +104,8 @@ def u2_partial_sums(f: BooleanFunction) -> np.ndarray:
     least one a) are transformed along s in int32, exact as |num| <= 2^(3n) <= 2^24.
     A total other than 2^(6n) raises CrossCheckError.
     """
+    from . import spectral  # here: random_function draws through this module, and needs none
+
     n = f.n
     check_layout(3, n)
     ramp, table = np.arange(1 << n), f.table
@@ -96,16 +126,16 @@ def u2_partial_sums(f: BooleanFunction) -> np.ndarray:
 
 
 def _means(cum: np.ndarray, m: int, seeds):
-    """Yield, seed by seed, the mean of Y = outcome / cum.size over m draws on its PCG64 stream.
+    """Yield, seed by seed, the mean of Y = outcome / cum.size over m draws on its stream.
 
     Draw r gives the first outcome whose int64 partial sum in `cum` exceeds floor(r * S), S =
-    cum[-1] = 2^L <= 2^53.  Generator.random() is r = (w >> 11) / 2^53 for the stream's next
-    64-bit word w, so floor(r * S) = (w >> 11) >> (53 - L) = w >> (b + 1), b = 63 - L.  The
-    streams' chunks of words (`_draw_sizes(m)`) fill, in turn, a pool of int64 keys
-    floor(r * S) << b | slot, slot the stream's place in the pool.  Each pool is sorted once
-    and looked up in blocks of _DRAW_CHUNK keys, walking the CDF forwards; bincount sums the
-    outcomes per slot, exact below 2^53, and each stream's total T gives its mean
-    T / (cum.size * m), rounded once, as soon as its pool is flushed.
+    cum[-1] = 2^L <= 2^53.  Word w of the stream is the draw r = (w >> 11) / 2^53, so
+    floor(r * S) = (w >> 11) >> (53 - L) = w >> (b + 1), b = 63 - L.  The streams' chunks of
+    words (`_draw_chunks(m)`) fill, in turn, a pool of int64 keys floor(r * S) << b | slot,
+    slot the stream's place in the pool.  Each pool is sorted once and looked up in blocks of
+    _DRAW_CHUNK keys, walking the CDF forwards; bincount sums the outcomes per slot, exact
+    below 2^53, and each stream's total T gives its mean T / (cum.size * m), rounded once, as
+    soon as its pool is flushed.
     """
     if cum.dtype != np.int64:
         raise TypeError(f"need int64 partial sums of squared numerators, got {cum.dtype}")
@@ -116,7 +146,6 @@ def _means(cum: np.ndarray, m: int, seeds):
         raise ValueError("need at least one sample")
     b = 64 - s.bit_length()  # floor(r * S) < 2^(63 - b)
     keys = np.empty(_POOL_KEYS * max(1, cum.size >> 22), np.int64)  # _POOL_KEYS, or 1/64 of cum
-    words = keys.view(np.uint64)
     shifted = np.empty(_DRAW_CHUNK, np.int64)  # one lookup block's floor(r * S)
     fill = slot = carry = 0  # keys in the pool, the stream being drawn, slot 0's earlier sum
 
@@ -134,13 +163,13 @@ def _means(cum: np.ndarray, m: int, seeds):
         yield from (int(total) / (cum.size * m) for total in sums[:slot])
         return sums[slot]
 
-    for rng in map(np.random.default_rng, seeds):
-        for size in _draw_sizes(m):
+    for key in map(_key, seeds):
+        for start, size in _draw_chunks(m):
             if fill + size > keys.size or slot >> b:
                 carry = yield from flush()
                 fill = slot = 0
-            view = words[fill : fill + size]
-            np.right_shift(rng.bit_generator.random_raw(size), b + 1, out=view)  # floor(r * S)
+            view = keys.view(np.uint64)[fill : fill + size]
+            np.right_shift(_words(key, start, size), b + 1, out=view)  # floor(r * S)
             np.bitwise_or(np.left_shift(view, b, out=view), slot, out=view)
             fill += size
         slot += 1
@@ -153,15 +182,16 @@ def y_bar(cum: np.ndarray, m: int, seed) -> float:
 
 
 def count_nonzero_outcomes(p0, m: int, seed) -> int:
-    """How many of m draws r on the PCG64 stream of `seed` have r >= p0, a rational in [0, 1].
+    """How many of m draws r on the stream of `seed` have r >= p0, a rational in [0, 1].
 
     A draw r maps to outcome 0 iff r < p0, as in `y_bar(cum, m, seed)`'s lookup, where
-    p0 = cum[0] / S: floor(r * S) < cum[0] iff r < p0.  Each draw is a multiple of 2^-53,
-    so r >= p0 iff r >= ceil(p0 * 2^53) / 2^53, a float without rounding at every p0.
+    p0 = cum[0] / S: floor(r * S) < cum[0] iff r < p0.  Each draw is r = (w >> 11) / 2^53
+    for a word w, so r >= p0 iff w >= ceil(p0 * 2^53) << 11, compared exactly (at p0 = 1
+    numpy finds no uint64 >= 2^64).
     """
-    threshold = math.ceil(p0 * 2**53) / 2**53
-    rng = np.random.default_rng(seed)
-    return sum(int(np.count_nonzero(rng.random(size) >= threshold)) for size in _draw_sizes(m))
+    key, least = _key(seed), math.ceil(p0 * 2**53) << 11  # the least word that rejects
+    return sum(int(np.count_nonzero(_words(key, start, size) >= least))
+               for start, size in _draw_chunks(m))
 
 
 def hoeffding_bound(y_bar: float, m: int, t: float, seed: int | None = None) -> dict:

@@ -10,21 +10,20 @@ from linear* only under that promise.
 
 Only that statistic is simulated, never the 2^(3n) final state: p0 is the
 square of the exact spectral U_2 value, and the shots are drawn against it
-on the PCG64 stream that sampling the state would use (see
+on the stream that sampling the state would use (see
 estimate.count_nonzero_outcomes), so the counts equal the state sampler's.
 
 The BLR test draws x, y uniformly and accepts iff F(x) + F(y) = F(x+y); its
 exact acceptance probability is 1/2 + 1/2 sum_u fhat(u)^3, which
 `blr_exact_dyadic(f)` cross-checks against the enumeration of all 2^(2n)
 pairs where n <= 15.  Its trials are drawn in chunks, in memory that does not
-grow with their count, on the stream of one call for all xs and one for all ys:
-the ys come from a copy of the generator advanced past the xs.  Results are the
-dicts the CLI prints: a verdict per test, a row from compare.
+grow with their count, from one stream read by position: its first `trials`
+uint32 halves are the xs, the next `trials` the ys.  Results are the dicts the
+CLI prints: a verdict per test, a row from compare.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 from fractions import Fraction
 
@@ -33,7 +32,7 @@ import numpy as np
 from .boolfn import BooleanFunction
 from .dyadic import DyadicRational
 from .errors import CapacityError, CrossCheckError
-from .estimate import _check_draws, _draw_sizes, child_seed, count_nonzero_outcomes
+from .estimate import _check_draws, _draw_chunks, _key, _words, child_seed, count_nonzero_outcomes
 from .gowers import _power_sum, u2_spectral
 from .spectral import convolve, dist_to_linear, nonlinearity, walsh
 
@@ -108,24 +107,16 @@ def blr_exact_dyadic(f: BooleanFunction) -> DyadicRational:
 
 def _blr_trials(f: BooleanFunction, trials: int, seed) -> tuple[DyadicRational, int]:
     """The exact acceptance probability from `blr_exact_dyadic` and how many of `trials` >= 1
-    draws reject.  xs and ys are the top n bits of the seed's first and second `trials` uint32
-    draws, taken chunk by chunk, the ys from a copy of the generator advanced past the xs.
-    """
+    draws reject.  xs and ys are the top n bits of the uint32 halves [0, trials) and [trials,
+    2 trials) of the seed's stream, each word's low half first, taken chunk by chunk."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     _check_draws(trials)  # before the transform
     p_exact = blr_exact_dyadic(f)
-    x_rng = np.random.default_rng(seed)
-    y_rng = copy.deepcopy(x_rng)
-    y_rng.bit_generator.advance(trials // 2)  # two uint32 draws per 64-bit output
-    if trials % 2:  # the ys start on the high half that the last x leaves buffered
-        y_rng.integers(1 << 32, dtype=np.uint32)
-    shift, table, rejections = 32 - f.n, f.table, 0
-    for count in _draw_sizes(trials):
-        xs = x_rng.integers(1 << 32, size=count, dtype=np.uint32)
-        ys = y_rng.integers(1 << 32, size=count, dtype=np.uint32)
-        xs >>= shift  # integers(0, 2^n) on uint32 is the top n bits of a 32-bit draw
-        ys >>= shift
+    key, shift, table, rejections = _key(seed), 32 - f.n, f.table, 0
+    for start, count in _draw_chunks(trials):
+        xs, ys = (_words(key, at >> 1, count + 2 >> 1).astype("<u8", copy=False).view("<u4")
+                  [at & 1 :][:count] >> shift for at in (start, trials + start))
         rejections += int(np.count_nonzero(table.take(xs) ^ table.take(ys) ^ table.take(xs ^ ys)))
     return p_exact, rejections
 

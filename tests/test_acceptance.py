@@ -40,6 +40,7 @@ from gowersim.qsim import (
 )
 from gowersim.spectral import dist_to_linear, walsh
 
+import stream_reference as stream
 from gate_reference import lookup, permuted_run
 from packed import from_packed
 
@@ -217,7 +218,7 @@ def test_criterion_08_spectral_infrastructure(capsys):
         m = 100_000
         for i, f in enumerate(fixtures):
             num = permuted_run(build_derivative_walk_circuit(f.n, 2), f)
-            draws = np.sort(np.random.default_rng(8100 + i).random(m))  # y_bar's stream
+            draws = np.sort(np.array(stream.draws(8100 + i, m)))  # y_bar's stream
             outcomes = lookup(u2_partial_sums(f), draws)
             probs = num.astype(np.int64) ** 2 / num.size**2  # num / 2^q, 2^q = num.size
             observed = np.bincount(outcomes, minlength=probs.size).astype(float)

@@ -22,6 +22,7 @@ from gowersim.boolfn import (
 from gowersim.errors import AnfSyntaxError, CapacityError
 from gowersim.spectral import _derivative_rows
 
+import stream_reference as stream
 from packed import from_packed
 
 from_anf_string = BooleanFunction.from_anf_string
@@ -194,9 +195,8 @@ def test_anf_string_edge_cases():
 
 
 def test_mobius_is_an_involution():
-    rng = np.random.default_rng(4242)
     for n in range(1, 11):
-        f = random_function(n, rng)
+        f = random_function(n, 4242 + n)  # a seed is an int, not a numpy Generator
         anf = f.to_anf()
         assert anf.coeffs.dtype == np.uint8 and anf.coeffs.shape == (1 << n,)
         # the same transform applied to the coefficient table gives back the truth table
@@ -408,3 +408,11 @@ def test_bent_family():
 def test_random_family_is_seeded():
     assert same(random_function(5, 123), random_function(5, 123))
     assert not same(random_function(5, 123), random_function(5, 124))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 16])
+def test_random_tables_are_the_top_bits_of_the_streams_bytes(n):
+    # entry x is the top bit of byte x, little-endian, of the seed's stream; 2^16 entries
+    # span several draw chunks of 8 bytes a word
+    for seed in (0, 9, (5, 2)):
+        assert random_function(n, seed).table.tolist() == stream.table_bits(seed, 1 << n)

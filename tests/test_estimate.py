@@ -27,6 +27,7 @@ from gowersim.gowers import u2_spectral
 from gowersim.qsim import Circuit, build_derivative_walk_circuit
 from gowersim.spectral import fwht_inplace
 
+import stream_reference as stream
 from gate_reference import fold, lookup, partial_sums, permuted_run, uniform_state
 from packed import from_packed
 
@@ -38,10 +39,14 @@ def u2_sums_and_norm(f):
     return u2_partial_sums(f), u2_spectral(f).norm
 
 
+def reference_draws(seed, m):
+    """The first m draws of the stream of `seed`, from the pure-Python reference."""
+    return np.array(stream.draws(seed, m))
+
+
 def sorted_outcomes(cum, m, seed):
-    """The outcomes of one `default_rng(seed).random(m)` call, in sorted-draw order: the
-    draws of y_bar(cum, m, seed), as its chunks are one call's stream."""
-    return lookup(cum, np.sort(np.random.default_rng(seed).random(m)))
+    """The outcomes of the draws of y_bar(cum, m, seed), in sorted-draw order."""
+    return lookup(cum, np.sort(reference_draws(seed, m)))
 
 
 def point_mass(regs, index):
@@ -103,10 +108,57 @@ def test_y_bar_refuses_sums_that_are_not_int64():
 
 
 def test_child_seed():
-    assert child_seed(7, 0) != child_seed(7, 1)
-    assert child_seed(7, 0) == child_seed(7, 0)
-    assert child_seed(8, 0) != child_seed(7, 0)
-    assert 0 <= child_seed(7, 0) < 1 << 128
+    keys = {estimate._key(seed) for seed in (child_seed(7, 0), child_seed(7, 1), child_seed(8, 0),
+                                             7, 8, 2**64 + 7, (0, 7), (7, 2**64))}
+    assert len(keys) == 8  # the limb counts keep the pair (7, 1) apart from 2^64 + 7
+    assert estimate._key(child_seed(7, 0)) == estimate._key((7, 0)) == stream.key((7, 0))
+
+
+# the key of each seed and the first three words of its stream
+PINNED_STREAMS = {
+    0: (0x08B4FDA8C892B50E, [0x44E5B98100C67FB0, 0xA73822AC2EA54AB1, 0x9403B3663716577C]),
+    1: (0xE9FD6049D65AF21E, [0x5775264A9A7E1B09, 0x9C0002E01D4A175E, 0xF029A3FA23F10E5A]),
+    2**64: (0x5DEF8C1F8A9E3322, [0x7F5D1226A94F47CE, 0xBEC9C4098EAD2E6F, 0x22134C8DFF142466]),
+    2**127 + 5: (0xCF4279133AB6A454,
+                 [0xE591CE1A59604DC7, 0xBD238841A84AC2C1, 0xF68B9168E979E7C3]),
+    child_seed(0, 0): (0x1833A3FC3B33A847,
+                       [0x693E586E6067663F, 0x49D5D8872B6C77BC, 0x2B40B8CA0B3E7DC8]),
+    child_seed(1, 0): (0x2DE5A4E32AE6D264,
+                       [0xE8B2E90FDC725B93, 0xE88AD75412D4106F, 0xDCF35B6B76DBCF34]),
+    child_seed(1, 1): (0xE22AF074957308C3,
+                       [0x3C46A27B26CA8FB6, 0xF4628D44A4EE0ECD, 0xA164B1D59BFB319A]),
+    child_seed(2**64, 7): (0xBB81B8FB038EC503,
+                           [0x46C7E57BE6B2606E, 0x7985D68881DEC328, 0x9EBC7BD14F0DB786]),
+}
+
+
+def test_the_stream_is_pinned_and_read_by_position():
+    # the words of key K are SplitMix64's outputs from the state K: for 1234567, the values
+    # that its reference implementation (Vigna, splitmix64.c) prints
+    published = [6457827717110365317, 3203168211198807973, 9817491932198370423,
+                 4593380528125082431, 16408922859458223821]
+    assert estimate._words(1234567, 0, 5).tolist() == stream.words(1234567, 0, 5) == published
+    for seed, (key, first) in PINNED_STREAMS.items():
+        assert estimate._key(seed) == stream.key(seed) == key, seed
+        assert estimate._words(key, 0, 3).tolist() == stream.words(key, 0, 3) == first, seed
+    # any stretch is the matching slice of one longer read, across the chunk's edges
+    key, chunk = estimate._key(child_seed(3, 1)), estimate._DRAW_CHUNK
+    whole = estimate._words(key, 0, 3 * chunk + 2)
+    assert whole[:2000].tolist() == stream.words(key, 0, 2000)
+    for start in (1, 3, chunk - 1, chunk, chunk + 1, 2 * chunk + 1):
+        for count in (1, 2, 7, chunk - 1 - start % 2, chunk):
+            got = estimate._words(key, start, count)
+            assert got.tolist() == whole[start : start + count].tolist(), (start, count)
+    assert estimate._words(key, 70001, 5).tolist() == stream.words(key, 70001, 5)
+
+
+def test_a_seed_is_an_int_a_pair_or_none(monkeypatch):
+    for bad in (-1, 1.5, "7", np.random.default_rng(1), (1, -2), (1, None)):
+        with pytest.raises(ValueError, match="^a seed is an int >= 0, a child_seed pair or None"):
+            estimate._key(bad)
+    # None is a fresh 128-bit seed from the operating system
+    monkeypatch.setattr(estimate.os, "urandom", lambda size: bytes(range(size)))
+    assert estimate._key(None) == stream.key(int.from_bytes(bytes(range(16)), "big"))
 
 
 def test_hoeffding_report_values():
@@ -193,30 +245,23 @@ def test_validate_bound_reproducible():
 def test_chunked_count_equals_one_draw(offset):
     m = estimate._DRAW_CHUNK + offset
     for p0, seed in ((0.3, 4), (11 / 32, 5)):
-        single = np.random.default_rng(seed).random(m)  # PCG64(SeedSequence(seed)), one call
+        single = reference_draws(seed, m)
         assert count_nonzero_outcomes(p0, m, seed) == int(np.count_nonzero(single >= p0))
 
 
 def test_count_draws_at_most_one_chunk_at_a_time(monkeypatch):
     sizes = []
 
-    class Recorder:  # records each call's draws: doubles, or raw words through bit_generator
-        def __init__(self, rng):
-            self.rng, self.bit_generator = rng, self
+    words = estimate._words
 
-        def random(self, size):
-            sizes.append(size)
-            return self.rng.random(size)
-
-        def random_raw(self, size):
-            sizes.append(size)
-            return self.rng.bit_generator.random_raw(size)
+    def recorder(key, start, count):  # records each call's words
+        sizes.append(count)
+        return words(key, start, count)
 
     monkeypatch.setattr(estimate, "_DRAW_CHUNK", 1000)
     cum = u2_partial_sums(bent_quadratic(2))
-    draws = np.random.default_rng(7).random(3005)
-    default_rng = np.random.default_rng
-    monkeypatch.setattr(estimate.np.random, "default_rng", lambda seed: Recorder(default_rng(seed)))
+    draws = reference_draws(7, 3005)
+    monkeypatch.setattr(estimate, "_words", recorder)
     count = count_nonzero_outcomes(0.5, 3005, 7)
     assert sizes == [1000, 1000, 1000, 5]
     assert count == int(np.count_nonzero(draws >= 0.5))
@@ -238,7 +283,7 @@ def test_chunked_y_bar_equals_one_call_lookup(monkeypatch, chunk, offset):
     cdf = np.cumsum((num * 2.0**-9) ** 2)
     monkeypatch.setattr(estimate, "_DRAW_CHUNK", chunk)
     for m in (chunk + offset, 3 * chunk + offset):
-        draws = np.random.default_rng(77).random(m)
+        draws = reference_draws(77, m)
         thresholds = (draws * 2**18).astype(np.int64)  # floor(r * S), S = (2^9)^2
         expected = np.searchsorted(cum, thresholds, side="right")
         assert sorted_outcomes(cum, m, 77).tolist() == sorted(expected.tolist())
@@ -253,8 +298,8 @@ def pooled_case(n):
 
 
 def stream_mean(cum, m, seed):
-    """Y's mean over the outcomes of one `default_rng(seed).random(m)` call, one lookup each."""
-    return int(lookup(cum, np.random.default_rng(seed).random(m)).sum()) / (cum.size * m)
+    """Y's mean over the outcomes of the reference's first m draws of `seed`, one lookup each."""
+    return int(lookup(cum, reference_draws(seed, m)).sum()) / (cum.size * m)
 
 
 @pytest.mark.parametrize("n", [1, 3, 6, 8])
@@ -308,7 +353,7 @@ def test_validate_bound_holds_one_pool_of_keys():
     # shifted keys, outcomes and bincount weights takes 64 KiB, where blocks the size of the
     # pool would take 0.5 MiB each
     cum, norm = pooled_case(6)
-    y_bar(cum, 1, 5)  # the first generator built in a process allocates ~1 MiB once
+    y_bar(cum, 1, 5)  # the stream's table of steps, 64 KiB, is built once
     tracemalloc.start()
     try:
         validate_bound(cum, norm, m=2000, t=0.05, trials=200, seed=3)
@@ -325,7 +370,7 @@ def test_validate_bound_memory_does_not_grow_with_trials(monkeypatch):
     cum, norm = u2_partial_sums(f), u2_spectral(f).norm
     monkeypatch.setattr(estimate, "_DRAW_CHUNK", 1024)
     monkeypatch.setattr(estimate, "_POOL_KEYS", 1024)
-    y_bar(cum, 1, 5)  # the first generator built in a process allocates ~1 MiB once
+    y_bar(cum, 1, 5)  # the stream's table of steps, 8 KiB here, is built once
     tracemalloc.start()
     try:
         validate_bound(cum, norm, m=1, t=0.05, trials=4000, seed=3)
@@ -338,7 +383,7 @@ def test_validate_bound_memory_does_not_grow_with_trials(monkeypatch):
 def test_y_bar_memory_does_not_grow_with_m():
     # all 10^6 outcomes as int64 alone would take 7.6 MiB
     cum = u2_partial_sums(bent_quadratic(2))
-    y_bar(cum, 1, 5)  # the first generator built in a process allocates ~1 MiB once
+    y_bar(cum, 1, 5)  # the stream's table of steps, 64 KiB, is built once
     tracemalloc.start()
     try:
         y_bar(cum, 10**6, 5)
@@ -435,7 +480,7 @@ def test_y_bar_equals_the_fraction_inverse_cdf(case, m, seed):
     u2 = circuit.gates == build_derivative_walk_circuit(f.n, 2).gates
     cum = u2_partial_sums(f) if u2 else partial_sums(num)
     # the lookup is monotone in r, so sorted draws give the oracle's outcomes, sorted
-    oracle = sorted(fraction_sample(num, np.random.default_rng(seed).random(m)))
+    oracle = sorted(fraction_sample(num, reference_draws(seed, m)))
     assert sorted_outcomes(cum, m, seed).tolist() == oracle
     assert y_bar(cum, m, seed) == float(Fraction(sum(oracle), cum.size * m))
     p0 = float(Fraction(int(num[0]) ** 2, int(np.sum(num.astype(np.int64) ** 2))))
@@ -447,11 +492,10 @@ def test_draw_budget_is_refused_before_the_first_draw(monkeypatch):
     cum, norm = u2_sums_and_norm(bent_quadratic(2))
     monkeypatch.setattr(estimate, "DRAW_BUDGET", 1000)
 
-    class NoDraws:
-        def __getattr__(self, name):  # random, bit_generator.random_raw, ...
-            raise AssertionError("a draw was made before the budget check")
+    def no_draws(*args):
+        raise AssertionError("a draw was made before the budget check")
 
-    monkeypatch.setattr(np.random, "default_rng", lambda seed: NoDraws())
+    monkeypatch.setattr(estimate, "_words", no_draws)
     for call in (lambda: y_bar(cum, 1001, 1),
                  lambda: count_nonzero_outcomes(0.5, 1001, 1)):
         with pytest.raises(CapacityError, match="^1001 draws > the draw budget of 1000$"):
@@ -470,11 +514,11 @@ def test_draw_budget_admits_its_streams_and_their_set_up(monkeypatch):
 
 
 def test_a_raw_word_gives_the_floor_of_its_draw_times_every_power_of_two():
-    # Generator.random() is (w >> 11) / 2^53 for the next 64-bit word w of PCG64, so the key
-    # floor(r * 2^L) of _means is (w >> 11) >> (53 - L), the w >> (64 - L) that it computes:
-    # numpy shifts every bit out at L = 0
-    words = np.random.default_rng(21).bit_generator.random_raw(4096)
-    draws = np.random.default_rng(21).random(4096)
+    # a word w is the draw r = (w >> 11) / 2^53, so the key floor(r * 2^L) of _means is
+    # (w >> 11) >> (53 - L), the w >> (64 - L) that it computes: numpy shifts every bit out at
+    # L = 0
+    words = estimate._words(estimate._key(21), 0, 4096)
+    draws = reference_draws(21, 4096)
     for lg in range(54):
         floors = np.floor(draws * 2.0**lg).astype(np.uint64)
         assert np.array_equal((words >> 11) >> (53 - lg), floors), lg
@@ -487,7 +531,7 @@ def test_samplers_draw_the_same_streams_at_every_chunk_size(monkeypatch, chunk):
     cum, _ = pooled_case(6)
     seeds = [child_seed(6, i) for i in range(3)]
     means = [stream_mean(cum, 70_001, seed) for seed in seeds]
-    count = int(np.count_nonzero(np.random.default_rng(3).random(70_001) >= 0.3))
+    count = int(np.count_nonzero(reference_draws(3, 70_001) >= 0.3))
     monkeypatch.setattr(estimate, "_DRAW_CHUNK", chunk)
     assert list(estimate._means(cum, 70_001, seeds)) == means
     assert count_nonzero_outcomes(0.3, 70_001, 3) == count

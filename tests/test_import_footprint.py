@@ -67,14 +67,34 @@ def test_estimate_loads_no_simulator(validate):
     assert "gowersim.qsim" not in loaded
 
 
-def test_simulate_loads_no_exact_arithmetic_module():
-    # the executor reads the block size from errors, not from spectral
-    loaded = loaded_modules(
-        "from gowersim.cli import main\n"
-        "assert main(['simulate', '--circuit', 'u2', '-n', '4', '--family', 'bent']) == 0"
-    )
+@pytest.mark.parametrize("family", [["bent"], ["random", "--seed", "1"]], ids=["bent", "random"])
+def test_simulate_loads_no_exact_arithmetic_module(family):
+    # the executor reads the block size from errors, not from spectral; a random table comes
+    # from estimate's stream, whose module imports spectral only to build partial sums
+    argv = ["simulate", "--circuit", "u2", "-n", "4", "--family", *family]
+    loaded = loaded_modules(f"from gowersim.cli import main\nassert main({argv!r}) == 0")
     assert {"gowersim.qsim", "gowersim.boolfn", "gowersim.errors", "numpy"} <= loaded
     assert not {"gowersim.spectral", "gowersim.dyadic", "fractions"} & loaded
+
+
+@pytest.mark.parametrize("argv", [
+    ["estimate", "--anf", "x1*x2", "-n", "2", "-m", "10", "-t", "0.1", "--seed", "1"],
+    ["estimate", "--anf", "x1*x2", "-n", "2", "-m", "10", "-t", "0.1", "--seed", "1",
+     "--validate", "--trials", "3"],
+    ["lintest", "--anf", "x1*x2", "-n", "2", "--shots", "10", "--seed", "1"],
+    ["blr", "--anf", "x1*x2", "-n", "2", "--trials", "11", "--seed", "1"],
+    ["compare", "--anf", "x1*x2", "-n", "2", "--shots", "10", "--seed", "1"],
+    ["analyze", "--family", "random", "-n", "5", "--seed", "1"],
+    ["gowers", "--family", "random", "-n", "5", "--seed", "1"],
+    ["blr", "--family", "random", "-n", "5", "--trials", "10"],
+], ids=["estimate", "validate", "lintest", "blr", "compare", "analyze-random", "gowers-random",
+        "unseeded"])
+def test_sampling_loads_no_numpy_random(argv):
+    # the stream is gowersim's own, and an omitted seed comes from os.urandom: numpy.random
+    # would import secrets, hmac and OpenSSL's _hashlib, ~5.6 MB of resident memory
+    loaded = loaded_modules(f"from gowersim.cli import main\nassert main({argv!r}) == 0")
+    assert "gowersim.estimate" in loaded
+    assert not {"numpy.random", "secrets", "hmac", "_hashlib"} & loaded
 
 
 CLI_EXIT = "from gowersim.cli import main\nsys.exit(main({!r}))"

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import stream_reference as stream
 from closed_forms import random_quadratic
 from gate_reference import lookup
 from packed import from_packed
@@ -186,15 +187,11 @@ def test_samplers_refuse_the_draw_budget_before_the_transform(monkeypatch):
 
 @pytest.mark.parametrize("n", [1, 4, 12, 20])
 def test_blr_rejections_match_int64_draws(n):
-    # uint32 draws take numpy's bounded-integer path on the same PCG64 values
+    # points and table entries as Python ints, from the pure-Python reference of the stream
     for seed in (0, 1, 2024):
         f = random_function(n, seed + 17)
         trials = 5001
-        rng = np.random.default_rng(seed)
-        xs = rng.integers(0, 1 << n, size=trials)
-        ys = rng.integers(0, 1 << n, size=trials)
-        t = f.table
-        rejections = int(np.count_nonzero(t[xs] ^ t[ys] ^ t[xs ^ ys]))
+        rejections = stream.blr_rejections(f.table.tolist(), trials, seed)
         assert blr_test(f, trials, seed)["rejection_frequency"] == rejections / trials
 
 
@@ -215,10 +212,10 @@ def test_blr_sampled():
 
 
 def blr_one_call_rejections(f, trials, seed):
-    """BLR rejections with all xs, then all ys, drawn in one call each."""
-    rng = np.random.default_rng(seed)
-    xs = rng.integers(0, 1 << f.n, trials, dtype=np.uint32)
-    ys = rng.integers(0, 1 << f.n, trials, dtype=np.uint32)
+    """BLR rejections with all xs, then all ys, read at once: the top n bits of the reference
+    stream's uint32 halves [0, trials) and [trials, 2 trials)."""
+    xs, ys = (np.array(stream.halves(seed, at, trials), np.uint32) >> 32 - f.n
+              for at in (0, trials))
     t = f.table
     return int(np.count_nonzero(t[xs] ^ t[ys] ^ t[xs ^ ys]))
 
@@ -265,15 +262,6 @@ def test_blr_trials_are_equal_at_every_chunk_size(monkeypatch, chunk, trials):
     assert lintest._blr_trials(f, trials, 8)[1] == blr_one_call_rejections(f, trials, 8)
 
 
-def test_bounded_uint32_draws_are_the_top_bits_of_full_draws():
-    # numpy's uint32 integers(0, 2^n) keeps the top n bits of each 32-bit draw and rejects
-    # none, so _blr_trials shifts full-width draws, which take a shorter path
-    for n in range(1, 25):
-        bounded = np.random.default_rng(n).integers(0, 1 << n, 1001, dtype=np.uint32)
-        full = np.random.default_rng(n).integers(1 << 32, size=1001, dtype=np.uint32)
-        assert np.array_equal(bounded, full >> (32 - n)), n
-
-
 @pytest.mark.parametrize("n", range(1, 13))
 def test_blr_gathers_equal_the_fancy_index_reference(n):
     f = random_function(n, 1200 + n)
@@ -282,10 +270,10 @@ def test_blr_gathers_equal_the_fancy_index_reference(n):
 
 
 def test_unseeded_blr_draws_its_ys_after_its_xs_from_one_generator():
-    # a second default_rng() for the ys would start them on fresh entropy: here 999's stream
+    # a second fresh seed for the ys would start them on fresh entropy: here 999's stream
     f = cached_random_function(10)
-    rngs = iter([np.random.default_rng(4242), np.random.default_rng(999)])
-    with mock.patch.object(lintest.np.random, "default_rng", lambda seed=None: next(rngs)):
+    entropy = iter([(4242).to_bytes(16, "big"), (999).to_bytes(16, "big")])
+    with mock.patch.object(estimate.os, "urandom", lambda size: next(entropy)):
         got = blr_test(f, 5001)["rejection_frequency"]
     assert got == blr_one_call_rejections(f, 5001, 4242) / 5001
 
@@ -380,7 +368,7 @@ def state_verdict(f, shots, seed):
     """quantum_linearity_test computed from the u2 circuit's final state."""
     cum = u2_partial_sums(f)
     p_accept = float(Fraction(int(cum[0]), int(cum[-1])))  # num[0]^2 / 2^(2q)
-    draws = np.sort(np.random.default_rng(seed).random(shots))  # the stream of the shots
+    draws = np.sort(np.array(stream.draws(seed, shots)))  # the stream of the shots
     rejections = int(np.count_nonzero(lookup(cum, draws)))
     return {
         "verdict": "REJECT" if rejections else "ACCEPT", "mode": "sampled", "shots": shots,
@@ -426,17 +414,18 @@ def test_compare_matches_state_sampler(f, shots, seed):
 
 
 def test_compare_pinned_at_n8():
-    # values from the full-state sampler at 24 qubits
+    # values from the full-state sampler at 24 qubits (gate_reference.permuted_run) on the
+    # reference stream's draws, and from the reference's BLR points
     table = linear(8, "10110101").table.copy()  # the function's own table is read-only
     table[[3, 77, 200]] ^= 1
     rep = compare(BooleanFunction(8, table), shots=50_000, seed=8080)
     assert rep["function_tt_hex"].startswith("4a5aa5a5a5a55a5a")
     assert (rep["eps_num"], rep["eps_log2_den"], rep["nonlinearity"]) == (3, 8, 3)
     assert rep["quantum_reject_exact"] == 0.17278350674223475
-    assert rep["quantum_reject_freq"] == 0.17292
+    assert rep["quantum_reject_freq"] == 0.1724
     assert rep["quantum_reject_per_query"] == 0.04319587668555869
     assert rep["blr_reject_exact"] == 0.034332275390625
-    assert rep["blr_reject_freq"] == 0.03268
+    assert rep["blr_reject_freq"] == 0.03494
 
 
 # ---------------------------------------------------------------------------
@@ -448,14 +437,9 @@ def test_compare_pinned_at_n8():
 NEAR_LINEAR_11 = "x1 + x2 + " + "*".join(f"x{i}" for i in range(1, 12))
 
 
-class ConstantDraws:
-    """A generator whose every uniform draw is `value`."""
-
-    def __init__(self, value):
-        self.value = value
-
-    def random(self, size):
-        return np.full(size, self.value)
+def constant_words(draw):
+    """A stream whose every word is the draw r = (w >> 11) / 2^53 = `draw`."""
+    return lambda key, start, count: np.full(count, int(draw * 2**53) << 11, np.uint64)
 
 
 def test_shots_compare_draws_with_the_exact_p0(monkeypatch):
@@ -465,7 +449,7 @@ def test_shots_compare_draws_with_the_exact_p0(monkeypatch):
     above = below + 2.0**-53
     assert Fraction(1, 2) <= Fraction(below) < p0 < Fraction(above)
     for draw, verdict in ((below, "ACCEPT"), (above, "REJECT")):
-        monkeypatch.setattr(np.random, "default_rng", lambda seed: ConstantDraws(draw))
+        monkeypatch.setattr(estimate, "_words", constant_words(draw))
         got = quantum_linearity_test(f, 1, 7)
         assert (got["verdict"], got["accept_probability_exact"]) == (verdict, below)
 
@@ -479,7 +463,7 @@ def test_shot_counts_equal_the_integer_reference(n):
     f = BooleanFunction(n, table)
     p0 = u2_spectral(f).pow_value ** 2
     shots, seed = 20_000, 100 + n
-    steps = (np.random.default_rng(seed).random(shots) * 2**53).astype(np.int64).tolist()
+    steps = [word >> 11 for word in stream.words(stream.key(seed), 0, shots)]
     rejections = sum(Fraction(i, 1 << 53) >= p0 for i in steps)
     assert quantum_linearity_test(f, shots, seed)["rejection_frequency"] == rejections / shots
 

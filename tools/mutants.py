@@ -198,10 +198,11 @@ CATALOGUE = [
     (ESTIMATE, "keys = np.empty(_POOL_KEYS * max(1, cum.size >> 22), np.int64)",
      "keys = np.empty(max(m, _POOL_KEYS), np.int64)",
      [node("estimate", "test_y_bar_memory_does_not_grow_with_m")], "kill"),
-    (ESTIMATE, "np.right_shift(rng.bit_generator.random_raw(size), b + 1, out=view)",
-     'np.copyto(view, np.rint(rng.random(size) * s), casting="unsafe")', [T("estimate")],
-     "kill"),
-    (ESTIMATE, "random_raw(size), b + 1, out=view)", "random_raw(size), b, out=view)",
+    (ESTIMATE, "np.right_shift(_words(key, start, size), b + 1, out=view)",
+     'np.copyto(view, np.rint((_words(key, start, size) >> 11) / 2**53 * s), casting="unsafe")',
+     [T("estimate")], "kill"),
+    (ESTIMATE, "_words(key, start, size), b + 1, out=view)",
+     "_words(key, start, size), b, out=view)",
      [node("estimate", "test_y_bar_equals_the_fraction_inverse_cdf")], "kill"),
     (ESTIMATE, 'side="right"', 'side="left"', [T("estimate")], "kill"),
     (ESTIMATE, "    if m < 1:", "    if m < 0:", [T("estimate")], "kill"),
@@ -238,8 +239,33 @@ CATALOGUE = [
     # a draw just below and one just above a p0 that no float holds
     (ESTIMATE, "math.ceil(p0 * 2**53)", "math.floor(p0 * 2**53)",
      [node("lintest", "test_shots_compare_draws_with_the_exact_p0")], "kill"),
-    (ESTIMATE, "rng.random(size) >= threshold", "rng.random(size) > threshold",
+    (ESTIMATE, "_words(key, start, size) >= least", "_words(key, start, size) > least",
      [node("lintest", "test_shots_compare_draws_with_the_exact_p0")], "kill"),
+    # the stream: a word's position, the key fold's limb counts, a finalizer round, the table
+    # of steps cut to one chunk, and numpy.random back in a sampling module or the CLI
+    (ESTIMATE, "np.uint64(key + start * _GAMMA & 2**64 - 1)",
+     "np.uint64(key + start & 2**64 - 1)",
+     [node("estimate", "test_the_stream_is_pinned_and_read_by_position")], "kill"),
+    (ESTIMATE, "for value in (*limbs, len(limbs)):", "for value in limbs:",
+     [node("estimate", "test_child_seed")], "kill"),
+    (ESTIMATE, "    z ^= z >> 31\n    return z", "    return z",
+     [node("estimate", "test_the_stream_is_pinned_and_read_by_position")], "kill"),
+    (ESTIMATE, "_steps(max(count, _DRAW_CHUNK))", "_steps(_DRAW_CHUNK)",
+     [node("estimate", "test_the_stream_is_pinned_and_read_by_position")], "kill"),
+    (ESTIMATE, "if not isinstance(part, int) or part < 0:", "if not isinstance(part, int):",
+     [node("estimate", "test_a_seed_is_an_int_a_pair_or_none")], "kill"),
+    (ESTIMATE, "import numpy as np\n", "import numpy as np\nimport numpy.random\n",
+     [node("import_footprint", "test_sampling_loads_no_numpy_random")], "kill"),
+    (CLI, 'cfg.seed = int.from_bytes(os.urandom(16), "big")',
+     'cfg.seed = int(__import__("numpy.random").random.SeedSequence().entropy)',
+     [node("import_footprint", "test_sampling_loads_no_numpy_random")], "kill"),
+    # spectral imported with estimate: a random table for simulate loads the exact arithmetic
+    (ESTIMATE, "from . import errors\n", "from . import errors, spectral\n",
+     [node("import_footprint", "test_simulate_loads_no_exact_arithmetic_module")], "kill"),
+    # random_function's bytes read big-endian
+    (BOOLFN, '.astype("<u8", copy=False).view(np.uint8)',
+     '.astype(">u8", copy=False).view(np.uint8)',
+     [node("boolfn", "test_random_tables_are_the_top_bits_of_the_streams_bytes")], "kill"),
     # lintest: the exact p0, the BLR cross-check, its draws and the verdict
     (LINTEST, "u2_spectral(f).pow_value ** 2", "float(u2_spectral(f).pow_value) ** 2",
      [node("lintest", "test_shots_compare_draws_with_the_exact_p0")], "kill"),
@@ -250,18 +276,21 @@ CATALOGUE = [
     # BLR's gathers: the xs' entries read at the ys; points from the top n + 1 bits
     (LINTEST, "table.take(xs) ^ table.take(ys)", "table.take(ys) ^ table.take(ys)",
      [node("lintest", "test_blr_gathers_equal_the_fancy_index_reference")], "kill"),
-    (LINTEST, "shift, table, rejections = 32 - f.n,", "shift, table, rejections = 31 - f.n,",
+    (LINTEST, "_key(seed), 32 - f.n,", "_key(seed), 31 - f.n,",
      [node("lintest", "test_blr_gathers_equal_the_fancy_index_reference")], "kill"),
-    # unchecked before the transform, the draws are refused only after it, in _draw_sizes
+    # unchecked before the transform, the draws are refused only after it, in _draw_chunks
     (LINTEST, "    _check_draws(shots)", "    pass",
      [node("cli", "test_draw_budget_exits_3_before_any_work"),
       node("lintest", "test_samplers_refuse_the_draw_budget_before_the_transform")], "kill"),
     (LINTEST, "    _check_draws(trials)", "    pass",
      [node("cli", "test_draw_budget_exits_3_before_any_work"),
       node("lintest", "test_samplers_refuse_the_draw_budget_before_the_transform")], "kill"),
-    (LINTEST, "y_rng.bit_generator.advance(trials // 2)",
-     "y_rng.bit_generator.advance((trials + 1) // 2)", [T("lintest")], "kill"),
-    (LINTEST, "    if trials % 2:", "    if False:", [T("lintest")], "kill"),
+    # the ys read one half past the xs' end, or from the low half where they start on a high
+    # one (odd trials), or one word short there
+    (LINTEST, "for at in (start, trials + start))", "for at in (start, trials + start + 1))",
+     [T("lintest")], "kill"),
+    (LINTEST, "[at & 1 :][:count]", "[:count]", [T("lintest")], "kill"),
+    (LINTEST, "count + 2 >> 1)", "count + 1 >> 1)", [T("lintest")], "kill"),
     (LINTEST, '"REJECT" if rejections else "ACCEPT"', '"REJECT" if rejections > 1 else "ACCEPT"',
      [T("lintest")], "kill"),
     (LINTEST, "_blr_trials(f, shots, child_seed(seed, 1))",
