@@ -1,4 +1,4 @@
-"""Boolean functions F: GF(2)^n -> GF(2): truth tables, ANF, degrees and families.
+"""Boolean functions F: GF(2)^n -> GF(2): truth tables, ANF, degrees, families, packed words.
 
 Conventions used library-wide:
 
@@ -49,6 +49,22 @@ def _mobius(table: np.ndarray) -> np.ndarray:
         halves[:, 1] ^= halves[:, 0]
         h *= 2
     return out
+
+
+def _word_translates(rows: np.ndarray) -> np.ndarray:
+    """t[b, e, r]: word b of the 0/1 rows of 2^n entries, 64 a word (rows under 64 entries share
+    one, zero-padded), bit i holding entry 64 b + (i ^ e) of row r, e < 2^min(n, 6)."""
+    packed = np.packbits(rows, bitorder="little")
+    packed = np.concatenate((packed, np.zeros(-packed.size % 8, np.uint8)))
+    w = packed.view("<u8").reshape(-1, max(1, rows.shape[1] >> 6))
+    t = np.empty((w.shape[1], min(64, rows.shape[1]), w.shape[0]), np.uint64)
+    t[:, 0] = w.T
+    for j in range(t.shape[1].bit_length() - 1):  # e + 2^j: e's word, bits p, p ^ 2^j swapped
+        s, lo, d = 1 << j, t[:, : 1 << j], t[:, 1 << j : 2 << j]  # d = (lo ^ lo >> s) & m
+        m = (2**64 - 1) // ((1 << s) + 1)  # the bits p with bit j clear: 0x5555..., 0x3333..., ...
+        np.bitwise_and(np.bitwise_xor(np.right_shift(lo, s, out=d), lo, out=d), m, out=d)
+        np.bitwise_xor(np.multiply(d, (1 << s) + 1, out=d), lo, out=d)  # lo ^ d ^ d << s, in place
+    return t
 
 
 # ---------------------------------------------------------------------------

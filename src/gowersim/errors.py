@@ -6,8 +6,8 @@ The CLI maps these onto exit statuses: usage/parse problems (including
 """
 
 MAX_N = 24  # the design envelope: bits of table index, simulated qubits, log2 of a sum's terms
-# entries per block of spectral._derivative_rows, estimate.u2_partial_sums and qsim._phase_blocks,
-# and bytes per block of the words that spectral.convolve gathers, one value of a >> 6 at least
+# entries per block of spectral._derivative_rows and estimate.u2_partial_sums, and bytes per block
+# of the words of spectral.convolve (one value of a >> 6 at least) and qsim._phase_blocks (one word)
 _BLOCK_CELLS = 1 << 17
 
 

@@ -23,10 +23,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .boolfn import BooleanFunction
+from .boolfn import BooleanFunction, _word_translates
 from .dyadic import DyadicRational
 from .errors import MAX_N, check_capacity
-from .spectral import _derivative_rows, _word_translates, convolve, fwht_inplace, walsh
+from .spectral import _derivative_rows, convolve, fwht_inplace, walsh
 
 
 class GowersValue(NamedTuple):

@@ -14,11 +14,12 @@ gives each oracle call's XOR-coset of initial registers, hence the phase of
 every initial basis index.  No MCNOT moves index 0 or changes the sum over all
 indices, and the final HadamardAll that it requires puts that sum of signs at
 0, so neither the register map nor the transform is applied.  The phases come
-in blocks of at most 2^17 basis indices, over an `np.ix_` mesh of register
-runs, from whole rows x -> F(x ^ v) of a 2^(2n) table of translates, or from F
-entry by entry where that table does not fit a block.  Only the executor
-imports numpy, so building, dumping, auditing or refusing a circuit loads none
-of it (nor `dataclasses` or `inspect`), and no circuit loads the
+as uint64 words of 64 basis indices (of 2^n, zero-padded, under 6 qubits), in
+blocks of at most 2^17 bytes over an `np.ix_` mesh of register runs: gathered
+from F's words and their translates (`boolfn._word_translates`) where the coset
+holds the last register, else from F's values spread over a word.  Only the
+executor imports numpy, so building, dumping, auditing or refusing a circuit
+loads none of it (nor `dataclasses` or `inspect`), and no circuit loads the
 exact-arithmetic modules `spectral` and `dyadic`.
 """
 
@@ -123,54 +124,53 @@ def _walk(circuit: Circuit) -> tuple[list[frozenset[int]], dict[int, frozenset[i
 
 
 def _phase_blocks(circuit: Circuit, f: BooleanFunction | None):
-    """Flat uint8 parity of F over every oracle call's coset, per initial basis index, in order.
+    """Flat uint64 words of the parity of F over every oracle call's coset, in basis index order.
 
-    Each block is a run of consecutive basis indices, errors._BLOCK_CELLS
-    of them (rounded down to a power of two) or all 2^q if fewer.  In a
-    block, register r holds c_r XOR a run 0, 1, ... along axis r of the open
-    mesh `np.ix_` builds, c_r its content at the block's start, so a coset C's
-    part differs between blocks only by c = XOR of C's c_r.  The part is
-    rows[v] = (x -> F(x ^ v)) along the run of C's highest register h, at
-    v = c XOR the runs of C's other registers; without room for the 2^(2n)
-    rows, F is gathered per entry.  Parts are XORed in order of h, in place
-    once the sum spans the part, and the sum is broadcast to the block's
-    shape.  f is checked on the call; the blocks are built as they are read.
+    Bit i of word w is the phase of basis index 64 w + i; under 6 qubits a value of register m
+    fills a word's low 2^n bits, the padding 0.  A block is errors._BLOCK_CELLS bytes of words
+    (a power of two, one word at least) or all words.  In a block, register r holds c_r, its
+    content at the block's start, XOR a run along axis r of the `np.ix_` mesh (register m's
+    over word starts 64 b).  At v = XOR of coset C's registers (its prefix's XOR its highest
+    register's), C's part is words[v], F(x ^ v) over register m's word x, if C holds register
+    m, else masks[v], F(v) on every valid bit.  Parts are XORed in order of their highest
+    register, in place once the sum spans the part, then broadcast to the block's shape.
+    f is checked on the call; the blocks are built as they are read.
     """
     import numpy as np
 
+    from .boolfn import _word_translates
     from .errors import _BLOCK_CELLS as cells
 
-    n, m = circuit.n, circuit.m
+    n, m, low = circuit.n, circuit.m, min(circuit.n, 6)  # low: register m's bits in a word
     cosets, _ = _walk(circuit)
     if f is None or f.n != n:
         raise ValueError(f"the oracle needs a BooleanFunction with n = {n}")
-    size = 1 << min(circuit.qubits, cells.bit_length() - 1)
+    size = 1 << min(circuit.qubits - low, max(0, cells.bit_length() - 4))  # words per block
     ramp = np.arange(1 << n, dtype=np.min_scalar_type((1 << n) - 1))
-    mesh = np.ix_(*(ramp[: max(1, size >> ((m - r) * n))] for r in range(1, m + 1)))
+    mesh = np.ix_(*(ramp[: max(1, size << low >> circuit.shift(r))] for r in range(1, m)),
+                  ramp[: size << low : 64])
     shape = tuple(axis.size for axis in mesh)
-    table = f.table
-    rows = table[np.bitwise_xor.outer(ramp, ramp)] if 4**n <= cells else None
-    starts = np.arange(0, 1 << circuit.qubits, size, dtype=np.int64)
+    words = _word_translates(f.table[None]).reshape(-1)  # [((v >> 6) ^ b) << 6 | (v & 63)]
+    masks = f.table.astype(np.uint64) * np.uint64((1 << (1 << low)) - 1)
+    starts = np.arange(0, 1 << circuit.qubits, size << low, dtype=np.int64)
+    content = [(starts >> circuit.shift(r) & ramp[-1]).astype(ramp.dtype) for r in range(1, m + 1)]
+
+    @functools.cache
+    def summed(coset: frozenset[int]) -> tuple:  # the XORs of C's mesh axes and of its c_r
+        pattern, cs = summed(coset - {max(coset)}) if len(coset) > 1 else (0, 0)
+        return pattern ^ mesh[max(coset) - 1], cs ^ content[max(coset) - 1]
+
     plan, acc_shape = [], (1,) * m
     for coset in sorted(cosets, key=max):
-        h = max(coset)
-        cs = functools.reduce(np.bitwise_xor, [(starts >> circuit.shift(r)) & ((1 << n) - 1)
-                                               for r in coset]).astype(ramp.dtype)
-        if rows is None or len(coset) == 1:
-            source, pattern = table, functools.reduce(np.bitwise_xor, [mesh[r - 1] for r in coset])
-            part_shape = pattern.shape
-        else:
-            v = functools.reduce(np.bitwise_xor, [mesh[r - 1] for r in coset - {h}])
-            source, pattern = rows[:, : shape[h - 1]], v.reshape(v.shape[: h - 1])
-            part_shape = pattern.shape + (shape[h - 1],) + (1,) * (m - h)
-        grown = np.broadcast_shapes(acc_shape, part_shape)
-        plan.append((cs, source, pattern, part_shape, grown != acc_shape))
+        pattern, cs = summed(coset)
+        grown = tuple(map(max, acc_shape, pattern.shape))
+        plan.append((pattern, cs, words if m in coset else masks, grown != acc_shape))
         acc_shape = grown
 
     def block(j: int) -> np.ndarray:
-        phase = np.zeros((1,) * m, dtype=np.uint8)
-        for cs, source, pattern, part_shape, grows in plan:
-            part = source.take(pattern ^ cs[j], axis=0).reshape(part_shape)
+        phase = np.zeros((1,) * m, np.uint64)
+        for pattern, cs, source, grows in plan:
+            part = source.take(pattern ^ cs[j])
             phase = phase ^ part if grows else np.bitwise_xor(phase, part, out=phase)
         return (phase if acc_shape == shape else np.broadcast_to(phase, shape)).reshape(-1)
 
@@ -185,7 +185,7 @@ def zero_amplitude(circuit: Circuit, f: BooleanFunction) -> float:
     import numpy as np
 
     q = circuit.qubits
-    ones = sum(int(np.count_nonzero(block)) for block in _phase_blocks(circuit, f))
+    ones = sum(int(np.bitwise_count(block).sum()) for block in _phase_blocks(circuit, f))
     return ((1 << q) - 2 * ones) * 2.0**-q
 
 

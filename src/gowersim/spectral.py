@@ -1,7 +1,7 @@
 """Walsh-Hadamard spectra, derivative rows and the XOR correlation, in exact integer arithmetic.
 
 W(u) = sum_x (-1)^(F(x) + u.x) = 2^n * fhat(u), unnormalized; DyadicRational holds the 2^-n.
-`convolve` and `gowers.uk_definition` count 64 entries per XOR of `_word_translates`' words.
+`convolve` and `gowers.uk_definition` count 64 entries per XOR of `boolfn._word_translates`' words.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from typing import Iterator
 import numpy as np
 
 from . import errors
-from .boolfn import BooleanFunction
+from .boolfn import BooleanFunction, _word_translates
 from .dyadic import DyadicRational
 from .errors import MAX_N, check_capacity
 
@@ -73,22 +73,6 @@ def _derivative_rows(g: np.ndarray, depth: int = 1) -> Iterator[np.ndarray]:
             block ^= base[:, None, :]
             rows = block.reshape(-1, size)
             yield from [rows] if depth == 1 else _derivative_rows(rows, depth - 1)
-
-
-def _word_translates(rows: np.ndarray) -> np.ndarray:
-    """t[b, e, r]: word b of the 0/1 rows of 2^n entries, 64 a word (rows under 64 entries share
-    one, zero-padded), bit i holding entry 64 b + (i ^ e) of row r, e < 2^min(n, 6)."""
-    packed = np.packbits(rows, bitorder="little")
-    packed = np.concatenate((packed, np.zeros(-packed.size % 8, np.uint8)))
-    w = packed.view("<u8").reshape(-1, max(1, rows.shape[1] >> 6))
-    t = np.empty((w.shape[1], min(64, rows.shape[1]), w.shape[0]), np.uint64)
-    t[:, 0] = w.T
-    for j in range(t.shape[1].bit_length() - 1):  # e + 2^j: e's word, bits p, p ^ 2^j swapped
-        s, lo, d = 1 << j, t[:, : 1 << j], t[:, 1 << j : 2 << j]  # d = (lo ^ lo >> s) & m
-        m = (2**64 - 1) // ((1 << s) + 1)  # the bits p with bit j clear: 0x5555..., 0x3333..., ...
-        np.bitwise_and(np.bitwise_xor(np.right_shift(lo, s, out=d), lo, out=d), m, out=d)
-        np.bitwise_xor(np.multiply(d, (1 << s) + 1, out=d), lo, out=d)  # lo ^ d ^ d << s, in place
-    return t
 
 
 def convolve(f: BooleanFunction, g: BooleanFunction) -> np.ndarray:

@@ -11,8 +11,9 @@ Hadamard layer is the unnormalized FWHT, which moves the denominator from
 compare by equality; a circuit without gates stands for its registers alone.
 
 `permuted_run` reaches the same state another way, also where the fold is too
-slow: the phases of `qsim._phase_blocks` in the initial registers, then the
-final register map as one flat permutation of the basis indices.
+slow: the phases of `qsim._phase_blocks` in the initial registers, unpacked
+from its uint64 words, then the final register map as one flat permutation of
+the basis indices.
 `partial_sums` turns a state into the int64 partial sums that
 `estimate.y_bar` samples, and `lookup` reads the outcomes of given draws from
 them, one binary search each.  `definition_ones` counts the ones of every
@@ -69,12 +70,15 @@ def fold(circuit, f: BooleanFunction | None = None) -> np.ndarray:
 def permuted_run(circuit: Circuit, f: BooleanFunction) -> np.ndarray:
     """The circuit's final int32 numerators, from its phases and its register map.
 
-    `_phase_blocks` gives the phase of each initial basis index x.  The
+    `_phase_blocks` gives the phase of each initial basis index x, bit x & 63 of a
+    uint64 word (the low 2^n bits where n < 6, the rest zero padding).  The
     amplitude of x then moves to the index whose register r holds the XOR of
     x's registers in r's final contents, and a final HALL transforms the result.
     """
     n, gates = circuit.n, circuit.gates
-    num = 1 - 2 * np.concatenate(list(_phase_blocks(circuit, f))).astype(np.int32)
+    words = np.concatenate(list(_phase_blocks(circuit, f))).astype("<u8", copy=False)
+    bits = np.unpackbits(words.view(np.uint8), bitorder="little").reshape(len(words), 64)
+    num = 1 - 2 * bits[:, : 1 << min(n, 6)].reshape(-1).astype(np.int32)
     contents = {r: {r} for r in range(1, circuit.m + 1)}
     for gate in gates:
         if isinstance(gate, MCnot):

@@ -648,7 +648,8 @@ def test_every_guard_refuses_before_any_kernel_runs(capsys, monkeypatch, argv, l
                          (spectral, "fwht_inplace"), (gowers, "fwht_inplace"),
                          (spectral, "_derivative_rows"), (gowers, "_derivative_rows"),
                          (spectral, "_word_translates"), (gowers, "_word_translates"),
-                         (boolfn, "_mobius"), (qsim, "_phase_blocks"), (qsim, "_walk_gates")):
+                         (boolfn, "_word_translates"), (boolfn, "_mobius"),
+                         (qsim, "_phase_blocks"), (qsim, "_walk_gates")):
         monkeypatch.setattr(module, name, no_work)
     assert estimate.DRAW_BUDGET == BUDGET
     assert run_cli(capsys, *argv, "--deterministic") == (3, "", f"error: {line}\n")

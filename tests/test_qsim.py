@@ -359,7 +359,7 @@ def circuits_and_functions(draw, max_qubits=10):
 
 
 @settings(max_examples=300, deadline=None)
-@given(circuits_and_functions(), st.sampled_from([4, 64, errors._BLOCK_CELLS]))
+@given(circuits_and_functions(), st.sampled_from([4, 8, 64, errors._BLOCK_CELLS]))
 def test_permuted_run_matches_the_fold_at_every_block_size(case, cells):
     circuit, f = case
     state = fold(circuit, f)
@@ -394,10 +394,10 @@ def test_zero_amplitude_equals_permuted_run(case):
 
 
 @settings(max_examples=200, deadline=None)
-@given(circuits_and_functions(), st.sampled_from([4, 64, errors._BLOCK_CELLS]))
+@given(circuits_and_functions(), st.sampled_from([4, 8, 64, errors._BLOCK_CELLS]))
 def test_zero_amplitude_matches_gate_by_gate_fold(case, cells):
     # the fold is the independent oracle: oracles on every register, cosets
-    # without register 1, several blocks and both gather paths; a HALL is appended
+    # without register 1, several blocks, words and masks; a HALL is appended
     # where the circuit has none, so the amplitude sums every index's phase
     circuit, f = with_hall(case[0]), case[1]
     expected = amplitude(circuit, fold(circuit, f)[0])
@@ -414,20 +414,20 @@ def blocked(circuit, name, cells=(SMALL_BLOCKS, 1 << 14)):
 
 BLOCKED_CIRCUITS = [
     *blocked(Circuit(12, 1, (PhaseOracle(1), HadamardAll())), "m1-n12"),
-    # m = 2 at n >= 9: the 2^(2n) translate rows never fit a block
+    # m = 2 at n >= 9: register 2 spans 8 words or more
     *blocked(build_derivative_walk_circuit(9, 1), "walk1-n9"),
     *blocked(build_appendix_u3_circuit(4), "u3-n4"),
     *blocked(build_derivative_walk_circuit(6, 2), "u2-n6"),
     *blocked(Circuit(4, 4, (MCnot(2, 1), PhaseOracle(2), MCnot(4, 3),
                             PhaseOracle(4), MCnot(1, 4), PhaseOracle(3))),
              "permuted-n4"),
-    # 24 qubits split into 2^10 blocks; the small-block splits of u3-n6 and u2-n8
-    # (2^18 blocks, seconds each) are covered by the two cases below
+    # 24 qubits, 2^18 words, split into 2^7 blocks; the small-block splits of u3-n6 and
+    # u2-n8 (2^15 blocks each) are covered by the two cases below
     *blocked(build_derivative_walk_circuit(12, 1), "walk1-n12"),
     *blocked(build_appendix_u3_circuit(6), "u3-n6", [1 << 14]),
     *blocked(build_derivative_walk_circuit(8, 2), "u2-n8", [1 << 14]),
-    # a block ends inside register 3 as for u2-n8 at 64 cells, and at register 4 as
-    # for u3-n6 at 64 cells, on the same gather paths
+    # a block ends inside register 2 as for u2-n8 at 64 bytes, and inside register 3 as
+    # for u3-n6 at 64 bytes
     *blocked(build_derivative_walk_circuit(7, 2), "u2-n7", [SMALL_BLOCKS]),
     *blocked(build_appendix_u3_circuit(5), "u3-n5", [32]),
 ]
@@ -461,9 +461,11 @@ def idle_register_circuit(m):
         pytest.param(build_derivative_walk_circuit(6, 3), errors._BLOCK_CELLS, id="walk3-n6"),
         pytest.param(build_derivative_walk_circuit(4, 5), errors._BLOCK_CELLS, id="walk5-n4"),
         pytest.param(idle_register_circuit(24), errors._BLOCK_CELLS, id="idle-m24-n1"),
-        # patched bounds: a block holds part of one register's range (2, 3, 5, 3)
+        # patched bounds: a block of 128, 2 or 32 words holds part of the word range of
+        # register 2, 3 or 2 (the last one register m's own), one of 8 or 4 bytes one word
         pytest.param(build_derivative_walk_circuit(4, 3), 1 << 10, id="walk3-n4-1024"),
         pytest.param(build_appendix_u3_circuit(3), 16, id="u3-n3-16"),
+        pytest.param(build_derivative_walk_circuit(12, 1), 256, id="walk1-n12-256"),
         pytest.param(build_derivative_walk_circuit(2, 5), 8, id="walk5-n2-8"),
         pytest.param(build_derivative_walk_circuit(4, 2), 4, id="u2-n4-4"),
     ],
@@ -473,8 +475,9 @@ def test_every_block_is_bounded(monkeypatch, circuit, cells):
     if circuit.qubits <= 16:
         expected = fold(circuit, f)
     monkeypatch.setattr(errors, "_BLOCK_CELLS", cells)
-    sizes = [block.size for block in _phase_blocks(circuit, f)]
-    assert sizes == [cells] * ((1 << circuit.qubits) // cells)
+    sizes = [block.nbytes for block in _phase_blocks(circuit, f)]
+    per = max(8, cells)  # bytes of uint64 words, one word at least
+    assert sizes == [per] * ((8 << circuit.qubits - min(circuit.n, 6)) // per)
     amp0 = zero_amplitude(circuit, f)
     if circuit.qubits <= 16:
         assert amp0 == amplitude(circuit, expected[0])
@@ -486,17 +489,47 @@ def test_every_block_is_bounded(monkeypatch, circuit, cells):
         assert Fraction(amp0) == uk_definition(f, k).pow_value
 
 
-def test_zero_amplitude_never_holds_the_phase_table():
-    # a 24-qubit table is 16 MiB of uint8; blocks of 2^17 entries stay far below
-    f = random_function(8, 3)
-    circuit = build_derivative_walk_circuit(8, 2)
+@pytest.mark.parametrize(
+    "circuit",
+    [build_derivative_walk_circuit(8, 2), build_derivative_walk_circuit(6, 3),
+     build_appendix_u3_circuit(6), build_derivative_walk_circuit(12, 1)],
+    ids=["u2-n8", "walk3-n6", "u3-n6", "walk1-n12"],
+)
+def test_zero_amplitude_never_holds_the_phase_table(circuit):
+    # a 24-qubit phase table is 2 MiB of words, 16 MiB of uint8; blocks of 2^17 bytes and F's
+    # words and translates (32 KiB at n = 12) stay under 1 MiB
+    f = random_function(circuit.n, 3)
     tracemalloc.start()
     try:
         zero_amplitude(circuit, f)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4 << 20
+    assert peak < 1 << 20
+
+
+def admitted_walks():
+    """(n, k) of every derivative walk that `build_derivative_walk_circuit` admits."""
+    for k in range(1, 24):
+        for n in range(1, 24 // (k + 1) + 1):
+            try:
+                build_derivative_walk_circuit(n, k)
+            except CapacityError:
+                continue
+            yield n, k
+
+
+# the walks whose 2^k oracle calls over their blocks of 2^14 words number at most 2^11, each
+# under ~50 ms: all but 7 of the 51 (k = 7 at n = 3, k = 9, 10 at n = 2, k >= 12 at n = 1)
+FAST_WALKS = [(n, k) for n, k in admitted_walks()
+              if k + max(0, (k + 1) * n - min(n, 6) - 14) <= 11]
+
+
+@pytest.mark.parametrize(("n", "k"), FAST_WALKS, ids=[f"k{k}-n{n}" for n, k in FAST_WALKS])
+def test_walk_amplitude_equals_the_definition(n, k):
+    f = random_function(n, 40 + k)
+    amp0 = zero_amplitude(build_derivative_walk_circuit(n, k), f)
+    assert Fraction(amp0) == uk_definition(f, k).pow_value
 
 
 @pytest.mark.parametrize(

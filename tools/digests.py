@@ -43,10 +43,11 @@ ROOT = Path(__file__).resolve().parent.parent
 # --validate at draw counts around those pools (2^16 draws at n = 6, 2^18 at n = 8), the
 # draw budget's refusal of each sampling command, and last the circuit layer: simulate's
 # layout and walk-guard refusals (the layout's first where both apply), the largest walk
-# admitted at n = 2, a one-qubit-per-register u2, and compare at n = 11, whose p0 needs
-# more than 53 bits, so that its exact rates are rounded once; then the bent family from
-# its closed form at its smallest n and on the spectral route, and the name that was once
-# its alias, now an invalid choice
+# admitted at n = 2, a one-qubit-per-register u2, the executor on two registers of 12
+# qubits, on words zero-padded past 2^4 entries and on u3_appendix, and compare at n = 11,
+# whose p0 needs more than 53 bits, so that its exact rates are rounded once; then the bent
+# family from its closed form at its smallest n and on the spectral route, and the name that
+# was once its alias, now an invalid choice
 EXTRA = [
     *(["blr", "--family", "random", "--seed", "7", "-n", n, "--trials", trials]
       for n in ("1", "12", "15", "20") for trials in ("1", "3", "65537", "100001")),
@@ -81,6 +82,10 @@ EXTRA = [
     ["simulate", "--circuit", "derivative_walk", "-k", "11", "-n", "2", "--dump"],
     ["simulate", "--circuit", "derivative_walk", "-k", "10", "-n", "2", "--dump", "--audit"],
     ["simulate", "--circuit", "u2", "-n", "1", "--family", "linear", "--u", "1", "--audit"],
+    ["simulate", "--circuit", "derivative_walk", "-k", "1", "-n", "12", "--family", "random",
+     "--seed", "1"],
+    ["simulate", "--circuit", "derivative_walk", "-k", "5", "-n", "4", "--family", "bent"],
+    ["simulate", "--circuit", "u3_appendix", "-n", "5", "--family", "random", "--seed", "2"],
     ["compare", "-n", "11", "--anf", "x1+x2+" + "*".join(f"x{i}" for i in range(1, 12)),
      "--seed", "5", "--shots", "1001"],
     ["analyze", "--family", "bent", "-n", "2"],

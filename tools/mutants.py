@@ -140,15 +140,15 @@ CATALOGUE = [
     (GOWERS, 'k * f.n + max(0, f.n - 6), "words")', 'k * f.n + max(0, f.n - 7), "words")',
      [node("gowers", "test_definition_refuses_before_any_work"),
       node("gowers", "test_definition_guard_admits_the_words_it_xors")], "kill"),
-    # the packed words: a swap mask, the swap's two halves, the zero padding of rows under 64
-    # entries (repeated bits instead); then the definition's in-word count, its word-pair
+    # boolfn's packed words: a swap mask, the swap's two halves, the zero padding of rows under
+    # 64 entries (repeated bits instead); then the definition's in-word count, its word-pair
     # count and the doubling
-    (SPECTRAL, "m = (2**64 - 1) // ((1 << s) + 1)", "m = (2**64 - 1) // ((1 << s) + 3)",
+    (BOOLFN, "m = (2**64 - 1) // ((1 << s) + 1)", "m = (2**64 - 1) // ((1 << s) + 3)",
      [node("properties", "test_uk_definition_equals_the_byte_count"),
       node("spectral", "test_convolve_equals_the_byte_references")], "kill"),
-    (SPECTRAL, "np.multiply(d, (1 << s) + 1, out=d)", "np.multiply(d, 1 << s, out=d)",
+    (BOOLFN, "np.multiply(d, (1 << s) + 1, out=d)", "np.multiply(d, 1 << s, out=d)",
      [node("spectral", "test_convolve_equals_the_byte_references")], "kill"),
-    (SPECTRAL, "np.concatenate((packed, np.zeros(-packed.size % 8, np.uint8)))",
+    (BOOLFN, "np.concatenate((packed, np.zeros(-packed.size % 8, np.uint8)))",
      "np.resize(packed, -(-packed.size // 8) * 8)",
      [node("properties", "test_uk_definition_equals_the_byte_count"),
       node("gowers", "test_u1_is_squared_bias")], "kill"),
@@ -300,7 +300,7 @@ CATALOGUE = [
      "q_reject, blr_reject = 1 - float(p0), 1 - float(p_blr)",
      [node("lintest", "test_each_exact_float_is_one_rounding")], "kill"),
     # qsim: the circuit's checks, all in Circuit.__init__, the walk guard, the executor's
-    # mesh and rows
+    # mesh, words, masks and blocks
     (QSIM, "return (self.m - register) * self.n", "return (self.m - register + 1) * self.n",
      [T("qsim")], "kill"),
     (QSIM, "check_layout(m, n)", "check_layout(m - 1, n)",
@@ -326,10 +326,23 @@ CATALOGUE = [
     (QSIM, "from collections import Counter\n",
      "from collections import Counter\nfrom dataclasses import dataclass\n",
      [T("import_footprint")], "kill"),
-    (QSIM, "ramp[: max(1, size >> ((m - r) * n))]", "ramp[: size >> ((m - r) * n)]",
-     [T("qsim")], "kill"),
-    (QSIM, "table[np.bitwise_xor.outer(ramp, ramp)]", "table[np.bitwise_or.outer(ramp, ramp)]",
-     [T("qsim")], "kill"),
+    (QSIM, "ramp[: max(1, size << low >> circuit.shift(r))]",
+     "ramp[: size << low >> circuit.shift(r)]", [T("qsim")], "kill"),
+    # the padding of words under 64 entries set in the masks, register m's word starts stepped
+    # by 1 where a register spans words (n >= 7), and the masks read where the words are due:
+    # every walk's and u3_appendix's amplitude survives that swap, the gate-by-gate fold does not
+    (QSIM, "np.uint64((1 << (1 << low)) - 1)", "np.uint64(2**64 - 1)",
+     [node("qsim", "test_walk_amplitude_equals_the_definition")], "kill"),
+    (QSIM, "ramp[: size << low : 64])", "ramp[: size << low : 64] >> 6)",
+     [node("qsim", "test_walk_amplitude_equals_the_definition")], "kill"),
+    (QSIM, "words if m in coset else masks", "masks if m in coset else words",
+     [node("qsim", "test_zero_amplitude_matches_gate_by_gate_fold")], "kill"),
+    # blocks of 2^17 words, 1 MiB each, not of 2^17 bytes
+    (QSIM, "max(0, cells.bit_length() - 4))", "max(0, cells.bit_length() - 1))",
+     [node("qsim", "test_zero_amplitude_never_holds_the_phase_table")], "kill"),
+    # the word kernel read from spectral would load it, dyadic and fractions into simulate
+    (QSIM, "from .boolfn import _word_translates", "from .spectral import _word_translates",
+     [node("import_footprint", "test_simulate_loads_no_exact_arithmetic_module")], "kill"),
     # the block size read from spectral would load it, dyadic and fractions into simulate
     (QSIM, "from .errors import _BLOCK_CELLS as cells",
      "from .spectral import _BLOCK_CELLS as cells",
